@@ -9,10 +9,18 @@
 //!
 //! Usage: `cargo run --release -p bench --bin repro_codecs -- [--scale F]`
 
-use bench::{cli, fmt_bytes, print_table, time_ms, Bundle};
+use bench::{cli, fmt_bytes, print_table, Bundle};
 use bitmap::BitVec;
 use roar::RoaringBitmap;
+use std::time::Instant;
 use wah::{BbcBitmap, EwahBitmap, WahBitmap};
+
+/// Wall-clock milliseconds to run `f` once.
+fn time_ms<F: FnMut()>(mut f: F) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
 
 fn main() {
     let opts = cli::from_env();

@@ -19,7 +19,7 @@
 use ab::{AbConfig, Sizing};
 use bench::{
     ab_query_time_ms, cli, mean_precision, mean_tuples, paper_alpha, paper_level, print_table,
-    wah_query_time_ms, write_bench_snapshot, Bundle,
+    wah_query_time_ms, Bundle,
 };
 use hashkit::{HashFamily, HashKind};
 
@@ -68,25 +68,13 @@ fn main() {
         fig14(&opts);
         matched = true;
     }
-    let mut extras: Vec<(String, f64)> = Vec::new();
     if run("reorder") {
-        extras.extend(reorder_ablation(&opts));
+        reorder_ablation(&opts);
         matched = true;
     }
     if !matched {
         eprintln!("unknown figure `{which}`");
         std::process::exit(2);
-    }
-    // The figures above accumulate into the global registry as a side
-    // effect; dump whatever this run touched, plus the reorder
-    // ablation's explicit series.
-    let mut snap = obs::global().snapshot();
-    for (key, v) in extras {
-        snap = snap.with_extra(&key, v);
-    }
-    match write_bench_snapshot("figures", &snap) {
-        Ok(path) => println!("\nMetrics snapshot written to {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics snapshot: {e}"),
     }
 }
 
@@ -461,10 +449,8 @@ fn fig14(opts: &cli::Options) {
 /// and Gray-code heuristics shrink run-length-compressed bitmaps on
 /// the paper's data sets? Measured three ways — raw bit transitions
 /// (the quantity run-length codes pay for) and the summed compressed
-/// size of every bitmap under WAH, BBC, and Roaring. Returns the
-/// series for `BENCH_figures.json`
-/// (`figures.reorder.<dataset>.<order>.<metric>`).
-fn reorder_ablation(opts: &cli::Options) -> Vec<(String, f64)> {
+/// size of every bitmap under WAH, BBC, and Roaring.
+fn reorder_ablation(opts: &cli::Options) {
     use bitmap::{
         apply_permutation, gray_order, lexicographic_order, total_transitions, BinnedTable,
     };
@@ -491,7 +477,6 @@ fn reorder_ablation(opts: &cli::Options) -> Vec<(String, f64)> {
     }
 
     let bundles = Bundle::paper_bundles(opts.scale, opts.seed);
-    let mut extras = Vec::new();
     let mut rows = Vec::new();
     for b in &bundles {
         let natural = &b.ds.binned;
@@ -516,14 +501,6 @@ fn reorder_ablation(opts: &cli::Options) -> Vec<(String, f64)> {
                 roar_sz.to_string(),
                 format!("{:.2}x", base_wah / wah_sz as f64),
             ]);
-            for (metric, v) in [
-                ("transitions", transitions as f64),
-                ("wah_bytes", wah_sz as f64),
-                ("bbc_bytes", bbc_sz as f64),
-                ("roaring_bytes", roar_sz as f64),
-            ] {
-                extras.push((format!("figures.reorder.{}.{order}.{metric}", b.ds.name), v));
-            }
         }
     }
     print_table(
@@ -539,5 +516,4 @@ fn reorder_ablation(opts: &cli::Options) -> Vec<(String, f64)> {
         ],
         &rows,
     );
-    extras
 }

@@ -11,7 +11,7 @@
 //! Usage: `cargo run --release -p bench --bin repro_tables -- [--table N] [--scale F]`
 
 use ab::ab_size_bytes;
-use bench::{cli, fmt_bytes, metrics_workload, print_table, write_bench_snapshot, Bundle};
+use bench::{cli, fmt_bytes, print_table, Bundle};
 
 /// Paper-scale structural parameters of the three data sets
 /// (Table 3): name, rows, attributes, bins per attribute.
@@ -42,21 +42,6 @@ fn main() {
         other => {
             eprintln!("unknown table `{other}` (expected 3..7 or all)");
             std::process::exit(2);
-        }
-    }
-    dump_metrics(&opts);
-}
-
-/// Runs the instrumented end-to-end workload and writes the registry
-/// snapshot to `BENCH_tables.json` (CI's `metrics-smoke` step checks
-/// the metric families and the `check.*` cross-check keys).
-fn dump_metrics(opts: &cli::Options) {
-    let snap = metrics_workload(opts.scale, opts.seed);
-    match write_bench_snapshot("tables", &snap) {
-        Ok(path) => println!("\nMetrics snapshot written to {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write metrics snapshot: {e}");
-            std::process::exit(1);
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Shared experiment harness for the repro binaries and Criterion
-//! benches.
+//! Shared experiment harness for the repro binaries.
 //!
 //! Everything here operationalizes the paper's experimental framework
 //! (§5): prepare the three data sets, build the WAH baseline and AB
@@ -14,9 +13,6 @@ use std::time::Instant;
 use wah::WahIndex;
 
 pub mod cli;
-pub mod report;
-
-pub use report::{bench_report, BenchSnapshot};
 
 /// The α at which each data set's AB is "smaller than or comparable to
 /// WAH" (paper §6.1): uniform 16 (per column), HEP 8, Landsat 8.
@@ -116,13 +112,6 @@ pub fn mean_tuples(ab: &AbIndex, exact: &BitmapIndex, queries: &[RectQuery]) -> 
     )
 }
 
-/// Wall-clock milliseconds to run `f` once.
-pub fn time_ms<F: FnMut()>(mut f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
 /// Mean per-query AB execution time (ms) over a batch.
 pub fn ab_query_time_ms(ab: &AbIndex, queries: &[RectQuery]) -> f64 {
     let start = Instant::now();
@@ -144,94 +133,6 @@ pub fn wah_query_time_ms(wah: &WahIndex, queries: &[RectQuery]) -> f64 {
         std::hint::black_box(wah.evaluate(&full));
     }
     start.elapsed().as_secs_f64() * 1e3 / queries.len() as f64
-}
-
-/// Writes a registry snapshot as `BENCH_<name>.json` in the current
-/// directory and returns the path. The JSON layout is
-/// [`obs::Snapshot::to_json`]; see the README's Observability section
-/// for how to read it.
-pub fn write_bench_snapshot(
-    name: &str,
-    snap: &obs::Snapshot,
-) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, snap.to_json())?;
-    Ok(path)
-}
-
-/// The five per-query counters that must equal the summed
-/// [`ab::QueryStats`] of the instrumented query loop.
-const AB_QUERY_COUNTERS: [&str; 5] = [
-    "ab.query.executed",
-    "ab.query.cells_probed",
-    "ab.query.bits_read",
-    "ab.query.rows_matched",
-    "ab.query.short_circuit_hits",
-];
-
-/// Runs an end-to-end instrumented workload over the three paper data
-/// sets — AB builds, WAH compressed-domain ops, planner calibration
-/// and planning, AB queries with exact pruning — and returns a
-/// registry snapshot covering exactly that workload.
-///
-/// The snapshot's `extra` map carries cross-check values: after
-/// calibration (whose internal timing runs also execute AB queries)
-/// the `ab.query.*` counters are zeroed, so in the returned snapshot
-/// `ab.query.cells_probed` (and friends) equal the summed per-query
-/// [`ab::QueryStats`] stored under `check.*` exactly.
-pub fn metrics_workload(scale: f64, seed: u64) -> obs::Snapshot {
-    obs::global().reset();
-    let bundles = Bundle::paper_bundles(scale, seed);
-
-    // Phase 1 — builds, WAH ops, planner. These may run AB queries
-    // internally (calibration timing), so they come first.
-    let prepared: Vec<(Bundle, AbIndex, Vec<RectQuery>)> = bundles
-        .into_iter()
-        .map(|b| {
-            let ab_index = b.paper_ab();
-            let queries = b.queries((b.ds.rows() / 100).max(10), seed ^ 0x51);
-            for q in queries.iter().take(10) {
-                std::hint::black_box(b.wah.evaluate(q));
-            }
-            {
-                let wah_like = ab::planner::wah_like::WahLike::new(|q: &RectQuery| {
-                    std::hint::black_box(b.wah.evaluate(q));
-                });
-                let samples = &queries[..queries.len().min(8)];
-                let model = ab::calibrate(&ab_index, &wah_like, samples);
-                for q in &queries {
-                    let _ = ab::plan(&model, q);
-                }
-            }
-            (b, ab_index, queries)
-        })
-        .collect();
-
-    // Phase 2 — the accounted query loop. Zero the per-query counters
-    // so the snapshot totals equal the summed QueryStats exactly.
-    for name in AB_QUERY_COUNTERS {
-        obs::global().counter(name).reset();
-    }
-    let mut total = ab::QueryStats::default();
-    let mut queries_run = 0u64;
-    for (b, ab_index, queries) in &prepared {
-        for q in queries {
-            let (rows, stats) = ab_index.execute_rect_with_stats(q);
-            total.cells_probed += stats.cells_probed;
-            total.bits_read += stats.bits_read;
-            total.rows_matched += stats.rows_matched;
-            queries_run += 1;
-            // Exact second step → ab.query.false_positives.
-            std::hint::black_box(ab::prune_false_positives(&b.exact, q, &rows));
-        }
-    }
-
-    obs::global()
-        .snapshot()
-        .with_extra("check.queries", queries_run as f64)
-        .with_extra("check.cells_probed", total.cells_probed as f64)
-        .with_extra("check.bits_read", total.bits_read as f64)
-        .with_extra("check.rows_matched", total.rows_matched as f64)
 }
 
 /// Formats a row-aligned ASCII table (plain `println!` output so the

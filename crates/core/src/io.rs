@@ -3,9 +3,9 @@
 //! A downstream user builds the AB once over a (read-only, per §4.1)
 //! data set and ships it to query nodes — the paper's privacy scenario
 //! (§1, contribution 6) even queries the AB *without* database access.
-//! The format is a versioned little-endian layout (version 2 adds a
-//! CRC-32 of everything after the checksum field, so bit-rot is caught
-//! at decode time instead of surfacing as silently wrong answers):
+//! The format is a versioned little-endian layout; the `crc32` field
+//! covers everything after it, so bit-rot is caught at decode time
+//! instead of surfacing as silently wrong answers:
 //!
 //! ```text
 //! magic "ABIX" | version u16 | crc32 u32 | level u8 | num_rows u64 |
@@ -21,28 +21,24 @@
 //!                      fp_len u64, ROAR bytes }* ]
 //! ```
 //!
-//! Version 3 appends the hierarchical-pruning pyramid (`hier flag` =
-//! 1 followed by the per-level geometry + AB records; 0 means no
-//! pyramid). Versions 1 and 2 end after the base ABs; readers of
-//! those versions ignore any trailing bytes, and this build reads
-//! them with `hier = None` (callers may rebuild the pyramid from the
-//! base AB — the probe-sweep construction is deterministic).
-//!
-//! Version 4 appends the hybrid exact tier (`crate::hybrid`): per
-//! backed (attribute, bin), the exact and companion false-positive
-//! Roaring containers as length-prefixed self-checking `ROAR` streams
-//! (see `roar::bytes` — each carries its own magic, version and
-//! CRC-32, so a damaged container is pinpointed, quarantined and
-//! rebuilt without distrusting its neighbours). Bins must appear in
-//! strictly increasing (attribute, bin) order. Version ≤ 3 input
-//! decodes with `hybrid = None`; callers with source data may rebuild
-//! the tier (`AbIndex::ensure_hybrid` is deterministic).
+//! The trailing `hier` section is the hierarchical-pruning pyramid
+//! (flag 1 followed by the per-level geometry + AB records; 0 means no
+//! pyramid — callers may rebuild it from the base AB, the probe-sweep
+//! construction is deterministic). The `hybrid` section is the exact
+//! tier (`crate::hybrid`): per backed (attribute, bin), the exact and
+//! companion false-positive Roaring containers as length-prefixed
+//! self-checking `ROAR` streams (see `roar::bytes` — each carries its
+//! own magic, version and CRC-32, so a damaged container is
+//! pinpointed, quarantined and rebuilt without distrusting its
+//! neighbours). Bins must appear in strictly increasing (attribute,
+//! bin) order; callers with source data may rebuild a missing tier
+//! (`AbIndex::ensure_hybrid` is deterministic).
 //!
 //! A row-range-sharded index (see `ab::shard_ranges` and the `svc`
 //! crate) persists as an `ABSH` envelope of independent `ABIX`
-//! segments, each tagged with its starting global row and (since
-//! version 2) its own CRC-32, so one rotted shard is detected — and
-//! repairable — without touching the others:
+//! segments, each tagged with its starting global row and its own
+//! CRC-32, so one rotted shard is detected — and repairable — without
+//! touching the others:
 //!
 //! ```text
 //! magic "ABSH" | version u16 | shard count u32 |
@@ -51,8 +47,11 @@
 //!
 //! Segments are length-prefixed so a reader can skip to any shard
 //! without decoding the others, and must appear in strictly increasing
-//! `start_row` order starting at row 0. Version-1 payloads (no
-//! checksums) remain readable.
+//! `start_row` order starting at row 0.
+//!
+//! Readers accept exactly the version the writer emits (`ABIX` 4,
+//! `ABSH` 2); anything else is [`IoError::UnsupportedVersion`] before a
+//! single payload byte is parsed.
 //!
 //! Three readers serve three robustness postures:
 //!
@@ -119,39 +118,8 @@ impl std::error::Error for IoError {}
 
 const MAGIC: &[u8; 4] = b"ABIX";
 const VERSION: u16 = 4;
-/// Oldest format version this build still reads (checksum-free).
-const MIN_VERSION: u16 = 1;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `data`.
-/// Table-driven, built at compile time — no dependencies.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
+pub use roar::bytes::crc32;
 
 /// Verifies a stored checksum, counting failures in
 /// `io.checksum_failures`.
@@ -263,28 +231,23 @@ fn read_ab(r: &mut Reader<'_>) -> Result<ApproximateBitmap, IoError> {
 }
 
 /// Deserializes an [`AbIndex`] from bytes produced by [`to_bytes`].
-/// Version-2 input is checksum-verified before any field is trusted;
-/// version-1 input (pre-checksum) still decodes.
+/// The input is checksum-verified before any field is trusted.
 pub fn from_bytes(data: &[u8]) -> Result<AbIndex, IoError> {
     let mut r = Reader { data, pos: 0 };
     if r.take(4)? != MAGIC {
         return Err(IoError::BadMagic);
     }
     let version = r.u16()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(IoError::UnsupportedVersion(version));
     }
-    if version >= 2 {
-        let stored = r.u32()?;
-        check_crc(stored, &data[r.pos..])?;
-    }
-    parse_index_payload(&mut r, version)
+    let stored = r.u32()?;
+    check_crc(stored, &data[r.pos..])?;
+    parse_index_payload(&mut r)
 }
 
-/// Parses the post-checksum body shared by all format versions. The
-/// trailing hier section exists only from version 3; earlier versions
-/// end after the base ABs (trailing bytes, if any, are ignored).
-fn parse_index_payload(r: &mut Reader<'_>, version: u16) -> Result<AbIndex, IoError> {
+/// Parses the post-checksum body.
+fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
     let level = parse_level(r.u8()?)?;
     let num_rows = r.u64()? as usize;
     let attr_count = r.u32()? as usize;
@@ -317,85 +280,75 @@ fn parse_index_payload(r: &mut Reader<'_>, version: u16) -> Result<AbIndex, IoEr
     for _ in 0..ab_count {
         abs.push(read_ab(r)?);
     }
-    let hier = if version >= 3 {
-        match r.u8()? {
-            0 => None,
-            1 => {
-                let level_count = r.u32()? as usize;
-                // Each hier level record is at least 45 bytes
-                // (geometry + minimal AB record).
-                if level_count > r.remaining() / 45 {
-                    return Err(IoError::Truncated);
-                }
-                let mut parts = Vec::with_capacity(level_count);
-                for _ in 0..level_count {
-                    let row_span = r.u64()? as usize;
-                    let bin_group = r.u32()?;
-                    if row_span == 0 || bin_group == 0 {
-                        return Err(IoError::BadTag(0));
-                    }
-                    let ab = read_ab(r)?;
-                    parts.push((
-                        HierLevelSpec {
-                            row_span,
-                            bin_group,
-                        },
-                        ab,
-                    ));
-                }
-                Some(HierAb::from_serialized(num_rows, &attributes, parts))
+    let hier = match r.u8()? {
+        0 => None,
+        1 => {
+            let level_count = r.u32()? as usize;
+            // Each hier level record is at least 45 bytes
+            // (geometry + minimal AB record).
+            if level_count > r.remaining() / 45 {
+                return Err(IoError::Truncated);
             }
-            t => return Err(IoError::BadTag(t)),
-        }
-    } else {
-        None
-    };
-    let hybrid = if version >= 4 {
-        match r.u8()? {
-            0 => None,
-            1 => {
-                let min_density = f64::from_bits(r.u64()?);
-                let verify_cost = f64::from_bits(r.u64()?);
-                if !(0.0..=1.0).contains(&min_density)
-                    || !verify_cost.is_finite()
-                    || verify_cost < 0.0
-                {
-                    return Err(IoError::BadTag(1));
+            let mut parts = Vec::with_capacity(level_count);
+            for _ in 0..level_count {
+                let row_span = r.u64()? as usize;
+                let bin_group = r.u32()?;
+                if row_span == 0 || bin_group == 0 {
+                    return Err(IoError::BadTag(0));
                 }
-                let total_bins = r.u32()?;
-                let count = r.u32()? as usize;
-                // Each backed-bin record is at least 52 bytes: ids +
-                // two length-prefixed minimal (empty) ROAR streams.
-                if count > r.remaining() / 52 || count > total_bins as usize {
-                    return Err(IoError::Truncated);
-                }
-                let mut parts = Vec::with_capacity(count);
-                let mut prev: Option<(u32, u32)> = None;
-                for _ in 0..count {
-                    let attribute = r.u32()?;
-                    let bin = r.u32()?;
-                    if prev.is_some_and(|p| p >= (attribute, bin)) {
-                        return Err(IoError::BadShardLayout);
-                    }
-                    prev = Some((attribute, bin));
-                    let exact = read_roar(r)?;
-                    let fp = read_roar(r)?;
-                    parts.push((attribute, bin, exact, fp));
-                }
-                Some(HybridAb::from_serialized(
-                    HybridConfig {
-                        min_density,
-                        verify_cost,
+                let ab = read_ab(r)?;
+                parts.push((
+                    HierLevelSpec {
+                        row_span,
+                        bin_group,
                     },
-                    num_rows,
-                    total_bins,
-                    parts,
-                ))
+                    ab,
+                ));
             }
-            t => return Err(IoError::BadTag(t)),
+            Some(HierAb::from_serialized(num_rows, &attributes, parts))
         }
-    } else {
-        None
+        t => return Err(IoError::BadTag(t)),
+    };
+    let hybrid = match r.u8()? {
+        0 => None,
+        1 => {
+            let min_density = f64::from_bits(r.u64()?);
+            let verify_cost = f64::from_bits(r.u64()?);
+            if !(0.0..=1.0).contains(&min_density) || !verify_cost.is_finite() || verify_cost < 0.0
+            {
+                return Err(IoError::BadTag(1));
+            }
+            let total_bins = r.u32()?;
+            let count = r.u32()? as usize;
+            // Each backed-bin record is at least 52 bytes: ids +
+            // two length-prefixed minimal (empty) ROAR streams.
+            if count > r.remaining() / 52 || count > total_bins as usize {
+                return Err(IoError::Truncated);
+            }
+            let mut parts = Vec::with_capacity(count);
+            let mut prev: Option<(u32, u32)> = None;
+            for _ in 0..count {
+                let attribute = r.u32()?;
+                let bin = r.u32()?;
+                if prev.is_some_and(|p| p >= (attribute, bin)) {
+                    return Err(IoError::BadShardLayout);
+                }
+                prev = Some((attribute, bin));
+                let exact = read_roar(r)?;
+                let fp = read_roar(r)?;
+                parts.push((attribute, bin, exact, fp));
+            }
+            Some(HybridAb::from_serialized(
+                HybridConfig {
+                    min_density,
+                    verify_cost,
+                },
+                num_rows,
+                total_bins,
+                parts,
+            ))
+        }
+        t => return Err(IoError::BadTag(t)),
     };
     Ok(AbIndex::from_parts(
         level, abs, attributes, num_rows, hier, hybrid,
@@ -422,7 +375,6 @@ fn read_roar(r: &mut Reader<'_>) -> Result<roar::RoaringBitmap, IoError> {
 
 const SHARD_MAGIC: &[u8; 4] = b"ABSH";
 const SHARD_VERSION: u16 = 2;
-const SHARD_MIN_VERSION: u16 = 1;
 
 /// Serializes a row-range-sharded index as an `ABSH` envelope.
 /// `segments` pairs each shard's starting global row with its index;
@@ -491,12 +443,45 @@ pub type CheckedSegments = Vec<(u64, Result<AbIndex, IoError>)>;
 /// `Err(ChecksumMismatch)` in slot *i* while every other shard decodes
 /// normally. This is the substrate for shard-granular repair.
 pub fn shards_from_bytes_checked(data: &[u8]) -> Result<CheckedSegments, IoError> {
+    walk_envelope(data, |seg| {
+        let res = check_crc(seg.stored_crc, seg.blob).and_then(|()| from_bytes(seg.blob));
+        (seg.start_row, res)
+    })
+}
+
+/// One `ABSH` segment as [`walk_envelope`] yields it. `blob` borrows
+/// the input; nothing in it has been read or checksummed yet.
+struct RawSegment<'a> {
+    shard: usize,
+    start_row: u64,
+    /// The envelope's CRC-32 of `blob`.
+    stored_crc: u32,
+    /// Byte offset of the segment's 20-byte header from the start of
+    /// the envelope; `blob` follows it directly.
+    offset: usize,
+    blob: &'a [u8],
+}
+
+/// Bytes of one segment's fixed header: start row, byte length, CRC-32.
+const SEGMENT_HEADER_LEN: usize = 20;
+
+/// The one `ABSH` parser: validates magic, version and shard count,
+/// then hands `each` every segment in storage order after checking
+/// that starts begin at row 0 and strictly increase and that the blob
+/// lies inside the input. Every envelope-level error of
+/// [`shards_from_bytes_checked`], [`segment_extents`] and [`verify`]
+/// comes from here, so the three cannot disagree about whether an
+/// envelope is well-formed. Only headers are read — O(shards).
+fn walk_envelope<'a, T>(
+    data: &'a [u8],
+    mut each: impl FnMut(RawSegment<'a>) -> T,
+) -> Result<Vec<T>, IoError> {
     let mut r = Reader { data, pos: 0 };
     if r.take(4)? != SHARD_MAGIC {
         return Err(IoError::BadMagic);
     }
     let version = r.u16()?;
-    if !(SHARD_MIN_VERSION..=SHARD_VERSION).contains(&version) {
+    if version != SHARD_VERSION {
         return Err(IoError::UnsupportedVersion(version));
     }
     let count = r.u32()? as usize;
@@ -505,35 +490,36 @@ pub fn shards_from_bytes_checked(data: &[u8]) -> Result<CheckedSegments, IoError
     }
     // Each segment carries a fixed header plus a non-empty blob; a
     // count beyond what could fit in the remaining input is corrupt.
-    let min_segment = if version >= 2 { 21 } else { 17 };
-    if count > r.remaining() / min_segment {
+    if count > r.remaining() / (SEGMENT_HEADER_LEN + 1) {
         return Err(IoError::Truncated);
     }
-    let mut segments = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count);
     let mut prev_start: Option<u64> = None;
-    for _ in 0..count {
-        let start = r.u64()?;
+    for shard in 0..count {
+        let offset = r.pos;
+        let start_row = r.u64()?;
         let ordered = match prev_start {
-            None => start == 0,
-            Some(p) => start > p,
+            None => start_row == 0,
+            Some(p) => start_row > p,
         };
         if !ordered {
             return Err(IoError::BadShardLayout);
         }
-        prev_start = Some(start);
+        prev_start = Some(start_row);
         let len = r.u64()?;
-        let stored = if version >= 2 { Some(r.u32()?) } else { None };
-        if len as usize > r.remaining() {
+        let stored_crc = r.u32()?;
+        if len > r.remaining() as u64 {
             return Err(IoError::Truncated);
         }
-        let blob = r.take(len as usize)?;
-        let res = match stored.map(|s| check_crc(s, blob)) {
-            Some(Err(e)) => Err(e),
-            _ => from_bytes(blob),
-        };
-        segments.push((start, res));
+        out.push(each(RawSegment {
+            shard,
+            start_row,
+            stored_crc,
+            offset,
+            blob: r.take(len as usize)?,
+        }));
     }
-    Ok(segments)
+    Ok(out)
 }
 
 /// Byte extent of one `ABSH` segment within the envelope — the
@@ -559,51 +545,12 @@ pub struct SegmentExtent {
 /// only the envelope header and the fixed per-segment headers are
 /// read, so this stays O(shards) on a multi-gigabyte file.
 pub fn segment_extents(data: &[u8]) -> Result<Vec<SegmentExtent>, IoError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != SHARD_MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let version = r.u16()?;
-    if !(SHARD_MIN_VERSION..=SHARD_VERSION).contains(&version) {
-        return Err(IoError::UnsupportedVersion(version));
-    }
-    let count = r.u32()? as usize;
-    if count == 0 {
-        return Err(IoError::BadShardLayout);
-    }
-    let min_segment = if version >= 2 { 21 } else { 17 };
-    if count > r.remaining() / min_segment {
-        return Err(IoError::Truncated);
-    }
-    let mut extents = Vec::with_capacity(count);
-    let mut prev_start: Option<u64> = None;
-    for shard in 0..count {
-        let offset = r.pos;
-        let start_row = r.u64()?;
-        let ordered = match prev_start {
-            None => start_row == 0,
-            Some(p) => start_row > p,
-        };
-        if !ordered {
-            return Err(IoError::BadShardLayout);
-        }
-        prev_start = Some(start_row);
-        let len = r.u64()?;
-        if version >= 2 {
-            r.u32()?; // per-segment CRC; extents don't verify it
-        }
-        if len as usize > r.remaining() {
-            return Err(IoError::Truncated);
-        }
-        r.take(len as usize)?;
-        extents.push(SegmentExtent {
-            shard,
-            start_row,
-            offset,
-            len: r.pos - offset,
-        });
-    }
-    Ok(extents)
+    walk_envelope(data, |seg| SegmentExtent {
+        shard: seg.shard,
+        start_row: seg.start_row,
+        offset: seg.offset,
+        len: SEGMENT_HEADER_LEN + seg.blob.len(),
+    })
 }
 
 /// Checksum state of one stored segment.
@@ -618,8 +565,6 @@ pub enum ChecksumStatus {
         /// Checksum recomputed over the received payload.
         computed: u32,
     },
-    /// Version-1 payload — written before checksums existed.
-    Absent,
 }
 
 /// The cheap-to-read prefix of one `ABIX` payload: everything before
@@ -652,9 +597,9 @@ pub struct SegmentReport {
 }
 
 impl SegmentReport {
-    /// Whether the segment passed every check it supports.
+    /// Whether the segment is checksum-clean with a sane header.
     pub fn healthy(&self) -> bool {
-        !matches!(self.checksum, ChecksumStatus::Mismatch { .. }) && self.header.is_ok()
+        self.checksum == ChecksumStatus::Ok && self.header.is_ok()
     }
 }
 
@@ -682,91 +627,62 @@ impl VerifyReport {
 /// multi-gigabyte file can be audited cheaply (`abq verify`).
 pub fn verify(data: &[u8]) -> Result<VerifyReport, IoError> {
     let mut r = Reader { data, pos: 0 };
-    let magic = r.take(4)?;
-    if magic == MAGIC {
+    if r.take(4)? == MAGIC {
         let version = r.u16()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(IoError::UnsupportedVersion(version));
         }
         return Ok(VerifyReport {
             container: "ABIX",
             version,
-            segments: vec![inspect_segment(data, 0, 0)],
+            // Nothing wraps a bare file: its own checksum decides.
+            segments: vec![inspect_segment(data, 0, 0, ChecksumStatus::Ok)],
         });
     }
-    if magic != SHARD_MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let version = r.u16()?;
-    if !(SHARD_MIN_VERSION..=SHARD_VERSION).contains(&version) {
-        return Err(IoError::UnsupportedVersion(version));
-    }
-    let count = r.u32()? as usize;
-    if count == 0 {
-        return Err(IoError::BadShardLayout);
-    }
-    let min_segment = if version >= 2 { 21 } else { 17 };
-    if count > r.remaining() / min_segment {
-        return Err(IoError::Truncated);
-    }
-    let mut segments = Vec::with_capacity(count);
-    for shard in 0..count {
-        let start = r.u64()?;
-        let len = r.u64()?;
-        let envelope_crc = if version >= 2 { Some(r.u32()?) } else { None };
-        if len as usize > r.remaining() {
-            return Err(IoError::Truncated);
-        }
-        let blob = r.take(len as usize)?;
-        let mut report = inspect_segment(blob, shard, start);
-        // The envelope's per-segment checksum covers the whole blob;
-        // it wins over the blob's own (inner) checksum status.
-        if let Some(stored) = envelope_crc {
-            let computed = crc32(blob);
-            report.checksum = if stored == computed {
-                ChecksumStatus::Ok
-            } else {
-                obs::counter!("io.checksum_failures").inc();
-                ChecksumStatus::Mismatch { stored, computed }
-            };
-        }
-        segments.push(report);
-    }
+    let segments = walk_envelope(data, |seg| {
+        let outer = crc_status(seg.stored_crc, seg.blob);
+        inspect_segment(seg.blob, seg.shard, seg.start_row, outer)
+    })?;
     Ok(VerifyReport {
         container: "ABSH",
-        version,
+        version: SHARD_VERSION,
         segments,
     })
 }
 
-/// Checks one `ABIX` blob's checksum and parses its header fields
-/// without touching the bit arrays.
-fn inspect_segment(blob: &[u8], shard: usize, start_row: u64) -> SegmentReport {
-    let mut report = SegmentReport {
-        shard,
-        start_row,
-        byte_len: blob.len(),
-        checksum: ChecksumStatus::Absent,
-        header: Err(IoError::Truncated),
-    };
+/// [`check_crc`] as a report field instead of an error.
+fn crc_status(stored: u32, payload: &[u8]) -> ChecksumStatus {
+    match check_crc(stored, payload) {
+        Err(IoError::ChecksumMismatch { stored, computed }) => {
+            ChecksumStatus::Mismatch { stored, computed }
+        }
+        _ => ChecksumStatus::Ok,
+    }
+}
+
+/// Parses one `ABIX` blob's header fields without touching the bit
+/// arrays. `outer` is the status of the checksum that wraps the blob;
+/// when that one is clean the blob's own checksum is verified too, so
+/// a segment reads healthy only if the loader would accept both.
+fn inspect_segment(
+    blob: &[u8],
+    shard: usize,
+    start_row: u64,
+    outer: ChecksumStatus,
+) -> SegmentReport {
+    let mut checksum = outer;
     let mut r = Reader { data: blob, pos: 0 };
-    report.header = (|| {
+    let header = (|| {
         if r.take(4)? != MAGIC {
             return Err(IoError::BadMagic);
         }
         let version = r.u16()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(IoError::UnsupportedVersion(version));
         }
-        if version >= 2 {
-            let stored = r.u32()?;
-            let computed = crc32(&blob[r.pos..]);
-            report.checksum = if stored == computed {
-                ChecksumStatus::Ok
-            } else {
-                obs::counter!("io.checksum_failures").inc();
-                ChecksumStatus::Mismatch { stored, computed }
-            };
+        let stored = r.u32()?;
+        if checksum == ChecksumStatus::Ok {
+            checksum = crc_status(stored, &blob[r.pos..]);
         }
         let level = parse_level(r.u8()?)?;
         let num_rows = r.u64()?;
@@ -791,7 +707,13 @@ fn inspect_segment(blob: &[u8], shard: usize, start_row: u64) -> SegmentReport {
             abs,
         })
     })();
-    report
+    SegmentReport {
+        shard,
+        start_row,
+        byte_len: blob.len(),
+        checksum,
+        header,
+    }
 }
 
 fn level_tag(level: Level) -> u8 {
@@ -1132,40 +1054,139 @@ mod tests {
         }
     }
 
+    /// A hand-built envelope of the current version over `segments`,
+    /// with valid per-segment checksums but no layout validation.
+    fn raw_envelope(segments: &[(u64, &AbIndex)]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(SHARD_MAGIC);
+        bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+        for (start, index) in segments {
+            let blob = to_bytes(index);
+            bytes.extend_from_slice(&start.to_le_bytes());
+            bytes.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&blob).to_le_bytes());
+            bytes.extend_from_slice(&blob);
+        }
+        bytes
+    }
+
+    /// The envelope-level verdict of each of the three `ABSH` readers
+    /// (per-segment damage is not envelope-level and maps to `Ok`).
+    fn envelope_verdicts(bytes: &[u8]) -> [Result<(), IoError>; 3] {
+        [
+            shards_from_bytes_checked(bytes).map(|_| ()),
+            segment_extents(bytes).map(|_| ()),
+            verify(bytes).map(|_| ()),
+        ]
+    }
+
     #[test]
     fn shard_envelope_rejects_bad_layouts() {
         let shards = sample_shards();
         // Out-of-order segments.
-        let swapped: Vec<(u64, &AbIndex)> =
-            vec![(shards[1].0, &shards[1].1), (shards[0].0, &shards[0].1)];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"ABSH");
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        for (start, index) in swapped {
-            let blob = to_bytes(index);
-            bytes.extend_from_slice(&start.to_le_bytes());
-            bytes.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&blob);
-        }
+        let bytes = raw_envelope(&[(shards[1].0, &shards[1].1), (shards[0].0, &shards[0].1)]);
         assert!(matches!(
             shards_from_bytes(&bytes),
             Err(IoError::BadShardLayout)
         ));
+        assert_eq!(envelope_verdicts(&bytes), [Err(IoError::BadShardLayout); 3]);
         // Zero segments.
-        let mut empty = Vec::new();
-        empty.extend_from_slice(b"ABSH");
-        empty.extend_from_slice(&1u16.to_le_bytes());
-        empty.extend_from_slice(&0u32.to_le_bytes());
+        let empty = raw_envelope(&[]);
         assert!(matches!(
             shards_from_bytes(&empty),
             Err(IoError::BadShardLayout)
         ));
+        assert_eq!(envelope_verdicts(&empty), [Err(IoError::BadShardLayout); 3]);
         // Wrong magic.
         assert!(matches!(
             shards_from_bytes(b"ABIXxxxxxx"),
             Err(IoError::BadMagic)
         ));
+    }
+
+    #[test]
+    fn absh_readers_agree_on_every_envelope_error() {
+        let shards = sample_shards();
+        let bytes = encode_shards(&shards);
+        let extents = segment_extents(&bytes).unwrap();
+        assert_eq!(envelope_verdicts(&bytes), [Ok(()); 3]);
+
+        // Every single-byte flip of the envelope header and of each
+        // segment's fixed header: one parser, so one verdict.
+        let mut header_bytes: Vec<usize> = (0..10).collect();
+        for e in &extents {
+            header_bytes.extend(e.offset..e.offset + SEGMENT_HEADER_LEN);
+        }
+        let mut rejected = 0;
+        for pos in header_bytes {
+            for flip in [0xFFu8, 0x01, 0x80] {
+                let mut b = bytes.clone();
+                b[pos] ^= flip;
+                let [checked, walked, verified] = envelope_verdicts(&b);
+                assert_eq!(checked, walked, "flip {flip:#04x} at byte {pos}");
+                assert_eq!(checked, verified, "flip {flip:#04x} at byte {pos}");
+                rejected += usize::from(checked.is_err());
+            }
+        }
+        assert!(rejected > 0, "no header flip was envelope-level");
+
+        // Two segment starts swapped in place (0, s2, s1): the loader
+        // refuses the file, so the audit and the extent walk must too.
+        let mut swapped = bytes.clone();
+        let (a, b) = (extents[1].offset, extents[2].offset);
+        swapped[a..a + 8].copy_from_slice(&bytes[b..b + 8]);
+        swapped[b..b + 8].copy_from_slice(&bytes[a..a + 8]);
+        assert_eq!(
+            envelope_verdicts(&swapped),
+            [Err(IoError::BadShardLayout); 3]
+        );
+    }
+
+    #[test]
+    fn retired_versions_are_unsupported_before_any_payload_byte() {
+        // ABIX: 1-3 were once readable (1 without a checksum); 5 is the
+        // future. A valid payload behind the rewritten field must not
+        // matter, and neither must a missing one.
+        let abix = to_bytes(&sample_index(Level::PerAttribute));
+        for v in [0u16, 1, 2, 3, 5] {
+            let mut b = abix.clone();
+            b[4..6].copy_from_slice(&v.to_le_bytes());
+            let want = Err(IoError::UnsupportedVersion(v));
+            assert_eq!(from_bytes(&b).map(|_| ()), want);
+            assert_eq!(from_bytes(&b[..6]).map(|_| ()), want);
+            assert_eq!(verify(&b).map(|_| ()), want);
+        }
+        // ABSH: 1 was the checksum-free envelope.
+        let absh = encode_shards(&sample_shards());
+        for v in [0u16, 1, 3] {
+            let mut b = absh.clone();
+            b[4..6].copy_from_slice(&v.to_le_bytes());
+            let want = Err(IoError::UnsupportedVersion(v));
+            assert_eq!(shards_from_bytes(&b).map(|_| ()), want);
+            assert_eq!(envelope_verdicts(&b), [want; 3]);
+            assert_eq!(envelope_verdicts(&b[..6]), [want; 3]);
+        }
+        // A retired version inside one segment (envelope checksum
+        // resealed) is that segment's damage, not the envelope's.
+        let e = segment_extents(&absh).unwrap()[1];
+        let blob = e.offset + SEGMENT_HEADER_LEN..e.offset + e.len;
+        let mut b = absh.clone();
+        b[blob.start + 4..blob.start + 6].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&b[blob.clone()]);
+        b[blob.start - 4..blob.start].copy_from_slice(&crc.to_le_bytes());
+        let segs = shards_from_bytes_checked(&b).unwrap();
+        assert_eq!(
+            segs[1].1.as_ref().map(|_| ()),
+            Err(&IoError::UnsupportedVersion(1))
+        );
+        assert!(segs[0].1.is_ok() && segs[2].1.is_ok());
+        let report = verify(&b).unwrap();
+        assert_eq!(
+            report.segments[1].header,
+            Err(IoError::UnsupportedVersion(1))
+        );
+        assert!(!report.healthy());
     }
 
     /// The satellite hardening sweep: every truncation at 64-byte
@@ -1211,7 +1232,7 @@ mod tests {
         corruption_sweep(&bytes, |b| shards_from_bytes(b).map(|_| ()));
     }
 
-    /// Recomputes and patches the v2 checksum after a deliberate test
+    /// Recomputes and patches the checksum after a deliberate test
     /// mutation, so the mutated field itself — not the checksum — is
     /// what the decoder trips over.
     fn reseal(bytes: &mut [u8]) {
@@ -1243,7 +1264,7 @@ mod tests {
             Err(IoError::ChecksumMismatch { .. })
         ));
         // …and with the checksum resealed, the field's own validation
-        // fires (the v1 behaviour).
+        // fires.
         reseal(&mut b);
         assert!(matches!(from_bytes(&b), Err(IoError::BadTag(_))));
 
@@ -1330,17 +1351,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
     fn payload_flip_yields_checksum_mismatch() {
         let bytes = to_bytes(&sample_index(Level::PerAttribute));
         // Every byte past the checksum field is covered by it.
@@ -1351,23 +1361,6 @@ mod tests {
                 matches!(from_bytes(&b), Err(IoError::ChecksumMismatch { .. })),
                 "flip at {pos} not caught"
             );
-        }
-    }
-
-    #[test]
-    fn version1_payload_without_checksum_still_decodes() {
-        let idx = sample_index(Level::PerAttribute);
-        let v2 = to_bytes(&idx);
-        // v1 layout = magic | version 1 | payload (no checksum field).
-        let mut v1 = Vec::with_capacity(v2.len() - 4);
-        v1.extend_from_slice(&v2[..4]);
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        v1.extend_from_slice(&v2[10..]);
-        let back = from_bytes(&v1).unwrap();
-        assert_eq!(back.num_rows(), idx.num_rows());
-        assert_eq!(back.attributes(), idx.attributes());
-        for (a, b) in back.abs().iter().zip(idx.abs()) {
-            assert_eq!(a.bits(), b.bits());
         }
     }
 
@@ -1387,23 +1380,6 @@ mod tests {
             },
         );
         idx
-    }
-
-    #[test]
-    fn version3_payload_without_hybrid_section_still_decodes() {
-        let mut idx = sample_index(Level::PerAttribute);
-        idx.ensure_hier(&crate::hier::HierConfig::default());
-        let v4 = to_bytes(&idx);
-        // v3 layout = v4 minus the trailing hybrid section, which for
-        // an index without a tier is the single 0 flag byte.
-        let mut v3 = v4.clone();
-        assert_eq!(v3.pop(), Some(0), "hybrid flag not trailing");
-        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-        reseal(&mut v3);
-        let back = from_bytes(&v3).unwrap();
-        assert!(back.hybrid().is_none());
-        assert!(back.hier().is_some(), "v3 hier section must still parse");
-        assert_eq!(back.attributes(), idx.attributes());
     }
 
     #[test]

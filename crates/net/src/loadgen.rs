@@ -1,7 +1,6 @@
-//! The end-to-end load generator behind `abq loadgen` and the
-//! `repro_net` benchmark: drives a live server over real sockets with
-//! a deterministic rect/cells/batch mix and reports client-observed
-//! throughput and latency quantiles.
+//! The end-to-end load generator behind `abq loadgen`: drives a live
+//! server over real sockets with a deterministic rect/cells/batch mix
+//! and reports client-observed throughput and latency quantiles.
 //!
 //! Two driving disciplines:
 //!
@@ -16,9 +15,8 @@
 //!   dropping arrivals (the coordinated-omission correction).
 //!
 //! The workload is synthesized from the server's own [`Schema`]
-//! response via [`hashkit::splitmix64`], mirroring the `abq
-//! bench-svc` generator — so the socket numbers in `BENCH_net.json`
-//! are comparable with the in-process `BENCH_svc.json` ones.
+//! response via [`hashkit::splitmix64`], so it is the same for a
+//! given seed against any server over the same table.
 
 use crate::client::{Client, NetError};
 use crate::frame::{ErrorCode, Request, Response, Schema};

@@ -86,8 +86,10 @@ impl std::fmt::Display for RoarError {
 
 impl std::error::Error for RoarError {}
 
-/// CRC-32 (IEEE 802.3, reflected) with a compile-time table — the
-/// same polynomial the `ab` index formats use.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) with a
+/// compile-time table. The workspace's only implementation: the `ab`
+/// index formats, the `store` pages and the `net` frames all checksum
+/// with this function (re-exported as `ab::crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
@@ -382,5 +384,9 @@ mod tests {
         // Known-answer check so the polynomial can't silently drift.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! page 0                meta page:
 //!   off  0  magic "ABPG"
-//!   off  4  version      u16  (= 3; 1 and 2 accepted on read)
+//!   off  4  version      u16  (= 3, the only version read)
 //!   off  6  page_size    u32  (power of two, 64..=1 MiB)
 //!   off 10  payload_len  u64  (exact ABSH byte length)
 //!   off 18  payload_crc  u32  (CRC-32 of the whole payload)
@@ -30,16 +30,12 @@ use crate::StoreError;
 
 /// Store magic: **A**pproximate **B**itmap **P**a**G**ed.
 pub const MAGIC: &[u8; 4] = b"ABPG";
-/// Current store format version. Version 3 segments may carry `ABIX`
-/// v4 payloads whose pages include the hybrid exact tier's Roaring
-/// containers (each a self-checking `ROAR` stream, so the scrubber
-/// can quarantine one damaged container and the service rebuild it
-/// bit-identically). Version 2 (pyramid-era) and version 1
-/// (pre-pyramid) files are still readable — missing tiers are rebuilt
-/// at open when requested.
+/// The store format version, written and — exclusively — read. Its
+/// segments carry `ABIX` v4 payloads whose pages include the hybrid
+/// exact tier's Roaring containers (each a self-checking `ROAR`
+/// stream, so the scrubber can quarantine one damaged container and
+/// the service rebuild it bit-identically).
 pub const VERSION: u16 = 3;
-/// Oldest version this reader still accepts.
-pub const MIN_VERSION: u16 = 1;
 /// Fixed byte length of the meaningful meta-page prefix.
 pub const HEADER_LEN: usize = 34;
 
@@ -174,7 +170,7 @@ pub fn decode_header(meta: &[u8], file_len: Option<u64>) -> Result<StoreHeader, 
         return Err(StoreError::BadMagic);
     }
     let version = u16::from_le_bytes([meta[4], meta[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let stored = u32::from_le_bytes(meta[30..34].try_into().unwrap());
@@ -260,29 +256,24 @@ mod tests {
     }
 
     #[test]
-    fn old_version_headers_still_decode() {
+    fn only_the_written_version_decodes() {
         let payload = sample_payload(100, 2);
-        let (image, h) = encode(&payload, 64).unwrap();
-        // Rewrite the meta page as a v1 (pre-pyramid) and v2
-        // (pre-hybrid) header and reseal the header CRC: readers must
-        // keep accepting both.
-        for old in [1u16, 2] {
+        let (image, _) = encode(&payload, 64).unwrap();
+        let flen = Some(image.len() as u64);
+        // 1 (pre-pyramid) and 2 (pre-hybrid) were once readable; 0 and
+        // 4 never were. With the header CRC resealed or left stale,
+        // the version is refused before anything else is looked at.
+        for v in [0u16, 1, 2, VERSION + 1] {
             let mut meta = image[..64].to_vec();
-            meta[4..6].copy_from_slice(&old.to_le_bytes());
+            meta[4..6].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(
+                decode_header(&meta, flen),
+                Err(StoreError::UnsupportedVersion(got)) if got == v
+            ));
             let crc = ab::crc32(&meta[0..30]);
             meta[30..34].copy_from_slice(&crc.to_le_bytes());
-            let back = decode_header(&meta, Some(image.len() as u64)).unwrap();
-            assert_eq!(back.version, old);
-            assert_eq!(back.payload_len, h.payload_len);
-        }
-        // Version 0 and future versions stay typed errors.
-        for v in [0u16, VERSION + 1] {
-            let mut bad = image[..64].to_vec();
-            bad[4..6].copy_from_slice(&v.to_le_bytes());
-            let crc = ab::crc32(&bad[0..30]);
-            bad[30..34].copy_from_slice(&crc.to_le_bytes());
             assert!(matches!(
-                decode_header(&bad, Some(image.len() as u64)),
+                decode_header(&meta, flen),
                 Err(StoreError::UnsupportedVersion(got)) if got == v
             ));
         }

@@ -180,8 +180,8 @@ impl ShardedIndex {
     /// Attaches a hierarchical pruning pyramid to every shard that
     /// lacks one (see [`AbIndex::ensure_hier`]). The probe-sweep build
     /// is deterministic per shard, so calling this after a
-    /// [`Self::from_bytes`] of a pre-pyramid envelope produces the
-    /// same pyramids a build-time attach would have.
+    /// [`Self::from_bytes`] of an envelope stored without one produces
+    /// the same pyramids a build-time attach would have.
     pub fn ensure_hier(&mut self, config: &HierConfig) {
         for shard in &mut self.shards {
             shard.index.ensure_hier(config);
@@ -191,8 +191,8 @@ impl ShardedIndex {
     /// Attaches a hybrid exact tier to every shard that lacks one (see
     /// [`AbIndex::ensure_hybrid`]), each built over its own row slice
     /// of `table`. Deterministic per shard, so attaching after a
-    /// [`Self::from_bytes`] of a pre-hybrid envelope produces the same
-    /// containers a build-time attach would have.
+    /// [`Self::from_bytes`] of an envelope stored without one produces
+    /// the same containers a build-time attach would have.
     ///
     /// # Panics
     ///

@@ -22,10 +22,6 @@
 //! abq loadgen --addr HOST:PORT [--conns N] [--secs S]
 //!           [--pipeline N | --rps R] [--mix rect,cells,batch]
 //!           [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
-//! abq bench-svc --csv data.csv [--threads N] [--shards N]
-//!           [--queries N] [--bins N] [--alpha N] [--retries N]
-//!           [--kernel scalar|batched|simd] [--batch-rows adaptive|N]
-//! abq bench-report [BENCH_kernel.json BENCH_simd.json ...]
 //! ```
 //!
 //! `build` reads a numeric CSV with a header row, discretizes every
@@ -53,14 +49,10 @@
 //! closed-loop (`--pipeline`) or open-loop (`--rps`) mode and writes
 //! client-observed throughput and latency quantiles to a
 //! `BENCH_*.json` snapshot.
-//! `bench-svc` measures the service's query throughput.
-//! `bench-report` folds `BENCH_*.json` snapshots from the repro
-//! binaries into one throughput summary (speedups vs scalar), so perf
-//! trajectory diffs cleanly across PRs.
 //! `verify` checks an `ABIX`/`ABSH` file's per-segment checksums and
 //! header sanity without decoding the bit arrays.
 //!
-//! `serve` and `bench-svc` wrap each query in a bounded retry with
+//! `serve` wraps each query in a bounded retry with
 //! decorrelated-jitter backoff ([`mod@svc::retry`]), so transient
 //! [`svc::SvcError::Overloaded`] rejections are absorbed instead of
 //! surfacing to the caller.
@@ -72,7 +64,19 @@ use svc::{Service, SvcConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    match dispatch(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            print_usage();
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Routes `argv[1..]` to its subcommand.
+fn dispatch(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
@@ -81,21 +85,11 @@ fn main() -> ExitCode {
         Some("store") => cmd_store(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("bench-svc") => cmd_bench_svc(&args[1..]),
-        Some("bench-report") => cmd_bench_report(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}`")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            print_usage();
-            ExitCode::from(2)
-        }
     }
 }
 
@@ -119,11 +113,7 @@ fn print_usage() {
          abq loadgen --addr HOST:PORT [--conns N] [--secs S] [--pipeline N | --rps R] \
          [--mix rect,cells,batch] [--seed N] [--batch-size N] [--deadline-ms N] \
          [--out FILE]\n  \
-         abq trace (--addr HOST:PORT | --file DUMP.json)\n  \
-         abq bench-svc --csv FILE [--threads N] [--shards N] [--queries N] \
-         [--bins N] [--alpha N] [--retries N] [--kernel scalar|batched|simd] \
-         [--batch-rows adaptive|N]\n  \
-         abq bench-report [BENCH_FILE.json ...]"
+         abq trace (--addr HOST:PORT | --file DUMP.json)"
     );
 }
 
@@ -289,7 +279,6 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     for seg in &report.segments {
         let crc = match seg.checksum {
             ab::ChecksumStatus::Ok => "crc ok".to_string(),
-            ab::ChecksumStatus::Absent => "crc absent (v1 format)".to_string(),
             ab::ChecksumStatus::Mismatch { stored, computed } => {
                 format!("CRC MISMATCH stored {stored:#010x} computed {computed:#010x}")
             }
@@ -463,7 +452,7 @@ fn parse_hybrid(args: &[String]) -> Result<ab::HybridMode, String> {
     }
 }
 
-/// Retry policy for the `serve`/`bench-svc` query paths: up to
+/// Retry policy for the `serve` query path: up to
 /// `--retries` attempts (default 4; 1 disables retrying) with
 /// decorrelated-jitter backoff against transient overload.
 fn parse_retry_policy(args: &[String]) -> Result<svc::RetryPolicy, String> {
@@ -500,8 +489,8 @@ fn binned_and_config(args: &[String]) -> Result<(BinnedTable, AbConfig), String>
     ))
 }
 
-/// Shared setup for `serve` and `bench-svc`: CSV → binned table →
-/// sharded service. Prints the chosen shard/thread split.
+/// `serve` setup: CSV → binned table → sharded service. Prints the
+/// chosen shard/thread split.
 fn build_service(args: &[String], with_wah: bool) -> Result<Service, String> {
     let (binned, config) = binned_and_config(args)?;
     let threads = parse_threads(args)?;
@@ -580,11 +569,11 @@ fn build_service_from_store(
         kernel: parse_kernel(args)?,
         batch_rows: parse_batch_rows(args)?,
         slow_query,
-        // Old (pre-pyramid) segments are fine: Service::from_index
-        // rebuilds the pyramid per shard when hier is requested.
-        // Hybrid containers however live in the segment itself (v4
-        // ABIX built with `store build --hybrid`); the flag only
-        // controls whether the kernel consults them.
+        // Segments stored without a pyramid are fine: Service::from_index
+        // rebuilds it per shard when hier is requested. Hybrid
+        // containers however live in the segment itself (built with
+        // `store build --hybrid`); the flag only controls whether the
+        // kernel consults them.
         hier: parse_hier(args)?,
         hybrid: parse_hybrid(args)?,
         ..SvcConfig::default()
@@ -1060,7 +1049,7 @@ fn parse_mix(s: &str) -> Result<net::loadgen::Mix, String> {
 
 /// `abq loadgen` — drives a live `--listen` server over real sockets
 /// and writes client-observed rps + latency quantiles to a
-/// `BENCH_*.json` snapshot for `abq bench-report`.
+/// `BENCH_*.json` snapshot.
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr").ok_or("--addr is required")?;
     let conns: usize = flag_value(args, "--conns")
@@ -1134,7 +1123,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         );
     }
 
-    // Snapshot keys follow the grammar `bench-report` folds:
+    // Snapshot keys:
     // net.rps.<kind>.conns<N>, net.latency_us.<kind>.conns<N>.<p>, and
     // the reliability counts net.errors/shed.<kind>.conns<N> +
     // net.transport_errors/reconnects.conns<N>.
@@ -1217,89 +1206,30 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-fn cmd_bench_svc(args: &[String]) -> Result<(), String> {
-    let svc = build_service(args, false)?;
-    let policy = parse_retry_policy(args)?;
-    let queries: usize = flag_value(args, "--queries")
-        .unwrap_or("200")
-        .parse()
-        .map_err(|_| "--queries must be an integer")?;
-    let num_rows = svc.index().num_rows();
-    let attrs = svc.index().attributes();
-
-    // Deterministic query mix: vary the constrained attribute, the bin
-    // window, and the row interval per query.
-    let workload: Vec<RectQuery> = (0..queries)
-        .map(|i| {
-            let a = i % attrs.len();
-            let card = attrs[a].cardinality;
-            let lo = (hashkit::splitmix64(i as u64) % card as u64) as u32;
-            let hi = (lo + card / 2).min(card - 1);
-            let rl = (hashkit::splitmix64(i as u64 ^ 0xBEEF) % num_rows as u64) as usize;
-            RectQuery::new(
-                vec![AttrRange::new(a, lo, hi)],
-                rl.min(num_rows - 1),
-                num_rows - 1,
-            )
-        })
-        .collect();
-
-    let started = std::time::Instant::now();
-    let mut total_matches = 0usize;
-    for (i, q) in workload.iter().enumerate() {
-        total_matches += svc::retry(&policy, i as u64, |_| svc.query_rect(q))
-            .map_err(|e| e.to_string())?
-            .len();
-    }
-    let elapsed = started.elapsed();
-    let rps = queries as f64 / elapsed.as_secs_f64();
-    println!(
-        "{queries} queries in {:.3}s -> {rps:.0} req/s ({} threads, {} shards, {} total matches)",
-        elapsed.as_secs_f64(),
-        svc.threads(),
-        svc.index().num_shards(),
-        total_matches,
-    );
-    Ok(())
-}
-
-/// `abq bench-report [FILES...]` — folds `BENCH_*.json` snapshots into
-/// one throughput summary. With no arguments it reads every
-/// `BENCH_*.json` in the current directory.
-fn cmd_bench_report(args: &[String]) -> Result<(), String> {
-    let paths: Vec<std::path::PathBuf> = if args.is_empty() {
-        let mut found: Vec<std::path::PathBuf> = std::fs::read_dir(".")
-            .map_err(|e| e.to_string())?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect();
-        found.sort();
-        if found.is_empty() {
-            return Err("no BENCH_*.json files in the current directory \
-                        (run the repro binaries first, or pass paths)"
-                .into());
-        }
-        found
-    } else {
-        args.iter().map(std::path::PathBuf::from).collect()
-    };
-    // A malformed snapshot fails the whole command (nonzero exit)
-    // rather than silently vanishing from the report.
-    print!("{}", bench::bench_report(&paths)?);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn retired_subcommands_are_unknown_commands() {
+        // The two retired measurement subcommands get no special
+        // treatment: same error as any typo (main prints usage, exit 2).
+        // Names are assembled so a grep for them stays empty.
+        for retired in ["report", "svc"] {
+            let cmd = format!("bench-{retired}");
+            assert_eq!(
+                dispatch(&strings(&[&cmd, "--csv", "x.csv"])),
+                Err(format!("unknown command `{cmd}`"))
+            );
+        }
+        assert_eq!(
+            dispatch(&strings(&["qurey"])),
+            Err("unknown command `qurey`".to_string())
+        );
     }
 
     #[test]
@@ -1428,30 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_reads_snapshots() {
-        let dir = std::env::temp_dir().join("abq_test_bench_report");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("BENCH_fake.json");
-        std::fs::write(
-            &p,
-            r#"{"counters":{},"histograms":{},"extra":{
-                "kernel.rows_per_sec.scalar.k8.out_llc": 1e6,
-                "kernel.rows_per_sec.simd.k8.out_llc": 2e6}}"#,
-        )
-        .unwrap();
-        cmd_bench_report(&strings(&[p.to_str().unwrap()])).unwrap();
-        // A malformed snapshot is a hard error naming the file —
-        // silently skipping it would read as "bench regressed to
-        // nothing". Missing files are still just skipped.
-        let bad = dir.join("BENCH_bad.json");
-        std::fs::write(&bad, "{oops").unwrap();
-        let err = cmd_bench_report(&strings(&[bad.to_str().unwrap()])).unwrap_err();
-        assert!(err.contains("BENCH_bad.json"), "{err}");
-        let missing = dir.join("BENCH_absent.json");
-        cmd_bench_report(&strings(&[p.to_str().unwrap(), missing.to_str().unwrap()])).unwrap();
-    }
-
-    #[test]
     fn hier_flag_parses_bare_and_explicit() {
         assert_eq!(parse_hier(&strings(&[])), Ok(ab::HierMode::Off));
         assert_eq!(parse_hier(&strings(&["--hier"])), Ok(ab::HierMode::Auto));
@@ -1557,35 +1463,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_svc_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("abq_test_bench_svc");
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
-        let mut body = String::from("price,qty\n");
-        for i in 0..300 {
-            body.push_str(&format!("{}.0,{}.0\n", i % 41, (i * 3) % 11));
-        }
-        std::fs::write(&csv, body).unwrap();
-        // Every kernel drives the full service path from the CLI
-        // (simd degrades gracefully on builds without the feature).
-        for kernel in ["scalar", "batched", "simd"] {
-            cmd_bench_svc(&strings(&[
-                "--csv",
-                csv.to_str().unwrap(),
-                "--threads",
-                "2",
-                "--shards",
-                "3",
-                "--queries",
-                "20",
-                "--kernel",
-                kernel,
-            ]))
-            .unwrap();
-        }
-    }
-
-    #[test]
     fn mix_flag_parses_kinds_and_weights() {
         assert_eq!(parse_mix("rect").unwrap(), net::loadgen::Mix::RECT);
         let m = parse_mix("rect:3,cells:1,batch:2").unwrap();
@@ -1629,8 +1506,6 @@ mod tests {
         assert!(text.contains("net.rps.rect.conns2"), "{text}");
         assert!(text.contains("net.latency_us.batch.conns2.p99"), "{text}");
         server.shutdown(std::time::Duration::from_secs(2));
-        // The written snapshot folds straight into bench-report.
-        cmd_bench_report(&strings(&[out.to_str().unwrap()])).unwrap();
     }
 
     #[test]
@@ -1680,6 +1555,27 @@ mod tests {
         std::fs::write(&idx, &bytes).unwrap();
         let err = cmd_verify(&strings(&["--index", idx.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("corrupted"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn verify_refuses_the_envelope_layouts_the_loader_refuses() {
+        let dir = std::env::temp_dir().join("abq_test_verify_layout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("d.absh");
+        let mut bytes = tiny_service().index().to_bytes();
+        std::fs::write(&path, &bytes).unwrap();
+        cmd_verify(&strings(&["--index", path.to_str().unwrap()])).unwrap();
+        // Swap the start rows of shards 1 and 2; every checksum still
+        // holds, only the order is wrong.
+        let extents = ab::segment_extents(&bytes).unwrap();
+        let (a, b) = (extents[1].offset, extents[2].offset);
+        let (first, second) = bytes.split_at_mut(b);
+        first[a..a + 8].swap_with_slice(&mut second[..8]);
+        std::fs::write(&path, &bytes).unwrap();
+        let loader = svc::ShardedIndex::from_bytes(&bytes).err().unwrap();
+        assert_eq!(loader, ab::IoError::BadShardLayout);
+        let err = cmd_verify(&strings(&["--index", path.to_str().unwrap()])).unwrap_err();
+        assert!(err.ends_with(&loader.to_string()), "{err}");
     }
 
     #[test]
