@@ -944,6 +944,39 @@ mod tests {
         }
     }
 
+    /// One seeded index per level, serialized: the CRC of the bytes
+    /// pins the hash positions the build set (k = 12 against the
+    /// 10-function roster, so the re-seeded probes too), the `ABIX`
+    /// layout, and the checksum inside it. Files written by earlier
+    /// builds must keep loading and keep answering, so these values
+    /// may only change together with a format version.
+    #[test]
+    fn serialized_index_bytes_are_pinned() {
+        let n = 300usize;
+        let column = |name: &str, salt: u64, card: u32| {
+            BinnedColumn::new(
+                name,
+                (0..n as u64)
+                    .map(|i| (hashkit::splitmix64(i ^ salt) % card as u64) as u32)
+                    .collect(),
+                card,
+            )
+        };
+        let t = BinnedTable::new(vec![column("a", 0x51, 7), column("b", 0xB0B, 80)]);
+        let got: Vec<u32> = [Level::PerDataset, Level::PerAttribute, Level::PerColumn]
+            .into_iter()
+            .map(|level| {
+                let cfg = AbConfig::new(level).with_alpha(16).with_k(12);
+                crc32(&to_bytes(&AbIndex::build(&t, &cfg)))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [0xB104_433C, 0x6734_74DD, 0x5865_8B00],
+            "got {got:#010x?}"
+        );
+    }
+
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(from_bytes(b"NOPE....."), Err(IoError::BadMagic)));

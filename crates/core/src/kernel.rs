@@ -40,6 +40,10 @@
 //!    range, per-cell break on the first zero bit), so `cells_probed`
 //!    and `bits_read` are identical to the scalar path bit for bit.
 //!
+//! Figure 5's cell lists go through the same waves, grouped by the AB
+//! each cell probes so that a whole batch shares one hoisted hash
+//! state and one word array — see `retrieve_cells_waves`.
+//!
 //! Prefetch instructions are gated behind the `prefetch` cargo feature
 //! (x86-64 `_mm_prefetch`, aarch64 `prfm`); SIMD gathers behind the
 //! `simd` feature. On other targets or with the features off the
@@ -50,10 +54,12 @@
 //! `kernel.simd_waves` / `kernel.scalar_waves` (how each breadth-first
 //! wave was resolved), `kernel.prefetches` (prefetch instructions
 //! *actually executed* — zero on no-op fallback builds),
-//! `kernel.cell_plans_deduped` (Figure 5 plan-hoisting hits), and the
-//! `kernel.batch_rows` histogram (adaptive depth decisions).
+//! `kernel.cell_plans_deduped` (Figure 5 cells that shared an already
+//! built plan), and the `kernel.batch_rows` histogram (adaptive depth
+//! decisions).
 
 use crate::encoding::ApproximateBitmap;
+use crate::hybrid::{HybridAb, HybridBin};
 use crate::level::AbIndex;
 use crate::query::{Cell, QueryStats};
 use bitmap::RectQuery;
@@ -757,7 +763,10 @@ unsafe fn gather_words_neon(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; 
 // ---------------------------------------------------------------------------
 
 /// The hoisted, row-independent state for one (attribute, bin) column
-/// of a query: raw AB words, k, and the reusable hash prober.
+/// of a rect query — or, in a cell call, for every column of one AB
+/// (the prober begins probes for any of them,
+/// [`hashkit::ColProber::begin_col`]): raw AB words, k, and the
+/// reusable hash prober.
 struct CellPlan<'a> {
     words: &'a [u64],
     k: u32,
@@ -807,8 +816,21 @@ impl<'a> CellPlan<'a> {
     /// prefetched.
     fn issue_batch(&self, probes: &mut [hashkit::RowProbe], out: &mut [u64]) {
         self.prober.next_positions(probes, out);
-        self.calls.set(self.calls.get() + probes.len() as u64);
-        for &pos in out.iter().take(probes.len()) {
+        self.count_and_prefetch(&out[..probes.len()]);
+    }
+
+    /// [`Self::issue_batch`] for lanes that are all at the same probe
+    /// index — a cell batch's: positions come from
+    /// [`hashkit::ColProber::next_positions_lockstep`], one hash
+    /// function over the whole slice.
+    fn issue_lockstep(&self, probes: &mut [hashkit::RowProbe], out: &mut [u64]) {
+        self.prober.next_positions_lockstep(probes, out);
+        self.count_and_prefetch(&out[..probes.len()]);
+    }
+
+    fn count_and_prefetch(&self, positions: &[u64]) {
+        self.calls.set(self.calls.get() + positions.len() as u64);
+        for &pos in positions {
             prefetch(self.words, pos);
         }
     }
@@ -959,12 +981,13 @@ fn advance_lane(
     }
 }
 
-/// Resolves the batch-depth policy against a resolved AB footprint and
-/// records the decision in the `kernel.batch_rows` histogram.
-fn choose_batch_rows(batch_rows: BatchRows, resolved_ab_bytes: u64) -> usize {
+/// Resolves the batch-depth policy — a fixed depth, or whatever
+/// `adaptive` picks for this query — and records the decision in the
+/// `kernel.batch_rows` histogram.
+fn choose_batch_rows(batch_rows: BatchRows, adaptive: impl FnOnce() -> usize) -> usize {
     let rows = match batch_rows {
         BatchRows::Fixed(n) => n.clamp(1, MAX_BATCH_ROWS),
-        BatchRows::Adaptive => CacheModel::get().batch_rows_for(resolved_ab_bytes),
+        BatchRows::Adaptive => adaptive(),
     };
     obs::histogram!("kernel.batch_rows").record(rows as u64);
     rows
@@ -1029,7 +1052,9 @@ pub(crate) fn execute_rect_waves(
                 .collect()
         })
         .collect();
-    let batch_rows = choose_batch_rows(opts.batch_rows, resolved_plan_bytes(&plans));
+    let batch_rows = choose_batch_rows(opts.batch_rows, || {
+        CacheModel::get().batch_rows_for(resolved_plan_bytes(&plans))
+    });
     let engine = match opts.kernel {
         KernelKind::Simd => active_simd_engine(),
         _ => None,
@@ -1221,172 +1246,236 @@ fn run_simd_waves(
 // Figure 5: cell-subset queries
 // ---------------------------------------------------------------------------
 
-/// One in-flight cell of a Figure 5 subset query. Plans are hoisted
-/// per chunk and shared between lanes probing the same (attribute,
-/// bin), so the lane holds an index instead of owning its plan.
-struct CellLane {
-    idx: usize,
-    plan: u32,
-    probe: hashkit::RowProbe,
-    pos: u64,
-    t: u32,
+/// What an (attribute, bin) column named by a cell call resolved to,
+/// on the first cell that named it.
+#[derive(Clone, Copy)]
+enum ColumnTarget<'a> {
+    /// The exact tier backs this bin: its container is the answer.
+    Exact(&'a HybridBin),
+    /// Probe the AB whose plan has this index in the call's plan list.
+    Probe(u32),
 }
 
-/// Applies one bit's worth of the Figure 5 evaluation: `Some(verdict)`
-/// retires the lane (first zero bit → definite miss; k-th set bit →
-/// approximate hit), `None` leaves its next probe in flight.
-#[inline(always)]
-fn advance_cell_lane(lane: &mut CellLane, plans: &[CellPlan], hit: bool) -> Option<bool> {
-    lane.t += 1;
-    if !hit {
-        return Some(false);
+impl CellPlan<'_> {
+    /// Reads the AB bits at `pos` into `bits` — the one step of the
+    /// cell loop that depends on the engine. Without one these are
+    /// scalar loads (one scalar wave); with one, the words are fetched
+    /// [`SIMD_WAVE`] at a time by vector gathers, and a tail narrower
+    /// than [`SIMD_MIN_GATHER`] falls back to scalar loads.
+    fn test_bits(
+        &self,
+        engine: Option<SimdEngine>,
+        pos: &[u64],
+        bits: &mut [bool],
+        wave: &mut WaveCounters,
+    ) {
+        let scalar = |pos: &[u64], bits: &mut [bool]| {
+            for (bit, &p) in bits.iter_mut().zip(pos) {
+                *bit = self.bit(p);
+            }
+        };
+        let Some(engine) = engine else {
+            wave.scalar_waves += 1;
+            return scalar(pos, bits);
+        };
+        for (pos, bits) in pos.chunks(SIMD_WAVE).zip(bits.chunks_mut(SIMD_WAVE)) {
+            let w = pos.len();
+            if w < SIMD_MIN_GATHER {
+                wave.scalar_waves += 1;
+                scalar(pos, bits);
+                continue;
+            }
+            let mut addrs = [0u64; SIMD_WAVE];
+            let mut shifts = [0u64; SIMD_WAVE];
+            for l in 0..w {
+                addrs[l] = self.word_addr(pos[l]);
+                shifts[l] = pos[l] % 64;
+            }
+            let mask = wave_bits(engine, &addrs, &shifts, w);
+            for (l, bit) in bits.iter_mut().enumerate() {
+                *bit = mask & (1 << l) != 0;
+            }
+            wave.simd_waves += 1;
+        }
     }
-    let plan = &plans[lane.plan as usize];
-    if lane.t == plan.k {
-        return Some(true);
-    }
-    lane.pos = plan.issue(&mut lane.probe);
-    None
 }
 
 /// Figure 5 over cell batches: identical verdicts (in query order) to
-/// the scalar `test_cell` loop, with batched latency overlap and
-/// per-chunk `CellPlan` hoisting — repeated (attribute, bin) pairs
-/// within a chunk share one hoisted hash state, the same win rect
-/// queries get from per-query plans (counted in
-/// `kernel.cell_plans_deduped`).
+/// the scalar `test_cell` loop, and — with `hybrid` — the exact
+/// container's verdict for every cell of a bin it backs.
+///
+/// One **plan table** per call, indexed by the dense global column
+/// `meta.offset + bin`, resolves every (attribute, bin) the call names
+/// on the first cell that names it: to the exact tier's backing if
+/// there is one, else to the plan of the AB that holds the column —
+/// the hoisted hash state, built once per AB the call touches and
+/// shared by all its cells (`kernel.cell_plans_deduped` counts the
+/// sharers). The probed cells are then **grouped by plan** (a counting
+/// sort) and each group runs through the breadth-first probe waves on
+/// its own, in batches of [`MAX_BATCH_ROWS`] lanes (or the caller's
+/// fixed depth): every lane of a batch is on the same AB and at the
+/// same probe index, so probe `t` of the batch is one hash function
+/// over a contiguous slice of keys
+/// ([`hashkit::ColProber::next_positions_lockstep`]), one bit test
+/// against one word array, and a retirement pass that never branches
+/// on a bit — lanes retire at their first zero bit (Figure 5's break)
+/// or their k-th set bit and survivors close ranks in order.
+///
+/// Batches do not straddle plans: a per-column index answering a list
+/// much shorter than its column count runs shallow batches. That is
+/// the price of a loop with nothing per-lane left to dispatch on.
 ///
 /// # Panics
 ///
 /// Panics on out-of-range rows or bins, with the same messages as
 /// [`AbIndex::test_cell_counted`].
-pub(crate) fn retrieve_cells_waves(index: &AbIndex, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
+pub(crate) fn retrieve_cells_waves(
+    index: &AbIndex,
+    hybrid: Option<&HybridAb>,
+    cells: &[Cell],
+    opts: KernelOpts,
+) -> Vec<bool> {
+    /// `plan_of_cell` of a cell the exact tier answered.
+    const EXACT: u32 = u32::MAX;
+    /// `plan_of_ab` of an AB no cell of the call has named yet.
+    const UNPLANNED: u32 = u32::MAX;
     let mut out = vec![false; cells.len()];
-    let batch_rows = choose_batch_rows(opts.batch_rows, index.size_bytes() as u64);
+    // The cache model keeps the rect lanes' batches shallow over a
+    // cache-resident AB so their state stays hot. A cell lane has next
+    // to none — an index and a key — while every wave of a batch has
+    // fixed costs, so the deepest batch is the cheapest wherever the AB
+    // sits: 66 ns/cell at 16 lanes, 54–59 at 128–256 with the AB hot in
+    // L2, and more when it is in another core's.
+    let batch_rows = choose_batch_rows(opts.batch_rows, || MAX_BATCH_ROWS);
     let engine = match opts.kernel {
         KernelKind::Simd => active_simd_engine(),
         _ => None,
     };
+    let attrs = index.attributes();
+    let num_columns = attrs
+        .last()
+        .map_or(0, |m| m.offset + m.cardinality as usize);
+
+    // Pass 1: validate, resolve each named column on first touch,
+    // answer exact-backed cells, count the probed cells per plan.
+    let mut targets: Vec<Option<ColumnTarget>> = vec![None; num_columns];
+    let mut plan_of_ab = vec![UNPLANNED; index.abs().len()];
+    let mut plans: Vec<CellPlan> = Vec::new();
+    // Until the prefix sum below, next[p + 1] counts plan p's cells;
+    // after it, next[p] is the slot of plan p's next cell.
+    let mut next: Vec<usize> = vec![0];
+    let mut plan_of_cell: Vec<u32> = Vec::with_capacity(cells.len());
+    let mut exact_cells = 0usize;
+    for (i, c) in cells.iter().enumerate() {
+        let meta = &attrs[c.attribute];
+        assert!(
+            c.bin < meta.cardinality,
+            "bin {} out of range for attribute {}",
+            c.bin,
+            c.attribute
+        );
+        assert!(
+            c.row < index.num_rows(),
+            "row {} out of range {}",
+            c.row,
+            index.num_rows()
+        );
+        let target = targets[meta.offset + c.bin as usize].get_or_insert_with(|| {
+            match hybrid.and_then(|hy| hy.backing(c.attribute, c.bin)) {
+                Some(backing) => ColumnTarget::Exact(backing),
+                None => {
+                    let (ab, col) = index.cell_plan_slot(c.attribute, c.bin);
+                    if plan_of_ab[ab] == UNPLANNED {
+                        plan_of_ab[ab] = plans.len() as u32;
+                        plans.push(CellPlan::new(&index.abs()[ab], col));
+                        next.push(0);
+                    }
+                    ColumnTarget::Probe(plan_of_ab[ab])
+                }
+            }
+        });
+        plan_of_cell.push(match *target {
+            ColumnTarget::Exact(backing) => {
+                out[i] = backing.contains(c.row);
+                exact_cells += 1;
+                EXACT
+            }
+            ColumnTarget::Probe(plan) => {
+                next[plan as usize + 1] += 1;
+                plan
+            }
+        });
+    }
+    if exact_cells > 0 {
+        obs::counter!("hybrid.cells_exact").add(exact_cells as u64);
+    }
+    // Pass 2: group the probed cells by plan; within a plan, request
+    // order is kept.
+    for p in 0..plans.len() {
+        next[p + 1] += next[p];
+    }
+    let mut order = vec![0usize; cells.len() - exact_cells];
+    for (i, &plan) in plan_of_cell.iter().enumerate() {
+        if plan != EXACT {
+            order[next[plan as usize]] = i;
+            next[plan as usize] += 1;
+        }
+    }
+
     let mut wave = WaveCounters::default();
-    let mut issued_positions = 0u64;
-    let mut deduped = 0u64;
+    // A lane is the request position its verdict goes to; its hash
+    // state sits at the same index of `probes`.
+    let mut lanes: Vec<usize> = Vec::with_capacity(batch_rows);
+    let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(batch_rows);
+    let mut pos = [0u64; MAX_BATCH_ROWS];
     let mut bits = [false; MAX_BATCH_ROWS];
-    for (chunk_idx, chunk) in cells.chunks(batch_rows).enumerate() {
-        wave.batches += 1;
-        // Plan hoisting: one CellPlan per distinct (attribute, bin) in
-        // the chunk.
-        let mut plan_ids: std::collections::HashMap<(usize, u32), u32> =
-            std::collections::HashMap::with_capacity(chunk.len());
-        let mut plans: Vec<CellPlan> = Vec::new();
-        let mut lanes: Vec<CellLane> = Vec::with_capacity(chunk.len());
-        for (j, c) in chunk.iter().enumerate() {
-            let meta = &index.attributes()[c.attribute];
-            assert!(
-                c.bin < meta.cardinality,
-                "bin {} out of range for attribute {}",
-                c.bin,
-                c.attribute
-            );
-            assert!(
-                c.row < index.num_rows(),
-                "row {} out of range {}",
-                c.row,
-                index.num_rows()
-            );
-            let pid = match plan_ids.entry((c.attribute, c.bin)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    deduped += 1;
-                    *e.get()
+    let mut group_start = 0;
+    for (plan, &group_end) in plans.iter().zip(&next) {
+        for batch in order[group_start..group_end].chunks(batch_rows) {
+            wave.batches += 1;
+            lanes.clear();
+            lanes.extend_from_slice(batch);
+            probes.clear();
+            probes.extend(batch.iter().map(|&i| {
+                let c = &cells[i];
+                let (_, col) = index.cell_plan_slot(c.attribute, c.bin);
+                plan.prober.begin_col(c.row as u64, col)
+            }));
+            for t in 1..=plan.k {
+                let n = lanes.len();
+                if n == 0 {
+                    break;
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let (ab, col) = index.cell_plan_target(c.attribute, c.bin);
-                    plans.push(CellPlan::new(ab, col));
-                    *v.insert((plans.len() - 1) as u32)
+                plan.issue_lockstep(&mut probes, &mut pos[..n]);
+                plan.test_bits(engine, &pos[..n], &mut bits[..n], &mut wave);
+                // Retire without branching on the bits (a coin flip
+                // for an absent cell): every lane stores its verdict
+                // so far, and survivors — bit set, probes left — close
+                // ranks in order.
+                let last = t == plan.k;
+                let mut kept = 0;
+                for i in 0..n {
+                    out[lanes[i]] = bits[i] & last;
+                    lanes[kept] = lanes[i];
+                    probes[kept] = probes[i];
+                    kept += usize::from(bits[i] & !last);
                 }
-            };
-            let plan = &plans[pid as usize];
-            let mut probe = plan.prober.begin(c.row as u64);
-            let pos = plan.issue(&mut probe);
-            lanes.push(CellLane {
-                idx: chunk_idx * batch_rows + j,
-                plan: pid,
-                probe,
-                pos,
-                t: 0,
-            });
-        }
-        match engine {
-            None => {
-                while !lanes.is_empty() {
-                    wave.scalar_waves += 1;
-                    let mut i = 0;
-                    while i < lanes.len() {
-                        let lane = &mut lanes[i];
-                        let hit = plans[lane.plan as usize].bit(lane.pos);
-                        match advance_cell_lane(lane, &plans, hit) {
-                            None => i += 1,
-                            Some(verdict) => {
-                                out[lanes[i].idx] = verdict;
-                                lanes.swap_remove(i);
-                            }
-                        }
-                    }
-                }
-            }
-            Some(e) => {
-                while !lanes.is_empty() {
-                    let n = lanes.len();
-                    let mut j = 0usize;
-                    while j < n {
-                        let w = (n - j).min(SIMD_WAVE);
-                        if w >= SIMD_MIN_GATHER {
-                            let mut addrs = [0u64; SIMD_WAVE];
-                            let mut shifts = [0u64; SIMD_WAVE];
-                            for l in 0..w {
-                                let lane = &lanes[j + l];
-                                addrs[l] = plans[lane.plan as usize].word_addr(lane.pos);
-                                shifts[l] = lane.pos % 64;
-                            }
-                            let mask = wave_bits(e, &addrs, &shifts, w);
-                            for l in 0..w {
-                                bits[j + l] = mask & (1 << l) != 0;
-                            }
-                            wave.simd_waves += 1;
-                        } else {
-                            for l in 0..w {
-                                let lane = &lanes[j + l];
-                                bits[j + l] = plans[lane.plan as usize].bit(lane.pos);
-                            }
-                            wave.scalar_waves += 1;
-                        }
-                        j += w;
-                    }
-                    for i in (0..n).rev() {
-                        let hit = bits[i];
-                        let lane = &mut lanes[i];
-                        match advance_cell_lane(lane, &plans, hit) {
-                            None => {}
-                            Some(verdict) => {
-                                out[lanes[i].idx] = verdict;
-                                lanes.swap_remove(i);
-                            }
-                        }
-                    }
-                }
+                lanes.truncate(kept);
+                probes.truncate(kept);
             }
         }
-        // One flush per hoisted plan (not per lane): totals match the
-        // per-cell scalar path, and — with shared plans — counting
-        // each plan once is what keeps the issued-position count (and
-        // hence `kernel.prefetches`) free of double counting.
-        for plan in &plans {
-            issued_positions += plan.calls.get();
-            plan.prober.record_hash_calls(plan.calls.get());
-        }
+        group_start = group_end;
     }
-    if deduped > 0 {
-        obs::counter!("kernel.cell_plans_deduped").add(deduped);
+
+    let mut issued_positions = 0u64;
+    for plan in &plans {
+        issued_positions += plan.calls.get();
+        plan.prober.record_hash_calls(plan.calls.get());
     }
+    if order.len() > plans.len() {
+        obs::counter!("kernel.cell_plans_deduped").add((order.len() - plans.len()) as u64);
+    }
+    // Every issued position was prefetched exactly once.
     wave.flush(issued_positions);
     out
 }

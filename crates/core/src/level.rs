@@ -327,18 +327,26 @@ impl AbIndex {
         }
     }
 
-    /// The (AB, column id) a cell of `attribute`/`bin` addresses — the
-    /// row-independent half of [`Self::test_cell_counted`]'s dispatch,
-    /// hoisted once per query into the batched kernel's cell plans.
+    /// The (index into [`Self::abs`], column id) a cell of
+    /// `attribute`/`bin` addresses — the row-independent half of
+    /// [`Self::test_cell_counted`]'s dispatch, hoisted once per query
+    /// into the batched kernels' plans.
     #[inline]
-    pub(crate) fn cell_plan_target(&self, attribute: usize, bin: u32) -> (&ApproximateBitmap, u64) {
+    pub(crate) fn cell_plan_slot(&self, attribute: usize, bin: u32) -> (usize, u64) {
         let meta = &self.attributes[attribute];
         debug_assert!(bin < meta.cardinality, "bin {bin} out of range");
         match self.level {
-            Level::PerDataset => (&self.abs[0], (meta.offset + bin as usize) as u64),
-            Level::PerAttribute => (&self.abs[attribute], bin as u64),
-            Level::PerColumn => (&self.abs[meta.offset + bin as usize], 0),
+            Level::PerDataset => (0, (meta.offset + bin as usize) as u64),
+            Level::PerAttribute => (attribute, bin as u64),
+            Level::PerColumn => (meta.offset + bin as usize, 0),
         }
+    }
+
+    /// [`Self::cell_plan_slot`] with the AB itself.
+    #[inline]
+    pub(crate) fn cell_plan_target(&self, attribute: usize, bin: u32) -> (&ApproximateBitmap, u64) {
+        let (ab, col) = self.cell_plan_slot(attribute, bin);
+        (&self.abs[ab], col)
     }
 
     /// Largest k across the constituent ABs — the constant in the

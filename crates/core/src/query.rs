@@ -142,62 +142,45 @@ impl AbIndex {
         }
         // Exact-backed cells are answered from their containers (the
         // truth — an AB false positive for such a cell comes back
-        // `false` here); the rest batch through the probe kernel and
-        // the two verdict streams merge back into query order.
+        // `false` here). A tier that backs nothing has nothing to say.
         let hybrid = match opts.hybrid {
             HybridMode::Off => None,
-            HybridMode::Auto | HybridMode::Force => self.hybrid(),
+            HybridMode::Auto | HybridMode::Force => {
+                self.hybrid().filter(|hy| !hy.bins().is_empty())
+            }
         };
-        if let Some(hy) = hybrid {
-            let mut out = vec![false; cells.len()];
-            let mut rest = Vec::new();
-            let mut rest_pos = Vec::new();
-            let mut exact_cells = 0u64;
-            for (i, c) in cells.iter().enumerate() {
-                match hy.backing(c.attribute, c.bin) {
-                    Some(hb) => {
-                        assert!(
-                            c.row < self.num_rows(),
-                            "row {} out of range {}",
-                            c.row,
-                            self.num_rows()
-                        );
-                        out[i] = hb.contains(c.row);
-                        exact_cells += 1;
-                    }
-                    None => {
-                        rest.push(*c);
-                        rest_pos.push(i);
-                    }
-                }
-            }
-            obs::counter!("hybrid.cells_exact").add(exact_cells);
-            if !rest.is_empty() {
-                for (i, v) in rest_pos
-                    .into_iter()
-                    .zip(self.retrieve_cells_base(&rest, opts))
-                {
-                    out[i] = v;
-                }
-            }
-            return out;
-        }
-        self.retrieve_cells_base(cells, opts)
-    }
-
-    /// The probe-kernel dispatch shared by the plain path and the
-    /// exact tier's unbacked remainder.
-    fn retrieve_cells_base(&self, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
         match opts.kernel {
+            // The reference loop every other cell path is checked
+            // against: one `test_cell` (or one container lookup) per
+            // cell, nothing hoisted.
             KernelKind::Scalar => {
                 obs::counter!("kernel.scalar_fallbacks").inc();
-                cells
+                let mut exact_cells = 0u64;
+                let out = cells
                     .iter()
-                    .map(|c| self.test_cell(c.row, c.attribute, c.bin))
-                    .collect()
+                    .map(
+                        |c| match hybrid.and_then(|hy| hy.backing(c.attribute, c.bin)) {
+                            Some(backing) => {
+                                assert!(
+                                    c.row < self.num_rows(),
+                                    "row {} out of range {}",
+                                    c.row,
+                                    self.num_rows()
+                                );
+                                exact_cells += 1;
+                                backing.contains(c.row)
+                            }
+                            None => self.test_cell(c.row, c.attribute, c.bin),
+                        },
+                    )
+                    .collect();
+                if exact_cells > 0 {
+                    obs::counter!("hybrid.cells_exact").add(exact_cells);
+                }
+                out
             }
             KernelKind::Batched | KernelKind::Simd => {
-                crate::kernel::retrieve_cells_waves(self, cells, opts)
+                crate::kernel::retrieve_cells_waves(self, hybrid, cells, opts)
             }
         }
     }

@@ -12,8 +12,8 @@
 //! swap them freely.
 
 use crate::partow::{
-    ap_hash, bkdr_hash, decimal_key_bytes, dek_hash, djb_hash, elf_hash, fnv_hash, js_hash,
-    pjw_hash, rs_hash, sdbm_hash, splitmix64,
+    ap_hash, bkdr_hash, decimal_key_bytes, decimal_key_bytes_swar, dek_hash, djb_hash, elf_hash,
+    fnv_hash, js_hash, pjw_hash, rs_hash, sdbm_hash, splitmix64,
 };
 use crate::sha1::DigestStream;
 use crate::simple::multiply_shift;
@@ -87,6 +87,35 @@ pub enum HashKind {
     Circular,
 }
 
+/// Evaluates `$body` with `$hash` bound to the one function `$kind`
+/// names, as `(key bytes, raw integer) -> u64`: the kind is matched
+/// once, outside whatever loop the body holds, and each arm's body is
+/// compiled around its own function.
+macro_rules! with_hash_fn {
+    ($kind:expr, |$hash:ident| $body:expr) => {
+        match $kind {
+            HashKind::Rs => with_hash_fn!(@arm $hash, |key, _x| rs_hash(key), $body),
+            HashKind::Js => with_hash_fn!(@arm $hash, |key, _x| js_hash(key), $body),
+            HashKind::Pjw => with_hash_fn!(@arm $hash, |key, _x| pjw_hash(key), $body),
+            HashKind::Elf => with_hash_fn!(@arm $hash, |key, _x| elf_hash(key), $body),
+            HashKind::Bkdr => with_hash_fn!(@arm $hash, |key, _x| bkdr_hash(key), $body),
+            HashKind::Sdbm => with_hash_fn!(@arm $hash, |key, _x| sdbm_hash(key), $body),
+            HashKind::Djb => with_hash_fn!(@arm $hash, |key, _x| djb_hash(key), $body),
+            HashKind::Dek => with_hash_fn!(@arm $hash, |key, _x| dek_hash(key), $body),
+            HashKind::Ap => with_hash_fn!(@arm $hash, |key, _x| ap_hash(key), $body),
+            HashKind::Fnv => with_hash_fn!(@arm $hash, |key, _x| fnv_hash(key), $body),
+            HashKind::MultiplyShift => {
+                with_hash_fn!(@arm $hash, |_key, x| multiply_shift(x, 64), $body)
+            }
+            HashKind::Circular => with_hash_fn!(@arm $hash, |_key, x| x, $body),
+        }
+    };
+    (@arm $hash:ident, |$key:ident, $x:ident| $value:expr, $body:expr) => {{
+        let $hash = |$key: &[u8], $x: u64| -> u64 { $value };
+        $body
+    }};
+}
+
 impl HashKind {
     /// All string-style kinds, in the roster order used to assemble
     /// default independent families.
@@ -116,20 +145,7 @@ impl HashKind {
     /// raw integer is still needed for the integer-native kinds).
     #[inline]
     pub fn hash_bytes(&self, key: &[u8], x: u64) -> u64 {
-        match self {
-            HashKind::Rs => rs_hash(key),
-            HashKind::Js => js_hash(key),
-            HashKind::Pjw => pjw_hash(key),
-            HashKind::Elf => elf_hash(key),
-            HashKind::Bkdr => bkdr_hash(key),
-            HashKind::Sdbm => sdbm_hash(key),
-            HashKind::Djb => djb_hash(key),
-            HashKind::Dek => dek_hash(key),
-            HashKind::Ap => ap_hash(key),
-            HashKind::Fnv => fnv_hash(key),
-            HashKind::MultiplyShift => multiply_shift(x, 64),
-            HashKind::Circular => x,
-        }
+        with_hash_fn!(self, |hash| hash(key, x))
     }
 }
 
@@ -252,10 +268,9 @@ impl HashFamily {
                     col < *num_columns,
                     "column {col} out of range {num_columns}"
                 );
-                let group_size = (n / num_columns).max(1);
                 ColKind::ColumnGroup {
-                    group_size,
-                    group_start: (col * group_size).min(n - 1),
+                    group_size: (n / num_columns).max(1),
+                    num_columns: *num_columns,
                 }
             }
         };
@@ -272,6 +287,11 @@ impl HashFamily {
 
 /// Row-independent probe state for one (column, AB) pair. See
 /// [`HashFamily::col_prober`].
+///
+/// Everything that depends on the column is in the [`RowProbe`]s it
+/// begins, so a prober made for one column of an AB can begin and
+/// advance probes for any other ([`Self::begin_col`]) — the cell kernel
+/// drives every cell of an AB through one prober.
 pub struct ColProber<'f> {
     kind: ColKind<'f>,
     mapper: CellMapper,
@@ -288,22 +308,25 @@ enum ColKind<'f> {
     Independent { kinds: &'f [HashKind] },
     Sha1 { m: u32 },
     Double,
-    ColumnGroup { group_size: u64, group_start: u64 },
+    ColumnGroup { group_size: u64, num_columns: u64 },
 }
 
 /// Per-row probe state, valid only with the [`ColProber`] that created
 /// it. Deliberately small and family-uniform so a query batch can keep
-/// one in flight per row lane.
+/// one in flight per row lane (and `Copy`, so live lanes can close
+/// ranks with plain moves).
+#[derive(Clone, Copy)]
 pub struct RowProbe {
     state: RowState,
     t: u64,
 }
 
+#[derive(Clone, Copy)]
 enum RowState {
     Independent { x: u64, bytes: [u8; 20], len: usize },
     Sha1 { stream: DigestStream },
     Double { h1: u64, h2: u64 },
-    ColumnGroup { row: u64, h2: u64 },
+    ColumnGroup { row: u64, h2: u64, group_start: u64 },
 }
 
 impl RowProbe {
@@ -321,34 +344,72 @@ impl ColProber<'_> {
         self.n
     }
 
-    /// Starts the probe sequence for one row: only the cheap per-row
-    /// work (cell mapping, key encoding or mixer seeding) happens here.
+    /// Starts the probe sequence for one row of this prober's column:
+    /// only the cheap per-row work (cell mapping, key encoding or mixer
+    /// seeding) happens here. The key still comes from the plain
+    /// [`decimal_key_bytes`], as do the re-seeded probes'; DESIGN.md §13
+    /// ("Why the rect kernel does not use them yet") says what holds
+    /// the faster encoder back on the rect path.
     #[inline]
     pub fn begin(&self, row: u64) -> RowProbe {
+        self.begin_with(row, self.col, decimal_key_bytes)
+    }
+
+    /// [`Self::begin`] for a cell of any column of the same AB (same
+    /// family, mapper and size — only `col` differs), with the key
+    /// encoded by [`decimal_key_bytes_swar`]: the same probe, begun in
+    /// about half the time. The cell kernel opens every lane with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, for the column-group family, if the column is out of
+    /// range.
+    #[inline(always)]
+    pub fn begin_col(&self, row: u64, col: u64) -> RowProbe {
+        self.begin_with(row, col, decimal_key_bytes_swar)
+    }
+
+    #[inline(always)]
+    fn begin_with(
+        &self,
+        row: u64,
+        col: u64,
+        encode_key: impl Fn(u64) -> ([u8; 20], usize),
+    ) -> RowProbe {
         let state = match &self.kind {
             ColKind::Independent { .. } => {
-                let x = self.mapper.map(row, self.col);
+                let x = self.mapper.map(row, col);
                 // One key encoding covers every unseeded probe.
-                let (bytes, len) = decimal_key_bytes(x);
+                let (bytes, len) = encode_key(x);
                 RowState::Independent { x, bytes, len }
             }
             ColKind::Sha1 { .. } => {
-                let x = self.mapper.map(row, self.col);
+                let x = self.mapper.map(row, col);
                 RowState::Sha1 {
                     stream: DigestStream::new(x),
                 }
             }
             ColKind::Double => {
-                let x = self.mapper.map(row, self.col);
+                let x = self.mapper.map(row, col);
                 RowState::Double {
                     h1: splitmix64(x),
                     h2: splitmix64(x ^ 0x5851_F42D_4C95_7F2D) | 1, // odd stride
                 }
             }
-            ColKind::ColumnGroup { .. } => RowState::ColumnGroup {
-                row,
-                h2: splitmix64(row) | 1,
-            },
+            ColKind::ColumnGroup {
+                group_size,
+                num_columns,
+            } => {
+                assert!(
+                    col < *num_columns,
+                    "column {col} out of range {num_columns}"
+                );
+                RowState::ColumnGroup {
+                    row,
+                    h2: splitmix64(row) | 1,
+                    group_start: (col * group_size).min(self.n - 1),
+                }
+            }
         };
         RowProbe { state, t: 0 }
     }
@@ -384,11 +445,12 @@ impl ColProber<'_> {
                 self.reduce_hash(h)
             }
             (
-                ColKind::ColumnGroup {
-                    group_size,
+                ColKind::ColumnGroup { group_size, .. },
+                RowState::ColumnGroup {
+                    row,
+                    h2,
                     group_start,
                 },
-                RowState::ColumnGroup { row, h2 },
             ) => {
                 let off = row.wrapping_add(t.wrapping_mul(*h2)) % *group_size;
                 (*group_start + off).min(self.n - 1)
@@ -408,9 +470,10 @@ impl ColProber<'_> {
     /// autovectorizer can widen, and the SIMD query kernel gets all of
     /// a wave's first-probe positions from one call.
     ///
-    /// The string families (independent roster, SHA-1 split) are
-    /// inherently serial per probe — they fall back to the scalar path
-    /// inside the hoisted dispatch.
+    /// The probes may each be at a different step, so the string
+    /// families (independent roster, SHA-1 split) take the scalar path
+    /// inside the hoisted dispatch; a batch known to be in step wants
+    /// [`Self::next_positions_lockstep`].
     ///
     /// # Panics
     ///
@@ -437,19 +500,68 @@ impl ColProber<'_> {
                     *o = self.reduce_hash(h1.wrapping_add(t.wrapping_mul(*h2)));
                 }
             }
-            ColKind::ColumnGroup {
-                group_size,
-                group_start,
-            } => {
+            ColKind::ColumnGroup { group_size, .. } => {
                 for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
                     let t = p.t;
                     p.t += 1;
-                    let RowState::ColumnGroup { row, h2 } = &p.state else {
+                    let RowState::ColumnGroup {
+                        row,
+                        h2,
+                        group_start,
+                    } = &p.state
+                    else {
                         unreachable!("RowProbe used with a ColProber of a different family")
                     };
                     let off = row.wrapping_add(t.wrapping_mul(*h2)) % *group_size;
                     *o = (*group_start + off).min(self.n - 1);
                 }
+            }
+        }
+    }
+
+    /// [`Self::next_positions`] for probes in **lockstep** — all at the
+    /// same step `t`, which is how the cell kernel holds them (a
+    /// batch's lanes open together and advance one probe per wave).
+    /// Knowing `t` for the whole batch, the roster function it names is
+    /// matched once and step `t` is that one function over a slice of
+    /// keys in a tight loop: consecutive keys' byte loops overlap in the
+    /// pipeline, where the per-probe dispatch of `next_positions` keeps
+    /// them apart. Same positions, same `t` advancement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `probes`, or if the probes are
+    /// not in lockstep.
+    pub fn next_positions_lockstep(&self, probes: &mut [RowProbe], out: &mut [u64]) {
+        assert!(
+            out.len() >= probes.len(),
+            "output buffer shorter than probe batch"
+        );
+        let Some(t) = probes.first().map(|p| p.t) else {
+            return;
+        };
+        match &self.kind {
+            ColKind::Independent { kinds } if (t as usize) < kinds.len() => {
+                with_hash_fn!(kinds[t as usize], |hash| {
+                    for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
+                        assert!(p.t == t, "probe batch not in lockstep");
+                        p.t = t + 1;
+                        let RowState::Independent { x, bytes, len } = &p.state else {
+                            unreachable!("RowProbe used with a ColProber of a different family")
+                        };
+                        *o = self.reduce_hash(hash(&bytes[..*len], *x));
+                    }
+                })
+            }
+            // The mixers' loops are tight already; SHA-1 reads its
+            // digest bit by bit and a re-seeded probe re-encodes its
+            // key — nothing to hoist.
+            _ => {
+                assert!(
+                    probes.iter().all(|p| p.t == t),
+                    "probe batch not in lockstep"
+                );
+                self.next_positions(probes, out);
             }
         }
     }
@@ -721,6 +833,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The lockstep batch step is the same re-schedule with the roster
+    /// dispatch hoisted: same positions, same `t` advancement, for every
+    /// family, over every function of the roster and the re-seeded
+    /// probes past it.
+    #[test]
+    fn lockstep_positions_match_next_position_for_all_families() {
+        const STEPS: usize = 13;
+        let families = [
+            HashFamily::default_independent(),
+            HashFamily::Independent(vec![HashKind::MultiplyShift, HashKind::Circular]),
+            HashFamily::Sha1Split,
+            HashFamily::DoubleHashing,
+            HashFamily::ColumnGroup { num_columns: 16 },
+        ];
+        let mapper = CellMapper::for_columns(16);
+        for f in &families {
+            for n in [1u64 << 14, (1 << 14) - 123] {
+                let cp = f.col_prober(3, mapper, n);
+                let rows = [0u64, 1, 999, 123_456, 77, 31];
+                let want: Vec<Vec<u64>> = rows
+                    .iter()
+                    .map(|&r| {
+                        let mut p = cp.begin(r);
+                        (0..STEPS).map(|_| cp.next_position(&mut p)).collect()
+                    })
+                    .collect();
+                let mut probes: Vec<RowProbe> = rows.iter().map(|&r| cp.begin(r)).collect();
+                let mut out = vec![0u64; rows.len()];
+                #[allow(clippy::needless_range_loop)] // step indexes the 2-D reference table
+                for step in 0..STEPS {
+                    cp.next_positions_lockstep(&mut probes, &mut out);
+                    for (r, &got) in out.iter().enumerate() {
+                        assert_eq!(got, want[r][step], "{f:?} n={n} row#{r} step {step}");
+                        assert_eq!(probes[r].probes(), step as u64 + 1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A prober made for one column begins and advances probes for any
+    /// column of its AB: the sequence is the one the column's own
+    /// prober yields. This is what lets the cell kernel run every cell
+    /// of an AB, whatever its bin, through one batch.
+    #[test]
+    fn begin_col_yields_the_other_columns_own_sequence() {
+        let families = [
+            HashFamily::default_independent(),
+            HashFamily::Sha1Split,
+            HashFamily::DoubleHashing,
+            HashFamily::ColumnGroup { num_columns: 16 },
+        ];
+        let mapper = CellMapper::for_columns(16);
+        let n = 1u64 << 14;
+        for f in &families {
+            let host = f.col_prober(3, mapper, n);
+            // One lockstep batch mixing five columns.
+            let cells = [(5u64, 0u64), (5, 15), (999, 3), (123_456, 7), (0, 9)];
+            let mut probes: Vec<RowProbe> = cells
+                .iter()
+                .map(|&(row, col)| host.begin_col(row, col))
+                .collect();
+            let mut out = vec![0u64; cells.len()];
+            for step in 0..12 {
+                host.next_positions_lockstep(&mut probes, &mut out);
+                for (&(row, col), &got) in cells.iter().zip(&out) {
+                    let own: Vec<u64> = f.prober(row, col, mapper, n).take(step + 1).collect();
+                    assert_eq!(got, own[step], "{f:?} ({row},{col}) step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not in lockstep")]
+    fn lockstep_rejects_a_roster_batch_out_of_step() {
+        out_of_step(HashFamily::default_independent());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in lockstep")]
+    fn lockstep_rejects_a_mixer_batch_out_of_step() {
+        out_of_step(HashFamily::DoubleHashing);
+    }
+
+    fn out_of_step(f: HashFamily) {
+        let cp = f.col_prober(0, CellMapper::RowOnly, 1 << 10);
+        let mut probes = vec![cp.begin(1), cp.begin(2)];
+        cp.next_position(&mut probes[1]);
+        cp.next_positions_lockstep(&mut probes, &mut [0u64; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 16 out of range")]
+    fn begin_col_checks_the_column_group_range() {
+        let f = HashFamily::ColumnGroup { num_columns: 16 };
+        f.col_prober(0, CellMapper::for_columns(16), 1 << 10)
+            .begin_col(1, 16);
     }
 
     #[test]

@@ -179,6 +179,67 @@ pub fn decimal_key_bytes(x: u64) -> ([u8; 20], usize) {
     (buf, len)
 }
 
+/// [`decimal_key_bytes`] without a division per digit, for the key
+/// every lane of the cell kernel starts with
+/// ([`crate::ColProber::begin_col`]): same bytes, same count, same
+/// zeroed tail. The digits never take a detour
+/// through memory — `x` splits into at most three groups of eight
+/// digits (a cell's key is usually one), each group is spread over the
+/// bytes of a register by `eight_digits`, the leading group loses its
+/// leading zeros by a shift, and the groups are stored as whole words.
+/// Every probe position in every AB ever built depends on these bytes
+/// being exactly `x.to_string()`.
+#[inline(always)]
+pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
+    const GROUP: u64 = 100_000_000;
+    const ASCII: u64 = 0x3030_3030_3030_3030;
+    let mut buf = [0u8; 20];
+    // The leading group, 1–8 digits, then `rest` full groups.
+    let (lead, rest) = if x < GROUP {
+        (x, 0)
+    } else if x < GROUP * GROUP {
+        (x / GROUP, 1)
+    } else {
+        (x / (GROUP * GROUP), 2)
+    };
+    let digits = eight_digits(lead as u32);
+    // The most significant digit is in the lowest byte: leading zeros
+    // are trailing zero bytes (all eight of them for x = 0, which keeps
+    // one).
+    let zeros = (digits.trailing_zeros() as usize / 8).min(7);
+    let len = 8 - zeros;
+    let text = (digits >> (8 * zeros)) + (ASCII >> (8 * zeros));
+    buf[..8].copy_from_slice(&text.to_le_bytes());
+    if rest == 2 {
+        let mid = eight_digits((x / GROUP % GROUP) as u32) + ASCII;
+        buf[len..len + 8].copy_from_slice(&mid.to_le_bytes());
+    }
+    if rest >= 1 {
+        let at = len + 8 * (rest - 1);
+        let low = eight_digits((x % GROUP) as u32) + ASCII;
+        buf[at..at + 8].copy_from_slice(&low.to_le_bytes());
+    }
+    (buf, len + 8 * rest)
+}
+
+/// The eight decimal digits of `v < 10⁸`, one per byte, most
+/// significant in the lowest byte (so the little-endian bytes read in
+/// print order), leading zeros included. Three rounds of
+/// divide-by-a-constant on packed lanes — two 4-digit halves, four
+/// 2-digit pairs, eight digits — each a multiply and a shift that is
+/// exact over its lane's range.
+#[inline(always)]
+fn eight_digits(v: u32) -> u64 {
+    debug_assert!(v < 100_000_000);
+    let halves = u64::from(v / 10_000) | u64::from(v % 10_000) << 32;
+    // ⌊h / 100⌋ = h · 10486 >> 20 for h < 10⁴.
+    let hundreds = ((halves * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let pairs = hundreds | (halves - hundreds * 100) << 16;
+    // ⌊p / 10⌋ = p · 103 >> 10 for p < 100.
+    let tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F;
+    tens | (pairs - tens * 10) << 8
+}
+
 /// splitmix64 finalizer — a strong integer mixer used for seeding and
 /// double hashing; not part of the Partow library but standard in
 /// modern Bloom-filter practice.
@@ -280,6 +341,33 @@ mod tests {
             let filled = seen.iter().filter(|&&s| s).count();
             assert!(filled >= 128, "{name} fills only {filled}/256 buckets");
         }
+    }
+
+    /// Hash positions are on disk: the key bytes must stay the decimal
+    /// string of `x`, at every digit count and on both sides of every
+    /// carry.
+    #[test]
+    fn decimal_keys_are_the_decimal_string() {
+        let mut xs = vec![0u64, u64::MAX];
+        let mut p = 1u64;
+        for _ in 0..20 {
+            // p has 1..=20 digits; so do its neighbours but one.
+            xs.extend([p - 1, p, p + 1, p.wrapping_mul(7) / 4, p / 3 * 2 + 5]);
+            p = p.saturating_mul(10);
+        }
+        for len in 1..=20u32 {
+            let all_nines = 10u64.checked_pow(len).map_or(u64::MAX, |p| p - 1);
+            xs.push(all_nines);
+        }
+        let mut lens_seen = [false; 21];
+        for x in xs {
+            for (buf, len) in [decimal_key_bytes(x), decimal_key_bytes_swar(x)] {
+                assert_eq!(&buf[..len], x.to_string().as_bytes(), "x = {x}");
+                assert!(buf[len..].iter().all(|&b| b == 0), "tail of {x} not zeroed");
+                lens_seen[len] = true;
+            }
+        }
+        assert!(lens_seen[1..].iter().all(|&s| s), "{lens_seen:?}");
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn split_digest(x: u64, k: usize, m: u32) -> Vec<u64> {
 /// the incremental form of [`split_digest`], used by the lazy prober
 /// so retrieval can stop at the first zero AB bit without computing
 /// the remaining chunks.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct DigestStream {
     digest: [u8; DIGEST_BYTES],
     bit_pos: usize,

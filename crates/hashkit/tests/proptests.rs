@@ -1,6 +1,6 @@
 //! Property tests for the hash machinery.
 
-use hashkit::{decimal_key_bytes, CellMapper, HashFamily, HashKind};
+use hashkit::{decimal_key_bytes, decimal_key_bytes_swar, CellMapper, HashFamily, HashKind};
 use proptest::prelude::*;
 
 fn any_family() -> impl Strategy<Value = HashFamily> {
@@ -53,6 +53,9 @@ proptest! {
         let s = std::str::from_utf8(&buf[..len]).unwrap();
         prop_assert_eq!(s.parse::<u64>().unwrap(), x);
         prop_assert_eq!(s, x.to_string());
+        // The encoder `ColProber::begin` uses agrees byte for byte,
+        // zero padding included.
+        prop_assert_eq!(decimal_key_bytes_swar(x), (buf, len));
     }
 
     /// The shifted cell mapper is injective within its width.

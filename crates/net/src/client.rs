@@ -5,7 +5,7 @@
 //! [`Client::call`] does one round trip.
 
 use crate::frame::{
-    decode_response, encode_request, ErrorCode, FrameError, FrameReader, Request, Response,
+    check_request, encode_request, ErrorCode, FrameError, FrameReader, Request, Response,
 };
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -27,6 +27,11 @@ pub enum NetError {
         /// Human-readable detail from the server.
         message: String,
     },
+    /// The request was not sent: it is over a count cap or the payload
+    /// bound of the protocol ([`crate::frame::check_request`]), and the
+    /// server would have dropped the connection — with everything
+    /// pipelined on it — rather than answer.
+    RequestTooLarge(FrameError),
     /// The response decoded but wasn't the kind the call expected.
     UnexpectedResponse(&'static str),
     /// The connection dropped and [`crate::ReconnectClient`] could not
@@ -51,6 +56,7 @@ impl std::fmt::Display for NetError {
                 "remote error {code}{}: {message}",
                 if *retryable { " (retryable)" } else { "" }
             ),
+            NetError::RequestTooLarge(e) => write!(f, "request not sent: {e}"),
             NetError::UnexpectedResponse(what) => write!(f, "unexpected response: {what}"),
             NetError::ReconnectFailed { attempts } => {
                 write!(f, "reconnect failed after {attempts} attempts")
@@ -130,12 +136,12 @@ impl Client {
     }
 
     /// Queues one request on the wire and returns its id — call
-    /// repeatedly before any [`Client::recv`] to pipeline.
+    /// repeatedly before any [`Client::recv`] to pipeline. A request
+    /// the protocol cannot carry is refused with
+    /// [`NetError::RequestTooLarge`] before a byte is written.
     pub fn send(&mut self, req: &Request) -> Result<u64, NetError> {
         let id = self.next_id;
-        self.next_id += 1;
-        let bytes = encode_request(id, req);
-        self.stream.write_all(&bytes)?;
+        self.send_with_id(id, req)?;
         Ok(id)
     }
 
@@ -145,6 +151,7 @@ impl Client {
     /// reconnect. Also bumps the internal counter past `id` so mixed
     /// use with [`Client::send`] cannot collide.
     pub fn send_with_id(&mut self, id: u64, req: &Request) -> Result<(), NetError> {
+        check_request(req).map_err(NetError::RequestTooLarge)?;
         self.next_id = self.next_id.max(id + 1);
         let bytes = encode_request(id, req);
         self.stream.write_all(&bytes)?;
@@ -157,9 +164,8 @@ impl Client {
     /// (or `ok_or_remote` semantics) for errors-as-`Err`.
     pub fn recv(&mut self) -> Result<(u64, Response), NetError> {
         loop {
-            if let Some(frame) = self.reader.next_frame()? {
-                let resp = decode_response(&frame)?;
-                return Ok((frame.request_id, resp));
+            if let Some(answer) = self.reader.next_response()? {
+                return Ok(answer);
             }
             let mut buf = [0u8; 16 * 1024];
             let n = self.stream.read(&mut buf)?;

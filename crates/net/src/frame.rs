@@ -53,8 +53,10 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// Sanity caps on repeated elements inside a payload, enforced at
 /// decode time so a malicious count cannot drive a huge allocation.
 pub const MAX_RANGES: usize = 4096;
-/// Max cells per cell-subset request.
-pub const MAX_CELLS: usize = 1 << 20;
+/// Max cells per cell-subset request: what fits a [`MAX_PAYLOAD`]
+/// frame after the deadline and the count, at 16 bytes a cell — so a
+/// request at the cap is a frame the peer's [`FrameReader`] accepts.
+pub const MAX_CELLS: usize = (MAX_PAYLOAD as usize - 8) / CELL_LEN;
 /// Max rect queries per batch request.
 pub const MAX_QUERIES: usize = 4096;
 
@@ -378,9 +380,92 @@ impl Response {
 
 // ---------------------------------------------------------------- encode
 
+/// Wire bytes of one cell: row u64, attribute u32, bin u32.
+const CELL_LEN: usize = 16;
+/// Wire bytes of one attribute range: attribute, lo, hi, u32 each.
+const RANGE_LEN: usize = 12;
+
+/// Payload bytes of one rect query: row_lo, row_hi, range count, ranges.
+fn rect_len(q: &RectQuery) -> usize {
+    8 + 8 + 2 + RANGE_LEN * q.ranges.len()
+}
+
+fn degraded_len(degraded: &[u32]) -> usize {
+    2 + 4 * degraded.len()
+}
+
+/// Exact payload length of a request, so its frame is allocated once.
+fn request_payload_len(req: &Request) -> usize {
+    match req {
+        Request::Rect { query, .. } => 4 + rect_len(query),
+        Request::Cells { cells, .. } => 4 + 4 + CELL_LEN * cells.len(),
+        Request::Batch { queries, .. } => 4 + 2 + queries.iter().map(rect_len).sum::<usize>(),
+        Request::Ping | Request::Schema => 0,
+    }
+}
+
+/// Exact payload length of a response.
+fn response_payload_len(resp: &Response) -> usize {
+    match resp {
+        Response::Rect { degraded, rows } => degraded_len(degraded) + 8 + 8 * rows.len(),
+        Response::Cells { degraded, hits } => degraded_len(degraded) + 4 + hits.len(),
+        Response::Batch { degraded, results } => {
+            degraded_len(degraded) + 2 + results.iter().map(|r| 8 + 8 * r.len()).sum::<usize>()
+        }
+        Response::Pong => 0,
+        Response::Schema(s) => 8 + 2 + 4 * s.cardinalities.len(),
+        Response::Error { message, .. } => 2 + 1 + 2 + message.len().min(u16::MAX as usize),
+    }
+}
+
+/// Checks that `req` is a request the peer's decoder accepts: every
+/// repeated element within its cap and the payload within
+/// [`MAX_PAYLOAD`]. [`encode_request`] seals whatever it is given; a
+/// frame over the payload bound costs the connection (the peer's
+/// [`FrameReader`] answers a fatal [`FrameError::Oversized`]), so
+/// clients check before they write.
+pub fn check_request(req: &Request) -> Result<(), FrameError> {
+    let ranges_fit = |q: &RectQuery| q.ranges.len() <= MAX_RANGES;
+    match req {
+        Request::Rect { query, .. } if !ranges_fit(query) => {
+            return Err(FrameError::Malformed("range count over cap"));
+        }
+        Request::Cells { cells, .. } if cells.len() > MAX_CELLS => {
+            return Err(FrameError::Malformed("cell count over cap"));
+        }
+        Request::Batch { queries, .. } if queries.len() > MAX_QUERIES => {
+            return Err(FrameError::Malformed("query count over cap"));
+        }
+        Request::Batch { queries, .. } if !queries.iter().all(ranges_fit) => {
+            return Err(FrameError::Malformed("range count over cap"));
+        }
+        _ => {}
+    }
+    match u32::try_from(request_payload_len(req)) {
+        Ok(len) if len <= MAX_PAYLOAD => Ok(()),
+        Ok(len) => Err(FrameError::Oversized(len)),
+        Err(_) => Err(FrameError::Oversized(u32::MAX)),
+    }
+}
+
+/// A frame being written straight into its one buffer, allocated at
+/// the frame's exact size.
 struct W(Vec<u8>);
 
 impl W {
+    /// Starts a frame whose payload will be exactly `payload_len`
+    /// bytes: allocates header + payload + trailer and writes the
+    /// header.
+    fn frame(request_id: u64, kind: u8, payload_len: usize) -> W {
+        let mut w = W(Vec::with_capacity(HEADER_LEN + payload_len + TRAILER_LEN));
+        w.u16(MAGIC);
+        w.u8(VERSION);
+        w.u8(kind);
+        w.u64(request_id);
+        w.u32(payload_len as u32);
+        w
+    }
+
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -393,56 +478,78 @@ impl W {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-}
 
-fn put_rect(w: &mut W, q: &RectQuery) {
-    w.u64(q.row_lo as u64);
-    w.u64(q.row_hi as u64);
-    w.u16(q.ranges.len() as u16);
-    for r in &q.ranges {
-        w.u32(r.attribute as u32);
-        w.u32(r.lo);
-        w.u32(r.hi);
+    /// Appends `items` at `N` bytes each: one resize, then a loop the
+    /// compiler can see both ends of.
+    fn all<T, const N: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; N]) {
+        let at = self.0.len();
+        self.0.resize(at + N * items.len(), 0);
+        for (slot, item) in self.0[at..].chunks_exact_mut(N).zip(items) {
+            slot.copy_from_slice(&encode(item));
+        }
     }
-}
 
-fn put_degraded(w: &mut W, degraded: &[u32]) {
-    w.u16(degraded.len() as u16);
-    for &s in degraded {
-        w.u32(s);
+    fn rect(&mut self, q: &RectQuery) {
+        self.u64(q.row_lo as u64);
+        self.u64(q.row_hi as u64);
+        self.u16(q.ranges.len() as u16);
+        self.all(&q.ranges, |r| {
+            let mut b = [0u8; RANGE_LEN];
+            b[..4].copy_from_slice(&(r.attribute as u32).to_le_bytes());
+            b[4..8].copy_from_slice(&r.lo.to_le_bytes());
+            b[8..].copy_from_slice(&r.hi.to_le_bytes());
+            b
+        });
+    }
+
+    fn degraded(&mut self, degraded: &[u32]) {
+        self.u16(degraded.len() as u16);
+        self.all(degraded, |s| s.to_le_bytes());
+    }
+
+    fn rows(&mut self, rows: &[u64]) {
+        self.u64(rows.len() as u64);
+        self.all(rows, |r| r.to_le_bytes());
+    }
+
+    /// Seals the frame: CRC over header and payload, appended.
+    fn seal(mut self) -> Vec<u8> {
+        debug_assert_eq!(
+            self.0.len() + TRAILER_LEN,
+            self.0.capacity(),
+            "payload length computed wrong"
+        );
+        let crc = ab::crc32(&self.0);
+        self.u32(crc);
+        self.0
     }
 }
 
 /// Wraps a payload in a sealed frame: header, payload, CRC trailer.
 pub fn seal(request_id: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = ab::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut w = W::frame(request_id, kind, payload.len());
+    w.0.extend_from_slice(payload);
+    w.seal()
 }
 
 /// Encodes a request into a sealed frame.
 pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
-    let mut w = W(Vec::new());
+    let mut w = W::frame(request_id, req.kind(), request_payload_len(req));
     match req {
         Request::Rect { deadline_ms, query } => {
             w.u32(*deadline_ms);
-            put_rect(&mut w, query);
+            w.rect(query);
         }
         Request::Cells { deadline_ms, cells } => {
             w.u32(*deadline_ms);
             w.u32(cells.len() as u32);
-            for c in cells {
-                w.u64(c.row as u64);
-                w.u32(c.attribute as u32);
-                w.u32(c.bin);
-            }
+            w.all(cells, |c| {
+                let mut b = [0u8; CELL_LEN];
+                b[..8].copy_from_slice(&(c.row as u64).to_le_bytes());
+                b[8..12].copy_from_slice(&(c.attribute as u32).to_le_bytes());
+                b[12..].copy_from_slice(&c.bin.to_le_bytes());
+                b
+            });
         }
         Request::Batch {
             deadline_ms,
@@ -451,49 +558,39 @@ pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
             w.u32(*deadline_ms);
             w.u16(queries.len() as u16);
             for q in queries {
-                put_rect(&mut w, q);
+                w.rect(q);
             }
         }
         Request::Ping | Request::Schema => {}
     }
-    seal(request_id, req.kind(), &w.0)
+    w.seal()
 }
 
 /// Encodes a response into a sealed frame.
 pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
-    let mut w = W(Vec::new());
+    let mut w = W::frame(request_id, resp.kind(), response_payload_len(resp));
     match resp {
         Response::Rect { degraded, rows } => {
-            put_degraded(&mut w, degraded);
-            w.u64(rows.len() as u64);
-            for &r in rows {
-                w.u64(r);
-            }
+            w.degraded(degraded);
+            w.rows(rows);
         }
         Response::Cells { degraded, hits } => {
-            put_degraded(&mut w, degraded);
+            w.degraded(degraded);
             w.u32(hits.len() as u32);
-            for &h in hits {
-                w.u8(h as u8);
-            }
+            w.all(hits, |&h| [h as u8]);
         }
         Response::Batch { degraded, results } => {
-            put_degraded(&mut w, degraded);
+            w.degraded(degraded);
             w.u16(results.len() as u16);
             for rows in results {
-                w.u64(rows.len() as u64);
-                for &r in rows {
-                    w.u64(r);
-                }
+                w.rows(rows);
             }
         }
         Response::Pong => {}
         Response::Schema(s) => {
             w.u64(s.num_rows);
             w.u16(s.cardinalities.len() as u16);
-            for &c in &s.cardinalities {
-                w.u32(c);
-            }
+            w.all(&s.cardinalities, |c| c.to_le_bytes());
         }
         Response::Error {
             code,
@@ -508,7 +605,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             w.0.extend_from_slice(&msg[..n]);
         }
     }
-    seal(request_id, resp.kind(), &w.0)
+    w.seal()
 }
 
 // ---------------------------------------------------------------- decode
@@ -545,44 +642,53 @@ impl<'a> R<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn remaining(&self) -> usize {
-        self.b.len() - self.at
+    /// Reads `n` elements of `N` bytes each: one bounds check for the
+    /// lot (a count the payload cannot hold is `Truncated` before
+    /// anything is allocated), then an exactly-sized collect.
+    fn all<T, const N: usize>(
+        &mut self,
+        n: usize,
+        what: &'static str,
+        decode: impl Fn(&[u8; N]) -> T,
+    ) -> Result<Vec<T>, FrameError> {
+        let len = n.checked_mul(N).ok_or(FrameError::Truncated(what))?;
+        let bytes = self.take(len, what)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|c| decode(c.try_into().expect("chunks of N")))
+            .collect())
+    }
+
+    fn rect(&mut self) -> Result<RectQuery, FrameError> {
+        let row_lo = self.u64("row_lo")? as usize;
+        let row_hi = self.u64("row_hi")? as usize;
+        let n = self.u16("range count")? as usize;
+        if n > MAX_RANGES {
+            return Err(FrameError::Malformed("range count over cap"));
+        }
+        let ranges = self.all(n, "attribute ranges", |b: &[u8; RANGE_LEN]| {
+            let word = |i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
+            AttrRange::new(word(0) as usize, word(1), word(2))
+        })?;
+        Ok(RectQuery::new(ranges, row_lo, row_hi))
+    }
+
+    fn degraded(&mut self) -> Result<Vec<u32>, FrameError> {
+        let n = self.u16("degraded count")? as usize;
+        self.all(n, "degraded shard ids", |b| u32::from_le_bytes(*b))
+    }
+
+    fn rows(&mut self) -> Result<Vec<u64>, FrameError> {
+        let n = usize::try_from(self.u64("row count")?).unwrap_or(usize::MAX);
+        self.all(n, "rows", |b| u64::from_le_bytes(*b))
     }
 
     fn done(&self) -> Result<(), FrameError> {
-        if self.remaining() != 0 {
+        if self.b.len() != self.at {
             return Err(FrameError::Malformed("trailing bytes after payload"));
         }
         Ok(())
     }
-}
-
-fn get_rect(r: &mut R) -> Result<RectQuery, FrameError> {
-    let row_lo = r.u64("row_lo")? as usize;
-    let row_hi = r.u64("row_hi")? as usize;
-    let n = r.u16("range count")? as usize;
-    if n > MAX_RANGES {
-        return Err(FrameError::Malformed("range count over cap"));
-    }
-    if r.remaining() < n * 12 {
-        return Err(FrameError::Truncated("attribute ranges"));
-    }
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let attr = r.u32("range attr")? as usize;
-        let lo = r.u32("range lo")?;
-        let hi = r.u32("range hi")?;
-        ranges.push(AttrRange::new(attr, lo, hi));
-    }
-    Ok(RectQuery::new(ranges, row_lo, row_hi))
-}
-
-fn get_degraded(r: &mut R) -> Result<Vec<u32>, FrameError> {
-    let n = r.u16("degraded count")? as usize;
-    if r.remaining() < n * 4 {
-        return Err(FrameError::Truncated("degraded shard ids"));
-    }
-    (0..n).map(|_| r.u32("degraded shard")).collect()
 }
 
 /// Interprets a frame's payload as a request.
@@ -591,7 +697,7 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
     let req = match frame.kind {
         kind::RECT => Request::Rect {
             deadline_ms: r.u32("deadline")?,
-            query: get_rect(&mut r)?,
+            query: r.rect()?,
         },
         kind::CELLS => {
             let deadline_ms = r.u32("deadline")?;
@@ -599,16 +705,13 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
             if n > MAX_CELLS {
                 return Err(FrameError::Malformed("cell count over cap"));
             }
-            if r.remaining() < n * 16 {
-                return Err(FrameError::Truncated("cells"));
-            }
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                let row = r.u64("cell row")? as usize;
-                let attr = r.u32("cell attr")? as usize;
-                let bin = r.u32("cell bin")?;
-                cells.push(ab::Cell::new(row, attr, bin));
-            }
+            let cells = r.all(n, "cells", |b: &[u8; CELL_LEN]| {
+                ab::Cell::new(
+                    u64::from_le_bytes(b[..8].try_into().unwrap()) as usize,
+                    u32::from_le_bytes(b[8..12].try_into().unwrap()) as usize,
+                    u32::from_le_bytes(b[12..].try_into().unwrap()),
+                )
+            })?;
             Request::Cells { deadline_ms, cells }
         }
         kind::BATCH => {
@@ -619,7 +722,7 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
             }
             let mut queries = Vec::with_capacity(n);
             for _ in 0..n {
-                queries.push(get_rect(&mut r)?);
+                queries.push(r.rect()?);
             }
             Request::Batch {
                 deadline_ms,
@@ -636,49 +739,33 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
 
 /// Interprets a frame's payload as a response.
 pub fn decode_response(frame: &Frame) -> Result<Response, FrameError> {
-    let mut r = R::new(&frame.payload);
-    let resp = match frame.kind {
-        kind::RECT_OK => {
-            let degraded = get_degraded(&mut r)?;
-            let n = r.u64("row count")? as usize;
-            if r.remaining() < n * 8 {
-                return Err(FrameError::Truncated("rows"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(r.u64("row")?);
-            }
-            Response::Rect { degraded, rows }
-        }
+    decode_response_payload(frame.kind, &frame.payload)
+}
+
+/// [`decode_response`] over a borrowed payload — what
+/// [`FrameReader::next_response`] reads straight out of its buffer.
+fn decode_response_payload(kind: u8, payload: &[u8]) -> Result<Response, FrameError> {
+    let mut r = R::new(payload);
+    let resp = match kind {
+        kind::RECT_OK => Response::Rect {
+            degraded: r.degraded()?,
+            rows: r.rows()?,
+        },
         kind::CELLS_OK => {
-            let degraded = get_degraded(&mut r)?;
+            let degraded = r.degraded()?;
             let n = r.u32("hit count")? as usize;
-            if r.remaining() < n {
-                return Err(FrameError::Truncated("hits"));
-            }
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                hits.push(r.u8("hit")? != 0);
-            }
+            let hits = r.all(n, "hits", |b: &[u8; 1]| b[0] != 0)?;
             Response::Cells { degraded, hits }
         }
         kind::BATCH_OK => {
-            let degraded = get_degraded(&mut r)?;
+            let degraded = r.degraded()?;
             let n = r.u16("result count")? as usize;
             if n > MAX_QUERIES {
                 return Err(FrameError::Malformed("result count over cap"));
             }
             let mut results = Vec::with_capacity(n);
             for _ in 0..n {
-                let m = r.u64("row count")? as usize;
-                if r.remaining() < m * 8 {
-                    return Err(FrameError::Truncated("rows"));
-                }
-                let mut rows = Vec::with_capacity(m);
-                for _ in 0..m {
-                    rows.push(r.u64("row")?);
-                }
-                results.push(rows);
+                results.push(r.rows()?);
             }
             Response::Batch { degraded, results }
         }
@@ -686,12 +773,7 @@ pub fn decode_response(frame: &Frame) -> Result<Response, FrameError> {
         kind::SCHEMA_OK => {
             let num_rows = r.u64("num_rows")?;
             let n = r.u16("attribute count")? as usize;
-            if r.remaining() < n * 4 {
-                return Err(FrameError::Truncated("cardinalities"));
-            }
-            let cardinalities = (0..n)
-                .map(|_| r.u32("cardinality"))
-                .collect::<Result<_, _>>()?;
+            let cardinalities = r.all(n, "cardinalities", |b| u32::from_le_bytes(*b))?;
             Response::Schema(Schema {
                 num_rows,
                 cardinalities,
@@ -748,10 +830,10 @@ impl FrameReader {
         self.buf.len() - self.start
     }
 
-    /// Extracts the next complete frame, `Ok(None)` when more bytes
-    /// are needed, or a fatal [`FrameError`] when the stream is
-    /// corrupt.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+    /// Header fields and payload range (within `self.buf`) of the next
+    /// complete frame, CRC verified and consumed; `Ok(None)` when more
+    /// bytes are needed.
+    fn next_verified(&mut self) -> Result<Option<(u64, u8, std::ops::Range<usize>)>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
@@ -770,27 +852,43 @@ impl FrameReader {
         if payload_len > MAX_PAYLOAD {
             return Err(FrameError::Oversized(payload_len));
         }
-        let total = HEADER_LEN + payload_len as usize + TRAILER_LEN;
+        let body_len = HEADER_LEN + payload_len as usize;
+        let total = body_len + TRAILER_LEN;
         if avail.len() < total {
             return Ok(None);
         }
-        let body = &avail[..HEADER_LEN + payload_len as usize];
-        let stored = u32::from_le_bytes(
-            avail[HEADER_LEN + payload_len as usize..total]
-                .try_into()
-                .unwrap(),
-        );
-        let computed = ab::crc32(body);
+        let stored = u32::from_le_bytes(avail[body_len..total].try_into().unwrap());
+        let computed = ab::crc32(&avail[..body_len]);
         if stored != computed {
             return Err(FrameError::BadCrc { stored, computed });
         }
-        let payload = body[HEADER_LEN..].to_vec();
+        let payload = self.start + HEADER_LEN..self.start + body_len;
         self.start += total;
-        Ok(Some(Frame {
-            request_id,
-            kind,
-            payload,
-        }))
+        Ok(Some((request_id, kind, payload)))
+    }
+
+    /// Extracts the next complete frame, `Ok(None)` when more bytes
+    /// are needed, or a fatal [`FrameError`] when the stream is
+    /// corrupt.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        Ok(self
+            .next_verified()?
+            .map(|(request_id, kind, payload)| Frame {
+                request_id,
+                kind,
+                payload: self.buf[payload].to_vec(),
+            }))
+    }
+
+    /// [`Self::next_frame`] followed by [`decode_response`], without
+    /// the [`Frame`] between them: the payload is decoded where it
+    /// lies in the reader's buffer.
+    pub(crate) fn next_response(&mut self) -> Result<Option<(u64, Response)>, FrameError> {
+        let Some((request_id, kind, payload)) = self.next_verified()? else {
+            return Ok(None);
+        };
+        let resp = decode_response_payload(kind, &self.buf[payload])?;
+        Ok(Some((request_id, resp)))
     }
 }
 
@@ -992,6 +1090,83 @@ mod tests {
             decode_request(&frame),
             Err(FrameError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn check_request_applies_the_decoder_caps() {
+        let wide = |n: usize| RectQuery::new(vec![AttrRange::new(0, 0, 0); n], 0, 0);
+        let rect = |query| Request::Rect {
+            deadline_ms: 0,
+            query,
+        };
+        let batch = |queries| Request::Batch {
+            deadline_ms: 0,
+            queries,
+        };
+        assert_eq!(check_request(&rect(wide(MAX_RANGES))), Ok(()));
+        assert_eq!(
+            check_request(&rect(wide(MAX_RANGES + 1))),
+            Err(FrameError::Malformed("range count over cap"))
+        );
+        assert_eq!(check_request(&batch(vec![wide(1); MAX_QUERIES])), Ok(()));
+        assert_eq!(
+            check_request(&batch(vec![wide(1); MAX_QUERIES + 1])),
+            Err(FrameError::Malformed("query count over cap"))
+        );
+        assert_eq!(
+            check_request(&batch(vec![wide(1), wide(MAX_RANGES + 1)])),
+            Err(FrameError::Malformed("range count over cap"))
+        );
+        // Every count within its cap, the payload still too long.
+        let heavy = batch(vec![wide(MAX_RANGES); 400]);
+        assert!(matches!(
+            check_request(&heavy),
+            Err(FrameError::Oversized(n)) if n > MAX_PAYLOAD
+        ));
+        assert_eq!(check_request(&Request::Ping), Ok(()));
+    }
+
+    /// The length computed up front is the length written: the frame
+    /// buffer is allocated once, at its final size.
+    #[test]
+    fn frames_fill_their_buffer_exactly() {
+        let frames = [
+            encode_request(
+                1,
+                &Request::Batch {
+                    deadline_ms: 3,
+                    queries: vec![rect(0, 7), RectQuery::new(vec![], 3, 3)],
+                },
+            ),
+            encode_request(
+                2,
+                &Request::Cells {
+                    deadline_ms: 0,
+                    cells: vec![ab::Cell::new(5, 1, 3); 33],
+                },
+            ),
+            encode_response(
+                3,
+                &Response::Batch {
+                    degraded: vec![1],
+                    results: vec![vec![1, 2], vec![]],
+                },
+            ),
+            encode_response(
+                4,
+                &Response::Error {
+                    code: ErrorCode::Malformed,
+                    retryable: false,
+                    message: "x".repeat(70_000),
+                },
+            ),
+            seal(5, kind::PING, &[]),
+        ];
+        for f in &frames {
+            assert_eq!(f.len(), f.capacity());
+            let claimed = u32::from_le_bytes(f[12..16].try_into().unwrap()) as usize;
+            assert_eq!(f.len(), HEADER_LEN + claimed + TRAILER_LEN);
+        }
     }
 
     #[test]

@@ -132,6 +132,9 @@ impl ReconnectClient {
     /// write time triggers the reconnect (which sends it as part of
     /// the replay).
     pub fn send(&mut self, req: &Request) -> Result<u64, NetError> {
+        // Refuse before tracking: a request that can never be sent
+        // must not join the replay set.
+        crate::frame::check_request(req).map_err(NetError::RequestTooLarge)?;
         let id = self.next_id;
         self.next_id += 1;
         self.pending.insert(id, req.clone());

@@ -2,21 +2,26 @@
 //!
 //! One event-loop thread owns a [`crate::sys::Poller`] (epoll on Linux,
 //! poll(2) fallback), the listening socket, and every connection's
-//! read/write buffers. Frames are parsed incrementally per connection
-//! (pipelining falls out for free: every complete frame dispatches
-//! independently and responses are matched by request id, not
-//! arrival order), and each decoded request becomes one job on a
-//! bounded [`svc::WorkerPool`] of handler threads — so the service's
-//! admission-control story extends to the wire: a full handler queue
-//! sheds the request with a retryable `overloaded` error *frame*
-//! instead of queueing unboundedly, and connections beyond
+//! read/write buffers. Frames are split off and CRC-checked
+//! incrementally per connection (pipelining falls out for free: every
+//! complete frame dispatches independently and responses are matched
+//! by request id, not arrival order), and each query frame becomes one
+//! job on a bounded [`svc::WorkerPool`] of handler threads — so the
+//! service's admission-control story extends to the wire: a full
+//! handler queue sheds the request with a retryable `overloaded` error
+//! *frame* instead of queueing unboundedly, and connections beyond
 //! [`NetConfig::max_connections`] are shed at accept.
 //!
-//! Handlers never touch sockets. They run the query against the
-//! shared [`svc::Service`], encode the response, push it onto a
-//! shared outbox, and nudge the loop through a wake socketpair; the
-//! loop owns all writes (with partial-write carry) so a slow client
-//! can never block a handler thread.
+//! The loop is the one thread every connection shares, so it does only
+//! what it must: socket reads and writes, frame boundaries and the
+//! checksum (a corrupt frame costs the connection, which only the loop
+//! can close), and the answers that need no work (ping, schema, unknown
+//! kind, `shutdown` while draining). Handlers never touch sockets. They
+//! decode the query payload, run it against the shared
+//! [`svc::Service`], encode the response, push it onto a shared outbox,
+//! and nudge the loop through a wake socketpair; the loop owns all
+//! writes (with partial-write carry) so a slow client can never block a
+//! handler thread.
 //!
 //! ## Graceful shutdown
 //!
@@ -27,7 +32,8 @@
 //! the loop. `abq serve` drives this from SIGINT/SIGTERM.
 
 use crate::frame::{
-    decode_request, encode_response, ErrorCode, Frame, FrameReader, Request, Response, Schema,
+    decode_request, encode_response, kind, ErrorCode, Frame, FrameError, FrameReader, Request,
+    Response, Schema,
 };
 use crate::sys::{Interest, Poller};
 use std::collections::HashMap;
@@ -561,9 +567,12 @@ impl EventLoop {
         }
     }
 
-    /// Routes one complete frame: protocol-level answers (ping,
-    /// schema, malformed payloads, shutdown) inline on the loop;
-    /// query work onto the bounded handler pool.
+    /// Routes one complete, CRC-verified frame. The loop itself only
+    /// answers what costs nothing to decode — ping, schema, an unknown
+    /// kind, anything at all while draining; a query frame goes to the
+    /// bounded handler pool still encoded, so that decoding its
+    /// payload (tens of µs for a large cell list) is a handler's work
+    /// and never holds up the other connections.
     fn dispatch(&mut self, token: u64, frame: Frame) {
         obs::counter!("net.requests").inc();
         let request_id = frame.request_id;
@@ -579,68 +588,60 @@ impl EventLoop {
             );
             return;
         }
-        let req = match decode_request(&frame) {
-            Ok(req) => req,
-            Err(e) => {
-                debug_assert!(!e.is_fatal(), "fatal errors surface in next_frame");
-                obs::counter!("net.protocol_errors").inc();
-                self.respond_inline(
-                    token,
-                    request_id,
-                    Response::Error {
-                        code: e.code(),
-                        retryable: false,
-                        message: e.to_string(),
-                    },
-                );
-                return;
-            }
-        };
-        match req {
-            Request::Ping => self.respond_inline(token, request_id, Response::Pong),
-            Request::Schema => {
-                let index = self.service.index();
-                let resp = Response::Schema(Schema {
-                    num_rows: index.num_rows() as u64,
-                    cardinalities: index.attributes().iter().map(|a| a.cardinality).collect(),
-                });
-                self.respond_inline(token, request_id, resp);
-            }
-            req => {
-                let shared = Arc::clone(&self.shared);
-                let service = Arc::clone(&self.service);
-                let default_deadline_ms = self.cfg.default_deadline_ms;
-                shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let job_shared = Arc::clone(&shared);
-                if let Err(e) = self.pool.try_execute(move || {
-                    let resp = handle(&service, req, default_deadline_ms);
-                    let bytes = encode_response(request_id, &resp);
-                    obs::counter!("net.responses").inc();
-                    // Push first, decrement second: the drain check
-                    // reads in_flight==0 as "every response is in the
-                    // outbox or beyond".
-                    job_shared.push_response(token, bytes);
-                    job_shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                }) {
-                    // Admission control at dispatch: typed retryable
-                    // error frame instead of an unbounded queue.
-                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    obs::counter!("net.shed_at_dispatch").inc();
-                    self.respond_inline(
-                        token,
-                        request_id,
-                        Response::Error {
-                            code: ErrorCode::Overloaded,
-                            retryable: true,
-                            message: e.to_string(),
-                        },
-                    );
-                } else if let Some(conn) = self.conns.get_mut(&token) {
-                    // Keep the connection alive (even through peer
-                    // EOF) until this response makes it back.
-                    conn.pending += 1;
+        if !matches!(frame.kind, kind::RECT | kind::CELLS | kind::BATCH) {
+            let resp = match decode_request(&frame) {
+                Ok(Request::Ping) => Response::Pong,
+                Ok(Request::Schema) => {
+                    let index = self.service.index();
+                    Response::Schema(Schema {
+                        num_rows: index.num_rows() as u64,
+                        cardinalities: index.attributes().iter().map(|a| a.cardinality).collect(),
+                    })
                 }
-            }
+                Ok(_) => unreachable!("query kinds go to the handlers"),
+                Err(e) => malformed_response(&e),
+            };
+            self.respond_inline(token, request_id, resp);
+            return;
+        }
+        let shared = Arc::clone(&self.shared);
+        let service = Arc::clone(&self.service);
+        let default_deadline_ms = self.cfg.default_deadline_ms;
+        shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        let job_shared = Arc::clone(&shared);
+        if let Err(e) = self.pool.try_execute(move || {
+            // A payload that does not decode gets the same typed
+            // answer, under its own id, the loop used to give; the
+            // frame itself was sound, so the connection lives on.
+            let resp = match decode_request(&frame) {
+                Ok(req) => handle(&service, req, default_deadline_ms),
+                Err(e) => malformed_response(&e),
+            };
+            let bytes = encode_response(request_id, &resp);
+            obs::counter!("net.responses").inc();
+            // Push first, decrement second: the drain check reads
+            // in_flight==0 as "every response is in the outbox or
+            // beyond".
+            job_shared.push_response(token, bytes);
+            job_shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        }) {
+            // Admission control at dispatch: typed retryable error
+            // frame instead of an unbounded queue.
+            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+            obs::counter!("net.shed_at_dispatch").inc();
+            self.respond_inline(
+                token,
+                request_id,
+                Response::Error {
+                    code: ErrorCode::Overloaded,
+                    retryable: true,
+                    message: e.to_string(),
+                },
+            );
+        } else if let Some(conn) = self.conns.get_mut(&token) {
+            // Keep the connection alive (even through peer EOF) until
+            // this response makes it back.
+            conn.pending += 1;
         }
     }
 
@@ -659,6 +660,19 @@ impl EventLoop {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             obs::counter!("net.conn_closed").inc();
         }
+    }
+}
+
+/// The typed answer to a frame whose payload does not decode. Such
+/// errors are never fatal — those surface in
+/// [`FrameReader::next_frame`] — so the stream stays in sync.
+fn malformed_response(e: &FrameError) -> Response {
+    debug_assert!(!e.is_fatal(), "fatal errors surface in next_frame");
+    obs::counter!("net.protocol_errors").inc();
+    Response::Error {
+        code: e.code(),
+        retryable: false,
+        message: e.to_string(),
     }
 }
 

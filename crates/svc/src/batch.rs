@@ -8,7 +8,7 @@
 //! into request order after the per-shard results return.
 
 use crate::shard::ShardedIndex;
-use ab::Cell;
+use ab::{Cell, QueryError};
 use bitmap::RectQuery;
 
 /// The cells of one shard's batch: `(position in the original request,
@@ -31,30 +31,86 @@ pub struct ShardRects {
     pub queries: Vec<(usize, RectQuery)>,
 }
 
+/// One shard's part of a cell request as two index-aligned columns:
+/// `cells[i]` (row already shard-local) was asked at position
+/// `positions[i]` of the request. Kept apart so the shard job can take
+/// the cells while the collector keeps the positions its hits — or,
+/// for a failed shard, its conservative `true`s — are written to.
+#[derive(Default)]
+pub(crate) struct ShardPart {
+    /// Shard index into [`ShardedIndex::shards`].
+    pub shard: usize,
+    /// Request positions, ascending.
+    pub positions: Vec<usize>,
+    /// The cells at those positions, rows translated to local.
+    pub cells: Vec<Cell>,
+}
+
+/// Validates a cell request against the served schema and partitions
+/// it by owning shard, in one pass over the cells. Parts come back in
+/// shard order; shards with no cells produce none.
+pub(crate) fn partition_cells(
+    index: &ShardedIndex,
+    cells: &[Cell],
+) -> Result<Vec<ShardPart>, QueryError> {
+    let attrs = index.attributes();
+    let num_rows = index.num_rows();
+    let shards = index.shards();
+    // An even share per shard up front; a skewed request grows its
+    // busy shards' columns as it goes.
+    let share = cells.len().div_ceil(shards.len().max(1));
+    let mut parts: Vec<ShardPart> = Vec::new();
+    parts.resize_with(shards.len(), ShardPart::default);
+    for (pos, cell) in cells.iter().enumerate() {
+        if cell.row >= num_rows {
+            return Err(QueryError::RowOutOfRange {
+                row: cell.row,
+                num_rows,
+            });
+        }
+        let cardinality = attrs.get(cell.attribute).map_or(0, |a| a.cardinality);
+        if cell.bin >= cardinality {
+            return Err(QueryError::BinOutOfRange {
+                attribute: cell.attribute,
+                bin: cell.bin,
+                cardinality,
+            });
+        }
+        let sid = index.shard_of_row(cell.row);
+        let part = &mut parts[sid];
+        if part.cells.is_empty() {
+            part.shard = sid;
+            part.positions.reserve(share);
+            part.cells.reserve(share);
+        }
+        part.positions.push(pos);
+        part.cells.push(Cell::new(
+            cell.row - shards[sid].start(),
+            cell.attribute,
+            cell.bin,
+        ));
+    }
+    parts.retain(|p| !p.cells.is_empty());
+    obs::histogram!("svc.batch.shards").record(parts.len() as u64);
+    Ok(parts)
+}
+
 /// Partitions a cell-subset query by owning shard. Cells arrive in
 /// request order, so each shard's list stays sorted by original
 /// position. Shards with no cells produce no entry.
 ///
 /// # Panics
 ///
-/// Panics if any cell's row is out of range (validate first).
+/// Panics if any cell's row or bin is out of range (validate first).
 pub fn group_cells_by_shard(index: &ShardedIndex, cells: &[Cell]) -> Vec<ShardCells> {
-    let mut groups: Vec<Option<ShardCells>> = vec![None; index.num_shards()];
-    for (pos, cell) in cells.iter().enumerate() {
-        let sid = index.shard_of_row(cell.row);
-        let start = index.shards()[sid].start();
-        let local = Cell::new(cell.row - start, cell.attribute, cell.bin);
-        groups[sid]
-            .get_or_insert_with(|| ShardCells {
-                shard: sid,
-                cells: Vec::new(),
-            })
-            .cells
-            .push((pos, local));
-    }
-    let batch: Vec<ShardCells> = groups.into_iter().flatten().collect();
-    obs::histogram!("svc.batch.shards").record(batch.len() as u64);
-    batch
+    partition_cells(index, cells)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter()
+        .map(|part| ShardCells {
+            shard: part.shard,
+            cells: part.positions.into_iter().zip(part.cells).collect(),
+        })
+        .collect()
 }
 
 /// Partitions a batch of rectangular queries by shard: each query is

@@ -30,7 +30,7 @@
 //! again. Exact (WAH) answers cannot be conservative, so that path
 //! fails with [`SvcError::ShardQuarantined`] instead.
 
-use crate::batch::{group_cells_by_shard, group_rects_by_shard};
+use crate::batch::{group_rects_by_shard, partition_cells};
 use crate::chaos::{self, points};
 use crate::deadline::{Deadline, RequestCtx};
 use crate::degrade::{degraded_marker, Response, ShardHealth};
@@ -39,7 +39,7 @@ use crate::pool::WorkerPool;
 use crate::shard::{Shard, ShardedIndex};
 use ab::{
     AbConfig, BatchRows, Cell, HierConfig, HierMode, HybridConfig, HybridMode, KernelKind,
-    KernelOpts, QueryError,
+    KernelOpts,
 };
 use bitmap::{BinnedTable, RectQuery};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -692,27 +692,26 @@ impl Service {
     ) -> Result<Response<Vec<bool>>, SvcError> {
         let mut admit = trace.span_under(root_id, "svc.admit");
         obs::histogram!("svc.batch.size").record(cells.len() as u64);
-        self.validate_cells(cells)?;
+        let parts = partition_cells(&self.index, cells)?;
         if cells.is_empty() {
             return Ok(Response::healthy(Vec::new()));
         }
         ctx.check()?;
-        let groups = group_cells_by_shard(&self.index, cells);
-        obs::histogram!("svc.fanout").record(groups.len() as u64);
-        admit.annotate("fanout", groups.len());
+        obs::histogram!("svc.fanout").record(parts.len() as u64);
+        admit.annotate("fanout", parts.len());
         admit.annotate("cells", cells.len());
-        // Remember each slot's probe positions so a panicking shard's
-        // probes can be re-answered conservatively after the fact.
-        let slot_positions: Vec<Vec<usize>> = groups
-            .iter()
-            .map(|g| g.cells.iter().map(|&(pos, _)| pos).collect())
-            .collect();
+        // Each part's cells go to its shard job; its positions stay
+        // here, where its answers are written: the job's hits, or
+        // `true` — maybe present — for a shard that cannot answer.
+        let mut slot_positions: Vec<Vec<usize>> = Vec::with_capacity(parts.len());
         let mut answers = vec![false; cells.len()];
         let mut degraded = Vec::new();
         let (tx, rx) = mpsc::channel();
         let mut expected = 0usize;
-        for (slot, group) in groups.into_iter().enumerate() {
-            let sid = group.shard;
+        for (slot, part) in parts.into_iter().enumerate() {
+            let sid = part.shard;
+            slot_positions.push(part.positions);
+            let local = part.cells;
             if self.health.is_quarantined(sid) {
                 trace
                     .span_under(root_id, "svc.quarantined")
@@ -741,16 +740,12 @@ impl Service {
                 let outcome = shard_outcome(|| {
                     chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
                     let shard = &index.shards()[sid];
-                    let mut out = Vec::with_capacity(group.cells.len());
-                    let mut probe = Vec::with_capacity(CHUNK_ROWS);
-                    for chunk in group.cells.chunks(CHUNK_ROWS) {
+                    let mut hits = Vec::with_capacity(local.len());
+                    for chunk in local.chunks(CHUNK_ROWS) {
                         job_ctx.check()?;
-                        probe.clear();
-                        probe.extend(chunk.iter().map(|&(_, c)| c));
-                        let hits = shard.index().retrieve_cells_with_opts(&probe, kernel);
-                        out.extend(chunk.iter().zip(hits).map(|(&(pos, _), hit)| (pos, hit)));
+                        hits.extend(shard.index().retrieve_cells_with_opts(chunk, kernel));
                     }
-                    Ok(out)
+                    Ok(hits)
                 });
                 drop(enter);
                 annotate_shard_outcome(&mut tspan, &outcome);
@@ -768,8 +763,8 @@ impl Service {
         let mut merge = trace.span_under(root_id, "svc.merge");
         for _ in 0..expected {
             match self.collect(&rx, ctx)? {
-                (_, _, ShardOutcome::Done(Ok(hits))) => {
-                    for (pos, hit) in hits {
+                (slot, _, ShardOutcome::Done(Ok(hits))) => {
+                    for (&pos, hit) in slot_positions[slot].iter().zip(hits) {
                         answers[pos] = hit;
                     }
                 }
@@ -1030,33 +1025,10 @@ fn run_shard_chunked_flat(
     }
 }
 
-impl Service {
-    fn validate_cells(&self, cells: &[Cell]) -> Result<(), QueryError> {
-        let attrs = self.index.attributes();
-        for c in cells {
-            if c.row >= self.index.num_rows() {
-                return Err(QueryError::RowOutOfRange {
-                    row: c.row,
-                    num_rows: self.index.num_rows(),
-                });
-            }
-            let card = attrs.get(c.attribute).map(|a| a.cardinality).unwrap_or(0);
-            if c.bin >= card {
-                return Err(QueryError::BinOutOfRange {
-                    attribute: c.attribute,
-                    bin: c.bin,
-                    cardinality: card,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ab::Level;
+    use ab::{Level, QueryError};
     use bitmap::{AttrRange, BinnedColumn};
 
     fn table(n: usize) -> BinnedTable {
@@ -1315,6 +1287,136 @@ mod tests {
         let absent = Cell::new(0, 0, (t.column(0).bins[0] + 1) % 6);
         let r2 = svc.try_retrieve_cells(&[absent]).unwrap();
         assert!(r2.value[0] && r2.is_degraded());
+    }
+
+    /// 600 cells whose rows hop between the three shards of a 3-shard
+    /// service in no monotone order (a mixer picks the row), half of
+    /// them naming the row's true bin; the answer the shards' own
+    /// indexes give for each, in request order; and the shard that
+    /// owns each position.
+    fn interleaved_cells(svc: &Service, t: &BinnedTable) -> (Vec<Cell>, Vec<bool>, Vec<usize>) {
+        let n = t.num_rows();
+        let cells: Vec<Cell> = (0..600u64)
+            .map(|i| {
+                let h = hashkit::splitmix64(i ^ 0x0DD);
+                let row = (h % n as u64) as usize;
+                let attr = (i % 2) as usize;
+                let bin = if i % 2 == 0 {
+                    t.column(attr).bins[row]
+                } else {
+                    ((h >> 32) % u64::from(t.column(attr).cardinality)) as u32
+                };
+                Cell::new(row, attr, bin)
+            })
+            .collect();
+        let index = svc.index();
+        let owners: Vec<usize> = cells.iter().map(|c| index.shard_of_row(c.row)).collect();
+        let reference = cells
+            .iter()
+            .zip(&owners)
+            .map(|(c, &sid)| {
+                let shard = &index.shards()[sid];
+                shard
+                    .index()
+                    .test_cell(c.row - shard.start(), c.attribute, c.bin)
+            })
+            .collect();
+        // Non-monotone: the owner sequence goes down as well as up,
+        // and every shard owns a fair share.
+        assert!(owners.windows(2).any(|w| w[0] > w[1]));
+        for sid in 0..3 {
+            assert!(owners.iter().filter(|&&o| o == sid).count() > 100);
+        }
+        (cells, reference, owners)
+    }
+
+    fn three_shards() -> SvcConfig {
+        SvcConfig {
+            threads: 2,
+            shards: 3,
+            ..SvcConfig::default()
+        }
+    }
+
+    #[test]
+    fn interleaved_cells_come_back_in_request_order() {
+        let t = table(900);
+        let svc = Service::build(
+            &t,
+            &AbConfig::new(Level::PerAttribute).with_alpha(8),
+            &three_shards(),
+        );
+        let (cells, reference, _) = interleaved_cells(&svc, &t);
+        assert!(reference.iter().any(|&b| !b), "all-true cannot show order");
+        let r = svc.try_retrieve_cells(&cells).unwrap();
+        assert!(!r.is_degraded());
+        assert_eq!(r.value, reference);
+    }
+
+    /// Exactly the failed shard's positions turn conservative.
+    fn assert_only_shard_degraded(
+        r: &Response<Vec<bool>>,
+        reference: &[bool],
+        owners: &[usize],
+        failed: usize,
+    ) {
+        assert_eq!(
+            r.degraded.as_ref().map(|d| d.shards.clone()),
+            Some(vec![failed])
+        );
+        for (pos, (&got, &want)) in r.value.iter().zip(reference).enumerate() {
+            if owners[pos] == failed {
+                assert!(got, "position {pos} of the failed shard must say maybe");
+            } else {
+                assert_eq!(got, want, "position {pos} of a healthy shard changed");
+            }
+        }
+    }
+
+    #[test]
+    fn quarantined_shard_answers_true_at_exactly_its_positions() {
+        let t = table(900);
+        let svc = Service::build(
+            &t,
+            &AbConfig::new(Level::PerAttribute).with_alpha(8),
+            &three_shards(),
+        );
+        let (cells, reference, owners) = interleaved_cells(&svc, &t);
+        svc.health().quarantine(1);
+        let r = svc.try_retrieve_cells(&cells).unwrap();
+        assert_only_shard_degraded(&r, &reference, &owners, 1);
+        svc.health().clear(1);
+        assert_eq!(svc.retrieve_cells(&cells).unwrap(), reference);
+    }
+
+    #[cfg(not(feature = "chaos-off"))]
+    #[test]
+    fn shard_panicking_mid_request_answers_true_at_exactly_its_positions() {
+        use crate::chaos::{Fault, FaultPlan, FaultRule};
+        let plan = Arc::new(
+            FaultPlan::new(17).with_rule(
+                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
+                    .on_shard(2)
+                    .max_fires(1),
+            ),
+        );
+        let t = table(900);
+        let svc = Service::build(
+            &t,
+            &AbConfig::new(Level::PerAttribute).with_alpha(8),
+            &three_shards(),
+        )
+        .with_fault_plan(Arc::clone(&plan));
+        let (cells, reference, owners) = interleaved_cells(&svc, &t);
+        let r = svc.try_retrieve_cells(&cells).unwrap();
+        assert_eq!(plan.fires(points::SHARD_QUERY), 1);
+        assert_only_shard_degraded(&r, &reference, &owners, 2);
+        // The panic quarantined the shard: the next request degrades
+        // up front, with the same answer and no second fault.
+        assert!(svc.health().is_quarantined(2));
+        let again = svc.try_retrieve_cells(&cells).unwrap();
+        assert_only_shard_degraded(&again, &reference, &owners, 2);
+        assert_eq!(plan.fires(points::SHARD_QUERY), 1);
     }
 
     #[cfg(not(feature = "chaos-off"))]

@@ -20,9 +20,20 @@ use ab::{
     AbConfig, AbIndex, BatchRows, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig,
     HybridMode, KernelKind, KernelOpts, Level,
 };
-use bitmap::{AttrRange, BinnedTable, RectQuery};
+use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use datagen::small_uniform;
 use hashkit::HashFamily;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// The obs counters are process-wide and the tests of this file run on
+/// parallel threads: the one test that asserts *exact* counter deltas
+/// takes this gate for writing, every other test holds it for reading
+/// while it runs queries.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn queries_may_run() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Every non-reference kernel configuration under test: both wave
 /// engines crossed with the adaptive policy and fixed depths bracketing
@@ -108,6 +119,7 @@ fn configs() -> Vec<AbConfig> {
 
 #[test]
 fn rect_results_and_probe_accounting_identical() {
+    let _gate = queries_may_run();
     for (d, table) in datasets().iter().enumerate() {
         for (c, cfg) in configs().iter().enumerate() {
             let idx = AbIndex::build(table, cfg);
@@ -139,6 +151,7 @@ fn rect_results_and_probe_accounting_identical() {
 
 #[test]
 fn cell_subset_verdicts_identical() {
+    let _gate = queries_may_run();
     for table in &datasets() {
         for cfg in &configs() {
             let idx = AbIndex::build(table, cfg);
@@ -165,15 +178,16 @@ fn cell_subset_verdicts_identical() {
     }
 }
 
-/// The per-chunk `CellPlan` dedupe must not change verdicts even when
-/// a chunk is dominated by one (attribute, bin) pair — the sharpest
+/// Plan sharing must not change verdicts even when a list is
+/// dominated by a few (attribute, bin) pairs — the sharpest
 /// plan-sharing shape.
 #[test]
 fn cell_subset_with_heavy_duplicates_identical() {
+    let _gate = queries_may_run();
     let table = &datasets()[0];
     let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
     // 300 cells over just 4 distinct (attribute, bin) pairs, rows
-    // varying — every chunk dedupes most of its plans.
+    // varying — nearly every cell finds its plan already built.
     let cells: Vec<Cell> = (0..300)
         .map(|i| {
             let row = (i * 13) % table.num_rows();
@@ -196,6 +210,7 @@ fn cell_subset_with_heavy_duplicates_identical() {
 /// own terms too: every genuinely set cell of the table answers true.
 #[test]
 fn batched_kernel_never_misses_set_cells() {
+    let _gate = queries_may_run();
     let table = &datasets()[0];
     let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(4));
     let cells: Vec<Cell> = (0..table.num_rows())
@@ -214,6 +229,7 @@ fn batched_kernel_never_misses_set_cells() {
 /// kernels without probing.
 #[test]
 fn empty_row_interval_matches() {
+    let _gate = queries_may_run();
     let table = &datasets()[1];
     let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
     // `RectQuery::new` rejects lo > hi; build the degenerate interval
@@ -265,6 +281,7 @@ fn hier_configs() -> Vec<HierConfig> {
 /// subset of the original row interval.
 #[test]
 fn hier_pruning_is_bit_identical_and_never_probes_more() {
+    let _gate = queries_may_run();
     for (d, table) in datasets().iter().enumerate() {
         for (c, cfg) in configs().iter().enumerate() {
             for (h, hcfg) in hier_configs().iter().enumerate() {
@@ -345,6 +362,7 @@ fn hier_pruning_is_bit_identical_and_never_probes_more() {
 /// — same stats, zero hybrid accounting.
 #[test]
 fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
+    let _gate = queries_may_run();
     let mut eliminated_total = 0u64;
     for (d, table) in datasets().iter().enumerate() {
         for (c, cfg) in configs().iter().enumerate() {
@@ -438,6 +456,7 @@ fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
 /// (each issued probe position prefetches its AB word once).
 #[test]
 fn prefetch_counter_counts_only_real_prefetches() {
+    let _gate = queries_may_run();
     let table = &datasets()[0];
     let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
     let q = RectQuery::new(
@@ -466,4 +485,195 @@ fn prefetch_counter_counts_only_real_prefetches() {
         }
         assert_eq!(verdicts.len(), cells.len());
     }
+}
+
+/// A 3 000-row, 4-attribute, 20-bin table (80 (attribute, bin)
+/// columns) in which bin 0 of every attribute holds about a third of
+/// the rows and the other 19 share the rest: one bin per attribute is
+/// dense enough for the exact tier's cost model, the rest are not.
+fn skewed_table() -> BinnedTable {
+    let n = 3000u64;
+    BinnedTable::new(
+        (0..4u64)
+            .map(|a| {
+                let bins = (0..n)
+                    .map(|i| {
+                        let h = hashkit::splitmix64(i ^ (a << 32) ^ 0xD1FF);
+                        if h.is_multiple_of(3) {
+                            0
+                        } else {
+                            (h >> 8) as u32 % 20
+                        }
+                    })
+                    .collect();
+                BinnedColumn::new(format!("s{a}"), bins, 20)
+            })
+            .collect(),
+    )
+}
+
+/// 5 400 cells in no order: rows and columns drawn by a mixer (so the
+/// list jumps between attributes, bins and rows), every third cell
+/// naming the bin its row really has, every 50th repeating an earlier
+/// cell verbatim.
+fn scattered_cells(table: &BinnedTable) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = Vec::with_capacity(5400);
+    for i in 0..5400u64 {
+        if i % 50 == 49 {
+            let earlier = cells[(hashkit::splitmix64(i) % cells.len() as u64) as usize];
+            cells.push(earlier);
+            continue;
+        }
+        let h = hashkit::splitmix64(i ^ 0xCE11);
+        let row = (h % table.num_rows() as u64) as usize;
+        let attr = ((h >> 24) % table.columns().len() as u64) as usize;
+        let bin = if i % 3 == 0 {
+            table.column(attr).bins[row]
+        } else {
+            ((h >> 40) % u64::from(table.column(attr).cardinality)) as u32
+        };
+        cells.push(Cell::new(row, attr, bin));
+    }
+    cells
+}
+
+fn hash_calls_and_prefetches() -> (u64, u64) {
+    let snap = obs::global().snapshot();
+    let calls = [
+        "hashkit.hash_calls.independent",
+        "hashkit.hash_calls.sha1_split",
+        "hashkit.hash_calls.double_hashing",
+        "hashkit.hash_calls.column_group",
+    ]
+    .iter()
+    .map(|name| snap.counter(name))
+    .sum();
+    (calls, snap.counter("kernel.prefetches"))
+}
+
+/// The cell kernel against the scalar `test_cell` loop on a list shaped
+/// like a served request — thousands of unsorted cells with repeats
+/// over 80 plans — on every level × every hash family (k = 12 on the
+/// roster, so the re-seeded probes run) × no exact tier / a tier that
+/// backs nothing / a tier that backs some of the bins: verdict for
+/// verdict, with exact-backed cells answering the table's truth, and
+/// with the same number of hash evaluations (hence prefetches) as the
+/// scalar loop — the short-circuit at the first zero bit survived the
+/// grouping.
+#[test]
+fn cell_kernel_matches_scalar_on_request_shaped_lists() {
+    let _alone = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    let table = skewed_table();
+    let cells = scattered_cells(&table);
+    let plans: std::collections::HashSet<(usize, u32)> =
+        cells.iter().map(|c| (c.attribute, c.bin)).collect();
+    assert!(cells.len() >= 5000 && plans.len() > 64, "{}", plans.len());
+    let truth = |c: &Cell| -> bool { table.column(c.attribute).bins[c.row] == c.bin };
+
+    let families = [
+        HashFamily::default_independent(),
+        HashFamily::Sha1Split,
+        HashFamily::DoubleHashing,
+        HashFamily::ColumnGroup { num_columns: 1 },
+    ];
+    // None: no tier. Some(d): a tier built with `min_density` d — 2.0
+    // backs nothing (attached, empty), 0.2 backs bin 0 of each
+    // attribute and leaves the other 76 columns on the AB.
+    let tiers = [None, Some(2.0), Some(0.2)];
+    let mut exact_answers = 0usize;
+    for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+        for family in &families {
+            if level == Level::PerColumn && matches!(family, HashFamily::ColumnGroup { .. }) {
+                continue; // the paper restricts it to the coarser levels
+            }
+            for tier in tiers {
+                let cfg = AbConfig::new(level)
+                    .with_alpha(8)
+                    .with_k(12)
+                    .with_family(family.clone());
+                let mut idx = AbIndex::build(&table, &cfg);
+                // The flat reference first: the tier must not be there
+                // to be consulted.
+                let flat = idx.retrieve_cells_with_kernel(&cells, KernelKind::Scalar);
+                if let Some(min_density) = tier {
+                    idx.ensure_hybrid(
+                        &table,
+                        &HybridConfig {
+                            min_density,
+                            ..HybridConfig::default()
+                        },
+                    );
+                }
+                let backed = |c: &Cell| {
+                    idx.hybrid()
+                        .is_some_and(|hy| hy.backing(c.attribute, c.bin).is_some())
+                };
+                match tier {
+                    Some(d) if d < 1.0 => {
+                        let n = idx.hybrid().unwrap().bins().len();
+                        assert!(
+                            n > 0 && n < plans.len(),
+                            "tier must back some bins, not {n}"
+                        );
+                    }
+                    Some(_) => assert!(idx.hybrid().unwrap().bins().is_empty()),
+                    None => assert!(idx.hybrid().is_none()),
+                }
+                let ctx = format!("{level:?}, {family:?}, tier {tier:?}");
+
+                let auto = |kernel| KernelOpts::new(kernel).with_hybrid(HybridMode::Auto);
+                let before = hash_calls_and_prefetches();
+                let scalar = idx.retrieve_cells_with_opts(&cells, auto(KernelKind::Scalar));
+                let mid = hash_calls_and_prefetches();
+                let batched = idx.retrieve_cells_with_opts(&cells, auto(KernelKind::Batched));
+                let after = hash_calls_and_prefetches();
+
+                assert_eq!(scalar, batched, "verdicts diverged: {ctx}");
+                for (i, c) in cells.iter().enumerate() {
+                    if backed(c) {
+                        exact_answers += 1;
+                        assert_eq!(
+                            batched[i],
+                            truth(c),
+                            "backed cell {c:?} is not the truth: {ctx}"
+                        );
+                    } else {
+                        assert_eq!(
+                            batched[i], flat[i],
+                            "unbacked cell {c:?} left the AB: {ctx}"
+                        );
+                    }
+                    assert!(batched[i] || !truth(c), "false negative at {c:?}: {ctx}");
+                }
+                // The other engine and the other depths agree too.
+                for opts in kernel_matrix() {
+                    let got =
+                        idx.retrieve_cells_with_opts(&cells, opts.with_hybrid(HybridMode::Auto));
+                    assert_eq!(scalar, got, "verdicts diverged on {opts:?}: {ctx}");
+                }
+
+                let scalar_calls = mid.0 - before.0;
+                let batched_calls = after.0 - mid.0;
+                assert_eq!(
+                    scalar_calls, batched_calls,
+                    "hash evaluations diverged: {ctx}"
+                );
+                assert_eq!(mid.1, before.1, "the scalar loop prefetches nothing: {ctx}");
+                let prefetched = if ab::PREFETCH_ACTIVE {
+                    batched_calls
+                } else {
+                    0
+                };
+                assert_eq!(
+                    after.1 - mid.1,
+                    prefetched,
+                    "prefetch count diverged: {ctx}"
+                );
+            }
+        }
+    }
+    assert!(
+        exact_answers > 1000,
+        "the backing tier answered only {exact_answers} cells"
+    );
 }
