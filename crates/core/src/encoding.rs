@@ -7,6 +7,7 @@
 //! membership holds iff all `k` positions are set. No false negatives
 //! can occur; false positives occur at the §4.1 rate.
 
+use crate::kernel::LockstepBatch;
 use bitmap::{BitVec, BoolMatrix};
 use hashkit::{CellMapper, HashFamily};
 use serde::{Deserialize, Serialize};
@@ -106,6 +107,36 @@ impl ApproximateBitmap {
         self.inserted += 1;
     }
 
+    /// Inserts every `(row, col)` cell of `cells` — [`Self::insert`]'s
+    /// bits and count, through the lockstep probe loop: the hash state
+    /// is hoisted once per call, cells open
+    /// [`MAX_BATCH_ROWS`](crate::kernel::MAX_BATCH_ROWS) at a time and
+    /// each of the k steps is one hash function over the whole batch.
+    /// The insertion count and the `hashkit.hash_calls.*` counter move
+    /// once per call. Every build path inserts through here; `insert`
+    /// stays as the scalar reference.
+    pub fn insert_cells<I: IntoIterator<Item = (u64, u64)>>(&mut self, cells: I) {
+        let mut cells = cells.into_iter();
+        // Column 0 is in range for every family; the cells bring their own.
+        let prober = self.family.col_prober(0, self.mapper, self.n_bits());
+        let mut batch = LockstepBatch::new();
+        let mut inserted = 0u64;
+        loop {
+            let opened = batch.open(&prober, cells.by_ref());
+            if opened == 0 {
+                break;
+            }
+            for _ in 0..self.k {
+                for &p in batch.step(&prober) {
+                    self.bits.set(p as usize);
+                }
+            }
+            inserted += opened as u64;
+        }
+        self.inserted += inserted;
+        prober.record_hash_calls(inserted * self.k as u64);
+    }
+
     /// Tests cell `(row, col)`: `true` means "present with high
     /// probability", `false` means "definitely absent".
     ///
@@ -139,9 +170,7 @@ impl ApproximateBitmap {
 
     /// Inserts every set cell of a boolean matrix (Figure 3).
     pub fn insert_matrix(&mut self, m: &BoolMatrix) {
-        for (row, col) in m.iter_set() {
-            self.insert(row as u64, col as u64);
-        }
+        self.insert_cells(m.iter_set().map(|(row, col)| (row as u64, col as u64)));
     }
 
     /// Retrieves an arbitrary cell subset `Q = {(r_1,c_1), …}` (Figure

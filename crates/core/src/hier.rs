@@ -30,6 +30,7 @@
 
 use crate::analysis::next_pow2;
 use crate::encoding::ApproximateBitmap;
+use crate::kernel::{ColumnSweeper, MAX_BATCH_ROWS};
 use crate::level::{AbIndex, AttributeMeta};
 use bitmap::RectQuery;
 use hashkit::{CellMapper, HashFamily};
@@ -43,6 +44,15 @@ const LEVEL_ALPHA: u64 = 16;
 
 /// Hash count for the per-level ABs (optimal for α = 16).
 const LEVEL_K: usize = 11;
+
+/// Rows in the first batch the finest-level sweep probes in a region;
+/// each later batch is twice as deep, up to [`MAX_BATCH_ROWS`]. An
+/// occupied region usually shows a positive within its first rows —
+/// on a uniform table every region is occupied, and opening each with
+/// a full 256-row batch made the sweep 4× slower than the row-at-a-
+/// time loop it replaced (10 → 46 ms over 5 120 regions); an empty
+/// region runs 240 of its 4 096 rows in the four shallow batches.
+const FIRST_SWEEP_ROWS: usize = 16;
 
 /// Geometry of one pyramid level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -344,9 +354,12 @@ impl LevelGeometry {
 
 /// Probe-sweeps the base AB for the finest level's occupancy grid
 /// (`grid[span * num_groups + group_col]`), chunking independent spans
-/// across `threads` workers. A region is occupied at the first
-/// positive cell test; a clean region costs `rows × bins` short-
-/// circuiting probes (≈2 bit reads each at 50% fill).
+/// across `threads` workers. The sweep runs the lockstep probe loop
+/// ([`ColumnSweeper`]): a batch is up to [`MAX_BATCH_ROWS`] rows of
+/// one bin (deepening from [`FIRST_SWEEP_ROWS`]), and a region is
+/// occupied at the first batch with a survivor; a clean region costs
+/// `rows × bins` short-circuiting probes (≈2 bit reads each at 50%
+/// fill).
 fn sweep_finest(
     index: &AbIndex,
     spec: &HierLevelSpec,
@@ -356,6 +369,7 @@ fn sweep_finest(
     let sweep_spans = |span_lo: usize, span_hi: usize| -> Vec<bool> {
         let attrs = index.attributes();
         let num_rows = index.num_rows();
+        let mut sweeper = ColumnSweeper::new(index);
         let mut grid = vec![false; (span_hi - span_lo) * geom.num_groups];
         for span in span_lo..span_hi {
             let row_lo = span * spec.row_span;
@@ -367,13 +381,14 @@ fn sweep_finest(
                     let bin_lo = g * spec.bin_group;
                     let bin_hi = ((g + 1) * spec.bin_group).min(meta.cardinality);
                     let cell = base + geom.group_offsets[a] + g as usize;
-                    'cells: for row in row_lo..row_hi {
-                        for bin in bin_lo..bin_hi {
-                            if index.test_cell(row, a, bin) {
-                                grid[cell] = true;
-                                break 'cells;
-                            }
-                        }
+                    let mut lo = row_lo;
+                    let mut depth = FIRST_SWEEP_ROWS;
+                    while lo < row_hi && !grid[cell] {
+                        let rows = lo..(lo + depth).min(row_hi);
+                        grid[cell] = (bin_lo..bin_hi)
+                            .any(|bin| !sweeper.positives(a, bin, rows.clone()).is_empty());
+                        lo = rows.end;
+                        depth = (2 * depth).min(MAX_BATCH_ROWS);
                     }
                 }
             }
@@ -450,13 +465,14 @@ fn make_level(spec: &HierLevelSpec, geom: &LevelGeometry, grid: &[bool]) -> Hier
         HashFamily::DoubleHashing,
         CellMapper::for_columns(geom.num_groups.max(1)),
     );
-    for span in 0..geom.num_spans {
-        for col in 0..geom.num_groups {
-            if grid[span * geom.num_groups + col] {
-                ab.insert(span as u64, col as u64);
-            }
-        }
-    }
+    // The grid is span-major, `num_groups` columns a span.
+    let groups = geom.num_groups as u64;
+    ab.insert_cells(
+        (0u64..)
+            .zip(grid)
+            .filter(|&(_, &occupied)| occupied)
+            .map(|(cell, _)| (cell / groups, cell % groups)),
+    );
     HierLevel {
         row_span: spec.row_span,
         bin_group: spec.bin_group,

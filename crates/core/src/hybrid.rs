@@ -29,6 +29,7 @@
 //! which flat-scan false positives the exact tier eliminated
 //! (`QueryStats::fp_rows_eliminated`) without re-probing the AB.
 
+use crate::kernel::ColumnSweeper;
 use crate::level::AbIndex;
 use bitmap::{BinnedTable, RectQuery};
 use roar::RoaringBitmap;
@@ -399,14 +400,24 @@ impl HybridAb {
 
 /// Builds one backed cell: the exact container from the column data,
 /// the false-positive companion by probe-sweeping the base AB over
-/// every row outside the bin.
+/// every row outside the bin — in lockstep batches ([`ColumnSweeper`]);
+/// the rows that survive all k bits are F.
 fn build_bin(index: &AbIndex, attribute: usize, bin: u32, bins: &[u32]) -> HybridBin {
+    let rows_where = |inside: bool| {
+        bins.iter()
+            .enumerate()
+            .filter(move |&(_, &b)| (b == bin) == inside)
+            .map(|(row, _)| row)
+    };
     let mut exact = RoaringBitmap::new();
+    for row in rows_where(true) {
+        exact.insert(row as u32);
+    }
     let mut fp = RoaringBitmap::new();
-    for (row, &b) in bins.iter().enumerate() {
-        if b == bin {
-            exact.insert(row as u32);
-        } else if index.test_cell(row, attribute, bin) {
+    let mut sweeper = ColumnSweeper::new(index);
+    let mut outside = rows_where(false).peekable();
+    while outside.peek().is_some() {
+        for &row in sweeper.positives(attribute, bin, outside.by_ref()) {
             fp.insert(row as u32);
         }
     }

@@ -136,7 +136,7 @@ fn check_crc(stored: u32, payload: &[u8]) -> Result<(), IoError> {
 /// the version field is a CRC-32 of everything that follows it,
 /// including the trailing hier and hybrid sections).
 pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + index.size_bytes());
+    let mut out = Vec::with_capacity(encoded_len_bound(index));
     out.extend_from_slice(MAGIC);
     put_u16(&mut out, VERSION);
     put_u32(&mut out, 0); // checksum, patched below
@@ -187,6 +187,36 @@ pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
     let crc = crc32(&out[10..]);
     out[6..10].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// An upper bound on `to_bytes(index).len()`, a few bytes per record
+/// above it, covering every section: [`AbIndex::size_bytes`] counts the
+/// base ABs only, and a buffer reserved from that regrows through the
+/// whole of the exact tier's containers.
+fn encoded_len_bound(index: &AbIndex) -> usize {
+    // Fixed fields of an AB record, with the longest mapper and family
+    // encodings (the roster's one byte per function comes on top).
+    let ab_record = |ab: &ApproximateBitmap| {
+        let roster = match ab.family() {
+            HashFamily::Independent(kinds) => kinds.len(),
+            _ => 0,
+        };
+        48 + roster + ab.size_bytes()
+    };
+    let attributes: usize = index.attributes().iter().map(|a| 14 + a.name.len()).sum();
+    let abs: usize = index.abs().iter().map(ab_record).sum();
+    let hier = index.hier().map_or(0, |hier| {
+        let levels = hier.levels().iter();
+        4 + levels.map(|l| 12 + ab_record(l.ab())).sum::<usize>()
+    });
+    let hybrid = index.hybrid().map_or(0, |hy| {
+        // A `ROAR` stream adds a 14-byte header and 5 bytes per chunk
+        // to `size_bytes`; a container has at most one chunk per 2¹⁶
+        // rows.
+        let container = 8 + 14 + 5 * hy.num_rows().div_ceil(1 << 16);
+        24 + hy.bins().len() * (8 + 2 * container) + hy.size_bytes()
+    });
+    32 + attributes + abs + hier + hybrid
 }
 
 /// Writes one AB record (the layout shared by base and hier-level ABs).
@@ -396,8 +426,8 @@ pub fn shards_to_bytes(segments: &[(u64, &AbIndex)]) -> Vec<u8> {
         );
         expected_start = start + index.num_rows() as u64;
     }
-    let total: usize = segments.iter().map(|(_, i)| i.size_bytes()).sum();
-    let mut out = Vec::with_capacity(32 + total + 96 * segments.len());
+    let total: usize = segments.iter().map(|(_, i)| encoded_len_bound(i)).sum();
+    let mut out = Vec::with_capacity(32 + total + 20 * segments.len());
     out.extend_from_slice(SHARD_MAGIC);
     put_u16(&mut out, SHARD_VERSION);
     put_u32(&mut out, segments.len() as u32);
@@ -1425,6 +1455,35 @@ mod tests {
         // Re-serializing the decoded index reproduces the same bytes —
         // the store round trip is bit-identical to in-RAM serving.
         assert_eq!(to_bytes(&back), bytes);
+    }
+
+    /// `to_bytes` reserves for every section, not for the base ABs
+    /// alone: on an index whose pyramid and exact tier outweigh its AB
+    /// the buffer ends within an eighth of its length, which one that
+    /// doubled its way up from the AB's size does not.
+    #[test]
+    fn to_bytes_reserves_for_the_pyramid_and_the_exact_tier() {
+        let t = BinnedTable::new(vec![BinnedColumn::new(
+            "u",
+            (0..20_000u64)
+                .map(|i| (hashkit::splitmix64(i) % 4) as u32)
+                .collect(),
+            4,
+        )]);
+        let mut idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(8));
+        idx.ensure_hier(&crate::hier::HierConfig::default());
+        idx.ensure_hybrid(&t, &crate::hybrid::HybridConfig::default());
+        let tiers = idx.hier().unwrap().size_bytes() + idx.hybrid().unwrap().size_bytes();
+        assert!(tiers > idx.size_bytes(), "{tiers} vs {}", idx.size_bytes());
+        let bytes = to_bytes(&idx);
+        assert!(
+            bytes.capacity() <= bytes.len() + bytes.len() / 8,
+            "{} bytes in a buffer of {}",
+            bytes.len(),
+            bytes.capacity()
+        );
+        let shards = shards_to_bytes(&[(0, &idx)]);
+        assert!(shards.capacity() <= shards.len() + shards.len() / 8);
     }
 
     #[test]

@@ -42,7 +42,10 @@
 //!
 //! Figure 5's cell lists go through the same waves, grouped by the AB
 //! each cell probes so that a whole batch shares one hoisted hash
-//! state and one word array — see `retrieve_cells_waves`.
+//! state and one word array — see `retrieve_cells_waves`. A batch like
+//! that advances in lockstep (`LockstepBatch`), and set-up runs the
+//! same loop: the build's inserts set the bits the positions name, the
+//! pyramid's and the exact tier's sweeps (`ColumnSweeper`) test them.
 //!
 //! Prefetch instructions are gated behind the `prefetch` cargo feature
 //! (x86-64 `_mm_prefetch`, aarch64 `prfm`); SIMD gathers behind the
@@ -819,15 +822,6 @@ impl<'a> CellPlan<'a> {
         self.count_and_prefetch(&out[..probes.len()]);
     }
 
-    /// [`Self::issue_batch`] for lanes that are all at the same probe
-    /// index — a cell batch's: positions come from
-    /// [`hashkit::ColProber::next_positions_lockstep`], one hash
-    /// function over the whole slice.
-    fn issue_lockstep(&self, probes: &mut [hashkit::RowProbe], out: &mut [u64]) {
-        self.prober.next_positions_lockstep(probes, out);
-        self.count_and_prefetch(&out[..probes.len()]);
-    }
-
     fn count_and_prefetch(&self, positions: &[u64]) {
         self.calls.set(self.calls.get() + positions.len() as u64);
         for &pos in positions {
@@ -1243,22 +1237,60 @@ fn run_simd_waves(
 }
 
 // ---------------------------------------------------------------------------
-// Figure 5: cell-subset queries
+// The lockstep probe loop
 // ---------------------------------------------------------------------------
 
-/// What an (attribute, bin) column named by a cell call resolved to,
-/// on the first cell that named it.
-#[derive(Clone, Copy)]
-enum ColumnTarget<'a> {
-    /// The exact tier backs this bin: its container is the answer.
-    Exact(&'a HybridBin),
-    /// Probe the AB whose plan has this index in the call's plan list.
-    Probe(u32),
+/// Up to [`MAX_BATCH_ROWS`] probes of one AB held in lockstep: opened
+/// together ([`hashkit::ColProber::begin_col`], so the cells may name
+/// any columns of the AB) and advanced together, one
+/// [`hashkit::ColProber::next_positions_lockstep`] call per step. This
+/// is the state of the one probe loop every batch path of the crate
+/// runs: the build walks all k steps and sets the bits
+/// ([`ApproximateBitmap::insert_cells`]); the cell kernel and the
+/// build-time sweeps test them and retire lanes
+/// (`CellPlan::survivors`).
+pub(crate) struct LockstepBatch {
+    probes: Vec<hashkit::RowProbe>,
+    pos: [u64; MAX_BATCH_ROWS],
+}
+
+impl LockstepBatch {
+    pub(crate) fn new() -> Self {
+        LockstepBatch {
+            probes: Vec::with_capacity(MAX_BATCH_ROWS),
+            pos: [0; MAX_BATCH_ROWS],
+        }
+    }
+
+    /// Replaces the batch with one probe per `(row, col)` cell, all at
+    /// step 0; takes at most [`MAX_BATCH_ROWS`] cells from `cells` and
+    /// returns how many that was.
+    pub(crate) fn open(
+        &mut self,
+        prober: &hashkit::ColProber<'_>,
+        cells: impl Iterator<Item = (u64, u64)>,
+    ) -> usize {
+        self.probes.clear();
+        self.probes.extend(
+            cells
+                .take(MAX_BATCH_ROWS)
+                .map(|(row, col)| prober.begin_col(row, col)),
+        );
+        self.probes.len()
+    }
+
+    /// Advances every probe of the batch one step: their positions, in
+    /// the batch's order.
+    pub(crate) fn step(&mut self, prober: &hashkit::ColProber<'_>) -> &[u64] {
+        let n = self.probes.len();
+        prober.next_positions_lockstep(&mut self.probes, &mut self.pos[..n]);
+        &self.pos[..n]
+    }
 }
 
 impl CellPlan<'_> {
     /// Reads the AB bits at `pos` into `bits` — the one step of the
-    /// cell loop that depends on the engine. Without one these are
+    /// probe loop that depends on the engine. Without one these are
     /// scalar loads (one scalar wave); with one, the words are fetched
     /// [`SIMD_WAVE`] at a time by vector gathers, and a tail narrower
     /// than [`SIMD_MIN_GATHER`] falls back to scalar loads.
@@ -1298,6 +1330,105 @@ impl CellPlan<'_> {
             wave.simd_waves += 1;
         }
     }
+
+    /// The reading half of the probe loop: runs the probes open in
+    /// `batch` through this plan's k steps and leaves in `lanes` the
+    /// ones whose k bits are all set, in order. `lanes[i]` is whatever
+    /// the caller calls probe `i` — a request position, a row. Every
+    /// lane is on this plan's AB at the same probe index, so step `t`
+    /// is one hash function over a contiguous slice of keys, one bit
+    /// test against one word array, and one retirement pass that never
+    /// branches on a bit (a coin flip for an absent cell): a lane
+    /// leaves at its first zero bit (Figure 5's break) and survivors
+    /// close ranks.
+    fn survivors<L: Copy>(
+        &self,
+        engine: Option<SimdEngine>,
+        batch: &mut LockstepBatch,
+        lanes: &mut Vec<L>,
+        wave: &mut WaveCounters,
+    ) {
+        debug_assert_eq!(lanes.len(), batch.probes.len());
+        wave.batches += 1;
+        let mut bits = [false; MAX_BATCH_ROWS];
+        for _ in 0..self.k {
+            let n = lanes.len();
+            if n == 0 {
+                break;
+            }
+            let pos = batch.step(&self.prober);
+            self.count_and_prefetch(pos);
+            self.test_bits(engine, pos, &mut bits[..n], wave);
+            let mut kept = 0;
+            for i in 0..n {
+                lanes[kept] = lanes[i];
+                batch.probes[kept] = batch.probes[i];
+                kept += usize::from(bits[i]);
+            }
+            lanes.truncate(kept);
+            batch.probes.truncate(kept);
+        }
+    }
+}
+
+/// The build-time reader of the probe loop: sweeps the base AB's own
+/// verdicts for the pyramid ([`crate::hier`]) and for the exact tier's
+/// false-positive containers ([`crate::hybrid`]), a batch of one
+/// column's rows at a time — `test_cell`'s verdicts without a prober
+/// per cell. Hash evaluations and wave counters are flushed per batch.
+pub(crate) struct ColumnSweeper<'a> {
+    index: &'a AbIndex,
+    batch: LockstepBatch,
+    rows: Vec<usize>,
+}
+
+impl<'a> ColumnSweeper<'a> {
+    pub(crate) fn new(index: &'a AbIndex) -> Self {
+        ColumnSweeper {
+            index,
+            batch: LockstepBatch::new(),
+            rows: Vec::with_capacity(MAX_BATCH_ROWS),
+        }
+    }
+
+    /// Probes cell (row, `attribute`, `bin`) for the first
+    /// [`MAX_BATCH_ROWS`] rows of `rows` in one lockstep batch and
+    /// returns, in the order given, the rows the AB admits — present
+    /// or false positive. The caller keeps rows and bin in range.
+    pub(crate) fn positives(
+        &mut self,
+        attribute: usize,
+        bin: u32,
+        rows: impl Iterator<Item = usize>,
+    ) -> &[usize] {
+        let (ab, col) = self.index.cell_plan_target(attribute, bin);
+        let plan = CellPlan::new(ab, col);
+        self.rows.clear();
+        self.rows.extend(rows.take(MAX_BATCH_ROWS));
+        debug_assert!(self.rows.iter().all(|&row| row < self.index.num_rows()));
+        self.batch
+            .open(&plan.prober, self.rows.iter().map(|&row| (row as u64, col)));
+        let mut wave = WaveCounters::default();
+        plan.survivors(None, &mut self.batch, &mut self.rows, &mut wave);
+        plan.prober.record_hash_calls(plan.calls.get());
+        // Every issued position was prefetched exactly once.
+        wave.flush(plan.calls.get());
+        &self.rows
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 5: cell-subset queries
+// ---------------------------------------------------------------------------
+
+/// What an (attribute, bin) column named by a cell call resolved to,
+/// on the first cell that named it.
+#[derive(Clone, Copy)]
+enum ColumnTarget<'a> {
+    /// The exact tier backs this bin: its container is the answer.
+    Exact(&'a HybridBin),
+    /// Probe the AB whose plan has this index in the call's plan list.
+    Probe(u32),
 }
 
 /// Figure 5 over cell batches: identical verdicts (in query order) to
@@ -1311,15 +1442,10 @@ impl CellPlan<'_> {
 /// the hoisted hash state, built once per AB the call touches and
 /// shared by all its cells (`kernel.cell_plans_deduped` counts the
 /// sharers). The probed cells are then **grouped by plan** (a counting
-/// sort) and each group runs through the breadth-first probe waves on
-/// its own, in batches of [`MAX_BATCH_ROWS`] lanes (or the caller's
-/// fixed depth): every lane of a batch is on the same AB and at the
-/// same probe index, so probe `t` of the batch is one hash function
-/// over a contiguous slice of keys
-/// ([`hashkit::ColProber::next_positions_lockstep`]), one bit test
-/// against one word array, and a retirement pass that never branches
-/// on a bit — lanes retire at their first zero bit (Figure 5's break)
-/// or their k-th set bit and survivors close ranks in order.
+/// sort) and each group runs through the lockstep probe loop
+/// (`CellPlan::survivors`) on its own, in batches of
+/// [`MAX_BATCH_ROWS`] lanes (or the caller's fixed depth); the lanes
+/// that survive all k bits are the cells present.
 ///
 /// Batches do not straddle plans: a per-column index answering a list
 /// much shorter than its column count runs shallow batches. That is
@@ -1423,45 +1549,25 @@ pub(crate) fn retrieve_cells_waves(
     }
 
     let mut wave = WaveCounters::default();
-    // A lane is the request position its verdict goes to; its hash
-    // state sits at the same index of `probes`.
+    // A lane is the request position its verdict goes to.
     let mut lanes: Vec<usize> = Vec::with_capacity(batch_rows);
-    let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(batch_rows);
-    let mut pos = [0u64; MAX_BATCH_ROWS];
-    let mut bits = [false; MAX_BATCH_ROWS];
+    let mut batch = LockstepBatch::new();
     let mut group_start = 0;
     for (plan, &group_end) in plans.iter().zip(&next) {
-        for batch in order[group_start..group_end].chunks(batch_rows) {
-            wave.batches += 1;
+        for chunk in order[group_start..group_end].chunks(batch_rows) {
             lanes.clear();
-            lanes.extend_from_slice(batch);
-            probes.clear();
-            probes.extend(batch.iter().map(|&i| {
-                let c = &cells[i];
-                let (_, col) = index.cell_plan_slot(c.attribute, c.bin);
-                plan.prober.begin_col(c.row as u64, col)
-            }));
-            for t in 1..=plan.k {
-                let n = lanes.len();
-                if n == 0 {
-                    break;
-                }
-                plan.issue_lockstep(&mut probes, &mut pos[..n]);
-                plan.test_bits(engine, &pos[..n], &mut bits[..n], &mut wave);
-                // Retire without branching on the bits (a coin flip
-                // for an absent cell): every lane stores its verdict
-                // so far, and survivors — bit set, probes left — close
-                // ranks in order.
-                let last = t == plan.k;
-                let mut kept = 0;
-                for i in 0..n {
-                    out[lanes[i]] = bits[i] & last;
-                    lanes[kept] = lanes[i];
-                    probes[kept] = probes[i];
-                    kept += usize::from(bits[i] & !last);
-                }
-                lanes.truncate(kept);
-                probes.truncate(kept);
+            lanes.extend_from_slice(chunk);
+            batch.open(
+                &plan.prober,
+                chunk.iter().map(|&i| {
+                    let c = &cells[i];
+                    let (_, col) = index.cell_plan_slot(c.attribute, c.bin);
+                    (c.row as u64, col)
+                }),
+            );
+            plan.survivors(engine, &mut batch, &mut lanes, &mut wave);
+            for &i in &lanes {
+                out[i] = true;
             }
         }
         group_start = group_end;

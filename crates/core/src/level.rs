@@ -73,74 +73,15 @@ impl AbIndex {
     /// per-column level (the paper restricts that hash to the coarser
     /// levels), or if the table is empty.
     pub fn build(table: &BinnedTable, config: &AbConfig) -> Self {
-        let t0 = std::time::Instant::now();
-        assert!(table.num_rows() > 0, "cannot index an empty table");
-        assert!(table.num_attributes() > 0, "table has no attributes");
-
-        let mut attributes = Vec::with_capacity(table.num_attributes());
-        let mut offset = 0usize;
-        for col in table.columns() {
-            attributes.push(AttributeMeta {
-                name: col.name.clone(),
-                cardinality: col.cardinality,
-                offset,
-            });
-            offset += col.cardinality as usize;
-        }
-        let total_columns = offset;
-        let num_rows = table.num_rows();
-
-        let abs = match config.level {
-            Level::PerDataset => {
-                let s = (num_rows * table.num_attributes()) as u64;
-                let params = config.sizing.params(s, config.k);
-                let family = adapt_family(&config.family, total_columns as u64, config.level);
-                let mapper = CellMapper::for_columns(total_columns);
-                let mut ab = ApproximateBitmap::new(params.n_bits, params.k, family, mapper);
-                for (a, col) in table.columns().iter().enumerate() {
-                    let base = attributes[a].offset as u64;
-                    for (row, &bin) in col.bins.iter().enumerate() {
-                        ab.insert(row as u64, base + bin as u64);
-                    }
-                }
-                vec![ab]
-            }
-            Level::PerAttribute => table
-                .columns()
-                .iter()
-                .map(|col| build_attribute_ab(col, config))
-                .collect(),
-            Level::PerColumn => {
-                assert!(
-                    !matches!(config.family, HashFamily::ColumnGroup { .. }),
-                    "the column-group hash is only defined for per-dataset \
-                     and per-attribute ABs (paper §5.2.2)"
-                );
-                table
-                    .columns()
-                    .iter()
-                    .flat_map(|col| build_column_abs(col, config))
-                    .collect()
-            }
-        };
-
-        let index = AbIndex {
-            level: config.level,
-            abs,
-            attributes,
-            num_rows,
-            hier: None,
-            hybrid: None,
-        };
-        index.record_build_metrics(t0.elapsed().as_micros() as u64);
-        index
+        Self::build_parallel(table, config, 1)
     }
 
-    /// Builds the index using up to `threads` worker threads. The
+    /// [`Self::build`] using up to `threads` worker threads. The
     /// per-attribute and per-column levels parallelize over their
-    /// independent ABs (one attribute per task); the per-dataset level
-    /// has a single AB and falls back to the sequential build. The
-    /// result is bit-identical to [`Self::build`].
+    /// independent ABs (attributes are dealt to the threads in
+    /// contiguous chunks); the per-dataset level has a single AB and
+    /// builds on the calling thread, as does any build that comes to
+    /// one chunk. The result is bit-identical for every thread count.
     ///
     /// The paper assumes read-only scientific data (§4.1) where the
     /// index is built once over millions of rows — construction is the
@@ -148,16 +89,14 @@ impl AbIndex {
     pub fn build_parallel(table: &BinnedTable, config: &AbConfig, threads: usize) -> Self {
         let t0 = std::time::Instant::now();
         assert!(threads >= 1, "need at least one thread");
-        if threads == 1 || config.level == Level::PerDataset || table.num_attributes() <= 1 {
-            return Self::build(table, config);
-        }
-        if config.level == Level::PerColumn {
-            assert!(
-                !matches!(config.family, HashFamily::ColumnGroup { .. }),
-                "the column-group hash is only defined for per-dataset \
-                 and per-attribute ABs (paper §5.2.2)"
-            );
-        }
+        assert!(table.num_rows() > 0, "cannot index an empty table");
+        assert!(table.num_attributes() > 0, "table has no attributes");
+        assert!(
+            config.level != Level::PerColumn
+                || !matches!(config.family, HashFamily::ColumnGroup { .. }),
+            "the column-group hash is only defined for per-dataset \
+             and per-attribute ABs (paper §5.2.2)"
+        );
 
         let mut attributes = Vec::with_capacity(table.num_attributes());
         let mut offset = 0usize;
@@ -170,38 +109,45 @@ impl AbIndex {
             offset += col.cardinality as usize;
         }
 
+        // The ABs of a contiguous chunk of attributes. The per-dataset AB
+        // spans every column, so that level is always one chunk.
         let cols = table.columns();
-        let chunk = cols.len().div_ceil(threads);
-        let per_chunk: Vec<Vec<ApproximateBitmap>> = std::thread::scope(|s| {
-            let handles: Vec<_> = cols
-                .chunks(chunk)
-                .map(|chunk_cols| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for col in chunk_cols {
-                            match config.level {
-                                Level::PerAttribute => {
-                                    out.push(build_attribute_ab(col, config));
-                                }
-                                Level::PerColumn => {
-                                    out.extend(build_column_abs(col, config));
-                                }
-                                Level::PerDataset => unreachable!("handled above"),
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("builder thread panicked"))
-                .collect()
-        });
+        let build_chunk = |chunk_cols: &[bitmap::BinnedColumn]| -> Vec<ApproximateBitmap> {
+            match config.level {
+                Level::PerDataset => vec![build_dataset_ab(chunk_cols, &attributes, config)],
+                Level::PerAttribute => chunk_cols
+                    .iter()
+                    .map(|col| build_attribute_ab(col, config))
+                    .collect(),
+                Level::PerColumn => chunk_cols
+                    .iter()
+                    .flat_map(|col| build_column_abs(col, config))
+                    .collect(),
+            }
+        };
+        let chunk = match config.level {
+            Level::PerDataset => cols.len(),
+            _ => cols.len().div_ceil(threads),
+        };
+        let abs = if chunk == cols.len() {
+            build_chunk(cols)
+        } else {
+            let build_chunk = &build_chunk;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = cols
+                    .chunks(chunk)
+                    .map(|chunk_cols| s.spawn(move || build_chunk(chunk_cols)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("builder thread panicked"))
+                    .collect()
+            })
+        };
 
         let index = AbIndex {
             level: config.level,
-            abs: per_chunk.into_iter().flatten().collect(),
+            abs,
             attributes,
             num_rows: table.num_rows(),
             hier: None,
@@ -355,8 +301,13 @@ impl AbIndex {
         self.abs.iter().map(ApproximateBitmap::k).max().unwrap_or(0)
     }
 
-    /// Reassembles an index from stored pieces (deserialization).
-    pub(crate) fn from_parts(
+    /// Assembles an index from its pieces, taken as given — what
+    /// deserialization does, and what a caller that fills its own
+    /// [`ApproximateBitmap`]s needs (`tests/build_differential.rs`
+    /// compares such an index with a built one byte for byte). `abs`
+    /// must hold the 1, `d` or `Σ C_i` ABs `level` implies, in global
+    /// column order.
+    pub fn from_parts(
         level: Level,
         abs: Vec<ApproximateBitmap>,
         attributes: Vec<AttributeMeta>,
@@ -474,38 +425,77 @@ pub fn shard_ranges(num_rows: usize, shards: usize) -> Vec<std::ops::Range<usize
     out
 }
 
+/// Builds the one dataset-level AB (`s = d·N` set bits, addressed by
+/// global column).
+fn build_dataset_ab(
+    cols: &[bitmap::BinnedColumn],
+    attributes: &[AttributeMeta],
+    config: &AbConfig,
+) -> ApproximateBitmap {
+    let last = attributes.last().expect("table has attributes");
+    let total_columns = last.offset + last.cardinality as usize;
+    let s = (cols[0].len() * cols.len()) as u64;
+    let params = config.sizing.params(s, config.k);
+    let family = adapt_family(&config.family, total_columns as u64, Level::PerDataset);
+    let mapper = CellMapper::for_columns(total_columns);
+    let mut ab = ApproximateBitmap::new(params.n_bits, params.k, family, mapper);
+    ab.insert_cells(cols.iter().zip(attributes).flat_map(|(col, meta)| {
+        let base = meta.offset as u64;
+        col.bins
+            .iter()
+            .enumerate()
+            .map(move |(row, &bin)| (row as u64, base + bin as u64))
+    }));
+    ab
+}
+
 /// Builds one attribute-level AB (`s = N` set bits).
 fn build_attribute_ab(col: &bitmap::BinnedColumn, config: &AbConfig) -> ApproximateBitmap {
     let params = config.sizing.params(col.len() as u64, config.k);
     let family = adapt_family(&config.family, col.cardinality as u64, Level::PerAttribute);
     let mapper = CellMapper::for_columns(col.cardinality as usize);
     let mut ab = ApproximateBitmap::new(params.n_bits, params.k, family, mapper);
-    for (row, &bin) in col.bins.iter().enumerate() {
-        ab.insert(row as u64, bin as u64);
-    }
+    ab.insert_cells(
+        col.bins
+            .iter()
+            .enumerate()
+            .map(|(row, &bin)| (row as u64, bin as u64)),
+    );
     ab
 }
 
 /// Builds one attribute's per-column ABs (one per bin, sized by the
-/// bin's set-bit count).
+/// bin's set-bit count). The rows are grouped by bin first (a counting
+/// sort), so each AB takes its rows in one batched insert.
 fn build_column_abs(col: &bitmap::BinnedColumn, config: &AbConfig) -> Vec<ApproximateBitmap> {
     let counts = col.bin_counts();
-    let mut bin_abs: Vec<ApproximateBitmap> = counts
+    let mut next = Vec::with_capacity(counts.len());
+    let mut start = 0usize;
+    for &count in &counts {
+        next.push(start);
+        start += count;
+    }
+    let mut rows = vec![0u64; col.len()];
+    for (row, &bin) in col.bins.iter().enumerate() {
+        rows[next[bin as usize]] = row as u64;
+        next[bin as usize] += 1;
+    }
+    // After the fill, next[bin] is the end of the bin's rows.
+    counts
         .iter()
-        .map(|&s| {
+        .zip(&next)
+        .map(|(&s, &end)| {
             let params = config.sizing.params(s.max(1) as u64, config.k);
-            ApproximateBitmap::new(
+            let mut ab = ApproximateBitmap::new(
                 params.n_bits,
                 params.k,
                 config.family.clone(),
                 CellMapper::RowOnly,
-            )
+            );
+            ab.insert_cells(rows[end - s..end].iter().map(|&row| (row, 0)));
+            ab
         })
-        .collect();
-    for (row, &bin) in col.bins.iter().enumerate() {
-        bin_abs[bin as usize].insert(row as u64, 0);
-    }
-    bin_abs
+        .collect()
 }
 
 /// Instantiates the column-group family with the right group count for

@@ -366,7 +366,18 @@ impl ColProber<'_> {
     /// range.
     #[inline(always)]
     pub fn begin_col(&self, row: u64, col: u64) -> RowProbe {
-        self.begin_with(row, col, decimal_key_bytes_swar)
+        // A closure marked for inlining, not the function item: the
+        // item reaches `begin_with` through a `Fn::call` shim that
+        // carries no hint, and once the build, the sweeps and the cell
+        // kernel all opened lanes here the shim stayed out of line — a
+        // call per cell, 50 → 54 ns in the cell kernel.
+        #[allow(clippy::redundant_closure)]
+        self.begin_with(
+            row,
+            col,
+            #[inline(always)]
+            |x| decimal_key_bytes_swar(x),
+        )
     }
 
     #[inline(always)]
@@ -520,13 +531,16 @@ impl ColProber<'_> {
     }
 
     /// [`Self::next_positions`] for probes in **lockstep** — all at the
-    /// same step `t`, which is how the cell kernel holds them (a
-    /// batch's lanes open together and advance one probe per wave).
-    /// Knowing `t` for the whole batch, the roster function it names is
-    /// matched once and step `t` is that one function over a slice of
-    /// keys in a tight loop: consecutive keys' byte loops overlap in the
-    /// pipeline, where the per-probe dispatch of `next_positions` keeps
-    /// them apart. Same positions, same `t` advancement.
+    /// same step `t`, which is how the cell kernel and the build hold
+    /// them (a batch's lanes open together and advance one probe per
+    /// wave). Knowing `t` for the whole batch, the roster function it
+    /// names is matched once and step `t` is that one function over a
+    /// slice of keys in a tight loop: consecutive keys' byte loops
+    /// overlap in the pipeline, where the per-probe dispatch of
+    /// `next_positions` keeps them apart. Past the roster the batch
+    /// shares its seed too, and the re-seeded keys come from
+    /// [`decimal_key_bytes_swar`]. Same positions, same `t`
+    /// advancement.
     ///
     /// # Panics
     ///
@@ -541,21 +555,25 @@ impl ColProber<'_> {
             return;
         };
         match &self.kind {
-            ColKind::Independent { kinds } if (t as usize) < kinds.len() => {
-                with_hash_fn!(kinds[t as usize], |hash| {
-                    for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
-                        assert!(p.t == t, "probe batch not in lockstep");
-                        p.t = t + 1;
-                        let RowState::Independent { x, bytes, len } = &p.state else {
-                            unreachable!("RowProbe used with a ColProber of a different family")
-                        };
-                        *o = self.reduce_hash(hash(&bytes[..*len], *x));
+            ColKind::Independent { kinds } => {
+                with_hash_fn!(kinds[t as usize % kinds.len()], |hash| {
+                    if (t as usize) < kinds.len() {
+                        self.independent_step(probes, out, t, |x, key| hash(key, x))
+                    } else {
+                        // `HashKind::hash(x ^ splitmix64(t))`, to the
+                        // bit: the seed is the batch's, the key comes
+                        // from the SWAR encoder.
+                        let seed = splitmix64(t);
+                        self.independent_step(probes, out, t, |x, _| {
+                            let x = x ^ seed;
+                            let (bytes, len) = decimal_key_bytes_swar(x);
+                            hash(&bytes[..len], x)
+                        })
                     }
                 })
             }
-            // The mixers' loops are tight already; SHA-1 reads its
-            // digest bit by bit and a re-seeded probe re-encodes its
-            // key — nothing to hoist.
+            // The mixers' loops are tight already and SHA-1 reads its
+            // digest bit by bit — nothing to hoist.
             _ => {
                 assert!(
                     probes.iter().all(|p| p.t == t),
@@ -563,6 +581,27 @@ impl ColProber<'_> {
                 );
                 self.next_positions(probes, out);
             }
+        }
+    }
+
+    /// One lockstep step of the independent family: every probe takes
+    /// the position `hash_of(x, key bytes)` reduces to. Inlined into
+    /// each caller so the loop is compiled around its one function.
+    #[inline(always)]
+    fn independent_step(
+        &self,
+        probes: &mut [RowProbe],
+        out: &mut [u64],
+        t: u64,
+        hash_of: impl Fn(u64, &[u8]) -> u64,
+    ) {
+        for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
+            assert!(p.t == t, "probe batch not in lockstep");
+            p.t = t + 1;
+            let RowState::Independent { x, bytes, len } = &p.state else {
+                unreachable!("RowProbe used with a ColProber of a different family")
+            };
+            *o = self.reduce_hash(hash_of(*x, &bytes[..*len]));
         }
     }
 
@@ -837,11 +876,12 @@ mod tests {
 
     /// The lockstep batch step is the same re-schedule with the roster
     /// dispatch hoisted: same positions, same `t` advancement, for every
-    /// family, over every function of the roster and the re-seeded
-    /// probes past it.
+    /// family, over every function of the roster and two passes of the
+    /// re-seeded probes past it — on small keys and on keys that
+    /// already have 19 and 20 digits before a seed is mixed in.
     #[test]
     fn lockstep_positions_match_next_position_for_all_families() {
-        const STEPS: usize = 13;
+        const STEPS: usize = 24;
         let families = [
             HashFamily::default_independent(),
             HashFamily::Independent(vec![HashKind::MultiplyShift, HashKind::Circular]),
@@ -850,10 +890,24 @@ mod tests {
             HashFamily::ColumnGroup { num_columns: 16 },
         ];
         let mapper = CellMapper::for_columns(16);
+        let small = [0u64, 1, 999, 123_456, 77, 31];
+        // The mapper shifts these left by 5: three 19-digit keys and a
+        // 20-digit one.
+        let long = [
+            (1u64 << 55) + 5,
+            (1 << 56) - 1,
+            (1 << 59) - 3,
+            (1 << 58) + 7,
+        ];
+        let digits = |row| mapper.map(row, 3).to_string().len();
+        assert_eq!(long.map(digits), [19, 19, 20, 19]);
         for f in &families {
-            for n in [1u64 << 14, (1 << 14) - 123] {
+            for (n, rows) in [
+                (1u64 << 14, &small[..]),
+                ((1 << 14) - 123, &small[..]),
+                (1 << 14, &long[..]),
+            ] {
                 let cp = f.col_prober(3, mapper, n);
-                let rows = [0u64, 1, 999, 123_456, 77, 31];
                 let want: Vec<Vec<u64>> = rows
                     .iter()
                     .map(|&r| {

@@ -1,0 +1,306 @@
+//! Build differential tests: everything set-up produces through the
+//! lockstep probe loop (DESIGN.md §13) against the scalar reference
+//! methods it replaced in the build paths.
+//!
+//! The batched insert ([`ApproximateBitmap::insert_cells`]), the
+//! pyramid's finest-level sweep and the exact tier's false-positive
+//! sweep are schedules, not algorithms: an index they build must
+//! serialize to the bytes of one filled by scalar
+//! [`ApproximateBitmap::insert`] calls, a pyramid must hold exactly the
+//! regions in which [`AbIndex::test_cell`] admits a cell, and a backed
+//! bin's companion container exactly the rows `test_cell` admits and
+//! the table rejects. The references here are derived from those two
+//! scalar methods directly — `src/` keeps no copy of the old loops.
+
+use ab::{
+    AbConfig, AbIndex, ApproximateBitmap, HierAb, HierConfig, HierLevelSpec, HybridAb,
+    HybridConfig, Level,
+};
+use bitmap::{BinnedColumn, BinnedTable};
+use hashkit::{CellMapper, HashFamily};
+
+/// The obs counters are process-wide and the tests of this file run on
+/// parallel threads; the one that asserts exact deltas holds this for
+/// writing, the others for reading while they build.
+static COUNTERS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// 1 931 rows — seven full 256-cell batches and a tail — × 3
+/// attributes × 12 bins: two uniform, one clustered (each bin one
+/// contiguous run), so a pyramid over it has empty regions, regions
+/// only a false positive keeps alive, and full ones.
+fn table() -> BinnedTable {
+    let uniform = datagen::small_uniform(1931, 2, 12, 7).binned;
+    let mut columns = uniform.columns().to_vec();
+    columns.push(BinnedColumn::new(
+        "clustered",
+        (0..1931u32).map(|row| row / 161).collect(),
+        12,
+    ));
+    BinnedTable::new(columns)
+}
+
+fn families() -> [HashFamily; 4] {
+    [
+        HashFamily::default_independent(),
+        HashFamily::Sha1Split,
+        HashFamily::DoubleHashing,
+        HashFamily::ColumnGroup { num_columns: 1 },
+    ]
+}
+
+/// Every (level, family, k) of the matrix: k = 6 stays inside the
+/// 10-function roster, 10 ends on it, 22 runs the re-seeded probes.
+fn configs(alpha: u64) -> Vec<AbConfig> {
+    let mut out = Vec::new();
+    for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+        for family in families() {
+            if level == Level::PerColumn && matches!(family, HashFamily::ColumnGroup { .. }) {
+                continue; // the paper restricts it to the coarser levels
+            }
+            for k in [6, 10, 22] {
+                out.push(
+                    AbConfig::new(level)
+                        .with_alpha(alpha)
+                        .with_k(k)
+                        .with_family(family.clone()),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// The (index into `abs`, column id) a set cell addresses at `level` —
+/// the addressing of `level.rs`, restated.
+fn slot(index: &AbIndex, attribute: usize, bin: u32) -> (usize, u64) {
+    let global = index.attributes()[attribute].offset + bin as usize;
+    match index.level() {
+        Level::PerDataset => (0, global as u64),
+        Level::PerAttribute => (attribute, u64::from(bin)),
+        Level::PerColumn => (global, 0),
+    }
+}
+
+/// `built`'s twin, filled one scalar `insert` at a time: same schema,
+/// same AB parameters, every set cell of `table` inserted through the
+/// `Prober` path. Returns it with the number of inserts made.
+fn scalar_twin(built: &AbIndex, table: &BinnedTable) -> (AbIndex, u64) {
+    let mut abs: Vec<ApproximateBitmap> = built
+        .abs()
+        .iter()
+        .map(|ab| ApproximateBitmap::new(ab.n_bits(), ab.k(), ab.family().clone(), ab.mapper()))
+        .collect();
+    let mut inserts = 0;
+    for (attribute, col) in table.columns().iter().enumerate() {
+        for (row, &bin) in col.bins.iter().enumerate() {
+            let (ab, column) = slot(built, attribute, bin);
+            abs[ab].insert(row as u64, column);
+            inserts += 1;
+        }
+    }
+    let twin = AbIndex::from_parts(
+        built.level(),
+        abs,
+        built.attributes().to_vec(),
+        built.num_rows(),
+        None,
+        None,
+    );
+    (twin, inserts)
+}
+
+#[cfg(not(feature = "obs-off"))]
+fn hash_calls() -> u64 {
+    let snap = obs::global().snapshot();
+    [
+        "hashkit.hash_calls.independent",
+        "hashkit.hash_calls.sha1_split",
+        "hashkit.hash_calls.double_hashing",
+        "hashkit.hash_calls.column_group",
+    ]
+    .iter()
+    .map(|name| snap.counter(name))
+    .sum()
+}
+
+/// An index built by the batched insert serializes to the bytes of one
+/// filled by scalar inserts — at every level, for every family, inside
+/// and past the roster, on one thread or two, whole table or row
+/// range.
+#[test]
+fn built_index_is_the_scalar_filled_index_byte_for_byte() {
+    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let table = table();
+    for cfg in configs(8) {
+        let built = AbIndex::build(&table, &cfg);
+        let (twin, inserts) = scalar_twin(&built, &table);
+        assert_eq!(inserts, (table.num_rows() * table.num_attributes()) as u64);
+        assert_eq!(ab::to_bytes(&built), ab::to_bytes(&twin), "{cfg:?}");
+        let threaded = AbIndex::build_parallel(&table, &cfg, 2);
+        assert_eq!(ab::to_bytes(&threaded), ab::to_bytes(&twin), "x2: {cfg:?}");
+        let shard = AbIndex::build_row_range(&table, &cfg, 300..1700);
+        let (shard_twin, _) = scalar_twin(&shard, &table.slice_rows(300..1700));
+        assert_eq!(ab::to_bytes(&shard), ab::to_bytes(&shard_twin), "{cfg:?}");
+    }
+}
+
+/// A build moves `ab.build.insertions` by the number of scalar inserts
+/// that fill its twin, and `hashkit.hash_calls.*` by what those inserts
+/// move it: k per cell, flushed once per batched call instead of once
+/// per `Prober`.
+#[cfg(not(feature = "obs-off"))]
+#[test]
+fn build_moves_the_counters_the_scalar_fill_moves() {
+    let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    let table = table();
+    let insertions = obs::global().counter("ab.build.insertions");
+    for cfg in configs(8) {
+        let before = (insertions.get(), hash_calls());
+        let built = AbIndex::build(&table, &cfg);
+        let mid = (insertions.get(), hash_calls());
+        let (_, inserts) = scalar_twin(&built, &table);
+        let after = hash_calls();
+        assert_eq!(mid.0 - before.0, inserts, "ab.build.insertions: {cfg:?}");
+        assert_eq!(mid.1 - before.1, after - mid.1, "hash calls: {cfg:?}");
+        assert_eq!(after - mid.1, inserts * cfg.k.unwrap() as u64);
+    }
+}
+
+/// The batched insert sets the scalar insert's bits in an AB of any
+/// size — a power of two reduces by mask, a prime by modulo — under
+/// both mappers, over keys of every length up to 20 digits.
+#[test]
+fn insert_cells_sets_the_bits_of_scalar_inserts() {
+    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    // Rows up to 2⁵⁹: shifted left by 5 the keys reach 20 digits.
+    let cells: Vec<(u64, u64)> = (0..700u64)
+        .map(|i| {
+            let h = hashkit::splitmix64(i);
+            (h >> (5 + i % 59), h % 16)
+        })
+        .collect();
+    for family in families() {
+        let family = match family {
+            HashFamily::ColumnGroup { .. } => HashFamily::ColumnGroup { num_columns: 16 },
+            other => other,
+        };
+        for mapper in [CellMapper::for_columns(16), CellMapper::RowOnly] {
+            for n in [1u64 << 13, 8191] {
+                for k in [6, 10, 22] {
+                    let mut scalar = ApproximateBitmap::new(n, k, family.clone(), mapper);
+                    for &(row, col) in &cells {
+                        scalar.insert(row, col);
+                    }
+                    let mut batched = ApproximateBitmap::new(n, k, family.clone(), mapper);
+                    batched.insert_cells(cells.iter().copied());
+                    let ctx = format!("{family:?}, {mapper:?}, n = {n}, k = {k}");
+                    assert_eq!(batched.bits(), scalar.bits(), "{ctx}");
+                    assert_eq!(batched.inserted(), scalar.inserted(), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// Two levels whose geometries nest (a coarse region is a whole number
+/// of finest regions), so each level's occupancy is "some cell of the
+/// region tests positive" and the test need not restate the fold.
+fn hier_config() -> HierConfig {
+    HierConfig {
+        levels: vec![
+            HierLevelSpec {
+                row_span: 64,
+                bin_group: 2,
+            },
+            HierLevelSpec {
+                row_span: 256,
+                bin_group: 4,
+            },
+        ],
+    }
+}
+
+/// A pyramid built by the lockstep sweep holds exactly the regions in
+/// which `test_cell` admits some cell: each level's AB equals one the
+/// test fills, by scalar inserts, with the regions it finds that way.
+#[test]
+fn pyramid_is_the_one_test_cell_implies() {
+    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let table = table();
+    // α = 16 puts a false positive into 10–20 % of the empty regions.
+    for cfg in configs(16) {
+        let index = AbIndex::build(&table, &cfg);
+        let hier = HierAb::build_parallel(&index, &hier_config(), 2);
+        assert_eq!(hier.levels().len(), 2);
+        for level in hier.levels() {
+            let built = level.ab();
+            let mut twin = ApproximateBitmap::new(
+                built.n_bits(),
+                built.k(),
+                built.family().clone(),
+                built.mapper(),
+            );
+            let mut group_col = 0u64;
+            for (attribute, meta) in index.attributes().iter().enumerate() {
+                for g in 0..meta.cardinality.div_ceil(level.bin_group()) {
+                    let bins =
+                        g * level.bin_group()..((g + 1) * level.bin_group()).min(meta.cardinality);
+                    for span in 0..index.num_rows().div_ceil(level.row_span()) {
+                        let rows = span * level.row_span()
+                            ..((span + 1) * level.row_span()).min(index.num_rows());
+                        let occupied = rows.clone().any(|row| {
+                            bins.clone().any(|bin| index.test_cell(row, attribute, bin))
+                        });
+                        if occupied {
+                            twin.insert(span as u64, group_col);
+                        }
+                    }
+                    group_col += 1;
+                }
+            }
+            let ctx = format!("span {}: {cfg:?}", level.row_span());
+            let regions = group_col * index.num_rows().div_ceil(level.row_span()) as u64;
+            assert!(twin.inserted() < regions, "no empty region, {ctx}");
+            assert_eq!(built.inserted(), twin.inserted(), "{ctx}");
+            assert_eq!(built.bits(), twin.bits(), "{ctx}");
+        }
+    }
+}
+
+/// An exact tier built by the lockstep sweep: for every backed bin, E
+/// is the table's truth and F exactly the rows outside the bin that
+/// `test_cell` admits.
+#[test]
+fn exact_tier_is_the_one_test_cell_implies() {
+    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let table = table();
+    let back_everything = HybridConfig {
+        min_density: 0.0,
+        ..HybridConfig::default()
+    };
+    // At α = 8 the AB admits 2–23 % of the rows outside a bin.
+    for cfg in configs(8) {
+        let index = AbIndex::build(&table, &cfg);
+        let tier = HybridAb::build_parallel(&index, &table, &back_everything, 2);
+        assert_eq!(tier.bins().len(), 36, "{cfg:?}");
+        let mut false_positives = 0;
+        for hb in tier.bins() {
+            let bins = &table.column(hb.attribute()).bins;
+            let rows = |keep: &dyn Fn(usize) -> bool| -> Vec<u32> {
+                (0..bins.len())
+                    .filter(|&row| keep(row))
+                    .map(|row| row as u32)
+                    .collect()
+            };
+            let exact = rows(&|row| bins[row] == hb.bin());
+            let fp = rows(&|row| {
+                bins[row] != hb.bin() && index.test_cell(row, hb.attribute(), hb.bin())
+            });
+            let ctx = format!("({}, {}): {cfg:?}", hb.attribute(), hb.bin());
+            false_positives += fp.len();
+            assert_eq!(hb.exact().iter().collect::<Vec<_>>(), exact, "E of {ctx}");
+            assert_eq!(hb.fp().iter().collect::<Vec<_>>(), fp, "F of {ctx}");
+        }
+        assert!(false_positives > 100, "{false_positives} in F: {cfg:?}");
+    }
+}
