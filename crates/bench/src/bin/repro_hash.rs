@@ -2,12 +2,25 @@
 //! hash functions — "in terms of precision, SHA-1 results are very
 //! similar … however … SHA-1 is slower than the other hash functions".
 //!
+//! A second table times what those independent functions cost where
+//! set-up and the cell kernel call them — one lockstep batch step
+//! (DESIGN.md §13) — for each roster function as a roster probe and as
+//! a re-seeded one, and the batched insert at four k. It uses nothing
+//! of `hashkit` or `ab` that an earlier checkout lacks, so this file
+//! built against another commit's crates is the before/after harness.
+//!
 //! Usage: `cargo run --release -p bench --bin repro_hash -- [--scale F]`
 
-use ab::AbConfig;
+use ab::{AbConfig, ApproximateBitmap, MAX_BATCH_ROWS as LANES};
 use bench::{ab_query_time_ms, cli, mean_precision, paper_level, print_table, Bundle};
-use hashkit::HashFamily;
-use std::time::Instant;
+use hashkit::{splitmix64, CellMapper, HashFamily, HashKind};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Re-seeded steps timed per batch: probes 10–21 of a k = 22 cell.
+const RESEEDED_STEPS: usize = 12;
+/// Every timing is the fastest of this many rounds.
+const ROUNDS: usize = 7;
 
 fn main() {
     let opts = cli::from_env();
@@ -44,5 +57,112 @@ fn main() {
     println!(
         "\nExpected shape: precisions within noise of each other; sha1_split \
          markedly slower to build and query."
+    );
+
+    lockstep_table(opts.scale);
+    insert_table(opts.scale);
+}
+
+/// ns per position of one lockstep step, per roster function: as the
+/// roster probe it is (t = 0 of a one-function roster) and as a
+/// re-seeded probe (t = 1..=12 of the same roster), over three key
+/// sets — scattered 27-bit keys (the benchmark's tables: a handful of
+/// distinct decimal prefixes under a seed), scattered 48-bit keys
+/// (every lane its own prefix) and consecutive rows at 48 bits (what a
+/// build or a sweep of a large table hands a batch).
+fn lockstep_table(scale: f64) {
+    let batches = ((scale * 6400.0) as usize).max(4);
+    let keys =
+        |key: &dyn Fn(u64) -> u64| -> Vec<u64> { (0..(batches * LANES) as u64).map(key).collect() };
+    let key_sets = [
+        keys(&|i| splitmix64(i) >> 37),
+        keys(&|i| splitmix64(i) >> 16),
+        keys(&|i| (0xA5A5 << 32) + i),
+    ];
+    let mut rows = Vec::new();
+    for kind in HashKind::ROSTER {
+        let family = HashFamily::Independent(vec![kind]);
+        let prober = family.col_prober(0, CellMapper::RowOnly, 1 << 23);
+        let mut row = vec![format!("{kind:?}").to_lowercase()];
+        for keys in &key_sets {
+            let mut best = [Duration::MAX; 2];
+            let mut probes = Vec::with_capacity(LANES);
+            let mut out = [0u64; LANES];
+            for _ in 0..ROUNDS {
+                let mut took = [Duration::ZERO; 2];
+                for batch in keys.chunks(LANES) {
+                    probes.clear();
+                    probes.extend(batch.iter().map(|&x| prober.begin_col(x, 0)));
+                    for step in 0..=RESEEDED_STEPS {
+                        let start = Instant::now();
+                        prober.next_positions_lockstep(&mut probes, &mut out);
+                        took[step.min(1)] += start.elapsed();
+                        black_box(&out);
+                    }
+                }
+                best = [best[0].min(took[0]), best[1].min(took[1])];
+            }
+            let per_pos = |took: Duration, steps: usize| {
+                format!(
+                    "{:.1}",
+                    took.as_nanos() as f64 / (keys.len() * steps) as f64
+                )
+            };
+            row.push(per_pos(best[0], 1));
+            row.push(per_pos(best[1], RESEEDED_STEPS));
+        }
+        rows.push(row);
+    }
+    print_table(
+        &format!(
+            "Lockstep step, ns per position: roster probe / re-seeded probe \
+             ({batches} batches of {LANES} lanes, fastest of {ROUNDS} rounds)"
+        ),
+        &[
+            "function",
+            "27-bit",
+            "re-seeded",
+            "48-bit",
+            "re-seeded",
+            "48-bit rows",
+            "re-seeded",
+        ],
+        &rows,
+    );
+}
+
+/// ns per inserted cell of the batched insert every build path uses,
+/// default roster, in-order rows of one 10-bin attribute at α = 32:
+/// k = 6 and 10 stay inside the roster, 16 and 22 run 6 and 12
+/// re-seeded probes a cell.
+fn insert_table(scale: f64) {
+    let cells = ((scale * 3_276_800.0) as u64).max(LANES as u64);
+    let n_bits = (32 * cells).next_power_of_two();
+    let ks = [6usize, 10, 16, 22];
+    let mut best = [Duration::MAX; 4];
+    for _ in 0..ROUNDS {
+        for (k, best) in ks.iter().zip(&mut best) {
+            let mut ab = ApproximateBitmap::new(
+                n_bits,
+                *k,
+                HashFamily::default_independent(),
+                CellMapper::for_columns(10),
+            );
+            let start = Instant::now();
+            ab.insert_cells((0..cells).map(|row| (row, splitmix64(row) % 10)));
+            *best = (*best).min(start.elapsed());
+            black_box(ab.inserted());
+        }
+    }
+    let row = best
+        .iter()
+        .map(|took| format!("{:.0}", took.as_nanos() as f64 / cells as f64))
+        .collect();
+    print_table(
+        &format!(
+            "Batched insert, ns per inserted cell ({cells} cells, fastest of {ROUNDS} builds)"
+        ),
+        &["k = 6", "k = 10", "k = 16", "k = 22"],
+        &[row],
     );
 }

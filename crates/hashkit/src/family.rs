@@ -12,8 +12,8 @@
 //! swap them freely.
 
 use crate::partow::{
-    ap_hash, bkdr_hash, decimal_key_bytes, decimal_key_bytes_swar, dek_hash, djb_hash, elf_hash,
-    fnv_hash, js_hash, pjw_hash, rs_hash, sdbm_hash, splitmix64,
+    decimal_key_bytes, decimal_key_bytes_swar, low_group_text, splitmix64, Ap, Bkdr, Dek, Djb, Elf,
+    Fnv, Js, Pjw, RosterFn, Rs, Sdbm, GROUP,
 };
 use crate::sha1::DigestStream;
 use crate::simple::multiply_shift;
@@ -87,32 +87,37 @@ pub enum HashKind {
     Circular,
 }
 
-/// Evaluates `$body` with `$hash` bound to the one function `$kind`
-/// names, as `(key bytes, raw integer) -> u64`: the kind is matched
-/// once, outside whatever loop the body holds, and each arm's body is
-/// compiled around its own function.
-macro_rules! with_hash_fn {
-    ($kind:expr, |$hash:ident| $body:expr) => {
+/// Evaluates one of two bodies around the one function `$kind` names,
+/// the kind matched once, outside whatever loop the body holds, and
+/// each arm's body compiled around its own function: for a kind that
+/// hashes the key's string, `$string` with `$F` its [`RosterFn`]; for
+/// one that hashes the integer, `$integer` with `$h` that function.
+macro_rules! with_kind {
+    ($kind:expr, string $F:ident => $string:expr, integer $h:ident => $integer:expr) => {
         match $kind {
-            HashKind::Rs => with_hash_fn!(@arm $hash, |key, _x| rs_hash(key), $body),
-            HashKind::Js => with_hash_fn!(@arm $hash, |key, _x| js_hash(key), $body),
-            HashKind::Pjw => with_hash_fn!(@arm $hash, |key, _x| pjw_hash(key), $body),
-            HashKind::Elf => with_hash_fn!(@arm $hash, |key, _x| elf_hash(key), $body),
-            HashKind::Bkdr => with_hash_fn!(@arm $hash, |key, _x| bkdr_hash(key), $body),
-            HashKind::Sdbm => with_hash_fn!(@arm $hash, |key, _x| sdbm_hash(key), $body),
-            HashKind::Djb => with_hash_fn!(@arm $hash, |key, _x| djb_hash(key), $body),
-            HashKind::Dek => with_hash_fn!(@arm $hash, |key, _x| dek_hash(key), $body),
-            HashKind::Ap => with_hash_fn!(@arm $hash, |key, _x| ap_hash(key), $body),
-            HashKind::Fnv => with_hash_fn!(@arm $hash, |key, _x| fnv_hash(key), $body),
+            HashKind::Rs => with_kind!(@string $F = Rs, $string),
+            HashKind::Js => with_kind!(@string $F = Js, $string),
+            HashKind::Pjw => with_kind!(@string $F = Pjw, $string),
+            HashKind::Elf => with_kind!(@string $F = Elf, $string),
+            HashKind::Bkdr => with_kind!(@string $F = Bkdr, $string),
+            HashKind::Sdbm => with_kind!(@string $F = Sdbm, $string),
+            HashKind::Djb => with_kind!(@string $F = Djb, $string),
+            HashKind::Dek => with_kind!(@string $F = Dek, $string),
+            HashKind::Ap => with_kind!(@string $F = Ap, $string),
+            HashKind::Fnv => with_kind!(@string $F = Fnv, $string),
             HashKind::MultiplyShift => {
-                with_hash_fn!(@arm $hash, |_key, x| multiply_shift(x, 64), $body)
+                let $h = |x: u64| multiply_shift(x, 64);
+                $integer
             }
-            HashKind::Circular => with_hash_fn!(@arm $hash, |_key, x| x, $body),
+            HashKind::Circular => {
+                let $h = |x: u64| x;
+                $integer
+            }
         }
     };
-    (@arm $hash:ident, |$key:ident, $x:ident| $value:expr, $body:expr) => {{
-        let $hash = |$key: &[u8], $x: u64| -> u64 { $value };
-        $body
+    (@string $F:ident = $stream:ident, $string:expr) => {{
+        type $F = $stream;
+        $string
     }};
 }
 
@@ -145,7 +150,7 @@ impl HashKind {
     /// raw integer is still needed for the integer-native kinds).
     #[inline]
     pub fn hash_bytes(&self, key: &[u8], x: u64) -> u64 {
-        with_hash_fn!(self, |hash| hash(key, x))
+        with_kind!(self, string F => F::whole(key), integer h => h(x))
     }
 }
 
@@ -538,8 +543,9 @@ impl ColProber<'_> {
     /// slice of keys in a tight loop: consecutive keys' byte loops
     /// overlap in the pipeline, where the per-probe dispatch of
     /// `next_positions` keeps them apart. Past the roster the batch
-    /// shares its seed too, and the re-seeded keys come from
-    /// [`decimal_key_bytes_swar`]. Same positions, same `t`
+    /// shares its seed too, and with it the leading digits of its
+    /// re-seeded keys, which are hashed once per distinct prefix and
+    /// not once per probe (`resumed_step`). Same positions, same `t`
     /// advancement.
     ///
     /// # Panics
@@ -556,21 +562,16 @@ impl ColProber<'_> {
         };
         match &self.kind {
             ColKind::Independent { kinds } => {
-                with_hash_fn!(kinds[t as usize % kinds.len()], |hash| {
-                    if (t as usize) < kinds.len() {
-                        self.independent_step(probes, out, t, |x, key| hash(key, x))
-                    } else {
-                        // `HashKind::hash(x ^ splitmix64(t))`, to the
-                        // bit: the seed is the batch's, the key comes
-                        // from the SWAR encoder.
-                        let seed = splitmix64(t);
-                        self.independent_step(probes, out, t, |x, _| {
-                            let x = x ^ seed;
-                            let (bytes, len) = decimal_key_bytes_swar(x);
-                            hash(&bytes[..len], x)
-                        })
-                    }
-                })
+                let kind = kinds[t as usize % kinds.len()];
+                if (t as usize) < kinds.len() {
+                    with_kind!(
+                        kind,
+                        string F => self.independent_step(probes, out, t, |_, key| F::whole(key)),
+                        integer h => self.independent_step(probes, out, t, |x, _| h(x))
+                    )
+                } else {
+                    self.reseeded_step(kind, probes, out, t)
+                }
             }
             // The mixers' loops are tight already and SHA-1 reads its
             // digest bit by bit — nothing to hoist.
@@ -593,7 +594,7 @@ impl ColProber<'_> {
         probes: &mut [RowProbe],
         out: &mut [u64],
         t: u64,
-        hash_of: impl Fn(u64, &[u8]) -> u64,
+        mut hash_of: impl FnMut(u64, &[u8]) -> u64,
     ) {
         for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
             assert!(p.t == t, "probe batch not in lockstep");
@@ -603,6 +604,69 @@ impl ColProber<'_> {
             };
             *o = self.reduce_hash(hash_of(*x, &bytes[..*len]));
         }
+    }
+
+    /// One lockstep step past the roster: every probe takes
+    /// `kind.hash(x ^ splitmix64(t))`, to the bit. Kept out of line —
+    /// compiled into the roster arms of `next_positions_lockstep` it
+    /// slowed k = 6 and k = 10 inserts, which never get here, by
+    /// 10–25 %.
+    #[inline(never)]
+    fn reseeded_step(&self, kind: HashKind, probes: &mut [RowProbe], out: &mut [u64], t: u64) {
+        let seed = splitmix64(t);
+        let prefix_hashes = with_kind!(
+            kind,
+            string F => self.resumed_step::<F>(probes, out, t, seed),
+            // No string, so no digits to share.
+            integer h => {
+                self.independent_step(probes, out, t, |x, _| h(x ^ seed));
+                0
+            }
+        );
+        #[cfg(feature = "obs-off")]
+        let _ = prefix_hashes;
+        #[cfg(not(feature = "obs-off"))]
+        obs::counter!("hashkit.seed_prefix_hashes").add(prefix_hashes);
+    }
+
+    /// [`Self::reseeded_step`] for a string kind; returns how many
+    /// prefix states it computed. A key `x < 2^b` keeps the seed's high
+    /// `64 − b` bits in `x ^ seed`, so the batch's re-seeded keys, split
+    /// at 10⁸, are a few 11–12-digit prefixes (three at most for keys
+    /// under 2²⁷, two for rows that agree above bit 26) followed by
+    /// exactly eight digits: each distinct prefix is hashed once into a
+    /// saved state of `F`, and a lane encodes one group and resumes
+    /// over 8 bytes instead of 19–20. The memo lives for this call —
+    /// the next step has another seed, so other prefixes.
+    fn resumed_step<F: RosterFn>(
+        &self,
+        probes: &mut [RowProbe],
+        out: &mut [u64],
+        t: u64,
+        seed: u64,
+    ) -> u64 {
+        // Direct-mapped on the prefix's low bits: neighbouring prefixes
+        // never evict each other, and one that does get evicted costs
+        // what hashing the whole key cost. Keys under 10⁸ have no
+        // prefix and look none up, so prefix 0 marks an empty slot.
+        let mut memo = [(0u64, F::start(0)); 4];
+        let mut prefix_hashes = 0;
+        self.independent_step(probes, out, t, |x, _| {
+            let x = x ^ seed;
+            let prefix = x / GROUP;
+            if prefix == 0 {
+                let (bytes, len) = decimal_key_bytes_swar(x);
+                return F::whole(&bytes[..len]);
+            }
+            let slot = &mut memo[prefix as usize % memo.len()];
+            if slot.0 != prefix {
+                let (bytes, len) = decimal_key_bytes_swar(prefix);
+                *slot = (prefix, F::resume(F::start(len + 8), &bytes[..len]));
+                prefix_hashes += 1;
+            }
+            F::resume(slot.1, &low_group_text(x)).hash()
+        });
+        prefix_hashes
     }
 
     /// Reduces a full-width hash into `[0, n)`.
@@ -927,6 +991,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The re-seeded lockstep step hashes each distinct leading-digit
+    /// prefix of `x ⊕ seed` once per batch; these batches sit on every
+    /// edge of that memo, for every roster function in a re-seeded
+    /// position, and each position must be `HashKind::hash(x ⊕ seed)`
+    /// reduced — the scalar path's value, which knows no prefixes.
+    #[test]
+    fn reseeded_lockstep_step_matches_hash_on_the_memo_edges() {
+        const G: u64 = 100_000_000;
+        // Re-seeded keys `y = x ⊕ seed`, 256 of them; a batch of the
+        // first two already straddles a multiple of 10⁸.
+        let edge_keys = |seed: u64| -> Vec<u64> {
+            let p = 10_000_000_000 + seed % 1000; // an 11-digit prefix
+            let mut ys = vec![
+                // Both sides of a multiple of 10⁸, in both orders.
+                p * G - 1,
+                p * G,
+                p * G + 1,
+                (p + 1) * G - 1,
+                (p + 9) * G + 3,
+                (p + 9) * G - 3,
+                // No prefix at all, and the smallest one.
+                0,
+                7,
+                G - 1,
+                G,
+                G + 1,
+                // 18, 19 and 20 digits; 12-digit prefixes.
+                10u64.pow(17),
+                10u64.pow(17) + 12_345_678,
+                10u64.pow(18) - 1,
+                10u64.pow(18),
+                10u64.pow(19) - 1,
+                10u64.pow(19),
+                u64::MAX,
+            ];
+            // More prefixes than any few-entry memo holds — strides of
+            // one, and of every power of two up to 64 so that some pair
+            // collides whatever indexes it — each followed by a return
+            // to the first.
+            for stride in [1, 2, 4, 8, 16, 32, 64] {
+                for j in 0..6 {
+                    ys.extend([(p + j * stride) * G + j, p * G + 99_999_999 - j]);
+                }
+            }
+            // The build's pattern at a boundary: lanes alternate sides.
+            let mut i = 0;
+            while ys.len() < 256 {
+                ys.extend([(p + 2) * G + i * 977, (p + 2) * G - 1 - i * 1013]);
+                i += 1;
+            }
+            ys
+        };
+        let mut families: Vec<(HashFamily, u64)> = HashKind::ROSTER
+            .iter()
+            .map(|&kind| (HashFamily::Independent(vec![kind]), 24))
+            .collect();
+        families.push((HashFamily::default_independent(), 34));
+        let mut digits_seen = [false; 21];
+        for (family, last_t) in &families {
+            let HashFamily::Independent(kinds) = family else {
+                unreachable!()
+            };
+            for mapper in [CellMapper::RowOnly, CellMapper::Shifted { shift: 5 }] {
+                let shift = match mapper {
+                    CellMapper::Shifted { shift } => shift,
+                    CellMapper::RowOnly => 0,
+                };
+                for n in [1u64 << 14, 16_381] {
+                    let cp = family.col_prober(0, mapper, n);
+                    for t in kinds.len() as u64..=*last_t {
+                        let seed = splitmix64(t);
+                        let kind = kinds[t as usize % kinds.len()];
+                        let xs: Vec<u64> = edge_keys(seed).iter().map(|y| y ^ seed).collect();
+                        for lanes in [1, 2, 255, 256] {
+                            let mut probes: Vec<RowProbe> = xs[..lanes]
+                                .iter()
+                                .map(|&x| {
+                                    let mut p = cp.begin_col(x >> shift, x & ((1 << shift) - 1));
+                                    p.t = t; // as if t steps had been taken
+                                    p
+                                })
+                                .collect();
+                            let mut out = vec![0u64; lanes];
+                            cp.next_positions_lockstep(&mut probes, &mut out);
+                            for ((&x, &got), p) in xs.iter().zip(&out).zip(&probes) {
+                                let y = x ^ seed;
+                                digits_seen[y.to_string().len()] = true;
+                                assert_eq!(got, kind.hash(y) % n, "{kind:?} t={t} n={n} y={y}");
+                                assert_eq!(p.probes(), t + 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(digits_seen[1] && digits_seen[8] && digits_seen[9]);
+        assert!(digits_seen[18] && digits_seen[19] && digits_seen[20]);
     }
 
     /// A prober made for one column begins and advances probes for any

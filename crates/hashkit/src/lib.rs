@@ -36,6 +36,6 @@ pub mod sha1;
 pub mod simple;
 
 pub use family::{CellMapper, ColProber, HashFamily, HashKind, Prober, RowProbe};
-pub use partow::{decimal_key_bytes, decimal_key_bytes_swar, int_key_bytes, splitmix64};
+pub use partow::{decimal_key_bytes, decimal_key_bytes_swar, splitmix64};
 pub use sha1::{sha1, split_digest, DigestStream};
 pub use simple::{circular_hash, column_group_hash, multiply_shift};

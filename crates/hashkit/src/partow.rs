@@ -8,143 +8,163 @@
 //! (the "small variation": more output bits to index large ABs), plus
 //! FNV-1a.
 //!
-//! All functions are `fn(&[u8]) -> u64` and deterministic.
+//! All functions are `fn(&[u8]) -> u64` and deterministic; each is
+//! defined once, as a stream that can stop after a prefix and resume
+//! ([`RosterFn`]), and the `fn` is its fold over the whole string.
 
-/// RS hash (Robert Sedgewick's *Algorithms in C*).
-pub fn rs_hash(data: &[u8]) -> u64 {
-    let b: u64 = 378551;
-    let mut a: u64 = 63689;
-    let mut hash: u64 = 0;
-    for &c in data {
-        hash = hash.wrapping_mul(a).wrapping_add(c as u64);
-        a = a.wrapping_mul(b);
-    }
-    hash
+/// A roster function stopped between two bytes of its string: the hash
+/// so far and what else the function carries from byte to byte — RS its
+/// running multiplier, AP the position (it alternates on its parity),
+/// the others nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Partial {
+    hash: u64,
+    carry: u64,
 }
 
-/// JS hash (Justin Sobel's bitwise hash).
-pub fn js_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 1315423911;
-    for &c in data {
-        hash ^= hash
-            .wrapping_shl(5)
-            .wrapping_add(c as u64)
-            .wrapping_add(hash >> 2);
+impl Partial {
+    /// The function's value, if the string ends here.
+    #[inline(always)]
+    pub fn hash(self) -> u64 {
+        self.hash
     }
-    hash
 }
 
-/// PJW hash (Peter J. Weinberger, AT&T Bell Labs), 64-bit widened.
-pub fn pjw_hash(data: &[u8]) -> u64 {
-    const BITS: u32 = 64;
-    const THREE_QUARTERS: u32 = BITS * 3 / 4;
-    const ONE_EIGHTH: u32 = BITS / 8;
-    const HIGH_BITS: u64 = !0u64 << (BITS - ONE_EIGHTH);
-    let mut hash: u64 = 0;
-    for &c in data {
-        hash = (hash << ONE_EIGHTH).wrapping_add(c as u64);
-        let test = hash & HIGH_BITS;
-        if test != 0 {
-            hash = (hash ^ (test >> THREE_QUARTERS)) & !HIGH_BITS;
+/// One roster function as a left-to-right stream over a string: where
+/// it starts and what a byte does to it. A state saved after a prefix
+/// resumes over any rest, which is how a lockstep batch hashes the
+/// digits its re-seeded keys share once ([`crate::ColProber`]).
+pub trait RosterFn {
+    /// The state before the first byte of a string of `len` bytes. DEK
+    /// starts from the length, so a saved prefix state serves strings
+    /// of that one total length.
+    fn start(len: usize) -> Partial;
+
+    /// The state one byte later.
+    fn push(state: Partial, byte: u8) -> Partial;
+
+    /// The state `bytes` later.
+    #[inline(always)]
+    fn resume(mut state: Partial, bytes: &[u8]) -> Partial {
+        for &byte in bytes {
+            state = Self::push(state, byte);
         }
+        state
     }
-    hash
+
+    /// The function of a whole string.
+    #[inline(always)]
+    fn whole(data: &[u8]) -> u64 {
+        Self::resume(Self::start(data.len()), data).hash
+    }
 }
 
-/// ELF hash (the Unix ELF object-format hash; a PJW variant).
-pub fn elf_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0;
-    for &c in data {
-        hash = (hash << 4).wrapping_add(c as u64);
-        let x = hash & 0xF000_0000_0000_0000;
-        if x != 0 {
-            hash ^= x >> 56;
+/// Defines each roster function once — `start |len| (hash, carry)` and
+/// `push |hash, carry, byte| (hash, carry)` — as a [`RosterFn`] and,
+/// under the library's name, as its fold over a whole string.
+macro_rules! roster_fns {
+    ($($(#[$doc:meta])* $stream:ident / $whole:ident:
+        start |$len:ident| $start:expr;
+        push |$hash:ident, $carry:pat, $c:ident| $push:expr;)*) => {$(
+        $(#[$doc])*
+        pub struct $stream;
+
+        impl RosterFn for $stream {
+            #[inline(always)]
+            fn start($len: usize) -> Partial {
+                let (hash, carry) = $start;
+                Partial { hash, carry }
+            }
+
+            #[inline(always)]
+            fn push(state: Partial, byte: u8) -> Partial {
+                let ($hash, $carry, $c) = (state.hash, state.carry, byte as u64);
+                let (hash, carry) = $push;
+                Partial { hash, carry }
+            }
         }
-        hash &= !x;
-    }
-    hash
+
+        $(#[$doc])*
+        pub fn $whole(data: &[u8]) -> u64 {
+            $stream::whole(data)
+        }
+    )*};
 }
 
-/// BKDR hash (Brian Kernighan & Dennis Ritchie, *The C Programming
-/// Language*), seed 131.
-pub fn bkdr_hash(data: &[u8]) -> u64 {
-    let seed: u64 = 131;
-    let mut hash: u64 = 0;
-    for &c in data {
-        hash = hash.wrapping_mul(seed).wrapping_add(c as u64);
-    }
-    hash
-}
+roster_fns! {
+    /// RS hash (Robert Sedgewick's *Algorithms in C*).
+    Rs / rs_hash:
+        start |_len| (0, 63689);
+        push |hash, a, c| (hash.wrapping_mul(a).wrapping_add(c), a.wrapping_mul(378551));
 
-/// SDBM hash (from the sdbm database library).
-pub fn sdbm_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0;
-    for &c in data {
-        hash = (c as u64)
-            .wrapping_add(hash << 6)
-            .wrapping_add(hash << 16)
-            .wrapping_sub(hash);
-    }
-    hash
-}
+    /// JS hash (Justin Sobel's bitwise hash).
+    Js / js_hash:
+        start |_len| (1315423911, 0);
+        push |hash, _, c| (hash ^ hash.wrapping_shl(5).wrapping_add(c).wrapping_add(hash >> 2), 0);
 
-/// DJB hash (Daniel J. Bernstein's times-33 hash).
-pub fn djb_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 5381;
-    for &c in data {
-        hash = hash
-            .wrapping_shl(5)
-            .wrapping_add(hash)
-            .wrapping_add(c as u64);
-    }
-    hash
-}
+    /// PJW hash (Peter J. Weinberger, AT&T Bell Labs), 64-bit widened.
+    Pjw / pjw_hash:
+        start |_len| (0, 0);
+        push |hash, _, c| {
+            const BITS: u32 = 64;
+            const THREE_QUARTERS: u32 = BITS * 3 / 4;
+            const ONE_EIGHTH: u32 = BITS / 8;
+            const HIGH_BITS: u64 = !0u64 << (BITS - ONE_EIGHTH);
+            let hash = (hash << ONE_EIGHTH).wrapping_add(c);
+            let test = hash & HIGH_BITS;
+            if test != 0 {
+                ((hash ^ (test >> THREE_QUARTERS)) & !HIGH_BITS, 0)
+            } else {
+                (hash, 0)
+            }
+        };
 
-/// DEK hash (Donald E. Knuth, *The Art of Computer Programming* vol. 3).
-pub fn dek_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = data.len() as u64;
-    for &c in data {
-        hash = hash.wrapping_shl(5) ^ (hash >> 27) ^ (c as u64);
-    }
-    hash
-}
+    /// ELF hash (the Unix ELF object-format hash; a PJW variant).
+    Elf / elf_hash:
+        start |_len| (0, 0);
+        push |hash, _, c| {
+            let mut hash = (hash << 4).wrapping_add(c);
+            let x = hash & 0xF000_0000_0000_0000;
+            if x != 0 {
+                hash ^= x >> 56;
+            }
+            (hash & !x, 0)
+        };
 
-/// AP hash (Arash Partow's own alternating hash).
-pub fn ap_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xAAAA_AAAA_AAAA_AAAA;
-    for (i, &c) in data.iter().enumerate() {
-        if i & 1 == 0 {
-            hash ^= hash.wrapping_shl(7) ^ (c as u64).wrapping_mul(hash >> 3);
+    /// BKDR hash (Brian Kernighan & Dennis Ritchie, *The C Programming
+    /// Language*), seed 131.
+    Bkdr / bkdr_hash:
+        start |_len| (0, 0);
+        push |hash, _, c| (hash.wrapping_mul(131).wrapping_add(c), 0);
+
+    /// SDBM hash (from the sdbm database library).
+    Sdbm / sdbm_hash:
+        start |_len| (0, 0);
+        push |hash, _, c| (c.wrapping_add(hash << 6).wrapping_add(hash << 16).wrapping_sub(hash), 0);
+
+    /// DJB hash (Daniel J. Bernstein's times-33 hash).
+    Djb / djb_hash:
+        start |_len| (5381, 0);
+        push |hash, _, c| (hash.wrapping_shl(5).wrapping_add(hash).wrapping_add(c), 0);
+
+    /// DEK hash (Donald E. Knuth, *The Art of Computer Programming* vol. 3).
+    Dek / dek_hash:
+        start |len| (len as u64, 0);
+        push |hash, _, c| (hash.wrapping_shl(5) ^ (hash >> 27) ^ c, 0);
+
+    /// AP hash (Arash Partow's own alternating hash).
+    Ap / ap_hash:
+        start |_len| (0xAAAA_AAAA_AAAA_AAAA, 0);
+        push |hash, i, c| if i & 1 == 0 {
+            (hash ^ hash.wrapping_shl(7) ^ c.wrapping_mul(hash >> 3), i + 1)
         } else {
-            hash ^= !(hash.wrapping_shl(11).wrapping_add((c as u64) ^ (hash >> 5)));
-        }
-    }
-    hash
-}
+            (hash ^ !(hash.wrapping_shl(11).wrapping_add(c ^ (hash >> 5))), i + 1)
+        };
 
-/// FNV-1a, 64-bit.
-pub fn fnv_hash(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &c in data {
-        hash ^= c as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Encodes an integer hash string as its significant little-endian
-/// bytes (at least one byte). Fixed-width encodings leave trailing zero
-/// bytes that degenerate shift-based functions like PJW and ELF on
-/// small keys; the variable-length form behaves like the character
-/// strings the Partow functions were designed for.
-///
-/// Returns the backing array and the number of significant bytes; hash
-/// `&bytes[..len]`.
-#[inline]
-pub fn int_key_bytes(x: u64) -> ([u8; 8], usize) {
-    let bytes = x.to_le_bytes();
-    let len = (8 - (x.leading_zeros() as usize) / 8).max(1);
-    (bytes, len)
+    /// FNV-1a, 64-bit.
+    Fnv / fnv_hash:
+        start |_len| (0xCBF2_9CE4_8422_2325, 0);
+        push |hash, _, c| ((hash ^ c).wrapping_mul(0x0000_0100_0000_01B3), 0);
 }
 
 /// Encodes an integer hash string as its decimal ASCII digits — the
@@ -179,10 +199,14 @@ pub fn decimal_key_bytes(x: u64) -> ([u8; 20], usize) {
     (buf, len)
 }
 
+/// Eight digits: the keys split into groups at its multiples.
+pub(crate) const GROUP: u64 = 100_000_000;
+const ASCII: u64 = 0x3030_3030_3030_3030;
+
 /// [`decimal_key_bytes`] without a division per digit, for the key
-/// every lane of the cell kernel starts with
-/// ([`crate::ColProber::begin_col`]): same bytes, same count, same
-/// zeroed tail. The digits never take a detour
+/// every lockstep lane starts with — the build's, the sweeps' and the
+/// cell kernel's ([`crate::ColProber::begin_col`]): same bytes, same
+/// count, same zeroed tail. The digits never take a detour
 /// through memory — `x` splits into at most three groups of eight
 /// digits (a cell's key is usually one), each group is spread over the
 /// bytes of a register by `eight_digits`, the leading group loses its
@@ -191,8 +215,6 @@ pub fn decimal_key_bytes(x: u64) -> ([u8; 20], usize) {
 /// being exactly `x.to_string()`.
 #[inline(always)]
 pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
-    const GROUP: u64 = 100_000_000;
-    const ASCII: u64 = 0x3030_3030_3030_3030;
     let mut buf = [0u8; 20];
     // The leading group, 1–8 digits, then `rest` full groups.
     let (lead, rest) = if x < GROUP {
@@ -220,6 +242,14 @@ pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
         buf[at..at + 8].copy_from_slice(&low.to_le_bytes());
     }
     (buf, len + 8 * rest)
+}
+
+/// The last eight characters of the decimal string of any `x ≥ 10⁸`
+/// (what precedes them is the string of `x / 10⁸`): `x mod 10⁸`, leading
+/// zeros kept.
+#[inline(always)]
+pub(crate) fn low_group_text(x: u64) -> [u8; 8] {
+    (eight_digits((x % GROUP) as u32) + ASCII).to_le_bytes()
 }
 
 /// The eight decimal digits of `v < 10⁸`, one per byte, most
@@ -328,18 +358,23 @@ mod tests {
     }
 
     /// Rough avalanche check: over 4096 sequential integer keys encoded
-    /// as significant bytes, each function must fill at least half of
-    /// 256 buckets (mod 256).
+    /// as the decimal strings the families hash, each function must
+    /// fill at least half of 251 buckets. A prime count, the reduction
+    /// of an AB that is not a power of two, because it reads the whole
+    /// value: the shift-based functions keep the last one or two
+    /// characters in the low byte — ten digits' worth of values mod 256
+    /// for PJW, 80 for DEK, 100 for ELF — and lean on the width of a
+    /// real AB's mask for the rest.
     #[test]
     fn sequential_keys_spread_over_buckets() {
         for (name, f) in ALL {
-            let mut seen = [false; 256];
+            let mut seen = [false; 251];
             for x in 0..4096u64 {
-                let (bytes, len) = int_key_bytes(x);
-                seen[(f(&bytes[..len]) % 256) as usize] = true;
+                let (bytes, len) = decimal_key_bytes(x);
+                seen[(f(&bytes[..len]) % 251) as usize] = true;
             }
             let filled = seen.iter().filter(|&&s| s).count();
-            assert!(filled >= 128, "{name} fills only {filled}/256 buckets");
+            assert!(filled >= 126, "{name} fills only {filled}/251 buckets");
         }
     }
 
@@ -368,15 +403,5 @@ mod tests {
             }
         }
         assert!(lens_seen[1..].iter().all(|&s| s), "{lens_seen:?}");
-    }
-
-    #[test]
-    fn int_key_bytes_strips_trailing_zeros() {
-        assert_eq!(int_key_bytes(0).1, 1);
-        assert_eq!(int_key_bytes(255).1, 1);
-        assert_eq!(int_key_bytes(256).1, 2);
-        assert_eq!(int_key_bytes(u64::MAX).1, 8);
-        let (b, l) = int_key_bytes(0x0102);
-        assert_eq!(&b[..l], &[0x02, 0x01]);
     }
 }

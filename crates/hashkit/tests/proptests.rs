@@ -1,7 +1,23 @@
 //! Property tests for the hash machinery.
 
+use hashkit::partow::{self, RosterFn};
 use hashkit::{decimal_key_bytes, decimal_key_bytes_swar, CellMapper, HashFamily, HashKind};
 use proptest::prelude::*;
+
+/// `F` over `s`, stopped after `at` bytes and resumed from the saved
+/// state.
+fn stopped_and_resumed<F: RosterFn>(s: &[u8], at: usize) -> u64 {
+    let saved = F::resume(F::start(s.len()), &s[..at]);
+    F::resume(saved, &s[at..]).hash()
+}
+
+/// Each named kind with its function, stopped and resumed (a kind and
+/// its stream in `partow` share the name).
+macro_rules! stopped_and_resumed {
+    ($($kind:ident)*) => {
+        [$((HashKind::$kind, stopped_and_resumed::<partow::$kind> as fn(&[u8], usize) -> u64)),*]
+    };
+}
 
 fn any_family() -> impl Strategy<Value = HashFamily> {
     prop_oneof![
@@ -56,6 +72,51 @@ proptest! {
         // The encoder `ColProber::begin` uses agrees byte for byte,
         // zero padding included.
         prop_assert_eq!(decimal_key_bytes_swar(x), (buf, len));
+    }
+
+    /// A roster function's state saved after any prefix of a digit
+    /// string resumes over the rest to the whole-string value — AP's
+    /// parity, DEK's start from the total length and RS's running
+    /// multiplier all travel in the saved state. That value is the one
+    /// `HashKind` dispatches to, which `tests/golden.rs` pins.
+    #[test]
+    fn resumed_prefix_state_reaches_the_whole_string_value(
+        digits in prop::collection::vec(b'0'..=b'9', 1..=20), split in 0usize..=20,
+    ) {
+        let split = split.min(digits.len());
+        for (kind, resumed) in stopped_and_resumed!(Rs Js Pjw Elf Bkdr Sdbm Djb Dek Ap Fnv) {
+            let whole = kind.hash_bytes(&digits, 0);
+            prop_assert_eq!(resumed(&digits, split), whole, "{:?} at {}", kind, split);
+        }
+    }
+
+    /// The lockstep step is `next_position` lane by lane on arbitrary
+    /// 64-bit rows — whatever prefixes their re-seeded keys fall on —
+    /// under both mappers and both reductions, for any batch size, 24
+    /// steps deep (14 of them re-seeded on the default roster, 23 on a
+    /// roster of one).
+    #[test]
+    fn lockstep_equals_next_position_on_arbitrary_rows(
+        rows in prop::collection::vec(any::<u64>(), 1..=256),
+        kind in 0usize..=10, shift in 0u32..=7, prime_n in any::<bool>(),
+    ) {
+        let family = match HashKind::ROSTER.get(kind) {
+            Some(&kind) => HashFamily::Independent(vec![kind]),
+            None => HashFamily::default_independent(),
+        };
+        let mapper = if shift == 0 { CellMapper::RowOnly } else { CellMapper::Shifted { shift } };
+        let n = if prime_n { 1_000_003 } else { 1 << 21 };
+        let col = (1u64 << shift) - 1;
+        let prober = family.col_prober(col, mapper, n);
+        let mut probes: Vec<_> = rows.iter().map(|&row| prober.begin_col(row, col)).collect();
+        let mut scalar: Vec<_> = rows.iter().map(|&row| prober.begin(row)).collect();
+        let mut out = vec![0u64; rows.len()];
+        for step in 0..24 {
+            prober.next_positions_lockstep(&mut probes, &mut out);
+            for ((lane, &got), &row) in scalar.iter_mut().zip(&out).zip(&rows) {
+                prop_assert_eq!(got, prober.next_position(lane), "row {} step {}", row, step);
+            }
+        }
     }
 
     /// The shifted cell mapper is injective within its width.

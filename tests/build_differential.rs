@@ -166,6 +166,38 @@ fn build_moves_the_counters_the_scalar_fill_moves() {
     }
 }
 
+/// Past the roster a lockstep batch hashes the leading digits its
+/// re-seeded keys share once per step, not once per probe: an in-order
+/// build at α = 32 (k = 22, 12 re-seeded probes a cell) computes fewer
+/// than one prefix state per 32 re-seeded positions, the same number
+/// every time, and a build that stays on the roster computes none.
+#[cfg(not(feature = "obs-off"))]
+#[test]
+fn in_order_build_shares_its_seed_prefix_hashes() {
+    let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    let table = datagen::small_uniform(65_536, 1, 10, 7).binned;
+    let prefix_hashes = obs::global().counter("hashkit.seed_prefix_hashes");
+    let build = |cfg: AbConfig| {
+        let before = prefix_hashes.get();
+        let index = AbIndex::build(&table, &cfg);
+        (index.abs()[0].k() as u64, prefix_hashes.get() - before)
+    };
+    let past_the_roster = AbConfig::new(Level::PerAttribute).with_alpha(32);
+    let (k, computed) = build(past_the_roster.clone());
+    assert_eq!(k, 22);
+    let reseeded_positions = 65_536 * (k - 10);
+    assert!(computed > 0, "the re-seeded step was never taken");
+    assert!(
+        computed * 32 < reseeded_positions,
+        "{computed} prefix states for {reseeded_positions} positions"
+    );
+    assert_eq!(build(past_the_roster).1, computed, "the count must repeat");
+    assert_eq!(
+        build(AbConfig::new(Level::PerAttribute).with_k(10)),
+        (10, 0)
+    );
+}
+
 /// The batched insert sets the scalar insert's bits in an AB of any
 /// size — a power of two reduces by mask, a prime by modulo — under
 /// both mappers, over keys of every length up to 20 digits.
