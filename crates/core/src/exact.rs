@@ -52,18 +52,6 @@ pub fn row_matches(index: &BitmapIndex, query: &RectQuery, row: usize) -> bool {
     })
 }
 
-/// The full exact pipeline the paper sketches: AB retrieval (fast,
-/// approximate) followed by pruning (exact). Returns the exact answer
-/// with 100% precision and recall.
-pub fn execute_exact(
-    ab_index: &crate::AbIndex,
-    exact_index: &BitmapIndex,
-    query: &RectQuery,
-) -> Vec<usize> {
-    let candidates = ab_index.execute_rect(query);
-    prune_false_positives(exact_index, query, &candidates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +88,6 @@ mod tests {
         assert!(approx.len() >= want.len(), "AB must be a superset");
         let pruned = prune_false_positives(&exact, &q, &approx);
         assert_eq!(pruned, want);
-    }
-
-    #[test]
-    fn execute_exact_end_to_end() {
-        let (_, exact, ab) = setup();
-        let q = RectQuery::new(vec![AttrRange::new(0, 0, 0)], 100, 900);
-        assert_eq!(execute_exact(&ab, &exact, &q), exact.evaluate_rows(&q));
     }
 
     #[test]

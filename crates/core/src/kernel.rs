@@ -180,84 +180,54 @@ impl std::fmt::Display for BatchRows {
     }
 }
 
-/// Whether the coarse-to-fine pyramid ([`crate::hier::HierAb`])
-/// prunes row regions before the per-row kernel runs. Results are
-/// identical in every mode; only the amount of work differs.
+/// Whether an optional tier attached to the index — the coarse-to-fine
+/// pyramid ([`crate::hier::HierAb`]) or the exact tier
+/// ([`crate::hybrid::HybridAb`]) — takes part in a query. One policy,
+/// named once per tier ([`HierMode`], [`HybridMode`]). The pyramid
+/// never changes an answer, only the work behind it; exact-backed bins
+/// contribute zero false positives, so with the exact tier on the
+/// answer is a subset of (or equal to) the flat AB answer, never
+/// missing a true row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HierMode {
-    /// Never consult the pyramid (flat scan), even if one is attached.
+pub enum TierMode {
+    /// Never consult the tier, even if one is attached.
     #[default]
     Off,
-    /// Descend when the planner's cost model says pruning beats a flat
-    /// scan ([`crate::planner::plan_descent`]); requires a pyramid.
+    /// Consult an attached tier when it pays: the pyramid when the
+    /// planner's cost model says pruning beats a flat scan
+    /// ([`crate::planner::plan_descent`]), the exact tier when it backs
+    /// at least one bin the query touches
+    /// ([`crate::hybrid::HybridAb::covers_any`]).
     Auto,
-    /// Always descend when a pyramid is attached (differential tests).
+    /// Always consult an attached tier (differential tests).
     Force,
 }
 
-impl std::str::FromStr for HierMode {
+/// The pyramid's [`TierMode`] ([`KernelOpts::hier`]).
+pub type HierMode = TierMode;
+
+/// The exact tier's [`TierMode`] ([`KernelOpts::hybrid`]).
+pub type HybridMode = TierMode;
+
+impl std::str::FromStr for TierMode {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
-            "off" => Ok(HierMode::Off),
-            "auto" => Ok(HierMode::Auto),
-            "force" => Ok(HierMode::Force),
-            other => Err(format!(
-                "unknown hier mode '{other}' (expected off|auto|force)"
-            )),
+            "off" => Ok(TierMode::Off),
+            "auto" => Ok(TierMode::Auto),
+            "force" => Ok(TierMode::Force),
+            other => Err(format!("unknown mode '{other}' (expected off|auto|force)")),
         }
     }
 }
 
-impl std::fmt::Display for HierMode {
+impl std::fmt::Display for TierMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            HierMode::Off => "off",
-            HierMode::Auto => "auto",
-            HierMode::Force => "force",
-        })
-    }
-}
-
-/// Whether the exact tier ([`crate::hybrid::HybridAb`]) answers
-/// backed bins from Roaring containers instead of probing the AB.
-/// Exact-backed bins contribute zero false positives; results are a
-/// subset of (or equal to) the flat AB answer, never missing a true
-/// row.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HybridMode {
-    /// Never consult the exact tier, even if one is attached.
-    #[default]
-    Off,
-    /// Engage when an attached tier backs at least one bin the query
-    /// touches ([`crate::hybrid::HybridAb::covers_any`]).
-    Auto,
-    /// Always engage when a tier is attached (differential tests).
-    Force,
-}
-
-impl std::str::FromStr for HybridMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(HybridMode::Off),
-            "auto" => Ok(HybridMode::Auto),
-            "force" => Ok(HybridMode::Force),
-            other => Err(format!(
-                "unknown hybrid mode '{other}' (expected off|auto|force)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for HybridMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            HybridMode::Off => "off",
-            HybridMode::Auto => "auto",
-            HybridMode::Force => "force",
+            TierMode::Off => "off",
+            TierMode::Auto => "auto",
+            TierMode::Force => "force",
         })
     }
 }

@@ -63,7 +63,6 @@
 
 pub mod analysis;
 pub mod blocked;
-pub mod bloom;
 pub mod builder;
 pub mod config;
 pub mod counting;
@@ -82,17 +81,16 @@ pub use analysis::{
     optimal_k, precision, AbParams, Level, LevelSizes,
 };
 pub use blocked::BlockedAb;
-pub use bloom::BloomFilter;
 pub use builder::{AbPipeline, AbPipelineBuilder};
 pub use config::{AbConfig, Sizing};
 pub use counting::CountingAb;
 pub use encoding::ApproximateBitmap;
-pub use exact::{execute_exact, prune_false_positives, row_matches};
+pub use exact::{prune_false_positives, row_matches};
 pub use hier::{HierAb, HierConfig, HierLevelSpec, HierPrune};
 pub use hybrid::{HybridAb, HybridBin, HybridConfig};
 pub use kernel::{
     active_simd_engine, BatchRows, CacheModel, HierMode, HybridMode, KernelKind, KernelOpts,
-    SimdEngine, BATCH_ROWS, MAX_BATCH_ROWS, PREFETCH_ACTIVE, SIMD_COMPILED, SIMD_WAVE,
+    SimdEngine, TierMode, BATCH_ROWS, MAX_BATCH_ROWS, PREFETCH_ACTIVE, SIMD_COMPILED, SIMD_WAVE,
 };
 
 pub use io::{
@@ -102,4 +100,4 @@ pub use io::{
 };
 pub use level::{shard_ranges, AbIndex, AttributeMeta};
 pub use planner::{calibrate, plan, plan_descent, CostModel, Engine};
-pub use query::{Cell, PrecisionStats, QueryError, QueryStats};
+pub use query::{validate_ranges, Cell, PrecisionStats, QueryError, QueryStats};

@@ -14,10 +14,10 @@
 //! 100% recall; precision is evaluated against the exact index via
 //! [`PrecisionStats`].
 
-use crate::hier::HierAb;
+use crate::hier::HierPrune;
 use crate::hybrid::HybridAb;
 use crate::kernel::{HierMode, HybridMode, KernelKind, KernelOpts};
-use crate::level::AbIndex;
+use crate::level::{AbIndex, AttributeMeta};
 use bitmap::RectQuery;
 use serde::{Deserialize, Serialize};
 
@@ -114,23 +114,45 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// The one range check behind every query kind: `row` must be an
+/// indexed row and each `(attribute, bin)` of `bins` must name a bin
+/// the attribute has (an unknown attribute has none). A rectangle
+/// passes its `row_hi` and each range's `hi`; a cell passes itself.
+#[inline]
+pub fn validate_ranges(
+    attributes: &[AttributeMeta],
+    num_rows: usize,
+    row: usize,
+    bins: impl IntoIterator<Item = (usize, u32)>,
+) -> Result<(), QueryError> {
+    if row >= num_rows {
+        return Err(QueryError::RowOutOfRange { row, num_rows });
+    }
+    for (attribute, bin) in bins {
+        let cardinality = attributes.get(attribute).map_or(0, |a| a.cardinality);
+        if bin >= cardinality {
+            return Err(QueryError::BinOutOfRange {
+                attribute,
+                bin,
+                cardinality,
+            });
+        }
+    }
+    Ok(())
+}
+
 impl AbIndex {
     /// Figure 5: evaluates an arbitrary cell subset, returning one
     /// boolean per cell in query order. O(c·k) where `c = cells.len()`.
-    /// Runs on the default (batched) kernel; see
-    /// [`Self::retrieve_cells_with_kernel`].
+    /// Runs with the default [`KernelOpts`] (batched kernel, no tiers).
     pub fn retrieve_cells(&self, cells: &[Cell]) -> Vec<bool> {
-        self.retrieve_cells_with_kernel(cells, KernelKind::default())
+        self.retrieve_cells_with_opts(cells, KernelOpts::default())
     }
 
-    /// [`Self::retrieve_cells`] on an explicit probe engine. Verdicts
-    /// are identical either way; only the memory schedule differs.
-    pub fn retrieve_cells_with_kernel(&self, cells: &[Cell], kernel: KernelKind) -> Vec<bool> {
-        self.retrieve_cells_with_opts(cells, kernel.into())
-    }
-
-    /// [`Self::retrieve_cells`] with full kernel options (engine and
-    /// batch-depth policy).
+    /// [`Self::retrieve_cells`] with explicit kernel options (engine,
+    /// batch-depth policy, exact tier; `kernel.into()` for an engine
+    /// alone). Verdicts for unbacked cells are identical on every
+    /// engine; only the memory schedule differs.
     pub fn retrieve_cells_with_opts(&self, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
@@ -187,59 +209,23 @@ impl AbIndex {
 
     /// Figure 7: evaluates a rectangular query over the AB, returning
     /// the row identifiers reported as matches (superset of the exact
-    /// answer; never misses a true match).
+    /// answer; never misses a true match). Runs with the default
+    /// [`KernelOpts`] (batched kernel, no tiers).
     ///
     /// # Panics
     ///
     /// Panics on out-of-range rows or bins; use
-    /// [`Self::try_execute_rect`] for a typed error instead.
+    /// [`Self::try_execute_rect_with_opts`] for a typed error instead.
     pub fn execute_rect(&self, query: &RectQuery) -> Vec<usize> {
-        self.execute_rect_with_stats(query).0
-    }
-
-    /// [`Self::execute_rect`] plus probe-count statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or bins; use
-    /// [`Self::try_execute_rect_with_stats`] for a typed error instead.
-    pub fn execute_rect_with_stats(&self, query: &RectQuery) -> (Vec<usize>, QueryStats) {
-        match self.try_execute_rect_with_stats(query) {
-            Ok(r) => r,
+        match self.try_execute_rect_with_opts(query, KernelOpts::default()) {
+            Ok(rows) => rows,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`Self::execute_rect`]: returns a [`QueryError`] for
-    /// out-of-range rows or bins instead of panicking.
-    pub fn try_execute_rect(&self, query: &RectQuery) -> Result<Vec<usize>, QueryError> {
-        self.try_execute_rect_with_stats(query)
-            .map(|(rows, _)| rows)
-    }
-
-    /// Fallible [`Self::execute_rect_with_stats`]. Rejected queries
-    /// count into `ab.query.rejected`; executed ones flush their
-    /// [`QueryStats`] into the `ab.query.*` counters once, so the
-    /// registry totals equal the sum of the returned stats exactly.
-    /// Runs on the default (batched) kernel.
-    pub fn try_execute_rect_with_stats(
-        &self,
-        query: &RectQuery,
-    ) -> Result<(Vec<usize>, QueryStats), QueryError> {
-        self.try_execute_rect_with_stats_kernel(query, KernelKind::default())
-    }
-
-    /// [`Self::try_execute_rect`] on an explicit probe engine.
-    pub fn try_execute_rect_with_kernel(
-        &self,
-        query: &RectQuery,
-        kernel: KernelKind,
-    ) -> Result<Vec<usize>, QueryError> {
-        self.try_execute_rect_with_stats_kernel(query, kernel)
-            .map(|(rows, _)| rows)
-    }
-
-    /// [`Self::try_execute_rect`] with full kernel options.
+    /// Fallible [`Self::execute_rect`] with explicit kernel options
+    /// (`kernel.into()` for an engine alone): returns a [`QueryError`]
+    /// for out-of-range rows or bins instead of panicking.
     pub fn try_execute_rect_with_opts(
         &self,
         query: &RectQuery,
@@ -249,44 +235,26 @@ impl AbIndex {
             .map(|(rows, _)| rows)
     }
 
-    /// [`Self::try_execute_rect_with_stats`] on an explicit probe
-    /// engine. Every kernel returns bit-identical rows and
-    /// [`QueryStats`] (the differential tests in
+    /// [`Self::try_execute_rect_with_opts`] plus probe-count
+    /// statistics. Rejected queries count into `ab.query.rejected`;
+    /// executed ones flush their [`QueryStats`] into the `ab.query.*`
+    /// counters once, so the registry totals equal the sum of the
+    /// returned stats exactly. Every engine returns bit-identical rows
+    /// and [`QueryStats`] (the differential tests in
     /// `tests/kernel_differential.rs` enforce this); only the memory
     /// access schedule differs.
-    pub fn try_execute_rect_with_stats_kernel(
-        &self,
-        query: &RectQuery,
-        kernel: KernelKind,
-    ) -> Result<(Vec<usize>, QueryStats), QueryError> {
-        self.try_execute_rect_with_stats_opts(query, kernel.into())
-    }
-
-    /// [`Self::try_execute_rect_with_stats`] with full kernel options
-    /// (engine and batch-depth policy).
     pub fn try_execute_rect_with_stats_opts(
         &self,
         query: &RectQuery,
         opts: KernelOpts,
     ) -> Result<(Vec<usize>, QueryStats), QueryError> {
-        if query.row_hi >= self.num_rows() {
-            obs::counter!("ab.query.rejected").inc();
-            return Err(QueryError::RowOutOfRange {
-                row: query.row_hi,
-                num_rows: self.num_rows(),
-            });
-        }
-        for r in &query.ranges {
-            let card = self.attributes()[r.attribute].cardinality;
-            if r.hi >= card {
-                obs::counter!("ab.query.rejected").inc();
-                return Err(QueryError::BinOutOfRange {
-                    attribute: r.attribute,
-                    bin: r.hi,
-                    cardinality: card,
-                });
-            }
-        }
+        validate_ranges(
+            self.attributes(),
+            self.num_rows(),
+            query.row_hi,
+            query.ranges.iter().map(|r| (r.attribute, r.hi)),
+        )
+        .inspect_err(|_| obs::counter!("ab.query.rejected").inc())?;
         let _timer = obs::span("ab.query.us");
         // Kernel-stage trace span: attaches under whatever request
         // span the caller entered on this thread (no-op otherwise).
@@ -295,20 +263,9 @@ impl AbIndex {
             KernelKind::Batched => "ab.kernel.batched",
             KernelKind::Simd => "ab.kernel.simd",
         });
-        // Hierarchical pruning engages only when the caller asked for
-        // it, a pyramid is attached, the query constrains at least one
-        // attribute (a vacuous AND matches every row — nothing to
-        // prune), and the row interval is non-degenerate.
-        let hier = match opts.hier {
-            HierMode::Off => None,
-            HierMode::Auto | HierMode::Force => self.hier().filter(|h| {
-                !query.ranges.is_empty()
-                    && query.row_lo <= query.row_hi
-                    && (opts.hier == HierMode::Force || crate::planner::plan_descent(h, query))
-            }),
-        };
-        // The exact tier engages under the same preconditions, when it
-        // backs at least one bin the query touches (Auto) or
+        // The exact tier engages when the query constrains at least
+        // one attribute over a non-degenerate row interval and the
+        // tier backs at least one bin the query touches (Auto) or
         // unconditionally (Force). It composes with hier: pruned
         // intervals dispatch to the hybrid kernel instead of the flat
         // one.
@@ -323,11 +280,12 @@ impl AbIndex {
         if hybrid.is_some() {
             obs::counter!("hybrid.queries").inc();
         }
-        let (rows, stats, short_circuits) = match (hier, hybrid) {
-            (Some(h), hy) => self.execute_rect_hier(h, hy, query, opts),
-            (None, Some(hy)) => self.execute_rect_hybrid(hy, query, opts),
-            (None, None) => self.execute_rect_flat(query, opts),
-        };
+        let (rows, stats, short_circuits) = self
+            .execute_rect_hier(hybrid, query, opts)
+            .unwrap_or_else(|| match hybrid {
+                Some(hy) => self.execute_rect_hybrid(hy, query, opts),
+                None => self.execute_rect_flat(query, opts),
+            });
         if tspan.enabled() {
             tspan.annotate("cells_probed", stats.cells_probed);
             tspan.annotate("bits_read", stats.bits_read);
@@ -369,22 +327,46 @@ impl AbIndex {
         }
     }
 
-    /// The pruned execution path: walk the pyramid coarse-to-fine,
-    /// then run the flat kernel over each surviving row interval and
-    /// concatenate (intervals are ascending and disjoint, so rows come
-    /// out in the flat scan's order). Level-AB probes are not counted
-    /// into `cells_probed` — that field keeps meaning "base-AB cell
-    /// probes", so pruning can only decrease it.
-    fn execute_rect_hier(
-        &self,
-        hier: &HierAb,
-        hybrid: Option<&HybridAb>,
-        query: &RectQuery,
-        opts: KernelOpts,
-    ) -> (Vec<usize>, QueryStats, u64) {
+    /// The hier gate, in one place for every caller that prunes before
+    /// it probes: walks the pyramid coarse-to-fine and returns the
+    /// surviving row intervals — when `mode` asks for pruning, a
+    /// pyramid is attached, the query constrains at least one
+    /// attribute (a vacuous AND matches every row — nothing to prune)
+    /// over a non-degenerate row interval, and the planner
+    /// ([`crate::planner::plan_descent`]) expects descent to beat a
+    /// flat scan (`Auto`; `Force` skips the planner). `None` means
+    /// "scan `query` flat". A `Some` has been counted into
+    /// `hier.regions_pruned` / `hier.rows_skipped`, so a caller that
+    /// executes the intervals itself runs them with [`HierMode::Off`].
+    /// `query` must already be valid for this index
+    /// ([`validate_ranges`]).
+    pub fn hier_prune(&self, query: &RectQuery, mode: HierMode) -> Option<HierPrune> {
+        if mode == HierMode::Off || query.ranges.is_empty() || query.row_lo > query.row_hi {
+            return None;
+        }
+        let hier = self.hier()?;
+        if mode == HierMode::Auto && !crate::planner::plan_descent(hier, query) {
+            return None;
+        }
         let prune = hier.prune(query);
         obs::counter!("hier.regions_pruned").add(prune.regions_pruned);
         obs::counter!("hier.rows_skipped").add(prune.rows_skipped);
+        Some(prune)
+    }
+
+    /// The pruned execution path, taken when [`Self::hier_prune`]
+    /// engages: run the flat (or hybrid) kernel over each surviving
+    /// row interval and concatenate (intervals are ascending and
+    /// disjoint, so rows come out in the flat scan's order). Level-AB
+    /// probes are not counted into `cells_probed` — that field keeps
+    /// meaning "base-AB cell probes", so pruning can only decrease it.
+    fn execute_rect_hier(
+        &self,
+        hybrid: Option<&HybridAb>,
+        query: &RectQuery,
+        opts: KernelOpts,
+    ) -> Option<(Vec<usize>, QueryStats, u64)> {
+        let prune = self.hier_prune(query, opts.hier)?;
         let mut rows = Vec::new();
         let mut stats = QueryStats {
             regions_pruned: prune.regions_pruned,
@@ -405,7 +387,7 @@ impl AbIndex {
             short_circuits += c;
         }
         stats.rows_matched = rows.len();
-        (rows, stats, short_circuits)
+        Some((rows, stats, short_circuits))
     }
 
     /// The exact-tier execution path for one row interval. Backed bins
@@ -752,7 +734,9 @@ mod tests {
         let t = table();
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(16));
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 2)], 0, 7);
-        let (rows, stats) = idx.execute_rect_with_stats(&q);
+        let (rows, stats) = idx
+            .try_execute_rect_with_stats_opts(&q, KernelOpts::default())
+            .unwrap();
         // Every row matches some bin of A (full range): 8 matches.
         assert_eq!(rows.len(), 8);
         assert_eq!(stats.rows_matched, 8);
@@ -820,14 +804,17 @@ mod tests {
         let t = table();
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute));
         assert_eq!(
-            idx.try_execute_rect(&RectQuery::new(vec![], 0, 8)),
+            idx.try_execute_rect_with_opts(&RectQuery::new(vec![], 0, 8), KernelOpts::default()),
             Err(QueryError::RowOutOfRange {
                 row: 8,
                 num_rows: 8
             })
         );
         assert_eq!(
-            idx.try_execute_rect(&RectQuery::new(vec![AttrRange::new(1, 0, 5)], 0, 7)),
+            idx.try_execute_rect_with_opts(
+                &RectQuery::new(vec![AttrRange::new(1, 0, 5)], 0, 7),
+                KernelOpts::default()
+            ),
             Err(QueryError::BinOutOfRange {
                 attribute: 1,
                 bin: 5,
@@ -850,7 +837,11 @@ mod tests {
         }
         // And a valid query still goes through the fallible path.
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 2)], 0, 7);
-        assert_eq!(idx.try_execute_rect(&q).unwrap(), idx.execute_rect(&q));
+        assert_eq!(
+            idx.try_execute_rect_with_opts(&q, KernelOpts::default())
+                .unwrap(),
+            idx.execute_rect(&q)
+        );
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -860,8 +851,12 @@ mod tests {
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute));
         let c = obs::global().counter("ab.query.rejected");
         let before = c.get();
-        let _ = idx.try_execute_rect(&RectQuery::new(vec![], 0, 999));
-        let _ = idx.try_execute_rect(&RectQuery::new(vec![AttrRange::new(0, 0, 9)], 0, 7));
+        let _ =
+            idx.try_execute_rect_with_opts(&RectQuery::new(vec![], 0, 999), KernelOpts::default());
+        let _ = idx.try_execute_rect_with_opts(
+            &RectQuery::new(vec![AttrRange::new(0, 0, 9)], 0, 7),
+            KernelOpts::default(),
+        );
         assert!(c.get() >= before + 2);
     }
 
@@ -873,7 +868,9 @@ mod tests {
             0,
             1999,
         );
-        let (_, stats) = idx.execute_rect_with_stats(&q);
+        let (_, stats) = idx
+            .try_execute_rect_with_stats_opts(&q, KernelOpts::default())
+            .unwrap();
         assert!(stats.bits_read >= stats.cells_probed, "≥1 bit per probe");
         assert!(
             stats.bits_read <= stats.cells_probed * idx.max_k(),

@@ -101,12 +101,10 @@ pub enum ErrorCode {
     InvalidQuery = 4,
     /// The service is shutting down (or draining).
     Shutdown = 5,
-    /// Exact (WAH) answers are not available on this server.
-    WahUnavailable = 6,
+    // 6 and 8 belonged to the exact (WAH) service path; they stay
+    // reserved and are never reused.
     /// A server-side retry loop gave up.
     RetriesExhausted = 7,
-    /// An exact answer touched a quarantined shard.
-    ShardQuarantined = 8,
     /// Frame bytes did not start with [`MAGIC`].
     BadMagic = 16,
     /// Frame version unsupported; message names the supported one.
@@ -132,9 +130,7 @@ impl ErrorCode {
             3 => Cancelled,
             4 => InvalidQuery,
             5 => Shutdown,
-            6 => WahUnavailable,
             7 => RetriesExhausted,
-            8 => ShardQuarantined,
             16 => BadMagic,
             17 => BadVersion,
             18 => Oversized,
@@ -154,9 +150,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::Cancelled => "cancelled",
             ErrorCode::InvalidQuery => "invalid_query",
             ErrorCode::Shutdown => "shutdown",
-            ErrorCode::WahUnavailable => "wah_unavailable",
             ErrorCode::RetriesExhausted => "retries_exhausted",
-            ErrorCode::ShardQuarantined => "shard_quarantined",
             ErrorCode::BadMagic => "bad_magic",
             ErrorCode::BadVersion => "bad_version",
             ErrorCode::Oversized => "oversized",
@@ -1177,9 +1171,7 @@ mod tests {
             ErrorCode::Cancelled,
             ErrorCode::InvalidQuery,
             ErrorCode::Shutdown,
-            ErrorCode::WahUnavailable,
             ErrorCode::RetriesExhausted,
-            ErrorCode::ShardQuarantined,
             ErrorCode::BadMagic,
             ErrorCode::BadVersion,
             ErrorCode::Oversized,
@@ -1189,6 +1181,8 @@ mod tests {
         ] {
             assert_eq!(ErrorCode::from_u16(code as u16), Some(code));
         }
-        assert_eq!(ErrorCode::from_u16(999), None);
+        for reserved_or_unknown in [6, 8, 999] {
+            assert_eq!(ErrorCode::from_u16(reserved_or_unknown), None);
+        }
     }
 }

@@ -47,7 +47,8 @@
 //! let mut client = net::Client::connect(server.local_addr()).unwrap();
 //! let q = RectQuery::new(vec![AttrRange::new(0, 6, 7)], 0, 499);
 //! let over_wire = client.query_rect(&q, 0).unwrap();
-//! let in_proc: Vec<u64> = svc.query_rect(&q).unwrap().into_iter().map(|r| r as u64).collect();
+//! let in_proc = svc.try_query_rect(&q).unwrap().value;
+//! let in_proc: Vec<u64> = in_proc.into_iter().map(|r| r as u64).collect();
 //! assert_eq!(over_wire, in_proc); // bit-identical across the socket
 //! server.shutdown(std::time::Duration::from_secs(1));
 //! ```

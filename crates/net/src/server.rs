@@ -684,9 +684,7 @@ fn svc_error_response(e: SvcError) -> Response {
         SvcError::Cancelled => ErrorCode::Cancelled,
         SvcError::Query(_) => ErrorCode::InvalidQuery,
         SvcError::Shutdown => ErrorCode::Shutdown,
-        SvcError::WahUnavailable => ErrorCode::WahUnavailable,
         SvcError::RetriesExhausted { .. } => ErrorCode::RetriesExhausted,
-        SvcError::ShardQuarantined { .. } => ErrorCode::ShardQuarantined,
     };
     Response::Error {
         code,
@@ -827,11 +825,12 @@ mod tests {
                 ..
             }
         ));
-        let r = svc_error_response(SvcError::ShardQuarantined { shard: 3 });
+        let r = svc_error_response(SvcError::RetriesExhausted { attempts: 3 });
         assert!(matches!(
             r,
             Response::Error {
-                code: ErrorCode::ShardQuarantined,
+                code: ErrorCode::RetriesExhausted,
+                retryable: false,
                 ..
             }
         ));

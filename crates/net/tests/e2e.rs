@@ -79,8 +79,9 @@ fn socket_answers_are_bit_identical_to_in_process() {
         ] {
             let wire = client.query_rect(&q, 0).unwrap();
             let local: Vec<u64> = svc
-                .query_rect(&q)
+                .try_query_rect(&q)
                 .unwrap()
+                .value
                 .into_iter()
                 .map(|r| r as u64)
                 .collect();
@@ -94,7 +95,7 @@ fn socket_answers_are_bit_identical_to_in_process() {
             .map(|r| ab::Cell::new(r, 0, t.column(0).bins[r]))
             .collect();
         let wire = client.retrieve_cells(&cells, 0).unwrap();
-        let local = svc.retrieve_cells(&cells).unwrap();
+        let local = svc.try_retrieve_cells(&cells).unwrap().value;
         assert_eq!(wire, local);
         assert!(wire.iter().all(|&b| b), "false negative over the wire");
 
@@ -102,8 +103,9 @@ fn socket_answers_are_bit_identical_to_in_process() {
         let qs = vec![rect(0, 0, 2, 0, 499), rect(1, 1, 3, 100, 250)];
         let wire = client.query_batch(&qs, 0).unwrap();
         let local: Vec<Vec<u64>> = svc
-            .query_batch(&qs)
+            .try_query_batch(&qs)
             .unwrap()
+            .value
             .into_iter()
             .map(|rows| rows.into_iter().map(|r| r as u64).collect())
             .collect();
@@ -133,8 +135,9 @@ fn pipelined_responses_match_by_request_id() {
                 })
                 .unwrap();
             let local: Vec<u64> = svc
-                .query_rect(q)
+                .try_query_rect(q)
                 .unwrap()
+                .value
                 .into_iter()
                 .map(|r| r as u64)
                 .collect();

@@ -406,7 +406,7 @@ pub fn span_current(name: &'static str) -> TraceSpan {
 pub struct Trace {
     /// Process-unique trace id.
     pub trace_id: u64,
-    /// Request kind (`rect`, `rect_wah`, `cells`, `batch`, …).
+    /// Request kind (`rect`, `cells`, `batch`, …).
     pub kind: String,
     /// Wall-clock start, microseconds since the Unix epoch.
     pub unix_start_us: u64,

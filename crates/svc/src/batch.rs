@@ -21,30 +21,29 @@ pub struct ShardCells {
     pub cells: Vec<(usize, Cell)>,
 }
 
-/// The rectangular queries of one shard's batch: `(query index in the
-/// original batch, query with shard-local rows)`.
-#[derive(Clone, Debug)]
-pub struct ShardRects {
+/// One shard's share of a request, split where it crosses threads:
+/// `job` moves into the shard's pool job, `keep` stays with the
+/// collector, which needs it to place the job's output — or, for a
+/// shard that cannot answer, the conservative answer.
+pub(crate) struct Part<J, K> {
     /// Shard index into [`ShardedIndex::shards`].
     pub shard: usize,
-    /// Query parts for this shard, row intervals already local.
-    pub queries: Vec<(usize, RectQuery)>,
+    /// What the shard job consumes.
+    pub job: J,
+    /// What the collector holds on to.
+    pub keep: K,
 }
 
-/// One shard's part of a cell request as two index-aligned columns:
-/// `cells[i]` (row already shard-local) was asked at position
-/// `positions[i]` of the request. Kept apart so the shard job can take
-/// the cells while the collector keeps the positions its hits — or,
-/// for a failed shard, its conservative `true`s — are written to.
-#[derive(Default)]
-pub(crate) struct ShardPart {
-    /// Shard index into [`ShardedIndex::shards`].
-    pub shard: usize,
-    /// Request positions, ascending.
-    pub positions: Vec<usize>,
-    /// The cells at those positions, rows translated to local.
-    pub cells: Vec<Cell>,
-}
+/// A cell request's part: `job` is the shard's cells (rows already
+/// shard-local), `keep` their request positions, ascending and
+/// index-aligned with the cells.
+pub(crate) type CellPart = Part<Vec<Cell>, Vec<usize>>;
+
+/// A rect request's part: `job` is every `(query index in the batch,
+/// query with shard-local rows)` that landed on the shard. The
+/// collector keeps nothing: a rect part's conservative answer follows
+/// from the queries and the shard.
+pub(crate) type RectPart = Part<Vec<(usize, RectQuery)>, ()>;
 
 /// Validates a cell request against the served schema and partitions
 /// it by owning shard, in one pass over the cells. Parts come back in
@@ -52,46 +51,36 @@ pub(crate) struct ShardPart {
 pub(crate) fn partition_cells(
     index: &ShardedIndex,
     cells: &[Cell],
-) -> Result<Vec<ShardPart>, QueryError> {
+) -> Result<Vec<CellPart>, QueryError> {
     let attrs = index.attributes();
     let num_rows = index.num_rows();
     let shards = index.shards();
     // An even share per shard up front; a skewed request grows its
     // busy shards' columns as it goes.
     let share = cells.len().div_ceil(shards.len().max(1));
-    let mut parts: Vec<ShardPart> = Vec::new();
-    parts.resize_with(shards.len(), ShardPart::default);
+    let mut parts: Vec<CellPart> = (0..shards.len())
+        .map(|shard| Part {
+            shard,
+            job: Vec::new(),
+            keep: Vec::new(),
+        })
+        .collect();
     for (pos, cell) in cells.iter().enumerate() {
-        if cell.row >= num_rows {
-            return Err(QueryError::RowOutOfRange {
-                row: cell.row,
-                num_rows,
-            });
-        }
-        let cardinality = attrs.get(cell.attribute).map_or(0, |a| a.cardinality);
-        if cell.bin >= cardinality {
-            return Err(QueryError::BinOutOfRange {
-                attribute: cell.attribute,
-                bin: cell.bin,
-                cardinality,
-            });
-        }
+        ab::validate_ranges(attrs, num_rows, cell.row, [(cell.attribute, cell.bin)])?;
         let sid = index.shard_of_row(cell.row);
         let part = &mut parts[sid];
-        if part.cells.is_empty() {
-            part.shard = sid;
-            part.positions.reserve(share);
-            part.cells.reserve(share);
+        if part.job.is_empty() {
+            part.keep.reserve(share);
+            part.job.reserve(share);
         }
-        part.positions.push(pos);
-        part.cells.push(Cell::new(
+        part.keep.push(pos);
+        part.job.push(Cell::new(
             cell.row - shards[sid].start(),
             cell.attribute,
             cell.bin,
         ));
     }
-    parts.retain(|p| !p.cells.is_empty());
-    obs::histogram!("svc.batch.shards").record(parts.len() as u64);
+    parts.retain(|p| !p.job.is_empty());
     Ok(parts)
 }
 
@@ -108,31 +97,29 @@ pub fn group_cells_by_shard(index: &ShardedIndex, cells: &[Cell]) -> Vec<ShardCe
         .into_iter()
         .map(|part| ShardCells {
             shard: part.shard,
-            cells: part.positions.into_iter().zip(part.cells).collect(),
+            cells: part.keep.into_iter().zip(part.job).collect(),
         })
         .collect()
 }
 
 /// Partitions a batch of rectangular queries by shard: each query is
 /// split with [`ShardedIndex::split_rect`] and its parts are appended
-/// to the owning shards' lists. One pool job then serves every part
-/// that landed on its shard.
-pub fn group_rects_by_shard(index: &ShardedIndex, queries: &[RectQuery]) -> Vec<ShardRects> {
-    let mut groups: Vec<Option<ShardRects>> = vec![None; index.num_shards()];
+/// to the owning shards' jobs, so one pool job serves every part that
+/// landed on its shard. Parts come back in shard order.
+pub(crate) fn group_rects_by_shard(index: &ShardedIndex, queries: &[RectQuery]) -> Vec<RectPart> {
+    let mut groups: Vec<Option<RectPart>> = Vec::new();
+    groups.resize_with(index.num_shards(), || None);
     for (qidx, q) in queries.iter().enumerate() {
-        for (sid, local) in index.split_rect(q) {
-            groups[sid]
-                .get_or_insert_with(|| ShardRects {
-                    shard: sid,
-                    queries: Vec::new(),
-                })
-                .queries
-                .push((qidx, local));
+        for (shard, local) in index.split_rect(q) {
+            let part = groups[shard].get_or_insert_with(|| Part {
+                shard,
+                job: Vec::new(),
+                keep: (),
+            });
+            part.job.push((qidx, local));
         }
     }
-    let batch: Vec<ShardRects> = groups.into_iter().flatten().collect();
-    obs::histogram!("svc.batch.shards").record(batch.len() as u64);
-    batch
+    groups.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -187,15 +174,15 @@ mod tests {
         let groups = group_rects_by_shard(&idx, &qs);
         assert_eq!(groups.len(), 4);
         let shard1 = groups.iter().find(|g| g.shard == 1).unwrap();
-        assert_eq!(shard1.queries.len(), 2);
-        assert_eq!(shard1.queries[0].0, 0);
+        assert_eq!(shard1.job.len(), 2);
+        assert_eq!(shard1.job[0].0, 0);
         assert_eq!(
-            shard1.queries[1],
+            shard1.job[1],
             (1, RectQuery::new(vec![AttrRange::new(0, 2, 3)], 5, 15))
         );
         let shard2 = groups.iter().find(|g| g.shard == 2).unwrap();
         assert_eq!(
-            shard2.queries,
+            shard2.job,
             vec![(0, RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, 24))]
         );
     }

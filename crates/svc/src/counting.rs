@@ -5,7 +5,7 @@
 //! readers on one shard proceed in parallel. Rows route to shards the
 //! same way [`crate::ShardedIndex`] routes them (contiguous ranges,
 //! shard-local renumbering), and cell probes batch per shard exactly
-//! like [`crate::Service::retrieve_cells`].
+//! like [`crate::Service::try_retrieve_cells`].
 //!
 //! Deletions inherit the counting-Bloom guarantee: a removed cell may
 //! still read as present (stuck-high counters), but a cell that was

@@ -28,21 +28,11 @@ pub enum SvcError {
     Query(QueryError),
     /// The service is shutting down or lost its worker threads.
     Shutdown,
-    /// An exact (WAH) answer was requested but the service was built
-    /// without per-shard WAH indexes.
-    WahUnavailable,
     /// A retry loop ([`crate::retry()`]) exhausted its attempt or
     /// wall-clock budget without a success.
     RetriesExhausted {
         /// Attempts made, including the first.
         attempts: usize,
-    },
-    /// An exact (WAH) answer touches a quarantined shard. Exact
-    /// semantics cannot be answered conservatively, so the request
-    /// fails instead of degrading.
-    ShardQuarantined {
-        /// The quarantined shard the query needed.
-        shard: usize,
     },
 }
 
@@ -50,8 +40,8 @@ impl SvcError {
     /// Whether a retry could plausibly succeed. Only load shedding
     /// ([`SvcError::Overloaded`]) is transient: the queue drains.
     /// Everything else — invalid queries, expired deadlines,
-    /// cancellation, shutdown, quarantine — will fail identically on
-    /// the next attempt.
+    /// cancellation, shutdown — will fail identically on the next
+    /// attempt.
     pub fn is_transient(&self) -> bool {
         matches!(self, SvcError::Overloaded { .. })
     }
@@ -67,14 +57,8 @@ impl std::fmt::Display for SvcError {
             SvcError::Cancelled => write!(f, "request cancelled"),
             SvcError::Query(e) => write!(f, "invalid query: {e}"),
             SvcError::Shutdown => write!(f, "service shutting down"),
-            SvcError::WahUnavailable => {
-                write!(f, "no per-shard WAH index (build with with_wah)")
-            }
             SvcError::RetriesExhausted { attempts } => {
                 write!(f, "retries exhausted after {attempts} attempts")
-            }
-            SvcError::ShardQuarantined { shard } => {
-                write!(f, "shard {shard} is quarantined; exact answer unavailable")
             }
         }
     }
@@ -120,9 +104,6 @@ mod tests {
         assert!(SvcError::RetriesExhausted { attempts: 3 }
             .to_string()
             .contains("3 attempts"));
-        assert!(SvcError::ShardQuarantined { shard: 2 }
-            .to_string()
-            .contains("shard 2"));
     }
 
     #[test]
@@ -136,9 +117,7 @@ mod tests {
             SvcError::DeadlineExceeded,
             SvcError::Cancelled,
             SvcError::Shutdown,
-            SvcError::WahUnavailable,
             SvcError::RetriesExhausted { attempts: 2 },
-            SvcError::ShardQuarantined { shard: 0 },
         ] {
             assert!(!e.is_transient(), "{e} must not be transient");
         }

@@ -2,9 +2,10 @@
 //!
 //! Serving layer over the AB index (see the `ab` crate): the row space
 //! is partitioned into contiguous **shards**, each with its own
-//! [`AbIndex`](ab::AbIndex) (and optionally a WAH index for exact
-//! answers), and queries are fanned out across a fixed worker pool and
-//! merged — bit-identical to single-threaded execution.
+//! [`AbIndex`](ab::AbIndex), and every request kind — a rectangle, a
+//! batch of rectangles, a cell list — is fanned out across a fixed
+//! worker pool and merged by one request path ([`service`]) —
+//! bit-identical to single-threaded execution.
 //!
 //! Everything is `std`-only:
 //!
@@ -17,7 +18,11 @@
 //!   shard gets one pool job, not one per probe;
 //! * [`deadline`] — per-request deadlines and cooperative cancellation,
 //!   checked between [`CHUNK_ROWS`]-row chunks;
-//! * [`service`] — the [`Service`] façade tying the above together;
+//! * [`service`] — the [`Service`] and its one request path
+//!   (partition → fan out → collect → merge), one entry point per
+//!   query kind: [`Service::try_query_rect`],
+//!   [`Service::try_retrieve_cells`], [`Service::try_query_batch`]
+//!   (each with a `_ctx` form taking the caller's [`RequestCtx`]);
 //! * [`counting`] — a sharded, lock-per-shard [`CountingService`] for
 //!   concurrent inserts/deletes with the no-false-negative guarantee;
 //! * [`chaos`] — seeded, deterministic fault injection behind named
@@ -58,10 +63,12 @@
 //!     &AbConfig::new(Level::PerAttribute).with_alpha(16),
 //!     &SvcConfig { threads: 2, shards: 4, ..SvcConfig::default() },
 //! );
-//! let rows = svc
-//!     .query_rect(&RectQuery::new(vec![AttrRange::new(0, 6, 7)], 0, 999))
+//! let answer = svc
+//!     .try_query_rect(&RectQuery::new(vec![AttrRange::new(0, 6, 7)], 0, 999))
 //!     .unwrap();
-//! assert!(rows.iter().all(|r| r % 8 >= 6 || true)); // superset, 100% recall
+//! // A superset of the true matches (100% recall), from healthy shards.
+//! assert!((0..1000).filter(|r| r % 8 >= 6).all(|r| answer.value.contains(&r)));
+//! assert!(!answer.is_degraded());
 //! ```
 
 #![warn(missing_docs)]
@@ -79,7 +86,7 @@ pub mod service;
 pub mod shard;
 pub mod telemetry;
 
-pub use batch::{group_cells_by_shard, group_rects_by_shard, ShardCells, ShardRects};
+pub use batch::{group_cells_by_shard, ShardCells};
 pub use chaos::{ChaosSegmentIo, Fault, FaultPlan, FaultRule};
 pub use counting::CountingService;
 pub use deadline::{CancelToken, Deadline, RequestCtx};

@@ -1,50 +1,55 @@
 //! The concurrent query service.
 //!
 //! A [`Service`] owns a [`ShardedIndex`] (behind an `Arc`) and a
-//! [`WorkerPool`]. Each request is validated once against the global
-//! schema, split into per-shard parts, and fanned out as **one pool
-//! job per shard** (batching — see [`crate::batch`]). Shard jobs
-//! execute their rows in [`CHUNK_ROWS`]-sized chunks, calling
-//! [`RequestCtx::check`] between chunks so deadlines and cancellation
-//! take effect mid-query. The collector waits with the request's
-//! remaining deadline budget; a miss cancels the in-flight shard work
-//! and discards partial results (a partial merge would break the AB's
-//! no-false-negative contract).
+//! [`WorkerPool`], and every request kind — a rectangle, a batch of
+//! rectangles, a cell list — takes the **one request path**:
 //!
-//! Admission control happens at submission: a full pool queue sheds
-//! the whole request with [`SvcError::Overloaded`] before any shard
-//! runs.
+//! 1. **partition** — the request is validated once against the global
+//!    schema and split into per-shard parts (see [`crate::batch`]);
+//! 2. **fan out** — one pool job per shard touched. Admission control
+//!    happens at submission: a full pool queue sheds the whole request
+//!    with [`SvcError::Overloaded`]. Shard jobs work in
+//!    [`CHUNK_ROWS`]-sized chunks, calling [`RequestCtx::check`]
+//!    between chunks so deadlines and cancellation take effect
+//!    mid-query;
+//! 3. **collect** — the collector waits with the request's remaining
+//!    deadline budget; a miss cancels the in-flight shard work and
+//!    discards partial results (a partial merge would break the AB's
+//!    no-false-negative contract);
+//! 4. **merge** — each shard's output is placed into the answer.
+//!
+//! A kind supplies only what differs — how to partition, the shard job
+//! body, where a shard's output goes, the conservative answer for a
+//! shard that has none — and a rectangle is served as a batch of one.
 //!
 //! ## Graceful degradation
 //!
 //! A shard job that **panics** (a bug, bit-rot, or an injected
 //! [`crate::chaos`] fault) does not fail the request: the shard is
-//! quarantined in a [`ShardHealth`] ledger and its slice of the query
-//! is answered *conservatively* — every row it covers is reported as
-//! a candidate. The AB's contract is no false negatives with a
-//! controlled false-positive rate, so a conservative slice (FP rate
-//! 1.0 for those rows) stays inside the contract; the response
-//! carries a typed [`crate::Degraded`] marker naming the shards involved so
-//! callers can decide whether the lost precision matters. Later
-//! requests skip quarantined shards up front instead of panicking
-//! again. Exact (WAH) answers cannot be conservative, so that path
-//! fails with [`SvcError::ShardQuarantined`] instead.
+//! quarantined in a [`ShardHealth`] ledger and its slice of the
+//! request is answered *conservatively* — every row it covers is
+//! reported as a candidate, every cell it owns as *maybe present*. The
+//! AB's contract is no false negatives with a controlled
+//! false-positive rate, so a conservative slice (FP rate 1.0 for those
+//! rows) stays inside the contract; the response carries a typed
+//! [`crate::Degraded`] marker naming the shards involved so callers
+//! can decide whether the lost precision matters. Later requests skip
+//! quarantined shards up front instead of panicking again.
 
-use crate::batch::{group_rects_by_shard, partition_cells};
+use crate::batch::{group_rects_by_shard, partition_cells, Part};
 use crate::chaos::{self, points};
 use crate::deadline::{Deadline, RequestCtx};
-use crate::degrade::{degraded_marker, Response, ShardHealth};
+use crate::degrade::{degraded_marker, Degraded, Response, ShardHealth};
 use crate::error::SvcError;
 use crate::pool::WorkerPool;
 use crate::shard::{Shard, ShardedIndex};
 use ab::{
     AbConfig, BatchRows, Cell, HierConfig, HierMode, HybridConfig, HybridMode, KernelKind,
-    KernelOpts,
+    KernelOpts, QueryError,
 };
 use bitmap::{BinnedTable, RectQuery};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Rows a shard job processes between two [`RequestCtx::check`]
@@ -65,8 +70,6 @@ pub struct SvcConfig {
     pub queue_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
-    /// Also build a WAH index per shard for exact answers.
-    pub with_wah: bool,
     /// Probe engine shard jobs run on (results are identical either
     /// way; see [`ab::KernelKind`]).
     pub kernel: KernelKind,
@@ -110,7 +113,6 @@ impl Default for SvcConfig {
             shards: 0,
             queue_capacity: 256,
             default_deadline: None,
-            with_wah: false,
             kernel: KernelKind::default(),
             batch_rows: BatchRows::default(),
             trace_requests: true,
@@ -148,44 +150,40 @@ impl SvcConfig {
     }
 }
 
-/// What one shard job reports back to the request's collector.
-enum ShardOutcome<T> {
-    /// The job ran to completion (successfully or with a typed error).
-    Done(Result<T, SvcError>),
-    /// The job panicked; the shard must be quarantined and its slice
-    /// answered conservatively.
-    Panicked,
+/// Runs a shard job body. `None` means the job panicked: the collector
+/// hears about it — and quarantines the shard, answering its slice
+/// conservatively — instead of waiting on a message that will never
+/// arrive.
+fn shard_outcome<T>(body: impl FnOnce() -> Result<T, SvcError>) -> Option<Result<T, SvcError>> {
+    catch_unwind(AssertUnwindSafe(body)).ok()
 }
 
-/// Runs a shard job body, converting a panic into
-/// [`ShardOutcome::Panicked`] so the collector hears about it instead
-/// of waiting on a message that will never arrive.
-fn shard_outcome<T>(body: impl FnOnce() -> Result<T, SvcError>) -> ShardOutcome<T> {
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(res) => ShardOutcome::Done(res),
-        Err(_) => ShardOutcome::Panicked,
-    }
-}
-
-/// Stamps a shard job's trace span with how the job ended.
-fn annotate_shard_outcome<T>(span: &mut obs::TraceSpan, outcome: &ShardOutcome<T>) {
+/// Stamps a span with how its work ended (`None`: it panicked).
+fn annotate_outcome<T>(span: &mut obs::TraceSpan, outcome: Option<&Result<T, SvcError>>) {
     if !span.enabled() {
         return;
     }
     match outcome {
-        ShardOutcome::Done(Ok(_)) => span.annotate("outcome", "ok"),
-        ShardOutcome::Done(Err(e)) => {
+        Some(Ok(_)) => span.annotate("outcome", "ok"),
+        Some(Err(e)) => {
             span.annotate("outcome", "error");
             span.annotate("error", error_code(e));
         }
-        ShardOutcome::Panicked => span.annotate("outcome", "panicked"),
+        None => span.annotate("outcome", "panicked"),
     }
 }
 
-/// Every global row a shard-local query part covers — the
-/// conservative ("maybe present") answer for a quarantined shard.
-fn conservative_rows(shard_start: usize, local: &RectQuery) -> Vec<usize> {
-    (shard_start + local.row_lo..=shard_start + local.row_hi).collect()
+/// Where a request's spans hang: its trace and `svc.request` root.
+struct Spans {
+    trace: obs::TraceCtx,
+    root_id: u64,
+}
+
+impl Spans {
+    /// A span directly under the request's root.
+    fn span(&self, name: &'static str) -> obs::TraceSpan {
+        self.trace.span_under(self.root_id, name)
+    }
 }
 
 /// A sharded, concurrent query service over an AB index.
@@ -200,19 +198,6 @@ pub struct Service {
     slow_query: Option<Duration>,
 }
 
-/// The per-kind request-latency sketch (`svc.latency_us.<kind>`) —
-/// accurate p50/p95/p99 where the pow2 `svc.request_us` histogram
-/// buckets are ~2× wide.
-fn latency_sketch(kind: &'static str) -> &'static obs::QuantileSketch {
-    match kind {
-        "rect" => obs::sketch!("svc.latency_us.rect"),
-        "rect_wah" => obs::sketch!("svc.latency_us.rect_wah"),
-        "cells" => obs::sketch!("svc.latency_us.cells"),
-        "batch" => obs::sketch!("svc.latency_us.batch"),
-        _ => obs::sketch!("svc.latency_us.other"),
-    }
-}
-
 /// Short stable code for trace annotations.
 fn error_code(e: &SvcError) -> &'static str {
     match e {
@@ -221,9 +206,7 @@ fn error_code(e: &SvcError) -> &'static str {
         SvcError::Cancelled => "cancelled",
         SvcError::Query(_) => "invalid_query",
         SvcError::Shutdown => "shutdown",
-        SvcError::WahUnavailable => "wah_unavailable",
         SvcError::RetriesExhausted { .. } => "retries_exhausted",
-        SvcError::ShardQuarantined { .. } => "shard_quarantined",
     }
 }
 
@@ -233,27 +216,14 @@ impl Service {
     pub fn build(table: &BinnedTable, ab: &AbConfig, cfg: &SvcConfig) -> Self {
         let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
         let shards = cfg.resolved_shards(table.num_rows());
-        let mut index = ShardedIndex::build_parallel(table, ab, shards, cfg.with_wah, &pool);
+        let mut index = ShardedIndex::build_parallel(table, ab, shards, false, &pool);
         if cfg.hier != HierMode::Off {
             index.ensure_hier(&cfg.hier_config);
         }
         if cfg.hybrid != HybridMode::Off {
             index.ensure_hybrid(table, &cfg.hybrid_config);
         }
-        let health = Arc::new(ShardHealth::new(index.num_shards()));
-        Service {
-            index: Arc::new(index),
-            pool,
-            default_deadline: cfg.default_deadline,
-            health,
-            chaos: None,
-            kernel: KernelOpts::new(cfg.kernel)
-                .with_batch_rows(cfg.batch_rows)
-                .with_hier(cfg.hier)
-                .with_hybrid(cfg.hybrid),
-            trace_requests: cfg.trace_requests,
-            slow_query: cfg.slow_query,
-        }
+        Self::assemble(index, pool, cfg)
     }
 
     /// Wraps an already-built index (e.g. one loaded with
@@ -273,12 +243,18 @@ impl Service {
             // exact/ab split even though no build ran in-process.
             index.record_hybrid_split_counters();
         }
-        let health = Arc::new(ShardHealth::new(index.num_shards()));
+        let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
+        Self::assemble(index, pool, cfg)
+    }
+
+    /// The constructor tail [`Self::build`] and [`Self::from_index`]
+    /// share: a finished index, a running pool, and the rest of `cfg`.
+    fn assemble(index: ShardedIndex, pool: WorkerPool, cfg: &SvcConfig) -> Self {
         Service {
+            health: Arc::new(ShardHealth::new(index.num_shards())),
             index: Arc::new(index),
-            pool: WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity),
+            pool,
             default_deadline: cfg.default_deadline,
-            health,
             chaos: None,
             kernel: KernelOpts::new(cfg.kernel)
                 .with_batch_rows(cfg.batch_rows)
@@ -344,22 +320,24 @@ impl Service {
     }
 
     fn ctx_with_default(&self) -> RequestCtx {
-        RequestCtx::new(match self.default_deadline {
-            Some(budget) => Deadline::within(budget),
-            None => Deadline::none(),
-        })
+        let deadline = self
+            .default_deadline
+            .map_or(Deadline::none(), Deadline::within);
+        RequestCtx::new(deadline)
     }
 
     /// Wraps one request: opens its `svc.request` root span (on the
     /// caller's trace if the ctx carries one, on a fresh service-owned
-    /// trace otherwise), annotates the outcome, records the per-kind
-    /// latency sketch, and — for service-owned traces — finishes the
-    /// trace into the global flight recorder.
+    /// trace otherwise), annotates the outcome, records the latency
+    /// into the kind's `svc.latency_us.<kind>` sketch (accurate
+    /// p50/p95/p99 where the pow2 `svc.request_us` buckets are ~2×
+    /// wide), and — for service-owned traces — finishes the trace into
+    /// the global flight recorder.
     fn traced_request<T>(
         &self,
-        kind: &'static str,
+        (kind, latency_us): (&'static str, &obs::QuantileSketch),
         ctx: &RequestCtx,
-        run: impl FnOnce(&obs::TraceCtx, u64) -> Result<T, SvcError>,
+        run: impl FnOnce(&Spans) -> Result<T, SvcError>,
     ) -> Result<T, SvcError> {
         let _timer = obs::span("svc.request_us");
         obs::counter!("svc.requests").inc();
@@ -374,26 +352,25 @@ impl Service {
         let mut root = trace.span_under(0, "svc.request");
         root.annotate("kind", kind);
         let root_id = root.id();
-        let result = run(&trace, root_id);
-        match &result {
-            Ok(_) => root.annotate("outcome", "ok"),
-            Err(e) => {
-                root.annotate("outcome", "error");
-                root.annotate("error", error_code(e));
-            }
-        }
+        let spans = Spans { trace, root_id };
+        let result = run(&spans);
+        annotate_outcome(&mut root, Some(&result));
         drop(root);
-        latency_sketch(kind).record(start.elapsed().as_micros() as u64);
+        latency_us.record(start.elapsed().as_micros() as u64);
         if owned {
-            self.record_trace(&trace);
+            self.finish_trace(&spans.trace);
         }
         result
     }
 
-    /// Finishes a trace and files it in the global [`obs::recorder`],
-    /// pinning it as a slow query when it crossed
-    /// [`SvcConfig::slow_query`].
-    fn record_trace(&self, trace: &obs::TraceCtx) {
+    /// Finishes a trace and files it in the global flight recorder
+    /// ([`obs::recorder`]), pinned as a slow query when it crossed
+    /// [`SvcConfig::slow_query`]. The service calls this for the traces
+    /// it owns; the owner of a **caller-owned** trace (see
+    /// [`RequestCtx::traced`]) calls it once, after the last request
+    /// (e.g. the last retry attempt) recorded into it — each attempt
+    /// appears as its own `svc.request` root span.
+    pub fn finish_trace(&self, trace: &obs::TraceCtx) {
         if let Some(t) = trace.finish() {
             let pin = self
                 .slow_query
@@ -405,267 +382,38 @@ impl Service {
         }
     }
 
-    /// Finishes a **caller-owned** trace (see [`RequestCtx::traced`])
-    /// and files it in the global flight recorder, applying the
-    /// service's slow-query pinning policy. Call once, after the last
-    /// request (e.g. the last retry attempt) recorded into it; each
-    /// attempt appears as its own `svc.request` root span.
-    pub fn finish_trace(&self, trace: &obs::TraceCtx) {
-        self.record_trace(trace);
-    }
-
-    /// Rectangular AB query under the service's default deadline.
-    /// Returns globally sorted row ids, bit-identical to
+    /// Rectangular AB query (paper Figure 7) under the service's
+    /// default deadline: globally sorted row ids, bit-identical to
     /// [`ShardedIndex::execute_rect_sequential`] while every shard is
-    /// healthy. The degradation marker is discarded; use
-    /// [`Self::try_query_rect`] to observe it.
-    pub fn query_rect(&self, query: &RectQuery) -> Result<Vec<usize>, SvcError> {
-        self.try_query_rect(query).map(Response::into_value)
-    }
-
-    /// Rectangular query returning the answer together with its
-    /// [`crate::Degraded`] status.
+    /// healthy, together with the answer's [`crate::Degraded`] status.
     pub fn try_query_rect(&self, query: &RectQuery) -> Result<Response<Vec<usize>>, SvcError> {
         self.try_query_rect_ctx(query, &self.ctx_with_default())
     }
 
-    /// Rectangular query with an explicit per-request deadline.
-    pub fn query_rect_within(
-        &self,
-        query: &RectQuery,
-        budget: Duration,
-    ) -> Result<Vec<usize>, SvcError> {
-        self.query_rect_ctx(query, &RequestCtx::new(Deadline::within(budget)))
-    }
-
-    /// Rectangular query under a caller-owned [`RequestCtx`] — the
-    /// caller keeps a clone and may cancel mid-flight. The degradation
-    /// marker is discarded; use [`Self::try_query_rect_ctx`] to
-    /// observe it.
-    pub fn query_rect_ctx(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-    ) -> Result<Vec<usize>, SvcError> {
-        self.try_query_rect_ctx(query, ctx)
-            .map(Response::into_value)
-    }
-
-    /// Rectangular query under a caller-owned [`RequestCtx`],
-    /// reporting degradation: quarantined (or newly panicking) shards
+    /// [`Self::try_query_rect`] under a caller-owned [`RequestCtx`]
+    /// (deadline, cancellation — the caller keeps a clone and may
+    /// cancel mid-flight — and optionally a caller-owned trace, see
+    /// [`RequestCtx::traced`]). Quarantined (or newly panicking) shards
     /// contribute every row of their slice as a candidate instead of
-    /// failing the request, and the response's `degraded` marker
-    /// names them.
+    /// failing the request, and the response's `degraded` marker names
+    /// them.
     pub fn try_query_rect_ctx(
         &self,
         query: &RectQuery,
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<usize>>, SvcError> {
-        self.traced_request("rect", ctx, |trace, root_id| {
-            self.rect_ctx_traced(query, ctx, trace, root_id)
-        })
-    }
-
-    fn rect_ctx_traced(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<usize>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        self.index.validate_rect(query)?;
-        ctx.check()?;
-        let parts = self.index.split_rect(query);
-        obs::histogram!("svc.fanout").record(parts.len() as u64);
-        admit.annotate("fanout", parts.len());
-        // Remember each slot's row interval so a panicking shard's
-        // slice can be re-answered conservatively after the fact.
-        let slot_spans: Vec<(usize, RectQuery)> = parts.clone();
-        let (tx, rx) = mpsc::channel();
-        let mut merged: Vec<Option<Vec<usize>>> = (0..parts.len()).map(|_| None).collect();
-        let mut degraded = Vec::new();
-        let mut expected = 0usize;
-        for (slot, (sid, local)) in parts.into_iter().enumerate() {
-            let start = self.index.shards()[sid].start();
-            if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                merged[slot] = Some(conservative_rows(start, &local));
-                degraded.push(sid);
-                continue;
-            }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
-            let kernel = self.kernel;
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    run_shard_chunked(&index.shards()[sid], &local, &job_ctx, kernel)
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                // Shed: abandon the whole request and stop any parts
-                // already admitted.
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            expected += 1;
-        }
-        drop(tx);
-        drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (slot, _, ShardOutcome::Done(Ok(rows))) => merged[slot] = Some(rows),
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    degraded.push(sid);
-                    let (_, local) = &slot_spans[slot];
-                    let start = self.index.shards()[sid].start();
-                    merged[slot] = Some(conservative_rows(start, local));
-                }
-            }
-        }
-        if !degraded.is_empty() {
-            merge.annotate("degraded_shards", degraded.len());
-        }
-        // Shard parts were issued in row order, so flattening by slot
-        // yields globally sorted rows.
-        Ok(Response {
-            value: merged.into_iter().flatten().flatten().collect(),
-            degraded: degraded_marker(degraded),
-        })
-    }
-
-    /// Exact rectangular query over the per-shard WAH indexes (the
-    /// paper's verbatim/compressed baseline). Requires
-    /// [`SvcConfig::with_wah`] at build time. Exact answers cannot be
-    /// conservative, so a quarantined (or newly panicking) shard
-    /// fails the request with [`SvcError::ShardQuarantined`].
-    pub fn query_rect_wah(&self, query: &RectQuery) -> Result<Vec<usize>, SvcError> {
-        self.query_rect_wah_ctx(query, &self.ctx_with_default())
-    }
-
-    /// [`Self::query_rect_wah`] under a caller-owned [`RequestCtx`]
-    /// (deadline, cancellation, and optionally a caller-owned trace —
-    /// see [`RequestCtx::traced`]).
-    pub fn query_rect_wah_ctx(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-    ) -> Result<Vec<usize>, SvcError> {
-        self.traced_request("rect_wah", ctx, |trace, root_id| {
-            self.rect_wah_traced(query, ctx, trace, root_id)
-        })
-    }
-
-    fn rect_wah_traced(
-        &self,
-        query: &RectQuery,
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Vec<usize>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        self.index.validate_rect(query)?;
-        if self.index.shards().iter().any(|s| s.wah().is_none()) {
-            return Err(SvcError::WahUnavailable);
-        }
-        ctx.check()?;
-        let parts = self.index.split_rect(query);
-        obs::histogram!("svc.fanout").record(parts.len() as u64);
-        admit.annotate("fanout", parts.len());
-        if let Some(&(sid, _)) = parts
-            .iter()
-            .find(|(sid, _)| self.health.is_quarantined(*sid))
-        {
-            trace
-                .span_under(root_id, "svc.quarantined")
-                .annotate("shard", sid);
-            return Err(SvcError::ShardQuarantined { shard: sid });
-        }
-        let (tx, rx) = mpsc::channel();
-        let expected = parts.len();
-        for (slot, (sid, local)) in parts.into_iter().enumerate() {
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    job_ctx.check()?;
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    Ok(shard
-                        .wah()
-                        .expect("checked above")
-                        .evaluate_rows(&local)
-                        .into_iter()
-                        .map(|r| r + shard.start())
-                        .collect::<Vec<usize>>())
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-        }
-        drop(tx);
-        drop(admit);
-        let _merge = trace.span_under(root_id, "svc.merge");
-        let mut merged: Vec<Option<Vec<usize>>> = (0..expected).map(|_| None).collect();
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (slot, _, ShardOutcome::Done(Ok(rows))) => merged[slot] = Some(rows),
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (_, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    return Err(self.abandon(ctx, SvcError::ShardQuarantined { shard: sid }));
-                }
-            }
-        }
-        Ok(merged.into_iter().flatten().flatten().collect())
+        let kind = ("rect", obs::sketch!("svc.latency_us.rect"));
+        let Response { value, degraded } = self.rects(kind, std::slice::from_ref(query), ctx)?;
+        let value = value.into_iter().next().unwrap_or_default();
+        Ok(Response { value, degraded })
     }
 
     /// Cell-subset retrieval (paper Figure 5) under the default
     /// deadline: one boolean per cell, in request order. Probes are
-    /// batched per owning shard — one pool job per shard touched. The
-    /// degradation marker is discarded; use
-    /// [`Self::try_retrieve_cells`] to observe it.
-    pub fn retrieve_cells(&self, cells: &[Cell]) -> Result<Vec<bool>, SvcError> {
-        self.try_retrieve_cells(cells).map(Response::into_value)
-    }
-
-    /// Cell-subset retrieval reporting degradation: cells owned by a
-    /// quarantined (or newly panicking) shard answer `true` — *maybe
-    /// present*, the conservative AB answer — and the response's
-    /// `degraded` marker names those shards.
+    /// batched per owning shard — one pool job per shard touched.
+    /// Cells owned by a quarantined (or newly panicking) shard answer
+    /// `true` — *maybe present*, the conservative AB answer — and the
+    /// response's `degraded` marker names those shards.
     pub fn try_retrieve_cells(&self, cells: &[Cell]) -> Result<Response<Vec<bool>>, SvcError> {
         self.try_retrieve_cells_ctx(cells, &self.ctx_with_default())
     }
@@ -678,129 +426,38 @@ impl Service {
         cells: &[Cell],
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<bool>>, SvcError> {
-        self.traced_request("cells", ctx, |trace, root_id| {
-            self.retrieve_cells_traced(cells, ctx, trace, root_id)
+        let kind = ("cells", obs::sketch!("svc.latency_us.cells"));
+        self.traced_request(kind, ctx, |spans| {
+            if cells.is_empty() {
+                return Ok(Response::healthy(Vec::new()));
+            }
+            let mut answers = vec![false; cells.len()];
+            // A part's positions say where its answers go: the job's
+            // hits, or `true` — maybe present — for a shard that has
+            // none.
+            let place = |_, positions: Vec<usize>, hits: Option<Vec<bool>>| {
+                let hits = hits.unwrap_or_else(|| vec![true; positions.len()]);
+                for (pos, hit) in positions.into_iter().zip(hits) {
+                    answers[pos] = hit;
+                }
+            };
+            let partition = || partition_cells(&self.index, cells);
+            let (degraded, _merge) =
+                self.fan_out(ctx, spans, cells.len(), partition, run_shard_cells, place)?;
+            Ok(Response {
+                value: answers,
+                degraded,
+            })
         })
     }
 
-    fn retrieve_cells_traced(
-        &self,
-        cells: &[Cell],
-        ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<bool>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        obs::histogram!("svc.batch.size").record(cells.len() as u64);
-        let parts = partition_cells(&self.index, cells)?;
-        if cells.is_empty() {
-            return Ok(Response::healthy(Vec::new()));
-        }
-        ctx.check()?;
-        obs::histogram!("svc.fanout").record(parts.len() as u64);
-        admit.annotate("fanout", parts.len());
-        admit.annotate("cells", cells.len());
-        // Each part's cells go to its shard job; its positions stay
-        // here, where its answers are written: the job's hits, or
-        // `true` — maybe present — for a shard that cannot answer.
-        let mut slot_positions: Vec<Vec<usize>> = Vec::with_capacity(parts.len());
-        let mut answers = vec![false; cells.len()];
-        let mut degraded = Vec::new();
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for (slot, part) in parts.into_iter().enumerate() {
-            let sid = part.shard;
-            slot_positions.push(part.positions);
-            let local = part.cells;
-            if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                for &pos in &slot_positions[slot] {
-                    answers[pos] = true;
-                }
-                degraded.push(sid);
-                continue;
-            }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            let index = Arc::clone(&self.index);
-            let job_ctx = ctx.clone();
-            let plan = self.chaos.clone();
-            let kernel = self.kernel;
-            let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
-                let mut tspan = job_trace.span_under(root_id, "svc.shard");
-                tspan.annotate("shard", sid);
-                let enter = tspan.enter();
-                let outcome = shard_outcome(|| {
-                    chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    let mut hits = Vec::with_capacity(local.len());
-                    for chunk in local.chunks(CHUNK_ROWS) {
-                        job_ctx.check()?;
-                        hits.extend(shard.index().retrieve_cells_with_opts(chunk, kernel));
-                    }
-                    Ok(hits)
-                });
-                drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
-                drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
-            expected += 1;
-        }
-        drop(tx);
-        drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (slot, _, ShardOutcome::Done(Ok(hits))) => {
-                    for (&pos, hit) in slot_positions[slot].iter().zip(hits) {
-                        answers[pos] = hit;
-                    }
-                }
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
-                    self.health.quarantine(sid);
-                    degraded.push(sid);
-                    for &pos in &slot_positions[slot] {
-                        answers[pos] = true;
-                    }
-                }
-            }
-        }
-        if !degraded.is_empty() {
-            merge.annotate("degraded_shards", degraded.len());
-        }
-        Ok(Response {
-            value: answers,
-            degraded: degraded_marker(degraded),
-        })
-    }
-
-    /// A batch of rectangular queries under one deadline: all shard
-    /// parts of all queries are grouped so each touched shard gets a
-    /// single pool job. Returns one (globally sorted) row list per
-    /// query, each bit-identical to running the query alone while
-    /// every shard is healthy. The degradation marker is discarded;
-    /// use [`Self::try_query_batch`] to observe it.
-    pub fn query_batch(&self, queries: &[RectQuery]) -> Result<Vec<Vec<usize>>, SvcError> {
-        self.try_query_batch(queries).map(Response::into_value)
-    }
-
-    /// Batched rectangular queries reporting degradation: quarantined
-    /// (or newly panicking) shards contribute every covered row to
-    /// each affected query, and the response's `degraded` marker names
-    /// them.
+    /// A batch of rectangular queries under one (default) deadline:
+    /// all shard parts of all queries are grouped so each touched
+    /// shard gets a single pool job. Returns one (globally sorted) row
+    /// list per query, each bit-identical to running the query alone
+    /// while every shard is healthy. Quarantined (or newly panicking)
+    /// shards contribute every covered row to each affected query, and
+    /// the response's `degraded` marker names them.
     pub fn try_query_batch(
         &self,
         queries: &[RectQuery],
@@ -816,137 +473,170 @@ impl Service {
         queries: &[RectQuery],
         ctx: &RequestCtx,
     ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        self.traced_request("batch", ctx, |trace, root_id| {
-            self.query_batch_traced(queries, ctx, trace, root_id)
+        self.rects(
+            ("batch", obs::sketch!("svc.latency_us.batch")),
+            queries,
+            ctx,
+        )
+    }
+
+    /// The rect kinds: `queries` is the batch, or the one rectangle of
+    /// a `rect` request.
+    fn rects(
+        &self,
+        kind: (&'static str, &obs::QuantileSketch),
+        queries: &[RectQuery],
+        ctx: &RequestCtx,
+    ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
+        self.traced_request(kind, ctx, |spans| {
+            if queries.is_empty() {
+                return Ok(Response::healthy(Vec::new()));
+            }
+            // Parts arrive in shard-completion order; each is tagged
+            // with its shard id and sorted per query afterwards, so
+            // every row list comes out globally sorted.
+            let mut per_query: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); queries.len()];
+            let place = |sid, (), rows: Option<Vec<(usize, Vec<usize>)>>| {
+                let rows = rows.unwrap_or_else(|| self.conservative_rows(sid, queries));
+                for (qidx, rows) in rows {
+                    per_query[qidx].push((sid, rows));
+                }
+            };
+            let partition = || {
+                for q in queries {
+                    self.index.validate_rect(q)?;
+                }
+                Ok(group_rects_by_shard(&self.index, queries))
+            };
+            let (degraded, _merge) =
+                self.fan_out(ctx, spans, queries.len(), partition, run_shard_rects, place)?;
+            let merged = per_query.into_iter().map(|mut parts| {
+                parts.sort_unstable_by_key(|(sid, _)| *sid);
+                parts.into_iter().flat_map(|(_, rows)| rows).collect()
+            });
+            let value = merged.collect();
+            Ok(Response { value, degraded })
         })
     }
 
-    fn query_batch_traced(
+    /// The conservative answer of a shard that cannot run its rect
+    /// job, in the job's output shape: every row of every query that
+    /// reaches into the shard — the pieces
+    /// [`ShardedIndex::split_rect`] cut for it.
+    fn conservative_rows(&self, sid: usize, queries: &[RectQuery]) -> Vec<(usize, Vec<usize>)> {
+        let shard = &self.index.shards()[sid];
+        let mut pieces = Vec::new();
+        for (qidx, q) in queries.iter().enumerate() {
+            let (lo, hi) = (q.row_lo.max(shard.start()), q.row_hi.min(shard.end() - 1));
+            if lo <= hi {
+                pieces.push((qidx, (lo..=hi).collect()));
+            }
+        }
+        pieces
+    }
+
+    /// The one scatter–gather every request kind goes through (the
+    /// module docs' four steps). `items` is the request's size (cells,
+    /// or queries); `partition` validates the request and yields its
+    /// parts in shard order; `run` is the kind's shard job
+    /// body; `place(shard, keep, output)` is its merge step, called
+    /// once per part in completion order — with `None` when the part's
+    /// answer has to be the conservative one (a shard quarantined
+    /// before the request, or one whose job panicked and is
+    /// quarantined now). A refused submission — a full queue or an
+    /// injected [`points::POOL_SUBMIT`] fault — sheds the whole
+    /// request; a job's typed error fails it; both cancel what was
+    /// already admitted.
+    ///
+    /// Returns the response's degradation marker and the still-open
+    /// `svc.merge` span, which the caller holds while it assembles the
+    /// answer.
+    fn fan_out<J: Send + 'static, K, O: Send + 'static>(
         &self,
-        queries: &[RectQuery],
         ctx: &RequestCtx,
-        trace: &obs::TraceCtx,
-        root_id: u64,
-    ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        let mut admit = trace.span_under(root_id, "svc.admit");
-        obs::histogram!("svc.batch.size").record(queries.len() as u64);
-        for q in queries {
-            self.index.validate_rect(q)?;
-        }
-        if queries.is_empty() {
-            return Ok(Response::healthy(Vec::new()));
-        }
+        spans: &Spans,
+        items: usize,
+        partition: impl FnOnce() -> Result<Vec<Part<J, K>>, QueryError>,
+        run: fn(&Shard, J, &RequestCtx, KernelOpts) -> Result<O, SvcError>,
+        mut place: impl FnMut(usize, K, Option<O>),
+    ) -> Result<(Option<Degraded>, obs::TraceSpan), SvcError> {
+        let mut admit = spans.span("svc.admit");
+        let parts = partition()?;
         ctx.check()?;
-        let groups = group_rects_by_shard(&self.index, queries);
-        obs::histogram!("svc.fanout").record(groups.len() as u64);
-        admit.annotate("fanout", groups.len());
-        admit.annotate("queries", queries.len());
-        // Remember each group's parts so a panicking shard's slices
-        // can be re-answered conservatively after the fact.
-        let group_parts: Vec<Vec<(usize, RectQuery)>> =
-            groups.iter().map(|g| g.queries.clone()).collect();
-        let mut per_query: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); queries.len()];
-        let mut degraded = Vec::new();
-        let conservative_group =
-            |per_query: &mut Vec<Vec<(usize, Vec<usize>)>>, slot: usize, sid: usize| {
-                let start = self.index.shards()[sid].start();
-                for (qidx, local) in &group_parts[slot] {
-                    per_query[*qidx].push((sid, conservative_rows(start, local)));
-                }
-            };
+        obs::histogram!("svc.fanout").record(parts.len() as u64);
+        obs::histogram!("svc.batch.size").record(items as u64);
+        obs::histogram!("svc.batch.shards").record(parts.len() as u64);
+        admit.annotate("fanout", parts.len());
+        admit.annotate("items", items);
         let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for (slot, group) in groups.into_iter().enumerate() {
-            let sid = group.shard;
+        let mut degraded = Vec::new();
+        // What the collector holds for a slot until its outcome arrives.
+        let mut waiting: Vec<Option<(usize, K)>> = Vec::with_capacity(parts.len());
+        for part in parts {
+            let (sid, job, keep) = (part.shard, part.job, part.keep);
             if self.health.is_quarantined(sid) {
-                trace
-                    .span_under(root_id, "svc.quarantined")
-                    .annotate("shard", sid);
-                conservative_group(&mut per_query, slot, sid);
+                spans.span("svc.quarantined").annotate("shard", sid);
                 degraded.push(sid);
+                place(sid, keep, None);
                 continue;
             }
-            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid)) {
-                ctx.cancel();
-                obs::counter!("svc.shed").inc();
-                return Err(e);
-            }
+            let slot = waiting.len();
             let index = Arc::clone(&self.index);
             let job_ctx = ctx.clone();
             let plan = self.chaos.clone();
             let kernel = self.kernel;
             let tx = tx.clone();
-            let job_trace = trace.clone();
-            if let Err(e) = self.pool.try_execute(move || {
+            let (job_trace, root_id) = (spans.trace.clone(), spans.root_id);
+            let shard_job = move || {
                 let mut tspan = job_trace.span_under(root_id, "svc.shard");
                 tspan.annotate("shard", sid);
                 let enter = tspan.enter();
                 let outcome = shard_outcome(|| {
                     chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    let shard = &index.shards()[sid];
-                    let mut out = Vec::with_capacity(group.queries.len());
-                    for (qidx, local) in &group.queries {
-                        out.push((*qidx, run_shard_chunked(shard, local, &job_ctx, kernel)?));
-                    }
-                    Ok(out)
+                    run(&index.shards()[sid], job, &job_ctx, kernel)
                 });
                 drop(enter);
-                annotate_shard_outcome(&mut tspan, &outcome);
+                annotate_outcome(&mut tspan, outcome.as_ref());
                 drop(tspan);
-                let _ = tx.send((slot, sid, outcome));
-            }) {
+                let _ = tx.send((slot, outcome));
+            };
+            if let Err(e) = chaos::inject(self.chaos.as_deref(), points::POOL_SUBMIT, Some(sid))
+                .and_then(|()| self.pool.try_execute(shard_job))
+            {
                 ctx.cancel();
                 obs::counter!("svc.shed").inc();
                 return Err(e);
             }
-            expected += 1;
+            waiting.push(Some((sid, keep)));
         }
         drop(tx);
         drop(admit);
-        let mut merge = trace.span_under(root_id, "svc.merge");
-        // Parts arrive in shard-completion order; tag each with its
-        // shard id and sort per query so the merge stays row-ordered.
-        for _ in 0..expected {
-            match self.collect(&rx, ctx)? {
-                (_, sid, ShardOutcome::Done(Ok(parts))) => {
-                    for (qidx, rows) in parts {
-                        per_query[qidx].push((sid, rows));
-                    }
-                }
-                (_, _, ShardOutcome::Done(Err(e))) => return Err(self.abandon(ctx, e)),
-                (slot, sid, ShardOutcome::Panicked) => {
+        let mut merge = spans.span("svc.merge");
+        for _ in 0..waiting.len() {
+            // The wait is charged against the request's deadline.
+            let received = match ctx.deadline.remaining() {
+                None => rx.recv().map_err(|_| SvcError::Shutdown),
+                Some(budget) => rx.recv_timeout(budget).map_err(|e| match e {
+                    mpsc::RecvTimeoutError::Timeout => SvcError::DeadlineExceeded,
+                    mpsc::RecvTimeoutError::Disconnected => SvcError::Shutdown,
+                }),
+            };
+            let (slot, outcome) = received.map_err(|e| self.abandon(ctx, e))?;
+            let (sid, keep) = waiting[slot].take().expect("one outcome per slot");
+            match outcome {
+                Some(Ok(out)) => place(sid, keep, Some(out)),
+                Some(Err(e)) => return Err(self.abandon(ctx, e)),
+                None => {
                     self.health.quarantine(sid);
                     degraded.push(sid);
-                    conservative_group(&mut per_query, slot, sid);
+                    place(sid, keep, None);
                 }
             }
         }
         if !degraded.is_empty() {
             merge.annotate("degraded_shards", degraded.len());
         }
-        Ok(Response {
-            value: per_query
-                .into_iter()
-                .map(|mut parts| {
-                    parts.sort_unstable_by_key(|(sid, _)| *sid);
-                    parts.into_iter().flat_map(|(_, rows)| rows).collect()
-                })
-                .collect(),
-            degraded: degraded_marker(degraded),
-        })
-    }
-
-    /// Waits for one shard message, charging the wait against the
-    /// request's deadline. A timeout cancels the remaining shard work.
-    fn collect<M>(&self, rx: &mpsc::Receiver<M>, ctx: &RequestCtx) -> Result<M, SvcError> {
-        let received = match ctx.deadline.remaining() {
-            None => rx.recv().map_err(|_| SvcError::Shutdown),
-            Some(budget) => rx.recv_timeout(budget).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => SvcError::DeadlineExceeded,
-                mpsc::RecvTimeoutError::Disconnected => SvcError::Shutdown,
-            }),
-        };
-        received.map_err(|e| self.abandon(ctx, e))
+        Ok((degraded_marker(degraded), merge))
     }
 
     /// Abandons a request: cancels in-flight shard work (partial
@@ -961,16 +651,45 @@ impl Service {
     }
 }
 
+/// The cell kind's shard job: the part's cells in [`CHUNK_ROWS`]-cell
+/// slices with a [`RequestCtx::check`] before each, plain hits back.
+fn run_shard_cells(
+    shard: &Shard,
+    cells: Vec<Cell>,
+    ctx: &RequestCtx,
+    kernel: KernelOpts,
+) -> Result<Vec<bool>, SvcError> {
+    let mut hits = Vec::with_capacity(cells.len());
+    for chunk in cells.chunks(CHUNK_ROWS) {
+        ctx.check()?;
+        hits.extend(shard.index().retrieve_cells_with_opts(chunk, kernel));
+    }
+    Ok(hits)
+}
+
+/// The rect kinds' shard job: every query part that landed on the
+/// shard, each tagged with its query's index in the batch.
+fn run_shard_rects(
+    shard: &Shard,
+    parts: Vec<(usize, RectQuery)>,
+    ctx: &RequestCtx,
+    kernel: KernelOpts,
+) -> Result<Vec<(usize, Vec<usize>)>, SvcError> {
+    let mut out = Vec::with_capacity(parts.len());
+    for (qidx, local) in &parts {
+        out.push((*qidx, run_shard_chunked(shard, local, ctx, kernel)?));
+    }
+    Ok(out)
+}
+
 /// Runs one shard's part of a rectangular query in [`CHUNK_ROWS`]
-/// chunks on the configured probe kernel, translating matches back to
-/// global row ids.
+/// chunks on the configured probe kernel — a [`RequestCtx::check`]
+/// before each — translating matches back to global row ids.
 ///
-/// Hierarchical pruning (when enabled and the shard carries a
-/// pyramid) runs over the *whole* shard part first — pruning inside a
-/// 512-row chunk would never see a span-sized region — and only the
-/// surviving row intervals are chunked. The per-chunk kernel runs
-/// with hier forced off so the core path neither re-prunes nor
-/// double-counts the `hier.*` stats emitted here.
+/// Hierarchical pruning ([`ab::AbIndex::hier_prune`]) has to see the
+/// *whole* shard part — inside a 512-row chunk it would never see a
+/// span-sized region — so it runs here, once, and only the surviving
+/// row intervals are chunked; the chunks themselves run with hier off.
 fn run_shard_chunked(
     shard: &Shard,
     local: &RectQuery,
@@ -978,51 +697,24 @@ fn run_shard_chunked(
     kernel: KernelOpts,
 ) -> Result<Vec<usize>, SvcError> {
     let flat = kernel.with_hier(HierMode::Off);
+    let pruned = shard.index().hier_prune(local, kernel.hier);
+    let whole = [(local.row_lo, local.row_hi)];
+    let intervals = pruned.as_ref().map_or(&whole[..], |p| &p.intervals);
     let mut out = Vec::new();
-    if kernel.hier != HierMode::Off && !local.ranges.is_empty() && local.row_lo <= local.row_hi {
-        if let Some(hier) = shard.index().hier() {
-            if kernel.hier == HierMode::Force || ab::plan_descent(hier, local) {
-                let prune = hier.prune(local);
-                obs::counter!("hier.regions_pruned").add(prune.regions_pruned);
-                obs::counter!("hier.rows_skipped").add(prune.rows_skipped);
-                for (lo, hi) in prune.intervals {
-                    let part = RectQuery::new(local.ranges.clone(), lo, hi);
-                    run_shard_chunked_flat(shard, &part, ctx, flat, &mut out)?;
-                }
-                return Ok(out);
+    for &(mut lo, row_hi) in intervals {
+        loop {
+            ctx.check()?;
+            let hi = row_hi.min(lo + CHUNK_ROWS - 1);
+            let chunk = RectQuery::new(local.ranges.clone(), lo, hi);
+            let rows = shard.index().try_execute_rect_with_opts(&chunk, flat)?;
+            out.extend(rows.into_iter().map(|r| r + shard.start()));
+            if hi == row_hi {
+                break;
             }
+            lo = hi + 1;
         }
     }
-    run_shard_chunked_flat(shard, local, ctx, flat, &mut out)?;
     Ok(out)
-}
-
-/// The chunked scan itself: [`CHUNK_ROWS`] rows per kernel call with
-/// a [`RequestCtx::check`] between chunks.
-fn run_shard_chunked_flat(
-    shard: &Shard,
-    local: &RectQuery,
-    ctx: &RequestCtx,
-    kernel: KernelOpts,
-    out: &mut Vec<usize>,
-) -> Result<(), SvcError> {
-    let mut lo = local.row_lo;
-    loop {
-        ctx.check()?;
-        let hi = local.row_hi.min(lo + CHUNK_ROWS - 1);
-        let chunk = RectQuery::new(local.ranges.clone(), lo, hi);
-        out.extend(
-            shard
-                .index()
-                .try_execute_rect_with_opts(&chunk, kernel)?
-                .into_iter()
-                .map(|r| r + shard.start()),
-        );
-        if hi == local.row_hi {
-            return Ok(());
-        }
-        lo = hi + 1;
-    }
 }
 
 #[cfg(test)]
@@ -1076,7 +768,7 @@ mod tests {
                 hi,
             );
             assert_eq!(
-                svc.query_rect(&q).unwrap(),
+                svc.try_query_rect(&q).unwrap().value,
                 svc.index().execute_rect_sequential(&q).unwrap()
             );
         }
@@ -1087,33 +779,14 @@ mod tests {
         let svc = service(100, small_cfg());
         let bad_row = RectQuery::new(vec![], 0, 100);
         assert!(matches!(
-            svc.query_rect(&bad_row),
+            svc.try_query_rect(&bad_row),
             Err(SvcError::Query(QueryError::RowOutOfRange { .. }))
         ));
         let bad_bin = RectQuery::new(vec![AttrRange::new(1, 0, 9)], 0, 50);
         assert!(matches!(
-            svc.query_rect(&bad_bin),
+            svc.try_query_rect(&bad_bin),
             Err(SvcError::Query(QueryError::BinOutOfRange { .. }))
         ));
-    }
-
-    #[test]
-    fn expired_deadline_rejects_before_dispatch() {
-        let svc = service(200, small_cfg());
-        let q = RectQuery::new(vec![AttrRange::new(0, 0, 5)], 0, 199);
-        assert_eq!(
-            svc.query_rect_within(&q, Duration::ZERO),
-            Err(SvcError::DeadlineExceeded)
-        );
-    }
-
-    #[test]
-    fn cancelled_context_stops_the_request() {
-        let svc = service(200, small_cfg());
-        let ctx = RequestCtx::new(Deadline::none());
-        ctx.cancel();
-        let q = RectQuery::new(vec![], 0, 199);
-        assert_eq!(svc.query_rect_ctx(&q, &ctx), Err(SvcError::Cancelled));
     }
 
     #[test]
@@ -1131,7 +804,7 @@ mod tests {
             .map(|i| (i * 7919) % n) // visit rows out of order
             .map(|r| Cell::new(r, 0, t.column(0).bins[r]))
             .collect();
-        let got = svc.retrieve_cells(&cells).unwrap();
+        let got = svc.try_retrieve_cells(&cells).unwrap().value;
         assert_eq!(got.len(), n);
         assert!(got.iter().all(|&b| b), "false negative via service");
     }
@@ -1140,17 +813,20 @@ mod tests {
     fn retrieve_cells_validates_input() {
         let svc = service(50, small_cfg());
         assert!(matches!(
-            svc.retrieve_cells(&[Cell::new(50, 0, 0)]),
+            svc.try_retrieve_cells(&[Cell::new(50, 0, 0)]),
             Err(SvcError::Query(QueryError::RowOutOfRange { .. }))
         ));
         assert!(matches!(
-            svc.retrieve_cells(&[Cell::new(0, 7, 0)]),
+            svc.try_retrieve_cells(&[Cell::new(0, 7, 0)]),
             Err(SvcError::Query(QueryError::BinOutOfRange {
                 attribute: 7,
                 ..
             }))
         ));
-        assert_eq!(svc.retrieve_cells(&[]).unwrap(), Vec::<bool>::new());
+        assert_eq!(
+            svc.try_retrieve_cells(&[]).unwrap().value,
+            Vec::<bool>::new()
+        );
     }
 
     #[test]
@@ -1161,37 +837,12 @@ mod tests {
             RectQuery::new(vec![AttrRange::new(1, 1, 3)], 100, 250),
             RectQuery::new(vec![], 395, 399),
         ];
-        let batched = svc.query_batch(&qs).unwrap();
+        let batched = svc.try_query_batch(&qs).unwrap().value;
         assert_eq!(batched.len(), 3);
         for (q, rows) in qs.iter().zip(&batched) {
-            assert_eq!(rows, &svc.query_rect(q).unwrap());
+            assert_eq!(rows, &svc.try_query_rect(q).unwrap().value);
         }
-        assert!(svc.query_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn wah_path_gives_exact_subset_of_ab_answer() {
-        let t = table(300);
-        let cfg = SvcConfig {
-            with_wah: true,
-            ..small_cfg()
-        };
-        let svc = Service::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(8), &cfg);
-        let q = RectQuery::new(vec![AttrRange::new(0, 2, 4)], 10, 290);
-        let exact = svc.query_rect_wah(&q).unwrap();
-        let approx = svc.query_rect(&q).unwrap();
-        for r in &exact {
-            assert!(approx.contains(r), "AB missed exact row {r}");
-        }
-        let reference = bitmap::BitmapIndex::build(&t, bitmap::Encoding::Equality);
-        assert_eq!(exact, reference.evaluate_rows(&q));
-    }
-
-    #[test]
-    fn wah_unavailable_without_build_flag() {
-        let svc = service(100, small_cfg());
-        let q = RectQuery::new(vec![], 0, 99);
-        assert_eq!(svc.query_rect_wah(&q), Err(SvcError::WahUnavailable));
+        assert!(svc.try_query_batch(&[]).unwrap().value.is_empty());
     }
 
     #[test]
@@ -1206,87 +857,6 @@ mod tests {
         assert_eq!(cfg.resolved_shards(2), 2); // clamped to rows
         let auto = SvcConfig::default();
         assert!(auto.resolved_threads() >= 1);
-    }
-
-    #[cfg(not(feature = "chaos-off"))]
-    #[test]
-    fn panicking_shard_degrades_conservatively_not_fatally() {
-        use crate::chaos::{Fault, FaultPlan, FaultRule};
-        let plan = Arc::new(
-            FaultPlan::new(11).with_rule(
-                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                    .on_shard(1)
-                    .max_fires(1),
-            ),
-        );
-        let svc = service(400, small_cfg()).with_fault_plan(Arc::clone(&plan));
-        let q = RectQuery::new(vec![AttrRange::new(0, 1, 4)], 0, 399);
-        let healthy_rows = svc.index().execute_rect_sequential(&q).unwrap();
-
-        let r = svc.try_query_rect(&q).unwrap();
-        assert_eq!(
-            r.degraded.as_ref().map(|d| d.shards.clone()),
-            Some(vec![1]),
-            "shard 1's panic must surface as a Degraded marker"
-        );
-        // No false negatives: every healthy answer survives, and the
-        // quarantined shard's whole slice (rows 100..200 of 4×100-row
-        // shards) is present.
-        for row in &healthy_rows {
-            assert!(r.value.contains(row), "degraded answer lost row {row}");
-        }
-        let s1 = &svc.index().shards()[1];
-        for row in s1.start()..s1.end() {
-            assert!(r.value.contains(&row));
-        }
-        assert!(r.value.windows(2).all(|w| w[0] < w[1]), "merge unsorted");
-
-        // The shard stays quarantined: the next request degrades up
-        // front without firing the (spent) fault again.
-        assert!(svc.health().is_quarantined(1));
-        let again = svc.try_query_rect(&q).unwrap();
-        assert!(again.is_degraded());
-        assert_eq!(plan.fires(points::SHARD_QUERY), 1);
-
-        // Clearing the quarantine restores bit-identical answers.
-        svc.health().clear(1);
-        assert_eq!(svc.query_rect(&q).unwrap(), healthy_rows);
-    }
-
-    #[cfg(not(feature = "chaos-off"))]
-    #[test]
-    fn quarantined_cells_answer_maybe_present() {
-        use crate::chaos::{Fault, FaultPlan, FaultRule};
-        let plan = Arc::new(
-            FaultPlan::new(3).with_rule(
-                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                    .on_shard(0)
-                    .max_fires(1),
-            ),
-        );
-        let n = 200;
-        let t = table(n);
-        let svc = Service::build(
-            &t,
-            &AbConfig::new(Level::PerAttribute).with_alpha(8),
-            &small_cfg(),
-        )
-        .with_fault_plan(plan);
-        let cells: Vec<Cell> = (0..n)
-            .map(|r| Cell::new(r, 0, t.column(0).bins[r]))
-            .collect();
-        let r = svc.try_retrieve_cells(&cells).unwrap();
-        assert_eq!(r.degraded.as_ref().map(|d| d.shards.clone()), Some(vec![0]));
-        assert!(
-            r.value.iter().all(|&b| b),
-            "true cells must stay true under degradation"
-        );
-        // Probing a cell that is certainly absent in the quarantined
-        // shard still answers true — maybe present, never a false
-        // negative elsewhere.
-        let absent = Cell::new(0, 0, (t.column(0).bins[0] + 1) % 6);
-        let r2 = svc.try_retrieve_cells(&[absent]).unwrap();
-        assert!(r2.value[0] && r2.is_degraded());
     }
 
     /// 600 cells whose rows hop between the three shards of a 3-shard
@@ -1353,123 +923,250 @@ mod tests {
         assert_eq!(r.value, reference);
     }
 
-    /// Exactly the failed shard's positions turn conservative.
-    fn assert_only_shard_degraded(
-        r: &Response<Vec<bool>>,
-        reference: &[bool],
-        owners: &[usize],
-        failed: usize,
-    ) {
-        assert_eq!(
-            r.degraded.as_ref().map(|d| d.shards.clone()),
-            Some(vec![failed])
-        );
-        for (pos, (&got, &want)) in r.value.iter().zip(reference).enumerate() {
-            if owners[pos] == failed {
-                assert!(got, "position {pos} of the failed shard must say maybe");
-            } else {
-                assert_eq!(got, want, "position {pos} of a healthy shard changed");
+    /// The three request kinds behind one face, so the degradation
+    /// table can put each of them through every scenario.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Rect,
+        Cells,
+        Batch,
+    }
+
+    /// A kind's answer in one shape: row lists (one per query — a rect
+    /// has one) or cell verdicts.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Rows(Vec<Vec<usize>>),
+        Hits(Vec<bool>),
+    }
+
+    /// What the table asks: `rects[0]` is the rect request, `rects` the
+    /// batch (a rectangle over all three shards, one inside the shard
+    /// that fails, one that never reaches it), `cells` the cell list.
+    struct Asked {
+        rects: Vec<RectQuery>,
+        cells: Vec<Cell>,
+    }
+
+    fn ask(
+        svc: &Service,
+        asked: &Asked,
+        kind: Kind,
+        ctx: &RequestCtx,
+    ) -> Result<Response<Answer>, SvcError> {
+        let (value, degraded) = match kind {
+            Kind::Rect => {
+                let r = svc.try_query_rect_ctx(&asked.rects[0], ctx)?;
+                (Answer::Rows(vec![r.value]), r.degraded)
             }
+            Kind::Cells => {
+                let r = svc.try_retrieve_cells_ctx(&asked.cells, ctx)?;
+                (Answer::Hits(r.value), r.degraded)
+            }
+            Kind::Batch => {
+                let r = svc.try_query_batch_ctx(&asked.rects, ctx)?;
+                (Answer::Rows(r.value), r.degraded)
+            }
+        };
+        Ok(Response { value, degraded })
+    }
+
+    /// What `kind` must answer while shard `failed` (if any) cannot:
+    /// the shards' own sequential answers ([`execute_rect_sequential`],
+    /// per-cell `test_cell`) everywhere else, and on the failed shard
+    /// the conservative answer — every row of each query's part of it,
+    /// `true` at exactly its cell positions.
+    ///
+    /// [`execute_rect_sequential`]: ShardedIndex::execute_rect_sequential
+    fn expected(svc: &Service, asked: &Asked, kind: Kind, failed: Option<usize>) -> Answer {
+        let index = svc.index();
+        let rows_of = |q: &RectQuery| {
+            let healthy = index.execute_rect_sequential(q).unwrap();
+            let Some(shard) = failed.map(|sid| &index.shards()[sid]) else {
+                return healthy;
+            };
+            let slice = q.row_lo.max(shard.start())..q.row_hi.min(shard.end() - 1) + 1;
+            let mut rows: Vec<usize> = healthy
+                .into_iter()
+                .filter(|r| !(shard.start()..shard.end()).contains(r))
+                .chain(slice)
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        match kind {
+            Kind::Rect => Answer::Rows(vec![rows_of(&asked.rects[0])]),
+            Kind::Batch => Answer::Rows(asked.rects.iter().map(rows_of).collect()),
+            Kind::Cells => Answer::Hits(
+                asked
+                    .cells
+                    .iter()
+                    .map(|c| {
+                        let sid = index.shard_of_row(c.row);
+                        let shard = &index.shards()[sid];
+                        failed == Some(sid)
+                            || shard
+                                .index()
+                                .test_cell(c.row - shard.start(), c.attribute, c.bin)
+                    })
+                    .collect(),
+            ),
         }
     }
 
+    /// The shard every failing scenario takes out.
+    const FAILED: usize = 1;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Scenario {
+        Healthy,
+        QuarantinedBeforeTheRequest,
+        #[cfg(not(feature = "chaos-off"))]
+        PanicsMidRequest,
+        #[cfg(not(feature = "chaos-off"))]
+        OverloadAtSubmit,
+        ExpiredDeadline,
+        CancelledCtx,
+    }
+
+    /// One degradation table for every kind: {rect, cells, batch} ×
+    /// {healthy, shard quarantined before the request, shard panicking
+    /// mid-request, overload at submit, expired deadline, cancelled
+    /// ctx}. A degraded answer is the healthy one with the failed
+    /// shard's whole slice made conservative — a sorted superset — and
+    /// names exactly that shard; a refused request returns its typed
+    /// error and leaves no job behind; clearing the quarantine makes
+    /// answers bit-identical again.
     #[test]
-    fn quarantined_shard_answers_true_at_exactly_its_positions() {
+    fn every_kind_degrades_sheds_and_recovers_alike() {
+        use crate::chaos::{Fault, FaultPlan, FaultRule};
         let t = table(900);
-        let svc = Service::build(
-            &t,
-            &AbConfig::new(Level::PerAttribute).with_alpha(8),
-            &three_shards(),
-        );
-        let (cells, reference, owners) = interleaved_cells(&svc, &t);
-        svc.health().quarantine(1);
-        let r = svc.try_retrieve_cells(&cells).unwrap();
-        assert_only_shard_degraded(&r, &reference, &owners, 1);
-        svc.health().clear(1);
-        assert_eq!(svc.retrieve_cells(&cells).unwrap(), reference);
-    }
-
-    #[cfg(not(feature = "chaos-off"))]
-    #[test]
-    fn shard_panicking_mid_request_answers_true_at_exactly_its_positions() {
-        use crate::chaos::{Fault, FaultPlan, FaultRule};
-        let plan = Arc::new(
-            FaultPlan::new(17).with_rule(
-                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                    .on_shard(2)
-                    .max_fires(1),
-            ),
-        );
-        let t = table(900);
-        let svc = Service::build(
-            &t,
-            &AbConfig::new(Level::PerAttribute).with_alpha(8),
-            &three_shards(),
-        )
-        .with_fault_plan(Arc::clone(&plan));
-        let (cells, reference, owners) = interleaved_cells(&svc, &t);
-        let r = svc.try_retrieve_cells(&cells).unwrap();
-        assert_eq!(plan.fires(points::SHARD_QUERY), 1);
-        assert_only_shard_degraded(&r, &reference, &owners, 2);
-        // The panic quarantined the shard: the next request degrades
-        // up front, with the same answer and no second fault.
-        assert!(svc.health().is_quarantined(2));
-        let again = svc.try_retrieve_cells(&cells).unwrap();
-        assert_only_shard_degraded(&again, &reference, &owners, 2);
-        assert_eq!(plan.fires(points::SHARD_QUERY), 1);
-    }
-
-    #[cfg(not(feature = "chaos-off"))]
-    #[test]
-    fn wah_path_fails_typed_on_quarantine() {
-        use crate::chaos::{Fault, FaultPlan, FaultRule};
-        let plan = Arc::new(
-            FaultPlan::new(5).with_rule(
-                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                    .on_shard(2)
-                    .max_fires(1),
-            ),
-        );
-        let cfg = SvcConfig {
-            with_wah: true,
-            ..small_cfg()
-        };
-        let t = table(200);
-        let svc = Service::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(8), &cfg)
-            .with_fault_plan(plan);
-        let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, 199);
-        assert_eq!(
-            svc.query_rect_wah(&q),
-            Err(SvcError::ShardQuarantined { shard: 2 })
-        );
-        // Approximate path still serves (degraded), exact path keeps
-        // refusing until the shard is cleared.
-        assert!(svc.try_query_rect(&q).unwrap().is_degraded());
-        assert_eq!(
-            svc.query_rect_wah(&q),
-            Err(SvcError::ShardQuarantined { shard: 2 })
-        );
-        svc.health().clear(2);
-        assert!(svc.query_rect_wah(&q).is_ok());
-    }
-
-    #[cfg(not(feature = "chaos-off"))]
-    #[test]
-    fn injected_overload_at_submit_sheds_the_request() {
-        use crate::chaos::{Fault, FaultPlan, FaultRule};
-        let plan = Arc::new(
-            FaultPlan::new(9)
-                .with_rule(FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded).max_fires(1)),
-        );
-        let svc = service(100, small_cfg()).with_fault_plan(plan);
-        let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, 99);
-        assert!(matches!(
-            svc.query_rect(&q),
-            Err(SvcError::Overloaded { .. })
-        ));
-        // One-shot fault: the next request goes through healthily.
-        let r = svc.try_query_rect(&q).unwrap();
-        assert!(!r.is_degraded());
+        let ab = AbConfig::new(Level::PerAttribute).with_alpha(8);
+        let scenarios = [
+            Scenario::Healthy,
+            Scenario::QuarantinedBeforeTheRequest,
+            #[cfg(not(feature = "chaos-off"))]
+            Scenario::PanicsMidRequest,
+            #[cfg(not(feature = "chaos-off"))]
+            Scenario::OverloadAtSubmit,
+            Scenario::ExpiredDeadline,
+            Scenario::CancelledCtx,
+        ];
+        for kind in [Kind::Rect, Kind::Cells, Kind::Batch] {
+            for scenario in scenarios {
+                // The scenario's fault — or, where it has none, a probe
+                // that fires (and sleeps for no time) at the start of
+                // every shard job, which makes the jobs countable.
+                let rule = match scenario {
+                    #[cfg(not(feature = "chaos-off"))]
+                    Scenario::PanicsMidRequest => FaultRule::new(points::SHARD_QUERY, Fault::Panic)
+                        .on_shard(FAILED)
+                        .max_fires(1),
+                    #[cfg(not(feature = "chaos-off"))]
+                    Scenario::OverloadAtSubmit => {
+                        FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)
+                            .on_shard(FAILED)
+                            .max_fires(1)
+                    }
+                    _ => FaultRule::new(points::SHARD_QUERY, Fault::Latency(Duration::ZERO)),
+                };
+                let plan = Arc::new(FaultPlan::new(29).with_rule(rule));
+                let svc =
+                    Service::build(&t, &ab, &three_shards()).with_fault_plan(Arc::clone(&plan));
+                let (cells, _, _) = interleaved_cells(&svc, &t);
+                let asked = Asked {
+                    rects: vec![
+                        RectQuery::new(vec![AttrRange::new(0, 1, 4)], 50, 849),
+                        RectQuery::new(vec![AttrRange::new(1, 0, 1)], 310, 590),
+                        RectQuery::new(vec![], 20, 290),
+                    ],
+                    cells,
+                };
+                let what = format!("{kind:?} / {scenario:?}");
+                let healthy = expected(&svc, &asked, kind, None);
+                let degraded = expected(&svc, &asked, kind, Some(FAILED));
+                assert_ne!(healthy, degraded, "{what}: the slice must show");
+                let unbounded = RequestCtx::new(Deadline::none());
+                let assert_healthy = || {
+                    let r = ask(&svc, &asked, kind, &unbounded).unwrap();
+                    assert_eq!(r.degraded, None, "{what}");
+                    assert_eq!(r.value, healthy, "{what}");
+                };
+                let assert_degraded = || {
+                    let r = ask(&svc, &asked, kind, &unbounded).unwrap();
+                    let named = r.degraded.map(|d| d.shards);
+                    assert_eq!(named, Some(vec![FAILED]), "{what}");
+                    assert_eq!(r.value, degraded, "{what}");
+                    if let Answer::Rows(lists) = &r.value {
+                        for rows in lists {
+                            assert!(rows.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
+                        }
+                    }
+                };
+                // Refused before or at submission: the typed error, the
+                // ctx cancelled where jobs were already admitted, and
+                // nothing left queued behind the request.
+                let assert_refused = |ctx: &RequestCtx, want: fn(&SvcError) -> bool| {
+                    let e = ask(&svc, &asked, kind, ctx).unwrap_err();
+                    assert!(want(&e), "{what}: {e}");
+                    let waited = std::time::Instant::now();
+                    while svc.queue_depth() > 0 {
+                        assert!(waited.elapsed() < Duration::from_secs(5), "{what}: stuck");
+                        std::thread::yield_now();
+                    }
+                };
+                match scenario {
+                    Scenario::Healthy => assert_healthy(),
+                    Scenario::QuarantinedBeforeTheRequest => {
+                        svc.health().quarantine(FAILED);
+                        assert_degraded();
+                        // The quarantined shard got no job at all.
+                        #[cfg(not(feature = "chaos-off"))]
+                        assert_eq!(plan.fires(points::SHARD_QUERY), 2, "{what}");
+                        svc.health().clear(FAILED);
+                        assert_healthy();
+                    }
+                    #[cfg(not(feature = "chaos-off"))]
+                    Scenario::PanicsMidRequest => {
+                        assert_degraded();
+                        assert_eq!(plan.fires(points::SHARD_QUERY), 1, "{what}");
+                        // The panic quarantined the shard: the next
+                        // request degrades up front, with the same
+                        // answer and without meeting the fault again.
+                        assert!(svc.health().is_quarantined(FAILED), "{what}");
+                        assert_degraded();
+                        assert_eq!(plan.fires(points::SHARD_QUERY), 1, "{what}");
+                        svc.health().clear(FAILED);
+                        assert_healthy();
+                    }
+                    #[cfg(not(feature = "chaos-off"))]
+                    Scenario::OverloadAtSubmit => {
+                        // Shard 0's job is in the pool when shard 1's
+                        // submission is refused.
+                        let ctx = RequestCtx::new(Deadline::none());
+                        assert_refused(&ctx, |e| matches!(e, SvcError::Overloaded { .. }));
+                        assert!(ctx.is_cancelled(), "{what}: admitted parts must stop");
+                        // One-shot fault: the next request is healthy.
+                        assert_healthy();
+                    }
+                    Scenario::ExpiredDeadline | Scenario::CancelledCtx => {
+                        let (ctx, want): (_, fn(&SvcError) -> bool) =
+                            if scenario == Scenario::ExpiredDeadline {
+                                let ctx = RequestCtx::new(Deadline::within(Duration::ZERO));
+                                (ctx, |e| *e == SvcError::DeadlineExceeded)
+                            } else {
+                                let ctx = RequestCtx::new(Deadline::none());
+                                ctx.cancel();
+                                (ctx, |e| *e == SvcError::Cancelled)
+                            };
+                        assert_refused(&ctx, want);
+                        // Rejected at admission: no shard job started.
+                        assert_eq!(plan.fires(points::SHARD_QUERY), 0, "{what}");
+                        assert_healthy();
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1515,8 +1212,8 @@ mod tests {
                 RectQuery::new(vec![], 0, n - 1),
             ] {
                 assert_eq!(
-                    hier.query_rect(&q).unwrap(),
-                    flat.query_rect(&q).unwrap(),
+                    hier.try_query_rect(&q).unwrap().value,
+                    flat.try_query_rect(&q).unwrap().value,
                     "hier and flat services must answer bit-identically"
                 );
             }
@@ -1563,7 +1260,7 @@ mod tests {
             .all(|s| s.index().hier().is_some()));
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, 119);
         assert_eq!(
-            svc.query_rect(&q).unwrap(),
+            svc.try_query_rect(&q).unwrap().value,
             idx.execute_rect_sequential(&q).unwrap()
         );
     }
@@ -1584,7 +1281,7 @@ mod tests {
         );
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, 119);
         assert_eq!(
-            svc.query_rect(&q).unwrap(),
+            svc.try_query_rect(&q).unwrap().value,
             idx.execute_rect_sequential(&q).unwrap()
         );
     }

@@ -3,9 +3,10 @@
 //! Roaring-style partitioning applied to the AB: the row space is
 //! split into `S` contiguous ranges (via [`ab::shard_ranges`]), and
 //! each shard holds its own [`AbIndex`] over its rows (renumbered from
-//! 0), optionally alongside a WAH index for exact second-step answers.
-//! Shards share nothing, so they build and query independently — the
-//! unit of parallelism for the [`crate::Service`].
+//! 0), optionally alongside a WAH index over the same rows (an exact
+//! baseline for callers; the service does not query it). Shards share
+//! nothing, so they build and query independently — the unit of
+//! parallelism for the [`crate::Service`].
 //!
 //! Row-range (not hash) partitioning keeps the paper's query shapes
 //! cheap: a rectangular query's row interval intersects only the
@@ -48,7 +49,9 @@ impl Shard {
         &self.index
     }
 
-    /// The shard's WAH index, when built with `with_wah`.
+    /// The shard's WAH index, when built with `with_wah`. Nothing in the
+    /// service reads it; it stays while the frozen benchmark's set-up
+    /// passes `with_wah` (ROADMAP 1(e)).
     pub fn wah(&self) -> Option<&wah::WahIndex> {
         self.wah.as_ref()
     }
@@ -267,36 +270,21 @@ impl ShardedIndex {
     }
 
     /// Validates a query against the global row count and attribute
-    /// cardinalities — the same checks [`AbIndex::try_execute_rect`]
-    /// performs, hoisted so they run once per request instead of once
-    /// per shard.
+    /// cardinalities ([`ab::validate_ranges`], the check every
+    /// [`AbIndex`] entry point performs), hoisted so it runs once per
+    /// request instead of once per shard.
     pub fn validate_rect(&self, query: &RectQuery) -> Result<(), QueryError> {
-        if query.row_hi >= self.num_rows {
-            return Err(QueryError::RowOutOfRange {
-                row: query.row_hi,
-                num_rows: self.num_rows,
-            });
-        }
-        for r in &query.ranges {
-            let card = self
-                .attributes
-                .get(r.attribute)
-                .map(|a| a.cardinality)
-                .unwrap_or(0);
-            if r.hi >= card {
-                return Err(QueryError::BinOutOfRange {
-                    attribute: r.attribute,
-                    bin: r.hi,
-                    cardinality: card,
-                });
-            }
-        }
-        Ok(())
+        ab::validate_ranges(
+            &self.attributes,
+            self.num_rows,
+            query.row_hi,
+            query.ranges.iter().map(|r| (r.attribute, r.hi)),
+        )
     }
 
     /// Single-threaded reference execution: runs every shard part in
     /// row order on the calling thread and concatenates. The merge
-    /// correctness contract is that [`crate::Service::query_rect`]
+    /// correctness contract is that [`crate::Service::try_query_rect`]
     /// returns exactly this, bit for bit, for any worker count.
     pub fn execute_rect_sequential(&self, query: &RectQuery) -> Result<Vec<usize>, QueryError> {
         self.validate_rect(query)?;
@@ -306,7 +294,7 @@ impl ShardedIndex {
             out.extend(
                 shard
                     .index
-                    .try_execute_rect(&local)?
+                    .try_execute_rect_with_opts(&local, ab::KernelOpts::default())?
                     .into_iter()
                     .map(|r| r + shard.start),
             );

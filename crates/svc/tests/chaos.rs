@@ -152,12 +152,13 @@ fn deadline_expiry_discards_partial_results_under_latency() {
     let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
     let q = RectQuery::new(vec![AttrRange::new(0, 0, 6)], 0, n - 1);
     // Every shard job sleeps 80ms; a 10ms deadline cannot be met.
-    let res = svc.query_rect_within(&q, Duration::from_millis(10));
+    let ctx = svc::RequestCtx::new(svc::Deadline::within(Duration::from_millis(10)));
+    let res = svc.try_query_rect_ctx(&q, &ctx);
     assert_eq!(res, Err(SvcError::DeadlineExceeded));
     // The service stays healthy afterwards: latency is not a panic,
     // nothing is quarantined, and an undeadlined query still answers.
     assert!(svc.health().all_healthy());
-    assert!(svc.query_rect(&q).is_ok());
+    assert!(svc.try_query_rect(&q).is_ok());
 }
 
 /// Cancellation racing a mid-flight rect query (slowed by injected

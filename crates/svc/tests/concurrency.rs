@@ -60,14 +60,14 @@ fn merge_is_bit_identical_to_single_threaded() {
             RectQuery::new(vec![], 1999, 1999),
         ];
         for q in &queries {
-            let concurrent = svc.query_rect(q).unwrap();
+            let concurrent = svc.try_query_rect(q).unwrap().value;
             let sequential = svc.index().execute_rect_sequential(q).unwrap();
             assert_eq!(concurrent, sequential, "shards={shards}, query={q:?}");
         }
         if shards == 1 {
             let mono = AbIndex::build(&t, &ab_cfg());
             for q in &queries {
-                assert_eq!(svc.query_rect(q).unwrap(), mono.execute_rect(q));
+                assert_eq!(svc.try_query_rect(q).unwrap().value, mono.execute_rect(q));
             }
         }
     }
@@ -93,7 +93,7 @@ fn parallel_clients_get_identical_answers() {
         50,
         1450,
     );
-    let want = svc.query_rect(&q).unwrap();
+    let want = svc.try_query_rect(&q).unwrap().value;
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let svc = Arc::clone(&svc);
@@ -101,7 +101,7 @@ fn parallel_clients_get_identical_answers() {
             let want = want.clone();
             std::thread::spawn(move || {
                 for _ in 0..20 {
-                    assert_eq!(svc.query_rect(&q).unwrap(), want);
+                    assert_eq!(svc.try_query_rect(&q).unwrap().value, want);
                 }
             })
         })
@@ -131,7 +131,7 @@ fn service_never_loses_true_matches() {
         0,
         1199,
     );
-    let got = svc.query_rect(&q).unwrap();
+    let got = svc.try_query_rect(&q).unwrap().value;
     for r in exact.evaluate_rows(&q) {
         assert!(got.contains(&r), "concurrent merge lost exact row {r}");
     }
@@ -159,7 +159,7 @@ fn overload_sheds_with_typed_error() {
         0,
         119_999,
     );
-    match svc.query_rect(&q) {
+    match svc.try_query_rect(&q) {
         Err(SvcError::Overloaded { capacity, .. }) => assert_eq!(capacity, 1),
         other => panic!("expected Overloaded, got {other:?}"),
     }
@@ -180,12 +180,15 @@ fn deadline_miss_then_recovery() {
     );
     let q = RectQuery::new(vec![AttrRange::new(0, 0, 7)], 0, 49_999);
     assert_eq!(
-        svc.query_rect_within(&q, Duration::from_nanos(1)),
+        svc.try_query_rect_ctx(
+            &q,
+            &RequestCtx::new(Deadline::within(Duration::from_nanos(1)))
+        ),
         Err(SvcError::DeadlineExceeded)
     );
     // Unbounded retry succeeds and still matches the reference.
     assert_eq!(
-        svc.query_rect(&q).unwrap(),
+        svc.try_query_rect(&q).unwrap().value,
         svc.index().execute_rect_sequential(&q).unwrap()
     );
 }
@@ -210,12 +213,12 @@ fn cancellation_aborts_in_flight_request() {
         0,
         99_999,
     );
-    let res = svc.query_rect_ctx(&q, &ctx);
+    let res = svc.try_query_rect_ctx(&q, &ctx);
     h.join().unwrap();
     // Depending on timing the request either finished first or was
     // cancelled — both are valid; anything else is a bug.
     match res {
-        Ok(rows) => assert_eq!(rows, svc.index().execute_rect_sequential(&q).unwrap()),
+        Ok(r) => assert_eq!(r.value, svc.index().execute_rect_sequential(&q).unwrap()),
         Err(SvcError::Cancelled) => {}
         other => panic!("unexpected result: {other:?}"),
     }
@@ -293,7 +296,10 @@ fn batched_queries_match_solo_under_load() {
     let batch: Vec<RectQuery> = (0..6)
         .map(|i| RectQuery::new(vec![AttrRange::new(i % 2, 0, 3)], i * 100, 700 + i * 10))
         .collect();
-    let solo: Vec<Vec<usize>> = batch.iter().map(|q| svc.query_rect(q).unwrap()).collect();
+    let solo: Vec<Vec<usize>> = batch
+        .iter()
+        .map(|q| svc.try_query_rect(q).unwrap().value)
+        .collect();
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let svc = Arc::clone(&svc);
@@ -301,7 +307,7 @@ fn batched_queries_match_solo_under_load() {
             let solo = solo.clone();
             std::thread::spawn(move || {
                 for _ in 0..10 {
-                    assert_eq!(svc.query_batch(&batch).unwrap(), solo);
+                    assert_eq!(svc.try_query_batch(&batch).unwrap().value, solo);
                 }
             })
         })

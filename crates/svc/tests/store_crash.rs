@@ -201,8 +201,8 @@ fn store_loaded_service_answers_bit_identically_to_in_ram() {
             ];
             for q in &rects {
                 assert_eq!(
-                    in_ram.query_rect(q).unwrap(),
-                    loaded.query_rect(q).unwrap(),
+                    in_ram.try_query_rect(q).unwrap().value,
+                    loaded.try_query_rect(q).unwrap().value,
                     "seed {seed} pread={force_pread}: rect mismatch"
                 );
             }
@@ -212,14 +212,14 @@ fn store_loaded_service_answers_bit_identically_to_in_ram() {
                 .map(|r| Cell::new(r, 0, (r % 5) as u32))
                 .collect();
             assert_eq!(
-                in_ram.retrieve_cells(&cells).unwrap(),
-                loaded.retrieve_cells(&cells).unwrap(),
+                in_ram.try_retrieve_cells(&cells).unwrap().value,
+                loaded.try_retrieve_cells(&cells).unwrap().value,
                 "seed {seed} pread={force_pread}: cells mismatch"
             );
             // Batched rects take the grouped fan-out path.
             assert_eq!(
-                in_ram.query_batch(&rects).unwrap(),
-                loaded.query_batch(&rects).unwrap(),
+                in_ram.try_query_batch(&rects).unwrap().value,
+                loaded.try_query_batch(&rects).unwrap().value,
                 "seed {seed} pread={force_pread}: batch mismatch"
             );
         }

@@ -5,7 +5,7 @@
 
 #![cfg(not(feature = "obs-off"))]
 
-use ab::{AbConfig, Level};
+use ab::{AbConfig, Cell, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 #[cfg(not(feature = "chaos-off"))]
 use std::sync::Arc;
@@ -187,7 +187,7 @@ fn caller_owned_trace_collects_all_retry_attempts() {
         // A failed attempt cancels its RequestCtx, so each attempt
         // gets a fresh ctx carrying the same trace.
         let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
-        svc.query_rect_ctx(&rect(0, ROWS - 1), &ctx)
+        svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx)
     });
     assert!(out.is_err(), "submission is always shed");
     let t = trace.finish().expect("caller finishes the trace");
@@ -209,6 +209,63 @@ fn caller_owned_trace_collects_all_retry_attempts() {
     }
 }
 
+/// The three kinds take one request path, so their traces are one
+/// shape: `svc.request → svc.admit, svc.shard × fan-out |
+/// svc.quarantined, svc.merge`, every child hanging directly off the
+/// root, with one shard already quarantined and seven answering.
+#[test]
+fn every_kind_records_the_same_span_tree() {
+    let svc = Service::build(
+        &table(),
+        &AbConfig::new(Level::PerAttribute).with_alpha(16),
+        &SvcConfig {
+            trace_requests: false,
+            ..config()
+        },
+    );
+    svc.health().quarantine(5);
+    let cells: Vec<Cell> = (0..ROWS).step_by(3).map(|r| Cell::new(r, 0, 2)).collect();
+    let rects = [rect(0, ROWS - 1), rect(ROWS / 2, ROWS - 1)];
+    // Children of the `svc.request` root, by name, in start order of
+    // their kind (shard jobs start whenever a worker picks them up).
+    let shape = |kind: &'static str, answers_degraded: &dyn Fn(&RequestCtx) -> bool| {
+        let trace = obs::TraceCtx::start(kind);
+        let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
+        assert!(answers_degraded(&ctx), "{kind}: shard 5 is quarantined");
+        let t = trace.finish().unwrap();
+        let root = t.spans.iter().find(|s| s.parent == 0).unwrap();
+        assert_eq!(root.name, "svc.request", "{kind}");
+        let mut children: Vec<String> = t
+            .spans
+            .iter()
+            .filter(|s| s.parent == root.id)
+            .map(|s| s.name.to_string())
+            .collect();
+        children.sort_unstable();
+        children
+    };
+    let mut want = vec!["svc.admit", "svc.merge", "svc.quarantined"];
+    want.extend(["svc.shard"; 7]);
+    type Ask<'a> = &'a dyn Fn(&RequestCtx) -> bool;
+    let kinds: [(&'static str, Ask); 3] = [
+        ("rect", &|ctx| {
+            let r = svc.try_query_rect_ctx(&rects[0], ctx);
+            r.unwrap().is_degraded()
+        }),
+        ("cells", &|ctx| {
+            let r = svc.try_retrieve_cells_ctx(&cells, ctx);
+            r.unwrap().is_degraded()
+        }),
+        ("batch", &|ctx| {
+            let r = svc.try_query_batch_ctx(&rects, ctx);
+            r.unwrap().is_degraded()
+        }),
+    ];
+    for (kind, answers_degraded) in kinds {
+        assert_eq!(shape(kind, answers_degraded), want, "{kind}");
+    }
+}
+
 #[test]
 fn service_owned_traces_can_be_disabled() {
     let svc = Service::build(
@@ -222,7 +279,7 @@ fn service_owned_traces_can_be_disabled() {
     // Caller-owned traces still work even when automatic ones are off.
     let trace = obs::TraceCtx::start("rect");
     let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
-    svc.query_rect_ctx(&rect(0, ROWS - 1), &ctx).unwrap();
+    svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx).unwrap();
     let t = trace.finish().unwrap();
     assert!(t.spans.iter().any(|s| s.name == "svc.shard"));
 }

@@ -9,7 +9,7 @@
 //! abq query --index index.ab --where attr=LO..HI [--where ...]
 //!           [--rows LO..HI] [--limit N]
 //! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
-//!           [--alpha N] [--deadline-ms N] [--wah] [--retries N]
+//!           [--alpha N] [--deadline-ms N] [--retries N]
 //!           [--kernel scalar|batched|simd] [--batch-rows adaptive|N]
 //!           [--hier [off|auto|force]] [--hybrid [off|auto|force]]
 //!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
@@ -46,9 +46,9 @@
 //! offline integrity audit, `scrub` runs one detect→quarantine→repair
 //! pass from the command line.
 //! `loadgen` drives a live `--listen` server over real sockets in
-//! closed-loop (`--pipeline`) or open-loop (`--rps`) mode and writes
-//! client-observed throughput and latency quantiles to a
-//! `BENCH_*.json` snapshot.
+//! closed-loop (`--pipeline`) or open-loop (`--rps`) mode and prints
+//! client-observed throughput and latency quantiles; `--out FILE`
+//! also writes them as a registry snapshot.
 //! `verify` checks an `ABIX`/`ABSH` file's per-segment checksums and
 //! header sanity without decoding the bit arrays.
 //!
@@ -100,7 +100,7 @@ fn print_usage() {
          abq verify --index FILE\n  \
          abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]\n  \
          abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] \
-         [--deadline-ms N] [--wah] [--retries N] [--kernel scalar|batched|simd] \
+         [--deadline-ms N] [--retries N] [--kernel scalar|batched|simd] \
          [--batch-rows adaptive|N] [--hier [off|auto|force]] \
          [--hybrid [off|auto|force]] \
          [--telemetry-addr HOST:PORT] [--slow-ms N] \
@@ -355,7 +355,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         .map_err(|_| "--limit must be an integer")?;
 
     let query = RectQuery::new(ranges, row_lo, row_hi);
-    let (rows, stats) = index.execute_rect_with_stats(&query);
+    let (rows, stats) = index
+        .try_execute_rect_with_stats_opts(&query, ab::KernelOpts::default())
+        .map_err(|e| e.to_string())?;
     println!(
         "{} candidate rows ({} cells probed; recall 100%, false positives possible):",
         rows.len(),
@@ -413,43 +415,35 @@ fn parse_batch_rows(args: &[String]) -> Result<ab::BatchRows, String> {
     }
 }
 
-/// The `--hier` flag: hierarchical pruning policy. Bare `--hier`
-/// means auto (the planner decides per query when descending the
-/// pyramid beats a flat scan); `--hier off|auto|force` is explicit.
-/// Results are bit-identical either way — only throughput differs.
-fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
-    match args.iter().position(|a| a == "--hier") {
-        None => Ok(ab::HierMode::Off),
-        // The mode operand is optional, so only consume the next
-        // token when it actually names a mode (`--hier --listen ...`
-        // must not eat `--listen`).
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("off") => Ok(ab::HierMode::Off),
-            Some("auto") | None => Ok(ab::HierMode::Auto),
-            Some("force") => Ok(ab::HierMode::Force),
-            Some(_) => Ok(ab::HierMode::Auto),
-        },
+/// A tier flag with an optional mode operand (`--hier`, `--hybrid`):
+/// absent means off, bare means auto, `off|auto|force` is explicit.
+/// The operand is optional, so the next token is only consumed when it
+/// names a mode (`--hier --listen ...` must not eat `--listen`).
+fn parse_tier_mode(args: &[String], flag: &str) -> ab::TierMode {
+    match args.iter().position(|a| a == flag) {
+        None => ab::TierMode::Off,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|mode| mode.parse().ok())
+            .unwrap_or(ab::TierMode::Auto),
     }
 }
 
-/// The `--hybrid` flag: hybrid exact-tier policy. Bare `--hybrid`
-/// means auto (queries touching exact-backed bins answer them from
-/// Roaring containers — zero hash probes, zero false positives — and
-/// fall back to the AB elsewhere); `--hybrid off|auto|force` is
-/// explicit. Which bins get exact backing is the planner's
-/// calibrated split decision (`AB_HYBRID` overrides it).
+/// The `--hier` flag: hierarchical pruning policy. Auto lets the
+/// planner decide per query when descending the pyramid beats a flat
+/// scan. Results are bit-identical either way — only throughput
+/// differs.
+fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
+    Ok(parse_tier_mode(args, "--hier"))
+}
+
+/// The `--hybrid` flag: hybrid exact-tier policy. Auto answers queries
+/// touching exact-backed bins from Roaring containers — zero hash
+/// probes, zero false positives — and falls back to the AB elsewhere.
+/// Which bins get exact backing is the planner's calibrated split
+/// decision (`AB_HYBRID` overrides it).
 fn parse_hybrid(args: &[String]) -> Result<ab::HybridMode, String> {
-    match args.iter().position(|a| a == "--hybrid") {
-        None => Ok(ab::HybridMode::Off),
-        // As with --hier, the mode operand is optional: only consume
-        // the next token when it names a mode.
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("off") => Ok(ab::HybridMode::Off),
-            Some("auto") | None => Ok(ab::HybridMode::Auto),
-            Some("force") => Ok(ab::HybridMode::Force),
-            Some(_) => Ok(ab::HybridMode::Auto),
-        },
-    }
+    Ok(parse_tier_mode(args, "--hybrid"))
 }
 
 /// Retry policy for the `serve` query path: up to
@@ -491,7 +485,7 @@ fn binned_and_config(args: &[String]) -> Result<(BinnedTable, AbConfig), String>
 
 /// `serve` setup: CSV → binned table → sharded service. Prints the
 /// chosen shard/thread split.
-fn build_service(args: &[String], with_wah: bool) -> Result<Service, String> {
+fn build_service(args: &[String]) -> Result<Service, String> {
     let (binned, config) = binned_and_config(args)?;
     let threads = parse_threads(args)?;
     let shards: usize = match flag_value(args, "--shards") {
@@ -518,7 +512,6 @@ fn build_service(args: &[String], with_wah: bool) -> Result<Service, String> {
         threads,
         shards,
         default_deadline,
-        with_wah,
         kernel,
         batch_rows,
         slow_query,
@@ -668,18 +661,12 @@ fn parse_repl_query(line: &str, svc: &Service) -> Result<RectQuery, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let wah = has_flag(args, "--wah");
     // `--store` serves from a crash-safe ABPG file instead of
     // rebuilding from CSV; the scrubber handle must stay alive for
     // the whole serve (dropping it stops the background verification).
     let (svc, scrubber) = match flag_value(args, "--store") {
-        Some(path) => {
-            if wah {
-                return Err("--wah needs an in-memory build (drop --store)".into());
-            }
-            build_service_from_store(args, path)?
-        }
-        None => (build_service(args, wah)?, None),
+        Some(path) => build_service_from_store(args, path)?,
+        None => (build_service(args)?, None),
     };
     let store_status = scrubber.as_ref().map(|s| s.status());
     let policy = parse_retry_policy(args)?;
@@ -752,14 +739,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             // attempt lands in the same span tree (a failed attempt
             // cancels its RequestCtx, so each attempt gets a fresh
             // ctx carrying the same trace).
-            let trace = obs::TraceCtx::start(if wah { "rect_wah" } else { "rect" });
+            let trace = obs::TraceCtx::start("rect");
             let out = svc::retry_traced(&policy, served, &trace, |_| {
                 let ctx = svc::RequestCtx::traced(mk_deadline(), trace.clone());
-                if wah {
-                    svc.query_rect_wah_ctx(&q, &ctx)
-                } else {
-                    svc.query_rect_ctx(&q, &ctx)
-                }
+                svc.try_query_rect_ctx(&q, &ctx).map(|r| r.value)
             });
             svc.finish_trace(&trace);
             out
@@ -1048,8 +1031,9 @@ fn parse_mix(s: &str) -> Result<net::loadgen::Mix, String> {
 }
 
 /// `abq loadgen` — drives a live `--listen` server over real sockets
-/// and writes client-observed rps + latency quantiles to a
-/// `BENCH_*.json` snapshot.
+/// and prints client-observed rps + latency quantiles; with `--out
+/// FILE` it also writes them, with the registry, as a JSON snapshot
+/// (nothing is written otherwise).
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr").ok_or("--addr is required")?;
     let conns: usize = flag_value(args, "--conns")
@@ -1127,7 +1111,9 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     // net.rps.<kind>.conns<N>, net.latency_us.<kind>.conns<N>.<p>, and
     // the reliability counts net.errors/shed.<kind>.conns<N> +
     // net.transport_errors/reconnects.conns<N>.
-    let out = flag_value(args, "--out").unwrap_or("BENCH_net.json");
+    let Some(out) = flag_value(args, "--out") else {
+        return Ok(());
+    };
     let mut snap = obs::global()
         .snapshot()
         .with_extra(&format!("net.total_rps.conns{conns}"), report.rps)
@@ -1319,8 +1305,8 @@ mod tests {
         assert!(parse_threads(&strings(&["--threads", "0"])).is_err());
         assert!(parse_threads(&strings(&["--threads", "x"])).is_err());
         assert!(parse_threads(&strings(&[])).unwrap() >= 1);
-        assert!(has_flag(&strings(&["--wah"]), "--wah"));
-        assert!(!has_flag(&strings(&[]), "--wah"));
+        assert!(has_flag(&strings(&["--store-pread"]), "--store-pread"));
+        assert!(!has_flag(&strings(&[]), "--store-pread"));
     }
 
     #[test]
@@ -1678,7 +1664,5 @@ mod tests {
         assert!(cmd_store_build(&strings(&["--csv", "x.csv"])).is_err()); // --out required
         assert!(cmd_store_verify(&strings(&[])).is_err()); // --store required
         assert!(cmd_store_scrub(&strings(&[])).is_err());
-        // --wah cannot be served from a store (no WAH sidecar there).
-        assert!(cmd_serve(&strings(&["--store", "x.abpg", "--wah"])).is_err());
     }
 }

@@ -100,7 +100,12 @@ fn ab_probe_count_linear_wah_flat() {
         let total: usize = queries
             .iter()
             .take(20)
-            .map(|q| ab_idx.execute_rect_with_stats(q).1.cells_probed)
+            .map(|q| {
+                let (_, stats) = ab_idx
+                    .try_execute_rect_with_stats_opts(q, ab::KernelOpts::default())
+                    .unwrap();
+                stats.cells_probed
+            })
             .sum();
         probes.push(total);
     }

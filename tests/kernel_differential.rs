@@ -125,7 +125,7 @@ fn rect_results_and_probe_accounting_identical() {
             let idx = AbIndex::build(table, cfg);
             for (qi, q) in queries(table).iter().enumerate() {
                 let (scalar_rows, scalar_stats) = idx
-                    .try_execute_rect_with_stats_kernel(q, KernelKind::Scalar)
+                    .try_execute_rect_with_stats_opts(q, KernelKind::Scalar.into())
                     .unwrap();
                 for opts in kernel_matrix() {
                     let (rows, stats) = idx.try_execute_rect_with_stats_opts(q, opts).unwrap();
@@ -169,7 +169,7 @@ fn cell_subset_verdicts_identical() {
                     Cell::new(row, attr, bin)
                 })
                 .collect();
-            let scalar = idx.retrieve_cells_with_kernel(&cells, KernelKind::Scalar);
+            let scalar = idx.retrieve_cells_with_opts(&cells, KernelKind::Scalar.into());
             for opts in kernel_matrix() {
                 let waves = idx.retrieve_cells_with_opts(&cells, opts);
                 assert_eq!(scalar, waves, "verdicts diverged on {opts:?}");
@@ -196,7 +196,7 @@ fn cell_subset_with_heavy_duplicates_identical() {
             Cell::new(row, attr, bin)
         })
         .collect();
-    let scalar = idx.retrieve_cells_with_kernel(&cells, KernelKind::Scalar);
+    let scalar = idx.retrieve_cells_with_opts(&cells, KernelKind::Scalar.into());
     for opts in kernel_matrix() {
         assert_eq!(
             scalar,
@@ -218,7 +218,7 @@ fn batched_kernel_never_misses_set_cells() {
         .map(|(r, a)| Cell::new(r, a, table.column(a).bins[r]))
         .collect();
     assert!(
-        idx.retrieve_cells_with_kernel(&cells, KernelKind::Batched)
+        idx.retrieve_cells_with_opts(&cells, KernelKind::Batched.into())
             .iter()
             .all(|&b| b),
         "batched kernel produced a false negative"
@@ -240,7 +240,9 @@ fn empty_row_interval_matches() {
         row_hi: 50,
     };
     for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
-        let (rows, stats) = idx.try_execute_rect_with_stats_kernel(&q, kernel).unwrap();
+        let (rows, stats) = idx
+            .try_execute_rect_with_stats_opts(&q, kernel.into())
+            .unwrap();
         assert!(rows.is_empty());
         assert_eq!(stats.cells_probed, 0);
         assert_eq!(stats.bits_read, 0);
@@ -289,7 +291,7 @@ fn hier_pruning_is_bit_identical_and_never_probes_more() {
                 idx.ensure_hier(hcfg);
                 for (qi, q) in queries(table).iter().enumerate() {
                     let (flat_rows, flat_stats) = idx
-                        .try_execute_rect_with_stats_kernel(q, KernelKind::Scalar)
+                        .try_execute_rect_with_stats_opts(q, KernelKind::Scalar.into())
                         .unwrap();
                     // Hier reference: scalar under Force. All other
                     // kernels must match it bit-for-bit and stat-for-stat.
@@ -387,7 +389,7 @@ fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
                     })
                     .collect();
                 let (flat_rows, flat_stats) = idx
-                    .try_execute_rect_with_stats_kernel(q, KernelKind::Scalar)
+                    .try_execute_rect_with_stats_opts(q, KernelKind::Scalar.into())
                     .unwrap();
                 let flat_set: std::collections::HashSet<usize> =
                     flat_rows.iter().copied().collect();
@@ -594,7 +596,7 @@ fn cell_kernel_matches_scalar_on_request_shaped_lists() {
                 let mut idx = AbIndex::build(&table, &cfg);
                 // The flat reference first: the tier must not be there
                 // to be consulted.
-                let flat = idx.retrieve_cells_with_kernel(&cells, KernelKind::Scalar);
+                let flat = idx.retrieve_cells_with_opts(&cells, KernelKind::Scalar.into());
                 if let Some(min_density) = tier {
                     idx.ensure_hybrid(
                         &table,

@@ -28,7 +28,9 @@ fn registry_matches_summed_query_stats() {
 
     let mut sum = ab::QueryStats::default();
     for q in &queries {
-        let (_, stats) = idx.execute_rect_with_stats(q);
+        let (_, stats) = idx
+            .try_execute_rect_with_stats_opts(q, ab::KernelOpts::default())
+            .unwrap();
         sum.cells_probed += stats.cells_probed;
         sum.bits_read += stats.bits_read;
         sum.rows_matched += stats.rows_matched;
@@ -76,12 +78,14 @@ fn typed_errors_round_trip() {
         &ab::AbConfig::new(ab::Level::PerAttribute).with_alpha(8),
     );
     let bad = bitmap::RectQuery::new(vec![bitmap::AttrRange::new(0, 0, 4)], 0, 5_000);
-    match idx.try_execute_rect(&bad) {
+    match idx.try_execute_rect_with_opts(&bad, ab::KernelOpts::default()) {
         Err(ab::QueryError::RowOutOfRange { row, num_rows }) => {
             assert_eq!((row, num_rows), (5_000, 500));
         }
         other => panic!("expected RowOutOfRange, got {other:?}"),
     }
-    let err = idx.try_execute_rect(&bad).unwrap_err();
+    let err = idx
+        .try_execute_rect_with_opts(&bad, ab::KernelOpts::default())
+        .unwrap_err();
     assert!(err.to_string().contains("out of range"));
 }

@@ -133,7 +133,9 @@ fn bits_read_bounded_by_cells_probed_times_k() {
         let k = idx.max_k();
         let params = datagen::QueryGenParams::paper_default(&ds.binned, 300, 5);
         for q in datagen::generate(&ds.binned, &params) {
-            let (_, stats) = idx.execute_rect_with_stats(&q);
+            let (_, stats) = idx
+                .try_execute_rect_with_stats_opts(&q, ab::KernelOpts::default())
+                .unwrap();
             assert!(
                 stats.bits_read >= stats.cells_probed,
                 "{level:?}: bits_read {} < cells_probed {}",
