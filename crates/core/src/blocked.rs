@@ -184,16 +184,11 @@ impl BlockedAb {
     }
 
     /// [`Self::contains`] over a batch of cells, verdicts in input
-    /// order. The word-parallel layout (k ≤ 128) runs in gather waves
-    /// of [`SIMD_WAVE`](crate::kernel::SIMD_WAVE): each wave gathers
-    /// the 8 lanes' first mask words in one vector gather, then the 8
-    /// second words, and compares against the per-lane masks — the
-    /// two-u64-mask test at wave throughput instead of one cell at a
-    /// time. Verdicts are bit-identical to per-cell [`Self::contains`].
-    /// Larger k takes the scalar fallback loop (counted into
-    /// `kernel.scalar_fallbacks`, once per batch).
+    /// order, bit-identical to per-cell [`Self::contains`]. The
+    /// word-parallel layout (k ≤ 128) is two word loads and two mask
+    /// compares per cell. Larger k takes the scalar fallback loop
+    /// (counted into `kernel.scalar_fallbacks`, once per batch).
     pub fn contains_batch(&self, cells: &[(u64, u64)]) -> Vec<bool> {
-        use crate::kernel::SIMD_WAVE;
         if !self.word_parallel() {
             obs::counter!("kernel.scalar_fallbacks").inc();
             return cells
@@ -207,35 +202,14 @@ impl BlockedAb {
                 })
                 .collect();
         }
-        let engine = crate::kernel::active_simd_engine();
         let words = self.bits.words();
-        let base = words.as_ptr() as u64;
-        let mut out = Vec::with_capacity(cells.len());
-        let mut addrs0 = [0u64; SIMD_WAVE];
-        let mut addrs1 = [0u64; SIMD_WAVE];
-        let mut masks0 = [0u64; SIMD_WAVE];
-        let mut masks1 = [0u64; SIMD_WAVE];
-        let mut got0 = [0u64; SIMD_WAVE];
-        let mut got1 = [0u64; SIMD_WAVE];
-        for wave in cells.chunks(SIMD_WAVE) {
-            let w = wave.len();
-            for (lane, &(r, c)) in wave.iter().enumerate() {
+        cells
+            .iter()
+            .map(|&(r, c)| {
                 let (w0, w1, m0, m1) = self.cell_masks(r, c);
-                addrs0[lane] = base + 8 * w0 as u64;
-                addrs1[lane] = base + 8 * w1 as u64;
-                masks0[lane] = m0;
-                masks1[lane] = m1;
-            }
-            crate::kernel::gather_words(engine, &addrs0, w, &mut got0);
-            crate::kernel::gather_words(engine, &addrs1, w, &mut got1);
-            for lane in 0..w {
-                out.push(
-                    got0[lane] & masks0[lane] == masks0[lane]
-                        && got1[lane] & masks1[lane] == masks1[lane],
-                );
-            }
-        }
-        out
+                words[w0] & m0 == m0 && words[w1] & m1 == m1
+            })
+            .collect()
     }
 }
 
@@ -345,9 +319,9 @@ mod tests {
 
     #[test]
     fn contains_batch_matches_per_cell_contains() {
-        // Both layouts: word-parallel (k=5, gather waves) and the
-        // scalar fallback (k=130), over a mix of inserted and absent
-        // cells at every wave remainder length.
+        // Both layouts: word-parallel (k=5) and the scalar fallback
+        // (k=130), over a mix of inserted and absent cells at several
+        // batch lengths.
         for k in [5usize, 130] {
             let mut ab = make(1 << 14, k);
             let present: Vec<(u64, u64)> = (0..97).map(|i| (i * 3, i % 16)).collect();
@@ -362,7 +336,7 @@ mod tests {
                 assert_eq!(batch, scalar, "k={k} len={len}");
             }
             // Every inserted cell must come back positive through the
-            // batch path too (no false negatives at wave throughput).
+            // batch path too.
             assert!(ab.contains_batch(&present).iter().all(|&b| b), "k={k}");
         }
     }

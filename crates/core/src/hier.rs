@@ -23,7 +23,7 @@
 //! level iff for *every* attribute range at least one overlapping
 //! group tests positive (OR over groups, AND over ranges — Figure 7
 //! lifted one resolution up). Surviving row intervals then feed the
-//! existing scalar/batched/SIMD kernels unchanged.
+//! existing scalar and batched kernels unchanged.
 //!
 //! Per-level AB false positives only *lose pruning* (a dead region
 //! survives to the next level); they can never prune a live one.

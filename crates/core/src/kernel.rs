@@ -1,5 +1,4 @@
-//! Batched, prefetch-pipelined, SIMD-widened probe kernel
-//! (DESIGN.md §13–§14).
+//! Batched, prefetch-pipelined probe kernel (DESIGN.md §13–§14).
 //!
 //! The paper's retrieval algorithms (Figures 5 and 7) are O(c·k) in
 //! *probe count*, but the scalar implementation realizes each probe as
@@ -19,14 +18,7 @@
 //!    word prefetched, and probes are resolved breadth-first across
 //!    the batch so many memory latencies overlap instead of
 //!    serializing.
-//! 3. **SIMD gather waves** ([`KernelKind::Simd`]) — the breadth-first
-//!    pass splits into *waves* of up to [`SIMD_WAVE`] lanes whose AB
-//!    words are fetched with one vector gather (AVX-512 / AVX2 on
-//!    x86-64, paired NEON loads on aarch64) and whose bits are tested
-//!    with vector shifts and masks. The engine is picked at runtime
-//!    ([`active_simd_engine`]); without the `simd` feature or on an
-//!    unsupported CPU the kernel degrades to the scalar wave loop.
-//! 4. **Adaptive batch sizing** — the fixed 64-row batch of the first
+//! 3. **Adaptive batch sizing** — the fixed 64-row batch of the first
 //!    batched kernel becomes [`BatchRows::Adaptive`]: the batch depth
 //!    is chosen per query from the resolved AB footprint against the
 //!    machine's cache hierarchy ([`CacheModel`]) — shallow batches for
@@ -34,7 +26,7 @@
 //!    bookkeeping), the classic 64 inside the LLC, and
 //!    [`MAX_BATCH_ROWS`]-deep pipelines for DRAM-resident ABs where
 //!    every independent miss in flight pays for itself.
-//! 5. **Short-circuit preservation** — a lane advances through bins and
+//! 4. **Short-circuit preservation** — a lane advances through bins and
 //!    ranges exactly as the scalar Figure 7 loop does (OR short-circuit
 //!    on the first present cell, AND short-circuit on the first empty
 //!    range, per-cell break on the first zero bit), so `cells_probed`
@@ -48,18 +40,15 @@
 //! pyramid's and the exact tier's sweeps (`ColumnSweeper`) test them.
 //!
 //! Prefetch instructions are gated behind the `prefetch` cargo feature
-//! (x86-64 `_mm_prefetch`, aarch64 `prfm`); SIMD gathers behind the
-//! `simd` feature. On other targets or with the features off the
-//! kernel still wins from the overlapped independent loads the
-//! breadth-first order exposes.
+//! (x86-64 `_mm_prefetch`, aarch64 `prfm`). On other targets or with
+//! the feature off the kernel still wins from the overlapped
+//! independent loads the breadth-first order exposes.
 //!
 //! Observability: `kernel.batches` (row/cell batches opened),
-//! `kernel.simd_waves` / `kernel.scalar_waves` (how each breadth-first
-//! wave was resolved), `kernel.prefetches` (prefetch instructions
-//! *actually executed* — zero on no-op fallback builds),
-//! `kernel.cell_plans_deduped` (Figure 5 cells that shared an already
-//! built plan), and the `kernel.batch_rows` histogram (adaptive depth
-//! decisions).
+//! `kernel.prefetches` (prefetch instructions *actually executed* —
+//! zero on no-op fallback builds), `kernel.cell_plans_deduped`
+//! (Figure 5 cells that shared an already built plan), and the
+//! `kernel.batch_rows` histogram (adaptive depth decisions).
 
 use crate::encoding::ApproximateBitmap;
 use crate::hybrid::{HybridAb, HybridBin};
@@ -79,28 +68,11 @@ pub const BATCH_ROWS: usize = 64;
 /// for DRAM-resident ABs). The match mask is `MAX_BATCH_ROWS` bits.
 pub const MAX_BATCH_ROWS: usize = 256;
 
-/// Lanes resolved by one SIMD gather wave: one AVX-512 gather, two
-/// AVX2 gathers, or four NEON load-pairs.
-pub const SIMD_WAVE: usize = 8;
-
-/// Gathers narrower than this fall back to scalar loads — a masked
-/// gather of 1–3 lanes costs more than the loads it replaces.
-const SIMD_MIN_GATHER: usize = 4;
-
 /// True when this build compiles real prefetch instructions into the
 /// kernel (the `prefetch` feature on a supported target); false means
 /// the portable no-op fallback is in place.
 pub const PREFETCH_ACTIVE: bool = cfg!(all(
     feature = "prefetch",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// True when this build compiles vector gather/load waves into the
-/// kernel (the `simd` feature on x86-64 or aarch64). Whether they
-/// *run* additionally depends on runtime CPU detection — see
-/// [`active_simd_engine`].
-pub const SIMD_COMPILED: bool = cfg!(all(
-    feature = "simd",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ));
 
@@ -113,9 +85,6 @@ pub enum KernelKind {
     /// The batched, prefetch-pipelined kernel with scalar bit reads.
     #[default]
     Batched,
-    /// The batched kernel with vector gather waves; degrades to the
-    /// batched wave loop when no SIMD engine is compiled in/detected.
-    Simd,
 }
 
 impl std::str::FromStr for KernelKind {
@@ -125,9 +94,8 @@ impl std::str::FromStr for KernelKind {
         match s {
             "scalar" => Ok(KernelKind::Scalar),
             "batched" => Ok(KernelKind::Batched),
-            "simd" => Ok(KernelKind::Simd),
             other => Err(format!(
-                "unknown kernel '{other}' (expected scalar|batched|simd)"
+                "unknown kernel '{other}' (expected scalar|batched)"
             )),
         }
     }
@@ -138,7 +106,6 @@ impl std::fmt::Display for KernelKind {
         f.write_str(match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Batched => "batched",
-            KernelKind::Simd => "simd",
         })
     }
 }
@@ -397,75 +364,6 @@ impl AbIndex {
     }
 }
 
-/// The vector engine resolving gather waves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdEngine {
-    /// x86-64 AVX2: two 4-lane `vpgatherqq` per wave.
-    Avx2,
-    /// x86-64 AVX-512F: one 8-lane masked gather per wave.
-    Avx512,
-    /// aarch64 NEON: four 2×u64 load-pairs per wave.
-    Neon,
-}
-
-impl std::fmt::Display for SimdEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimdEngine::Avx2 => "avx2",
-            SimdEngine::Avx512 => "avx512",
-            SimdEngine::Neon => "neon",
-        })
-    }
-}
-
-/// The gather engine [`KernelKind::Simd`] queries run on, resolved
-/// once per process: `None` when the `simd` feature is off, the
-/// target has no vector path, or the CPU lacks the instructions —
-/// the kernel then degrades to scalar waves (counted in
-/// `kernel.scalar_waves`).
-///
-/// The env var `AB_SIMD` (`avx512` | `avx2` | `neon` | `off`, read at
-/// first query) can narrow the choice below what the CPU supports —
-/// CI uses it to differentially test every compiled path — but never
-/// widen it past detection.
-pub fn active_simd_engine() -> Option<SimdEngine> {
-    static ENGINE: OnceLock<Option<SimdEngine>> = OnceLock::new();
-    *ENGINE.get_or_init(|| {
-        let forced = std::env::var("AB_SIMD").ok();
-        let best = detect_simd_engine();
-        match (forced.as_deref(), best) {
-            (Some("off"), _) => None,
-            (Some("avx2"), Some(SimdEngine::Avx512)) | (Some("avx2"), Some(SimdEngine::Avx2)) => {
-                Some(SimdEngine::Avx2)
-            }
-            (Some("avx512"), Some(SimdEngine::Avx512)) => Some(SimdEngine::Avx512),
-            (Some("neon"), Some(SimdEngine::Neon)) => Some(SimdEngine::Neon),
-            (Some(_), _) => None, // unknown or unsupported request: scalar waves
-            (None, best) => best,
-        }
-    })
-}
-
-#[allow(unreachable_code)]
-fn detect_simd_engine() -> Option<SimdEngine> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Some(SimdEngine::Avx512);
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(SimdEngine::Avx2);
-        }
-        return None;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        // NEON is baseline on aarch64.
-        return Some(SimdEngine::Neon);
-    }
-    None
-}
-
 /// Requests the cache line holding AB bit `pos` ahead of its read.
 #[inline(always)]
 #[allow(unused_variables)]
@@ -489,245 +387,6 @@ fn prefetch(words: &[u64], pos: u64) {
             in(reg) p,
             options(nostack, preserves_flags, readonly)
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vector gather waves
-// ---------------------------------------------------------------------------
-
-/// Tests the AB bits of one wave: lane `l` reads the u64 at absolute
-/// address `addrs[l]` and tests bit `shifts[l]`; the returned mask has
-/// bit `l` set iff that AB bit is set. Only the low `w` lanes are
-/// read (masked gathers never dereference dead lanes).
-#[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(unused_variables)
-)]
-fn wave_bits(
-    engine: SimdEngine,
-    addrs: &[u64; SIMD_WAVE],
-    shifts: &[u64; SIMD_WAVE],
-    w: usize,
-) -> u8 {
-    debug_assert!((1..=SIMD_WAVE).contains(&w));
-    match engine {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: runtime dispatch guarantees the target features, and
-        // every live lane's address points at an in-bounds AB word.
-        SimdEngine::Avx2 => unsafe { gather_wave_avx2(addrs, shifts, w) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        SimdEngine::Avx512 => unsafe { gather_wave_avx512(addrs, shifts, w) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: as above; NEON is baseline on aarch64.
-        SimdEngine::Neon => unsafe { gather_wave_neon(addrs, shifts, w) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("SIMD engine not compiled into this build"),
-    }
-}
-
-/// AVX2 wave: two masked 4-lane `vpgatherqq` against a null base with
-/// the lanes' absolute addresses as byte offsets (scale 1), then a
-/// variable right shift + mask to extract the probed bits.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and `addrs[..w]` are valid,
-/// aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_wave_avx2(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::x86_64::*;
-    // Lane-enable masks for 0..=4 live lanes (gather reads where the
-    // element's sign bit is set).
-    const LANE_MASKS: [[i64; 4]; 5] = [
-        [0, 0, 0, 0],
-        [-1, 0, 0, 0],
-        [-1, -1, 0, 0],
-        [-1, -1, -1, 0],
-        [-1, -1, -1, -1],
-    ];
-    let ones = _mm256_set1_epi64x(1);
-    let mut out = 0u8;
-    let mut lane = 0usize;
-    while lane < w {
-        let cnt = (w - lane).min(4);
-        let idx = _mm256_loadu_si256(addrs.as_ptr().add(lane) as *const __m256i);
-        let mask = _mm256_loadu_si256(LANE_MASKS[cnt].as_ptr() as *const __m256i);
-        let words =
-            _mm256_mask_i64gather_epi64::<1>(_mm256_setzero_si256(), core::ptr::null(), idx, mask);
-        let sh = _mm256_loadu_si256(shifts.as_ptr().add(lane) as *const __m256i);
-        let bits = _mm256_and_si256(_mm256_srlv_epi64(words, sh), ones);
-        let hit = _mm256_cmpeq_epi64(bits, ones);
-        let m = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u32;
-        out |= ((m & ((1u32 << cnt) - 1)) as u8) << lane;
-        lane += cnt;
-    }
-    out
-}
-
-/// AVX-512F wave: one masked 8-lane gather (absolute addresses, scale
-/// 1), vector shift, and a compare-to-mask — the probed bits land
-/// directly in a `__mmask8`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and `addrs[..w]` are
-/// valid, aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn gather_wave_avx512(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::x86_64::*;
-    let kmask = ((1u16 << w) - 1) as __mmask8;
-    let idx = _mm512_loadu_si512(addrs.as_ptr() as *const __m512i);
-    let words =
-        _mm512_mask_i64gather_epi64::<1>(_mm512_setzero_si512(), kmask, idx, core::ptr::null());
-    let sh = _mm512_loadu_si512(shifts.as_ptr() as *const __m512i);
-    let ones = _mm512_set1_epi64(1);
-    let bits = _mm512_and_epi64(_mm512_srlv_epi64(words, sh), ones);
-    _mm512_mask_cmpeq_epi64_mask(kmask, bits, ones)
-}
-
-/// NEON wave: four 2×u64 load-pairs (no gather on NEON), vector
-/// variable shift (negative left-shift counts shift right), mask, and
-/// per-lane extraction.
-///
-/// # Safety
-///
-/// Caller must ensure `addrs[..w]` are valid, aligned-for-u64
-/// readable addresses.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn gather_wave_neon(addrs: &[u64; SIMD_WAVE], shifts: &[u64; SIMD_WAVE], w: usize) -> u8 {
-    use core::arch::aarch64::*;
-    let mut out = 0u8;
-    let mut lane = 0usize;
-    while lane + 2 <= w {
-        let words = vcombine_u64(
-            vld1_u64(addrs[lane] as *const u64),
-            vld1_u64(addrs[lane + 1] as *const u64),
-        );
-        let negsh = vcombine_s64(
-            vdup_n_s64(-(shifts[lane] as i64)),
-            vdup_n_s64(-(shifts[lane + 1] as i64)),
-        );
-        let bits = vandq_u64(vshlq_u64(words, negsh), vdupq_n_u64(1));
-        out |= (vgetq_lane_u64::<0>(bits) as u8) << lane;
-        out |= (vgetq_lane_u64::<1>(bits) as u8) << (lane + 1);
-        lane += 2;
-    }
-    if lane < w {
-        let word = core::ptr::read(addrs[lane] as *const u64);
-        out |= (((word >> shifts[lane]) & 1) as u8) << lane;
-    }
-    out
-}
-
-/// Gathers whole u64 words: lane `l` of `out` receives the word at
-/// absolute address `addrs[l]` for the low `w` lanes (dead lanes are
-/// left untouched and never dereferenced). The raw-word sibling of
-/// [`wave_bits`] for callers that test multi-bit masks per word (the
-/// blocked AB's two-word test) instead of single bits. Falls back to
-/// scalar loads when no SIMD engine is active.
-#[inline]
-pub(crate) fn gather_words(
-    engine: Option<SimdEngine>,
-    addrs: &[u64; SIMD_WAVE],
-    w: usize,
-    out: &mut [u64; SIMD_WAVE],
-) {
-    debug_assert!((1..=SIMD_WAVE).contains(&w));
-    match engine {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: runtime dispatch guarantees the target features, and
-        // every live lane's address points at an in-bounds AB word.
-        Some(SimdEngine::Avx2) => unsafe { gather_words_avx2(addrs, w, out) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        Some(SimdEngine::Avx512) => unsafe { gather_words_avx512(addrs, w, out) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: as above; NEON is baseline on aarch64.
-        Some(SimdEngine::Neon) => unsafe { gather_words_neon(addrs, w, out) },
-        _ => {
-            for lane in 0..w {
-                // SAFETY: the caller derived addrs[lane] from an
-                // in-bounds AB word pointer.
-                out[lane] = unsafe { core::ptr::read(addrs[lane] as *const u64) };
-            }
-        }
-    }
-}
-
-/// AVX2 raw-word gather: two masked 4-lane `vpgatherqq` (absolute
-/// addresses, scale 1) stored straight to `out`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and `addrs[..w]` are valid,
-/// aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_words_avx2(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::x86_64::*;
-    const LANE_MASKS: [[i64; 4]; 5] = [
-        [0, 0, 0, 0],
-        [-1, 0, 0, 0],
-        [-1, -1, 0, 0],
-        [-1, -1, -1, 0],
-        [-1, -1, -1, -1],
-    ];
-    let mut lane = 0usize;
-    while lane < w {
-        let cnt = (w - lane).min(4);
-        let idx = _mm256_loadu_si256(addrs.as_ptr().add(lane) as *const __m256i);
-        let mask = _mm256_loadu_si256(LANE_MASKS[cnt].as_ptr() as *const __m256i);
-        let words =
-            _mm256_mask_i64gather_epi64::<1>(_mm256_setzero_si256(), core::ptr::null(), idx, mask);
-        let mut tmp = [0u64; 4];
-        _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, words);
-        out[lane..lane + cnt].copy_from_slice(&tmp[..cnt]);
-        lane += cnt;
-    }
-}
-
-/// AVX-512F raw-word gather: one masked 8-lane gather stored to `out`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and `addrs[..w]` are
-/// valid, aligned-for-u64 readable addresses.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn gather_words_avx512(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::x86_64::*;
-    let kmask = ((1u16 << w) - 1) as __mmask8;
-    let idx = _mm512_loadu_si512(addrs.as_ptr() as *const __m512i);
-    let words =
-        _mm512_mask_i64gather_epi64::<1>(_mm512_setzero_si512(), kmask, idx, core::ptr::null());
-    _mm512_mask_storeu_epi64(out.as_mut_ptr() as *mut i64, kmask, words);
-}
-
-/// NEON raw-word gather: per-lane load pairs (no gather on NEON).
-///
-/// # Safety
-///
-/// Caller must ensure `addrs[..w]` are valid, aligned-for-u64
-/// readable addresses.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-unsafe fn gather_words_neon(addrs: &[u64; SIMD_WAVE], w: usize, out: &mut [u64; SIMD_WAVE]) {
-    use core::arch::aarch64::*;
-    let mut lane = 0usize;
-    while lane + 2 <= w {
-        let words = vcombine_u64(
-            vld1_u64(addrs[lane] as *const u64),
-            vld1_u64(addrs[lane + 1] as *const u64),
-        );
-        out[lane] = vgetq_lane_u64::<0>(words);
-        out[lane + 1] = vgetq_lane_u64::<1>(words);
-        lane += 2;
-    }
-    if lane < w {
-        out[lane] = core::ptr::read(addrs[lane] as *const u64);
     }
 }
 
@@ -766,13 +425,6 @@ impl<'a> CellPlan<'a> {
         (self.words[(pos / 64) as usize] >> (pos % 64)) & 1 == 1
     }
 
-    /// The absolute byte address of the word holding bit `pos` — the
-    /// gather operand. Always in bounds (`pos < n`).
-    #[inline(always)]
-    fn word_addr(&self, pos: u64) -> u64 {
-        self.words.as_ptr().wrapping_add((pos / 64) as usize) as u64
-    }
-
     /// Computes (and prefetches) the next probe position for `probe`.
     #[inline(always)]
     fn issue(&self, probe: &mut hashkit::RowProbe) -> u64 {
@@ -805,8 +457,6 @@ impl<'a> CellPlan<'a> {
 #[derive(Default)]
 struct WaveCounters {
     batches: u64,
-    simd_waves: u64,
-    scalar_waves: u64,
 }
 
 impl WaveCounters {
@@ -818,12 +468,6 @@ impl WaveCounters {
     /// `kernel.prefetches` never reports phantom prefetches.
     fn flush(self, prefetched_positions: u64) {
         obs::counter!("kernel.batches").add(self.batches);
-        if self.simd_waves > 0 {
-            obs::counter!("kernel.simd_waves").add(self.simd_waves);
-        }
-        if self.scalar_waves > 0 {
-            obs::counter!("kernel.scalar_waves").add(self.scalar_waves);
-        }
         if PREFETCH_ACTIVE {
             obs::counter!("kernel.prefetches").add(prefetched_positions);
         }
@@ -896,10 +540,9 @@ enum LaneFate {
 }
 
 /// Applies one bit's worth of the Figure 7 evaluation to `lane`,
-/// identical for the scalar-wave and SIMD-wave loops (and, in
-/// observable effect, to the row-at-a-time reference loop): OR
-/// short-circuit on the k-th set bit, AND short-circuit on the last
-/// exhausted bin, per-cell break on the first zero bit.
+/// identical in observable effect to the row-at-a-time reference
+/// loop: OR short-circuit on the k-th set bit, AND short-circuit on
+/// the last exhausted bin, per-cell break on the first zero bit.
 #[inline(always)]
 fn advance_lane(
     lane: &mut Lane,
@@ -979,9 +622,8 @@ fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
 
 /// Figure 7 over row batches: bit-identical results and [`QueryStats`]
 /// to the scalar loop in `query.rs`, with up to the batch depth's
-/// probe latencies overlapped (and, on the SIMD engine, the wave's AB
-/// words fetched by vector gathers). Returns
-/// `(rows, stats, or_short_circuits)`.
+/// probe latencies overlapped. Returns `(rows, stats,
+/// or_short_circuits)`.
 ///
 /// The caller has already validated row and bin bounds.
 pub(crate) fn execute_rect_waves(
@@ -1019,10 +661,6 @@ pub(crate) fn execute_rect_waves(
     let batch_rows = choose_batch_rows(opts.batch_rows, || {
         CacheModel::get().batch_rows_for(resolved_plan_bytes(&plans))
     });
-    let engine = match opts.kernel {
-        KernelKind::Simd => active_simd_engine(),
-        _ => None,
-    };
     let num_ranges = plans.len();
     let mut lanes: Vec<Lane> = Vec::with_capacity(batch_rows);
     let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(batch_rows);
@@ -1039,27 +677,14 @@ pub(crate) fn execute_rect_waves(
         } else {
             open_lanes(base, batch_len, &plans, &mut stats, &mut probes, &mut lanes);
         }
-        match engine {
-            None => run_scalar_waves(
-                &plans,
-                num_ranges,
-                &mut lanes,
-                &mut stats,
-                &mut short_circuits,
-                &mut matched,
-                &mut wave,
-            ),
-            Some(e) => run_simd_waves(
-                e,
-                &plans,
-                num_ranges,
-                &mut lanes,
-                &mut stats,
-                &mut short_circuits,
-                &mut matched,
-                &mut wave,
-            ),
-        }
+        run_scalar_waves(
+            &plans,
+            num_ranges,
+            &mut lanes,
+            &mut stats,
+            &mut short_circuits,
+            &mut matched,
+        );
         matched.drain_into(&mut rows, base);
         if query.row_hi - base < batch_rows {
             break;
@@ -1109,7 +734,6 @@ fn open_lanes(
 /// Breadth-first resolution with scalar bit reads: each pass tests one
 /// (prefetched) bit per live lane, so the batch keeps up to
 /// `lanes.len()` independent loads in flight.
-#[allow(clippy::too_many_arguments)]
 fn run_scalar_waves(
     plans: &[Vec<CellPlan>],
     num_ranges: usize,
@@ -1117,83 +741,14 @@ fn run_scalar_waves(
     stats: &mut QueryStats,
     short_circuits: &mut u64,
     matched: &mut MatchMask,
-    wave: &mut WaveCounters,
 ) {
     while !lanes.is_empty() {
-        wave.scalar_waves += 1;
         let mut i = 0;
         while i < lanes.len() {
             let lane = &mut lanes[i];
             let hit = plans[lane.range as usize][lane.bin as usize].bit(lane.pos);
             match advance_lane(lane, plans, num_ranges, stats, short_circuits, hit) {
                 LaneFate::Live => i += 1,
-                LaneFate::Matched => {
-                    matched.set(lanes[i].slot);
-                    lanes.swap_remove(i);
-                }
-                LaneFate::Dead => {
-                    lanes.swap_remove(i);
-                }
-            }
-        }
-    }
-}
-
-/// Breadth-first resolution with vector gather waves: phase 1 fetches
-/// every live lane's AB word in [`SIMD_WAVE`]-lane gathers and tests
-/// the probed bits with vector shifts; phase 2 applies the identical
-/// per-lane Figure 7 transitions. Tails narrower than
-/// [`SIMD_MIN_GATHER`] use scalar loads (counted as scalar waves).
-#[allow(clippy::too_many_arguments)]
-fn run_simd_waves(
-    engine: SimdEngine,
-    plans: &[Vec<CellPlan>],
-    num_ranges: usize,
-    lanes: &mut Vec<Lane>,
-    stats: &mut QueryStats,
-    short_circuits: &mut u64,
-    matched: &mut MatchMask,
-    wave: &mut WaveCounters,
-) {
-    let mut bits = [false; MAX_BATCH_ROWS];
-    while !lanes.is_empty() {
-        let n = lanes.len();
-        // Phase 1: resolve the current bit of every live lane.
-        let mut j = 0usize;
-        while j < n {
-            let w = (n - j).min(SIMD_WAVE);
-            if w >= SIMD_MIN_GATHER {
-                let mut addrs = [0u64; SIMD_WAVE];
-                let mut shifts = [0u64; SIMD_WAVE];
-                for l in 0..w {
-                    let lane = &lanes[j + l];
-                    let plan = &plans[lane.range as usize][lane.bin as usize];
-                    addrs[l] = plan.word_addr(lane.pos);
-                    shifts[l] = lane.pos % 64;
-                }
-                let mask = wave_bits(engine, &addrs, &shifts, w);
-                for l in 0..w {
-                    bits[j + l] = mask & (1 << l) != 0;
-                }
-                wave.simd_waves += 1;
-            } else {
-                for l in 0..w {
-                    let lane = &lanes[j + l];
-                    bits[j + l] = plans[lane.range as usize][lane.bin as usize].bit(lane.pos);
-                }
-                wave.scalar_waves += 1;
-            }
-            j += w;
-        }
-        // Phase 2: per-lane transitions, bit-identical to the scalar
-        // wave. Iterating downward keeps the bits[i] ↔ lanes[i]
-        // correspondence intact across swap_removes (the swapped-in
-        // lane always comes from an already-processed index).
-        for i in (0..n).rev() {
-            let hit = bits[i];
-            let lane = &mut lanes[i];
-            match advance_lane(lane, plans, num_ranges, stats, short_circuits, hit) {
-                LaneFate::Live => {}
                 LaneFate::Matched => {
                     matched.set(lanes[i].slot);
                     lanes.swap_remove(i);
@@ -1259,48 +814,6 @@ impl LockstepBatch {
 }
 
 impl CellPlan<'_> {
-    /// Reads the AB bits at `pos` into `bits` — the one step of the
-    /// probe loop that depends on the engine. Without one these are
-    /// scalar loads (one scalar wave); with one, the words are fetched
-    /// [`SIMD_WAVE`] at a time by vector gathers, and a tail narrower
-    /// than [`SIMD_MIN_GATHER`] falls back to scalar loads.
-    fn test_bits(
-        &self,
-        engine: Option<SimdEngine>,
-        pos: &[u64],
-        bits: &mut [bool],
-        wave: &mut WaveCounters,
-    ) {
-        let scalar = |pos: &[u64], bits: &mut [bool]| {
-            for (bit, &p) in bits.iter_mut().zip(pos) {
-                *bit = self.bit(p);
-            }
-        };
-        let Some(engine) = engine else {
-            wave.scalar_waves += 1;
-            return scalar(pos, bits);
-        };
-        for (pos, bits) in pos.chunks(SIMD_WAVE).zip(bits.chunks_mut(SIMD_WAVE)) {
-            let w = pos.len();
-            if w < SIMD_MIN_GATHER {
-                wave.scalar_waves += 1;
-                scalar(pos, bits);
-                continue;
-            }
-            let mut addrs = [0u64; SIMD_WAVE];
-            let mut shifts = [0u64; SIMD_WAVE];
-            for l in 0..w {
-                addrs[l] = self.word_addr(pos[l]);
-                shifts[l] = pos[l] % 64;
-            }
-            let mask = wave_bits(engine, &addrs, &shifts, w);
-            for (l, bit) in bits.iter_mut().enumerate() {
-                *bit = mask & (1 << l) != 0;
-            }
-            wave.simd_waves += 1;
-        }
-    }
-
     /// The reading half of the probe loop: runs the probes open in
     /// `batch` through this plan's k steps and leaves in `lanes` the
     /// ones whose k bits are all set, in order. `lanes[i]` is whatever
@@ -1313,7 +826,6 @@ impl CellPlan<'_> {
     /// close ranks.
     fn survivors<L: Copy>(
         &self,
-        engine: Option<SimdEngine>,
         batch: &mut LockstepBatch,
         lanes: &mut Vec<L>,
         wave: &mut WaveCounters,
@@ -1328,7 +840,9 @@ impl CellPlan<'_> {
             }
             let pos = batch.step(&self.prober);
             self.count_and_prefetch(pos);
-            self.test_bits(engine, pos, &mut bits[..n], wave);
+            for (bit, &p) in bits.iter_mut().zip(pos) {
+                *bit = self.bit(p);
+            }
             let mut kept = 0;
             for i in 0..n {
                 lanes[kept] = lanes[i];
@@ -1379,7 +893,7 @@ impl<'a> ColumnSweeper<'a> {
         self.batch
             .open(&plan.prober, self.rows.iter().map(|&row| (row as u64, col)));
         let mut wave = WaveCounters::default();
-        plan.survivors(None, &mut self.batch, &mut self.rows, &mut wave);
+        plan.survivors(&mut self.batch, &mut self.rows, &mut wave);
         plan.prober.record_hash_calls(plan.calls.get());
         // Every issued position was prefetched exactly once.
         wave.flush(plan.calls.get());
@@ -1443,10 +957,6 @@ pub(crate) fn retrieve_cells_waves(
     // sits: 66 ns/cell at 16 lanes, 54–59 at 128–256 with the AB hot in
     // L2, and more when it is in another core's.
     let batch_rows = choose_batch_rows(opts.batch_rows, || MAX_BATCH_ROWS);
-    let engine = match opts.kernel {
-        KernelKind::Simd => active_simd_engine(),
-        _ => None,
-    };
     let attrs = index.attributes();
     let num_columns = attrs
         .last()
@@ -1535,7 +1045,7 @@ pub(crate) fn retrieve_cells_waves(
                     (c.row as u64, col)
                 }),
             );
-            plan.survivors(engine, &mut batch, &mut lanes, &mut wave);
+            plan.survivors(&mut batch, &mut lanes, &mut wave);
             for &i in &lanes {
                 out[i] = true;
             }
@@ -1564,16 +1074,13 @@ mod tests {
     fn kernel_kind_parses_and_displays() {
         assert_eq!("scalar".parse::<KernelKind>(), Ok(KernelKind::Scalar));
         assert_eq!("batched".parse::<KernelKind>(), Ok(KernelKind::Batched));
-        assert_eq!("simd".parse::<KernelKind>(), Ok(KernelKind::Simd));
         assert_eq!(KernelKind::default(), KernelKind::Batched);
         assert_eq!(KernelKind::Scalar.to_string(), "scalar");
         assert_eq!(KernelKind::Batched.to_string(), "batched");
-        assert_eq!(KernelKind::Simd.to_string(), "simd");
-        let err = "fancy".parse::<KernelKind>().unwrap_err();
-        assert!(
-            err.contains("fancy") && err.contains("scalar|batched|simd"),
-            "{err}"
-        );
+        for bad in ["fancy", "simd"] {
+            let err = bad.parse::<KernelKind>().unwrap_err();
+            assert!(err.contains(bad) && err.contains("scalar|batched"), "{err}");
+        }
     }
 
     #[test]
@@ -1593,8 +1100,8 @@ mod tests {
 
     #[test]
     fn kernel_opts_builders() {
-        let o = KernelOpts::new(KernelKind::Simd).with_batch_rows(BatchRows::Fixed(8));
-        assert_eq!(o.kernel, KernelKind::Simd);
+        let o = KernelOpts::new(KernelKind::Scalar).with_batch_rows(BatchRows::Fixed(8));
+        assert_eq!(o.kernel, KernelKind::Scalar);
         assert_eq!(o.batch_rows, BatchRows::Fixed(8));
         let d: KernelOpts = KernelKind::Batched.into();
         assert_eq!(d.batch_rows, BatchRows::Adaptive);
@@ -1642,15 +1149,5 @@ mod tests {
         let mut again = Vec::new();
         mask.drain_into(&mut again, 0);
         assert!(again.is_empty());
-    }
-
-    #[test]
-    fn simd_engine_constants_consistent() {
-        // A detected engine implies the build compiled the SIMD paths.
-        assert!(active_simd_engine().is_none() || SIMD_COMPILED);
-        // Display names are what the CLI/env accept.
-        assert_eq!(SimdEngine::Avx2.to_string(), "avx2");
-        assert_eq!(SimdEngine::Avx512.to_string(), "avx512");
-        assert_eq!(SimdEngine::Neon.to_string(), "neon");
     }
 }

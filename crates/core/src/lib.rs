@@ -89,8 +89,8 @@ pub use exact::{prune_false_positives, row_matches};
 pub use hier::{HierAb, HierConfig, HierLevelSpec, HierPrune};
 pub use hybrid::{HybridAb, HybridBin, HybridConfig};
 pub use kernel::{
-    active_simd_engine, BatchRows, CacheModel, HierMode, HybridMode, KernelKind, KernelOpts,
-    SimdEngine, TierMode, BATCH_ROWS, MAX_BATCH_ROWS, PREFETCH_ACTIVE, SIMD_COMPILED, SIMD_WAVE,
+    BatchRows, CacheModel, HierMode, HybridMode, KernelKind, KernelOpts, TierMode, BATCH_ROWS,
+    MAX_BATCH_ROWS, PREFETCH_ACTIVE,
 };
 
 pub use io::{

@@ -157,7 +157,6 @@ impl AbIndex {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
             KernelKind::Batched => "ab.kernel.batched",
-            KernelKind::Simd => "ab.kernel.simd",
         });
         if tspan.enabled() {
             tspan.annotate("cells_probed", cells.len());
@@ -201,9 +200,7 @@ impl AbIndex {
                 }
                 out
             }
-            KernelKind::Batched | KernelKind::Simd => {
-                crate::kernel::retrieve_cells_waves(self, hybrid, cells, opts)
-            }
+            KernelKind::Batched => crate::kernel::retrieve_cells_waves(self, hybrid, cells, opts),
         }
     }
 
@@ -261,7 +258,6 @@ impl AbIndex {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
             KernelKind::Batched => "ab.kernel.batched",
-            KernelKind::Simd => "ab.kernel.simd",
         });
         // The exact tier engages when the query constrains at least
         // one attribute over a non-degenerate row interval and the
@@ -321,9 +317,7 @@ impl AbIndex {
                 obs::counter!("kernel.scalar_fallbacks").inc();
                 self.execute_rect_scalar(query)
             }
-            KernelKind::Batched | KernelKind::Simd => {
-                crate::kernel::execute_rect_waves(self, query, opts)
-            }
+            KernelKind::Batched => crate::kernel::execute_rect_waves(self, query, opts),
         }
     }
 
@@ -898,7 +892,7 @@ mod tests {
                 bin_group: 2,
             }],
         });
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let q = RectQuery::new(vec![AttrRange::new(0, 0, 0)], 0, 2047);
             let flat = idx
                 .try_execute_rect_with_stats_opts(&q, KernelOpts::new(kernel))
@@ -1025,7 +1019,7 @@ mod tests {
             full.total_bins(),
             partial,
         ));
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let q = RectQuery::new(
                 vec![AttrRange::new(0, 1, 3), AttrRange::new(1, 2, 6)],
                 50,

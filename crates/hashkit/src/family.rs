@@ -483,8 +483,8 @@ impl ColProber<'_> {
     /// reduction-strategy branch are resolved once per batch instead of
     /// once per probe, so the mixer families (double hashing,
     /// column-group) compile to tight branch-free inner loops the
-    /// autovectorizer can widen, and the SIMD query kernel gets all of
-    /// a wave's first-probe positions from one call.
+    /// autovectorizer can widen, and the batched query kernel gets all
+    /// of a batch's first-probe positions from one call.
     ///
     /// The probes may each be at a different step, so the string
     /// families (independent roster, SHA-1 split) take the scalar path
@@ -894,7 +894,7 @@ mod tests {
     /// The batch API must be a pure re-schedule of `next_position`:
     /// same positions, same `t` advancement, for every family —
     /// including mixed batch/scalar interleavings, which is exactly how
-    /// the SIMD kernel consumes it (batched first probes, scalar
+    /// the batched kernel consumes it (batched first probes, scalar
     /// continuations).
     #[test]
     fn next_positions_matches_next_position_for_all_families() {

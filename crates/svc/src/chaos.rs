@@ -3,13 +3,11 @@
 //! A [`FaultPlan`] is a seeded registry of [`FaultRule`]s keyed by
 //! **named injection points** ([`points`]) that the service evaluates
 //! at well-defined moments: before a shard job runs, at pool
-//! submission, inside a `CountingService` mutation (while the write
-//! lock is held — the nastiest place to die), and over serialized
-//! index bytes before decode. Firing decisions come from a
-//! `splitmix64` stream over `(seed, point, hit index)`, so a plan with
-//! a fixed seed injects a reproducible *sequence* of faults without
-//! any `rand` dependency — the substrate of the chaos test suite and
-//! CI's `chaos-smoke` job.
+//! submission, and over serialized index bytes before decode. Firing
+//! decisions come from a `splitmix64` stream over `(seed, point, hit
+//! index)`, so a plan with a fixed seed injects a reproducible
+//! *sequence* of faults without any `rand` dependency — the substrate
+//! of the chaos test suite and CI's `chaos-smoke` job.
 //!
 //! Everything here is compiled out under the `chaos-off` feature:
 //! [`inject`] and [`corrupt`] become empty inline functions, so
@@ -18,8 +16,7 @@
 //!
 //! Faults on offer:
 //!
-//! * [`Fault::Panic`] — `panic!` at the point (exercises quarantine
-//!   and lock-poison recovery);
+//! * [`Fault::Panic`] — `panic!` at the point (exercises quarantine);
 //! * [`Fault::Latency`] — sleep, for deadline/cancellation races;
 //! * [`Fault::Overloaded`] — spurious load-shed, for retry/backoff;
 //! * [`Fault::FlipByte`] — flip one deterministic byte of a byte
@@ -38,10 +35,6 @@ pub mod points {
     /// Runs at request fan-out, before each pool submission — a
     /// [`super::Fault::Overloaded`] here simulates spurious shedding.
     pub const POOL_SUBMIT: &str = "pool.submit";
-    /// Runs inside `CountingService` mutations while the shard's
-    /// write lock is held — a [`super::Fault::Panic`] here poisons
-    /// the `RwLock`.
-    pub const COUNTING_WRITE: &str = "counting.write";
     /// Applied by [`super::corrupt`] to serialized index bytes before
     /// decode — simulates bit-rot on the persistence path.
     pub const IO_DECODE: &str = "io.decode";

@@ -23,8 +23,6 @@
 //!   query kind: [`Service::try_query_rect`],
 //!   [`Service::try_retrieve_cells`], [`Service::try_query_batch`]
 //!   (each with a `_ctx` form taking the caller's [`RequestCtx`]);
-//! * [`counting`] — a sharded, lock-per-shard [`CountingService`] for
-//!   concurrent inserts/deletes with the no-false-negative guarantee;
 //! * [`chaos`] — seeded, deterministic fault injection behind named
 //!   points (compiled out under the `chaos-off` feature);
 //! * [`degrade`] — shard quarantine and the typed [`Degraded`] response
@@ -75,7 +73,6 @@
 
 pub mod batch;
 pub mod chaos;
-pub mod counting;
 pub mod deadline;
 pub mod degrade;
 pub mod error;
@@ -88,7 +85,6 @@ pub mod telemetry;
 
 pub use batch::{group_cells_by_shard, ShardCells};
 pub use chaos::{ChaosSegmentIo, Fault, FaultPlan, FaultRule};
-pub use counting::CountingService;
 pub use deadline::{CancelToken, Deadline, RequestCtx};
 pub use degrade::{Degraded, Response, ShardHealth};
 pub use error::SvcError;

@@ -73,7 +73,7 @@ pub struct SvcConfig {
     /// Probe engine shard jobs run on (results are identical either
     /// way; see [`ab::KernelKind`]).
     pub kernel: KernelKind,
-    /// Batch-depth policy for the batched/simd kernels
+    /// Batch-depth policy for the batched kernel
     /// ([`ab::BatchRows::Adaptive`] sizes per query from the cache
     /// hierarchy).
     pub batch_rows: BatchRows,
@@ -1183,7 +1183,7 @@ mod tests {
         )]);
         let ab = AbConfig::new(Level::PerAttribute).with_alpha(32);
         let flat = Service::build(&t, &ab, &small_cfg());
-        for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
             let cfg = SvcConfig {
                 kernel,
                 hier: HierMode::Force,

@@ -10,7 +10,7 @@
 //!           [--rows LO..HI] [--limit N]
 //! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
 //!           [--alpha N] [--deadline-ms N] [--retries N]
-//!           [--kernel scalar|batched|simd] [--batch-rows adaptive|N]
+//!           [--kernel scalar|batched] [--batch-rows adaptive|N]
 //!           [--hier [off|auto|force]] [--hybrid [off|auto|force]]
 //!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
 //!            [--trace-dump FILE]]
@@ -100,7 +100,7 @@ fn print_usage() {
          abq verify --index FILE\n  \
          abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]\n  \
          abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] \
-         [--deadline-ms N] [--retries N] [--kernel scalar|batched|simd] \
+         [--deadline-ms N] [--retries N] [--kernel scalar|batched] \
          [--batch-rows adaptive|N] [--hier [off|auto|force]] \
          [--hybrid [off|auto|force]] \
          [--telemetry-addr HOST:PORT] [--slow-ms N] \
@@ -396,8 +396,6 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
 
 /// The `--kernel` flag: which probe engine shard jobs run on
 /// (default batched; results are identical, only throughput differs).
-/// `simd` needs the `simd` cargo feature compiled in to differ from
-/// `batched` — without it the wave loop degrades to scalar reads.
 fn parse_kernel(args: &[String]) -> Result<ab::KernelKind, String> {
     match flag_value(args, "--kernel") {
         Some(k) => k.parse().map_err(|e| format!("--kernel: {e}")),
@@ -417,15 +415,16 @@ fn parse_batch_rows(args: &[String]) -> Result<ab::BatchRows, String> {
 
 /// A tier flag with an optional mode operand (`--hier`, `--hybrid`):
 /// absent means off, bare means auto, `off|auto|force` is explicit.
-/// The operand is optional, so the next token is only consumed when it
-/// names a mode (`--hier --listen ...` must not eat `--listen`).
-fn parse_tier_mode(args: &[String], flag: &str) -> ab::TierMode {
-    match args.iter().position(|a| a == flag) {
-        None => ab::TierMode::Off,
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|mode| mode.parse().ok())
-            .unwrap_or(ab::TierMode::Auto),
+/// The operand is optional, so a next token that is itself a flag is
+/// left alone (`--hier --listen ...` must not eat `--listen`); any
+/// other token must name a mode.
+fn parse_tier_mode(args: &[String], flag: &str) -> Result<ab::TierMode, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(ab::TierMode::Off);
+    };
+    match args.get(i + 1) {
+        Some(mode) if !mode.starts_with("--") => mode.parse().map_err(|e| format!("{flag}: {e}")),
+        _ => Ok(ab::TierMode::Auto),
     }
 }
 
@@ -434,7 +433,7 @@ fn parse_tier_mode(args: &[String], flag: &str) -> ab::TierMode {
 /// scan. Results are bit-identical either way — only throughput
 /// differs.
 fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
-    Ok(parse_tier_mode(args, "--hier"))
+    parse_tier_mode(args, "--hier")
 }
 
 /// The `--hybrid` flag: hybrid exact-tier policy. Auto answers queries
@@ -443,7 +442,7 @@ fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
 /// Which bins get exact backing is the planner's calibrated split
 /// decision (`AB_HYBRID` overrides it).
 fn parse_hybrid(args: &[String]) -> Result<ab::HybridMode, String> {
-    Ok(parse_tier_mode(args, "--hybrid"))
+    parse_tier_mode(args, "--hybrid")
 }
 
 /// Retry policy for the `serve` query path: up to
@@ -1319,13 +1318,11 @@ mod tests {
             parse_kernel(&strings(&["--kernel", "batched"])),
             Ok(ab::KernelKind::Batched)
         );
-        assert_eq!(
-            parse_kernel(&strings(&["--kernel", "simd"])),
-            Ok(ab::KernelKind::Simd)
-        );
         assert_eq!(parse_kernel(&strings(&[])), Ok(ab::KernelKind::Batched));
-        let err = parse_kernel(&strings(&["--kernel", "turbo"])).unwrap_err();
-        assert!(err.contains("scalar|batched|simd"), "{err}");
+        for bad in ["turbo", "simd"] {
+            let err = parse_kernel(&strings(&["--kernel", bad])).unwrap_err();
+            assert!(err.contains("scalar|batched"), "{err}");
+        }
     }
 
     #[test]
@@ -1363,6 +1360,12 @@ mod tests {
         assert_eq!(
             parse_hier(&strings(&["--hier", "--listen"])),
             Ok(ab::HierMode::Auto)
+        );
+        // A mistyped mode is an error, not a silent auto.
+        let err = parse_hier(&strings(&["--hier", "forse"])).unwrap_err();
+        assert!(
+            err.contains("--hier") && err.contains("off|auto|force"),
+            "{err}"
         );
     }
 
@@ -1413,6 +1416,12 @@ mod tests {
         assert_eq!(
             parse_hybrid(&strings(&["--hybrid", "--listen"])),
             Ok(ab::HybridMode::Auto)
+        );
+        // A mistyped mode is an error, not a silent auto.
+        let err = parse_hybrid(&strings(&["--hybrid", "fourc"])).unwrap_err();
+        assert!(
+            err.contains("--hybrid") && err.contains("off|auto|force"),
+            "{err}"
         );
     }
 

@@ -1,8 +1,8 @@
-//! Probe-kernel differential tests: the full kernel matrix
-//! (scalar × batched × simd) × batch-depth policies (adaptive and
-//! forced 8/64/256) against the scalar reference loop.
+//! Probe-kernel differential tests: the batched kernel × batch-depth
+//! policies (adaptive and forced 8/64/256) against the scalar
+//! reference loop.
 //!
-//! The batched and SIMD kernels (DESIGN.md §13–§14) restructure the
+//! The batched kernel (DESIGN.md §13–§14) restructures the
 //! Figure 5/7 probe loops for memory-level parallelism but must not
 //! change a single observable: rect results must be bit-identical and
 //! the `QueryStats` probe accounting (`cells_probed`, `bits_read`,
@@ -11,10 +11,8 @@
 //! importantly, against any probe-sequence divergence that would show
 //! up as a false negative.
 //!
-//! Run with and without `--features prefetch` and `--features simd`;
-//! CI's `kernel-smoke` and `simd-smoke` jobs cover all configs (the
-//! latter also pins `AB_SIMD=avx2` in a separate process to exercise
-//! the narrower gather path on AVX-512 machines).
+//! Run with and without `--features prefetch`; CI's `kernel-smoke`
+//! job covers both.
 
 use ab::{
     AbConfig, AbIndex, BatchRows, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig,
@@ -35,22 +33,19 @@ fn queries_may_run() -> RwLockReadGuard<'static, ()> {
     COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Every non-reference kernel configuration under test: both wave
-/// engines crossed with the adaptive policy and fixed depths bracketing
-/// it (8 = sub-wave, 64 = classic, 256 = the deep-pipeline maximum).
+/// Every non-reference kernel configuration under test: the batched
+/// engine under the adaptive policy and fixed depths bracketing it
+/// (8 = shallow, 64 = classic, 256 = the deep-pipeline maximum).
 fn kernel_matrix() -> Vec<KernelOpts> {
-    let mut m = Vec::new();
-    for kernel in [KernelKind::Batched, KernelKind::Simd] {
-        for batch in [
-            BatchRows::Adaptive,
-            BatchRows::Fixed(8),
-            BatchRows::Fixed(64),
-            BatchRows::Fixed(256),
-        ] {
-            m.push(KernelOpts::new(kernel).with_batch_rows(batch));
-        }
-    }
-    m
+    [
+        BatchRows::Adaptive,
+        BatchRows::Fixed(8),
+        BatchRows::Fixed(64),
+        BatchRows::Fixed(256),
+    ]
+    .into_iter()
+    .map(|batch| KernelOpts::new(KernelKind::Batched).with_batch_rows(batch))
+    .collect()
 }
 
 /// The 3 seeded datasets the satellite task asks for: different row
@@ -239,7 +234,7 @@ fn empty_row_interval_matches() {
         row_lo: 100,
         row_hi: 50,
     };
-    for kernel in [KernelKind::Scalar, KernelKind::Batched, KernelKind::Simd] {
+    for kernel in [KernelKind::Scalar, KernelKind::Batched] {
         let (rows, stats) = idx
             .try_execute_rect_with_stats_opts(&q, kernel.into())
             .unwrap();
