@@ -321,6 +321,19 @@ impl HybridAb {
             .any(|r| (r.lo..=r.hi).any(|b| self.backing(r.attribute, b).is_some()))
     }
 
+    /// Whether every bin of every range is exactly backed (and there
+    /// is at least one range): the query then resolves by container
+    /// mask algebra alone — zero hash probes — so its cost is a few
+    /// word operations per 64 rows instead of up to k probes per row
+    /// ([`AbIndex::stages`] sizes its stages by that).
+    pub fn covers_all(&self, query: &RectQuery) -> bool {
+        !query.ranges.is_empty()
+            && query
+                .ranges
+                .iter()
+                .all(|r| (r.lo..=r.hi).all(|b| self.backing(r.attribute, b).is_some()))
+    }
+
     /// Plans one attribute range over the row interval
     /// `row_lo..=row_hi`: batch-extracts the backed bins' exact and
     /// flat (exact ∪ fp) masks word-at-a-time and lists the bins the
@@ -537,6 +550,32 @@ mod tests {
         assert!(!hy.covers_any(&RectQuery::new(vec![], 0, 100)));
         assert!(hy.backing(0, 7).is_some());
         assert!(hy.backing(0, 8).is_none());
+    }
+
+    #[test]
+    fn covers_all_needs_every_bin_of_every_range() {
+        // Geometry only: empty containers back (0, 0), (0, 1), (1, 0).
+        let empty = |a, b| (a, b, RoaringBitmap::new(), RoaringBitmap::new());
+        let hy = HybridAb::from_serialized(
+            HybridConfig::default(),
+            100,
+            5,
+            vec![empty(0, 0), empty(0, 1), empty(1, 0)],
+        );
+        let q = |ranges| RectQuery::new(ranges, 0, 99);
+        let (a01, b0) = (AttrRange::new(0, 0, 1), AttrRange::new(1, 0, 0));
+        assert!(hy.covers_all(&q(vec![a01, b0])));
+        assert!(hy.covers_all(&q(vec![b0])));
+        // One unbacked bin in one range is enough to say no — and
+        // still `covers_any`; so is having no range at all.
+        for ranges in [
+            vec![AttrRange::new(0, 0, 2), b0],
+            vec![a01, AttrRange::new(1, 0, 1)],
+        ] {
+            assert!(!hy.covers_all(&q(ranges.clone())));
+            assert!(hy.covers_any(&q(ranges)));
+        }
+        assert!(!hy.covers_all(&q(vec![])));
     }
 
     #[test]

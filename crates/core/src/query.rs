@@ -141,6 +141,12 @@ pub fn validate_ranges(
     Ok(())
 }
 
+/// Rows of one Roaring container (chunks are keyed by a row's high 16
+/// bits): what one stage of pure mask work spans
+/// ([`AbIndex::stages`]) — ≈ 10–20 µs, against ≈ 0.2–0.4 ms for the
+/// few hundred rows of a probed stage.
+const CONTAINER_ROWS: usize = 1 << 16;
+
 impl AbIndex {
     /// Figure 5: evaluates an arbitrary cell subset, returning one
     /// boolean per cell in query order. O(c·k) where `c = cells.len()`.
@@ -259,27 +265,16 @@ impl AbIndex {
             KernelKind::Scalar => "ab.kernel.scalar",
             KernelKind::Batched => "ab.kernel.batched",
         });
-        // The exact tier engages when the query constrains at least
-        // one attribute over a non-degenerate row interval and the
-        // tier backs at least one bin the query touches (Auto) or
-        // unconditionally (Force). It composes with hier: pruned
-        // intervals dispatch to the hybrid kernel instead of the flat
-        // one.
-        let hybrid = match opts.hybrid {
-            HybridMode::Off => None,
-            HybridMode::Auto | HybridMode::Force => self.hybrid().filter(|hy| {
-                !query.ranges.is_empty()
-                    && query.row_lo <= query.row_hi
-                    && (opts.hybrid == HybridMode::Force || hy.covers_any(query))
-            }),
-        };
+        // It composes with hier: pruned intervals dispatch to the
+        // hybrid kernel instead of the flat one.
+        let hybrid = self.engaged_hybrid(query, opts.hybrid);
         if hybrid.is_some() {
             obs::counter!("hybrid.queries").inc();
         }
         let (rows, stats, short_circuits) = self
             .execute_rect_hier(hybrid, query, opts)
             .unwrap_or_else(|| match hybrid {
-                Some(hy) => self.execute_rect_hybrid(hy, query, opts),
+                Some(hy) => self.execute_rect_hybrid(hy, query),
                 None => self.execute_rect_flat(query, opts),
             });
         if tspan.enabled() {
@@ -348,6 +343,75 @@ impl AbIndex {
         Some(prune)
     }
 
+    /// The exact-tier gate: the attached tier when `mode` lets it
+    /// answer `query` — the query constrains at least one attribute
+    /// over a non-degenerate row interval and the tier backs at least
+    /// one bin the query touches (`Auto`) or unconditionally (`Force`).
+    fn engaged_hybrid(&self, query: &RectQuery, mode: HybridMode) -> Option<&HybridAb> {
+        if mode == HybridMode::Off || query.ranges.is_empty() || query.row_lo > query.row_hi {
+            return None;
+        }
+        self.hybrid()
+            .filter(|hy| mode == HybridMode::Force || hy.covers_any(query))
+    }
+
+    /// Cuts `query` into **stages**: consecutive row intervals, each a
+    /// bounded amount of work, for a caller that has something to do
+    /// between them (the service checks the request's deadline and
+    /// cancellation). Returns the tier that will answer — `"exact"`
+    /// (container masks only), `"mixed"` (masks plus AB probes for the
+    /// unbacked bins) or `"ab"` (probes only) — and the stages,
+    /// ascending and disjoint. What bounds a stage is what a row costs:
+    ///
+    /// * wherever any bin of any range is hash-probed, `probe_rows`
+    ///   rows, counted from the start of each interval — up to k
+    ///   probes per bin per row;
+    /// * where the exact tier backs every bin of every range
+    ///   ([`HybridAb::covers_all`], under an `opts.hybrid` that is not
+    ///   `Off`), one Roaring container (2¹⁶ rows, container-aligned,
+    ///   so no stage's mask straddles two containers) — a few word
+    ///   operations per 64 rows.
+    ///
+    /// The stages cover what [`Self::hier_prune`] leaves of the query
+    /// under `opts.hier` (everything, when it does not engage); the
+    /// pruning is counted here, so the caller executes each stage with
+    /// [`HierMode::Off`] — rows, [`QueryStats`] sums and the `hier.*` /
+    /// `hybrid.*` row counters are then those of one whole-query call.
+    /// `query` must already be valid for this index
+    /// ([`validate_ranges`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probe_rows` is zero.
+    pub fn stages(
+        &self,
+        query: &RectQuery,
+        opts: KernelOpts,
+        probe_rows: usize,
+    ) -> (&'static str, Vec<(usize, usize)>) {
+        assert!(probe_rows > 0, "a stage needs at least one row");
+        let (tier, stride) = match self.engaged_hybrid(query, opts.hybrid) {
+            Some(hy) if hy.covers_all(query) => ("exact", None),
+            Some(_) => ("mixed", Some(probe_rows)),
+            None => ("ab", Some(probe_rows)),
+        };
+        let pruned = self.hier_prune(query, opts.hier);
+        let whole = [(query.row_lo, query.row_hi)];
+        let intervals = pruned.as_ref().map_or(&whole[..], |p| &p.intervals);
+        let mut stages = Vec::new();
+        for &(mut lo, hi) in intervals {
+            while lo <= hi {
+                let end = hi.min(match stride {
+                    Some(rows) => lo + rows - 1,
+                    None => lo | (CONTAINER_ROWS - 1),
+                });
+                stages.push((lo, end));
+                lo = end + 1;
+            }
+        }
+        (tier, stages)
+    }
+
     /// The pruned execution path, taken when [`Self::hier_prune`]
     /// engages: run the flat (or hybrid) kernel over each surviving
     /// row interval and concatenate (intervals are ascending and
@@ -371,7 +435,7 @@ impl AbIndex {
         for &(lo, hi) in &prune.intervals {
             let sub = RectQuery::new(query.ranges.clone(), lo, hi);
             let (r, s, c) = match hybrid {
-                Some(hy) => self.execute_rect_hybrid(hy, &sub, opts),
+                Some(hy) => self.execute_rect_hybrid(hy, &sub),
                 None => self.execute_rect_flat(&sub, opts),
             };
             rows.extend(r);
@@ -403,9 +467,7 @@ impl AbIndex {
         &self,
         hy: &HybridAb,
         query: &RectQuery,
-        opts: KernelOpts,
     ) -> (Vec<usize>, QueryStats, u64) {
-        let _ = opts;
         let mut stats = QueryStats::default();
         if query.row_lo > query.row_hi {
             return (Vec::new(), stats, 0);
@@ -436,7 +498,8 @@ impl AbIndex {
                     *d &= s;
                 }
             }
-            let mut rows = Vec::new();
+            let matched: usize = exact.iter().map(|w| w.count_ones() as usize).sum();
+            let mut rows = Vec::with_capacity(matched);
             for (w, word) in exact.iter().enumerate() {
                 let mut word = *word;
                 while word != 0 {
@@ -1107,6 +1170,79 @@ mod tests {
             both.1.fp_rows_eliminated <= hyb.1.fp_rows_eliminated,
             "pruned intervals cannot eliminate more than the full scan"
         );
+    }
+
+    /// A probed stage is never longer than the caller's `probe_rows`
+    /// and a mask stage never spans two Roaring containers.
+    #[test]
+    fn stages_cut_probed_parts_by_rows_and_exact_parts_by_containers() {
+        use crate::hybrid::HybridConfig;
+        use crate::kernel::{HybridMode, KernelOpts};
+        use roar::RoaringBitmap;
+        let n = 200_000usize;
+        let t = BinnedTable::new(vec![
+            BinnedColumn::new("a", (0..n).map(|i| (i % 3) as u32).collect(), 3),
+            BinnedColumn::new("b", (0..n).map(|i| (i % 2) as u32).collect(), 2),
+        ]);
+        let mut idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(2));
+        let ranges = |a_hi| vec![AttrRange::new(0, 0, a_hi), AttrRange::new(1, 0, 1)];
+        let auto = KernelOpts::default().with_hybrid(HybridMode::Auto);
+        let untiered = idx.stages(&RectQuery::new(ranges(1), 0, n - 1), auto, 512);
+        // Geometry only: empty containers back every bin but (0, 2).
+        let backed = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .map(|(a, b)| (a, b, RoaringBitmap::new(), RoaringBitmap::new()));
+        idx.attach_hybrid(HybridAb::from_serialized(
+            HybridConfig::default(),
+            n,
+            5,
+            backed.to_vec(),
+        ));
+
+        // Fully backed: ⌈rows / 65 536⌉ container-aligned stages,
+        // wherever the window starts.
+        let (tier, stages) = idx.stages(&RectQuery::new(ranges(1), 0, n - 1), auto, 512);
+        assert_eq!(tier, "exact");
+        assert_eq!(
+            stages,
+            [
+                (0, 65_535),
+                (65_536, 131_071),
+                (131_072, 196_607),
+                (196_608, 199_999)
+            ]
+        );
+        let (_, stages) = idx.stages(&RectQuery::new(ranges(1), 60_000, 140_000), auto, 512);
+        assert_eq!(
+            stages,
+            [(60_000, 65_535), (65_536, 131_071), (131_072, 140_000)]
+        );
+        let (_, stages) = idx.stages(&RectQuery::new(ranges(1), 65_536, 65_536), auto, 512);
+        assert_eq!(stages, [(65_536, 65_536)]);
+
+        // One unbacked bin in one range, the tier switched off, or no
+        // tier at all: 512-row stages counted from the window's start.
+        let probed = |found: (&'static str, Vec<(usize, usize)>), tier, lo: usize| {
+            let what = format!("{tier} from {lo}");
+            assert_eq!(found.0, tier, "{what}");
+            let stages = found.1;
+            assert_eq!(stages.len(), (n - lo).div_ceil(512), "{what}");
+            assert_eq!(stages[0], (lo, lo + 511), "{what}");
+            assert_eq!(stages.last().unwrap().1, n - 1, "{what}");
+            assert!(stages.windows(2).all(|w| w[0].1 + 1 == w[1].0), "{what}");
+            assert!(stages.iter().all(|&(lo, hi)| hi - lo < 512), "{what}");
+        };
+        let mixed = RectQuery::new(ranges(2), 100, n - 1);
+        probed(idx.stages(&mixed, auto, 512), "mixed", 100);
+        let off = KernelOpts::default();
+        probed(
+            idx.stages(&RectQuery::new(ranges(1), 7, n - 1), off, 512),
+            "ab",
+            7,
+        );
+        probed(untiered, "ab", 0);
+        // Only the unbacked bin asked for: the tier does not engage.
+        let tail = RectQuery::new(vec![AttrRange::new(0, 2, 2)], 0, n - 1);
+        probed(idx.stages(&tail, auto, 512), "ab", 0);
     }
 
     #[test]

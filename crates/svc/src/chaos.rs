@@ -2,12 +2,13 @@
 //!
 //! A [`FaultPlan`] is a seeded registry of [`FaultRule`]s keyed by
 //! **named injection points** ([`points`]) that the service evaluates
-//! at well-defined moments: before a shard job runs, at pool
-//! submission, and over serialized index bytes before decode. Firing
-//! decisions come from a `splitmix64` stream over `(seed, point, hit
-//! index)`, so a plan with a fixed seed injects a reproducible
-//! *sequence* of faults without any `rand` dependency — the substrate
-//! of the chaos test suite and CI's `chaos-smoke` job.
+//! at well-defined moments: before a shard job runs and before each
+//! of its stages, at pool submission, and over serialized index bytes
+//! before decode. Firing decisions come from a `splitmix64` stream
+//! over `(seed, point, hit index)`, so a plan with a fixed seed
+//! injects a reproducible *sequence* of faults without any `rand`
+//! dependency — the substrate of the chaos test suite and CI's
+//! `chaos-smoke` job.
 //!
 //! Everything here is compiled out under the `chaos-off` feature:
 //! [`inject`] and [`corrupt`] become empty inline functions, so
@@ -32,6 +33,13 @@ pub mod points {
     /// thread — a [`super::Fault::Panic`] here simulates a shard
     /// panicking mid-query.
     pub const SHARD_QUERY: &str = "shard.query";
+    /// Runs before every stage of a shard query job — a slice of
+    /// cells, or the rows [`ab::AbIndex::stages`] cut — ahead of the
+    /// stage's deadline check: a [`super::Fault::Latency`] here holds
+    /// a job *between* two stages, a [`super::Fault::Panic`] fails it
+    /// with part of its answer already computed, and the number of
+    /// times it was evaluated is the number of stages entered.
+    pub const SHARD_STAGE: &str = "shard.stage";
     /// Runs at request fan-out, before each pool submission — a
     /// [`super::Fault::Overloaded`] here simulates spurious shedding.
     pub const POOL_SUBMIT: &str = "pool.submit";

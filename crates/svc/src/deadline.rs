@@ -2,9 +2,12 @@
 //!
 //! A request carries a [`RequestCtx`]: an absolute [`Deadline`] plus a
 //! shared [`CancelToken`]. Shard tasks call [`RequestCtx::check`]
-//! between row chunks (see [`crate::service::CHUNK_ROWS`]), so an
-//! expired or cancelled request stops burning worker time within one
-//! chunk instead of running to completion.
+//! before every stage of their work — [`crate::service::CHUNK_ROWS`]
+//! rows or cells where the AB is hash-probed, one 65 536-row Roaring
+//! container where the exact tier answers alone (see
+//! [`ab::AbIndex::stages`]) — so an expired or cancelled request stops
+//! burning worker time within one stage, a few hundred microseconds at
+//! most, instead of running to completion.
 
 use crate::error::SvcError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,7 +125,7 @@ impl RequestCtx {
         self.cancel.is_cancelled()
     }
 
-    /// The between-chunks liveness check: `Err(Cancelled)` once the
+    /// The between-stages liveness check: `Err(Cancelled)` once the
     /// flag is raised, `Err(DeadlineExceeded)` once the deadline
     /// passes, `Ok(())` otherwise.
     pub fn check(&self) -> Result<(), SvcError> {

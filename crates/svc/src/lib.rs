@@ -17,7 +17,9 @@
 //! * [`batch`] — grouping a request's probes by owning shard so each
 //!   shard gets one pool job, not one per probe;
 //! * [`deadline`] — per-request deadlines and cooperative cancellation,
-//!   checked between [`CHUNK_ROWS`]-row chunks;
+//!   checked before every stage of a shard job — a bounded amount of
+//!   work: [`CHUNK_ROWS`] hash-probed rows or cells, or one Roaring
+//!   container of rows the exact tier answers alone;
 //! * [`service`] — the [`Service`] and its one request path
 //!   (partition → fan out → collect → merge), one entry point per
 //!   query kind: [`Service::try_query_rect`],

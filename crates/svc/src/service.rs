@@ -8,10 +8,12 @@
 //!    schema and split into per-shard parts (see [`crate::batch`]);
 //! 2. **fan out** — one pool job per shard touched. Admission control
 //!    happens at submission: a full pool queue sheds the whole request
-//!    with [`SvcError::Overloaded`]. Shard jobs work in
-//!    [`CHUNK_ROWS`]-sized chunks, calling [`RequestCtx::check`]
-//!    between chunks so deadlines and cancellation take effect
-//!    mid-query;
+//!    with [`SvcError::Overloaded`]. Shard jobs work in **stages** of
+//!    bounded work — [`CHUNK_ROWS`] rows (or cells) where the AB is
+//!    hash-probed, one Roaring container of rows where the shard's
+//!    exact tier answers alone ([`ab::AbIndex::stages`]) — calling
+//!    [`RequestCtx::check`] before each so deadlines and cancellation
+//!    take effect mid-query;
 //! 3. **collect** — the collector waits with the request's remaining
 //!    deadline budget; a miss cancels the in-flight shard work and
 //!    discards partial results (a partial merge would break the AB's
@@ -52,9 +54,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Rows a shard job processes between two [`RequestCtx::check`]
-/// calls. Small enough that cancellation latency stays in the tens of
-/// microseconds, large enough that the atomic load is noise.
+/// What a shard job **hash-probes** between two
+/// [`RequestCtx::check`] calls: the cells of one slice of a cell job,
+/// and the rows of one stage of a rect job wherever any bin of any
+/// range is answered by the AB — ≈ 0.2–0.4 ms of probing, so
+/// cancellation takes effect within that and the atomic load is noise.
+/// It does not govern rect stages the shard's exact tier answers
+/// alone: those are one 65 536-row Roaring container each (≈ 10–20 µs
+/// of mask work; [`ab::AbIndex::stages`] cuts both kinds).
 pub const CHUNK_ROWS: usize = 512;
 
 /// Service construction parameters.
@@ -90,7 +97,7 @@ pub struct SvcConfig {
     /// ([`ab::HierMode::Off`] by default). Anything other than `Off`
     /// attaches a [`ab::HierAb`] pyramid to every shard at build (or
     /// load) time; shard jobs then prune whole row spans before the
-    /// chunked kernel runs. Results stay bit-identical either way.
+    /// staged kernel runs. Results stay bit-identical either way.
     pub hier: HierMode,
     /// Pyramid geometry used when [`Self::hier`] is not `Off`.
     pub hier_config: HierConfig,
@@ -266,8 +273,8 @@ impl Service {
     }
 
     /// Attaches a fault plan driving this service's injection points
-    /// ([`points::POOL_SUBMIT`], [`points::SHARD_QUERY`]) — tests and
-    /// chaos drills only.
+    /// ([`points::POOL_SUBMIT`], [`points::SHARD_QUERY`],
+    /// [`points::SHARD_STAGE`]) — tests and chaos drills only.
     pub fn with_fault_plan(mut self, plan: Arc<chaos::FaultPlan>) -> Self {
         self.chaos = Some(plan);
         self
@@ -557,7 +564,7 @@ impl Service {
         spans: &Spans,
         items: usize,
         partition: impl FnOnce() -> Result<Vec<Part<J, K>>, QueryError>,
-        run: fn(&Shard, J, &RequestCtx, KernelOpts) -> Result<O, SvcError>,
+        run: fn(J, ShardJob<'_>) -> Result<O, SvcError>,
         mut place: impl FnMut(usize, K, Option<O>),
     ) -> Result<(Option<Degraded>, obs::TraceSpan), SvcError> {
         let mut admit = spans.span("svc.admit");
@@ -593,7 +600,15 @@ impl Service {
                 let enter = tspan.enter();
                 let outcome = shard_outcome(|| {
                     chaos::inject(plan.as_deref(), points::SHARD_QUERY, Some(sid))?;
-                    run(&index.shards()[sid], job, &job_ctx, kernel)
+                    let env = ShardJob {
+                        shard: &index.shards()[sid],
+                        sid,
+                        ctx: &job_ctx,
+                        kernel,
+                        chaos: plan.as_deref(),
+                        span: &mut tspan,
+                    };
+                    run(job, env)
                 });
                 drop(enter);
                 annotate_outcome(&mut tspan, outcome.as_ref());
@@ -651,68 +666,99 @@ impl Service {
     }
 }
 
-/// The cell kind's shard job: the part's cells in [`CHUNK_ROWS`]-cell
-/// slices with a [`RequestCtx::check`] before each, plain hits back.
-fn run_shard_cells(
-    shard: &Shard,
-    cells: Vec<Cell>,
-    ctx: &RequestCtx,
+/// What a shard job body works with besides its part of the request.
+struct ShardJob<'a> {
+    shard: &'a Shard,
+    sid: usize,
+    ctx: &'a RequestCtx,
     kernel: KernelOpts,
-) -> Result<Vec<bool>, SvcError> {
+    chaos: Option<&'a chaos::FaultPlan>,
+    /// The job's `svc.shard` span (disabled on an untraced request).
+    span: &'a mut obs::TraceSpan,
+}
+
+impl ShardJob<'_> {
+    /// The gate before each stage of the job: the
+    /// [`points::SHARD_STAGE`] injection point, then the request's
+    /// deadline and cancellation.
+    fn check(&self) -> Result<(), SvcError> {
+        chaos::inject(self.chaos, points::SHARD_STAGE, Some(self.sid))?;
+        self.ctx.check()
+    }
+}
+
+/// The cell kind's shard job: the part's cells in [`CHUNK_ROWS`]-cell
+/// slices — a cell is hash-probed unless its own bin is exact-backed,
+/// so a slice is sized for probing — with a [`ShardJob::check`] before
+/// each, plain hits back.
+fn run_shard_cells(cells: Vec<Cell>, job: ShardJob<'_>) -> Result<Vec<bool>, SvcError> {
+    let index = job.shard.index();
     let mut hits = Vec::with_capacity(cells.len());
     for chunk in cells.chunks(CHUNK_ROWS) {
-        ctx.check()?;
-        hits.extend(shard.index().retrieve_cells_with_opts(chunk, kernel));
+        job.check()?;
+        hits.extend(index.retrieve_cells_with_opts(chunk, job.kernel));
     }
     Ok(hits)
 }
 
 /// The rect kinds' shard job: every query part that landed on the
-/// shard, each tagged with its query's index in the batch.
+/// shard, each tagged with its query's index in the batch and run
+/// stage by stage ([`run_stages`]). A traced job's `svc.shard` span
+/// says how many stages its parts were cut into and which tier
+/// answered them (`exact`, `ab`, or `mixed` — also when the parts of a
+/// batch disagree).
 fn run_shard_rects(
-    shard: &Shard,
     parts: Vec<(usize, RectQuery)>,
-    ctx: &RequestCtx,
-    kernel: KernelOpts,
+    job: ShardJob<'_>,
 ) -> Result<Vec<(usize, Vec<usize>)>, SvcError> {
     let mut out = Vec::with_capacity(parts.len());
-    for (qidx, local) in &parts {
-        out.push((*qidx, run_shard_chunked(shard, local, ctx, kernel)?));
-    }
-    Ok(out)
-}
-
-/// Runs one shard's part of a rectangular query in [`CHUNK_ROWS`]
-/// chunks on the configured probe kernel — a [`RequestCtx::check`]
-/// before each — translating matches back to global row ids.
-///
-/// Hierarchical pruning ([`ab::AbIndex::hier_prune`]) has to see the
-/// *whole* shard part — inside a 512-row chunk it would never see a
-/// span-sized region — so it runs here, once, and only the surviving
-/// row intervals are chunked; the chunks themselves run with hier off.
-fn run_shard_chunked(
-    shard: &Shard,
-    local: &RectQuery,
-    ctx: &RequestCtx,
-    kernel: KernelOpts,
-) -> Result<Vec<usize>, SvcError> {
-    let flat = kernel.with_hier(HierMode::Off);
-    let pruned = shard.index().hier_prune(local, kernel.hier);
-    let whole = [(local.row_lo, local.row_hi)];
-    let intervals = pruned.as_ref().map_or(&whole[..], |p| &p.intervals);
-    let mut out = Vec::new();
-    for &(mut lo, row_hi) in intervals {
-        loop {
-            ctx.check()?;
-            let hi = row_hi.min(lo + CHUNK_ROWS - 1);
-            let chunk = RectQuery::new(local.ranges.clone(), lo, hi);
-            let rows = shard.index().try_execute_rect_with_opts(&chunk, flat)?;
-            out.extend(rows.into_iter().map(|r| r + shard.start()));
-            if hi == row_hi {
+    let (mut stages, mut tier) = (0, None);
+    let mut failed = None;
+    for (qidx, local) in parts {
+        // Hierarchical pruning has to see the *whole* shard part —
+        // inside one stage it would never see a span-sized region —
+        // so `stages` prunes once and cuts only what survives.
+        let (part_tier, cut) = job.shard.index().stages(&local, job.kernel, CHUNK_ROWS);
+        stages += cut.len();
+        tier = Some(tier.map_or(part_tier, |t| if t == part_tier { t } else { "mixed" }));
+        match run_stages(&job, local, &cut) {
+            Ok(rows) => out.push((qidx, rows)),
+            Err(e) => {
+                failed = Some(e);
                 break;
             }
-            lo = hi + 1;
         }
+    }
+    job.span.annotate("stages", stages);
+    job.span.annotate("tier", tier.unwrap_or("ab"));
+    failed.map_or(Ok(out), Err)
+}
+
+/// Runs one shard's part of a rectangular query over the stages it
+/// was cut into — a [`ShardJob::check`] before each, hier off (the cut
+/// already pruned) — and returns the matches as global row ids.
+/// `part` is reused as every stage's query; a part that is one stage
+/// hands its rows back without a second buffer.
+fn run_stages(
+    job: &ShardJob<'_>,
+    mut part: RectQuery,
+    stages: &[(usize, usize)],
+) -> Result<Vec<usize>, SvcError> {
+    let (index, start) = (job.shard.index(), job.shard.start());
+    let flat = job.kernel.with_hier(HierMode::Off);
+    let mut run = |&(lo, hi): &(usize, usize)| {
+        job.check()?;
+        (part.row_lo, part.row_hi) = (lo, hi);
+        Ok::<_, SvcError>(index.try_execute_rect_with_opts(&part, flat)?)
+    };
+    if let [only] = stages {
+        let mut rows = run(only)?;
+        rows.iter_mut().for_each(|r| *r += start);
+        return Ok(rows);
+    }
+    let mut out = Vec::new();
+    for stage in stages {
+        out.extend(run(stage)?.into_iter().map(|r| r + start));
     }
     Ok(out)
 }

@@ -5,7 +5,7 @@
 
 #![cfg(not(feature = "obs-off"))]
 
-use ab::{AbConfig, Cell, Level};
+use ab::{AbConfig, Cell, HybridConfig, HybridMode, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 #[cfg(not(feature = "chaos-off"))]
 use std::sync::Arc;
@@ -282,4 +282,85 @@ fn service_owned_traces_can_be_disabled() {
     svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx).unwrap();
     let t = trace.finish().unwrap();
     assert!(t.spans.iter().any(|s| s.name == "svc.shard"));
+}
+
+/// The `stages` and `tier` annotations of a trace's `svc.shard` spans,
+/// in span order.
+fn staging(t: &obs::Trace) -> Vec<(obs::AnnValue, obs::AnnValue)> {
+    let shard_spans = t.spans.iter().filter(|s| s.name == "svc.shard");
+    shard_spans
+        .map(|s| {
+            let ann = |key| s.annotations.iter().find(|(k, _)| k == key);
+            let (stages, tier) = (ann("stages").unwrap(), ann("tier").unwrap());
+            (stages.1.clone(), tier.1.clone())
+        })
+        .collect()
+}
+
+/// A traced rect job says how its parts were staged: one stage a
+/// container where the shard's exact tier answers alone, one per
+/// `CHUNK_ROWS` rows where the AB is probed, `mixed` when the parts of
+/// a batch disagree. An untraced job builds no annotation at all.
+#[test]
+fn shard_spans_carry_stages_and_tier() {
+    let two_shards = |hybrid| {
+        let cfg = SvcConfig {
+            threads: 2,
+            shards: 2,
+            trace_requests: false,
+            hybrid,
+            hybrid_config: HybridConfig {
+                min_density: 0.0,
+                ..HybridConfig::default()
+            },
+            ..SvcConfig::default()
+        };
+        Service::build(
+            &table(),
+            &AbConfig::new(Level::PerAttribute).with_alpha(16),
+            &cfg,
+        )
+    };
+    let traced = |svc: &Service, queries: &[RectQuery]| {
+        let trace = obs::TraceCtx::start("batch");
+        let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
+        svc.try_query_batch_ctx(queries, &ctx).unwrap();
+        staging(&trace.finish().unwrap())
+    };
+    let per_shard = |stages: u64, tier: &str| {
+        let one = (obs::AnnValue::U64(stages), obs::AnnValue::Str(tier.into()));
+        vec![one.clone(), one]
+    };
+    let whole = rect(0, ROWS - 1);
+    // 2 048 rows a shard: one container, or four 512-row stages.
+    let backed = two_shards(HybridMode::Auto);
+    assert_eq!(
+        traced(&backed, std::slice::from_ref(&whole)),
+        per_shard(1, "exact")
+    );
+    let probed = two_shards(HybridMode::Off);
+    assert_eq!(
+        traced(&probed, std::slice::from_ref(&whole)),
+        per_shard(4, "ab")
+    );
+    // A rectangle with no range has nothing for the tier to answer.
+    let unconstrained = RectQuery::new(vec![], 0, ROWS - 1);
+    assert_eq!(
+        traced(&backed, &[whole.clone(), unconstrained]),
+        per_shard(5, "mixed")
+    );
+
+    // The span an untraced request hands its shard jobs is disabled,
+    // and a disabled span drops an annotation without building it.
+    struct Tripwire;
+    impl From<Tripwire> for obs::AnnValue {
+        fn from(_: Tripwire) -> Self {
+            panic!("an untraced request built an annotation value")
+        }
+    }
+    let untraced = RequestCtx::new(Deadline::none());
+    backed.try_query_rect_ctx(&whole, &untraced).unwrap();
+    let mut span = untraced.trace().span_under(0, "svc.shard");
+    assert!(!span.enabled());
+    span.annotate("tier", Tripwire);
 }
