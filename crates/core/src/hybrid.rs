@@ -139,14 +139,14 @@ enum SplitOverride {
     /// Back every bin (`all`/`force`/`1`).
     All,
     /// Defer to the cost model (unset or anything else).
-    CostModel,
+    Model,
 }
 
 fn split_override() -> SplitOverride {
     match std::env::var("AB_HYBRID").ok().as_deref() {
         Some("off") | Some("none") | Some("0") => SplitOverride::None,
         Some("all") | Some("force") | Some("1") => SplitOverride::All,
-        _ => SplitOverride::CostModel,
+        _ => SplitOverride::Model,
     }
 }
 
@@ -232,7 +232,7 @@ impl HybridAb {
                                 let backed = match over {
                                     SplitOverride::None => false,
                                     SplitOverride::All => true,
-                                    SplitOverride::CostModel => {
+                                    SplitOverride::Model => {
                                         back_exactly(index, attribute, bin, count, config)
                                     }
                                 };

@@ -18,14 +18,11 @@
 //!    word prefetched, and probes are resolved breadth-first across
 //!    the batch so many memory latencies overlap instead of
 //!    serializing.
-//! 3. **Adaptive batch sizing** — the fixed 64-row batch of the first
-//!    batched kernel becomes [`BatchRows::Adaptive`]: the batch depth
-//!    is chosen per query from the resolved AB footprint against the
-//!    machine's cache hierarchy ([`CacheModel`]) — shallow batches for
-//!    L2-resident ABs (latency is short; deep pipelines only add
-//!    bookkeeping), the classic 64 inside the LLC, and
-//!    [`MAX_BATCH_ROWS`]-deep pipelines for DRAM-resident ABs where
-//!    every independent miss in flight pays for itself.
+//! 3. **One batch depth** — every batch, row or cell, is
+//!    [`MAX_BATCH_ROWS`] lanes deep wherever the AB sits: out of the
+//!    LLC every independent miss in flight pays for itself, and in L2
+//!    the depths 16 to 256 measure within 2 % of each other
+//!    (DESIGN.md §14).
 //! 4. **Short-circuit preservation** — a lane advances through bins and
 //!    ranges exactly as the scalar Figure 7 loop does (OR short-circuit
 //!    on the first present cell, AND short-circuit on the first empty
@@ -47,8 +44,7 @@
 //! Observability: `kernel.batches` (row/cell batches opened),
 //! `kernel.prefetches` (prefetch instructions *actually executed* —
 //! zero on no-op fallback builds), `kernel.cell_plans_deduped`
-//! (Figure 5 cells that shared an already built plan), and the
-//! `kernel.batch_rows` histogram (adaptive depth decisions).
+//! (Figure 5 cells that shared an already built plan).
 
 use crate::encoding::ApproximateBitmap;
 use crate::hybrid::{HybridAb, HybridBin};
@@ -57,15 +53,11 @@ use crate::query::{Cell, QueryStats};
 use bitmap::RectQuery;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell as StdCell;
-use std::sync::OnceLock;
 
-/// The classic fixed batch depth of the first batched kernel — still
-/// the adaptive model's choice for LLC-resident ABs, and the depth
-/// [`BatchRows::Fixed`] callers use to reproduce PR 4 behavior.
-pub const BATCH_ROWS: usize = 64;
-
-/// Upper bound on the per-batch lane count (the adaptive model's pick
-/// for DRAM-resident ABs). The match mask is `MAX_BATCH_ROWS` bits.
+/// The lane count of every probe batch: the rect kernel's row
+/// batches, the cell kernel's batches, the build's inserts and the
+/// build-time sweeps (a sweep may start shallower and deepen to it).
+/// The match mask is `MAX_BATCH_ROWS` bits.
 pub const MAX_BATCH_ROWS: usize = 256;
 
 /// True when this build compiles real prefetch instructions into the
@@ -107,43 +99,6 @@ impl std::fmt::Display for KernelKind {
             KernelKind::Scalar => "scalar",
             KernelKind::Batched => "batched",
         })
-    }
-}
-
-/// How deep the kernel's row/cell batches are.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchRows {
-    /// Pick per query from the resolved AB footprint vs the cache
-    /// hierarchy ([`CacheModel::batch_rows_for`]).
-    #[default]
-    Adaptive,
-    /// Force a fixed depth (clamped to `1..=MAX_BATCH_ROWS`). `Fixed(64)`
-    /// reproduces the PR 4 batched kernel exactly.
-    Fixed(usize),
-}
-
-impl std::str::FromStr for BatchRows {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        if s == "adaptive" {
-            return Ok(BatchRows::Adaptive);
-        }
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(BatchRows::Fixed(n.min(MAX_BATCH_ROWS))),
-            _ => Err(format!(
-                "bad batch rows '{s}' (expected adaptive or 1..={MAX_BATCH_ROWS})"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for BatchRows {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchRows::Adaptive => f.write_str("adaptive"),
-            BatchRows::Fixed(n) => write!(f, "{n}"),
-        }
     }
 }
 
@@ -199,15 +154,12 @@ impl std::fmt::Display for TierMode {
     }
 }
 
-/// Full kernel configuration: which engine, how deep the batches,
-/// whether hierarchical pruning runs first, whether the exact tier
-/// answers backed bins.
+/// Full kernel configuration: which engine, whether hierarchical
+/// pruning runs first, whether the exact tier answers backed bins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelOpts {
     /// The probe engine.
     pub kernel: KernelKind,
-    /// The batch-depth policy.
-    pub batch_rows: BatchRows,
     /// The hierarchical-pruning policy.
     pub hier: HierMode,
     /// The exact-tier policy.
@@ -216,21 +168,13 @@ pub struct KernelOpts {
 }
 
 impl KernelOpts {
-    /// `kernel` with the default (adaptive) batch policy, pruning
-    /// off, and the exact tier off.
+    /// `kernel` with pruning off and the exact tier off.
     pub fn new(kernel: KernelKind) -> Self {
         KernelOpts {
             kernel,
-            batch_rows: BatchRows::default(),
             hier: HierMode::default(),
             hybrid: HybridMode::default(),
         }
-    }
-
-    /// Overrides the batch-depth policy.
-    pub fn with_batch_rows(mut self, batch_rows: BatchRows) -> Self {
-        self.batch_rows = batch_rows;
-        self
     }
 
     /// Overrides the hierarchical-pruning policy.
@@ -249,118 +193,6 @@ impl KernelOpts {
 impl From<KernelKind> for KernelOpts {
     fn from(kernel: KernelKind) -> Self {
         KernelOpts::new(kernel)
-    }
-}
-
-/// The two cache-hierarchy levels the adaptive batch model cares
-/// about. Detected once per process from sysfs on Linux
-/// ([`CacheModel::get`]); conservative defaults elsewhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheModel {
-    /// Per-core L2 capacity in bytes.
-    pub l2_bytes: u64,
-    /// Last-level cache capacity in bytes.
-    pub llc_bytes: u64,
-}
-
-impl CacheModel {
-    /// Fallback when detection finds nothing: a small modern core
-    /// (1 MiB L2, 32 MiB LLC). Erring small only makes batches deeper,
-    /// which is the safe direction for throughput.
-    pub const DEFAULT: CacheModel = CacheModel {
-        l2_bytes: 1 << 20,
-        llc_bytes: 32 << 20,
-    };
-
-    /// Reads cpu0's cache sizes from Linux sysfs. Returns
-    /// [`Self::DEFAULT`] when the hierarchy can't be read (non-Linux,
-    /// restricted container).
-    pub fn detect() -> CacheModel {
-        Self::from_sysfs("/sys/devices/system/cpu/cpu0/cache").unwrap_or(Self::DEFAULT)
-    }
-
-    /// The process-wide model, detected on first use.
-    pub fn get() -> CacheModel {
-        static MODEL: OnceLock<CacheModel> = OnceLock::new();
-        *MODEL.get_or_init(CacheModel::detect)
-    }
-
-    fn from_sysfs(dir: &str) -> Option<CacheModel> {
-        let mut l2 = 0u64;
-        let mut llc = 0u64;
-        for entry in std::fs::read_dir(dir).ok()? {
-            // Skip anything that isn't a fully-populated indexN dir
-            // (the cache dir also holds e.g. `uevent`).
-            let Ok(entry) = entry else { continue };
-            let path = entry.path();
-            let read = |leaf: &str| std::fs::read_to_string(path.join(leaf)).ok();
-            let (Some(level), Some(kind), Some(size)) = (read("level"), read("type"), read("size"))
-            else {
-                continue;
-            };
-            let Ok(level) = level.trim().parse::<u32>() else {
-                continue;
-            };
-            if kind.trim() == "Instruction" {
-                continue;
-            }
-            let Some(size) = parse_cache_size(size.trim()) else {
-                continue;
-            };
-            if level == 2 {
-                l2 = l2.max(size);
-            }
-            if level >= 2 {
-                llc = llc.max(size);
-            }
-        }
-        if llc == 0 {
-            return None;
-        }
-        Some(CacheModel {
-            l2_bytes: if l2 > 0 { l2 } else { llc },
-            llc_bytes: llc,
-        })
-    }
-
-    /// The batch depth for a query whose probes land in
-    /// `resolved_ab_bytes` of AB storage: shallow (16) when the
-    /// working set sits in L2 (loads return in ~15 cycles; deep
-    /// pipelines only add lane bookkeeping), the classic
-    /// [`BATCH_ROWS`] inside the LLC, and [`MAX_BATCH_ROWS`] once
-    /// probes miss to DRAM and every additional independent miss in
-    /// flight directly buys latency overlap.
-    pub fn batch_rows_for(&self, resolved_ab_bytes: u64) -> usize {
-        if resolved_ab_bytes <= self.l2_bytes {
-            16
-        } else if resolved_ab_bytes <= self.llc_bytes {
-            BATCH_ROWS
-        } else {
-            MAX_BATCH_ROWS
-        }
-    }
-}
-
-/// Parses sysfs cache sizes like `48K`, `2048K`, `260M`, `1G`.
-fn parse_cache_size(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1024),
-        b'M' => (&s[..s.len() - 1], 1024 * 1024),
-        b'G' => (&s[..s.len() - 1], 1024 * 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits.trim().parse::<u64>().ok().map(|v| v * mult)
-}
-
-impl AbIndex {
-    /// The batch depth [`BatchRows::Adaptive`] picks for full-index
-    /// queries against this index — the per-index half of the
-    /// calibration (the per-query half narrows the footprint to the
-    /// ABs a query actually resolves to). Recorded into the
-    /// `kernel.batch_rows` histogram by [`crate::planner::calibrate`]
-    /// so index load time captures the decision once.
-    pub fn adaptive_batch_rows(&self) -> usize {
-        CacheModel::get().batch_rows_for(self.size_bytes() as u64)
     }
 }
 
@@ -588,40 +420,12 @@ fn advance_lane(
     }
 }
 
-/// Resolves the batch-depth policy — a fixed depth, or whatever
-/// `adaptive` picks for this query — and records the decision in the
-/// `kernel.batch_rows` histogram.
-fn choose_batch_rows(batch_rows: BatchRows, adaptive: impl FnOnce() -> usize) -> usize {
-    let rows = match batch_rows {
-        BatchRows::Fixed(n) => n.clamp(1, MAX_BATCH_ROWS),
-        BatchRows::Adaptive => adaptive(),
-    };
-    obs::histogram!("kernel.batch_rows").record(rows as u64);
-    rows
-}
-
-/// Total bytes of the *distinct* ABs a query's plans resolve to — the
-/// probe working set the adaptive batch model sizes against (several
-/// plans of a per-attribute or per-dataset index share one AB).
-fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
-    let mut seen: Vec<*const u64> = Vec::new();
-    let mut bytes = 0u64;
-    for plan in plans.iter().flatten() {
-        let ptr = plan.words.as_ptr();
-        if !seen.contains(&ptr) {
-            seen.push(ptr);
-            bytes += (plan.words.len() * 8) as u64;
-        }
-    }
-    bytes
-}
-
 // ---------------------------------------------------------------------------
 // Figure 7: rectangular queries
 // ---------------------------------------------------------------------------
 
 /// Figure 7 over row batches: bit-identical results and [`QueryStats`]
-/// to the scalar loop in `query.rs`, with up to the batch depth's
+/// to the scalar loop in `query.rs`, with up to [`MAX_BATCH_ROWS`]
 /// probe latencies overlapped. Returns `(rows, stats,
 /// or_short_circuits)`.
 ///
@@ -629,7 +433,6 @@ fn resolved_plan_bytes(plans: &[Vec<CellPlan>]) -> u64 {
 pub(crate) fn execute_rect_waves(
     index: &AbIndex,
     query: &RectQuery,
-    opts: KernelOpts,
 ) -> (Vec<usize>, QueryStats, u64) {
     let mut rows = Vec::new();
     let mut stats = QueryStats::default();
@@ -658,17 +461,14 @@ pub(crate) fn execute_rect_waves(
                 .collect()
         })
         .collect();
-    let batch_rows = choose_batch_rows(opts.batch_rows, || {
-        CacheModel::get().batch_rows_for(resolved_plan_bytes(&plans))
-    });
     let num_ranges = plans.len();
-    let mut lanes: Vec<Lane> = Vec::with_capacity(batch_rows);
-    let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(batch_rows);
+    let mut lanes: Vec<Lane> = Vec::with_capacity(MAX_BATCH_ROWS);
+    let mut probes: Vec<hashkit::RowProbe> = Vec::with_capacity(MAX_BATCH_ROWS);
     let mut wave = WaveCounters::default();
     let mut matched = MatchMask::default();
     let mut base = query.row_lo;
     loop {
-        let batch_len = (query.row_hi - base + 1).min(batch_rows);
+        let batch_len = (query.row_hi - base + 1).min(MAX_BATCH_ROWS);
         wave.batches += 1;
         lanes.clear();
         if plans[0].is_empty() {
@@ -686,7 +486,7 @@ pub(crate) fn execute_rect_waves(
             &mut matched,
         );
         matched.drain_into(&mut rows, base);
-        if query.row_hi - base < batch_rows {
+        if query.row_hi - base < MAX_BATCH_ROWS {
             break;
         }
         base += batch_len;
@@ -928,8 +728,8 @@ enum ColumnTarget<'a> {
 /// sharers). The probed cells are then **grouped by plan** (a counting
 /// sort) and each group runs through the lockstep probe loop
 /// (`CellPlan::survivors`) on its own, in batches of
-/// [`MAX_BATCH_ROWS`] lanes (or the caller's fixed depth); the lanes
-/// that survive all k bits are the cells present.
+/// [`MAX_BATCH_ROWS`] lanes; the lanes that survive all k bits are the
+/// cells present.
 ///
 /// Batches do not straddle plans: a per-column index answering a list
 /// much shorter than its column count runs shallow batches. That is
@@ -943,20 +743,12 @@ pub(crate) fn retrieve_cells_waves(
     index: &AbIndex,
     hybrid: Option<&HybridAb>,
     cells: &[Cell],
-    opts: KernelOpts,
 ) -> Vec<bool> {
     /// `plan_of_cell` of a cell the exact tier answered.
     const EXACT: u32 = u32::MAX;
     /// `plan_of_ab` of an AB no cell of the call has named yet.
     const UNPLANNED: u32 = u32::MAX;
     let mut out = vec![false; cells.len()];
-    // The cache model keeps the rect lanes' batches shallow over a
-    // cache-resident AB so their state stays hot. A cell lane has next
-    // to none — an index and a key — while every wave of a batch has
-    // fixed costs, so the deepest batch is the cheapest wherever the AB
-    // sits: 66 ns/cell at 16 lanes, 54–59 at 128–256 with the AB hot in
-    // L2, and more when it is in another core's.
-    let batch_rows = choose_batch_rows(opts.batch_rows, || MAX_BATCH_ROWS);
     let attrs = index.attributes();
     let num_columns = attrs
         .last()
@@ -1030,11 +822,11 @@ pub(crate) fn retrieve_cells_waves(
 
     let mut wave = WaveCounters::default();
     // A lane is the request position its verdict goes to.
-    let mut lanes: Vec<usize> = Vec::with_capacity(batch_rows);
+    let mut lanes: Vec<usize> = Vec::with_capacity(MAX_BATCH_ROWS);
     let mut batch = LockstepBatch::new();
     let mut group_start = 0;
     for (plan, &group_end) in plans.iter().zip(&next) {
-        for chunk in order[group_start..group_end].chunks(batch_rows) {
+        for chunk in order[group_start..group_end].chunks(MAX_BATCH_ROWS) {
             lanes.clear();
             lanes.extend_from_slice(chunk);
             batch.open(
@@ -1084,56 +876,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_rows_parses_clamps_and_displays() {
-        assert_eq!("adaptive".parse::<BatchRows>(), Ok(BatchRows::Adaptive));
-        assert_eq!("8".parse::<BatchRows>(), Ok(BatchRows::Fixed(8)));
-        assert_eq!(
-            "100000".parse::<BatchRows>(),
-            Ok(BatchRows::Fixed(MAX_BATCH_ROWS))
-        );
-        assert!("0".parse::<BatchRows>().is_err());
-        assert!("turbo".parse::<BatchRows>().is_err());
-        assert_eq!(BatchRows::Adaptive.to_string(), "adaptive");
-        assert_eq!(BatchRows::Fixed(64).to_string(), "64");
-        assert_eq!(BatchRows::default(), BatchRows::Adaptive);
-    }
-
-    #[test]
     fn kernel_opts_builders() {
-        let o = KernelOpts::new(KernelKind::Scalar).with_batch_rows(BatchRows::Fixed(8));
+        let o = KernelOpts::new(KernelKind::Scalar)
+            .with_hier(HierMode::Force)
+            .with_hybrid(HybridMode::Auto);
         assert_eq!(o.kernel, KernelKind::Scalar);
-        assert_eq!(o.batch_rows, BatchRows::Fixed(8));
+        assert_eq!((o.hier, o.hybrid), (HierMode::Force, HybridMode::Auto));
         let d: KernelOpts = KernelKind::Batched.into();
-        assert_eq!(d.batch_rows, BatchRows::Adaptive);
-    }
-
-    #[test]
-    fn cache_model_thresholds() {
-        let m = CacheModel {
-            l2_bytes: 1 << 20,
-            llc_bytes: 32 << 20,
-        };
-        assert_eq!(m.batch_rows_for(16 << 10), 16); // in L2
-        assert_eq!(m.batch_rows_for(1 << 20), 16); // exactly L2
-        assert_eq!(m.batch_rows_for(2 << 20), BATCH_ROWS); // in LLC
-        assert_eq!(m.batch_rows_for(33 << 20), MAX_BATCH_ROWS); // DRAM
-    }
-
-    #[test]
-    fn cache_size_parsing() {
-        assert_eq!(parse_cache_size("48K"), Some(48 * 1024));
-        assert_eq!(parse_cache_size("2048K"), Some(2048 * 1024));
-        assert_eq!(parse_cache_size("260M"), Some(260 * 1024 * 1024));
-        assert_eq!(parse_cache_size("1G"), Some(1 << 30));
-        assert_eq!(parse_cache_size("12345"), Some(12345));
-        assert_eq!(parse_cache_size("nope"), None);
-    }
-
-    #[test]
-    fn detected_cache_model_is_sane() {
-        let m = CacheModel::detect();
-        assert!(m.l2_bytes >= 64 << 10, "implausible L2: {}", m.l2_bytes);
-        assert!(m.llc_bytes >= m.l2_bytes, "LLC smaller than L2: {m:?}");
+        assert_eq!(d, KernelOpts::default());
     }
 
     #[test]

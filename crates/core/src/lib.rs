@@ -60,6 +60,7 @@
 //! | persistence | [`io`] |
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
 pub mod blocked;
@@ -89,8 +90,7 @@ pub use exact::{prune_false_positives, row_matches};
 pub use hier::{HierAb, HierConfig, HierLevelSpec, HierPrune};
 pub use hybrid::{HybridAb, HybridBin, HybridConfig};
 pub use kernel::{
-    BatchRows, CacheModel, HierMode, HybridMode, KernelKind, KernelOpts, TierMode, BATCH_ROWS,
-    MAX_BATCH_ROWS, PREFETCH_ACTIVE,
+    HierMode, HybridMode, KernelKind, KernelOpts, TierMode, MAX_BATCH_ROWS, PREFETCH_ACTIVE,
 };
 
 pub use io::{
@@ -99,5 +99,5 @@ pub use io::{
     SegmentHeader, SegmentReport, VerifyReport,
 };
 pub use level::{shard_ranges, AbIndex, AttributeMeta};
-pub use planner::{calibrate, plan, plan_descent, CostModel, Engine};
+pub use planner::plan_descent;
 pub use query::{validate_ranges, Cell, PrecisionStats, QueryError, QueryStats};

@@ -156,9 +156,9 @@ impl AbIndex {
     }
 
     /// [`Self::retrieve_cells`] with explicit kernel options (engine,
-    /// batch-depth policy, exact tier; `kernel.into()` for an engine
-    /// alone). Verdicts for unbacked cells are identical on every
-    /// engine; only the memory schedule differs.
+    /// exact tier; `kernel.into()` for an engine alone). Verdicts for
+    /// unbacked cells are identical on every engine; only the memory
+    /// schedule differs.
     pub fn retrieve_cells_with_opts(&self, cells: &[Cell], opts: KernelOpts) -> Vec<bool> {
         let mut tspan = obs::span_current(match opts.kernel {
             KernelKind::Scalar => "ab.kernel.scalar",
@@ -206,7 +206,7 @@ impl AbIndex {
                 }
                 out
             }
-            KernelKind::Batched => crate::kernel::retrieve_cells_waves(self, hybrid, cells, opts),
+            KernelKind::Batched => crate::kernel::retrieve_cells_waves(self, hybrid, cells),
         }
     }
 
@@ -312,7 +312,7 @@ impl AbIndex {
                 obs::counter!("kernel.scalar_fallbacks").inc();
                 self.execute_rect_scalar(query)
             }
-            KernelKind::Batched => crate::kernel::execute_rect_waves(self, query, opts),
+            KernelKind::Batched => crate::kernel::execute_rect_waves(self, query),
         }
     }
 

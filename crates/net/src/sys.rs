@@ -182,6 +182,9 @@ pub mod epoll {
 
     impl Epoll {
         pub(super) fn new() -> io::Result<Epoll> {
+            // SAFETY: epoll_create1 takes no pointers and has no
+            // memory-safety preconditions; a negative return is handled
+            // below, any other value is a fresh fd this Epoll owns.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -196,6 +199,12 @@ pub mod epoll {
             let ptr = ev
                 .map(|e| e as *mut EpollEvent as *mut c_void)
                 .unwrap_or(std::ptr::null_mut());
+            // SAFETY: self.epfd is the live epoll fd this value owns
+            // (closed only in Drop). `ptr` is null — which EPOLL_CTL_DEL
+            // accepts — or points at an EpollEvent borrowed for the
+            // whole call, laid out as the kernel's struct epoll_event
+            // (repr(C), packed on x86_64); the kernel reads it during
+            // the call and keeps no reference to it.
             if unsafe { epoll_ctl(self.epfd, op, fd, ptr) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -237,6 +246,11 @@ pub mod epoll {
             out: &mut Vec<Event>,
             timeout: Option<Duration>,
         ) -> io::Result<()> {
+            // SAFETY: self.epfd is the live epoll fd this value owns;
+            // `buf` is a live Vec of buf.len() EpollEvents and maxevents
+            // is that length, so the kernel writes at most buf.len()
+            // entries inside it. EpollEvent is plain data (any bytes are
+            // a valid value), and only the first n entries are read.
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -268,6 +282,9 @@ pub mod epoll {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: Drop runs once and this value is the only owner
+            // of epfd, so the fd is open here and never closed twice (a
+            // second close could hit an fd number reused elsewhere).
             unsafe { close(self.epfd) };
         }
     }
@@ -380,6 +397,10 @@ pub mod portable {
             for p in &mut self.fds {
                 p.revents = 0;
             }
+            // SAFETY: `fds` is a live Vec of fds.len() PollFds, laid
+            // out as struct pollfd (repr(C)), and nfds is that length;
+            // the kernel reads the entries and writes only their
+            // `revents` fields, all inside the Vec, during the call.
             let n = unsafe {
                 poll(
                     self.fds.as_mut_ptr() as *mut c_void,
@@ -435,6 +456,10 @@ pub mod signal {
     /// Routes SIGINT and SIGTERM to a flag the serve loop polls, so a
     /// Ctrl-C turns into a graceful drain instead of process death.
     pub fn install_shutdown_handler() {
+        // SAFETY: `on_signal` is a 'static extern "C" fn(c_int), the
+        // handler type signal(2) expects, passed by address as a
+        // sighandler_t; its body is one relaxed atomic store, which is
+        // async-signal-safe. The previous handlers are discarded.
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);
             signal(SIGTERM, on_signal as *const () as usize);

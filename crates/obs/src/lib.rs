@@ -30,7 +30,7 @@
 //! # Conventions
 //!
 //! Metric names are dotted lowercase paths: `ab.query.cells_probed`,
-//! `wah.ops.words_scanned`, `planner.plan.ab`. The segment before the
+//! `wah.ops.words_scanned`, `planner.descent.hier`. The segment before the
 //! first dot is the *family* (crate or subsystem). Histograms that hold
 //! microseconds end in `_us`.
 //!

@@ -105,15 +105,32 @@ pub mod mmap {
         len: usize,
     }
 
-    // The mapping is immutable from this process and the pointer is
-    // exclusively owned: sharing &Mapping across threads is reading
-    // `&[u8]`.
+    // SAFETY: both fields describe the region ptr..ptr+len, which a
+    // Mapping exclusively owns: no other value holds the pointer,
+    // nothing in this process writes through it (PROT_READ), `len` is
+    // a plain count, and the region is unmapped only by Drop. Moving
+    // that ownership to another thread is moving a Box<[u8]>.
     unsafe impl Send for Mapping {}
+    // SAFETY: &Mapping exposes only `bytes()`, a shared `&[u8]` over
+    // read-only memory, so concurrent readers never race with a write
+    // from this process (see `new` for writes from outside it).
     unsafe impl Sync for Mapping {}
 
     impl Mapping {
         pub(super) fn new(file: &File, len: usize) -> io::Result<Mapping> {
             debug_assert!(len > 0, "mmap of zero bytes is an error by spec");
+            // SAFETY: a null hint lets the kernel place the mapping,
+            // len > 0 (SegmentMap::map never maps an empty file), the fd
+            // is open for the call (the mapping outlives its close), and
+            // MAP_FAILED is checked below. `bytes()` then hands these
+            // pages out as `&[u8]`, which Rust takes to be immutable,
+            // while a MAP_SHARED mapping shows every write to the file.
+            // That is sound only because a committed segment is never
+            // modified in place: it is replaced by tmp + fsync + rename
+            // (`store::write`), which leaves this mapping on the old
+            // inode, so only external corruption can change the mapped
+            // bytes — and the scrubber re-verifies exactly those bytes
+            // against their page CRCs.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -140,6 +157,9 @@ pub mod mmap {
 
     impl Drop for Mapping {
         fn drop(&mut self) {
+            // SAFETY: ptr and len are exactly what mmap returned, Drop
+            // runs once, and every `&[u8]` from `bytes()` borrows self,
+            // so none outlives the unmap.
             unsafe { munmap(self.ptr, self.len) };
         }
     }

@@ -46,8 +46,8 @@ use crate::error::SvcError;
 use crate::pool::WorkerPool;
 use crate::shard::{Shard, ShardedIndex};
 use ab::{
-    AbConfig, BatchRows, Cell, HierConfig, HierMode, HybridConfig, HybridMode, KernelKind,
-    KernelOpts, QueryError,
+    AbConfig, Cell, HierConfig, HierMode, HybridConfig, HybridMode, KernelKind, KernelOpts,
+    QueryError,
 };
 use bitmap::{BinnedTable, RectQuery};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,10 +80,6 @@ pub struct SvcConfig {
     /// Probe engine shard jobs run on (results are identical either
     /// way; see [`ab::KernelKind`]).
     pub kernel: KernelKind,
-    /// Batch-depth policy for the batched kernel
-    /// ([`ab::BatchRows::Adaptive`] sizes per query from the cache
-    /// hierarchy).
-    pub batch_rows: BatchRows,
     /// Start a request-scoped trace for every request that doesn't
     /// carry its own (see [`RequestCtx::traced`]); completed traces
     /// land in the global [`obs::recorder`]. Tracing costs one small
@@ -121,7 +117,6 @@ impl Default for SvcConfig {
             queue_capacity: 256,
             default_deadline: None,
             kernel: KernelKind::default(),
-            batch_rows: BatchRows::default(),
             trace_requests: true,
             slow_query: None,
             hier: HierMode::Off,
@@ -264,7 +259,6 @@ impl Service {
             default_deadline: cfg.default_deadline,
             chaos: None,
             kernel: KernelOpts::new(cfg.kernel)
-                .with_batch_rows(cfg.batch_rows)
                 .with_hier(cfg.hier)
                 .with_hybrid(cfg.hybrid),
             trace_requests: cfg.trace_requests,
@@ -297,7 +291,7 @@ impl Service {
         self.kernel.kernel
     }
 
-    /// The full kernel options (engine + batch-depth policy).
+    /// The full kernel options (engine + tier policies).
     pub fn kernel_opts(&self) -> KernelOpts {
         self.kernel
     }

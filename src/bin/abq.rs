@@ -4,24 +4,29 @@
 //! ```text
 //! abq build --csv data.csv --out index.ab [--bins 10] [--alpha 8]
 //!           [--level per-attribute|per-dataset|per-column] [--k N]
+//!           [--precision P]
 //! abq info  --index index.ab
 //! abq verify --index index.ab
 //! abq query --index index.ab --where attr=LO..HI [--where ...]
 //!           [--rows LO..HI] [--limit N]
 //! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
-//!           [--alpha N] [--deadline-ms N] [--retries N]
-//!           [--kernel scalar|batched] [--batch-rows adaptive|N]
+//!           [--alpha N] [--deadline-ms N] [--retries N] [--limit N]
+//!           [--kernel scalar|batched]
 //!           [--hier [off|auto|force]] [--hybrid [off|auto|force]]
+//!           [--telemetry-addr HOST:PORT] [--slow-ms N]
+//!           [--store index.abpg [--store-pread] [--scrub-ms N]]
 //!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
 //!            [--trace-dump FILE]]
 //! abq store build --csv data.csv --out index.abpg [--shards N]
 //!           [--page-size N] [--bins N] [--alpha N] [--level L] [--hier]
 //!           [--hybrid]
 //! abq store verify --store index.abpg
-//! abq store scrub --store index.abpg [--pread] [--csv data.csv ...]
+//! abq store scrub --store index.abpg [--pread]
+//!           [--csv data.csv [--bins N] [--alpha N] [--level L]]
 //! abq loadgen --addr HOST:PORT [--conns N] [--secs S]
 //!           [--pipeline N | --rps R] [--mix rect,cells,batch]
 //!           [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
+//! abq trace (--addr HOST:PORT | --file DUMP.json)
 //! ```
 //!
 //! `build` reads a numeric CSV with a header row, discretizes every
@@ -51,6 +56,8 @@
 //! also writes them as a registry snapshot.
 //! `verify` checks an `ABIX`/`ABSH` file's per-segment checksums and
 //! header sanity without decoding the bit arrays.
+//! `trace` pretty-prints the span trees of a `/debug/traces` dump,
+//! fetched from a live telemetry endpoint or read from a file.
 //!
 //! `serve` wraps each query in a bounded retry with
 //! decorrelated-jitter backoff ([`mod@svc::retry`]), so transient
@@ -100,9 +107,8 @@ fn print_usage() {
          abq verify --index FILE\n  \
          abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]\n  \
          abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] \
-         [--deadline-ms N] [--retries N] [--kernel scalar|batched] \
-         [--batch-rows adaptive|N] [--hier [off|auto|force]] \
-         [--hybrid [off|auto|force]] \
+         [--deadline-ms N] [--retries N] [--limit N] [--kernel scalar|batched] \
+         [--hier [off|auto|force]] [--hybrid [off|auto|force]] \
          [--telemetry-addr HOST:PORT] [--slow-ms N] \
          [--store FILE [--store-pread] [--scrub-ms N]] \
          [--listen HOST:PORT [--max-conns N] [--drain-ms N] [--trace-dump FILE]]\n  \
@@ -403,16 +409,6 @@ fn parse_kernel(args: &[String]) -> Result<ab::KernelKind, String> {
     }
 }
 
-/// The `--batch-rows` flag: probe-batch depth policy (default
-/// adaptive: sized per query from the AB footprint vs the cache
-/// hierarchy).
-fn parse_batch_rows(args: &[String]) -> Result<ab::BatchRows, String> {
-    match flag_value(args, "--batch-rows") {
-        Some(b) => b.parse().map_err(|e| format!("--batch-rows: {e}")),
-        None => Ok(ab::BatchRows::default()),
-    }
-}
-
 /// A tier flag with an optional mode operand (`--hier`, `--hybrid`):
 /// absent means off, bare means auto, `off|auto|force` is explicit.
 /// The operand is optional, so a next token that is itself a flag is
@@ -482,43 +478,40 @@ fn binned_and_config(args: &[String]) -> Result<(BinnedTable, AbConfig), String>
     ))
 }
 
+/// The service flags both `serve` set-ups share — `--threads`,
+/// `--deadline-ms`, `--slow-ms`, `--kernel`, `--hier`, `--hybrid` — as
+/// one [`SvcConfig`] over `shards` shards.
+fn serve_config(args: &[String], shards: usize) -> Result<SvcConfig, String> {
+    let millis = |flag: &str| -> Result<Option<std::time::Duration>, String> {
+        flag_value(args, flag)
+            .map(|ms| {
+                ms.parse()
+                    .map(std::time::Duration::from_millis)
+                    .map_err(|_| format!("{flag} must be an integer"))
+            })
+            .transpose()
+    };
+    Ok(SvcConfig {
+        threads: parse_threads(args)?,
+        shards,
+        default_deadline: millis("--deadline-ms")?,
+        kernel: parse_kernel(args)?,
+        slow_query: millis("--slow-ms")?,
+        hier: parse_hier(args)?,
+        hybrid: parse_hybrid(args)?,
+        ..SvcConfig::default()
+    })
+}
+
 /// `serve` setup: CSV → binned table → sharded service. Prints the
 /// chosen shard/thread split.
 fn build_service(args: &[String]) -> Result<Service, String> {
     let (binned, config) = binned_and_config(args)?;
-    let threads = parse_threads(args)?;
     let shards: usize = match flag_value(args, "--shards") {
         Some(s) => s.parse().map_err(|_| "--shards must be an integer")?,
         None => 0,
     };
-    let default_deadline = match flag_value(args, "--deadline-ms") {
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "--deadline-ms must be an integer")?,
-        )),
-        None => None,
-    };
-
-    let kernel = parse_kernel(args)?;
-    let batch_rows = parse_batch_rows(args)?;
-    let slow_query = match flag_value(args, "--slow-ms") {
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "--slow-ms must be an integer")?,
-        )),
-        None => None,
-    };
-
-    let cfg = SvcConfig {
-        threads,
-        shards,
-        default_deadline,
-        kernel,
-        batch_rows,
-        slow_query,
-        hier: parse_hier(args)?,
-        hybrid: parse_hybrid(args)?,
-        ..SvcConfig::default()
-    };
-    let svc = Service::build(&binned, &config, &cfg);
+    let svc = Service::build(&binned, &config, &serve_config(args, shards)?);
     println!(
         "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes, {} kernel)",
         svc.index().num_rows(),
@@ -542,34 +535,12 @@ fn build_service_from_store(
     let st = store::Store::open_with(std::path::Path::new(path), has_flag(args, "--store-pread"))
         .map_err(|e| format!("{path}: {e}"))?;
     let index = svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?;
-    let default_deadline = match flag_value(args, "--deadline-ms") {
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "--deadline-ms must be an integer")?,
-        )),
-        None => None,
-    };
-    let slow_query = match flag_value(args, "--slow-ms") {
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "--slow-ms must be an integer")?,
-        )),
-        None => None,
-    };
-    let cfg = SvcConfig {
-        threads: parse_threads(args)?,
-        shards: index.num_shards(),
-        default_deadline,
-        kernel: parse_kernel(args)?,
-        batch_rows: parse_batch_rows(args)?,
-        slow_query,
-        // Segments stored without a pyramid are fine: Service::from_index
-        // rebuilds it per shard when hier is requested. Hybrid
-        // containers however live in the segment itself (built with
-        // `store build --hybrid`); the flag only controls whether the
-        // kernel consults them.
-        hier: parse_hier(args)?,
-        hybrid: parse_hybrid(args)?,
-        ..SvcConfig::default()
-    };
+    // Segments stored without a pyramid are fine: Service::from_index
+    // rebuilds it per shard when hier is requested. Hybrid containers
+    // however live in the segment itself (built with `store build
+    // --hybrid`); the flag only controls whether the kernel consults
+    // them.
+    let cfg = serve_config(args, index.num_shards())?;
     let svc = Service::from_index(index, &cfg);
     println!(
         "ready: {} rows x {} attributes, {} shards on {} threads \
@@ -840,7 +811,7 @@ fn cmd_store_build(args: &[String]) -> Result<(), String> {
         // pages in the segment); serving later needs no rebuild.
         index.ensure_hier(&ab::HierConfig::default());
     }
-    let hybrid = has_flag(args, "--hybrid");
+    let hybrid = parse_hybrid(args)? != ab::HybridMode::Off;
     if hybrid {
         // Persist the planner-split exact tier alongside each shard
         // (ABIX v4 pages): Roaring containers for the hot bins, built
@@ -1326,21 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_rows_flag_parses_and_defaults() {
-        assert_eq!(
-            parse_batch_rows(&strings(&["--batch-rows", "adaptive"])),
-            Ok(ab::BatchRows::Adaptive)
-        );
-        assert_eq!(
-            parse_batch_rows(&strings(&["--batch-rows", "128"])),
-            Ok(ab::BatchRows::Fixed(128))
-        );
-        assert_eq!(parse_batch_rows(&strings(&[])), Ok(ab::BatchRows::Adaptive));
-        assert!(parse_batch_rows(&strings(&["--batch-rows", "0"])).is_err());
-        assert!(parse_batch_rows(&strings(&["--batch-rows", "x"])).is_err());
-    }
-
-    #[test]
     fn hier_flag_parses_bare_and_explicit() {
         assert_eq!(parse_hier(&strings(&[])), Ok(ab::HierMode::Off));
         assert_eq!(parse_hier(&strings(&["--hier"])), Ok(ab::HierMode::Auto));
@@ -1438,23 +1394,40 @@ mod tests {
             body.push_str(&format!("{}.0\n", i / 30));
         }
         std::fs::write(&csv, body).unwrap();
-        cmd_store_build(&strings(&[
-            "--csv",
-            csv.to_str().unwrap(),
-            "--out",
-            abpg.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--hybrid",
-        ]))
-        .unwrap();
-        cmd_store_verify(&strings(&["--store", abpg.to_str().unwrap()])).unwrap();
+        let build = |hybrid: &[&str]| {
+            let mut args = strings(&[
+                "--csv",
+                csv.to_str().unwrap(),
+                "--out",
+                abpg.to_str().unwrap(),
+                "--shards",
+                "2",
+            ]);
+            args.extend(strings(hybrid));
+            cmd_store_build(&args)
+        };
+        let load = || {
+            cmd_store_verify(&strings(&["--store", abpg.to_str().unwrap()])).unwrap();
+            let st = store::Store::open_with(&abpg, false).unwrap();
+            svc::ShardedIndex::from_bytes(st.payload()).unwrap()
+        };
+        build(&["--hybrid"]).unwrap();
         // The containers ride the segment (ABIX v4): loading needs no
         // rebuild and no source table.
-        let st = store::Store::open_with(&abpg, false).unwrap();
-        let idx = svc::ShardedIndex::from_bytes(st.payload()).unwrap();
+        let idx = load();
         assert!(idx.shards().iter().all(|s| s.index().hybrid().is_some()));
         assert!(idx.hybrid_split_stats().iter().all(|s| s.is_some()));
+        // An explicit `off` builds no tier at all.
+        build(&["--hybrid", "off"]).unwrap();
+        let idx = load();
+        assert!(idx.shards().iter().all(|s| s.index().hybrid().is_none()));
+        assert!(idx.hybrid_split_stats().iter().all(|s| s.is_none()));
+        // A mistyped mode is an error, not a silent auto.
+        let err = build(&["--hybrid", "fourc"]).unwrap_err();
+        assert!(
+            err.contains("--hybrid") && err.contains("off|auto|force"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,55 +1,20 @@
-//! Integration: the cost-based planner calibrated against the real
-//! WAH index routes queries to the engine that actually wins.
+//! Integration: the AB and WAH engines agree on a small and a
+//! full-table query — WAH exactly, the AB as a superset that the
+//! exact second step prunes back to the truth.
 
-use ab::planner::{calibrate, plan, wah_like::WahLike, Engine};
 use ab::{AbConfig, AbIndex, Level};
 use bitmap::{AttrRange, RectQuery};
 use datagen::small_uniform;
 use wah::WahIndex;
 
-fn setup() -> (datagen::Dataset, AbIndex, WahIndex) {
+#[test]
+fn hybrid_execution_is_correct_on_both_paths() {
     let ds = small_uniform(30_000, 2, 20, 5);
     let ab = AbIndex::build(
         &ds.binned,
         &AbConfig::new(Level::PerAttribute).with_alpha(8),
     );
     let wah = WahIndex::build(&ds.binned);
-    (ds, ab, wah)
-}
-
-#[test]
-fn calibrated_model_orders_engines_sensibly() {
-    let (ds, ab, wah) = setup();
-    let n = ds.rows();
-    let samples: Vec<RectQuery> = (0..6)
-        .map(|i| {
-            RectQuery::new(
-                vec![AttrRange::new(0, 0, 3), AttrRange::new(1, 4, 7)],
-                i * 1000,
-                i * 1000 + 999,
-            )
-        })
-        .collect();
-    let wah_eval = WahLike::new(|q: &RectQuery| {
-        let full = RectQuery::new(q.ranges.clone(), 0, n - 1);
-        std::hint::black_box(wah.evaluate(&full));
-    });
-    let model = calibrate(&ab, &wah_eval, &samples);
-
-    // A 10-row query must route to the AB; a full-table query to WAH.
-    let tiny = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 100, 109);
-    let huge = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, n - 1);
-    assert_eq!(plan(&model, &tiny), Engine::Ab);
-    assert_eq!(plan(&model, &huge), Engine::Wah);
-
-    // The calibrated crossover lies strictly inside the table.
-    let cross = model.crossover_rows(1);
-    assert!(cross > 10 && cross < n * 10, "crossover {cross}");
-}
-
-#[test]
-fn hybrid_execution_is_correct_on_both_paths() {
-    let (ds, ab, wah) = setup();
     let n = ds.rows();
     let exact = bitmap::BitmapIndex::build(&ds.binned, bitmap::Encoding::Equality);
     for q in [
