@@ -646,7 +646,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn split_counters_account_for_every_bin() {
         let exact = obs::global().counter("planner.split.exact");

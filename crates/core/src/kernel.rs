@@ -36,9 +36,8 @@
 //! same loop: the build's inserts set the bits the positions name, the
 //! pyramid's and the exact tier's sweeps (`ColumnSweeper`) test them.
 //!
-//! Prefetch instructions are gated behind the `prefetch` cargo feature
-//! (x86-64 `_mm_prefetch`, aarch64 `prfm`). On other targets or with
-//! the feature off the kernel still wins from the overlapped
+//! Prefetch instructions are x86-64 `_mm_prefetch` and aarch64 `prfm`;
+//! on other targets the kernel still wins from the overlapped
 //! independent loads the breadth-first order exposes.
 //!
 //! Observability: `kernel.batches` (row/cell batches opened),
@@ -60,13 +59,9 @@ use std::cell::Cell as StdCell;
 /// The match mask is `MAX_BATCH_ROWS` bits.
 pub const MAX_BATCH_ROWS: usize = 256;
 
-/// True when this build compiles real prefetch instructions into the
-/// kernel (the `prefetch` feature on a supported target); false means
-/// the portable no-op fallback is in place.
-pub const PREFETCH_ACTIVE: bool = cfg!(all(
-    feature = "prefetch",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
+/// True when the target has a prefetch instruction the kernel issues
+/// (x86-64, aarch64); false means the portable no-op fallback.
+pub const PREFETCH_ACTIVE: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
 
 /// Which probe engine executes a query. Results are always identical;
 /// only the memory access schedule differs.
@@ -198,11 +193,12 @@ impl From<KernelKind> for KernelOpts {
 
 /// Requests the cache line holding AB bit `pos` ahead of its read.
 #[inline(always)]
-#[allow(unused_variables)]
 fn prefetch(words: &[u64], pos: u64) {
-    #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
+    debug_assert!((pos / 64) < words.len() as u64, "bit {pos} past the AB");
+    #[cfg(target_arch = "x86_64")]
     // SAFETY: pos < n and words.len() == ceil(n/64), so the word index
-    // is in bounds; prefetch has no architectural side effects anyway.
+    // is in bounds (asserted above in debug builds); prefetch has no
+    // architectural side effects anyway.
     unsafe {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch(
@@ -210,7 +206,7 @@ fn prefetch(words: &[u64], pos: u64) {
             _MM_HINT_T0,
         );
     }
-    #[cfg(all(feature = "prefetch", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     // SAFETY: in-bounds address as above; prfm is side-effect free.
     unsafe {
         let p = words.as_ptr().add((pos / 64) as usize);
@@ -294,10 +290,9 @@ struct WaveCounters {
 impl WaveCounters {
     /// `prefetched_positions` is the number of probe positions the
     /// query issued; each issued position executes exactly one
-    /// prefetch instruction — but only on builds where the prefetch
-    /// is compiled in. On no-op fallback builds (`prefetch` feature
-    /// off, or an unsupported target) nothing is added, so
-    /// `kernel.prefetches` never reports phantom prefetches.
+    /// prefetch instruction — but only on targets that have one. On
+    /// the no-op fallback nothing is added, so `kernel.prefetches`
+    /// never reports phantom prefetches.
     fn flush(self, prefetched_positions: u64) {
         obs::counter!("kernel.batches").add(self.batches);
         if PREFETCH_ACTIVE {

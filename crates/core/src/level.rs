@@ -184,27 +184,20 @@ impl AbIndex {
     /// registry matches what [`ApproximateBitmap::inserted`] reports)
     /// and the wall time, both overall and per level.
     fn record_build_metrics(&self, elapsed_us: u64) {
-        #[cfg(feature = "obs-off")]
-        let _ = elapsed_us;
-        #[cfg(not(feature = "obs-off"))]
-        {
-            obs::counter!("ab.build.indexes").inc();
-            let insertions: u64 = self.abs.iter().map(ApproximateBitmap::inserted).sum();
-            obs::counter!("ab.build.insertions").add(insertions);
-            let bits_set: u64 = self
-                .abs
-                .iter()
-                .map(|ab| ab.bits().count_ones() as u64)
-                .sum();
-            obs::counter!("ab.build.bits_set").add(bits_set);
-            obs::histogram!("ab.build.us").record(elapsed_us);
-            match self.level {
-                Level::PerDataset => obs::histogram!("ab.build.per_dataset_us").record(elapsed_us),
-                Level::PerAttribute => {
-                    obs::histogram!("ab.build.per_attribute_us").record(elapsed_us)
-                }
-                Level::PerColumn => obs::histogram!("ab.build.per_column_us").record(elapsed_us),
-            }
+        obs::counter!("ab.build.indexes").inc();
+        let insertions: u64 = self.abs.iter().map(ApproximateBitmap::inserted).sum();
+        obs::counter!("ab.build.insertions").add(insertions);
+        let bits_set: u64 = self
+            .abs
+            .iter()
+            .map(|ab| ab.bits().count_ones() as u64)
+            .sum();
+        obs::counter!("ab.build.bits_set").add(bits_set);
+        obs::histogram!("ab.build.us").record(elapsed_us);
+        match self.level {
+            Level::PerDataset => obs::histogram!("ab.build.per_dataset_us").record(elapsed_us),
+            Level::PerAttribute => obs::histogram!("ab.build.per_attribute_us").record(elapsed_us),
+            Level::PerColumn => obs::histogram!("ab.build.per_column_us").record(elapsed_us),
         }
     }
 
@@ -663,7 +656,6 @@ mod tests {
         AbIndex::build_parallel(&t, &cfg, 2);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn build_flushes_insertion_metrics() {
         let ins = obs::global().counter("ab.build.insertions");

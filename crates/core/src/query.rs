@@ -901,7 +901,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn rejected_queries_are_counted() {
         let t = table();

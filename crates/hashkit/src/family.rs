@@ -623,9 +623,6 @@ impl ColProber<'_> {
                 0
             }
         );
-        #[cfg(feature = "obs-off")]
-        let _ = prefix_hashes;
-        #[cfg(not(feature = "obs-off"))]
         obs::counter!("hashkit.seed_prefix_hashes").add(prefix_hashes);
     }
 
@@ -684,21 +681,16 @@ impl ColProber<'_> {
     /// plain integer across many rows and flush once per query so the
     /// probe loop stays atomics-free (`Prober` does the same on drop).
     pub fn record_hash_calls(&self, calls: u64) {
-        #[cfg(feature = "obs-off")]
-        let _ = calls;
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if calls == 0 {
-                return;
-            }
-            let c = match self.kind {
-                ColKind::Independent { .. } => obs::counter!("hashkit.hash_calls.independent"),
-                ColKind::Sha1 { .. } => obs::counter!("hashkit.hash_calls.sha1_split"),
-                ColKind::Double => obs::counter!("hashkit.hash_calls.double_hashing"),
-                ColKind::ColumnGroup { .. } => obs::counter!("hashkit.hash_calls.column_group"),
-            };
-            c.add(calls);
+        if calls == 0 {
+            return;
         }
+        let c = match self.kind {
+            ColKind::Independent { .. } => obs::counter!("hashkit.hash_calls.independent"),
+            ColKind::Sha1 { .. } => obs::counter!("hashkit.hash_calls.sha1_split"),
+            ColKind::Double => obs::counter!("hashkit.hash_calls.double_hashing"),
+            ColKind::ColumnGroup { .. } => obs::counter!("hashkit.hash_calls.column_group"),
+        };
+        c.add(calls);
     }
 }
 
@@ -730,7 +722,6 @@ impl Iterator for Prober<'_> {
 /// Flushes the probe count into the per-family `hashkit.hash_calls.*`
 /// counters exactly once per cell, when the prober dies — the probe
 /// loop itself stays atomics-free.
-#[cfg(not(feature = "obs-off"))]
 impl Drop for Prober<'_> {
     fn drop(&mut self) {
         self.col.record_hash_calls(self.row.t);
@@ -1161,7 +1152,6 @@ mod tests {
         cp.next_positions(&mut probes, &mut [0u64; 1]);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn prober_drop_flushes_hash_call_counter() {
         let c = obs::global().counter("hashkit.hash_calls.double_hashing");

@@ -1,8 +1,6 @@
 //! Lock-free sharded counters.
 
-#[cfg(not(feature = "obs-off"))]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of independent shards per counter. Each shard sits on its own
 /// cache line so concurrent builder threads don't bounce one line.
@@ -14,15 +12,12 @@ struct PaddedU64(AtomicU64);
 
 /// Monotonic thread id used to pick a shard (round-robin assignment at
 /// first use per thread).
-#[cfg(not(feature = "obs-off"))]
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
-#[cfg(not(feature = "obs-off"))]
 thread_local! {
     static SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[inline]
 fn shard_index() -> usize {
     SHARD.with(|s| *s)
@@ -47,13 +42,10 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n`. Compiled to a no-op under the `obs-off` feature.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "obs-off"))]
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = n;
     }
 
     /// Adds one.
@@ -84,7 +76,7 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -115,18 +107,5 @@ mod tests {
             }
         });
         assert_eq!(c.get(), threads * per_thread);
-    }
-}
-
-#[cfg(all(test, feature = "obs-off"))]
-mod off_tests {
-    use super::*;
-
-    #[test]
-    fn obs_off_compiles_to_noop() {
-        let c = Counter::new();
-        c.inc();
-        c.add(100);
-        assert_eq!(c.get(), 0);
     }
 }

@@ -275,7 +275,7 @@ impl Snapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use crate::Registry;
 

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `i` (clamped to the last bucket). Covers the full `u64` range.
 pub const NUM_BUCKETS: usize = 65;
 
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 #[inline]
 fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -61,19 +60,14 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one value. Compiled to a no-op under `obs-off`.
+    /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.min.fetch_min(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = v;
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded values.
@@ -208,7 +202,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -34,13 +34,6 @@
 //! first dot is the *family* (crate or subsystem). Histograms that hold
 //! microseconds end in `_us`.
 //!
-//! # Disabling
-//!
-//! The `obs-off` feature compiles every mutation ([`Counter::add`],
-//! [`Histogram::record`], span timing) to a no-op so instrumentation
-//! overhead can be measured A/B — the registry and exporters keep
-//! working and report zeros.
-//!
 //! # Example
 //!
 //! ```
@@ -51,7 +44,6 @@
 //!     // … timed work …
 //! }
 //! let snap = obs::global().snapshot();
-//! # #[cfg(not(feature = "obs-off"))]
 //! assert_eq!(snap.counter("example.requests"), 1);
 //! assert!(snap.to_json().contains("example.requests"));
 //! ```

@@ -22,7 +22,6 @@ const SUB: u64 = 1 << SUB_BITS; // 64
 /// of the 58 octaves `[2^6, 2^64)` contributes 64 sub-buckets.
 pub const SKETCH_BUCKETS: usize = (SUB + (64 - SUB_BITS as u64) * SUB) as usize; // 3776
 
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 #[inline]
 fn bucket_of(v: u64) -> usize {
     if v < SUB {
@@ -51,8 +50,6 @@ fn bucket_upper(i: usize) -> u64 {
 
 /// A lock-free streaming quantile sketch over `u64` values (typically
 /// microseconds). See the module docs for the accuracy bound.
-///
-/// Under `obs-off`, [`QuantileSketch::record`] compiles to a no-op.
 pub struct QuantileSketch {
     buckets: Box<[AtomicU64; SKETCH_BUCKETS]>,
     count: AtomicU64,
@@ -85,19 +82,14 @@ impl QuantileSketch {
         QuantileSketch::default()
     }
 
-    /// Records one value. Compiled to a no-op under `obs-off`.
+    /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.min.fetch_min(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = v;
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Starts a wall-clock timer whose elapsed microseconds are
@@ -281,7 +273,7 @@ impl SketchSnapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -33,9 +33,6 @@ thread_local! {
 /// visible via [`active_spans`] / [`span_depth`] (on **this thread
 /// only** — see the module docs for the cross-thread story).
 ///
-/// Under `obs-off` the guard still maintains the stack (it is cheap and
-/// keeps `active_spans` truthful) but the drop records nothing.
-///
 /// ```
 /// {
 ///     let _outer = obs::span("doc.outer_us");
@@ -53,7 +50,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct SpanGuard {
     name: &'static str,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     hist: Arc<Histogram>,
     start: Instant,
 }
@@ -81,7 +77,6 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
         self.hist.record(self.start.elapsed().as_micros() as u64);
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(span_depth(), 0);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn span_records_into_histogram() {
         {

@@ -27,19 +27,13 @@
 //! [`TraceCtx::span_under`] with it. This is the handoff
 //! [`crate::active_spans`] cannot provide (its stack is also
 //! thread-local; see the `span` module docs).
-//!
-//! Everything here compiles to a no-op under `obs-off`:
-//! [`TraceCtx::start`] returns a disabled context, so spans carry no
-//! allocation and touch no thread-local.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-#[cfg(not(feature = "obs-off"))]
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Spans kept per trace; further spans are counted in
 /// [`Trace::dropped_spans`] instead of growing without bound.
@@ -52,7 +46,6 @@ pub const RECORDER_SLOTS: usize = 128;
 /// ring.
 pub const RECORDER_PINNED: usize = 32;
 
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -156,8 +149,7 @@ impl TraceInner {
 }
 
 /// A request's trace handle. Cloning shares the trace; a disabled
-/// context (the default, and everything under `obs-off`) makes every
-/// span a free no-op.
+/// context (the default) makes every span a free no-op.
 #[derive(Clone, Default)]
 pub struct TraceCtx {
     inner: Option<Arc<TraceInner>>,
@@ -173,32 +165,23 @@ impl std::fmt::Debug for TraceCtx {
 }
 
 impl TraceCtx {
-    /// Starts a new trace of the given request kind. Under `obs-off`
-    /// this returns a disabled context instead.
+    /// Starts a new trace of the given request kind.
     pub fn start(kind: &'static str) -> TraceCtx {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = kind;
-            TraceCtx::disabled()
-        }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let unix_start_us = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            TraceCtx {
-                inner: Some(Arc::new(TraceInner {
-                    id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-                    kind,
-                    unix_start_us,
-                    epoch: Instant::now(),
-                    next_span: AtomicU64::new(1),
-                    closed: AtomicBool::new(false),
-                    dropped_spans: AtomicU64::new(0),
-                    spans: Mutex::new(Vec::new()),
-                })),
-            }
+        let unix_start_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
+        TraceCtx {
+            inner: Some(Arc::new(TraceInner {
+                id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+                kind,
+                unix_start_us,
+                epoch: Instant::now(),
+                next_span: AtomicU64::new(1),
+                closed: AtomicBool::new(false),
+                dropped_spans: AtomicU64::new(0),
+                spans: Mutex::new(Vec::new()),
+            })),
         }
     }
 
@@ -384,20 +367,12 @@ impl Drop for EnterGuard {
 /// Opens a span on whatever trace is entered on this thread — the hook
 /// instrumented library code (the probe kernel) uses so it needs no
 /// trace plumbing of its own. Returns a disabled span when no trace is
-/// entered, and compiles to exactly that under `obs-off`.
+/// entered.
 pub fn span_current(name: &'static str) -> TraceSpan {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = name;
-        TraceSpan { data: None }
-    }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let top = CURRENT.with(|c| c.borrow().last().map(|(i, id)| (Arc::clone(i), *id)));
-        match top {
-            None => TraceSpan { data: None },
-            Some((inner, parent)) => TraceCtx { inner: Some(inner) }.span_under(parent, name),
-        }
+    let top = CURRENT.with(|c| c.borrow().last().map(|(i, id)| (Arc::clone(i), *id)));
+    match top {
+        None => TraceSpan { data: None },
+        Some((inner, parent)) => TraceCtx { inner: Some(inner) }.span_under(parent, name),
     }
 }
 
@@ -959,7 +934,7 @@ pub fn parse_dump(s: &str) -> Result<Vec<Trace>, String> {
     list.into_iter().map(trace_from_value).collect()
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1131,18 +1106,5 @@ mod tests {
         assert!(parse_dump("not json").is_err());
         assert!(parse_dump("{\"traces\":5}").is_err());
         assert!(parse_dump("{\"traces\":[{\"kind\":\"x\"}]}").is_err()); // no trace_id
-    }
-}
-
-#[cfg(all(test, feature = "obs-off"))]
-mod off_tests {
-    use super::*;
-
-    #[test]
-    fn start_is_disabled_under_obs_off() {
-        let ctx = TraceCtx::start("test");
-        assert!(!ctx.enabled());
-        assert!(ctx.finish().is_none());
-        assert!(!span_current("x").enabled());
     }
 }

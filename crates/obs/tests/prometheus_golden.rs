@@ -9,8 +9,6 @@
 //! UPDATE_GOLDEN=1 cargo test -p obs --test prometheus_golden
 //! ```
 
-#![cfg(not(feature = "obs-off"))]
-
 use obs::Registry;
 
 fn golden_path() -> std::path::PathBuf {

@@ -8,12 +8,8 @@
 //! over `(seed, point, hit index)`, so a plan with a fixed seed
 //! injects a reproducible *sequence* of faults without any `rand`
 //! dependency — the substrate of the chaos test suite and CI's
-//! `chaos-smoke` job.
-//!
-//! Everything here is compiled out under the `chaos-off` feature:
-//! [`inject`] and [`corrupt`] become empty inline functions, so
-//! production builds that opt out carry zero branches at the
-//! injection points.
+//! `chaos-smoke` job. Without a plan, an injection point is one
+//! `Option` check.
 //!
 //! Faults on offer:
 //!
@@ -96,7 +92,6 @@ pub enum Fault {
 
 /// One injection rule: where, what, how often, and for how long.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "chaos-off", allow(dead_code))]
 pub struct FaultRule {
     point: &'static str,
     fault: Fault,
@@ -202,7 +197,6 @@ impl FaultPlan {
 
     /// Evaluates every matching rule at a point; first rule to fire
     /// wins. Deterministic in the seed and per-rule hit index.
-    #[cfg_attr(feature = "chaos-off", allow(dead_code))]
     fn decide(&self, point: &str, shard: Option<usize>) -> Option<Fault> {
         for rs in &self.rules {
             if rs.rule.point != point {
@@ -239,7 +233,6 @@ impl FaultPlan {
 }
 
 /// FNV-1a over the point name, to decorrelate per-point streams.
-#[cfg_attr(feature = "chaos-off", allow(dead_code))]
 fn mix_str(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -251,7 +244,6 @@ fn mix_str(s: &str) -> u64 {
 /// Evaluates an injection point: may panic, sleep, or return a
 /// spurious typed error according to the plan. `None` plan — and any
 /// byte-flip fault, which only [`corrupt`] applies — is a no-op.
-#[cfg(not(feature = "chaos-off"))]
 pub fn inject(
     plan: Option<&FaultPlan>,
     point: &'static str,
@@ -274,22 +266,10 @@ pub fn inject(
     }
 }
 
-/// No-op injection point (`chaos-off` build).
-#[cfg(feature = "chaos-off")]
-#[inline(always)]
-pub fn inject(
-    _plan: Option<&FaultPlan>,
-    _point: &'static str,
-    _shard: Option<usize>,
-) -> Result<(), SvcError> {
-    Ok(())
-}
-
 /// Applies a byte-flip fault to a serialized byte stream: when a
 /// [`Fault::FlipByte`] rule at `point` fires, one deterministically
 /// chosen byte is XORed with the rule's mask. Returns the flipped
-/// offset, `None` when nothing fired (or under `chaos-off`).
-#[cfg(not(feature = "chaos-off"))]
+/// offset, `None` when nothing fired.
 pub fn corrupt(plan: Option<&FaultPlan>, point: &'static str, bytes: &mut [u8]) -> Option<usize> {
     let plan = plan?;
     if bytes.is_empty() {
@@ -307,17 +287,6 @@ pub fn corrupt(plan: Option<&FaultPlan>, point: &'static str, bytes: &mut [u8]) 
     }
 }
 
-/// No-op corruption (`chaos-off` build).
-#[cfg(feature = "chaos-off")]
-#[inline(always)]
-pub fn corrupt(
-    _plan: Option<&FaultPlan>,
-    _point: &'static str,
-    _bytes: &mut [u8],
-) -> Option<usize> {
-    None
-}
-
 /// A fault-injecting [`store::SegmentIo`]: forwards every syscall to
 /// [`store::RealIo`] unless a rule at the matching `store.*` point
 /// fires first. [`Fault::Eio`] fails the call before it runs (after
@@ -327,8 +296,7 @@ pub fn corrupt(
 /// tears the image write half-way; [`Fault::FlipByte`] silently
 /// corrupts one byte of the written image, which must then fail CRC
 /// verification at open. [`Fault::Panic`] and [`Fault::Latency`] act
-/// as at any other point. Under `chaos-off` every method is a plain
-/// delegation.
+/// as at any other point.
 #[derive(Debug)]
 pub struct ChaosSegmentIo {
     plan: std::sync::Arc<FaultPlan>,
@@ -340,7 +308,6 @@ impl ChaosSegmentIo {
         ChaosSegmentIo { plan }
     }
 
-    #[cfg(not(feature = "chaos-off"))]
     fn decide(&self, point: &'static str) -> Option<Fault> {
         match self.plan.decide(point, None) {
             Some(Fault::Panic) => panic!("chaos: injected panic at {point}"),
@@ -350,12 +317,6 @@ impl ChaosSegmentIo {
             }
             decision => decision,
         }
-    }
-
-    #[cfg(feature = "chaos-off")]
-    #[inline(always)]
-    fn decide(&self, _point: &'static str) -> Option<Fault> {
-        None
     }
 }
 
@@ -420,7 +381,7 @@ impl store::SegmentIo for ChaosSegmentIo {
     }
 }
 
-#[cfg(all(test, not(feature = "chaos-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

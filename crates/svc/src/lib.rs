@@ -26,7 +26,7 @@
 //!   [`Service::try_retrieve_cells`], [`Service::try_query_batch`]
 //!   (each with a `_ctx` form taking the caller's [`RequestCtx`]);
 //! * [`chaos`] — seeded, deterministic fault injection behind named
-//!   points (compiled out under the `chaos-off` feature);
+//!   points, disarmed unless a [`FaultPlan`] is attached;
 //! * [`degrade`] — shard quarantine and the typed [`Degraded`] response
 //!   marker for conservative (*maybe present*) answers;
 //! * [`mod@retry`] — bounded retry with decorrelated-jitter backoff for

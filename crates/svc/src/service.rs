@@ -1061,9 +1061,7 @@ mod tests {
     enum Scenario {
         Healthy,
         QuarantinedBeforeTheRequest,
-        #[cfg(not(feature = "chaos-off"))]
         PanicsMidRequest,
-        #[cfg(not(feature = "chaos-off"))]
         OverloadAtSubmit,
         ExpiredDeadline,
         CancelledCtx,
@@ -1085,9 +1083,7 @@ mod tests {
         let scenarios = [
             Scenario::Healthy,
             Scenario::QuarantinedBeforeTheRequest,
-            #[cfg(not(feature = "chaos-off"))]
             Scenario::PanicsMidRequest,
-            #[cfg(not(feature = "chaos-off"))]
             Scenario::OverloadAtSubmit,
             Scenario::ExpiredDeadline,
             Scenario::CancelledCtx,
@@ -1098,11 +1094,9 @@ mod tests {
                 // that fires (and sleeps for no time) at the start of
                 // every shard job, which makes the jobs countable.
                 let rule = match scenario {
-                    #[cfg(not(feature = "chaos-off"))]
                     Scenario::PanicsMidRequest => FaultRule::new(points::SHARD_QUERY, Fault::Panic)
                         .on_shard(FAILED)
                         .max_fires(1),
-                    #[cfg(not(feature = "chaos-off"))]
                     Scenario::OverloadAtSubmit => {
                         FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)
                             .on_shard(FAILED)
@@ -1161,12 +1155,10 @@ mod tests {
                         svc.health().quarantine(FAILED);
                         assert_degraded();
                         // The quarantined shard got no job at all.
-                        #[cfg(not(feature = "chaos-off"))]
                         assert_eq!(plan.fires(points::SHARD_QUERY), 2, "{what}");
                         svc.health().clear(FAILED);
                         assert_healthy();
                     }
-                    #[cfg(not(feature = "chaos-off"))]
                     Scenario::PanicsMidRequest => {
                         assert_degraded();
                         assert_eq!(plan.fires(points::SHARD_QUERY), 1, "{what}");
@@ -1179,7 +1171,6 @@ mod tests {
                         svc.health().clear(FAILED);
                         assert_healthy();
                     }
-                    #[cfg(not(feature = "chaos-off"))]
                     Scenario::OverloadAtSubmit => {
                         // Shard 0's job is in the pool when shard 1's
                         // submission is refused.
@@ -1241,9 +1232,7 @@ mod tests {
                 .shards()
                 .iter()
                 .all(|s| s.index().hier().is_some()));
-            #[cfg(not(feature = "obs-off"))]
             let pruned_before = obs::counter!("hier.regions_pruned").get();
-            #[cfg(not(feature = "obs-off"))]
             let skipped_before = obs::counter!("hier.rows_skipped").get();
             for q in [
                 RectQuery::new(vec![AttrRange::new(0, 2, 2)], 0, n - 1),
@@ -1257,16 +1246,11 @@ mod tests {
                     "hier and flat services must answer bit-identically"
                 );
             }
-            // Counter mutations compile to no-ops under obs-off; the
-            // bit-identity loop above is the load-bearing assertion.
-            #[cfg(not(feature = "obs-off"))]
-            {
-                assert!(
-                    obs::counter!("hier.regions_pruned").get() > pruned_before,
-                    "single-bin rects over clustered data must prune regions"
-                );
-                assert!(obs::counter!("hier.rows_skipped").get() > skipped_before);
-            }
+            assert!(
+                obs::counter!("hier.regions_pruned").get() > pruned_before,
+                "single-bin rects over clustered data must prune regions"
+            );
+            assert!(obs::counter!("hier.rows_skipped").get() > skipped_before);
         }
     }
 

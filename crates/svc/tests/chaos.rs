@@ -11,7 +11,6 @@
 //!   return typed errors, never partial results;
 //! * a corrupted persisted index is detected by checksum and repaired
 //!   shard-by-shard back to bit-identical answers.
-#![cfg(not(feature = "chaos-off"))]
 
 use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, BitmapIndex, Encoding, RectQuery};

@@ -173,15 +173,13 @@ fn assert_matches_every_geometry(svc: &Service, query: &RectQuery, what: &str) -
     });
     assert_eq!(served, chunked, "{what}: the 512-row geometry");
     assert_eq!(chunked_stats, whole_stats, "{what}: summed stats");
-    if cfg!(not(feature = "obs-off")) {
-        let delta = [0, 1, 2].map(|i| after[i] - before[i]);
-        let want = [
-            chunked_stats.fp_rows_eliminated,
-            chunked_stats.rows_matched as u64,
-            chunked_stats.rows_skipped,
-        ];
-        assert_eq!(delta, want, "{what}: per-request counter deltas");
-    }
+    let delta = [0, 1, 2].map(|i| after[i] - before[i]);
+    let want = [
+        chunked_stats.fp_rows_eliminated,
+        chunked_stats.rows_matched as u64,
+        chunked_stats.rows_skipped,
+    ];
+    assert_eq!(delta, want, "{what}: per-request counter deltas");
 
     // Against the flat AB: the exact tier only ever removes the rows it
     // counted as eliminated false positives.
@@ -285,7 +283,6 @@ fn every_stage_geometry_answers_and_counts_alike() {
 /// before its second stage until its deadline passes — or until it is
 /// cancelled — runs exactly one stage, answers with the typed error,
 /// and leaves a service that answers the next request in full.
-#[cfg(not(feature = "chaos-off"))]
 #[test]
 fn a_request_refused_after_its_first_stage_never_runs_the_second() {
     use std::sync::Arc;
@@ -372,9 +369,7 @@ fn a_request_refused_after_its_first_stage_never_runs_the_second() {
             "{what}"
         );
         assert_eq!(plan.fires(points::SHARD_STAGE), 2, "{what}");
-        if cfg!(not(feature = "obs-off")) {
-            assert_eq!(stages_run(&trace), 1, "{what}: stopped before stage two");
-            assert_eq!(stages_run(&trace_next), 4, "{what}: one stage a container");
-        }
+        assert_eq!(stages_run(&trace), 1, "{what}: stopped before stage two");
+        assert_eq!(stages_run(&trace_next), 4, "{what}: one stage a container");
     }
 }

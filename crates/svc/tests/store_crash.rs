@@ -7,8 +7,6 @@
 //! answers rect / cells / batch queries bit-identically to one built
 //! in RAM, across seeded datasets and both read backends.
 
-#![cfg(not(feature = "chaos-off"))]
-
 use ab::{AbConfig, Cell, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use std::path::PathBuf;

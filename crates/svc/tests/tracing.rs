@@ -3,17 +3,11 @@
 //! recorder — across 8 worker threads, with chaos faults panicking a
 //! shard mid-request.
 
-#![cfg(not(feature = "obs-off"))]
-
 use ab::{AbConfig, Cell, HybridConfig, HybridMode, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
-#[cfg(not(feature = "chaos-off"))]
 use std::sync::Arc;
-#[cfg(not(feature = "chaos-off"))]
 use svc::chaos::{points, Fault, FaultPlan, FaultRule};
-#[cfg(not(feature = "chaos-off"))]
-use svc::RetryPolicy;
-use svc::{Deadline, RequestCtx, Service, SvcConfig};
+use svc::{Deadline, RequestCtx, RetryPolicy, Service, SvcConfig};
 
 const ROWS: usize = 4096;
 
@@ -39,7 +33,6 @@ fn rect(lo: usize, hi: usize) -> RectQuery {
 /// Walks one trace and checks structural integrity: exactly one root,
 /// every parent resolvable, every child's interval inside its
 /// parent's.
-#[cfg(not(feature = "chaos-off"))]
 fn assert_well_formed(t: &obs::Trace) {
     assert_eq!(t.dropped_spans, 0, "trace {} dropped spans", t.trace_id);
     let roots: Vec<_> = t.spans.iter().filter(|s| s.parent == 0).collect();
@@ -79,7 +72,6 @@ fn assert_well_formed(t: &obs::Trace) {
 }
 
 #[test]
-#[cfg(not(feature = "chaos-off"))]
 fn one_complete_span_tree_per_request_across_threads_with_chaos() {
     // Shard 3 panics once: that request must still produce a complete
     // trace with the panicked shard job annotated and the request
@@ -165,7 +157,6 @@ fn one_complete_span_tree_per_request_across_threads_with_chaos() {
 }
 
 #[test]
-#[cfg(not(feature = "chaos-off"))]
 fn caller_owned_trace_collects_all_retry_attempts() {
     // With a caller-owned trace, the service records request spans but
     // leaves finishing to the caller — so several attempts (here via

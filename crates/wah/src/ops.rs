@@ -80,12 +80,9 @@ impl<'a> Cursor<'a> {
     /// One-shot flush of this cursor's decode counts into the global
     /// registry.
     fn flush_metrics(&self) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            obs::counter!("wah.ops.words_scanned").add(self.idx as u64);
-            obs::counter!("wah.ops.fills_decoded").add(self.fills);
-            obs::counter!("wah.ops.literals_decoded").add(self.literals);
-        }
+        obs::counter!("wah.ops.words_scanned").add(self.idx as u64);
+        obs::counter!("wah.ops.fills_decoded").add(self.fills);
+        obs::counter!("wah.ops.literals_decoded").add(self.literals);
     }
 }
 
@@ -127,7 +124,6 @@ pub fn binary_op<F: Fn(u32, u32) -> u32>(a: &WahBitmap, b: &WahBitmap, op: F) ->
             y.consume(1);
         }
     }
-    #[cfg(not(feature = "obs-off"))]
     obs::counter!("wah.ops.executed").inc();
     x.flush_metrics();
     y.flush_metrics();
@@ -171,7 +167,6 @@ impl WahBitmap {
                 c.consume(1);
             }
         }
-        #[cfg(not(feature = "obs-off"))]
         obs::counter!("wah.ops.executed").inc();
         c.flush_metrics();
         let mut res = out.finish(self.len());
@@ -360,7 +355,6 @@ mod tests {
         assert_eq!(n.len(), 35);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn ops_flush_decode_counters() {
         let words = obs::global().counter("wah.ops.words_scanned");

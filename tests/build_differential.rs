@@ -109,7 +109,6 @@ fn scalar_twin(built: &AbIndex, table: &BinnedTable) -> (AbIndex, u64) {
     (twin, inserts)
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn hash_calls() -> u64 {
     let snap = obs::global().snapshot();
     [
@@ -148,7 +147,6 @@ fn built_index_is_the_scalar_filled_index_byte_for_byte() {
 /// that fill its twin, and `hashkit.hash_calls.*` by what those inserts
 /// move it: k per cell, flushed once per batched call instead of once
 /// per `Prober`.
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn build_moves_the_counters_the_scalar_fill_moves() {
     let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
@@ -171,7 +169,6 @@ fn build_moves_the_counters_the_scalar_fill_moves() {
 /// build at α = 32 (k = 22, 12 re-seeded probes a cell) computes fewer
 /// than one prefix state per 32 re-seeded positions, the same number
 /// every time, and a build that stays on the roster computes none.
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn in_order_build_shares_its_seed_prefix_hashes() {
     let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());

@@ -11,16 +11,17 @@
 //! importantly, against any probe-sequence divergence that would show
 //! up as a false negative.
 //!
-//! Run with and without `--features prefetch`; CI's `kernel-smoke`
-//! job covers both.
+//! On x86-64 and aarch64 the batched kernel prefetches every word it
+//! probes; a debug build (`cargo test`) asserts on each prefetch that
+//! the word is inside the AB.
 
 use ab::{
-    AbConfig, AbIndex, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig, HybridMode,
-    KernelKind, KernelOpts, Level,
+    AbConfig, AbIndex, ApproximateBitmap, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig,
+    HybridMode, KernelKind, KernelOpts, Level,
 };
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use datagen::small_uniform;
-use hashkit::HashFamily;
+use hashkit::{CellMapper, HashFamily};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// The obs counters are process-wide and the tests of this file run on
@@ -452,13 +453,14 @@ fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
 }
 
 /// `kernel.prefetches` must report only prefetch instructions that
-/// actually executed: on builds where the prefetch is a no-op
+/// actually executed: on targets where the prefetch is a no-op
 /// (`PREFETCH_ACTIVE == false`) the counter stays frozen across both
-/// query paths; on active builds it advances by exactly `bits_read`
-/// (each issued probe position prefetches its AB word once).
+/// query paths; elsewhere a rect call advances it by exactly
+/// `bits_read` and a cell call by exactly its hash evaluations (each
+/// issued probe position prefetches its AB word once).
 #[test]
 fn prefetch_counter_counts_only_real_prefetches() {
-    let _gate = queries_may_run();
+    let _alone = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
     let table = &datasets()[0];
     let idx = AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
     let q = RectQuery::new(
@@ -466,27 +468,83 @@ fn prefetch_counter_counts_only_real_prefetches() {
         0,
         table.num_rows() - 1,
     );
+    let cells: Vec<Cell> = (0..100)
+        .map(|i| Cell::new((i * 7) % table.num_rows(), 0, 0))
+        .collect();
     for opts in kernel_matrix() {
-        let before = obs::global().snapshot().counter("kernel.prefetches");
+        let before = hash_calls_and_prefetches();
         let (_, stats) = idx.try_execute_rect_with_stats_opts(&q, opts).unwrap();
-        let cells: Vec<Cell> = (0..100)
-            .map(|i| Cell::new((i * 7) % table.num_rows(), 0, 0))
-            .collect();
+        let mid = hash_calls_and_prefetches();
         let verdicts = idx.retrieve_cells_with_opts(&cells, opts);
-        let after = obs::global().snapshot().counter("kernel.prefetches");
-        if ab::PREFETCH_ACTIVE {
-            assert!(
-                after - before >= stats.bits_read as u64,
-                "active build under-reported prefetches on {opts:?}: {before} -> {after}"
-            );
-        } else {
-            assert_eq!(
-                before, after,
-                "no-op build reported phantom prefetches on {opts:?}"
-            );
-        }
+        let after = hash_calls_and_prefetches();
         assert_eq!(verdicts.len(), cells.len());
+        let (rect, cell) = (mid.1 - before.1, after.1 - mid.1);
+        if ab::PREFETCH_ACTIVE {
+            assert_eq!(rect, stats.bits_read as u64, "rect prefetches on {opts:?}");
+            assert_eq!(cell, after.0 - mid.0, "cell prefetches on {opts:?}");
+        } else {
+            assert_eq!((rect, cell), (0, 0), "phantom prefetches on {opts:?}");
+        }
     }
+}
+
+/// The prefetch `// SAFETY:` argument at the edge it is about: on an AB
+/// of 100 bits — one full word and a 36-bit tail word — both kernels
+/// probe positions in the tail word, where a debug build asserts the
+/// prefetched word is still inside the AB, and answer as the scalar
+/// loop does.
+#[test]
+fn both_kernels_probe_the_partial_last_word() {
+    let _gate = queries_may_run();
+    let table = small_uniform(64, 1, 4, 11).binned;
+    let built = AbIndex::build(&table, &AbConfig::new(Level::PerAttribute).with_k(3));
+    let mut ab = ApproximateBitmap::new(
+        100,
+        3,
+        HashFamily::default_independent(),
+        CellMapper::for_columns(4),
+    );
+    for (row, &bin) in table.column(0).bins.iter().enumerate() {
+        ab.insert(row as u64, u64::from(bin));
+    }
+    let idx = AbIndex::from_parts(
+        Level::PerAttribute,
+        vec![ab],
+        built.attributes().to_vec(),
+        table.num_rows(),
+        None,
+        None,
+    );
+    let ab = &idx.abs()[0];
+    let tail = ab.bits().words().len() as u64 - 1;
+    assert_eq!(tail, 1);
+    // The first probe of every cell a kernel opens is always read.
+    let in_tail = |row: usize, bin: u32| {
+        let mut prober = ab
+            .family()
+            .prober(row as u64, u64::from(bin), ab.mapper(), ab.n_bits());
+        prober.next_position() / 64 == tail
+    };
+
+    // Every row of the rect opens on bin 0 of its one range.
+    let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, table.num_rows() - 1);
+    assert!((0..table.num_rows()).any(|row| in_tail(row, 0)));
+    let (scalar, _) = idx
+        .try_execute_rect_with_stats_opts(&q, KernelKind::Scalar.into())
+        .unwrap();
+    let (batched, _) = idx
+        .try_execute_rect_with_stats_opts(&q, KernelKind::Batched.into())
+        .unwrap();
+    assert_eq!(scalar, batched);
+
+    let cells: Vec<Cell> = (0..table.num_rows())
+        .map(|row| Cell::new(row, 0, (row % 4) as u32))
+        .collect();
+    assert!(cells.iter().any(|c| in_tail(c.row, c.bin)));
+    assert_eq!(
+        idx.retrieve_cells_with_opts(&cells, KernelKind::Scalar.into()),
+        idx.retrieve_cells_with_opts(&cells, KernelKind::Batched.into())
+    );
 }
 
 /// A 3 000-row, 4-attribute, 20-bin table (80 (attribute, bin)

@@ -9,7 +9,6 @@
 /// `ab.query.*` counters are flushed once per query from the same
 /// computed values that fill `QueryStats`, so registry deltas must
 /// equal the summed stats exactly (the ISSUE's acceptance check).
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn registry_matches_summed_query_stats() {
     let ds = datagen::small_uniform(2_000, 2, 10, 77);
