@@ -615,7 +615,7 @@ mod tests {
             };
             for &(a, b) in &fine.intervals {
                 for row in a..=b {
-                    if idx.execute_rows(&[row], &q.ranges).len() == 1 {
+                    if idx.try_execute_rows(&[row], &q.ranges).unwrap().len() == 1 {
                         assert!(covers(&both, row), "bin {bin} row {row} lost");
                     }
                 }

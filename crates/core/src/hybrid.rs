@@ -15,10 +15,8 @@
 //! > density, plus the false-positive rate × downstream verification
 //! > cost) exceeds the exact container's lookup cost.
 //!
-//! The `AB_HYBRID` environment variable overrides the decision at
-//! build time (`off`/`none` backs nothing, `all`/`force` backs every
-//! bin, anything else defers to the cost model), and every decision
-//! lands in the `planner.split.exact` / `planner.split.ab` counters.
+//! Every decision lands in the `planner.split.exact` /
+//! `planner.split.ab` counters.
 //!
 //! Alongside each exact container E the build stores a companion
 //! false-positive container F = {rows the base AB admits for the cell
@@ -132,24 +130,6 @@ pub struct HybridAb {
     bins: Vec<HybridBin>,
 }
 
-/// The `AB_HYBRID` build-time override.
-enum SplitOverride {
-    /// Back nothing (`off`/`none`/`0`).
-    None,
-    /// Back every bin (`all`/`force`/`1`).
-    All,
-    /// Defer to the cost model (unset or anything else).
-    Model,
-}
-
-fn split_override() -> SplitOverride {
-    match std::env::var("AB_HYBRID").ok().as_deref() {
-        Some("off") | Some("none") | Some("0") => SplitOverride::None,
-        Some("all") | Some("force") | Some("1") => SplitOverride::All,
-        _ => SplitOverride::Model,
-    }
-}
-
 /// The calibrated split decision for one (attribute, bin): observed
 /// bin density × AB false-positive rate × verification cost against
 /// the exact container's lookup cost.
@@ -212,7 +192,6 @@ impl HybridAb {
             index.num_rows() <= u32::MAX as usize,
             "exact containers address rows as u32"
         );
-        let over = split_override();
         let total_bins: u32 = table.columns().iter().map(|c| c.cardinality).sum();
 
         let cols = table.columns();
@@ -222,21 +201,13 @@ impl HybridAb {
                 .chunks(chunk)
                 .enumerate()
                 .map(|(ci, chunk_cols)| {
-                    let over = &over;
                     s.spawn(move || {
                         let mut out = Vec::new();
                         for (i, col) in chunk_cols.iter().enumerate() {
                             let attribute = ci * chunk + i;
                             for (bin, &count) in col.bin_counts().iter().enumerate() {
                                 let bin = bin as u32;
-                                let backed = match over {
-                                    SplitOverride::None => false,
-                                    SplitOverride::All => true,
-                                    SplitOverride::Model => {
-                                        back_exactly(index, attribute, bin, count, config)
-                                    }
-                                };
-                                if backed {
+                                if back_exactly(index, attribute, bin, count, config) {
                                     out.push(build_bin(index, attribute, bin, &col.bins));
                                 }
                             }

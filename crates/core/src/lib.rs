@@ -24,8 +24,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use ab::{AbConfig, AbPipeline, Level};
-//! use bitmap::{AttrRange, Column, RectQuery, Table};
+//! use ab::{prune_false_positives, AbConfig, AbIndex, Level};
+//! use bitmap::{
+//!     AttrRange, BinnedTable, BitmapIndex, Column, Encoding, EquiDepth, RectQuery, Table,
+//! };
 //!
 //! // A little sales table, physically ordered by date.
 //! let table = Table::new(vec![
@@ -33,17 +35,15 @@
 //!     Column::new("region", (0..365).map(|d| (d % 4) as f64).collect()),
 //! ]);
 //!
-//! let pipeline = AbPipeline::builder(&table)
-//!     .bins(4)
-//!     .config(AbConfig::new(Level::PerAttribute).with_alpha(16))
-//!     .keep_exact(true)
-//!     .build();
+//! let binned = BinnedTable::from_table(&table, &EquiDepth::new(4));
+//! let index = AbIndex::build(&binned, &AbConfig::new(Level::PerAttribute).with_alpha(16));
 //!
 //! // "last week's rows where amount falls in the top bin"
 //! let q = RectQuery::new(vec![AttrRange::new(0, 3, 3)], 358, 364);
-//! let fast_approximate = pipeline.query_approx(&q); // 100% recall
-//! let exact = pipeline.query_exact(&q);             // pruned second step
-//! assert!(exact.iter().all(|r| fast_approximate.contains(r)));
+//! let fast_approximate = index.execute_rect(&q); // 100% recall
+//! let exact_index = BitmapIndex::build(&binned, Encoding::Equality);
+//! let exact = prune_false_positives(&exact_index, &q, &fast_approximate); // second step
+//! assert_eq!(exact, exact_index.evaluate_rows(&q));
 //! ```
 //!
 //! ## Module map
@@ -64,7 +64,6 @@
 
 pub mod analysis;
 pub mod blocked;
-pub mod builder;
 pub mod config;
 pub mod counting;
 pub mod encoding;
@@ -82,7 +81,6 @@ pub use analysis::{
     optimal_k, precision, AbParams, Level, LevelSizes,
 };
 pub use blocked::BlockedAb;
-pub use builder::{AbPipeline, AbPipelineBuilder};
 pub use config::{AbConfig, Sizing};
 pub use counting::CountingAb;
 pub use encoding::ApproximateBitmap;

@@ -596,25 +596,29 @@ impl AbIndex {
     /// contiguous range. Returns the subset of `rows` that
     /// (approximately) satisfies every attribute interval, in input
     /// order. Cost is O(|rows| · probes), independent of the table
-    /// size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or bins.
-    pub fn execute_rows(&self, rows: &[usize], ranges: &[bitmap::AttrRange]) -> Vec<usize> {
-        for r in ranges {
-            let card = self.attributes()[r.attribute].cardinality;
-            assert!(r.hi < card, "bin {} out of range {card}", r.hi);
-        }
-        rows.iter()
+    /// size. A row past the index, or a range naming a bin (or an
+    /// attribute) the index does not have, is a [`QueryError`].
+    pub fn try_execute_rows(
+        &self,
+        rows: &[usize],
+        ranges: &[bitmap::AttrRange],
+    ) -> Result<Vec<usize>, QueryError> {
+        validate_ranges(
+            self.attributes(),
+            self.num_rows(),
+            rows.iter().copied().max().unwrap_or(0),
+            ranges.iter().map(|r| (r.attribute, r.hi)),
+        )
+        .inspect_err(|_| obs::counter!("ab.query.rejected").inc())?;
+        Ok(rows
+            .iter()
             .copied()
             .filter(|&row| {
-                assert!(row < self.num_rows(), "row {row} out of range");
                 ranges.iter().all(|range| {
                     (range.lo..=range.hi).any(|bin| self.test_cell(row, range.attribute, bin))
                 })
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -809,7 +813,7 @@ mod tests {
         let q = RectQuery::new(ranges.clone(), 100, 200);
         let via_rect = idx.execute_rect(&q);
         let list: Vec<usize> = (100..=200).collect();
-        assert_eq!(idx.execute_rows(&list, &ranges), via_rect);
+        assert_eq!(idx.try_execute_rows(&list, &ranges), Ok(via_rect));
     }
 
     #[test]
@@ -818,7 +822,7 @@ mod tests {
         let exact = BitmapIndex::build(&t, Encoding::Equality);
         let mondays: Vec<usize> = (0..t.num_rows()).step_by(7).collect();
         let ranges = vec![AttrRange::new(1, 0, 4)];
-        let got = idx.execute_rows(&mondays, &ranges);
+        let got = idx.try_execute_rows(&mondays, &ranges).unwrap();
         // No false negatives against the exact per-row check.
         for &row in &mondays {
             let truly = (0..=4).contains(&t.column(1).bins[row]);
@@ -832,10 +836,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn execute_rows_validates_rows() {
         let (_, idx) = big_index(Level::PerAttribute);
-        idx.execute_rows(&[usize::MAX], &[]);
+        assert_eq!(
+            idx.try_execute_rows(&[3, 2000], &[]),
+            Err(QueryError::RowOutOfRange {
+                row: 2000,
+                num_rows: 2000
+            })
+        );
+        assert_eq!(
+            idx.try_execute_rows(&[3], &[AttrRange::new(1, 2, 10)]),
+            Err(QueryError::BinOutOfRange {
+                attribute: 1,
+                bin: 10,
+                cardinality: 10
+            })
+        );
+        assert_eq!(
+            idx.try_execute_rows(&[3], &[AttrRange::new(2, 0, 0)]),
+            Err(QueryError::BinOutOfRange {
+                attribute: 2,
+                bin: 0,
+                cardinality: 0
+            })
+        );
     }
 
     #[test]

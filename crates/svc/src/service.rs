@@ -77,9 +77,6 @@ pub struct SvcConfig {
     pub queue_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
-    /// Probe engine shard jobs run on (results are identical either
-    /// way; see [`ab::KernelKind`]).
-    pub kernel: KernelKind,
     /// Start a request-scoped trace for every request that doesn't
     /// carry its own (see [`RequestCtx::traced`]); completed traces
     /// land in the global [`obs::recorder`]. Tracing costs one small
@@ -116,7 +113,6 @@ impl Default for SvcConfig {
             shards: 0,
             queue_capacity: 256,
             default_deadline: None,
-            kernel: KernelKind::default(),
             trace_requests: true,
             slow_query: None,
             hier: HierMode::Off,
@@ -258,7 +254,7 @@ impl Service {
             pool,
             default_deadline: cfg.default_deadline,
             chaos: None,
-            kernel: KernelOpts::new(cfg.kernel)
+            kernel: KernelOpts::new(KernelKind::Batched)
                 .with_hier(cfg.hier)
                 .with_hybrid(cfg.hybrid),
             trace_requests: cfg.trace_requests,
@@ -286,12 +282,8 @@ impl Service {
         &self.health
     }
 
-    /// The probe engine this service's shard jobs run on.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel.kernel
-    }
-
-    /// The full kernel options (engine + tier policies).
+    /// The full kernel options: the batched engine plus the tier
+    /// policies.
     pub fn kernel_opts(&self) -> KernelOpts {
         self.kernel
     }
@@ -1202,7 +1194,7 @@ mod tests {
 
     #[test]
     fn hier_service_matches_flat_service_and_prunes() {
-        use ab::{HierLevelSpec, KernelKind};
+        use ab::HierLevelSpec;
         // Clustered single-attribute table: each 512-row segment holds
         // one bin, so whole 64-row spans miss most bins. α=32 keeps
         // the base AB clean enough for coarse misses to be definite.
@@ -1214,44 +1206,41 @@ mod tests {
         )]);
         let ab = AbConfig::new(Level::PerAttribute).with_alpha(32);
         let flat = Service::build(&t, &ab, &small_cfg());
-        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
-            let cfg = SvcConfig {
-                kernel,
-                hier: HierMode::Force,
-                hier_config: HierConfig {
-                    levels: vec![HierLevelSpec {
-                        row_span: 64,
-                        bin_group: 2,
-                    }],
-                },
-                ..small_cfg()
-            };
-            let hier = Service::build(&t, &ab, &cfg);
-            assert!(hier
-                .index()
-                .shards()
-                .iter()
-                .all(|s| s.index().hier().is_some()));
-            let pruned_before = obs::counter!("hier.regions_pruned").get();
-            let skipped_before = obs::counter!("hier.rows_skipped").get();
-            for q in [
-                RectQuery::new(vec![AttrRange::new(0, 2, 2)], 0, n - 1),
-                RectQuery::new(vec![AttrRange::new(0, 0, 1)], 100, 3000),
-                RectQuery::new(vec![AttrRange::new(0, 7, 7)], 0, 511),
-                RectQuery::new(vec![], 0, n - 1),
-            ] {
-                assert_eq!(
-                    hier.try_query_rect(&q).unwrap().value,
-                    flat.try_query_rect(&q).unwrap().value,
-                    "hier and flat services must answer bit-identically"
-                );
-            }
-            assert!(
-                obs::counter!("hier.regions_pruned").get() > pruned_before,
-                "single-bin rects over clustered data must prune regions"
+        let cfg = SvcConfig {
+            hier: HierMode::Force,
+            hier_config: HierConfig {
+                levels: vec![HierLevelSpec {
+                    row_span: 64,
+                    bin_group: 2,
+                }],
+            },
+            ..small_cfg()
+        };
+        let hier = Service::build(&t, &ab, &cfg);
+        assert!(hier
+            .index()
+            .shards()
+            .iter()
+            .all(|s| s.index().hier().is_some()));
+        let pruned_before = obs::counter!("hier.regions_pruned").get();
+        let skipped_before = obs::counter!("hier.rows_skipped").get();
+        for q in [
+            RectQuery::new(vec![AttrRange::new(0, 2, 2)], 0, n - 1),
+            RectQuery::new(vec![AttrRange::new(0, 0, 1)], 100, 3000),
+            RectQuery::new(vec![AttrRange::new(0, 7, 7)], 0, 511),
+            RectQuery::new(vec![], 0, n - 1),
+        ] {
+            assert_eq!(
+                hier.try_query_rect(&q).unwrap().value,
+                flat.try_query_rect(&q).unwrap().value,
+                "hier and flat services must answer bit-identically"
             );
-            assert!(obs::counter!("hier.rows_skipped").get() > skipped_before);
         }
+        assert!(
+            obs::counter!("hier.regions_pruned").get() > pruned_before,
+            "single-bin rects over clustered data must prune regions"
+        );
+        assert!(obs::counter!("hier.rows_skipped").get() > skipped_before);
     }
 
     #[test]

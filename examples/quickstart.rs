@@ -1,11 +1,11 @@
 //! Quickstart: build an Approximate Bitmap index over a small table,
 //! run an approximate query, then get the exact answer with the
-//! second-step pruning.
+//! second-step pruning — the flow `abq build` and `abq query` run.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ab::{AbConfig, AbPipeline, Level};
-use bitmap::{AttrRange, Column, RectQuery, Table};
+use ab::{prune_false_positives, AbConfig, AbIndex, Level};
+use bitmap::{AttrRange, BinnedTable, BitmapIndex, Column, Encoding, EquiDepth, RectQuery, Table};
 
 fn main() {
     // Six years of daily measurements: temperature and humidity,
@@ -27,17 +27,15 @@ fn main() {
     // Bin each attribute into 32 equi-depth bins, build a per-attribute
     // AB with 16 bits per set bit, and keep the exact index around for
     // pruning.
-    let pipeline = AbPipeline::builder(&table)
-        .bins(32)
-        .config(AbConfig::new(Level::PerAttribute).with_alpha(16))
-        .keep_exact(true)
-        .build();
+    let binned = BinnedTable::from_table(&table, &EquiDepth::new(32));
+    let index = AbIndex::build(&binned, &AbConfig::new(Level::PerAttribute).with_alpha(16));
+    let exact_index = BitmapIndex::build(&binned, Encoding::Equality);
 
     println!(
         "AB index: {} ABs, {} bytes total (vs {} bytes exact bitmaps)",
-        pipeline.ab.abs().len(),
-        pipeline.ab.size_bytes(),
-        pipeline.exact.as_ref().unwrap().size_bytes(),
+        index.abs().len(),
+        index.size_bytes(),
+        exact_index.size_bytes(),
     );
 
     // Query over the last year only: days with temperature in the top
@@ -49,8 +47,8 @@ fn main() {
         days - 1,
     );
 
-    let approximate = pipeline.query_approx(&query);
-    let exact = pipeline.query_exact(&query);
+    let approximate = index.execute_rect(&query);
+    let exact = prune_false_positives(&exact_index, &query, &approximate);
 
     println!(
         "approximate answer ({} rows): {approximate:?}",

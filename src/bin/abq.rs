@@ -10,9 +10,8 @@
 //! abq query --index index.ab --where attr=LO..HI [--where ...]
 //!           [--rows LO..HI] [--limit N]
 //! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
-//!           [--alpha N] [--deadline-ms N] [--retries N] [--limit N]
-//!           [--kernel scalar|batched]
-//!           [--hier [off|auto|force]] [--hybrid [off|auto|force]]
+//!           [--alpha N] [--level L] [--deadline-ms N] [--retries N]
+//!           [--limit N] [--hier [off|auto|force]] [--hybrid [off|auto|force]]
 //!           [--telemetry-addr HOST:PORT] [--slow-ms N]
 //!           [--store index.abpg [--store-pread] [--scrub-ms N]]
 //!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
@@ -63,6 +62,9 @@
 //! decorrelated-jitter backoff ([`mod@svc::retry`]), so transient
 //! [`svc::SvcError::Overloaded`] rejections are absorbed instead of
 //! surfacing to the caller.
+//!
+//! Each subcommand accepts exactly the flags listed for it in
+//! [`COMMANDS`]; any other `--flag` is an error naming it.
 
 use ab::{AbConfig, AbIndex, Level};
 use bitmap::{AttrRange, BinnedTable, Column, EquiDepth, RectQuery, Table};
@@ -81,46 +83,153 @@ fn main() -> ExitCode {
     }
 }
 
-/// Routes `argv[1..]` to its subcommand.
+/// A subcommand's handler, given the arguments after its name.
+type Handler = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand, its handler and the only flags it accepts.
+const COMMANDS: &[(&str, Handler, &[&str])] = &[
+    (
+        "build",
+        cmd_build,
+        &[
+            "--csv",
+            "--out",
+            "--bins",
+            "--alpha",
+            "--level",
+            "--k",
+            "--precision",
+        ],
+    ),
+    ("info", cmd_info, &["--index"]),
+    ("verify", cmd_verify, &["--index"]),
+    (
+        "query",
+        cmd_query,
+        &["--index", "--where", "--rows", "--limit"],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "--csv",
+            "--threads",
+            "--shards",
+            "--bins",
+            "--alpha",
+            "--level",
+            "--deadline-ms",
+            "--retries",
+            "--limit",
+            "--hier",
+            "--hybrid",
+            "--telemetry-addr",
+            "--slow-ms",
+            "--store",
+            "--store-pread",
+            "--scrub-ms",
+            "--listen",
+            "--max-conns",
+            "--drain-ms",
+            "--trace-dump",
+        ],
+    ),
+    (
+        "store build",
+        cmd_store_build,
+        &[
+            "--csv",
+            "--out",
+            "--shards",
+            "--page-size",
+            "--bins",
+            "--alpha",
+            "--level",
+            "--hier",
+            "--hybrid",
+        ],
+    ),
+    ("store verify", cmd_store_verify, &["--store"]),
+    (
+        "store scrub",
+        cmd_store_scrub,
+        &[
+            "--store", "--pread", "--csv", "--bins", "--alpha", "--level",
+        ],
+    ),
+    (
+        "loadgen",
+        cmd_loadgen,
+        &[
+            "--addr",
+            "--conns",
+            "--secs",
+            "--pipeline",
+            "--rps",
+            "--mix",
+            "--seed",
+            "--batch-size",
+            "--deadline-ms",
+            "--out",
+        ],
+    ),
+    ("trace", cmd_trace, &["--addr", "--file"]),
+];
+
+/// Routes `argv[1..]` to its subcommand after checking every `--flag`
+/// against the subcommand's accepted list.
 fn dispatch(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("build") => cmd_build(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("store") => cmd_store(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
+    let name = match args.first().map(String::as_str) {
         Some("--help") | Some("-h") | None => {
             print_usage();
-            Ok(())
+            return Ok(());
         }
-        Some(other) => Err(format!("unknown command `{other}`")),
+        Some("store") => match args.get(1) {
+            Some(sub) => format!("store {sub}"),
+            None => return Err("store needs a subcommand: build | verify | scrub".into()),
+        },
+        Some(cmd) => cmd.to_string(),
+    };
+    let Some(&(_, handler, accepted)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        return Err(match name.strip_prefix("store ") {
+            Some(sub) => format!("unknown store subcommand `{sub}` (build | verify | scrub)"),
+            None => format!("unknown command `{name}`"),
+        });
+    };
+    let rest = &args[name.split(' ').count()..];
+    if let Some(flag) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    {
+        return Err(format!("`abq {name}` does not accept `{flag}`"));
     }
+    handler(rest)
+}
+
+/// The usage text: one entry per subcommand in [`COMMANDS`].
+fn usage() -> &'static str {
+    "usage:
+  abq build --csv FILE --out FILE [--bins N] [--alpha N] [--level L] [--k N] [--precision P]
+  abq info --index FILE
+  abq verify --index FILE
+  abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]
+  abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] [--level L]
+      [--deadline-ms N] [--retries N] [--limit N]
+      [--hier [off|auto|force]] [--hybrid [off|auto|force]]
+      [--telemetry-addr HOST:PORT] [--slow-ms N]
+      [--store FILE [--store-pread] [--scrub-ms N]]
+      [--listen HOST:PORT [--max-conns N] [--drain-ms N] [--trace-dump FILE]]
+  abq store build --csv FILE --out FILE [--shards N] [--page-size N]
+      [--bins N] [--alpha N] [--level L] [--hier] [--hybrid]
+  abq store verify --store FILE
+  abq store scrub --store FILE [--pread] [--csv FILE [--bins N] [--alpha N] [--level L]]
+  abq loadgen --addr HOST:PORT [--conns N] [--secs S] [--pipeline N | --rps R]
+      [--mix rect,cells,batch] [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
+  abq trace (--addr HOST:PORT | --file DUMP.json)"
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage:\n  abq build --csv FILE --out FILE [--bins N] [--alpha N] \
-         [--level L] [--k N] [--precision P]\n  abq info  --index FILE\n  \
-         abq verify --index FILE\n  \
-         abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]\n  \
-         abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] \
-         [--deadline-ms N] [--retries N] [--limit N] [--kernel scalar|batched] \
-         [--hier [off|auto|force]] [--hybrid [off|auto|force]] \
-         [--telemetry-addr HOST:PORT] [--slow-ms N] \
-         [--store FILE [--store-pread] [--scrub-ms N]] \
-         [--listen HOST:PORT [--max-conns N] [--drain-ms N] [--trace-dump FILE]]\n  \
-         abq store build --csv FILE --out FILE [--shards N] [--page-size N] \
-         [--bins N] [--alpha N] [--level L] [--hier] [--hybrid]\n  \
-         abq store verify --store FILE\n  \
-         abq store scrub --store FILE [--pread] [--csv FILE [--bins N] [--alpha N] [--level L]]\n  \
-         abq loadgen --addr HOST:PORT [--conns N] [--secs S] [--pipeline N | --rps R] \
-         [--mix rect,cells,batch] [--seed N] [--batch-size N] [--deadline-ms N] \
-         [--out FILE]\n  \
-         abq trace (--addr HOST:PORT | --file DUMP.json)"
-    );
+    eprintln!("{}", usage());
 }
 
 /// Pulls the value of `--flag` out of an argument list.
@@ -400,15 +509,6 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// The `--kernel` flag: which probe engine shard jobs run on
-/// (default batched; results are identical, only throughput differs).
-fn parse_kernel(args: &[String]) -> Result<ab::KernelKind, String> {
-    match flag_value(args, "--kernel") {
-        Some(k) => k.parse().map_err(|e| format!("--kernel: {e}")),
-        None => Ok(ab::KernelKind::default()),
-    }
-}
-
 /// A tier flag with an optional mode operand (`--hier`, `--hybrid`):
 /// absent means off, bare means auto, `off|auto|force` is explicit.
 /// The operand is optional, so a next token that is itself a flag is
@@ -436,7 +536,7 @@ fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
 /// touching exact-backed bins from Roaring containers — zero hash
 /// probes, zero false positives — and falls back to the AB elsewhere.
 /// Which bins get exact backing is the planner's calibrated split
-/// decision (`AB_HYBRID` overrides it).
+/// decision.
 fn parse_hybrid(args: &[String]) -> Result<ab::HybridMode, String> {
     parse_tier_mode(args, "--hybrid")
 }
@@ -479,7 +579,7 @@ fn binned_and_config(args: &[String]) -> Result<(BinnedTable, AbConfig), String>
 }
 
 /// The service flags both `serve` set-ups share — `--threads`,
-/// `--deadline-ms`, `--slow-ms`, `--kernel`, `--hier`, `--hybrid` — as
+/// `--deadline-ms`, `--slow-ms`, `--hier`, `--hybrid` — as
 /// one [`SvcConfig`] over `shards` shards.
 fn serve_config(args: &[String], shards: usize) -> Result<SvcConfig, String> {
     let millis = |flag: &str| -> Result<Option<std::time::Duration>, String> {
@@ -495,7 +595,6 @@ fn serve_config(args: &[String], shards: usize) -> Result<SvcConfig, String> {
         threads: parse_threads(args)?,
         shards,
         default_deadline: millis("--deadline-ms")?,
-        kernel: parse_kernel(args)?,
         slow_query: millis("--slow-ms")?,
         hier: parse_hier(args)?,
         hybrid: parse_hybrid(args)?,
@@ -513,13 +612,12 @@ fn build_service(args: &[String]) -> Result<Service, String> {
     };
     let svc = Service::build(&binned, &config, &serve_config(args, shards)?);
     println!(
-        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes, {} kernel)",
+        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes)",
         svc.index().num_rows(),
         svc.index().attributes().len(),
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
-        svc.kernel(),
     );
     Ok(svc)
 }
@@ -544,13 +642,12 @@ fn build_service_from_store(
     let svc = Service::from_index(index, &cfg);
     println!(
         "ready: {} rows x {} attributes, {} shards on {} threads \
-         ({} AB bytes, {} kernel, {} store {path})",
+         ({} AB bytes, {} store {path})",
         svc.index().num_rows(),
         svc.index().attributes().len(),
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
-        svc.kernel(),
         st.backend(),
     );
     let scrub_ms: u64 = flag_value(args, "--scrub-ms")
@@ -770,19 +867,6 @@ fn serve_listen(args: &[String], svc: Service, listen: &str) -> Result<(), Strin
     }
     println!("drained; exiting");
     Ok(())
-}
-
-/// `abq store` — manage crash-safe `ABPG` segment stores.
-fn cmd_store(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("build") => cmd_store_build(&args[1..]),
-        Some("verify") => cmd_store_verify(&args[1..]),
-        Some("scrub") => cmd_store_scrub(&args[1..]),
-        Some(other) => Err(format!(
-            "unknown store subcommand `{other}` (build | verify | scrub)"
-        )),
-        None => Err("store needs a subcommand: build | verify | scrub".into()),
-    }
 }
 
 /// `abq store build` — CSV → sharded index → atomically written
@@ -1280,19 +1364,54 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_parses_and_defaults() {
-        assert_eq!(
-            parse_kernel(&strings(&["--kernel", "scalar"])),
-            Ok(ab::KernelKind::Scalar)
+    fn unread_flags_are_errors() {
+        // A typo is named, not silently ignored at its default.
+        let err = dispatch(&strings(&[
+            "build", "--csv", "x.csv", "--out", "x.ab", "--bins", "16", "--alhpa", "32",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("`--alhpa`"), "{err}");
+        let err = dispatch(&strings(&["serve", "--csv", "x.csv", "--thraeds", "2"])).unwrap_err();
+        assert!(err.contains("`--thraeds`"), "{err}");
+        // Retired flags fail loudly too.
+        for (cmd, flag) in [
+            ("serve", "--kernel"),
+            ("serve", "--batch-rows"),
+            ("serve", "--wah"),
+            ("build", "--kernel"),
+        ] {
+            let err = dispatch(&strings(&[cmd, "--csv", "x.csv", flag, "batched"])).unwrap_err();
+            assert_eq!(err, format!("`abq {cmd}` does not accept `{flag}`"));
+        }
+        let err = dispatch(&strings(&[
+            "store", "scrub", "--store", "s", "--shards", "4",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("`abq store scrub`") && err.contains("`--shards`"),
+            "{err}"
         );
-        assert_eq!(
-            parse_kernel(&strings(&["--kernel", "batched"])),
-            Ok(ab::KernelKind::Batched)
-        );
-        assert_eq!(parse_kernel(&strings(&[])), Ok(ab::KernelKind::Batched));
-        for bad in ["turbo", "simd"] {
-            let err = parse_kernel(&strings(&["--kernel", bad])).unwrap_err();
-            assert!(err.contains("scalar|batched"), "{err}");
+    }
+
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        let text = usage();
+        for &(name, _, flags) in COMMANDS {
+            // The subcommand's entry runs from its `abq NAME ` line to
+            // the next subcommand's.
+            let start = text
+                .find(&format!("abq {name} "))
+                .unwrap_or_else(|| panic!("usage has no `abq {name}` entry"));
+            let entry = &text[start..];
+            let entry = &entry[..entry.find("\n  abq ").unwrap_or(entry.len())];
+            for flag in flags {
+                assert!(
+                    entry
+                        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .any(|t| t == *flag),
+                    "usage of `abq {name}` does not mention {flag}"
+                );
+            }
         }
     }
 
@@ -1641,8 +1760,8 @@ mod tests {
 
     #[test]
     fn store_flag_validation() {
-        assert!(cmd_store(&strings(&[])).is_err());
-        assert!(cmd_store(&strings(&["nope"])).is_err());
+        assert!(dispatch(&strings(&["store"])).is_err());
+        assert!(dispatch(&strings(&["store", "nope"])).is_err());
         assert!(cmd_store_build(&strings(&["--csv", "x.csv"])).is_err()); // --out required
         assert!(cmd_store_verify(&strings(&[])).is_err()); // --store required
         assert!(cmd_store_scrub(&strings(&[])).is_err());
