@@ -101,8 +101,18 @@ impl BinnedColumn {
 
     /// Number of rows falling into each bin (`cardinality` entries).
     pub fn bin_counts(&self) -> Vec<usize> {
+        self.bin_counts_in(0..self.len())
+    }
+
+    /// Number of the rows `rows` falling into each bin (`cardinality`
+    /// entries) — one shard's counts, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` extends past the column.
+    pub fn bin_counts_in(&self, rows: std::ops::Range<usize>) -> Vec<usize> {
         let mut counts = vec![0usize; self.cardinality as usize];
-        for &b in &self.bins {
+        for &b in &self.bins[rows] {
             counts[b as usize] += 1;
         }
         counts

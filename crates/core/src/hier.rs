@@ -188,13 +188,6 @@ impl HierAb {
     /// Panics if `config.levels` is empty, a `row_span` or `bin_group`
     /// is zero, or the levels are not in ascending `row_span` order.
     pub fn build(index: &AbIndex, config: &HierConfig) -> Self {
-        Self::build_parallel(index, config, 1)
-    }
-
-    /// [`Self::build`] with the finest-level probe sweep chunked over
-    /// `threads` workers (spans are independent, so the result is
-    /// bit-identical regardless of thread count).
-    pub fn build_parallel(index: &AbIndex, config: &HierConfig, threads: usize) -> Self {
         let t0 = std::time::Instant::now();
         assert!(
             !config.levels.is_empty(),
@@ -215,7 +208,7 @@ impl HierAb {
 
         let finest = &config.levels[0];
         let fine_geom = LevelGeometry::new(finest, attrs, num_rows);
-        let fine_grid = sweep_finest(index, finest, &fine_geom, threads.max(1));
+        let fine_grid = sweep_finest(index, finest, &fine_geom);
 
         let mut levels = Vec::with_capacity(config.levels.len());
         levels.push(make_level(finest, &fine_geom, &fine_grid));
@@ -353,66 +346,39 @@ impl LevelGeometry {
 }
 
 /// Probe-sweeps the base AB for the finest level's occupancy grid
-/// (`grid[span * num_groups + group_col]`), chunking independent spans
-/// across `threads` workers. The sweep runs the lockstep probe loop
-/// ([`ColumnSweeper`]): a batch is up to [`MAX_BATCH_ROWS`] rows of
-/// one bin (deepening from [`FIRST_SWEEP_ROWS`]), and a region is
-/// occupied at the first batch with a survivor; a clean region costs
+/// (`grid[span * num_groups + group_col]`). The sweep runs the lockstep
+/// probe loop ([`ColumnSweeper`]): a batch is up to [`MAX_BATCH_ROWS`]
+/// rows of one bin (deepening from [`FIRST_SWEEP_ROWS`]), and a region
+/// is occupied at the first batch with a survivor; a clean region costs
 /// `rows × bins` short-circuiting probes (≈2 bit reads each at 50%
 /// fill).
-fn sweep_finest(
-    index: &AbIndex,
-    spec: &HierLevelSpec,
-    geom: &LevelGeometry,
-    threads: usize,
-) -> Vec<bool> {
-    let sweep_spans = |span_lo: usize, span_hi: usize| -> Vec<bool> {
-        let attrs = index.attributes();
-        let num_rows = index.num_rows();
-        let mut sweeper = ColumnSweeper::new(index);
-        let mut grid = vec![false; (span_hi - span_lo) * geom.num_groups];
-        for span in span_lo..span_hi {
-            let row_lo = span * spec.row_span;
-            let row_hi = ((span + 1) * spec.row_span).min(num_rows);
-            let base = (span - span_lo) * geom.num_groups;
-            for (a, meta) in attrs.iter().enumerate() {
-                let groups = meta.cardinality.div_ceil(spec.bin_group);
-                for g in 0..groups {
-                    let bin_lo = g * spec.bin_group;
-                    let bin_hi = ((g + 1) * spec.bin_group).min(meta.cardinality);
-                    let cell = base + geom.group_offsets[a] + g as usize;
-                    let mut lo = row_lo;
-                    let mut depth = FIRST_SWEEP_ROWS;
-                    while lo < row_hi && !grid[cell] {
-                        let rows = lo..(lo + depth).min(row_hi);
-                        grid[cell] = (bin_lo..bin_hi)
-                            .any(|bin| !sweeper.positives(a, bin, rows.clone()).is_empty());
-                        lo = rows.end;
-                        depth = (2 * depth).min(MAX_BATCH_ROWS);
-                    }
+fn sweep_finest(index: &AbIndex, spec: &HierLevelSpec, geom: &LevelGeometry) -> Vec<bool> {
+    let num_rows = index.num_rows();
+    let mut sweeper = ColumnSweeper::new(index);
+    let mut grid = vec![false; geom.num_spans * geom.num_groups];
+    for span in 0..geom.num_spans {
+        let row_lo = span * spec.row_span;
+        let row_hi = ((span + 1) * spec.row_span).min(num_rows);
+        let base = span * geom.num_groups;
+        for (a, meta) in index.attributes().iter().enumerate() {
+            let groups = meta.cardinality.div_ceil(spec.bin_group);
+            for g in 0..groups {
+                let bin_lo = g * spec.bin_group;
+                let bin_hi = ((g + 1) * spec.bin_group).min(meta.cardinality);
+                let cell = base + geom.group_offsets[a] + g as usize;
+                let mut lo = row_lo;
+                let mut depth = FIRST_SWEEP_ROWS;
+                while lo < row_hi && !grid[cell] {
+                    let rows = lo..(lo + depth).min(row_hi);
+                    grid[cell] = (bin_lo..bin_hi)
+                        .any(|bin| !sweeper.positives(a, bin, rows.clone()).is_empty());
+                    lo = rows.end;
+                    depth = (2 * depth).min(MAX_BATCH_ROWS);
                 }
             }
         }
-        grid
-    };
-    if threads <= 1 || geom.num_spans <= 1 {
-        return sweep_spans(0, geom.num_spans);
     }
-    let chunk = geom.num_spans.div_ceil(threads);
-    let pieces: Vec<Vec<bool>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..geom.num_spans)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(geom.num_spans);
-                s.spawn(move || sweep_spans(lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("hier sweep thread panicked"))
-            .collect()
-    });
-    pieces.concat()
+    grid
 }
 
 /// Folds the finest level's occupancy upward into a coarser grid: a
@@ -573,21 +539,6 @@ mod tests {
             row_hi: 10,
         };
         assert!(hier.prune(&degenerate).intervals.is_empty());
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        let t = clustered_table(2000, 8);
-        let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(16));
-        let seq = HierAb::build(&idx, &small_config());
-        for threads in [2usize, 3, 8] {
-            let par = HierAb::build_parallel(&idx, &small_config(), threads);
-            assert_eq!(par.levels().len(), seq.levels().len());
-            for (a, b) in par.levels().iter().zip(seq.levels()) {
-                assert_eq!(a.ab().bits(), b.ab().bits(), "x{threads}");
-                assert_eq!(a.ab().inserted(), b.ab().inserted(), "x{threads}");
-            }
-        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::level::AbIndex;
 use bitmap::{BinnedTable, RectQuery};
 use roar::RoaringBitmap;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Cost of answering one row from an exact Roaring container,
 /// expressed in AB-bit-read equivalents (a container word test plus
@@ -166,20 +167,27 @@ impl HybridAb {
     /// Panics if `table` does not match the index's row count or
     /// attribute schema.
     pub fn build(index: &AbIndex, table: &BinnedTable, config: &HybridConfig) -> Self {
-        Self::build_parallel(index, table, config, 1)
+        Self::build_row_range(index, table, 0..table.num_rows(), config)
     }
 
-    /// [`Self::build`] over up to `threads` workers (one attribute per
-    /// task); bit-identical to the sequential build.
-    pub fn build_parallel(
+    /// [`Self::build`] for a shard `index` over rows `rows` of `table`
+    /// ([`AbIndex::build_row_range`]): reads `&col.bins[rows]` in place
+    /// and builds the tier [`Self::build`] makes from
+    /// `table.slice_rows(rows)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not cover the index's row count within
+    /// `table`, or `table` does not match its attribute schema.
+    pub fn build_row_range(
         index: &AbIndex,
         table: &BinnedTable,
+        rows: Range<usize>,
         config: &HybridConfig,
-        threads: usize,
     ) -> Self {
         let t0 = std::time::Instant::now();
         assert_eq!(
-            table.num_rows(),
+            rows.len(),
             index.num_rows(),
             "table/index row count mismatch"
         );
@@ -194,39 +202,20 @@ impl HybridAb {
         );
         let total_bins: u32 = table.columns().iter().map(|c| c.cardinality).sum();
 
-        let cols = table.columns();
-        let chunk = cols.len().div_ceil(threads.max(1));
-        let per_chunk: Vec<Vec<HybridBin>> = std::thread::scope(|s| {
-            let handles: Vec<_> = cols
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, chunk_cols)| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for (i, col) in chunk_cols.iter().enumerate() {
-                            let attribute = ci * chunk + i;
-                            for (bin, &count) in col.bin_counts().iter().enumerate() {
-                                let bin = bin as u32;
-                                if back_exactly(index, attribute, bin, count, config) {
-                                    out.push(build_bin(index, attribute, bin, &col.bins));
-                                }
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("hybrid builder thread panicked"))
-                .collect()
-        });
+        let mut bins = Vec::new();
+        for (attribute, col) in table.columns().iter().enumerate() {
+            for (bin, count) in (0u32..).zip(col.bin_counts_in(rows.clone())) {
+                if back_exactly(index, attribute, bin, count, config) {
+                    bins.push(build_bin(index, attribute, bin, &col.bins[rows.clone()]));
+                }
+            }
+        }
 
         let hybrid = HybridAb {
             config: *config,
             num_rows: index.num_rows(),
             total_bins,
-            bins: per_chunk.into_iter().flatten().collect(),
+            bins,
         };
         hybrid.record_split_counters();
         obs::histogram!("hybrid.build.us").record(t0.elapsed().as_micros() as u64);
@@ -493,16 +482,34 @@ mod tests {
     }
 
     #[test]
-    fn build_is_deterministic_and_parallel_matches() {
+    fn build_is_deterministic() {
         let t = clustered();
         let idx = index(&t, 8);
         let cfg = HybridConfig {
             min_density: 0.0,
             ..Default::default()
         };
-        let a = HybridAb::build(&idx, &t, &cfg);
-        let b = HybridAb::build_parallel(&idx, &t, &cfg, 4);
-        assert_eq!(a, b);
+        assert_eq!(
+            HybridAb::build(&idx, &t, &cfg),
+            HybridAb::build(&idx, &t, &cfg)
+        );
+    }
+
+    #[test]
+    fn row_range_build_reads_the_rows_a_slice_copies() {
+        let t = clustered();
+        let cfg = HybridConfig {
+            min_density: 0.0,
+            ..Default::default()
+        };
+        let ab = AbConfig::new(Level::PerAttribute).with_alpha(8);
+        let rows = 300..1500;
+        let shard = AbIndex::build_row_range(&t, &ab, rows.clone());
+        let slice = t.slice_rows(rows.clone());
+        assert_eq!(
+            HybridAb::build_row_range(&shard, &t, rows, &cfg),
+            HybridAb::build(&shard, &slice, &cfg)
+        );
     }
 
     #[test]

@@ -18,9 +18,11 @@ use crate::config::AbConfig;
 use crate::encoding::ApproximateBitmap;
 use crate::hier::{HierAb, HierConfig};
 use crate::hybrid::{HybridAb, HybridConfig};
-use bitmap::BinnedTable;
+use bitmap::{BinnedColumn, BinnedTable};
 use hashkit::{CellMapper, HashFamily};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::time::Instant;
 
 /// Schema metadata for one attribute of the indexed table.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,7 +67,8 @@ pub struct AbIndex {
 }
 
 impl AbIndex {
-    /// Builds the index from a binned table under `config`.
+    /// Builds the index from a binned table under `config`: the whole
+    /// table as one row range ([`Self::build_row_range`]).
     ///
     /// # Panics
     ///
@@ -73,24 +76,59 @@ impl AbIndex {
     /// per-column level (the paper restricts that hash to the coarser
     /// levels), or if the table is empty.
     pub fn build(table: &BinnedTable, config: &AbConfig) -> Self {
-        Self::build_parallel(table, config, 1)
+        Self::build_row_range(table, config, 0..table.num_rows())
     }
 
-    /// [`Self::build`] using up to `threads` worker threads. The
-    /// per-attribute and per-column levels parallelize over their
-    /// independent ABs (attributes are dealt to the threads in
-    /// contiguous chunks); the per-dataset level has a single AB and
-    /// builds on the calling thread, as does any build that comes to
-    /// one chunk. The result is bit-identical for every thread count.
+    /// Builds an index covering only the contiguous row slice `rows`
+    /// of `table`, with rows renumbered from 0 — one shard of a
+    /// row-range-partitioned index. A shard's AB is sized for its own
+    /// set-bit count, so S shards together use (about) the same space
+    /// as one monolithic index, and a cell test inside the shard costs
+    /// the same O(k) probes. The rows are read in place
+    /// (`&col.bins[rows]`): nothing of the table is copied, and the
+    /// index is byte-for-byte the one [`Self::build`] makes of
+    /// `table.slice_rows(rows)`.
     ///
-    /// The paper assumes read-only scientific data (§4.1) where the
-    /// index is built once over millions of rows — construction is the
-    /// one embarrassingly parallel step.
-    pub fn build_parallel(table: &BinnedTable, config: &AbConfig, threads: usize) -> Self {
-        let t0 = std::time::Instant::now();
-        assert!(threads >= 1, "need at least one thread");
+    /// It is [`Self::allocate_row_range`] followed by
+    /// [`UnfilledIndex::fill`]. A caller that builds many shards on
+    /// worker threads (`svc::ShardedIndex::build`) makes the first call
+    /// for every shard on its own thread, so every bit array lives in
+    /// the caller's allocator arena and the workers only set bits
+    /// (DESIGN.md §11, "Set-up").
+    ///
+    /// Shard-local row ids are `global_row - rows.start`; callers keep
+    /// the offset (see `ab::io::shards_to_bytes`).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::allocate_row_range`].
+    pub fn build_row_range(table: &BinnedTable, config: &AbConfig, rows: Range<usize>) -> Self {
+        Self::allocate_row_range(table, config, rows).fill()
+    }
+
+    /// The allocating half of [`Self::build_row_range`]: sizes every AB
+    /// of the level for the set bits of rows `rows` and allocates its
+    /// bit array, all zero. [`UnfilledIndex::fill`] is the other half.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is empty or has no attributes, if `rows` is
+    /// empty or extends past the table, or if `config.family` is
+    /// [`HashFamily::ColumnGroup`] at the per-column level (the paper
+    /// restricts that hash to the coarser levels).
+    pub fn allocate_row_range<'t>(
+        table: &'t BinnedTable,
+        config: &AbConfig,
+        rows: Range<usize>,
+    ) -> UnfilledIndex<'t> {
         assert!(table.num_rows() > 0, "cannot index an empty table");
         assert!(table.num_attributes() > 0, "table has no attributes");
+        assert!(!rows.is_empty(), "empty row slice {rows:?}");
+        assert!(
+            rows.end <= table.num_rows(),
+            "row slice {rows:?} out of range {}",
+            table.num_rows()
+        );
         assert!(
             config.level != Level::PerColumn
                 || !matches!(config.family, HashFamily::ColumnGroup { .. }),
@@ -98,9 +136,10 @@ impl AbIndex {
              and per-attribute ABs (paper §5.2.2)"
         );
 
-        let mut attributes = Vec::with_capacity(table.num_attributes());
+        let columns = table.columns();
+        let mut attributes = Vec::with_capacity(columns.len());
         let mut offset = 0usize;
-        for col in table.columns() {
+        for col in columns {
             attributes.push(AttributeMeta {
                 name: col.name.clone(),
                 cardinality: col.cardinality,
@@ -109,74 +148,37 @@ impl AbIndex {
             offset += col.cardinality as usize;
         }
 
-        // The ABs of a contiguous chunk of attributes. The per-dataset AB
-        // spans every column, so that level is always one chunk.
-        let cols = table.columns();
-        let build_chunk = |chunk_cols: &[bitmap::BinnedColumn]| -> Vec<ApproximateBitmap> {
-            match config.level {
-                Level::PerDataset => vec![build_dataset_ab(chunk_cols, &attributes, config)],
-                Level::PerAttribute => chunk_cols
-                    .iter()
-                    .map(|col| build_attribute_ab(col, config))
-                    .collect(),
-                Level::PerColumn => chunk_cols
-                    .iter()
-                    .flat_map(|col| build_column_abs(col, config))
-                    .collect(),
+        let n = rows.len() as u64;
+        let abs = match config.level {
+            // One AB over every column: `s = d·N` set bits.
+            Level::PerDataset => {
+                let s = n * columns.len() as u64;
+                vec![new_ab(config, s, offset, Level::PerDataset)]
             }
+            // One AB per attribute: `s = N` set bits.
+            Level::PerAttribute => columns
+                .iter()
+                .map(|col| new_ab(config, n, col.cardinality as usize, Level::PerAttribute))
+                .collect(),
+            // One AB per bin, sized by the bin's count in `rows`.
+            Level::PerColumn => columns
+                .iter()
+                .flat_map(|col| col.bin_counts_in(rows.clone()))
+                .map(|s| new_ab(config, s.max(1) as u64, 1, Level::PerColumn))
+                .collect(),
         };
-        let chunk = match config.level {
-            Level::PerDataset => cols.len(),
-            _ => cols.len().div_ceil(threads),
-        };
-        let abs = if chunk == cols.len() {
-            build_chunk(cols)
-        } else {
-            let build_chunk = &build_chunk;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = cols
-                    .chunks(chunk)
-                    .map(|chunk_cols| s.spawn(move || build_chunk(chunk_cols)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("builder thread panicked"))
-                    .collect()
-            })
-        };
-
-        let index = AbIndex {
-            level: config.level,
-            abs,
-            attributes,
-            num_rows: table.num_rows(),
-            hier: None,
-            hybrid: None,
-        };
-        index.record_build_metrics(t0.elapsed().as_micros() as u64);
-        index
-    }
-
-    /// Builds an index covering only the contiguous row slice `rows`
-    /// of `table`, with rows renumbered from 0 — one shard of a
-    /// row-range-partitioned index. A shard's AB is sized for its own
-    /// set-bit count, so S shards together use (about) the same space
-    /// as one monolithic index, and a cell test inside the shard costs
-    /// the same O(k) probes.
-    ///
-    /// Shard-local row ids are `global_row - rows.start`; callers keep
-    /// the offset (see `ab::io::shards_to_bytes`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or extends past the table, plus
-    /// the [`Self::build`] panics.
-    pub fn build_row_range(
-        table: &BinnedTable,
-        config: &AbConfig,
-        rows: std::ops::Range<usize>,
-    ) -> Self {
-        Self::build(&table.slice_rows(rows), config)
+        UnfilledIndex {
+            index: AbIndex {
+                level: config.level,
+                abs,
+                attributes,
+                num_rows: rows.len(),
+                hier: None,
+                hybrid: None,
+            },
+            columns,
+            rows,
+        }
     }
 
     /// Flushes the `ab.build.*` metrics for one finished build: total
@@ -330,12 +332,7 @@ impl AbIndex {
     /// rebuilt when an old segment is opened.
     pub fn ensure_hier(&mut self, config: &HierConfig) {
         if self.hier.is_none() {
-            let hier = HierAb::build_parallel(
-                self,
-                config,
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            );
-            self.hier = Some(hier);
+            self.hier = Some(HierAb::build(self, config));
         }
     }
 
@@ -363,13 +360,7 @@ impl AbIndex {
     /// attribute schema.
     pub fn ensure_hybrid(&mut self, table: &BinnedTable, config: &HybridConfig) {
         if self.hybrid.is_none() {
-            let hybrid = HybridAb::build_parallel(
-                self,
-                table,
-                config,
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            );
-            self.hybrid = Some(hybrid);
+            self.hybrid = Some(HybridAb::build(self, table, config));
         }
     }
 
@@ -418,77 +409,98 @@ pub fn shard_ranges(num_rows: usize, shards: usize) -> Vec<std::ops::Range<usize
     out
 }
 
-/// Builds the one dataset-level AB (`s = d·N` set bits, addressed by
-/// global column).
-fn build_dataset_ab(
-    cols: &[bitmap::BinnedColumn],
-    attributes: &[AttributeMeta],
-    config: &AbConfig,
-) -> ApproximateBitmap {
-    let last = attributes.last().expect("table has attributes");
-    let total_columns = last.offset + last.cardinality as usize;
-    let s = (cols[0].len() * cols.len()) as u64;
+/// An [`AbIndex`] whose bit arrays are allocated but still all zero,
+/// with the rows of the source table that will fill them: what
+/// [`AbIndex::allocate_row_range`] returns. It answers no query;
+/// [`Self::fill`] turns it into the index.
+#[derive(Debug)]
+pub struct UnfilledIndex<'t> {
+    index: AbIndex,
+    columns: &'t [BinnedColumn],
+    rows: Range<usize>,
+}
+
+impl UnfilledIndex<'_> {
+    /// The filling half of [`AbIndex::build_row_range`]: inserts every
+    /// set cell of the rows into the allocated ABs through the batched
+    /// insert and returns the index. It allocates nothing that grows
+    /// with the row count except at the per-column level, whose
+    /// counting sort (each bin's rows grouped so its AB takes them in
+    /// one batched insert) needs a row-id scratch the size of the
+    /// range.
+    pub fn fill(self) -> AbIndex {
+        let t0 = Instant::now();
+        let UnfilledIndex {
+            mut index,
+            columns,
+            rows,
+        } = self;
+        let slices = columns.iter().map(|col| &col.bins[rows.clone()]);
+        match index.level {
+            Level::PerDataset => index.abs[0].insert_cells(
+                slices
+                    .zip(&index.attributes)
+                    .flat_map(|(bins, meta)| cells(bins, meta.offset as u64)),
+            ),
+            Level::PerAttribute => {
+                for (ab, bins) in index.abs.iter_mut().zip(slices) {
+                    ab.insert_cells(cells(bins, 0));
+                }
+            }
+            Level::PerColumn => {
+                for (col, meta) in columns.iter().zip(&index.attributes) {
+                    let abs = &mut index.abs[meta.offset..][..meta.cardinality as usize];
+                    fill_column_abs(abs, col, rows.clone());
+                }
+            }
+        }
+        index.record_build_metrics(t0.elapsed().as_micros() as u64);
+        index
+    }
+}
+
+/// The set cells `(row, base + bin)` of one attribute's rows, numbered
+/// from 0.
+fn cells(bins: &[u32], base: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+    (0u64..)
+        .zip(bins)
+        .map(move |(row, &bin)| (row, base + u64::from(bin)))
+}
+
+/// An empty AB for `s` set bits at `level`: `config`'s sizing and
+/// family over the level's `num_columns` columns; a per-column AB
+/// addresses rows alone.
+fn new_ab(config: &AbConfig, s: u64, num_columns: usize, level: Level) -> ApproximateBitmap {
     let params = config.sizing.params(s, config.k);
-    let family = adapt_family(&config.family, total_columns as u64, Level::PerDataset);
-    let mapper = CellMapper::for_columns(total_columns);
-    let mut ab = ApproximateBitmap::new(params.n_bits, params.k, family, mapper);
-    ab.insert_cells(cols.iter().zip(attributes).flat_map(|(col, meta)| {
-        let base = meta.offset as u64;
-        col.bins
-            .iter()
-            .enumerate()
-            .map(move |(row, &bin)| (row as u64, base + bin as u64))
-    }));
-    ab
+    let family = adapt_family(&config.family, num_columns as u64, level);
+    let mapper = match level {
+        Level::PerColumn => CellMapper::RowOnly,
+        _ => CellMapper::for_columns(num_columns),
+    };
+    ApproximateBitmap::new(params.n_bits, params.k, family, mapper)
 }
 
-/// Builds one attribute-level AB (`s = N` set bits).
-fn build_attribute_ab(col: &bitmap::BinnedColumn, config: &AbConfig) -> ApproximateBitmap {
-    let params = config.sizing.params(col.len() as u64, config.k);
-    let family = adapt_family(&config.family, col.cardinality as u64, Level::PerAttribute);
-    let mapper = CellMapper::for_columns(col.cardinality as usize);
-    let mut ab = ApproximateBitmap::new(params.n_bits, params.k, family, mapper);
-    ab.insert_cells(
-        col.bins
-            .iter()
-            .enumerate()
-            .map(|(row, &bin)| (row as u64, bin as u64)),
-    );
-    ab
-}
-
-/// Builds one attribute's per-column ABs (one per bin, sized by the
-/// bin's set-bit count). The rows are grouped by bin first (a counting
-/// sort), so each AB takes its rows in one batched insert.
-fn build_column_abs(col: &bitmap::BinnedColumn, config: &AbConfig) -> Vec<ApproximateBitmap> {
-    let counts = col.bin_counts();
+/// Fills one attribute's per-column ABs (one per bin) from its rows
+/// `rows`. The rows are grouped by bin first (a counting sort), so each
+/// AB takes its rows in one batched insert.
+fn fill_column_abs(abs: &mut [ApproximateBitmap], col: &BinnedColumn, rows: Range<usize>) {
+    let counts = col.bin_counts_in(rows.clone());
+    let bins = &col.bins[rows];
     let mut next = Vec::with_capacity(counts.len());
     let mut start = 0usize;
     for &count in &counts {
         next.push(start);
         start += count;
     }
-    let mut rows = vec![0u64; col.len()];
-    for (row, &bin) in col.bins.iter().enumerate() {
-        rows[next[bin as usize]] = row as u64;
+    let mut rows = vec![0u64; bins.len()];
+    for (row, &bin) in (0u64..).zip(bins) {
+        rows[next[bin as usize]] = row;
         next[bin as usize] += 1;
     }
     // After the fill, next[bin] is the end of the bin's rows.
-    counts
-        .iter()
-        .zip(&next)
-        .map(|(&s, &end)| {
-            let params = config.sizing.params(s.max(1) as u64, config.k);
-            let mut ab = ApproximateBitmap::new(
-                params.n_bits,
-                params.k,
-                config.family.clone(),
-                CellMapper::RowOnly,
-            );
-            ab.insert_cells(rows[end - s..end].iter().map(|&row| (row, 0)));
-            ab
-        })
-        .collect()
+    for ((ab, &s), &end) in abs.iter_mut().zip(&counts).zip(&next) {
+        ab.insert_cells(rows[end - s..end].iter().map(|&row| (row, 0)));
+    }
 }
 
 /// Instantiates the column-group family with the right group count for
@@ -619,44 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical() {
-        let t = BinnedTable::new(vec![
-            BinnedColumn::new("A", (0..500u32).map(|i| i % 7).collect(), 7),
-            BinnedColumn::new("B", (0..500u32).map(|i| (i * 3) % 5).collect(), 5),
-            BinnedColumn::new("C", (0..500u32).map(|i| (i * 11) % 4).collect(), 4),
-        ]);
-        for level in [Level::PerAttribute, Level::PerColumn] {
-            let cfg = AbConfig::new(level).with_alpha(8);
-            let seq = AbIndex::build(&t, &cfg);
-            for threads in [1usize, 2, 3, 8] {
-                let par = AbIndex::build_parallel(&t, &cfg, threads);
-                assert_eq!(par.abs().len(), seq.abs().len(), "{level} x{threads}");
-                for (a, b) in par.abs().iter().zip(seq.abs()) {
-                    assert_eq!(a.bits(), b.bits(), "{level} x{threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_per_dataset_falls_back() {
-        let t = fig6_table();
-        let cfg = AbConfig::new(Level::PerDataset).with_alpha(8);
-        let seq = AbIndex::build(&t, &cfg);
-        let par = AbIndex::build_parallel(&t, &cfg, 4);
-        assert_eq!(par.abs()[0].bits(), seq.abs()[0].bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "per-dataset")]
-    fn parallel_rejects_column_group_at_per_column() {
-        let t = fig6_table();
-        let cfg =
-            AbConfig::new(Level::PerColumn).with_family(HashFamily::ColumnGroup { num_columns: 0 });
-        AbIndex::build_parallel(&t, &cfg, 2);
-    }
-
-    #[test]
     fn build_flushes_insertion_metrics() {
         let ins = obs::global().counter("ab.build.insertions");
         let builds = obs::global().counter("ab.build.indexes");
@@ -696,22 +670,46 @@ mod tests {
     #[test]
     fn build_row_range_matches_slice_build() {
         let t = fig6_table();
-        let cfg = AbConfig::new(Level::PerAttribute).with_alpha(8);
-        let shard = AbIndex::build_row_range(&t, &cfg, 2..6);
-        assert_eq!(shard.num_rows(), 4);
-        // Shard-local row r corresponds to global row r + 2: every
-        // genuinely set cell must still test positive.
-        for (a, col) in t.columns().iter().enumerate() {
-            for global in 2..6 {
-                assert!(shard.test_cell(global - 2, a, col.bins[global]));
+        for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+            let cfg = AbConfig::new(level).with_alpha(8);
+            let shard = AbIndex::build_row_range(&t, &cfg, 2..6);
+            assert_eq!(shard.num_rows(), 4);
+            // Shard-local row r corresponds to global row r + 2: every
+            // genuinely set cell must still test positive.
+            for (a, col) in t.columns().iter().enumerate() {
+                for global in 2..6 {
+                    assert!(shard.test_cell(global - 2, a, col.bins[global]));
+                }
             }
+            // Reading the rows in place builds what a copy of them does.
+            let copied = AbIndex::build(&t.slice_rows(2..6), &cfg);
+            assert_eq!(crate::to_bytes(&shard), crate::to_bytes(&copied), "{level}");
         }
-        // And the shard over the full range is the monolithic build.
-        let full = AbIndex::build_row_range(&t, &cfg, 0..t.num_rows());
-        let mono = AbIndex::build(&t, &cfg);
-        for (a, b) in full.abs().iter().zip(mono.abs()) {
-            assert_eq!(a.bits(), b.bits());
+    }
+
+    #[test]
+    fn allocation_sizes_every_ab_and_sets_no_bit() {
+        let t = fig6_table();
+        for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+            let cfg = AbConfig::new(level).with_alpha(8);
+            let unfilled = AbIndex::allocate_row_range(&t, &cfg, 1..7);
+            let sizes: Vec<u64> = unfilled.index.abs.iter().map(|ab| ab.n_bits()).collect();
+            assert!(unfilled
+                .index
+                .abs
+                .iter()
+                .all(|ab| ab.bits().count_ones() == 0));
+            let built = unfilled.fill();
+            let built_sizes: Vec<u64> = built.abs().iter().map(|ab| ab.n_bits()).collect();
+            assert_eq!(sizes, built_sizes, "{level}");
+            assert!(built.abs().iter().any(|ab| ab.bits().count_ones() > 0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn build_row_range_rejects_rows_past_the_table() {
+        AbIndex::build_row_range(&fig6_table(), &AbConfig::new(Level::PerAttribute), 4..9);
     }
 
     #[test]

@@ -96,6 +96,6 @@ pub use io::{
     shards_to_bytes, to_bytes, verify, CheckedSegments, ChecksumStatus, IoError, SegmentExtent,
     SegmentHeader, SegmentReport, VerifyReport,
 };
-pub use level::{shard_ranges, AbIndex, AttributeMeta};
+pub use level::{shard_ranges, AbIndex, AttributeMeta, UnfilledIndex};
 pub use planner::plan_descent;
 pub use query::{validate_ranges, Cell, PrecisionStats, QueryError, QueryStats};

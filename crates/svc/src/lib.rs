@@ -12,8 +12,9 @@
 //! * [`pool`] — own-rolled worker pool with a bounded queue; full
 //!   queues **shed** requests with [`SvcError::Overloaded`]
 //!   (admission control) instead of queueing unboundedly;
-//! * [`shard`] — row-range partitioning, per-shard builds (parallel or
-//!   sequential), query splitting, and the `ABSH` persistence envelope;
+//! * [`shard`] — row-range partitioning, set-up with every shard built
+//!   side by side on its own thread, query splitting, and the `ABSH`
+//!   persistence envelope;
 //! * [`batch`] — grouping a request's probes by owning shard so each
 //!   shard gets one pool job, not one per probe;
 //! * [`deadline`] — per-request deadlines and cooperative cancellation,

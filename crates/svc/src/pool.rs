@@ -1,12 +1,10 @@
 //! Own-rolled worker pool with a bounded submission queue.
 //!
-//! `std`-only: a `Mutex<VecDeque>` of boxed jobs, two condvars (one
-//! waking idle workers, one waking blocked submitters), and explicit
-//! admission control — [`WorkerPool::try_execute`] *sheds* work with
+//! `std`-only: a `Mutex<VecDeque>` of boxed jobs, one condvar waking
+//! idle workers, and explicit admission control —
+//! [`WorkerPool::try_execute`] *sheds* work with
 //! [`SvcError::Overloaded`] when the queue is full, so latency under
 //! overload stays bounded instead of growing with an unbounded queue.
-//! Foreground work that must not be shed (index builds) uses
-//! [`WorkerPool::execute_blocking`], which waits for space instead.
 //!
 //! A job that panics is caught and counted (`svc.pool.job_panics`);
 //! the worker thread survives.
@@ -27,7 +25,6 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     jobs_available: Condvar,
-    space_available: Condvar,
     capacity: usize,
     job_panics: AtomicU64,
 }
@@ -54,7 +51,6 @@ impl WorkerPool {
                 shutdown: false,
             }),
             jobs_available: Condvar::new(),
-            space_available: Condvar::new(),
             capacity: queue_capacity,
             job_panics: AtomicU64::new(0),
         });
@@ -113,28 +109,6 @@ impl WorkerPool {
         self.shared.jobs_available.notify_one();
         Ok(())
     }
-
-    /// Submits a job, blocking until a queue slot frees up — for
-    /// foreground work (parallel index builds) where shedding makes
-    /// no sense. Returns [`SvcError::Shutdown`] if the pool shuts
-    /// down while waiting.
-    pub fn execute_blocking<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SvcError> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if st.shutdown {
-                return Err(SvcError::Shutdown);
-            }
-            if st.queue.len() < self.shared.capacity {
-                break;
-            }
-            st = self.shared.space_available.wait(st).unwrap();
-        }
-        st.queue.push_back(Box::new(job));
-        obs::histogram!("svc.pool.queue_depth").record(st.queue.len() as u64);
-        drop(st);
-        self.shared.jobs_available.notify_one();
-        Ok(())
-    }
 }
 
 impl Drop for WorkerPool {
@@ -143,7 +117,6 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.state.lock().unwrap().shutdown = true;
         self.shared.jobs_available.notify_all();
-        self.shared.space_available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -164,7 +137,6 @@ fn worker_loop(shared: &Shared) {
                 st = shared.jobs_available.wait(st).unwrap();
             }
         };
-        shared.space_available.notify_one();
         obs::counter!("svc.pool.jobs").inc();
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
             shared.job_panics.fetch_add(1, Ordering::Relaxed);
@@ -182,13 +154,13 @@ mod tests {
 
     #[test]
     fn executes_submitted_jobs() {
-        let pool = WorkerPool::new(4, 64);
+        let pool = WorkerPool::new(4, 128);
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..100 {
             let c = Arc::clone(&counter);
             let tx = tx.clone();
-            pool.execute_blocking(move || {
+            pool.try_execute(move || {
                 c.fetch_add(1, Ordering::Relaxed);
                 let _ = tx.send(());
             })
@@ -234,7 +206,7 @@ mod tests {
             let pool = WorkerPool::new(1, 64);
             for _ in 0..20 {
                 let c = Arc::clone(&counter);
-                pool.execute_blocking(move || {
+                pool.try_execute(move || {
                     c.fetch_add(1, Ordering::Relaxed);
                 })
                 .unwrap();
@@ -248,39 +220,13 @@ mod tests {
     fn panicking_job_does_not_kill_the_worker() {
         let pool = WorkerPool::new(1, 8);
         assert_eq!(pool.job_panics(), 0);
-        pool.execute_blocking(|| panic!("job boom")).unwrap();
+        pool.try_execute(|| panic!("job boom")).unwrap();
         let (tx, rx) = mpsc::channel();
-        pool.execute_blocking(move || {
+        pool.try_execute(move || {
             let _ = tx.send(42);
         })
         .unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 42);
         assert_eq!(pool.job_panics(), 1);
-    }
-
-    #[test]
-    fn blocking_submit_waits_for_space() {
-        let pool = WorkerPool::new(1, 1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.execute_blocking(move || {
-            let _ = gate_rx.recv();
-        })
-        .unwrap();
-        let done = Arc::new(AtomicUsize::new(0));
-        // Fill the queue's single slot, then a second blocking submit
-        // must wait until the gate opens.
-        let d1 = Arc::clone(&done);
-        pool.execute_blocking(move || {
-            d1.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        gate_tx.send(()).unwrap();
-        let d2 = Arc::clone(&done);
-        pool.execute_blocking(move || {
-            d2.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        drop(pool); // join → both ran
-        assert_eq!(done.load(Ordering::Relaxed), 2);
     }
 }

@@ -209,18 +209,19 @@ fn error_code(e: &SvcError) -> &'static str {
 }
 
 impl Service {
-    /// Builds the sharded index (in parallel, on the service's own
-    /// pool) and starts the workers.
+    /// Builds the sharded index — with [`ShardedIndex::build`], every
+    /// shard on its own set-up thread, then the tiers `cfg` asks for the
+    /// same way — and starts the workers.
     pub fn build(table: &BinnedTable, ab: &AbConfig, cfg: &SvcConfig) -> Self {
-        let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
         let shards = cfg.resolved_shards(table.num_rows());
-        let mut index = ShardedIndex::build_parallel(table, ab, shards, false, &pool);
+        let mut index = ShardedIndex::build(table, ab, shards, false);
         if cfg.hier != HierMode::Off {
             index.ensure_hier(&cfg.hier_config);
         }
         if cfg.hybrid != HybridMode::Off {
             index.ensure_hybrid(table, &cfg.hybrid_config);
         }
+        let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
         Self::assemble(index, pool, cfg)
     }
 

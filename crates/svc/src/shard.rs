@@ -12,11 +12,64 @@
 //! cheap: a rectangular query's row interval intersects only the
 //! shards it overlaps, and merged results come back globally sorted
 //! because shards are ordered.
+//!
+//! The shard is also the one unit of set-up parallelism: the AB build,
+//! the pyramid, the exact tier and the rebuild of a damaged segment
+//! each hand their per-shard work to one helper that runs every shard
+//! on one thread, side by side (DESIGN.md §11, "Set-up").
 
-use crate::pool::WorkerPool;
-use ab::{AbConfig, AbIndex, AttributeMeta, HierConfig, QueryError};
+use ab::{AbConfig, AbIndex, AttributeMeta, HierConfig, HybridAb, QueryError};
 use bitmap::{BinnedTable, RectQuery};
-use std::sync::mpsc;
+use std::sync::Mutex;
+
+/// Runs `work` on every item and returns the results in item order.
+/// The items run on at most `available_parallelism` scoped threads,
+/// each item on one of them; a thread takes the next item from a shared
+/// cursor as it finishes one, so more items than cores keeps every core
+/// busy. One item, or one core, runs on the calling thread. A panic in
+/// `work` resumes on the caller with its own payload.
+///
+/// This is the one function that spawns set-up threads. What the
+/// threads allocate lands in per-thread malloc arenas that outlive the
+/// build, so callers allocate the large buffers — every AB bit array —
+/// before they call it, and `work` only fills them.
+fn per_shard<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(work).collect();
+    }
+    // Neither lock is held while `work` runs, so neither is poisoned.
+    const UNPOISONED: &str = "no set-up thread panics holding a lock";
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let Some((i, item)) = cursor.lock().expect(UNPOISONED).next() else {
+                        break;
+                    };
+                    let out = work(item);
+                    *slots[i].lock().expect(UNPOISONED) = Some(out);
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let out = slot.into_inner().expect(UNPOISONED);
+            out.expect("a thread ran every item")
+        })
+        .collect()
+}
 
 /// One row-range shard: `[start, end)` of the global row space plus
 /// the indexes over those rows.
@@ -66,7 +119,14 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Builds `num_shards` shards sequentially on the calling thread.
+    /// Builds `num_shards` shards side by side, one thread per shard on
+    /// up to `available_parallelism` threads. The calling thread
+    /// allocates every shard's AB bit arrays first
+    /// ([`AbIndex::allocate_row_range`]); each shard's thread then sets
+    /// their bits from its rows of `table`, read in place
+    /// ([`ab::UnfilledIndex::fill`]). The result is byte-for-byte the
+    /// index a one-thread build of each `table.slice_rows` makes, for
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -78,71 +138,16 @@ impl ShardedIndex {
         num_shards: usize,
         with_wah: bool,
     ) -> Self {
-        let shards = ab::shard_ranges(table.num_rows(), num_shards)
+        let unfilled: Vec<_> = ab::shard_ranges(table.num_rows(), num_shards)
             .into_iter()
-            .map(|r| {
-                let sub = table.slice_rows(r.clone());
-                Shard {
-                    start: r.start,
-                    end: r.end,
-                    index: AbIndex::build(&sub, config),
-                    wah: with_wah.then(|| wah::WahIndex::build(&sub)),
-                }
-            })
+            .map(|r| (r.clone(), AbIndex::allocate_row_range(table, config, r)))
             .collect();
-        Self::assemble(shards, table.num_rows())
-    }
-
-    /// Builds the shards in parallel on `pool`, one job per shard.
-    /// Bit-identical to [`Self::build`]; submission blocks (rather
-    /// than sheds) when the pool queue is full, since an index build
-    /// is foreground work.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::build`] does, or if the pool shuts down
-    /// mid-build.
-    pub fn build_parallel(
-        table: &BinnedTable,
-        config: &AbConfig,
-        num_shards: usize,
-        with_wah: bool,
-        pool: &WorkerPool,
-    ) -> Self {
-        let ranges = ab::shard_ranges(table.num_rows(), num_shards);
-        let (tx, rx) = mpsc::channel();
-        for (i, r) in ranges.iter().enumerate() {
-            // Slice on the caller thread (cheap copy of the bin
-            // vectors) so the job owns everything it touches.
-            let sub = table.slice_rows(r.clone());
-            let config = config.clone();
-            let tx = tx.clone();
-            pool.execute_blocking(move || {
-                let index = AbIndex::build(&sub, &config);
-                let wah = with_wah.then(|| wah::WahIndex::build(&sub));
-                let _ = tx.send((i, index, wah));
-            })
-            .expect("worker pool shut down during build");
-        }
-        drop(tx);
-        let mut built: Vec<Option<(AbIndex, Option<wah::WahIndex>)>> =
-            (0..ranges.len()).map(|_| None).collect();
-        for (i, index, wah) in rx {
-            built[i] = Some((index, wah));
-        }
-        let shards = ranges
-            .into_iter()
-            .zip(built)
-            .map(|(r, b)| {
-                let (index, wah) = b.expect("a shard build job was lost");
-                Shard {
-                    start: r.start,
-                    end: r.end,
-                    index,
-                    wah,
-                }
-            })
-            .collect();
+        let shards = per_shard(unfilled, |(r, unfilled)| Shard {
+            start: r.start,
+            end: r.end,
+            index: unfilled.fill(),
+            wah: with_wah.then(|| wah::WahIndex::build(&table.slice_rows(r))),
+        });
         Self::assemble(shards, table.num_rows())
     }
 
@@ -181,19 +186,24 @@ impl ShardedIndex {
     }
 
     /// Attaches a hierarchical pruning pyramid to every shard that
-    /// lacks one (see [`AbIndex::ensure_hier`]). The probe-sweep build
-    /// is deterministic per shard, so calling this after a
+    /// lacks one (see [`AbIndex::ensure_hier`]), the shards side by
+    /// side as in [`Self::build`]. The probe-sweep build is
+    /// deterministic per shard, so calling this after a
     /// [`Self::from_bytes`] of an envelope stored without one produces
     /// the same pyramids a build-time attach would have.
     pub fn ensure_hier(&mut self, config: &HierConfig) {
-        for shard in &mut self.shards {
-            shard.index.ensure_hier(config);
-        }
+        let bare: Vec<&mut Shard> = self
+            .shards
+            .iter_mut()
+            .filter(|s| s.index.hier().is_none())
+            .collect();
+        per_shard(bare, |shard| shard.index.ensure_hier(config));
     }
 
     /// Attaches a hybrid exact tier to every shard that lacks one (see
-    /// [`AbIndex::ensure_hybrid`]), each built over its own row slice
-    /// of `table`. Deterministic per shard, so attaching after a
+    /// [`HybridAb::build_row_range`]), each built over its own rows of
+    /// `table`, read in place, the shards side by side as in
+    /// [`Self::build`]. Deterministic per shard, so attaching after a
     /// [`Self::from_bytes`] of an envelope stored without one produces
     /// the same containers a build-time attach would have.
     ///
@@ -206,10 +216,16 @@ impl ShardedIndex {
             self.num_rows,
             "table/index row count mismatch"
         );
-        for shard in &mut self.shards {
-            let slice = table.slice_rows(shard.start..shard.end);
-            shard.index.ensure_hybrid(&slice, config);
-        }
+        let bare: Vec<&mut Shard> = self
+            .shards
+            .iter_mut()
+            .filter(|s| s.index.hybrid().is_none())
+            .collect();
+        per_shard(bare, |shard| {
+            let tier =
+                HybridAb::build_row_range(&shard.index, table, shard.start..shard.end, config);
+            shard.index.attach_hybrid(tier);
+        });
     }
 
     /// Replays every shard tier's split decisions into the
@@ -343,6 +359,9 @@ impl ShardedIndex {
     /// segment and stays a hard error, as does a clean envelope whose
     /// layout disagrees with `table` (wrong row count or shard
     /// boundaries) — that is the wrong source data, not corruption.
+    ///
+    /// The damaged shards rebuild side by side as in [`Self::build`],
+    /// each with the pyramid and exact tier its clean siblings carry.
     pub fn from_bytes_with_repair(
         data: &[u8],
         table: &BinnedTable,
@@ -350,58 +369,62 @@ impl ShardedIndex {
     ) -> Result<(Self, Vec<usize>), ab::IoError> {
         let segments = ab::shards_from_bytes_checked(data)?;
         let ranges = ab::shard_ranges(table.num_rows(), segments.len());
-        let mut shards = Vec::with_capacity(segments.len());
-        let mut repaired = Vec::new();
-        for (sid, ((start, seg), r)) in segments.into_iter().zip(&ranges).enumerate() {
-            let index = match seg {
-                Ok(index) if start as usize == r.start && index.num_rows() == r.len() => index,
-                Ok(_) => {
-                    // Decoded fine but covers the wrong rows: the
-                    // envelope does not belong to this table.
-                    return Err(ab::IoError::BadShardLayout);
+        let mut indexes = Vec::with_capacity(segments.len());
+        for ((start, seg), r) in segments.into_iter().zip(&ranges) {
+            indexes.push(match seg {
+                Ok(index) if start as usize == r.start && index.num_rows() == r.len() => {
+                    Some(index)
                 }
-                Err(_) => {
-                    obs::counter!("svc.shard_repairs").inc();
-                    repaired.push(sid);
-                    AbIndex::build(&table.slice_rows(r.clone()), config)
-                }
-            };
-            shards.push(Shard {
-                start: r.start,
-                end: r.end,
-                index,
-                wah: None,
+                // Decoded fine but covers the wrong rows: the envelope
+                // does not belong to this table.
+                Ok(_) => return Err(ab::IoError::BadShardLayout),
+                Err(_) => None,
             });
         }
-        // A rebuilt shard lacks the hierarchical pyramid and hybrid
+        let repaired: Vec<usize> = (0..indexes.len())
+            .filter(|&sid| indexes[sid].is_none())
+            .collect();
+        // A rebuilt shard needs the hierarchical pyramid and hybrid
         // exact tier its persisted sibling shards carry. Both
         // constructions are deterministic (probe-sweep over the base
-        // AB, plus the table slice for exact containers), so
+        // AB, plus the table's rows for exact containers), so
         // rebuilding them with a clean sibling's configuration
         // restores the repaired segment byte-identically.
-        if !repaired.is_empty() {
-            let sibling_config = shards
-                .iter()
-                .enumerate()
-                .filter(|(sid, _)| !repaired.contains(sid))
-                .find_map(|(_, s)| s.index.hier().map(|h| h.config()));
-            if let Some(config) = sibling_config {
-                for &sid in &repaired {
-                    shards[sid].index.ensure_hier(&config);
-                }
+        let clean = || indexes.iter().flatten();
+        let hier = clean().find_map(|index| index.hier().map(|h| h.config()));
+        let hybrid = clean().find_map(|index| index.hybrid().map(|h| h.config()));
+        let unfilled: Vec<_> = repaired
+            .iter()
+            .map(|&sid| {
+                obs::counter!("svc.shard_repairs").inc();
+                let r = ranges[sid].clone();
+                (sid, AbIndex::allocate_row_range(table, config, r))
+            })
+            .collect();
+        let rebuilt = per_shard(unfilled, |(sid, unfilled)| {
+            let mut index = unfilled.fill();
+            if let Some(config) = &hier {
+                index.ensure_hier(config);
             }
-            let sibling_hybrid = shards
-                .iter()
-                .enumerate()
-                .filter(|(sid, _)| !repaired.contains(sid))
-                .find_map(|(_, s)| s.index.hybrid().map(|h| h.config()));
-            if let Some(config) = sibling_hybrid {
-                for &sid in &repaired {
-                    let slice = table.slice_rows(ranges[sid].clone());
-                    shards[sid].index.ensure_hybrid(&slice, &config);
-                }
+            if let Some(config) = &hybrid {
+                let tier = HybridAb::build_row_range(&index, table, ranges[sid].clone(), config);
+                index.attach_hybrid(tier);
             }
+            (sid, index)
+        });
+        for (sid, index) in rebuilt {
+            indexes[sid] = Some(index);
         }
+        let shards = ranges
+            .into_iter()
+            .zip(indexes)
+            .map(|(r, index)| Shard {
+                start: r.start,
+                end: r.end,
+                index: index.expect("every damaged shard was rebuilt"),
+                wah: None,
+            })
+            .collect();
         Ok((Self::assemble(shards, table.num_rows()), repaired))
     }
 }
@@ -495,19 +518,78 @@ mod tests {
         }
     }
 
+    /// The one parallel set-up path — `build`, `ensure_hier` and
+    /// `ensure_hybrid`, every shard on its own thread — serializes to
+    /// the bytes of a one-thread build of each shard from a
+    /// `slice_rows` copy, at every level and for more shards than
+    /// cores; and `from_bytes_with_repair` rebuilds two damaged shards
+    /// to those bytes.
     #[test]
     fn parallel_build_is_bit_identical() {
-        let t = table(150);
-        let pool = WorkerPool::new(4, 16);
-        let seq = ShardedIndex::build(&t, &cfg(), 6, false);
-        let par = ShardedIndex::build_parallel(&t, &cfg(), 6, false, &pool);
-        assert_eq!(par.num_shards(), seq.num_shards());
-        for (a, b) in par.shards().iter().zip(seq.shards()) {
-            assert_eq!(a.start(), b.start());
-            for (x, y) in a.index().abs().iter().zip(b.index().abs()) {
-                assert_eq!(x.bits(), y.bits());
+        use ab::{HierLevelSpec, HybridConfig};
+        let t = table(1000);
+        let hier = HierConfig {
+            levels: vec![
+                HierLevelSpec {
+                    row_span: 16,
+                    bin_group: 2,
+                },
+                HierLevelSpec {
+                    row_span: 64,
+                    bin_group: 4,
+                },
+            ],
+        };
+        let hybrid = HybridConfig {
+            min_density: 0.0,
+            ..Default::default()
+        };
+        for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+            let cfg = AbConfig::new(level).with_alpha(8);
+            for s in [1, 2, 3, 7] {
+                let reference: Vec<(u64, AbIndex)> = ab::shard_ranges(t.num_rows(), s)
+                    .into_iter()
+                    .map(|r| {
+                        let slice = t.slice_rows(r.clone());
+                        let mut index = AbIndex::build(&slice, &cfg);
+                        index.ensure_hier(&hier);
+                        index.ensure_hybrid(&slice, &hybrid);
+                        (r.start as u64, index)
+                    })
+                    .collect();
+                let reference: Vec<(u64, &AbIndex)> =
+                    reference.iter().map(|(start, i)| (*start, i)).collect();
+                let reference = ab::shards_to_bytes(&reference);
+
+                let mut idx = ShardedIndex::build(&t, &cfg, s, false);
+                idx.ensure_hier(&hier);
+                idx.ensure_hybrid(&t, &hybrid);
+                let bytes = idx.to_bytes();
+                assert!(bytes == reference, "{level}, {s} shards");
+
+                if s == 1 {
+                    continue; // a lone damaged shard has no sibling tiers to copy
+                }
+                let damaged = if s == 2 { vec![1] } else { vec![0, s - 1] };
+                let mut rotted = bytes.clone();
+                let extents = ab::segment_extents(&bytes).unwrap();
+                for &sid in &damaged {
+                    rotted[extents[sid].offset + extents[sid].len / 2] ^= 0x40;
+                }
+                let (back, repaired) =
+                    ShardedIndex::from_bytes_with_repair(&rotted, &t, &cfg).unwrap();
+                assert_eq!(repaired, damaged, "{level}, {s} shards");
+                assert!(back.to_bytes() == reference, "repair: {level}, {s} shards");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 5 failed")]
+    fn per_shard_resumes_a_panic_with_its_payload() {
+        per_shard((0..9).collect(), |i: usize| {
+            assert!(i != 5, "shard {i} failed");
+        });
     }
 
     #[test]
