@@ -5,15 +5,22 @@
 //! A second table times what those independent functions cost where
 //! set-up and the cell kernel call them — one lockstep batch step
 //! (DESIGN.md §13) — for each roster function as a roster probe and as
-//! a re-seeded one, and the batched insert at four k. It uses nothing
-//! of `hashkit` or `ab` that an earlier checkout lacks, so this file
-//! built against another commit's crates is the before/after harness.
+//! a re-seeded one, and the batched insert at four k. A third times the
+//! two set-up sweeps, the pyramid's and the exact tier's, on a clustered
+//! and a Zipf table. The insert and sweep tables use only `ab` calls an
+//! earlier checkout has too (`insert_cells`, `HierAb::build`,
+//! `HybridAb::build`), so those functions copied into another commit's
+//! copy of this file are the before/after harness.
 //!
 //! Usage: `cargo run --release -p bench --bin repro_hash -- [--scale F]`
 
-use ab::{AbConfig, ApproximateBitmap, MAX_BATCH_ROWS as LANES};
+use ab::{
+    AbConfig, AbIndex, ApproximateBitmap, HierAb, HierConfig, HybridAb, HybridConfig, Level,
+    MAX_BATCH_ROWS as LANES,
+};
 use bench::{ab_query_time_ms, cli, mean_precision, paper_level, print_table, Bundle};
-use hashkit::{splitmix64, CellMapper, HashFamily, HashKind};
+use bitmap::{BinnedColumn, BinnedTable};
+use hashkit::{splitmix64, CellMapper, HashFamily, HashKind, LockstepLanes};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -61,6 +68,7 @@ fn main() {
 
     lockstep_table(opts.scale);
     insert_table(opts.scale);
+    sweep_table(opts.scale, opts.seed);
 }
 
 /// ns per position of one lockstep step, per roster function: as the
@@ -86,16 +94,15 @@ fn lockstep_table(scale: f64) {
         let mut row = vec![format!("{kind:?}").to_lowercase()];
         for keys in &key_sets {
             let mut best = [Duration::MAX; 2];
-            let mut probes = Vec::with_capacity(LANES);
+            let mut lanes = LockstepLanes::new();
             let mut out = [0u64; LANES];
             for _ in 0..ROUNDS {
                 let mut took = [Duration::ZERO; 2];
                 for batch in keys.chunks(LANES) {
-                    probes.clear();
-                    probes.extend(batch.iter().map(|&x| prober.begin_col(x, 0)));
+                    lanes.open(&prober, batch.iter().map(|&x| (x, 0)));
                     for step in 0..=RESEEDED_STEPS {
                         let start = Instant::now();
-                        prober.next_positions_lockstep(&mut probes, &mut out);
+                        prober.next_positions_lockstep(&mut lanes, &mut out);
                         took[step.min(1)] += start.elapsed();
                         black_box(&out);
                     }
@@ -164,5 +171,96 @@ fn insert_table(scale: f64) {
         ),
         &["k = 6", "k = 10", "k = 16", "k = 22"],
         &[row],
+    );
+}
+
+/// ns per swept cell of the two set-up sweeps, per-attribute ABs at the
+/// default pyramid and exact-tier configurations, on the shapes of the
+/// benchmark's `prune_clustered` (one 16-bin column, each bin one run —
+/// eight head bins and eight thin tail bins — α = 32, k = 22) and
+/// `exact_skewed` (two Zipf columns over 12 bins, α = 8, k = 6).
+/// A pyramid sweep's cells are the table's (rows × bins: every cell an
+/// empty region makes it test); an exact tier's are its backed bins'
+/// rows outside the bin, every one of which a sweep without a pyramid
+/// tests. The exact tier is built on the index with the pyramid
+/// attached, as set-up builds it.
+fn sweep_table(scale: f64, seed: u64) {
+    let rows = ((scale * 13_107_200.0) as usize).max(1 << 14);
+    let clustered = {
+        // Head bin b runs 1/8 of what the tail leaves; the tail bins'
+        // parts per million of the table follow the third and sixth head.
+        let tail_ppm = [50, 500, 5_000, 100_000, 10_000, 1_000, 100, 10];
+        let tail = |i: usize| (rows * tail_ppm[i] / 1_000_000).max(1);
+        let head = (rows - (0..8).map(tail).sum::<usize>()) / 8;
+        let mut bins: Vec<u32> = Vec::with_capacity(rows);
+        for b in 0..8u32 {
+            let run = if b == 7 { rows - bins.len() } else { head };
+            bins.extend(std::iter::repeat_n(b, run));
+            let block = match b {
+                2 => 0..4,
+                5 => 4..8,
+                _ => 0..0,
+            };
+            for i in block {
+                bins.extend(std::iter::repeat_n(8 + i as u32, tail(i)));
+            }
+        }
+        BinnedTable::new(vec![BinnedColumn::new("c0", bins, 16)])
+    };
+    let zipf = {
+        let mut r = datagen::rng(seed);
+        let zipf = datagen::Zipf::new(12, 1.25);
+        BinnedTable::new(
+            (0..2)
+                .map(|a| {
+                    let bins = (0..rows).map(|_| zipf.sample(&mut r) as u32).collect();
+                    BinnedColumn::new(format!("z{a}"), bins, 12)
+                })
+                .collect(),
+        )
+    };
+    let mut out = Vec::new();
+    for (name, table, alpha) in [("clustered", &clustered, 32), ("zipf", &zipf, 8)] {
+        let mut index =
+            AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(alpha));
+        let mut best = [Duration::MAX; 2];
+        let mut swept = [0usize; 2];
+        for _ in 0..ROUNDS {
+            let start = Instant::now();
+            let hier = HierAb::build(&index, &HierConfig::default());
+            best[0] = best[0].min(start.elapsed());
+            index.attach_hier(hier);
+            let start = Instant::now();
+            let tier = HybridAb::build(&index, table, &HybridConfig::default());
+            best[1] = best[1].min(start.elapsed());
+            swept = [
+                rows * table
+                    .columns()
+                    .iter()
+                    .map(|c| c.cardinality as usize)
+                    .sum::<usize>(),
+                tier.bins().iter().map(|b| rows - b.exact().len()).sum(),
+            ];
+            black_box(tier.size_bytes());
+        }
+        let ns = |i: usize| format!("{:.1}", best[i].as_nanos() as f64 / swept[i].max(1) as f64);
+        out.push(vec![
+            name.to_string(),
+            swept[0].to_string(),
+            ns(0),
+            swept[1].to_string(),
+            ns(1),
+        ]);
+    }
+    print_table(
+        &format!("Set-up sweeps, ns per swept cell ({rows} rows, fastest of {ROUNDS} builds)"),
+        &[
+            "table",
+            "pyramid cells",
+            "pyramid ns",
+            "exact-tier cells",
+            "exact-tier ns",
+        ],
+        &out,
     );
 }

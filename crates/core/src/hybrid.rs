@@ -22,14 +22,16 @@
 //! false-positive container F = {rows the base AB admits for the cell
 //! but the data rejects}, computed by probe-sweeping the AB (the same
 //! deterministic construction [`crate::hier`] uses, so a damaged
-//! container rebuilds bit-identically from the base AB + table). The
+//! container rebuilds bit-identically from the base AB + table) — only
+//! over the rows an attached pyramid keeps for the bin, which are all
+//! the rows the AB can admit, so F is the same with or without one. The
 //! identity *AB verdict = E ∪ F* lets query dispatch count exactly
 //! which flat-scan false positives the exact tier eliminated
 //! (`QueryStats::fp_rows_eliminated`) without re-probing the AB.
 
 use crate::kernel::ColumnSweeper;
 use crate::level::AbIndex;
-use bitmap::{BinnedTable, RectQuery};
+use bitmap::{AttrRange, BinnedTable, RectQuery};
 use roar::RoaringBitmap;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -204,10 +206,20 @@ impl HybridAb {
 
         let mut bins = Vec::new();
         for (attribute, col) in table.columns().iter().enumerate() {
-            for (bin, count) in (0u32..).zip(col.bin_counts_in(rows.clone())) {
-                if back_exactly(index, attribute, bin, count, config) {
-                    bins.push(build_bin(index, attribute, bin, &col.bins[rows.clone()]));
-                }
+            let backed: Vec<u32> = (0u32..)
+                .zip(col.bin_counts_in(rows.clone()))
+                .filter(|&(bin, count)| back_exactly(index, attribute, bin, count, config))
+                .map(|(bin, _)| bin)
+                .collect();
+            let column = &col.bins[rows.clone()];
+            let exact = exact_containers(column, col.cardinality, &backed);
+            for (bin, exact) in backed.into_iter().zip(exact) {
+                bins.push(HybridBin {
+                    attribute: attribute as u32,
+                    bin,
+                    exact,
+                    fp: false_positives(index, attribute, bin, column),
+                });
             }
         }
 
@@ -371,37 +383,62 @@ impl HybridAb {
     }
 }
 
-/// Builds one backed cell: the exact container from the column data,
-/// the false-positive companion by probe-sweeping the base AB over
-/// every row outside the bin — in lockstep batches ([`ColumnSweeper`]);
-/// the rows that survive all k bits are F.
-fn build_bin(index: &AbIndex, attribute: usize, bin: u32, bins: &[u32]) -> HybridBin {
-    let rows_where = |inside: bool| {
-        bins.iter()
-            .enumerate()
-            .filter(move |&(_, &b)| (b == bin) == inside)
-            .map(|(row, _)| row)
-    };
-    let mut exact = RoaringBitmap::new();
-    for row in rows_where(true) {
-        exact.insert(row as u32);
-    }
-    let mut fp = RoaringBitmap::new();
-    let mut sweeper = ColumnSweeper::new(index);
-    let mut outside = rows_where(false).peekable();
-    while outside.peek().is_some() {
-        for &row in sweeper.positives(attribute, bin, outside.by_ref()) {
-            fp.insert(row as u32);
+/// The E containers of one attribute's `backed` bins over its rows
+/// `bins`, from one pass that hands each row to its bin's container
+/// ([`RoaringBitmap::push`]: rows ascend, so a container grows at its
+/// end and is shrunk as soon as the pass leaves its chunk — no rescan
+/// of the column per bin, no search per row, and no buffer that grows
+/// with the rows; a set-up thread's allocator keeps what it peaks at).
+fn exact_containers(bins: &[u32], cardinality: u32, backed: &[u32]) -> Vec<RoaringBitmap> {
+    let mut exact = vec![RoaringBitmap::new(); backed.len()];
+    if !backed.is_empty() {
+        // The container of each backed bin; past the end for the rest.
+        let mut slot = vec![usize::MAX; cardinality as usize];
+        for (i, &bin) in backed.iter().enumerate() {
+            slot[bin as usize] = i;
+        }
+        for (row, &bin) in (0u32..).zip(bins) {
+            if let Some(e) = exact.get_mut(slot[bin as usize]) {
+                e.push(row);
+            }
         }
     }
-    exact.optimize();
-    fp.optimize();
-    HybridBin {
-        attribute: attribute as u32,
-        bin,
-        exact,
-        fp,
+    for e in &mut exact {
+        e.optimize();
     }
+    exact
+}
+
+/// F for a backed bin: the rows outside the bin (`bins` is the
+/// attribute's column) that the base AB admits, found by running them
+/// through the lockstep loop ([`ColumnSweeper`]) — the survivors of
+/// all k bits. A row the AB admits keeps its pyramid region occupied
+/// (§18), so with a pyramid attached only the rows it keeps for the
+/// one-bin range are swept ([`crate::hier::HierAb::prune`], the call a
+/// query makes); without one, every row.
+fn false_positives(index: &AbIndex, attribute: usize, bin: u32, bins: &[u32]) -> RoaringBitmap {
+    let last = index.num_rows() - 1;
+    let intervals = match index.hier().filter(|h| h.num_rows() == index.num_rows()) {
+        Some(hier) => {
+            let one_bin = RectQuery::new(vec![AttrRange::new(attribute, bin, bin)], 0, last);
+            hier.prune(&one_bin).intervals
+        }
+        None => vec![(0, last)],
+    };
+    let mut outside = intervals
+        .into_iter()
+        .flat_map(|(lo, hi)| lo..=hi)
+        .filter(|&row| bins[row] != bin)
+        .peekable();
+    let mut fp = RoaringBitmap::new();
+    let mut sweeper = ColumnSweeper::new(index);
+    while outside.peek().is_some() {
+        for &row in sweeper.positives(attribute, bin, outside.by_ref()) {
+            fp.push(row as u32);
+        }
+    }
+    fp.optimize();
+    fp
 }
 
 /// OR-accumulates `src` into `dst` (equal lengths by construction).

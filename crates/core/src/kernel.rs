@@ -56,8 +56,9 @@ use std::cell::Cell as StdCell;
 /// The lane count of every probe batch: the rect kernel's row
 /// batches, the cell kernel's batches, the build's inserts and the
 /// build-time sweeps (a sweep may start shallower and deepen to it).
-/// The match mask is `MAX_BATCH_ROWS` bits.
-pub const MAX_BATCH_ROWS: usize = 256;
+/// The match mask is `MAX_BATCH_ROWS` bits, and a lockstep batch is a
+/// [`hashkit::LockstepLanes`] of as many lanes.
+pub const MAX_BATCH_ROWS: usize = hashkit::LANES;
 
 /// True when the target has a prefetch instruction the kernel issues
 /// (x86-64, aarch64); false means the portable no-op fallback.
@@ -560,29 +561,31 @@ fn run_scalar_waves(
 // The lockstep probe loop
 // ---------------------------------------------------------------------------
 
-/// Up to [`MAX_BATCH_ROWS`] probes of one AB held in lockstep: opened
-/// together ([`hashkit::ColProber::begin_col`], so the cells may name
-/// any columns of the AB) and advanced together, one
-/// [`hashkit::ColProber::next_positions_lockstep`] call per step. This
-/// is the state of the one probe loop every batch path of the crate
-/// runs: the build walks all k steps and sets the bits
-/// ([`ApproximateBitmap::insert_cells`]); the cell kernel and the
-/// build-time sweeps test them and retire lanes
-/// (`CellPlan::survivors`).
+/// Up to [`MAX_BATCH_ROWS`] cells of one AB probed in lockstep — a
+/// [`hashkit::LockstepLanes`] batch (opened together, so the cells may
+/// name any columns of the AB; advanced together, one
+/// [`hashkit::ColProber::next_positions_lockstep`] call per step) and
+/// the positions of its last step. This is the state of the one probe
+/// loop every batch path of the crate runs: the build walks all k
+/// steps and sets the bits ([`ApproximateBitmap::insert_cells`]); the
+/// cell kernel and the build-time sweeps test them and retire lanes
+/// (`CellPlan::survivors`). Lane `i` is the `i`-th cell opened, and a
+/// caller finds what it calls that cell — a request position, a row —
+/// at index `i` of its own list.
 pub(crate) struct LockstepBatch {
-    probes: Vec<hashkit::RowProbe>,
+    lanes: hashkit::LockstepLanes,
     pos: [u64; MAX_BATCH_ROWS],
 }
 
 impl LockstepBatch {
     pub(crate) fn new() -> Self {
         LockstepBatch {
-            probes: Vec::with_capacity(MAX_BATCH_ROWS),
+            lanes: hashkit::LockstepLanes::new(),
             pos: [0; MAX_BATCH_ROWS],
         }
     }
 
-    /// Replaces the batch with one probe per `(row, col)` cell, all at
+    /// Replaces the batch with one lane per `(row, col)` cell, all at
     /// step 0; takes at most [`MAX_BATCH_ROWS`] cells from `cells` and
     /// returns how many that was.
     pub(crate) fn open(
@@ -590,47 +593,37 @@ impl LockstepBatch {
         prober: &hashkit::ColProber<'_>,
         cells: impl Iterator<Item = (u64, u64)>,
     ) -> usize {
-        self.probes.clear();
-        self.probes.extend(
-            cells
-                .take(MAX_BATCH_ROWS)
-                .map(|(row, col)| prober.begin_col(row, col)),
-        );
-        self.probes.len()
+        self.lanes.open(prober, cells)
     }
 
-    /// Advances every probe of the batch one step: their positions, in
-    /// the batch's order.
+    /// Advances every live lane one step: their positions, in lane
+    /// order.
     pub(crate) fn step(&mut self, prober: &hashkit::ColProber<'_>) -> &[u64] {
-        let n = self.probes.len();
-        prober.next_positions_lockstep(&mut self.probes, &mut self.pos[..n]);
+        let n = self.lanes.len();
+        prober.next_positions_lockstep(&mut self.lanes, &mut self.pos);
         &self.pos[..n]
+    }
+
+    /// The live lanes, ascending.
+    pub(crate) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lanes.live()
     }
 }
 
 impl CellPlan<'_> {
-    /// The reading half of the probe loop: runs the probes open in
-    /// `batch` through this plan's k steps and leaves in `lanes` the
-    /// ones whose k bits are all set, in order. `lanes[i]` is whatever
-    /// the caller calls probe `i` — a request position, a row. Every
-    /// lane is on this plan's AB at the same probe index, so step `t`
-    /// is one hash function over a contiguous slice of keys, one bit
-    /// test against one word array, and one retirement pass that never
-    /// branches on a bit (a coin flip for an absent cell): a lane
-    /// leaves at its first zero bit (Figure 5's break) and survivors
-    /// close ranks.
-    fn survivors<L: Copy>(
-        &self,
-        batch: &mut LockstepBatch,
-        lanes: &mut Vec<L>,
-        wave: &mut WaveCounters,
-    ) {
-        debug_assert_eq!(lanes.len(), batch.probes.len());
+    /// The reading half of the probe loop: runs the lanes open in
+    /// `batch` through this plan's k steps and leaves live the ones
+    /// whose k bits are all set ([`LockstepBatch::live`]). Every lane
+    /// is on this plan's AB at the same probe index, so step `t` is one
+    /// hash function over the batch's keys, one bit test against one
+    /// word array, and one retirement pass over the live list that
+    /// never branches on a bit (a coin flip for an absent cell): a lane
+    /// leaves at its first zero bit (Figure 5's break).
+    fn survivors(&self, batch: &mut LockstepBatch, wave: &mut WaveCounters) {
         wave.batches += 1;
         let mut bits = [false; MAX_BATCH_ROWS];
         for _ in 0..self.k {
-            let n = lanes.len();
-            if n == 0 {
+            if batch.lanes.is_empty() {
                 break;
             }
             let pos = batch.step(&self.prober);
@@ -638,14 +631,7 @@ impl CellPlan<'_> {
             for (bit, &p) in bits.iter_mut().zip(pos) {
                 *bit = self.bit(p);
             }
-            let mut kept = 0;
-            for i in 0..n {
-                lanes[kept] = lanes[i];
-                batch.probes[kept] = batch.probes[i];
-                kept += usize::from(bits[i]);
-            }
-            lanes.truncate(kept);
-            batch.probes.truncate(kept);
+            batch.lanes.retain(&bits);
         }
     }
 }
@@ -688,10 +674,18 @@ impl<'a> ColumnSweeper<'a> {
         self.batch
             .open(&plan.prober, self.rows.iter().map(|&row| (row as u64, col)));
         let mut wave = WaveCounters::default();
-        plan.survivors(&mut self.batch, &mut self.rows, &mut wave);
+        plan.survivors(&mut self.batch, &mut wave);
         plan.prober.record_hash_calls(plan.calls.get());
         // Every issued position was prefetched exactly once.
         wave.flush(plan.calls.get());
+        // The survivors' rows close ranks; lane ids ascend, so each
+        // moves down or stays.
+        let mut kept = 0;
+        for lane in self.batch.live() {
+            self.rows[kept] = self.rows[lane];
+            kept += 1;
+        }
+        self.rows.truncate(kept);
         &self.rows
     }
 }
@@ -816,14 +810,11 @@ pub(crate) fn retrieve_cells_waves(
     }
 
     let mut wave = WaveCounters::default();
-    // A lane is the request position its verdict goes to.
-    let mut lanes: Vec<usize> = Vec::with_capacity(MAX_BATCH_ROWS);
     let mut batch = LockstepBatch::new();
     let mut group_start = 0;
     for (plan, &group_end) in plans.iter().zip(&next) {
+        // Lane i's verdict goes to request position chunk[i].
         for chunk in order[group_start..group_end].chunks(MAX_BATCH_ROWS) {
-            lanes.clear();
-            lanes.extend_from_slice(chunk);
             batch.open(
                 &plan.prober,
                 chunk.iter().map(|&i| {
@@ -832,9 +823,9 @@ pub(crate) fn retrieve_cells_waves(
                     (c.row as u64, col)
                 }),
             );
-            plan.survivors(&mut batch, &mut lanes, &mut wave);
-            for &i in &lanes {
-                out[i] = true;
+            plan.survivors(&mut batch, &mut wave);
+            for lane in batch.live() {
+                out[chunk[lane]] = true;
             }
         }
         group_start = group_end;

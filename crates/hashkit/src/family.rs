@@ -13,7 +13,7 @@
 
 use crate::partow::{
     decimal_key_bytes, decimal_key_bytes_swar, low_group_text, splitmix64, Ap, Bkdr, Dek, Djb, Elf,
-    Fnv, Js, Pjw, RosterFn, Rs, Sdbm, GROUP,
+    Fnv, Js, Partial, Pjw, RosterFn, Rs, Sdbm, GROUP,
 };
 use crate::sha1::DigestStream;
 use crate::simple::multiply_shift;
@@ -342,6 +342,166 @@ impl RowProbe {
     }
 }
 
+/// The lane count of a [`LockstepLanes`] batch.
+pub const LANES: usize = 256;
+
+/// `0, 1, …, LANES − 1`: every lane of a freshly opened batch is live.
+const ALL_LANES: [u8; LANES] = {
+    let mut ids = [0u8; LANES];
+    let mut i = 0;
+    while i < LANES {
+        ids[i] = i as u8;
+        i += 1;
+    }
+    ids
+};
+
+/// Up to [`LANES`] cells of one AB probed in lockstep: opened together
+/// ([`Self::open`]) and advanced together, every live lane one step per
+/// [`ColProber::next_positions_lockstep`] call, so the batch keeps one
+/// step counter for all of them. The batch owns its lanes as arrays —
+/// for the independent family a lane is its hash string, the string's
+/// decimal text and a one-byte length, written once when it opens — and
+/// retires a lane by dropping its index from the live list
+/// ([`Self::retain`]): no lane's state moves after it opens. Lanes of
+/// the other families each keep a [`RowProbe`].
+pub struct LockstepLanes {
+    /// The step every live lane takes next.
+    t: u64,
+    /// Whether the lanes were opened by an independent-family prober
+    /// (the arrays) or another family's (`probes`).
+    roster: bool,
+    /// `live[..n_live]`: the live lanes' indices, ascending.
+    live: [u8; LANES],
+    n_live: usize,
+    keys: [u64; LANES],
+    text: [[u8; 20]; LANES],
+    lens: [u8; LANES],
+    probes: Vec<RowProbe>,
+}
+
+impl Default for LockstepLanes {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LockstepLanes {
+    /// An empty batch.
+    pub fn new() -> Self {
+        LockstepLanes {
+            t: 0,
+            roster: false,
+            live: ALL_LANES,
+            n_live: 0,
+            keys: [0; LANES],
+            text: [[0; 20]; LANES],
+            lens: [0; LANES],
+            probes: Vec::new(),
+        }
+    }
+
+    /// Replaces the batch with one lane per `(row, col)` cell, all live
+    /// and at step 0: takes at most [`LANES`] cells from `cells` and
+    /// returns how many that was. Lane `i` is the `i`-th cell taken.
+    /// The cells may name any columns of `prober`'s AB
+    /// ([`ColProber::begin_col`]); an independent-family lane's key is
+    /// encoded by [`decimal_key_bytes_swar`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, for the column-group family, if a column is out of range.
+    pub fn open(
+        &mut self,
+        prober: &ColProber<'_>,
+        cells: impl IntoIterator<Item = (u64, u64)>,
+    ) -> usize {
+        let cells = cells.into_iter().take(LANES);
+        self.t = 0;
+        self.roster = matches!(prober.kind, ColKind::Independent { .. });
+        let mut n = 0;
+        if self.roster {
+            for (row, col) in cells {
+                let x = prober.mapper.map(row, col);
+                let (text, len) = decimal_key_bytes_swar(x);
+                self.keys[n] = x;
+                self.text[n] = text;
+                self.lens[n] = len as u8;
+                n += 1;
+            }
+        } else {
+            self.probes.clear();
+            self.probes
+                .extend(cells.map(|(row, col)| prober.begin_col(row, col)));
+            n = self.probes.len();
+        }
+        self.live = ALL_LANES;
+        self.n_live = n;
+        n
+    }
+
+    /// Live lanes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.n_live
+    }
+
+    /// Whether every lane has retired.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.n_live == 0
+    }
+
+    /// The live lanes' indices, ascending (the order their cells were
+    /// opened in).
+    #[inline]
+    pub fn live(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.live_ids().iter().map(|&id| usize::from(id))
+    }
+
+    #[inline(always)]
+    fn live_ids(&self) -> &[u8] {
+        &self.live[..self.n_live]
+    }
+
+    /// The independent family's live keys, in lane order.
+    #[inline(always)]
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.live_ids().iter().map(|&id| self.keys[usize::from(id)])
+    }
+
+    /// Retires every live lane `j` (the `j`-th of [`Self::live`]) whose
+    /// `keep[j]` is false; the rest stay live, in order. Branch-free:
+    /// only the live list's bytes move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is shorter than the live lanes.
+    #[inline]
+    pub fn retain(&mut self, keep: &[bool]) {
+        let keep = &keep[..self.n_live];
+        let mut kept = 0;
+        for (j, &k) in keep.iter().enumerate() {
+            self.live[kept] = self.live[j];
+            kept += usize::from(k);
+        }
+        self.n_live = kept;
+    }
+}
+
+/// Four roster chains, each resumed from its state over its own eight
+/// bytes, side by side: four independent dependency chains in one
+/// unrolled loop instead of four loops in a row.
+#[inline(always)]
+fn resume4<F: RosterFn>(mut states: [Partial; 4], bytes: [[u8; 8]; 4]) -> [u64; 4] {
+    for i in 0..8 {
+        for (state, bytes) in states.iter_mut().zip(&bytes) {
+            *state = F::push(*state, bytes[i]);
+        }
+    }
+    states.map(Partial::hash)
+}
+
 impl ColProber<'_> {
     /// The AB size this prober reduces into.
     #[inline]
@@ -363,7 +523,8 @@ impl ColProber<'_> {
     /// [`Self::begin`] for a cell of any column of the same AB (same
     /// family, mapper and size — only `col` differs), with the key
     /// encoded by [`decimal_key_bytes_swar`]: the same probe, begun in
-    /// about half the time. The cell kernel opens every lane with it.
+    /// about half the time. A [`LockstepLanes`] batch opens the lanes
+    /// of every family but the independent one with it.
     ///
     /// # Panics
     ///
@@ -535,91 +696,91 @@ impl ColProber<'_> {
         }
     }
 
-    /// [`Self::next_positions`] for probes in **lockstep** — all at the
-    /// same step `t`, which is how the cell kernel and the build hold
-    /// them (a batch's lanes open together and advance one probe per
-    /// wave). Knowing `t` for the whole batch, the roster function it
-    /// names is matched once and step `t` is that one function over a
-    /// slice of keys in a tight loop: consecutive keys' byte loops
-    /// overlap in the pipeline, where the per-probe dispatch of
-    /// `next_positions` keeps them apart. Past the roster the batch
-    /// shares its seed too, and with it the leading digits of its
-    /// re-seeded keys, which are hashed once per distinct prefix and
-    /// not once per probe (`resumed_step`). Same positions, same `t`
-    /// advancement.
+    /// Advances every live lane of a [`LockstepLanes`] batch one step,
+    /// writing lane `live[j]`'s position into `out[j]`: the sequence per
+    /// lane is bit-identical to calling [`Self::next_position`] on its
+    /// cell's own probe. All lanes are at the batch's one step `t`, so
+    /// the roster function `t` names is matched once and step `t` is
+    /// that one function over the batch's keys, four lanes at a time
+    /// wherever four neighbouring keys have the same length: their byte
+    /// loops run interleaved, four independent chains in one loop. Past
+    /// the roster the batch shares its seed too, and with it the leading
+    /// digits of its re-seeded keys, which are hashed once per distinct
+    /// prefix and not once per lane (`resumed_step`).
     ///
     /// # Panics
     ///
-    /// Panics if `out` is shorter than `probes`, or if the probes are
-    /// not in lockstep.
-    pub fn next_positions_lockstep(&self, probes: &mut [RowProbe], out: &mut [u64]) {
+    /// Panics if `out` is shorter than the batch's live lanes, or if the
+    /// lanes were opened by a prober of another family.
+    pub fn next_positions_lockstep(&self, lanes: &mut LockstepLanes, out: &mut [u64]) {
+        let n = lanes.n_live;
+        assert!(out.len() >= n, "output buffer shorter than probe batch");
         assert!(
-            out.len() >= probes.len(),
-            "output buffer shorter than probe batch"
+            lanes.roster == matches!(self.kind, ColKind::Independent { .. }),
+            "lanes opened by a prober of a different family"
         );
-        let Some(t) = probes.first().map(|p| p.t) else {
-            return;
-        };
+        let t = lanes.t;
+        lanes.t += 1;
+        let out = &mut out[..n];
         match &self.kind {
             ColKind::Independent { kinds } => {
                 let kind = kinds[t as usize % kinds.len()];
                 if (t as usize) < kinds.len() {
                     with_kind!(
                         kind,
-                        string F => self.independent_step(probes, out, t, |_, key| F::whole(key)),
-                        integer h => self.independent_step(probes, out, t, |x, _| h(x))
+                        string F => self.roster_step::<F>(lanes, out),
+                        integer h => {
+                            for (o, x) in out.iter_mut().zip(lanes.keys()) {
+                                *o = self.reduce_hash(h(x));
+                            }
+                        }
                     )
                 } else {
-                    self.reseeded_step(kind, probes, out, t)
+                    self.reseeded_step(kind, lanes, out, t)
                 }
             }
-            // The mixers' loops are tight already and SHA-1 reads its
-            // digest bit by bit — nothing to hoist.
+            // The mixers' steps are a multiply and an add, and SHA-1
+            // reads its digest bit by bit — nothing to hoist.
             _ => {
-                assert!(
-                    probes.iter().all(|p| p.t == t),
-                    "probe batch not in lockstep"
-                );
-                self.next_positions(probes, out);
+                let LockstepLanes { live, probes, .. } = lanes;
+                for (o, &id) in out.iter_mut().zip(&live[..n]) {
+                    *o = self.next_position(&mut probes[usize::from(id)]);
+                }
             }
         }
     }
 
-    /// One lockstep step of the independent family: every probe takes
-    /// the position `hash_of(x, key bytes)` reduces to. Inlined into
-    /// each caller so the loop is compiled around its one function.
+    /// One lockstep roster step of a string kind: every live lane takes
+    /// `F` of its decimal text, one lane at a time. Inlined into each
+    /// arm of `next_positions_lockstep` so the loop is compiled around
+    /// its one function. (Four lanes at a time, as the re-seeded step
+    /// runs them, measured 5–15 % slower here: a roster key's length is
+    /// only known per lane, so the four-chain loop does not unroll, and
+    /// consecutive lanes' loops already overlap — DESIGN.md §13.)
     #[inline(always)]
-    fn independent_step(
-        &self,
-        probes: &mut [RowProbe],
-        out: &mut [u64],
-        t: u64,
-        mut hash_of: impl FnMut(u64, &[u8]) -> u64,
-    ) {
-        for (p, o) in probes.iter_mut().zip(out.iter_mut()) {
-            assert!(p.t == t, "probe batch not in lockstep");
-            p.t = t + 1;
-            let RowState::Independent { x, bytes, len } = &p.state else {
-                unreachable!("RowProbe used with a ColProber of a different family")
-            };
-            *o = self.reduce_hash(hash_of(*x, &bytes[..*len]));
+    fn roster_step<F: RosterFn>(&self, lanes: &LockstepLanes, out: &mut [u64]) {
+        for (o, &id) in out.iter_mut().zip(lanes.live_ids()) {
+            let id = usize::from(id);
+            *o = self.reduce_hash(F::whole(&lanes.text[id][..usize::from(lanes.lens[id])]));
         }
     }
 
-    /// One lockstep step past the roster: every probe takes
+    /// One lockstep step past the roster: every live lane takes
     /// `kind.hash(x ^ splitmix64(t))`, to the bit. Kept out of line —
     /// compiled into the roster arms of `next_positions_lockstep` it
     /// slowed k = 6 and k = 10 inserts, which never get here, by
     /// 10–25 %.
     #[inline(never)]
-    fn reseeded_step(&self, kind: HashKind, probes: &mut [RowProbe], out: &mut [u64], t: u64) {
+    fn reseeded_step(&self, kind: HashKind, lanes: &LockstepLanes, out: &mut [u64], t: u64) {
         let seed = splitmix64(t);
         let prefix_hashes = with_kind!(
             kind,
-            string F => self.resumed_step::<F>(probes, out, t, seed),
+            string F => self.resumed_step::<F>(lanes, out, seed),
             // No string, so no digits to share.
             integer h => {
-                self.independent_step(probes, out, t, |x, _| h(x ^ seed));
+                for (o, x) in out.iter_mut().zip(lanes.keys()) {
+                    *o = self.reduce_hash(h(x ^ seed));
+                }
                 0
             }
         );
@@ -633,36 +794,54 @@ impl ColProber<'_> {
     /// under 2²⁷, two for rows that agree above bit 26) followed by
     /// exactly eight digits: each distinct prefix is hashed once into a
     /// saved state of `F`, and a lane encodes one group and resumes
-    /// over 8 bytes instead of 19–20. The memo lives for this call —
-    /// the next step has another seed, so other prefixes.
-    fn resumed_step<F: RosterFn>(
-        &self,
-        probes: &mut [RowProbe],
-        out: &mut [u64],
-        t: u64,
-        seed: u64,
-    ) -> u64 {
+    /// over 8 bytes instead of 19–20 — four lanes at a time, the eight
+    /// bytes being every such lane's length. The memo lives for this
+    /// call — the next step has another seed, so other prefixes.
+    fn resumed_step<F: RosterFn>(&self, lanes: &LockstepLanes, out: &mut [u64], seed: u64) -> u64 {
         // Direct-mapped on the prefix's low bits: neighbouring prefixes
         // never evict each other, and one that does get evicted costs
         // what hashing the whole key cost. Keys under 10⁸ have no
         // prefix and look none up, so prefix 0 marks an empty slot.
         let mut memo = [(0u64, F::start(0)); 4];
         let mut prefix_hashes = 0;
-        self.independent_step(probes, out, t, |x, _| {
-            let x = x ^ seed;
+        // The state after the leading digits of a key `x ≥ 10⁸`, and
+        // its last eight.
+        let mut split = |x: u64| {
             let prefix = x / GROUP;
-            if prefix == 0 {
-                let (bytes, len) = decimal_key_bytes_swar(x);
-                return F::whole(&bytes[..len]);
-            }
-            let slot = &mut memo[prefix as usize % memo.len()];
+            let slot = &mut memo[prefix as usize % 4];
             if slot.0 != prefix {
                 let (bytes, len) = decimal_key_bytes_swar(prefix);
                 *slot = (prefix, F::resume(F::start(len + 8), &bytes[..len]));
                 prefix_hashes += 1;
             }
-            F::resume(slot.1, &low_group_text(x)).hash()
-        });
+            (slot.1, low_group_text(x))
+        };
+        let live = lanes.live_ids();
+        let key = |j: usize| lanes.keys[usize::from(live[j])] ^ seed;
+        let mut j = 0;
+        while j < live.len() {
+            if j + 4 <= live.len() {
+                let quad = [key(j), key(j + 1), key(j + 2), key(j + 3)];
+                if quad.iter().all(|&x| x >= GROUP) {
+                    let [a, b, c, d] = quad.map(&mut split);
+                    let hashes = resume4::<F>([a.0, b.0, c.0, d.0], [a.1, b.1, c.1, d.1]);
+                    for (o, h) in out[j..j + 4].iter_mut().zip(hashes) {
+                        *o = self.reduce_hash(h);
+                    }
+                    j += 4;
+                    continue;
+                }
+            }
+            let x = key(j);
+            out[j] = self.reduce_hash(if x < GROUP {
+                let (bytes, len) = decimal_key_bytes_swar(x);
+                F::whole(&bytes[..len])
+            } else {
+                let (state, low) = split(x);
+                F::resume(state, &low).hash()
+            });
+            j += 1;
+        }
         prefix_hashes
     }
 
@@ -930,7 +1109,7 @@ mod tests {
     }
 
     /// The lockstep batch step is the same re-schedule with the roster
-    /// dispatch hoisted: same positions, same `t` advancement, for every
+    /// dispatch hoisted: same positions, same step count, for every
     /// family, over every function of the roster and two passes of the
     /// re-seeded probes past it — on small keys and on keys that
     /// already have 19 and 20 digits before a seed is mixed in.
@@ -970,15 +1149,16 @@ mod tests {
                         (0..STEPS).map(|_| cp.next_position(&mut p)).collect()
                     })
                     .collect();
-                let mut probes: Vec<RowProbe> = rows.iter().map(|&r| cp.begin(r)).collect();
+                let mut lanes = LockstepLanes::new();
+                lanes.open(&cp, rows.iter().map(|&r| (r, 3)));
                 let mut out = vec![0u64; rows.len()];
                 #[allow(clippy::needless_range_loop)] // step indexes the 2-D reference table
                 for step in 0..STEPS {
-                    cp.next_positions_lockstep(&mut probes, &mut out);
+                    cp.next_positions_lockstep(&mut lanes, &mut out);
                     for (r, &got) in out.iter().enumerate() {
                         assert_eq!(got, want[r][step], "{f:?} n={n} row#{r} step {step}");
-                        assert_eq!(probes[r].probes(), step as u64 + 1);
                     }
+                    assert_eq!(lanes.t, step as u64 + 1);
                 }
             }
         }
@@ -1057,23 +1237,23 @@ mod tests {
                         let seed = splitmix64(t);
                         let kind = kinds[t as usize % kinds.len()];
                         let xs: Vec<u64> = edge_keys(seed).iter().map(|y| y ^ seed).collect();
-                        for lanes in [1, 2, 255, 256] {
-                            let mut probes: Vec<RowProbe> = xs[..lanes]
-                                .iter()
-                                .map(|&x| {
-                                    let mut p = cp.begin_col(x >> shift, x & ((1 << shift) - 1));
-                                    p.t = t; // as if t steps had been taken
-                                    p
-                                })
-                                .collect();
-                            let mut out = vec![0u64; lanes];
-                            cp.next_positions_lockstep(&mut probes, &mut out);
-                            for ((&x, &got), p) in xs.iter().zip(&out).zip(&probes) {
+                        for width in [1, 2, 255, 256] {
+                            let mut lanes = LockstepLanes::new();
+                            lanes.open(
+                                &cp,
+                                xs[..width]
+                                    .iter()
+                                    .map(|&x| (x >> shift, x & ((1 << shift) - 1))),
+                            );
+                            lanes.t = t; // as if t steps had been taken
+                            let mut out = vec![0u64; width];
+                            cp.next_positions_lockstep(&mut lanes, &mut out);
+                            for (&x, &got) in xs.iter().zip(&out) {
                                 let y = x ^ seed;
                                 digits_seen[y.to_string().len()] = true;
                                 assert_eq!(got, kind.hash(y) % n, "{kind:?} t={t} n={n} y={y}");
-                                assert_eq!(p.probes(), t + 1);
                             }
+                            assert_eq!(lanes.t, t + 1);
                         }
                     }
                 }
@@ -1101,13 +1281,11 @@ mod tests {
             let host = f.col_prober(3, mapper, n);
             // One lockstep batch mixing five columns.
             let cells = [(5u64, 0u64), (5, 15), (999, 3), (123_456, 7), (0, 9)];
-            let mut probes: Vec<RowProbe> = cells
-                .iter()
-                .map(|&(row, col)| host.begin_col(row, col))
-                .collect();
+            let mut lanes = LockstepLanes::new();
+            assert_eq!(lanes.open(&host, cells), cells.len());
             let mut out = vec![0u64; cells.len()];
             for step in 0..12 {
-                host.next_positions_lockstep(&mut probes, &mut out);
+                host.next_positions_lockstep(&mut lanes, &mut out);
                 for (&(row, col), &got) in cells.iter().zip(&out) {
                     let own: Vec<u64> = f.prober(row, col, mapper, n).take(step + 1).collect();
                     assert_eq!(got, own[step], "{f:?} ({row},{col}) step {step}");
@@ -1116,23 +1294,77 @@ mod tests {
         }
     }
 
+    /// The lane arrays against the scalar `Prober`, cell by cell: one
+    /// batch whose keys sit on both sides of every 10ⁿ digit boundary —
+    /// runs of equal length, which hash four lanes at a time, broken by
+    /// lone keys of another length — through 22 steps of every roster
+    /// function alone (t = 0 a roster step, 1–21 re-seeded) and of the
+    /// default roster (0–9 roster, 10–21 re-seeded), with lanes
+    /// retiring between steps so later steps read a gapped live list.
+    /// The survivors' positions are their own cells' sequences.
     #[test]
-    #[should_panic(expected = "not in lockstep")]
-    fn lockstep_rejects_a_roster_batch_out_of_step() {
-        out_of_step(HashFamily::default_independent());
+    fn lanes_of_mixed_key_lengths_match_the_scalar_prober() {
+        let mut rows: Vec<u64> = Vec::new();
+        for digits in 1..=19u32 {
+            let p = 10u64.pow(digits);
+            rows.extend([p - 3, p - 2, p - 1, p, p + 1, p + 2, p + 3, p + 4, p + 5]);
+            rows.push(p / 2 + 7); // a lone key one digit shorter
+        }
+        rows.extend([0, u64::MAX, u64::MAX - 1]);
+        let mapper = CellMapper::RowOnly;
+        let digits = |row: u64| row.to_string().len();
+        assert!((1..=20).all(|len| rows.iter().any(|&row| digits(row) == len)));
+        let mut families: Vec<HashFamily> = HashKind::ROSTER
+            .iter()
+            .map(|&kind| HashFamily::Independent(vec![kind]))
+            .collect();
+        families.push(HashFamily::default_independent());
+        for family in &families {
+            for n in [1u64 << 20, 1_000_003] {
+                let cp = family.col_prober(0, mapper, n);
+                let mut lanes = LockstepLanes::new();
+                assert_eq!(
+                    lanes.open(&cp, rows.iter().map(|&row| (row, 0))),
+                    rows.len()
+                );
+                let mut want: Vec<Prober> = rows
+                    .iter()
+                    .map(|&row| family.prober(row, 0, mapper, n))
+                    .collect();
+                let mut out = vec![0u64; rows.len()];
+                for t in 0..22u64 {
+                    cp.next_positions_lockstep(&mut lanes, &mut out);
+                    let live: Vec<usize> = lanes.live().collect();
+                    for (j, &lane) in live.iter().enumerate() {
+                        let row = rows[lane];
+                        assert_eq!(out[j], want[lane].next_position(), "{family:?} {row} t={t}");
+                    }
+                    // Retire about one lane in ten, a different draw each step.
+                    let keep: Vec<bool> = live
+                        .iter()
+                        .map(|&lane| !splitmix64(lane as u64 ^ t << 16).is_multiple_of(10))
+                        .collect();
+                    lanes.retain(&keep);
+                    let kept = live.iter().zip(&keep).filter(|&(_, &k)| k).map(|(&l, _)| l);
+                    assert!(lanes.live().eq(kept));
+                }
+                assert!(!lanes.is_empty() && lanes.len() < rows.len() / 4);
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "not in lockstep")]
-    fn lockstep_rejects_a_mixer_batch_out_of_step() {
-        out_of_step(HashFamily::DoubleHashing);
-    }
-
-    fn out_of_step(f: HashFamily) {
-        let cp = f.col_prober(0, CellMapper::RowOnly, 1 << 10);
-        let mut probes = vec![cp.begin(1), cp.begin(2)];
-        cp.next_position(&mut probes[1]);
-        cp.next_positions_lockstep(&mut probes, &mut [0u64; 2]);
+    #[should_panic(expected = "different family")]
+    fn lockstep_rejects_lanes_of_another_family() {
+        let roster = HashFamily::default_independent();
+        let mut lanes = LockstepLanes::new();
+        lanes.open(
+            &roster.col_prober(0, CellMapper::RowOnly, 1 << 10),
+            [(1, 0)],
+        );
+        HashFamily::DoubleHashing
+            .col_prober(0, CellMapper::RowOnly, 1 << 10)
+            .next_positions_lockstep(&mut lanes, &mut [0u64; 1]);
     }
 
     #[test]

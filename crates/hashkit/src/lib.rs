@@ -35,7 +35,9 @@ pub mod partow;
 pub mod sha1;
 pub mod simple;
 
-pub use family::{CellMapper, ColProber, HashFamily, HashKind, Prober, RowProbe};
+pub use family::{
+    CellMapper, ColProber, HashFamily, HashKind, LockstepLanes, Prober, RowProbe, LANES,
+};
 pub use partow::{decimal_key_bytes, decimal_key_bytes_swar, splitmix64};
 pub use sha1::{sha1, split_digest, DigestStream};
 pub use simple::{circular_hash, column_group_hash, multiply_shift};

@@ -1,7 +1,9 @@
 //! Property tests for the hash machinery.
 
 use hashkit::partow::{self, RosterFn};
-use hashkit::{decimal_key_bytes, decimal_key_bytes_swar, CellMapper, HashFamily, HashKind};
+use hashkit::{
+    decimal_key_bytes, decimal_key_bytes_swar, CellMapper, HashFamily, HashKind, LockstepLanes,
+};
 use proptest::prelude::*;
 
 /// `F` over `s`, stopped after `at` bytes and resumed from the saved
@@ -108,11 +110,12 @@ proptest! {
         let n = if prime_n { 1_000_003 } else { 1 << 21 };
         let col = (1u64 << shift) - 1;
         let prober = family.col_prober(col, mapper, n);
-        let mut probes: Vec<_> = rows.iter().map(|&row| prober.begin_col(row, col)).collect();
+        let mut lanes = LockstepLanes::new();
+        lanes.open(&prober, rows.iter().map(|&row| (row, col)));
         let mut scalar: Vec<_> = rows.iter().map(|&row| prober.begin(row)).collect();
         let mut out = vec![0u64; rows.len()];
         for step in 0..24 {
-            prober.next_positions_lockstep(&mut probes, &mut out);
+            prober.next_positions_lockstep(&mut lanes, &mut out);
             for ((lane, &got), &row) in scalar.iter_mut().zip(&out).zip(&rows) {
                 prop_assert_eq!(got, prober.next_position(lane), "row {} step {}", row, step);
             }

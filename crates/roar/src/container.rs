@@ -319,6 +319,30 @@ impl Container {
         }
     }
 
+    /// [`Self::insert`] for a `v` no smaller than any value present: an
+    /// array appends it (a bitmap above [`ARRAY_MAX`] values, as
+    /// `insert` turns it), a bitmap sets its bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an array's last value is above `v`.
+    pub(crate) fn push(&mut self, v: u16) {
+        self.densify();
+        match self {
+            Container::Array(vals) => match vals.last() {
+                Some(&last) if last >= v => assert!(last == v, "values must ascend"),
+                _ => {
+                    vals.push(v);
+                    if vals.len() > ARRAY_MAX {
+                        *self = Self::array_to_bitmap(vals);
+                    }
+                }
+            },
+            Container::Bitmap(words) => words[v as usize / 64] |= 1 << (v as usize % 64),
+            Container::Run(_) => unreachable!("densify above"),
+        }
+    }
+
     fn array_to_bitmap(vals: &[u16]) -> Container {
         let mut words = vec![0u64; WORDS].into_boxed_slice();
         for &v in vals {

@@ -54,13 +54,42 @@ impl RoaringBitmap {
         RoaringBitmap { chunks: Vec::new() }
     }
 
-    /// Builds from an ascending iterator of values (duplicates allowed).
+    /// Builds from an ascending iterator of values (duplicates allowed),
+    /// one [`Self::push`] each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the values descend.
     pub fn from_sorted<I: IntoIterator<Item = u32>>(values: I) -> Self {
         let mut rb = Self::new();
         for v in values {
-            rb.insert(v);
+            rb.push(v);
         }
         rb
+    }
+
+    /// Adds `v`, no smaller than any value present: the last container
+    /// grows at its end — the container [`Self::insert`] grows, without
+    /// a binary search and a shift per value. Adding the maximum again
+    /// changes nothing. A `v` in a new chunk completes the last one,
+    /// which is then stored in its smallest form (the choice
+    /// [`Self::optimize`] makes), so a bitmap built by pushes holds one
+    /// container in its growing form at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is below the bitmap's maximum.
+    pub fn push(&mut self, v: u32) {
+        let (key, low) = Self::split(v);
+        if let Some((last, c)) = self.chunks.last_mut() {
+            if *last == key {
+                c.push(low);
+                return;
+            }
+            assert!(*last < key, "values must ascend");
+            c.optimize();
+        }
+        self.chunks.push((key, Container::Array(vec![low])));
     }
 
     #[inline]
@@ -299,6 +328,44 @@ mod tests {
         assert_eq!(rb.len(), 2);
         // The chunk for key 1 must be gone entirely.
         assert_eq!(rb.chunks.len(), 1);
+    }
+
+    /// A bitmap built by ascending pushes, once optimized, is the one
+    /// value-by-value inserts build, in every physical form: chunks just
+    /// under and over the array limit, a run-shaped chunk, duplicates,
+    /// and pushes that continue the last chunk of a bitmap built by
+    /// `from_sorted` before opening new ones.
+    #[test]
+    fn sorted_build_is_the_inserted_bitmap() {
+        use container::ARRAY_MAX;
+        let mut vals: Vec<u32> = (0..ARRAY_MAX as u32).map(|i| i * 3).collect();
+        vals.extend((0..=ARRAY_MAX as u32).map(|i| (1 << 16) + i * 7));
+        vals.extend((5u32 << 16)..(5 << 16) + 20_000);
+        vals.extend([(7 << 16) + 9, (7 << 16) + 9, u32::MAX]);
+        let (head, tail) = vals.split_at(vals.len() - 4_000);
+        let mut sorted = RoaringBitmap::from_sorted(head.iter().copied());
+        for &v in tail {
+            sorted.push(v);
+        }
+        let mut inserted = RoaringBitmap::new();
+        for &v in &vals {
+            inserted.insert(v);
+        }
+        // The chunks the pushes moved past are already in their smallest
+        // form; the growing last one is an array, as inserts leave it.
+        assert!(matches!(sorted.chunks[0].1, Container::Array(_)));
+        assert!(matches!(sorted.chunks[1].1, Container::Bitmap(_)));
+        assert!(matches!(sorted.chunks[2].1, Container::Run(_)));
+        assert_eq!(sorted.chunks[4], inserted.chunks[4]);
+        assert_eq!(sorted.optimize(), inserted.optimize());
+        assert_eq!(sorted, inserted);
+        assert_eq!(sorted.to_bytes(), inserted.to_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn sorted_build_rejects_descending_values() {
+        RoaringBitmap::from_sorted([70_000, 5]);
     }
 
     #[test]

@@ -584,6 +584,64 @@ mod tests {
         }
     }
 
+    /// A shard's exact tier, built with its pyramid attached, sweeps
+    /// only the rows the pyramid keeps — and the sharded build, and the
+    /// rebuild of a damaged shard, still serialize to the bytes of
+    /// shards whose tiers swept every row (one clustered column at
+    /// α = 4: every F is large, and 2-row regions prune more than half
+    /// of each bin's rows).
+    #[test]
+    fn repaired_exact_tier_follows_the_pyramid_to_the_same_bytes() {
+        use ab::{HierLevelSpec, HybridConfig};
+        let t = BinnedTable::new(vec![BinnedColumn::new(
+            "runs",
+            (0..6000u32).map(|row| row / 750).collect(),
+            8,
+        )]);
+        let cfg = AbConfig::new(Level::PerAttribute).with_alpha(4);
+        let hier = HierConfig {
+            levels: vec![
+                HierLevelSpec {
+                    row_span: 2,
+                    bin_group: 1,
+                },
+                HierLevelSpec {
+                    row_span: 8,
+                    bin_group: 2,
+                },
+            ],
+        };
+        let hybrid = HybridConfig {
+            min_density: 0.0,
+            ..Default::default()
+        };
+        let reference: Vec<(u64, AbIndex)> = ab::shard_ranges(t.num_rows(), 3)
+            .into_iter()
+            .map(|r| {
+                let mut index = AbIndex::build_row_range(&t, &cfg, r.clone());
+                let swept_everything = HybridAb::build_row_range(&index, &t, r.clone(), &hybrid);
+                assert!(swept_everything.bins().iter().all(|hb| !hb.fp().is_empty()));
+                index.ensure_hier(&hier);
+                index.attach_hybrid(swept_everything);
+                (r.start as u64, index)
+            })
+            .collect();
+        let reference: Vec<(u64, &AbIndex)> = reference.iter().map(|(s, i)| (*s, i)).collect();
+        let reference = ab::shards_to_bytes(&reference);
+
+        let mut idx = ShardedIndex::build(&t, &cfg, 3, false);
+        idx.ensure_hier(&hier);
+        idx.ensure_hybrid(&t, &hybrid);
+        let bytes = idx.to_bytes();
+        assert!(bytes == reference, "build");
+        let mut rotted = bytes.clone();
+        let extents = ab::segment_extents(&bytes).unwrap();
+        rotted[extents[1].offset + extents[1].len / 2] ^= 0x40;
+        let (back, repaired) = ShardedIndex::from_bytes_with_repair(&rotted, &t, &cfg).unwrap();
+        assert_eq!(repaired, vec![1]);
+        assert!(back.to_bytes() == reference, "repair");
+    }
+
     #[test]
     #[should_panic(expected = "shard 5 failed")]
     fn per_shard_resumes_a_panic_with_its_payload() {
