@@ -75,29 +75,6 @@ pub enum KernelKind {
     Batched,
 }
 
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(KernelKind::Scalar),
-            "batched" => Ok(KernelKind::Batched),
-            other => Err(format!(
-                "unknown kernel '{other}' (expected scalar|batched)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Batched => "batched",
-        })
-    }
-}
-
 /// Whether an optional tier attached to the index — the coarse-to-fine
 /// pyramid ([`crate::hier::HierAb`]) or the exact tier
 /// ([`crate::hybrid::HybridAb`]) — takes part in a query. One policy,
@@ -847,19 +824,6 @@ pub(crate) fn retrieve_cells_waves(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_kind_parses_and_displays() {
-        assert_eq!("scalar".parse::<KernelKind>(), Ok(KernelKind::Scalar));
-        assert_eq!("batched".parse::<KernelKind>(), Ok(KernelKind::Batched));
-        assert_eq!(KernelKind::default(), KernelKind::Batched);
-        assert_eq!(KernelKind::Scalar.to_string(), "scalar");
-        assert_eq!(KernelKind::Batched.to_string(), "batched");
-        for bad in ["fancy", "simd"] {
-            let err = bad.parse::<KernelKind>().unwrap_err();
-            assert!(err.contains(bad) && err.contains("scalar|batched"), "{err}");
-        }
-    }
 
     #[test]
     fn kernel_opts_builders() {

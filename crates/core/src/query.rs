@@ -990,12 +990,12 @@ mod tests {
                     KernelOpts::new(kernel).with_hier(HierMode::Force),
                 )
                 .unwrap();
-            assert_eq!(hier.0, flat.0, "{kernel} rows differ");
+            assert_eq!(hier.0, flat.0, "{kernel:?} rows differ");
             assert_eq!(flat.1.regions_pruned, 0);
-            assert!(hier.1.regions_pruned > 0, "{kernel} pruned nothing");
+            assert!(hier.1.regions_pruned > 0, "{kernel:?} pruned nothing");
             assert!(
                 hier.1.cells_probed < flat.1.cells_probed,
-                "{kernel} probes not reduced"
+                "{kernel:?} probes not reduced"
             );
         }
         // Off leaves the flat path untouched even with a pyramid.
@@ -1130,15 +1130,15 @@ mod tests {
                 .copied()
                 .filter(|&r| (1..=3).contains(&t.column(0).bins[r]))
                 .collect();
-            assert_eq!(hyb.0, expect, "{kernel} mixed-path rows wrong");
+            assert_eq!(hyb.0, expect, "{kernel:?} mixed-path rows wrong");
             assert_eq!(
                 flat.0.len() - hyb.0.len(),
                 hyb.1.fp_rows_eliminated as usize,
-                "{kernel} fp accounting broken"
+                "{kernel:?} fp accounting broken"
             );
             assert!(
                 hyb.1.cells_probed > 0,
-                "{kernel} unbacked range must still probe"
+                "{kernel:?} unbacked range must still probe"
             );
             // No true row is ever dropped.
             for &r in &hyb.0 {

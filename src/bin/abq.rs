@@ -1,32 +1,5 @@
 //! `abq` — build, inspect and query Approximate Bitmap indexes from
-//! the command line.
-//!
-//! ```text
-//! abq build --csv data.csv --out index.ab [--bins 10] [--alpha 8]
-//!           [--level per-attribute|per-dataset|per-column] [--k N]
-//!           [--precision P]
-//! abq info  --index index.ab
-//! abq verify --index index.ab
-//! abq query --index index.ab --where attr=LO..HI [--where ...]
-//!           [--rows LO..HI] [--limit N]
-//! abq serve --csv data.csv [--threads N] [--shards N] [--bins N]
-//!           [--alpha N] [--level L] [--deadline-ms N] [--retries N]
-//!           [--limit N] [--hier [off|auto|force]] [--hybrid [off|auto|force]]
-//!           [--telemetry-addr HOST:PORT] [--slow-ms N]
-//!           [--store index.abpg [--store-pread] [--scrub-ms N]]
-//!           [--listen HOST:PORT [--max-conns N] [--drain-ms N]
-//!            [--trace-dump FILE]]
-//! abq store build --csv data.csv --out index.abpg [--shards N]
-//!           [--page-size N] [--bins N] [--alpha N] [--level L] [--hier]
-//!           [--hybrid]
-//! abq store verify --store index.abpg
-//! abq store scrub --store index.abpg [--pread]
-//!           [--csv data.csv [--bins N] [--alpha N] [--level L]]
-//! abq loadgen --addr HOST:PORT [--conns N] [--secs S]
-//!           [--pipeline N | --rps R] [--mix rect,cells,batch]
-//!           [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
-//! abq trace (--addr HOST:PORT | --file DUMP.json)
-//! ```
+//! the command line. `abq --help` lists every subcommand's flags.
 //!
 //! `build` reads a numeric CSV with a header row, discretizes every
 //! column into equi-depth bins, and writes the serialized AB index.
@@ -63,12 +36,18 @@
 //! [`svc::SvcError::Overloaded`] rejections are absorbed instead of
 //! surfacing to the caller.
 //!
-//! Each subcommand accepts exactly the flags listed for it in
-//! [`COMMANDS`]; any other `--flag` is an error naming it.
+//! [`COMMANDS`] declares each subcommand's flags once: name, kind and
+//! default. [`parse`] walks the command line once against that table;
+//! a flag the table does not list, a stray token, a missing value, a
+//! repeated flag or a missing required flag is an error naming it.
 
-use ab::{AbConfig, AbIndex, Level};
+use ab::{AbConfig, AbIndex, AttributeMeta, Level};
 use bitmap::{AttrRange, BinnedTable, Column, EquiDepth, RectQuery, Table};
+use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 use svc::{Service, SvcConfig};
 
 fn main() -> ExitCode {
@@ -83,101 +62,176 @@ fn main() -> ExitCode {
     }
 }
 
-/// A subcommand's handler, given the arguments after its name.
-type Handler = fn(&[String]) -> Result<(), String>;
+/// A subcommand's handler, given its command line parsed against its
+/// flag table.
+type Handler = fn(&Args) -> Result<(), String>;
 
-/// Every subcommand, its handler and the only flags it accepts.
-const COMMANDS: &[(&str, Handler, &[&str])] = &[
+/// A subcommand: its name, its handler and the only flags it accepts.
+type Command = (&'static str, Handler, &'static [Flag]);
+
+/// One flag of one subcommand.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    absent: Absent,
+}
+
+const fn flag(name: &'static str, kind: Kind, absent: Absent) -> Flag {
+    Flag { name, kind, absent }
+}
+
+/// How a flag takes its operand.
+enum Kind {
+    /// `--flag VALUE`, at most once; the `&str` is the metavar.
+    Value(&'static str),
+    /// `--flag VALUE`, any number of times.
+    Repeated(&'static str),
+    /// `--flag` alone.
+    Switch,
+    /// `--flag [off|auto|force]`; bare means auto.
+    Mode,
+}
+
+/// What a flag reads as when the command line leaves it out.
+enum Absent {
+    Required,
+    /// No value: the handler decides (the comment in the table says how).
+    Unset,
+    /// This default.
+    Or(&'static str),
+}
+
+use Absent::{Or, Required, Unset};
+use Kind::{Mode, Repeated, Switch, Value};
+
+/// Every subcommand, its handler and its flags: the one place a flag,
+/// its kind and its default are declared.
+const COMMANDS: &[Command] = &[
     (
         "build",
         cmd_build,
         &[
-            "--csv",
-            "--out",
-            "--bins",
-            "--alpha",
-            "--level",
-            "--k",
-            "--precision",
+            flag("--csv", Value("FILE"), Required),
+            flag("--out", Value("FILE"), Required),
+            flag("--bins", Value("N"), Or("10")),
+            flag("--alpha", Value("N"), Or("8")),
+            flag("--level", Value("L"), Or("per-attribute")),
+            flag("--k", Value("N"), Unset),
+            flag("--precision", Value("P"), Unset),
         ],
     ),
-    ("info", cmd_info, &["--index"]),
-    ("verify", cmd_verify, &["--index"]),
+    (
+        "info",
+        cmd_info,
+        &[flag("--index", Value("FILE"), Required)],
+    ),
+    (
+        "verify",
+        cmd_verify,
+        &[flag("--index", Value("FILE"), Required)],
+    ),
     (
         "query",
         cmd_query,
-        &["--index", "--where", "--rows", "--limit"],
+        &[
+            flag("--index", Value("FILE"), Required),
+            flag("--where", Repeated("ATTR=LO..HI"), Unset),
+            flag("--rows", Value("LO..HI"), Unset),
+            flag("--limit", Value("N"), Or("50")),
+        ],
     ),
     (
         "serve",
         cmd_serve,
         &[
-            "--csv",
-            "--threads",
-            "--shards",
-            "--bins",
-            "--alpha",
-            "--level",
-            "--deadline-ms",
-            "--retries",
-            "--limit",
-            "--hier",
-            "--hybrid",
-            "--telemetry-addr",
-            "--slow-ms",
-            "--store",
-            "--store-pread",
-            "--scrub-ms",
-            "--listen",
-            "--max-conns",
-            "--drain-ms",
-            "--trace-dump",
+            // Required unless `--store` is given.
+            flag("--csv", Value("FILE"), Unset),
+            // Unset: the machine's available parallelism.
+            flag("--threads", Value("N"), Unset),
+            // 0: derived from the thread count.
+            flag("--shards", Value("N"), Or("0")),
+            flag("--bins", Value("N"), Or("10")),
+            flag("--alpha", Value("N"), Or("8")),
+            flag("--level", Value("L"), Or("per-attribute")),
+            flag("--deadline-ms", Value("N"), Unset),
+            flag("--retries", Value("N"), Or("4")),
+            flag("--limit", Value("N"), Or("20")),
+            flag("--hier", Mode, Or("off")),
+            flag("--hybrid", Mode, Or("off")),
+            flag("--telemetry-addr", Value("HOST:PORT"), Unset),
+            flag("--slow-ms", Value("N"), Unset),
+            flag("--store", Value("FILE"), Unset),
+            flag("--store-pread", Switch, Unset),
+            flag("--scrub-ms", Value("N"), Or("5000")),
+            flag("--listen", Value("HOST:PORT"), Unset),
+            // Unset: `net::NetConfig`'s default.
+            flag("--max-conns", Value("N"), Unset),
+            flag("--drain-ms", Value("N"), Or("2000")),
+            flag("--trace-dump", Value("FILE"), Unset),
         ],
     ),
     (
         "store build",
         cmd_store_build,
         &[
-            "--csv",
-            "--out",
-            "--shards",
-            "--page-size",
-            "--bins",
-            "--alpha",
-            "--level",
-            "--hier",
-            "--hybrid",
+            flag("--csv", Value("FILE"), Required),
+            flag("--out", Value("FILE"), Required),
+            // Unset: derived from the machine's available parallelism.
+            flag("--shards", Value("N"), Unset),
+            // Unset: `store::DEFAULT_PAGE_SIZE`.
+            flag("--page-size", Value("N"), Unset),
+            flag("--bins", Value("N"), Or("10")),
+            flag("--alpha", Value("N"), Or("8")),
+            flag("--level", Value("L"), Or("per-attribute")),
+            flag("--hier", Mode, Or("off")),
+            flag("--hybrid", Mode, Or("off")),
         ],
     ),
-    ("store verify", cmd_store_verify, &["--store"]),
+    (
+        "store verify",
+        cmd_store_verify,
+        &[flag("--store", Value("FILE"), Required)],
+    ),
     (
         "store scrub",
         cmd_store_scrub,
         &[
-            "--store", "--pread", "--csv", "--bins", "--alpha", "--level",
+            flag("--store", Value("FILE"), Required),
+            flag("--pread", Switch, Unset),
+            flag("--csv", Value("FILE"), Unset),
+            flag("--bins", Value("N"), Or("10")),
+            flag("--alpha", Value("N"), Or("8")),
+            flag("--level", Value("L"), Or("per-attribute")),
         ],
     ),
     (
         "loadgen",
         cmd_loadgen,
         &[
-            "--addr",
-            "--conns",
-            "--secs",
-            "--pipeline",
-            "--rps",
-            "--mix",
-            "--seed",
-            "--batch-size",
-            "--deadline-ms",
-            "--out",
+            flag("--addr", Value("HOST:PORT"), Required),
+            flag("--conns", Value("N"), Or("1")),
+            flag("--secs", Value("S"), Or("5")),
+            flag("--pipeline", Value("N"), Or("1")),
+            flag("--rps", Value("R"), Unset),
+            flag("--mix", Value("rect,cells,batch"), Or("rect")),
+            flag("--seed", Value("N"), Or("42")),
+            flag("--batch-size", Value("N"), Or("8")),
+            flag("--deadline-ms", Value("N"), Or("0")),
+            flag("--out", Value("FILE"), Unset),
         ],
     ),
-    ("trace", cmd_trace, &["--addr", "--file"]),
+    (
+        "trace",
+        cmd_trace,
+        &[
+            flag("--addr", Value("HOST:PORT"), Unset),
+            flag("--file", Value("DUMP.json"), Unset),
+        ],
+    ),
 ];
 
-/// Routes `argv[1..]` to its subcommand after checking every `--flag`
-/// against the subcommand's accepted list.
+/// Routes `argv[1..]` to its subcommand, parsed against the
+/// subcommand's flag table.
 fn dispatch(args: &[String]) -> Result<(), String> {
     let name = match args.first().map(String::as_str) {
         Some("--help") | Some("-h") | None => {
@@ -190,61 +244,143 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         },
         Some(cmd) => cmd.to_string(),
     };
-    let Some(&(_, handler, accepted)) = COMMANDS.iter().find(|c| c.0 == name) else {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.0 == name) else {
         return Err(match name.strip_prefix("store ") {
             Some(sub) => format!("unknown store subcommand `{sub}` (build | verify | scrub)"),
             None => format!("unknown command `{name}`"),
         });
     };
-    let rest = &args[name.split(' ').count()..];
-    if let Some(flag) = rest
-        .iter()
-        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
-    {
-        return Err(format!("`abq {name}` does not accept `{flag}`"));
-    }
-    handler(rest)
+    let args = parse(cmd, &args[name.split(' ').count()..])?;
+    (cmd.1)(&args)
 }
 
-/// The usage text: one entry per subcommand in [`COMMANDS`].
-fn usage() -> &'static str {
-    "usage:
-  abq build --csv FILE --out FILE [--bins N] [--alpha N] [--level L] [--k N] [--precision P]
-  abq info --index FILE
-  abq verify --index FILE
-  abq query --index FILE [--where ATTR=LO..HI]... [--rows LO..HI] [--limit N]
-  abq serve --csv FILE [--threads N] [--shards N] [--bins N] [--alpha N] [--level L]
-      [--deadline-ms N] [--retries N] [--limit N]
-      [--hier [off|auto|force]] [--hybrid [off|auto|force]]
-      [--telemetry-addr HOST:PORT] [--slow-ms N]
-      [--store FILE [--store-pread] [--scrub-ms N]]
-      [--listen HOST:PORT [--max-conns N] [--drain-ms N] [--trace-dump FILE]]
-  abq store build --csv FILE --out FILE [--shards N] [--page-size N]
-      [--bins N] [--alpha N] [--level L] [--hier] [--hybrid]
-  abq store verify --store FILE
-  abq store scrub --store FILE [--pread] [--csv FILE [--bins N] [--alpha N] [--level L]]
-  abq loadgen --addr HOST:PORT [--conns N] [--secs S] [--pipeline N | --rps R]
-      [--mix rect,cells,batch] [--seed N] [--batch-size N] [--deadline-ms N] [--out FILE]
-  abq trace (--addr HOST:PORT | --file DUMP.json)"
+/// A subcommand's command line, parsed against its flag table.
+struct Args {
+    flags: &'static [Flag],
+    /// `(flag, value)` in command-line order. A switch's value is
+    /// empty; a bare mode flag's is `auto`.
+    given: Vec<(&'static str, String)>,
+}
+
+/// Walks `argv` once, left to right, against `cmd`'s flag table.
+/// A value is the next token unless that token is itself a flag; a
+/// mode flag's operand is optional, a switch takes none.
+fn parse(&(name, _, flags): &Command, argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        flags,
+        given: Vec::new(),
+    };
+    let mut argv = argv.iter().peekable();
+    while let Some(tok) = argv.next() {
+        let Some(flag) = flags.iter().find(|f| f.name == tok) else {
+            return Err(if tok.starts_with("--") {
+                format!("`abq {name}` does not accept `{tok}`")
+            } else {
+                format!("stray argument `{tok}`: every value follows its --flag")
+            });
+        };
+        if args.on(flag.name) && !matches!(flag.kind, Repeated(_)) {
+            return Err(format!("{tok} is given twice"));
+        }
+        let operand = match flag.kind {
+            Switch => None,
+            _ => argv.next_if(|v| !v.starts_with("--")),
+        };
+        let value = match (&flag.kind, operand) {
+            (_, Some(v)) => v.clone(),
+            (Switch, None) => String::new(),
+            (Mode, None) => "auto".into(),
+            (_, None) => return Err(format!("{tok} needs a value")),
+        };
+        args.given.push((flag.name, value));
+    }
+    match flags
+        .iter()
+        .find(|f| matches!(f.absent, Required) && !args.on(f.name))
+    {
+        Some(f) => Err(format!("{} is required", f.name)),
+        None => Ok(args),
+    }
+}
+
+impl Args {
+    /// Every value given for `flag`, in command-line order. Asking for
+    /// a flag the table does not declare is a bug in the handler.
+    fn all(&self, flag: &str) -> impl Iterator<Item = &str> {
+        let Some(spec) = self.flags.iter().find(|f| f.name == flag) else {
+            panic!("{flag} is not in this subcommand's flag table");
+        };
+        self.given
+            .iter()
+            .filter(|(f, _)| *f == spec.name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether `flag` is on the command line.
+    fn on(&self, flag: &str) -> bool {
+        self.all(flag).next().is_some()
+    }
+
+    /// The flag's value, else its default from the table.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let default = self.flags.iter().find_map(|f| match f.absent {
+            Or(d) if f.name == flag => Some(d),
+            _ => None,
+        });
+        self.all(flag).next().or(default)
+    }
+
+    /// The value (or default) through `parse`; a missing or bad value
+    /// is an error naming the flag.
+    fn get_with<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let v = self
+            .value(flag)
+            .ok_or_else(|| format!("{flag} is required"))?;
+        parse(v).map_err(|e| format!("bad {flag} `{v}`: {e}"))
+    }
+
+    fn get<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<T, String> {
+        self.get_with(flag, |v| v.parse().map_err(|e: T::Err| e.to_string()))
+    }
+
+    /// The value of a flag without a default, if it is given.
+    fn opt<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.on(flag).then(|| self.get(flag)).transpose()
+    }
+}
+
+/// The usage text, generated from [`COMMANDS`]: one entry per
+/// subcommand, wrapped before 80 columns.
+fn usage() -> String {
+    let mut text = String::from("usage:");
+    for (name, _, flags) in COMMANDS {
+        let mut line = format!("\n  abq {name}");
+        for f in *flags {
+            let word = match (&f.kind, &f.absent) {
+                (Value(m), Required) => format!("{} {m}", f.name),
+                (Value(m), _) => format!("[{} {m}]", f.name),
+                (Repeated(m), _) => format!("[{} {m}]...", f.name),
+                (Switch, _) => format!("[{}]", f.name),
+                (Mode, _) => format!("[{} [off|auto|force]]", f.name),
+            };
+            if line.len() + word.len() > 80 {
+                text += &line;
+                line = "\n     ".into();
+            }
+            line += " ";
+            line += &word;
+        }
+        text += &line;
+    }
+    text
 }
 
 fn print_usage() {
     eprintln!("{}", usage());
-}
-
-/// Pulls the value of `--flag` out of an argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .map(|w| w[1].as_str())
-}
-
-/// All values of a repeatable `--flag`.
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    args.windows(2)
-        .filter(|w| w[0] == flag)
-        .map(|w| w[1].as_str())
-        .collect()
 }
 
 fn parse_level(s: &str) -> Result<Level, String> {
@@ -269,6 +405,46 @@ fn parse_range(s: &str) -> Result<(u64, u64), String> {
         return Err(format!("empty range {lo}..{hi}"));
     }
     Ok((lo, hi))
+}
+
+/// A rect query from `ATTR=LO..HI` terms and an optional `LO..HI` row
+/// range, bounds-checked against the index: the one parser behind
+/// `query --where/--rows` and the `serve` REPL.
+fn rect_query<'a>(
+    attrs: &[AttributeMeta],
+    num_rows: usize,
+    terms: impl IntoIterator<Item = &'a str>,
+    rows: Option<&str>,
+) -> Result<RectQuery, String> {
+    let mut ranges = Vec::new();
+    for term in terms {
+        let (attr_name, range) = term
+            .split_once('=')
+            .ok_or_else(|| format!("`{term}` is not ATTR=LO..HI"))?;
+        let attr = attrs
+            .iter()
+            .position(|a| a.name == attr_name.trim())
+            .ok_or_else(|| format!("unknown attribute `{attr_name}`"))?;
+        let (lo, hi) = parse_range(range)?;
+        let card = attrs[attr].cardinality as u64;
+        if hi >= card {
+            return Err(format!(
+                "bin {hi} out of range for `{attr_name}` (cardinality {card})"
+            ));
+        }
+        ranges.push(AttrRange::new(attr, lo as u32, hi as u32));
+    }
+    let (row_lo, row_hi) = match rows {
+        Some(spec) => {
+            let (lo, hi) = parse_range(spec)?;
+            if hi as usize >= num_rows {
+                return Err(format!("row {hi} out of range ({num_rows})"));
+            }
+            (lo as usize, hi as usize)
+        }
+        None => (0, num_rows - 1),
+    };
+    Ok(RectQuery::new(ranges, row_lo, row_hi))
 }
 
 /// Reads a numeric CSV with a header row into a [`Table`].
@@ -308,53 +484,41 @@ fn read_csv(path: &str) -> Result<Table, String> {
     ))
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
-    let csv = flag_value(args, "--csv").ok_or("--csv is required")?;
-    let out = flag_value(args, "--out").ok_or("--out is required")?;
-    let bins: u32 = flag_value(args, "--bins")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|_| "--bins must be an integer")?;
-    let level = parse_level(flag_value(args, "--level").unwrap_or("per-attribute"))?;
-
-    let mut config = AbConfig::new(level);
-    if let Some(p) = flag_value(args, "--precision") {
-        let p: f64 = p.parse().map_err(|_| "--precision must be a number")?;
+fn cmd_build(a: &Args) -> Result<(), String> {
+    if a.on("--alpha") && a.on("--precision") {
+        return Err("pass --alpha or --precision, not both".into());
+    }
+    let out: String = a.get("--out")?;
+    let precision: Option<f64> = a.opt("--precision")?;
+    let k: Option<usize> = a.opt("--k")?;
+    let (binned, mut config) = binned_and_config(a)?;
+    if let Some(p) = precision {
         config = config.with_min_precision(p);
-    } else {
-        let alpha: u64 = flag_value(args, "--alpha")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "--alpha must be an integer")?;
-        config = config.with_alpha(alpha);
     }
-    if let Some(k) = flag_value(args, "--k") {
-        config = config.with_k(k.parse().map_err(|_| "--k must be an integer")?);
+    if let Some(k) = k {
+        config = config.with_k(k);
     }
-
-    let table = read_csv(csv)?;
-    let binned = BinnedTable::from_table(&table, &EquiDepth::new(bins));
     let index = AbIndex::build(&binned, &config);
     let bytes = ab::to_bytes(&index);
-    std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    std::fs::write(&out, &bytes).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "indexed {} rows x {} attributes into {} ABs ({} bytes) -> {out}",
-        table.num_rows(),
-        table.num_attributes(),
+        binned.num_rows(),
+        binned.num_attributes(),
         index.abs().len(),
         bytes.len(),
     );
     Ok(())
 }
 
-fn load_index(args: &[String]) -> Result<AbIndex, String> {
-    let path = flag_value(args, "--index").ok_or("--index is required")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+fn load_index(a: &Args) -> Result<AbIndex, String> {
+    let path: String = a.get("--index")?;
+    let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
     ab::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let index = load_index(args)?;
+fn cmd_info(a: &Args) -> Result<(), String> {
+    let index = load_index(a)?;
     println!(
         "level: {}\nrows: {}\nattributes: {}\nABs: {}\ntotal size: {} bytes",
         index.level(),
@@ -380,9 +544,9 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 /// `ABIX` or `ABSH` file, without decoding the bit arrays (fast even
 /// on indexes far larger than memory bandwidth would make a full
 /// decode). Exits non-zero when any segment is damaged.
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--index").ok_or("--index is required")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+fn cmd_verify(a: &Args) -> Result<(), String> {
+    let path: String = a.get("--index")?;
+    let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
     let report = ab::verify(&bytes).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{path}: {} v{}, {} bytes, {} segment(s)",
@@ -433,43 +597,16 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let index = load_index(args)?;
-    let mut ranges = Vec::new();
-    for w in flag_values(args, "--where") {
-        let (attr_name, range) = w
-            .split_once('=')
-            .ok_or_else(|| format!("`{w}` is not ATTR=LO..HI"))?;
-        let attr = index
-            .attributes()
-            .iter()
-            .position(|a| a.name == attr_name.trim())
-            .ok_or_else(|| format!("unknown attribute `{attr_name}`"))?;
-        let (lo, hi) = parse_range(range)?;
-        let card = index.attributes()[attr].cardinality as u64;
-        if hi >= card {
-            return Err(format!(
-                "bin {hi} out of range for `{attr_name}` (cardinality {card})"
-            ));
-        }
-        ranges.push(AttrRange::new(attr, lo as u32, hi as u32));
-    }
-    let (row_lo, row_hi) = match flag_value(args, "--rows") {
-        Some(r) => {
-            let (lo, hi) = parse_range(r)?;
-            if hi as usize >= index.num_rows() {
-                return Err(format!("row {hi} out of range ({})", index.num_rows()));
-            }
-            (lo as usize, hi as usize)
-        }
-        None => (0, index.num_rows() - 1),
-    };
-    let limit: usize = flag_value(args, "--limit")
-        .unwrap_or("50")
-        .parse()
-        .map_err(|_| "--limit must be an integer")?;
+fn cmd_query(a: &Args) -> Result<(), String> {
+    let index = load_index(a)?;
+    let query = rect_query(
+        index.attributes(),
+        index.num_rows(),
+        a.all("--where"),
+        a.value("--rows"),
+    )?;
+    let limit: usize = a.get("--limit")?;
 
-    let query = RectQuery::new(ranges, row_lo, row_hi);
     let (rows, stats) = index
         .try_execute_rect_with_stats_opts(&query, ab::KernelOpts::default())
         .map_err(|e| e.to_string())?;
@@ -487,273 +624,150 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Presence of a valueless `--flag`.
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// The `--threads` flag (satellite of the service layer): explicit
-/// `N`, or the machine's available parallelism.
-fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--threads") {
-        Some(t) => {
-            let n: usize = t.parse().map_err(|_| "--threads must be an integer")?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(n)
-        }
-        None => Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)),
-    }
-}
-
-/// A tier flag with an optional mode operand (`--hier`, `--hybrid`):
-/// absent means off, bare means auto, `off|auto|force` is explicit.
-/// The operand is optional, so a next token that is itself a flag is
-/// left alone (`--hier --listen ...` must not eat `--listen`); any
-/// other token must name a mode.
-fn parse_tier_mode(args: &[String], flag: &str) -> Result<ab::TierMode, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(ab::TierMode::Off);
-    };
-    match args.get(i + 1) {
-        Some(mode) if !mode.starts_with("--") => mode.parse().map_err(|e| format!("{flag}: {e}")),
-        _ => Ok(ab::TierMode::Auto),
-    }
-}
-
-/// The `--hier` flag: hierarchical pruning policy. Auto lets the
-/// planner decide per query when descending the pyramid beats a flat
-/// scan. Results are bit-identical either way — only throughput
-/// differs.
-fn parse_hier(args: &[String]) -> Result<ab::HierMode, String> {
-    parse_tier_mode(args, "--hier")
-}
-
-/// The `--hybrid` flag: hybrid exact-tier policy. Auto answers queries
-/// touching exact-backed bins from Roaring containers — zero hash
-/// probes, zero false positives — and falls back to the AB elsewhere.
-/// Which bins get exact backing is the planner's calibrated split
-/// decision.
-fn parse_hybrid(args: &[String]) -> Result<ab::HybridMode, String> {
-    parse_tier_mode(args, "--hybrid")
-}
-
-/// Retry policy for the `serve` query path: up to
-/// `--retries` attempts (default 4; 1 disables retrying) with
-/// decorrelated-jitter backoff against transient overload.
-fn parse_retry_policy(args: &[String]) -> Result<svc::RetryPolicy, String> {
-    let attempts: usize = flag_value(args, "--retries")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "--retries must be an integer")?;
-    if attempts == 0 {
-        return Err("--retries must be at least 1".into());
-    }
-    Ok(svc::RetryPolicy {
-        max_attempts: attempts,
-        ..svc::RetryPolicy::default()
-    })
-}
-
 /// Shared `--csv`/`--bins`/`--alpha`/`--level` parsing: CSV → binned
 /// table + AB build config (the inputs a store repair needs too).
-fn binned_and_config(args: &[String]) -> Result<(BinnedTable, AbConfig), String> {
-    let csv = flag_value(args, "--csv").ok_or("--csv is required")?;
-    let bins: u32 = flag_value(args, "--bins")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|_| "--bins must be an integer")?;
-    let alpha: u64 = flag_value(args, "--alpha")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| "--alpha must be an integer")?;
-    let level = parse_level(flag_value(args, "--level").unwrap_or("per-attribute"))?;
-    let table = read_csv(csv)?;
+fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
+    let csv: String = a.get("--csv")?;
+    let bins: u32 = a.get("--bins")?;
+    let alpha: u64 = a.get("--alpha")?;
+    let level = a.get_with("--level", parse_level)?;
+    let table = read_csv(&csv)?;
     Ok((
         BinnedTable::from_table(&table, &EquiDepth::new(bins)),
         AbConfig::new(level).with_alpha(alpha),
     ))
 }
 
-/// The service flags both `serve` set-ups share — `--threads`,
-/// `--deadline-ms`, `--slow-ms`, `--hier`, `--hybrid` — as
-/// one [`SvcConfig`] over `shards` shards.
-fn serve_config(args: &[String], shards: usize) -> Result<SvcConfig, String> {
-    let millis = |flag: &str| -> Result<Option<std::time::Duration>, String> {
-        flag_value(args, flag)
-            .map(|ms| {
-                ms.parse()
-                    .map(std::time::Duration::from_millis)
-                    .map_err(|_| format!("{flag} must be an integer"))
-            })
-            .transpose()
-    };
+/// With `--csv`, the table and build config a store repair rebuilds
+/// damaged shards from.
+fn repair_source(a: &Args) -> Result<Option<svc::RepairSource>, String> {
+    if !a.on("--csv") {
+        return Ok(None);
+    }
+    let (table, config) = binned_and_config(a)?;
+    Ok(Some(svc::RepairSource { table, config }))
+}
+
+/// The service flags of `serve` — `--threads`, `--shards`,
+/// `--deadline-ms`, `--slow-ms`, `--hier`, `--hybrid` — as one
+/// [`SvcConfig`].
+fn serve_config(a: &Args) -> Result<SvcConfig, String> {
+    let millis = |flag| a.opt(flag).map(|ms| ms.map(Duration::from_millis));
     Ok(SvcConfig {
-        threads: parse_threads(args)?,
-        shards,
+        threads: a.opt("--threads")?.map_or(0, NonZeroUsize::get),
+        shards: a.get("--shards")?,
         default_deadline: millis("--deadline-ms")?,
         slow_query: millis("--slow-ms")?,
-        hier: parse_hier(args)?,
-        hybrid: parse_hybrid(args)?,
+        hier: a.get("--hier")?,
+        hybrid: a.get("--hybrid")?,
         ..SvcConfig::default()
     })
 }
 
-/// `serve` setup: CSV → binned table → sharded service. Prints the
-/// chosen shard/thread split.
-fn build_service(args: &[String]) -> Result<Service, String> {
-    let (binned, config) = binned_and_config(args)?;
-    let shards: usize = match flag_value(args, "--shards") {
-        Some(s) => s.parse().map_err(|_| "--shards must be an integer")?,
-        None => 0,
+/// `serve` setup: CSV → binned table → sharded service, or with
+/// `--store` an ABPG file → sharded index → service plus the
+/// background scrubber (interval `--scrub-ms`; 0 disables). With
+/// `--csv` the scrubber repairs damage in place; without it, damaged
+/// shards are quarantined into degraded answers. Prints the chosen
+/// shard/thread split.
+fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scrubber>), String> {
+    let store = match a.value("--store") {
+        Some(path) => {
+            let st = store::Store::open_with(std::path::Path::new(path), a.on("--store-pread"))
+                .map_err(|e| format!("{path}: {e}"))?;
+            Some((st, path))
+        }
+        None => None,
     };
-    let svc = Service::build(&binned, &config, &serve_config(args, shards)?);
+    let svc = match &store {
+        // Segments stored without a pyramid are fine: Service::from_index
+        // rebuilds it per shard when hier is requested. Hybrid containers
+        // however live in the segment itself (built with `store build
+        // --hybrid`); the flag only controls whether the kernel consults
+        // them.
+        Some((st, path)) => Service::from_index(
+            svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?,
+            cfg,
+        ),
+        None => {
+            let (binned, config) = binned_and_config(a)?;
+            Service::build(&binned, &config, cfg)
+        }
+    };
     println!(
-        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes)",
+        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes{})",
         svc.index().num_rows(),
         svc.index().attributes().len(),
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
+        store.as_ref().map_or(String::new(), |(st, path)| {
+            format!(", {} store {path}", st.backend())
+        }),
     );
-    Ok(svc)
-}
-
-/// `serve --store`: ABPG file → sharded index → service, plus the
-/// background scrubber (interval `--scrub-ms`, default 5000; 0
-/// disables). With `--csv` the scrubber repairs damage in place;
-/// without it, damaged shards are quarantined into degraded answers.
-fn build_service_from_store(
-    args: &[String],
-    path: &str,
-) -> Result<(Service, Option<svc::Scrubber>), String> {
-    let st = store::Store::open_with(std::path::Path::new(path), has_flag(args, "--store-pread"))
-        .map_err(|e| format!("{path}: {e}"))?;
-    let index = svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?;
-    // Segments stored without a pyramid are fine: Service::from_index
-    // rebuilds it per shard when hier is requested. Hybrid containers
-    // however live in the segment itself (built with `store build
-    // --hybrid`); the flag only controls whether the kernel consults
-    // them.
-    let cfg = serve_config(args, index.num_shards())?;
-    let svc = Service::from_index(index, &cfg);
-    println!(
-        "ready: {} rows x {} attributes, {} shards on {} threads \
-         ({} AB bytes, {} store {path})",
-        svc.index().num_rows(),
-        svc.index().attributes().len(),
-        svc.index().num_shards(),
-        svc.threads(),
-        svc.index().size_bytes(),
-        st.backend(),
-    );
-    let scrub_ms: u64 = flag_value(args, "--scrub-ms")
-        .unwrap_or("5000")
-        .parse()
-        .map_err(|_| "--scrub-ms must be an integer")?;
-    let scrubber = if scrub_ms == 0 {
-        None
-    } else {
-        let repair = match flag_value(args, "--csv") {
-            Some(_) => {
-                let (table, config) = binned_and_config(args)?;
-                Some(svc::RepairSource { table, config })
-            }
-            None => None,
-        };
-        let with_repair = repair.is_some();
-        let s = svc::Scrubber::spawn(
-            st,
-            svc.health_arc(),
-            repair,
-            std::time::Duration::from_millis(scrub_ms),
-            std::sync::Arc::new(store::RealIo),
-        )
-        .map_err(|e| format!("scrubber: {e}"))?;
-        println!(
-            "scrubbing every {scrub_ms} ms ({})",
-            if with_repair {
-                "online repair enabled"
-            } else {
-                "quarantine only; pass --csv to enable repair"
-            }
-        );
-        Some(s)
+    let scrub_ms: u64 = a.get("--scrub-ms")?;
+    let Some((st, _)) = store.filter(|_| scrub_ms > 0) else {
+        return Ok((svc, None));
     };
-    Ok((svc, scrubber))
+    let repair = repair_source(a)?;
+    let with_repair = repair.is_some();
+    let scrubber = svc::Scrubber::spawn(
+        st,
+        svc.health_arc(),
+        repair,
+        Duration::from_millis(scrub_ms),
+        std::sync::Arc::new(store::RealIo),
+    )
+    .map_err(|e| format!("scrubber: {e}"))?;
+    println!(
+        "scrubbing every {scrub_ms} ms ({})",
+        if with_repair {
+            "online repair enabled"
+        } else {
+            "quarantine only; pass --csv to enable repair"
+        }
+    );
+    Ok((svc, Some(scrubber)))
 }
 
 /// Parses one REPL line into a query: whitespace-separated
 /// `ATTR=LO..HI` terms plus an optional `rows LO..HI` pair.
 fn parse_repl_query(line: &str, svc: &Service) -> Result<RectQuery, String> {
-    let mut ranges = Vec::new();
+    let mut terms = Vec::new();
     let mut rows = None;
-    let mut tokens = line.split_whitespace().peekable();
+    let mut tokens = line.split_whitespace();
     while let Some(tok) = tokens.next() {
         if tok == "rows" {
-            let spec = tokens.next().ok_or("`rows` needs a LO..HI range")?;
-            let (lo, hi) = parse_range(spec)?;
-            if hi as usize >= svc.index().num_rows() {
-                return Err(format!(
-                    "row {hi} out of range ({})",
-                    svc.index().num_rows()
-                ));
-            }
-            rows = Some((lo as usize, hi as usize));
+            rows = Some(tokens.next().ok_or("`rows` needs a LO..HI range")?);
         } else {
-            let (attr_name, range) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("`{tok}` is not ATTR=LO..HI"))?;
-            let attr = svc
-                .index()
-                .attributes()
-                .iter()
-                .position(|a| a.name == attr_name.trim())
-                .ok_or_else(|| format!("unknown attribute `{attr_name}`"))?;
-            let (lo, hi) = parse_range(range)?;
-            let card = svc.index().attributes()[attr].cardinality as u64;
-            if hi >= card {
-                return Err(format!(
-                    "bin {hi} out of range for `{attr_name}` (cardinality {card})"
-                ));
-            }
-            ranges.push(AttrRange::new(attr, lo as u32, hi as u32));
+            terms.push(tok);
         }
     }
-    let (row_lo, row_hi) = rows.unwrap_or((0, svc.index().num_rows() - 1));
-    Ok(RectQuery::new(ranges, row_lo, row_hi))
+    let index = svc.index();
+    rect_query(index.attributes(), index.num_rows(), terms, rows)
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(a: &Args) -> Result<(), String> {
+    let cfg = serve_config(a)?;
+    let policy = svc::RetryPolicy {
+        max_attempts: a.get::<NonZeroUsize>("--retries")?.get(),
+        ..svc::RetryPolicy::default()
+    };
+    let limit: usize = a.get("--limit")?;
     // `--store` serves from a crash-safe ABPG file instead of
     // rebuilding from CSV; the scrubber handle must stay alive for
     // the whole serve (dropping it stops the background verification).
-    let (svc, scrubber) = match flag_value(args, "--store") {
-        Some(path) => build_service_from_store(args, path)?,
-        None => (build_service(args)?, None),
-    };
+    let (svc, scrubber) = build_service(a, &cfg)?;
     let store_status = scrubber.as_ref().map(|s| s.status());
-    let policy = parse_retry_policy(args)?;
-    let limit: usize = flag_value(args, "--limit")
-        .unwrap_or("20")
-        .parse()
-        .map_err(|_| "--limit must be an integer")?;
-    let deadline_ms: Option<u64> = match flag_value(args, "--deadline-ms") {
-        Some(ms) => Some(ms.parse().map_err(|_| "--deadline-ms must be an integer")?),
-        None => None,
-    };
     // Caller-owned RequestCtx bypasses the service's default deadline,
     // so the REPL re-applies --deadline-ms per attempt itself.
-    let mk_deadline = || match deadline_ms {
-        Some(ms) => svc::Deadline::within(std::time::Duration::from_millis(ms)),
+    let mk_deadline = || match cfg.default_deadline {
+        Some(d) => svc::Deadline::within(d),
         None => svc::Deadline::none(),
     };
     // Keep the handle alive for the whole REPL; dropping it stops the
     // endpoint.
-    let _telemetry = match flag_value(args, "--telemetry-addr") {
+    let _telemetry = match a.value("--telemetry-addr") {
         Some(addr) => {
             // Surface the exact tier's per-shard split in /healthz
             // whenever any shard actually carries containers.
@@ -779,8 +793,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     // `--listen` swaps the stdin REPL for the TCP front end; the
     // telemetry handle (if any) stays alive for the server's lifetime.
-    if let Some(listen) = flag_value(args, "--listen") {
-        return serve_listen(args, svc, listen);
+    if let Some(listen) = a.value("--listen") {
+        return serve_listen(a, svc, listen, cfg.default_deadline);
     }
     println!("query syntax: ATTR=LO..HI [ATTR=LO..HI ...] [rows LO..HI]; `quit` to exit");
     let stdin = std::io::stdin();
@@ -834,17 +848,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// loop over the freshly built service and parks until SIGINT/SIGTERM,
 /// then drains gracefully (stop accepting, answer everything already
 /// admitted, bounded by `--drain-ms`) and exits 0.
-fn serve_listen(args: &[String], svc: Service, listen: &str) -> Result<(), String> {
-    let drain_ms: u64 = flag_value(args, "--drain-ms")
-        .unwrap_or("2000")
-        .parse()
-        .map_err(|_| "--drain-ms must be an integer")?;
+fn serve_listen(
+    a: &Args,
+    svc: Service,
+    listen: &str,
+    deadline: Option<Duration>,
+) -> Result<(), String> {
+    let drain_ms: u64 = a.get("--drain-ms")?;
     let mut cfg = net::NetConfig::default();
-    if let Some(n) = flag_value(args, "--max-conns") {
-        cfg.max_connections = n.parse().map_err(|_| "--max-conns must be an integer")?;
+    if let Some(n) = a.opt("--max-conns")? {
+        cfg.max_connections = n;
     }
-    if let Some(ms) = flag_value(args, "--deadline-ms") {
-        cfg.default_deadline_ms = ms.parse().map_err(|_| "--deadline-ms must be an integer")?;
+    if let Some(d) = deadline {
+        // The wire carries the deadline as u32 milliseconds.
+        cfg.default_deadline_ms = u32::try_from(d.as_millis()).map_err(|_| {
+            format!(
+                "bad --deadline-ms `{}`: over u32::MAX with --listen",
+                d.as_millis()
+            )
+        })?;
     }
     let server = net::NetServer::bind(listen, std::sync::Arc::new(svc), cfg)
         .map_err(|e| format!("listen {listen}: {e}"))?;
@@ -855,13 +877,13 @@ fn serve_listen(args: &[String], svc: Service, listen: &str) -> Result<(), Strin
     );
     net::sys::signal::install_shutdown_handler();
     while !net::sys::signal::shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
     }
     println!("shutdown requested; draining (up to {drain_ms} ms)");
-    server.shutdown(std::time::Duration::from_millis(drain_ms));
+    server.shutdown(Duration::from_millis(drain_ms));
     // The flight recorder still holds the last traces after the
     // listener is gone; --trace-dump persists them for `abq trace`.
-    if let Some(path) = flag_value(args, "--trace-dump") {
+    if let Some(path) = a.value("--trace-dump") {
         std::fs::write(path, obs::recorder().to_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote trace dump to {path}");
     }
@@ -871,31 +893,23 @@ fn serve_listen(args: &[String], svc: Service, listen: &str) -> Result<(), Strin
 
 /// `abq store build` — CSV → sharded index → atomically written
 /// `ABPG` store (tmp + fsync + rename, page CRCs throughout).
-fn cmd_store_build(args: &[String]) -> Result<(), String> {
-    let out = flag_value(args, "--out").ok_or("--out is required")?;
-    let (binned, config) = binned_and_config(args)?;
-    let shards: usize = match flag_value(args, "--shards") {
-        Some(s) => {
-            let n = s.parse().map_err(|_| "--shards must be an integer")?;
-            if n == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            n
-        }
+fn cmd_store_build(a: &Args) -> Result<(), String> {
+    let out: String = a.get("--out")?;
+    let shards = a.opt::<NonZeroUsize>("--shards")?;
+    let page_size = a.opt("--page-size")?.unwrap_or(store::DEFAULT_PAGE_SIZE);
+    let hier = a.get::<ab::HierMode>("--hier")? != ab::HierMode::Off;
+    let hybrid = a.get::<ab::HybridMode>("--hybrid")? != ab::HybridMode::Off;
+    let (binned, config) = binned_and_config(a)?;
+    let shards = match shards {
+        Some(n) => n.get(),
         None => SvcConfig::default().resolved_shards(binned.num_rows()),
     };
-    let page_size: u32 = match flag_value(args, "--page-size") {
-        Some(p) => p.parse().map_err(|_| "--page-size must be an integer")?,
-        None => store::DEFAULT_PAGE_SIZE,
-    };
     let mut index = svc::ShardedIndex::build(&binned, &config, shards, false);
-    let hier = parse_hier(args)? != ab::HierMode::Off;
     if hier {
         // Persist the pruning pyramid alongside each shard (ABIX v3
         // pages in the segment); serving later needs no rebuild.
         index.ensure_hier(&ab::HierConfig::default());
     }
-    let hybrid = parse_hybrid(args)? != ab::HybridMode::Off;
     if hybrid {
         // Persist the planner-split exact tier alongside each shard
         // (ABIX v4 pages): Roaring containers for the hot bins, built
@@ -905,7 +919,7 @@ fn cmd_store_build(args: &[String]) -> Result<(), String> {
     }
     let payload = index.to_bytes();
     store::write(
-        std::path::Path::new(out),
+        std::path::Path::new(&out),
         &payload,
         page_size,
         &store::RealIo,
@@ -939,10 +953,10 @@ fn cmd_store_build(args: &[String]) -> Result<(), String> {
 /// `abq store verify` — offline integrity audit: header, meta-page
 /// padding, CRC table, and every payload page, without deserializing
 /// the index. Exits non-zero on any damage.
-fn cmd_store_verify(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--store").ok_or("--store is required")?;
+fn cmd_store_verify(a: &Args) -> Result<(), String> {
+    let path: String = a.get("--store")?;
     let (header, report) =
-        store::Store::audit(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+        store::Store::audit(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{path}: ABPG v{}, {} payload bytes in {} page(s) of {} bytes, {} shard(s)",
         header.version,
@@ -970,17 +984,11 @@ fn cmd_store_verify(args: &[String]) -> Result<(), String> {
 /// store (mmap, or `--pread`), verify every page, and — when the
 /// original CSV and build flags are supplied — rewrite the file
 /// bit-identically through the same atomic protocol `build` uses.
-fn cmd_store_scrub(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--store").ok_or("--store is required")?;
-    let p = std::path::Path::new(path);
-    let force_pread = has_flag(args, "--pread");
-    let repair = match flag_value(args, "--csv") {
-        Some(_) => {
-            let (table, config) = binned_and_config(args)?;
-            Some(svc::RepairSource { table, config })
-        }
-        None => None,
-    };
+fn cmd_store_scrub(a: &Args) -> Result<(), String> {
+    let path: String = a.get("--store")?;
+    let p = std::path::Path::new(&path);
+    let force_pread = a.on("--pread");
+    let repair = repair_source(a)?;
     let mut st = match store::Store::open_with(p, force_pread) {
         Ok(st) => st,
         Err(store::StoreError::Io(e)) => return Err(format!("{path}: {e}")),
@@ -995,7 +1003,7 @@ fn cmd_store_scrub(args: &[String]) -> Result<(), String> {
                     "{path}: {e} — pass --csv (and matching build flags) to rebuild in place"
                 ));
             };
-            return rebuild_store(p, path, &repair, force_pread);
+            return rebuild_store(p, &path, &repair, force_pread);
         }
     };
     let health = svc::ShardHealth::new(st.num_shards());
@@ -1079,7 +1087,7 @@ fn parse_mix(s: &str) -> Result<net::loadgen::Mix, String> {
         }
     }
     if mix.rect + mix.cells + mix.batch == 0 {
-        return Err("--mix needs at least one nonzero weight".into());
+        return Err("at least one weight must be nonzero".into());
     }
     Ok(mix)
 }
@@ -1088,54 +1096,36 @@ fn parse_mix(s: &str) -> Result<net::loadgen::Mix, String> {
 /// and prints client-observed rps + latency quantiles; with `--out
 /// FILE` it also writes them, with the registry, as a JSON snapshot
 /// (nothing is written otherwise).
-fn cmd_loadgen(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--addr").ok_or("--addr is required")?;
-    let conns: usize = flag_value(args, "--conns")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "--conns must be an integer")?;
-    let secs: f64 = flag_value(args, "--secs")
-        .unwrap_or("5")
-        .parse()
-        .map_err(|_| "--secs must be a number")?;
+fn cmd_loadgen(a: &Args) -> Result<(), String> {
+    let conns: usize = a.get("--conns")?;
+    let secs: f64 = a.get("--secs")?;
     if !secs.is_finite() || secs <= 0.0 {
         return Err("--secs must be positive".into());
     }
     // `--rps` selects the open loop (fixed arrival rate, coordinated-
     // omission-corrected latency); otherwise closed loop with a
     // per-connection pipeline window.
-    let mode = match (flag_value(args, "--rps"), flag_value(args, "--pipeline")) {
-        (Some(_), Some(_)) => return Err("pass --rps or --pipeline, not both".into()),
-        (Some(r), None) => net::loadgen::Mode::Open {
-            rps: r.parse().map_err(|_| "--rps must be a number")?,
-        },
-        (None, p) => net::loadgen::Mode::Closed {
-            pipeline: p
-                .unwrap_or("1")
-                .parse()
-                .map_err(|_| "--pipeline must be an integer")?,
+    if a.on("--rps") && a.on("--pipeline") {
+        return Err("pass --rps or --pipeline, not both".into());
+    }
+    let mode = match a.opt("--rps")? {
+        Some(rps) => net::loadgen::Mode::Open { rps },
+        None => net::loadgen::Mode::Closed {
+            pipeline: a.get("--pipeline")?,
         },
     };
     let cfg = net::loadgen::LoadgenConfig {
-        addr: addr.to_string(),
+        addr: a.get("--addr")?,
         conns: conns.max(1),
-        duration: std::time::Duration::from_secs_f64(secs),
+        duration: Duration::from_secs_f64(secs),
         mode,
-        mix: parse_mix(flag_value(args, "--mix").unwrap_or("rect"))?,
-        seed: flag_value(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "--seed must be an integer")?,
-        batch_size: flag_value(args, "--batch-size")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "--batch-size must be an integer")?,
-        deadline_ms: flag_value(args, "--deadline-ms")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| "--deadline-ms must be an integer")?,
+        mix: a.get_with("--mix", parse_mix)?,
+        seed: a.get("--seed")?,
+        batch_size: a.get("--batch-size")?,
+        deadline_ms: a.get("--deadline-ms")?,
     };
-    let report = net::loadgen::run(&cfg).map_err(|e| format!("loadgen against {addr}: {e}"))?;
+    let report =
+        net::loadgen::run(&cfg).map_err(|e| format!("loadgen against {}: {e}", cfg.addr))?;
 
     println!(
         "{} ok, {} error frame(s) ({} shed), {} transport error(s), {} reconnect(s) \
@@ -1165,7 +1155,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     // net.rps.<kind>.conns<N>, net.latency_us.<kind>.conns<N>.<p>, and
     // the reliability counts net.errors/shed.<kind>.conns<N> +
     // net.transport_errors/reconnects.conns<N>.
-    let Some(out) = flag_value(args, "--out") else {
+    let Some(out) = a.value("--out") else {
         return Ok(());
     };
     let mut snap = obs::global()
@@ -1205,8 +1195,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 
 /// `abq trace` — fetch (or read from a file) a `/debug/traces` dump
 /// and pretty-print each trace's span tree.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let dump = match (flag_value(args, "--addr"), flag_value(args, "--file")) {
+fn cmd_trace(a: &Args) -> Result<(), String> {
+    let dump = match (a.value("--addr"), a.value("--file")) {
         (Some(addr), None) => http_get(addr, "/debug/traces")?,
         (None, Some(path)) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
         _ => return Err("pass exactly one of --addr HOST:PORT or --file DUMP.json".into()),
@@ -1229,7 +1219,7 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .map_err(|e| e.to_string())?;
     write!(stream, "GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n").map_err(|e| e.to_string())?;
     let mut response = String::new();
@@ -1254,6 +1244,19 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `cmd`'s command line, parsed against its flag table.
+    fn parsed(cmd: &str, argv: &[&str]) -> Result<Args, String> {
+        let cmd = COMMANDS.iter().find(|c| c.0 == cmd).unwrap();
+        parse(cmd, &strings(argv))
+    }
+
+    /// Runs `abq CMD ARGV...` through [`dispatch`].
+    fn run(cmd: &str, argv: &[&str]) -> Result<(), String> {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.extend(argv);
+        dispatch(&strings(&args))
+    }
+
     #[test]
     fn retired_subcommands_are_unknown_commands() {
         // The two retired measurement subcommands get no special
@@ -1274,15 +1277,24 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let args = strings(&["--csv", "a.csv", "--out", "x.ab"]);
-        assert_eq!(flag_value(&args, "--csv"), Some("a.csv"));
-        assert_eq!(flag_value(&args, "--nope"), None);
+        let a = parsed("build", &["--csv", "a.csv", "--out", "x.ab"]).unwrap();
+        assert_eq!(a.value("--csv"), Some("a.csv"));
+        assert_eq!(a.value("--k"), None);
+        // An absent flag reads its default from the table.
+        assert_eq!(a.get::<u32>("--bins"), Ok(10));
+        assert_eq!(a.opt::<usize>("--k"), Ok(None));
+        let err = parsed("build", &["--csv", "a.csv", "--out", "x.ab", "--bins", "x"])
+            .unwrap()
+            .get::<u32>("--bins")
+            .unwrap_err();
+        assert!(err.contains("--bins") && err.contains("`x`"), "{err}");
     }
 
     #[test]
     fn repeatable_flags() {
-        let args = strings(&["--where", "a=0..1", "--where", "b=2..3"]);
-        assert_eq!(flag_values(&args, "--where"), vec!["a=0..1", "b=2..3"]);
+        let argv = ["--index", "i", "--where", "a=0..1", "--where", "b=2..3"];
+        let a = parsed("query", &argv).unwrap();
+        assert_eq!(a.all("--where").collect::<Vec<_>>(), ["a=0..1", "b=2..3"]);
     }
 
     #[test]
@@ -1355,12 +1367,15 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_and_defaults() {
-        assert_eq!(parse_threads(&strings(&["--threads", "4"])), Ok(4));
-        assert!(parse_threads(&strings(&["--threads", "0"])).is_err());
-        assert!(parse_threads(&strings(&["--threads", "x"])).is_err());
-        assert!(parse_threads(&strings(&[])).unwrap() >= 1);
-        assert!(has_flag(&strings(&["--store-pread"]), "--store-pread"));
-        assert!(!has_flag(&strings(&[]), "--store-pread"));
+        let cfg = |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a));
+        assert_eq!(cfg(&["--threads", "4"]).unwrap().resolved_threads(), 4);
+        assert!(cfg(&["--threads", "0"]).is_err());
+        assert!(cfg(&["--threads", "x"]).is_err());
+        assert!(cfg(&[]).unwrap().resolved_threads() >= 1);
+        assert!(parsed("serve", &["--store-pread"])
+            .unwrap()
+            .on("--store-pread"));
+        assert!(!parsed("serve", &[]).unwrap().on("--store-pread"));
     }
 
     #[test]
@@ -1404,11 +1419,11 @@ mod tests {
                 .unwrap_or_else(|| panic!("usage has no `abq {name}` entry"));
             let entry = &text[start..];
             let entry = &entry[..entry.find("\n  abq ").unwrap_or(entry.len())];
-            for flag in flags {
+            for flag in flags.iter().map(|f| f.name) {
                 assert!(
                     entry
                         .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                        .any(|t| t == *flag),
+                        .any(|t| t == flag),
                     "usage of `abq {name}` does not mention {flag}"
                 );
             }
@@ -1417,27 +1432,19 @@ mod tests {
 
     #[test]
     fn hier_flag_parses_bare_and_explicit() {
-        assert_eq!(parse_hier(&strings(&[])), Ok(ab::HierMode::Off));
-        assert_eq!(parse_hier(&strings(&["--hier"])), Ok(ab::HierMode::Auto));
-        assert_eq!(
-            parse_hier(&strings(&["--hier", "force"])),
-            Ok(ab::HierMode::Force)
-        );
-        assert_eq!(
-            parse_hier(&strings(&["--hier", "off"])),
-            Ok(ab::HierMode::Off)
-        );
-        assert_eq!(
-            parse_hier(&strings(&["--hier", "auto"])),
-            Ok(ab::HierMode::Auto)
-        );
+        let hier =
+            |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a).map(|c| c.hier));
+        assert_eq!(hier(&[]), Ok(ab::HierMode::Off));
+        assert_eq!(hier(&["--hier"]), Ok(ab::HierMode::Auto));
+        assert_eq!(hier(&["--hier", "force"]), Ok(ab::HierMode::Force));
+        assert_eq!(hier(&["--hier", "off"]), Ok(ab::HierMode::Off));
+        assert_eq!(hier(&["--hier", "auto"]), Ok(ab::HierMode::Auto));
         // Bare --hier followed by another flag must not eat it.
-        assert_eq!(
-            parse_hier(&strings(&["--hier", "--listen"])),
-            Ok(ab::HierMode::Auto)
-        );
+        let a = parsed("serve", &["--hier", "--listen", "127.0.0.1:0"]).unwrap();
+        assert_eq!(a.get("--hier"), Ok(ab::HierMode::Auto));
+        assert_eq!(a.value("--listen"), Some("127.0.0.1:0"));
         // A mistyped mode is an error, not a silent auto.
-        let err = parse_hier(&strings(&["--hier", "forse"])).unwrap_err();
+        let err = hier(&["--hier", "forse"]).unwrap_err();
         assert!(
             err.contains("--hier") && err.contains("off|auto|force"),
             "{err}"
@@ -1455,17 +1462,20 @@ mod tests {
             body.push_str(&format!("{}.0\n", i / 30));
         }
         std::fs::write(&csv, body).unwrap();
-        cmd_store_build(&strings(&[
-            "--csv",
-            csv.to_str().unwrap(),
-            "--out",
-            abpg.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--hier",
-        ]))
+        run(
+            "store build",
+            &[
+                "--csv",
+                csv.to_str().unwrap(),
+                "--out",
+                abpg.to_str().unwrap(),
+                "--shards",
+                "2",
+                "--hier",
+            ],
+        )
         .unwrap();
-        cmd_store_verify(&strings(&["--store", abpg.to_str().unwrap()])).unwrap();
+        run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
         // The pyramid rides the segment: loading needs no rebuild.
         let st = store::Store::open_with(&abpg, false).unwrap();
         let idx = svc::ShardedIndex::from_bytes(st.payload()).unwrap();
@@ -1474,26 +1484,18 @@ mod tests {
 
     #[test]
     fn hybrid_flag_parses_bare_and_explicit() {
-        assert_eq!(parse_hybrid(&strings(&[])), Ok(ab::HybridMode::Off));
-        assert_eq!(
-            parse_hybrid(&strings(&["--hybrid"])),
-            Ok(ab::HybridMode::Auto)
-        );
-        assert_eq!(
-            parse_hybrid(&strings(&["--hybrid", "force"])),
-            Ok(ab::HybridMode::Force)
-        );
-        assert_eq!(
-            parse_hybrid(&strings(&["--hybrid", "off"])),
-            Ok(ab::HybridMode::Off)
-        );
+        let hybrid =
+            |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a).map(|c| c.hybrid));
+        assert_eq!(hybrid(&[]), Ok(ab::HybridMode::Off));
+        assert_eq!(hybrid(&["--hybrid"]), Ok(ab::HybridMode::Auto));
+        assert_eq!(hybrid(&["--hybrid", "force"]), Ok(ab::HybridMode::Force));
+        assert_eq!(hybrid(&["--hybrid", "off"]), Ok(ab::HybridMode::Off));
         // Bare --hybrid followed by another flag must not eat it.
-        assert_eq!(
-            parse_hybrid(&strings(&["--hybrid", "--listen"])),
-            Ok(ab::HybridMode::Auto)
-        );
+        let a = parsed("serve", &["--hybrid", "--listen", "127.0.0.1:0"]).unwrap();
+        assert_eq!(a.get("--hybrid"), Ok(ab::HybridMode::Auto));
+        assert_eq!(a.value("--listen"), Some("127.0.0.1:0"));
         // A mistyped mode is an error, not a silent auto.
-        let err = parse_hybrid(&strings(&["--hybrid", "fourc"])).unwrap_err();
+        let err = hybrid(&["--hybrid", "fourc"]).unwrap_err();
         assert!(
             err.contains("--hybrid") && err.contains("off|auto|force"),
             "{err}"
@@ -1514,19 +1516,19 @@ mod tests {
         }
         std::fs::write(&csv, body).unwrap();
         let build = |hybrid: &[&str]| {
-            let mut args = strings(&[
+            let mut args = vec![
                 "--csv",
                 csv.to_str().unwrap(),
                 "--out",
                 abpg.to_str().unwrap(),
                 "--shards",
                 "2",
-            ]);
-            args.extend(strings(hybrid));
-            cmd_store_build(&args)
+            ];
+            args.extend(hybrid);
+            run("store build", &args)
         };
         let load = || {
-            cmd_store_verify(&strings(&["--store", abpg.to_str().unwrap()])).unwrap();
+            run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
             let st = store::Store::open_with(&abpg, false).unwrap();
             svc::ShardedIndex::from_bytes(st.payload()).unwrap()
         };
@@ -1574,20 +1576,23 @@ mod tests {
         let dir = std::env::temp_dir().join("abq_test_loadgen");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_net.json");
-        cmd_loadgen(&strings(&[
-            "--addr",
-            &addr,
-            "--conns",
-            "2",
-            "--secs",
-            "0.3",
-            "--mix",
-            "rect,batch",
-            "--batch-size",
-            "3",
-            "--out",
-            out.to_str().unwrap(),
-        ]))
+        run(
+            "loadgen",
+            &[
+                "--addr",
+                &addr,
+                "--conns",
+                "2",
+                "--secs",
+                "0.3",
+                "--mix",
+                "rect,batch",
+                "--batch-size",
+                "3",
+                "--out",
+                out.to_str().unwrap(),
+            ],
+        )
         .unwrap();
         let text = std::fs::read_to_string(&out).unwrap();
         assert!(text.contains("net.rps.rect.conns2"), "{text}");
@@ -1597,22 +1602,26 @@ mod tests {
 
     #[test]
     fn loadgen_flag_validation() {
-        assert!(cmd_loadgen(&strings(&[])).is_err()); // --addr required
-        assert!(cmd_loadgen(&strings(&["--addr", "x", "--rps", "10", "--pipeline", "2"])).is_err());
-        assert!(cmd_loadgen(&strings(&["--addr", "x", "--secs", "0"])).is_err());
+        assert_eq!(run("loadgen", &[]), Err("--addr is required".into()));
+        assert_eq!(
+            run(
+                "loadgen",
+                &["--addr", "x", "--rps", "10", "--pipeline", "2"]
+            ),
+            Err("pass --rps or --pipeline, not both".into())
+        );
+        assert!(run("loadgen", &["--addr", "x", "--secs", "0"]).is_err());
     }
 
     #[test]
     fn retry_flag_parses_and_bounds() {
-        assert_eq!(
-            parse_retry_policy(&strings(&["--retries", "7"]))
-                .unwrap()
-                .max_attempts,
-            7
-        );
-        assert_eq!(parse_retry_policy(&strings(&[])).unwrap().max_attempts, 4);
-        assert!(parse_retry_policy(&strings(&["--retries", "0"])).is_err());
-        assert!(parse_retry_policy(&strings(&["--retries", "x"])).is_err());
+        let retries = |argv: &[&str]| {
+            parsed("serve", argv).and_then(|a| a.get::<NonZeroUsize>("--retries").map(|n| n.get()))
+        };
+        assert_eq!(retries(&["--retries", "7"]), Ok(7));
+        assert_eq!(retries(&[]), Ok(4));
+        assert!(retries(&["--retries", "0"]).is_err());
+        assert!(retries(&["--retries", "x"]).is_err());
     }
 
     #[test]
@@ -1626,21 +1635,24 @@ mod tests {
             body.push_str(&format!("{}.0,{}.0\n", i % 31, (i * 5) % 7));
         }
         std::fs::write(&csv, body).unwrap();
-        cmd_build(&strings(&[
-            "--csv",
-            csv.to_str().unwrap(),
-            "--out",
-            idx.to_str().unwrap(),
-        ]))
+        run(
+            "build",
+            &[
+                "--csv",
+                csv.to_str().unwrap(),
+                "--out",
+                idx.to_str().unwrap(),
+            ],
+        )
         .unwrap();
-        cmd_verify(&strings(&["--index", idx.to_str().unwrap()])).unwrap();
+        run("verify", &["--index", idx.to_str().unwrap()]).unwrap();
         // Flip one payload byte: verify must now fail with a
         // checksum complaint instead of succeeding.
         let mut bytes = std::fs::read(&idx).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&idx, &bytes).unwrap();
-        let err = cmd_verify(&strings(&["--index", idx.to_str().unwrap()])).unwrap_err();
+        let err = run("verify", &["--index", idx.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("corrupted"), "unexpected error: {err}");
     }
 
@@ -1651,7 +1663,7 @@ mod tests {
         let path = dir.join("d.absh");
         let mut bytes = tiny_service().index().to_bytes();
         std::fs::write(&path, &bytes).unwrap();
-        cmd_verify(&strings(&["--index", path.to_str().unwrap()])).unwrap();
+        run("verify", &["--index", path.to_str().unwrap()]).unwrap();
         // Swap the start rows of shards 1 and 2; every checksum still
         // holds, only the order is wrong.
         let extents = ab::segment_extents(&bytes).unwrap();
@@ -1661,7 +1673,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let loader = svc::ShardedIndex::from_bytes(&bytes).err().unwrap();
         assert_eq!(loader, ab::IoError::BadShardLayout);
-        let err = cmd_verify(&strings(&["--index", path.to_str().unwrap()])).unwrap_err();
+        let err = run("verify", &["--index", path.to_str().unwrap()]).unwrap_err();
         assert!(err.ends_with(&loader.to_string()), "{err}");
     }
 
@@ -1676,27 +1688,12 @@ mod tests {
             body.push_str(&format!("{}.0,{}.0\n", i % 97, (i * 7) % 13));
         }
         std::fs::write(&csv, body).unwrap();
-        cmd_build(&strings(&[
-            "--csv",
-            csv.to_str().unwrap(),
-            "--out",
-            idx.to_str().unwrap(),
-            "--bins",
-            "8",
-            "--alpha",
-            "16",
-        ]))
-        .unwrap();
-        cmd_info(&strings(&["--index", idx.to_str().unwrap()])).unwrap();
-        cmd_query(&strings(&[
-            "--index",
-            idx.to_str().unwrap(),
-            "--where",
-            "price=0..3",
-            "--rows",
-            "0..99",
-        ]))
-        .unwrap();
+        let (csv, idx) = (csv.to_str().unwrap(), idx.to_str().unwrap());
+        let build = ["--csv", csv, "--out", idx, "--bins", "8", "--alpha", "16"];
+        run("build", &build).unwrap();
+        run("info", &["--index", idx]).unwrap();
+        let query = ["--index", idx, "--where", "price=0..3", "--rows", "0..99"];
+        run("query", &query).unwrap();
     }
 
     #[test]
@@ -1710,31 +1707,14 @@ mod tests {
             body.push_str(&format!("{}.0,{}.0\n", i % 31, (i * 5) % 11));
         }
         std::fs::write(&csv, body).unwrap();
-        let build_flags = [
-            "--csv",
-            csv.to_str().unwrap(),
-            "--bins",
-            "6",
-            "--alpha",
-            "8",
-            "--shards",
-            "3",
-        ];
-        let with_store = |extra: &[&str]| {
-            let mut v = strings(extra);
-            v.extend(strings(&["--store", abpg.to_str().unwrap()]));
-            v
-        };
-        let mut args = strings(&build_flags);
-        args.extend(strings(&[
-            "--out",
-            abpg.to_str().unwrap(),
-            "--page-size",
-            "256",
-        ]));
-        cmd_store_build(&args).unwrap();
-        cmd_store_verify(&with_store(&[])).unwrap();
-        let pristine = std::fs::read(&abpg).unwrap();
+        let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+        let build_flags = ["--csv", csv, "--bins", "6", "--alpha", "8"];
+        let store = ["--store", abpg];
+        let mut args = build_flags.to_vec();
+        args.extend(["--shards", "3", "--out", abpg, "--page-size", "256"]);
+        run("store build", &args).unwrap();
+        run("store verify", &store).unwrap();
+        let pristine = std::fs::read(abpg).unwrap();
 
         // Rot one payload byte: verify must name the damage, scrub
         // without the CSV must refuse, scrub with it must restore the
@@ -1742,28 +1722,84 @@ mod tests {
         let mut rotted = pristine.clone();
         let at = rotted.len() - 10;
         rotted[at] ^= 0x40;
-        std::fs::write(&abpg, &rotted).unwrap();
-        let err = cmd_store_verify(&with_store(&[])).unwrap_err();
+        std::fs::write(abpg, &rotted).unwrap();
+        let err = run("store verify", &store).unwrap_err();
         assert!(err.contains("damaged"), "unexpected error: {err}");
-        let err = cmd_store_scrub(&with_store(&[])).unwrap_err();
+        let err = run("store scrub", &store).unwrap_err();
         assert!(err.contains("--csv"), "unexpected error: {err}");
-        let mut repair = strings(&build_flags);
-        repair.extend(strings(&["--store", abpg.to_str().unwrap()]));
-        cmd_store_scrub(&repair).unwrap();
+        let mut repair = build_flags.to_vec();
+        repair.extend(store);
+        run("store scrub", &repair).unwrap();
         assert_eq!(
-            std::fs::read(&abpg).unwrap(),
+            std::fs::read(abpg).unwrap(),
             pristine,
             "repair must be bit-identical"
         );
-        cmd_store_verify(&with_store(&[])).unwrap();
+        run("store verify", &store).unwrap();
     }
 
     #[test]
     fn store_flag_validation() {
         assert!(dispatch(&strings(&["store"])).is_err());
         assert!(dispatch(&strings(&["store", "nope"])).is_err());
-        assert!(cmd_store_build(&strings(&["--csv", "x.csv"])).is_err()); // --out required
-        assert!(cmd_store_verify(&strings(&[])).is_err()); // --store required
-        assert!(cmd_store_scrub(&strings(&[])).is_err());
+        assert_eq!(
+            run("store build", &["--csv", "x.csv"]),
+            Err("--out is required".into())
+        );
+        assert_eq!(run("store verify", &[]), Err("--store is required".into()));
+        assert_eq!(run("store scrub", &[]), Err("--store is required".into()));
+    }
+
+    #[test]
+    fn malformed_command_lines_are_errors() {
+        // Each of these once ran on a silent mis-read of its argv.
+        let dir = std::env::temp_dir().join("abq_test_malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (csv, idx) = (dir.join("t.csv"), dir.join("t.ab"));
+        let mut body = String::from("price,qty\n");
+        for i in 0..200 {
+            body.push_str(&format!("{}.0,{}.0\n", i % 50, i % 9));
+        }
+        std::fs::write(&csv, body).unwrap();
+        let (csv, idx) = (csv.to_str().unwrap(), idx.to_str().unwrap());
+        run("build", &["--csv", csv, "--out", idx, "--bins", "5"]).unwrap();
+        let err = |cmd: &str, argv: &[&str]| {
+            let mut args: Vec<&str> = cmd.split(' ').collect();
+            args.extend(argv);
+            dispatch(&strings(&args)).expect_err(&args.join(" "))
+        };
+        // A stray token is not dropped.
+        let e = err("query", &["--index", idx, "price=0..0"]);
+        assert!(e.contains("`price=0..0`"), "{e}");
+        // A flag at the end of argv, or before another flag, has no value.
+        let e = err("query", &["--index", idx, "--where"]);
+        assert!(e.contains("--where needs a value"), "{e}");
+        let e = err("build", &["--csv", csv, "--out"]);
+        assert!(e.contains("--out needs a value"), "{e}");
+        let e = err("build", &["--csv", csv, "--out", "--bins", "5"]);
+        assert!(e.contains("--out needs a value"), "{e}");
+        assert!(!std::path::Path::new("--bins").exists());
+        // A flag that is not repeatable is given once.
+        let e = err("query", &["--index", idx, "--limit", "2", "--limit", "100"]);
+        assert!(e.contains("--limit"), "{e}");
+        run(
+            "query",
+            &[
+                "--index",
+                idx,
+                "--where",
+                "price=0..0",
+                "--where",
+                "qty=0..1",
+            ],
+        )
+        .unwrap();
+        // --precision does not silently drop --alpha.
+        let out = ["--csv", csv, "--out", idx];
+        let e = err(
+            "build",
+            &[&out[..], &["--precision", "0.9", "--alpha", "16"]].concat(),
+        );
+        assert_eq!(e, "pass --alpha or --precision, not both");
     }
 }
