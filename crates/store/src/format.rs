@@ -20,10 +20,9 @@
 //! ```
 //!
 //! Payload pages carry **no** inline metadata — the payload is stored
-//! byte-identical and page-aligned, so an mmap of the file yields the
-//! `ABSH` envelope as one contiguous slice (`Store::payload`) with
-//! zero copies, and any page can be re-verified independently against
-//! its table entry. All integers are little-endian, CRC-32 is
+//! byte-identical and page-aligned, so the file read whole yields the
+//! `ABSH` envelope as one contiguous slice (`Store::payload`), and any
+//! page can be re-verified independently against its table entry. All integers are little-endian, CRC-32 is
 //! [`ab::crc32`] (IEEE), matching the rest of the repo's formats.
 
 use crate::StoreError;

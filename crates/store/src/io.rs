@@ -6,10 +6,9 @@
 //! crashes at each point — the substrate of the crash-matrix test.
 //! Production code uses [`RealIo`], which forwards to `std::fs`.
 //!
-//! The read path does not go through this trait: reads are served from
-//! an mmap or pread (see [`crate::sys`]), and read-side damage is
-//! modelled by corrupting the file itself — which is also what real
-//! bit-rot looks like.
+//! The read path does not go through this trait: it is positioned reads
+//! (see [`crate::sys`]), and read-side damage is modelled by corrupting
+//! the file itself — which is also what real bit-rot looks like.
 
 use std::fs::File;
 use std::io;

@@ -1,10 +1,9 @@
 //! # Crash-safe page-aligned segment store
 //!
-//! The AB layout is deterministic and directly addressable (see the
-//! `ab` crate), which makes it servable straight from disk — but a
-//! bare `ABSH` file has one checksum granularity (the shard) and no
-//! crash story: a torn write mid-file destroys everything. This crate
-//! wraps an `ABSH` payload in an `ABPG` **segment file**:
+//! A bare `ABSH` file (see the `ab` crate) has one checksum
+//! granularity (the shard) and no crash story: a torn write mid-file
+//! destroys everything. This crate wraps an `ABSH` payload in an
+//! `ABPG` **segment file**:
 //!
 //! * the payload is split into fixed-size pages, each with its own
 //!   CRC-32 in a dedicated table, so damage is localised to a page and
@@ -17,15 +16,16 @@
 //! * every write-path syscall goes through the [`SegmentIo`] trait, so
 //!   a fault-injecting implementation (see `svc::chaos`) can simulate
 //!   `EIO`, short writes, bit flips, and crashes at each point;
-//! * the read path ([`Store::open`]) serves the payload from a
-//!   read-only `mmap(2)` via hand-rolled FFI (zero-copy decode), with
-//!   a portable `pread`-style fallback selectable like the net
-//!   crate's `force_poll` ([`Store::open_with`]).
+//! * the read path ([`Store::open`]) reads the file once, with
+//!   positioned reads, into memory and verifies every byte of it.
+//!   The store keeps that verified copy: callers decode the payload
+//!   from it, and [`Store::rewrite`] repairs rot found later on disk
+//!   from it, byte for byte.
 //!
 //! Module map: [`mod@format`] (on-disk layout), [`io`] ([`SegmentIo`] and
-//! the real-syscall [`RealIo`]), [`sys`] (mmap FFI + fallback),
+//! the real-syscall [`RealIo`]), [`sys`] (positioned reads),
 //! [`writer`] (crash-safe write protocol), [`reader`] ([`Store`],
-//! scrubbing, audit).
+//! scrubbing, rewriting, audit).
 //!
 //! ## Quick start
 //!
@@ -52,7 +52,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod format;
 pub mod io;
@@ -63,7 +63,6 @@ pub mod writer;
 pub use format::{StoreHeader, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
 pub use io::{RealIo, SegmentIo};
 pub use reader::{ScrubReport, Store};
-pub use sys::SegmentMap;
 pub use writer::write;
 
 /// Why a segment-store operation failed. I/O faults (including

@@ -1,39 +1,65 @@
-//! Opening, verifying, and scrubbing segment stores.
+//! Opening, verifying, scrubbing and rewriting segment stores.
 //!
-//! [`Store::open`] is strict: header, page-CRC table, every payload
-//! page, and the payload envelope must all verify before any caller
-//! sees a byte — a torn or rotted file is a typed [`StoreError`],
-//! never a wrong answer. Once open, the payload is served zero-copy
-//! from the mapping ([`Store::payload`]).
+//! [`Store::open`] reads the whole file once, with positioned reads,
+//! into two buffers (meta and table pages; payload), and is strict:
+//! header, meta-page padding, page-CRC table, every payload page, and
+//! the payload envelope must all verify before any caller sees a byte
+//! — a torn or rotted file is a typed [`StoreError`], never a wrong
+//! answer. The store then holds that verified copy for its lifetime
+//! ([`Store::payload`]).
 //!
 //! [`Store::scrub`] is the online re-verification pass: it re-reads
-//! every page **from the file** (positioned reads, not the possibly
-//! page-cache-served mapping buffer) and reports pages whose CRC no
-//! longer matches the table captured at open, mapped back to the
-//! shards whose payload bytes they cover. [`Store::audit`] is the
-//! offline flavour for `abq store verify`: same sweep, but against a
-//! file nobody has open.
+//! every page **from the file** and reports pages that no longer match
+//! the verified copy, mapped back to the shards whose payload bytes
+//! they cover. [`Store::rewrite`] repairs such a file from the verified
+//! copy. [`Store::audit`] is the offline flavour for `abq store
+//! verify` and `abq store scrub`: the same sweep, but against a file
+//! nobody has open.
 
 use crate::format::{self, StoreHeader};
-use crate::sys::{read_exact_at, SegmentMap};
+use crate::io::SegmentIo;
+use crate::sys::read_exact_at;
 use crate::StoreError;
 use ab::SegmentExtent;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-/// Rejects a meta page whose padding (bytes past the checksummed
-/// header) is nonzero — the one region no CRC covers, so it must hold
-/// its written-as-zero value exactly.
-fn check_meta_padding(meta: &[u8]) -> Result<(), StoreError> {
-    if meta[format::HEADER_LEN..].iter().any(|&b| b != 0) {
+/// Capacity the verified payload is allocated with, at least. The
+/// payload lives as long as its store, so it must not be carved out of
+/// the heap: freed there, it would leave a payload-sized hole that
+/// stays resident until later allocations happen to fit into it.
+/// glibc's `malloc` gives a request this large a mapping of its own at
+/// any setting of its adaptive threshold (which never rises above
+/// 32 MiB) and unmaps it on free; only the payload's pages are ever
+/// touched.
+const OWN_MAPPING_BYTES: usize = 32 << 20;
+
+/// Whether a meta page's padding (bytes past the checksummed header)
+/// is all zero — the one region no CRC covers, so it must hold its
+/// written-as-zero value exactly.
+fn meta_padding_is_zero(meta: &[u8]) -> bool {
+    meta[format::HEADER_LEN..].iter().all(|&b| b == 0)
+}
+
+/// Checks `payload` against the header's whole-payload CRC.
+fn check_payload_crc(header: &StoreHeader, payload: &[u8]) -> Result<(), StoreError> {
+    let computed = ab::crc32(payload);
+    if computed != header.payload_crc {
         obs::counter!("store.page_crc_failures").inc();
         return Err(StoreError::PageCrc {
-            page: 0,
-            stored: 0,
-            computed: ab::crc32(&meta[format::HEADER_LEN..]),
+            page: header.first_payload_page(),
+            stored: header.payload_crc,
+            computed,
         });
     }
     Ok(())
+}
+
+/// The per-payload-page CRCs a page-CRC table holds.
+fn page_crcs(header: &StoreHeader, table: &[u8]) -> Vec<u32> {
+    (0..header.payload_pages() as usize)
+        .map(|i| u32::from_le_bytes(table[4 * i..4 * i + 4].try_into().unwrap()))
+        .collect()
 }
 
 /// Outcome of one full page sweep ([`Store::scrub`] / [`Store::audit`]).
@@ -54,18 +80,49 @@ impl ScrubReport {
     pub fn clean(&self) -> bool {
         self.bad_pages.is_empty()
     }
+
+    /// Maps bad file pages to the shards they implicate: every shard
+    /// for a bad meta or table page, or when `extents` is `None` (an
+    /// envelope that no longer walks).
+    fn new(header: &StoreHeader, extents: Option<&[SegmentExtent]>, bad_pages: Vec<u64>) -> Self {
+        let ps = header.page_size as u64;
+        let payload_first = header.first_payload_page();
+        let mut bad_shards = Vec::new();
+        for &page in &bad_pages {
+            let Some(extents) = extents.filter(|_| page >= payload_first) else {
+                bad_shards = (0..header.shard_count as usize).collect();
+                break;
+            };
+            let lo = (page - payload_first) * ps;
+            let hi = lo + ps;
+            for e in extents {
+                let (elo, ehi) = (e.offset as u64, (e.offset + e.len) as u64);
+                if elo < hi && lo < ehi && !bad_shards.contains(&e.shard) {
+                    bad_shards.push(e.shard);
+                }
+            }
+        }
+        bad_shards.sort_unstable();
+        ScrubReport {
+            pages_scanned: header.total_pages(),
+            bad_pages,
+            bad_shards,
+        }
+    }
 }
 
 /// An open, fully-verified segment store.
 pub struct Store {
     file: File,
-    map: SegmentMap,
+    /// The meta and table pages as read and verified at open; scrub
+    /// compares the file's against them.
+    meta: Vec<u8>,
+    /// The payload pages as read and verified at open: what callers
+    /// decode and what [`Store::rewrite`] writes back.
+    payload: Vec<u8>,
     header: StoreHeader,
     /// Per-payload-page CRCs captured (and verified) at open.
     crcs: Vec<u32>,
-    /// Meta + table pages as read at open — scrub compares against
-    /// this trusted copy, so rot in *any* page region is caught.
-    meta_image: Vec<u8>,
     extents: Vec<SegmentExtent>,
     path: PathBuf,
 }
@@ -74,7 +131,6 @@ impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("path", &self.path)
-            .field("backend", &self.map.backend())
             .field("header", &self.header)
             .field("shards", &self.extents.len())
             .finish_non_exhaustive()
@@ -82,35 +138,40 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
-    /// Opens and fully verifies the store, preferring mmap.
+    /// Reads the whole file and verifies it.
     pub fn open(path: impl AsRef<Path>) -> Result<Store, StoreError> {
-        Store::open_with(path, false)
-    }
-
-    /// [`Store::open`] with backend selection: `force_pread` skips
-    /// mmap and reads the file into a heap buffer (the portable
-    /// fallback), mirroring `net`'s `force_poll`.
-    pub fn open_with(path: impl AsRef<Path>, force_pread: bool) -> Result<Store, StoreError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         let mut head = vec![0u8; format::HEADER_LEN.min(file_len as usize)];
         read_exact_at(&file, &mut head, 0)?;
+        // The header is checked before the file is read whole: a file
+        // that is not a store is never buffered.
         let header = format::decode_header(&head, Some(file_len))?;
-
-        let map = SegmentMap::map(&file, file_len as usize, force_pread)?;
-        let bytes = map.bytes();
         let ps = header.page_size as usize;
         let payload_off = header.payload_offset() as usize;
         let payload_len = header.payload_len as usize;
+        let mut meta = vec![0u8; payload_off];
+        read_exact_at(&file, &mut meta, 0)?;
+        let pages_len = file_len as usize - payload_off;
+        let mut payload = Vec::with_capacity(pages_len.max(OWN_MAPPING_BYTES));
+        payload.resize(pages_len, 0);
+        read_exact_at(&file, &mut payload, payload_off as u64)?;
 
         // Nothing in a store file may rot silently: the meta page's
         // padding (the only region no checksum covers) must stay zero.
-        check_meta_padding(&bytes[..ps])?;
+        if !meta_padding_is_zero(&meta[..ps]) {
+            obs::counter!("store.page_crc_failures").inc();
+            return Err(StoreError::PageCrc {
+                page: 0,
+                stored: 0,
+                computed: ab::crc32(&meta[format::HEADER_LEN..ps]),
+            });
+        }
 
         // Verify the page-CRC table against the header, then every
         // payload page against the table, then the whole payload.
-        let table = &bytes[ps..payload_off];
+        let table = &meta[ps..];
         let computed = ab::crc32(table);
         if computed != header.table_crc {
             obs::counter!("store.page_crc_failures").inc();
@@ -119,10 +180,8 @@ impl Store {
                 computed,
             });
         }
-        let crcs: Vec<u32> = (0..header.payload_pages() as usize)
-            .map(|i| u32::from_le_bytes(table[4 * i..4 * i + 4].try_into().unwrap()))
-            .collect();
-        for (i, page) in bytes[payload_off..].chunks(ps).enumerate() {
+        let crcs = page_crcs(&header, table);
+        for (i, page) in payload.chunks(ps).enumerate() {
             let computed = ab::crc32(page);
             if computed != crcs[i] {
                 obs::counter!("store.page_crc_failures").inc();
@@ -133,37 +192,36 @@ impl Store {
                 });
             }
         }
-        let payload = &bytes[payload_off..payload_off + payload_len];
-        let computed = ab::crc32(payload);
-        if computed != header.payload_crc {
-            obs::counter!("store.page_crc_failures").inc();
-            return Err(StoreError::PageCrc {
-                page: header.first_payload_page(),
-                stored: header.payload_crc,
-                computed,
-            });
-        }
-        let extents = ab::segment_extents(payload)?;
+        // Only the tail of the last page is padding; what is kept is
+        // the envelope.
+        payload.truncate(payload_len);
+        check_payload_crc(&header, &payload)?;
+        let extents = ab::segment_extents(&payload)?;
         if extents.len() != header.shard_count as usize {
             return Err(StoreError::Payload(ab::IoError::BadShardLayout));
         }
-        let meta_image = bytes[..payload_off].to_vec();
         obs::counter!("store.opens").inc();
         Ok(Store {
             file,
-            map,
+            meta,
+            payload,
             header,
             crcs,
-            meta_image,
             extents,
             path,
         })
     }
 
-    /// The verified `ABSH` payload, served from the mapping.
+    /// Same as [`Store::open`]: the flag once chose between two read
+    /// paths and is ignored. Kept because the benchmark package calls
+    /// this form.
+    pub fn open_with(path: impl AsRef<Path>, _force_pread: bool) -> Result<Store, StoreError> {
+        Store::open(path)
+    }
+
+    /// The verified `ABSH` payload, as read at open.
     pub fn payload(&self) -> &[u8] {
-        let off = self.header.payload_offset() as usize;
-        &self.map.bytes()[off..off + self.header.payload_len as usize]
+        &self.payload
     }
 
     /// The decoded header.
@@ -181,21 +239,16 @@ impl Store {
         &self.extents
     }
 
-    /// Which backend serves [`Store::payload`]: `"mmap"` or `"pread"`.
-    pub fn backend(&self) -> &'static str {
-        self.map.backend()
-    }
-
     /// The path this store was opened from.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
     /// Re-verifies every page by re-reading the **file** (positioned
-    /// reads): meta and table pages must still equal the trusted copy
-    /// captured at open, payload pages must still hash to their table
-    /// entries. Runs under live traffic — the mapping and the query
-    /// path are untouched.
+    /// reads): meta and table pages must still equal the copy verified
+    /// at open, payload pages must still hash to their table entries.
+    /// Runs under live traffic — the held copy and the query path are
+    /// untouched.
     pub fn scrub(&self) -> std::io::Result<ScrubReport> {
         let ps = self.header.page_size as usize;
         let payload_first = self.header.first_payload_page();
@@ -209,7 +262,7 @@ impl Store {
             }
             let ok = if page < payload_first {
                 let off = page as usize * ps;
-                buf[..] == self.meta_image[off..off + ps]
+                buf[..] == self.meta[off..off + ps]
             } else {
                 ab::crc32(&buf) == self.crcs[(page - payload_first) as usize]
             };
@@ -221,42 +274,34 @@ impl Store {
             obs::counter!("store.scrub.crc_errors").add(bad_pages.len() as u64);
         }
         obs::counter!("store.scrub.pages").add(self.header.total_pages());
-        Ok(self.report(bad_pages))
-    }
-
-    /// Maps bad file pages to implicated shards and packages a report.
-    fn report(&self, bad_pages: Vec<u64>) -> ScrubReport {
-        let ps = self.header.page_size as u64;
-        let payload_first = self.header.first_payload_page();
-        let mut bad_shards = Vec::new();
-        for &page in &bad_pages {
-            if page < payload_first {
-                // Meta/table damage implicates everything.
-                bad_shards = (0..self.extents.len()).collect();
-                break;
-            }
-            let lo = (page - payload_first) * ps;
-            let hi = lo + ps;
-            for e in &self.extents {
-                let (elo, ehi) = (e.offset as u64, (e.offset + e.len) as u64);
-                if elo < hi && lo < ehi && !bad_shards.contains(&e.shard) {
-                    bad_shards.push(e.shard);
-                }
-            }
-        }
-        bad_shards.sort_unstable();
-        ScrubReport {
-            pages_scanned: self.header.total_pages(),
+        Ok(ScrubReport::new(
+            &self.header,
+            Some(&self.extents),
             bad_pages,
-            bad_shards,
-        }
+        ))
     }
 
-    /// Offline page sweep for `abq store verify`: like [`Store::scrub`]
-    /// but without requiring a clean open — only the header itself and
-    /// the page-CRC table must verify; every damaged payload page is
-    /// reported rather than failing fast.
-    pub fn audit(path: impl AsRef<Path>) -> Result<(StoreHeader, ScrubReport), StoreError> {
+    /// Repairs the file from the copy verified at open and returns the
+    /// verified reopen. The held payload is re-checked against the
+    /// header's `payload_crc` first, so a copy that changed in memory
+    /// is never written out; it then goes through the crash-safe
+    /// [`write()`](crate::write) protocol at the file's own page size,
+    /// which reproduces the opened file byte for byte.
+    pub fn rewrite(&self, io: &dyn SegmentIo) -> Result<Store, StoreError> {
+        check_payload_crc(&self.header, self.payload())?;
+        crate::writer::write(&self.path, self.payload(), self.header.page_size, io)?;
+        Store::open(&self.path)
+    }
+
+    /// Offline page sweep for `abq store verify` and `abq store scrub`:
+    /// like [`Store::scrub`] but without requiring a clean open. Only
+    /// the header itself and the page-CRC table must verify; damaged
+    /// meta-page padding and damaged payload pages are reported rather
+    /// than failing fast. Also hands back the payload as read, damage
+    /// included, so a caller can rebuild just the shards it implicates.
+    pub fn audit(
+        path: impl AsRef<Path>,
+    ) -> Result<(StoreHeader, ScrubReport, Vec<u8>), StoreError> {
         let file = File::open(path.as_ref())?;
         let file_len = file.metadata()?.len();
         let mut head = vec![0u8; format::HEADER_LEN.min(file_len as usize)];
@@ -266,7 +311,10 @@ impl Store {
 
         let mut meta = vec![0u8; ps];
         read_exact_at(&file, &mut meta, 0)?;
-        check_meta_padding(&meta)?;
+        let mut bad_pages = Vec::new();
+        if !meta_padding_is_zero(&meta) {
+            bad_pages.push(0);
+        }
 
         let mut table = vec![0u8; header.table_pages() as usize * ps];
         read_exact_at(&file, &mut table, ps as u64)?;
@@ -277,49 +325,20 @@ impl Store {
                 computed,
             });
         }
-        let crcs: Vec<u32> = (0..header.payload_pages() as usize)
-            .map(|i| u32::from_le_bytes(table[4 * i..4 * i + 4].try_into().unwrap()))
-            .collect();
+        let crcs = page_crcs(&header, &table);
         let payload_first = header.first_payload_page();
         let mut payload = vec![0u8; header.payload_pages() as usize * ps];
         read_exact_at(&file, &mut payload, payload_first * ps as u64)?;
-        let mut bad_pages = Vec::new();
         for (i, page) in payload.chunks(ps).enumerate() {
             if ab::crc32(page) != crcs[i] {
                 bad_pages.push(payload_first + i as u64);
             }
         }
-        // Attribute damage to shards where the envelope still walks;
-        // implicate every shard when it doesn't.
-        let extents = ab::segment_extents(&payload[..header.payload_len as usize]).ok();
-        let mut bad_shards = Vec::new();
-        for &page in &bad_pages {
-            let lo = (page - payload_first) * ps as u64;
-            let hi = lo + ps as u64;
-            match &extents {
-                None => {
-                    bad_shards = (0..header.shard_count as usize).collect();
-                    break;
-                }
-                Some(extents) => {
-                    for e in extents {
-                        let (elo, ehi) = (e.offset as u64, (e.offset + e.len) as u64);
-                        if elo < hi && lo < ehi && !bad_shards.contains(&e.shard) {
-                            bad_shards.push(e.shard);
-                        }
-                    }
-                }
-            }
-        }
-        bad_shards.sort_unstable();
-        Ok((
-            header,
-            ScrubReport {
-                pages_scanned: header.total_pages(),
-                bad_pages,
-                bad_shards,
-            },
-        ))
+        payload.truncate(header.payload_len as usize);
+        // Attribute damage to shards where the envelope still walks.
+        let extents = ab::segment_extents(&payload).ok();
+        let report = ScrubReport::new(&header, extents.as_deref(), bad_pages);
+        Ok((header, report, payload))
     }
 }
 
@@ -345,21 +364,16 @@ mod tests {
     }
 
     #[test]
-    fn open_verifies_and_serves_both_backends() {
+    fn open_verifies_and_serves_the_payload() {
         let dir = tmpdir("reader");
         let path = dir.join("idx.seg");
         let payload = sample_payload(500, 4);
         write(&path, &payload, 256, &RealIo).unwrap();
-        for force_pread in [false, true] {
-            let st = Store::open_with(&path, force_pread).unwrap();
-            assert_eq!(st.payload(), &payload[..]);
-            assert_eq!(st.num_shards(), 4);
-            assert_eq!(st.extents().len(), 4);
-            assert!(st.scrub().unwrap().clean());
-            if force_pread {
-                assert_eq!(st.backend(), "pread");
-            }
-        }
+        let st = Store::open(&path).unwrap();
+        assert_eq!(st.payload(), &payload[..]);
+        assert_eq!(st.num_shards(), 4);
+        assert_eq!(st.extents().len(), 4);
+        assert!(st.scrub().unwrap().clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -412,20 +426,60 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_restores_the_file_and_refuses_a_changed_copy() {
+        let dir = tmpdir("reader-rewrite");
+        let path = dir.join("idx.seg");
+        write(&path, &sample_payload(600, 4), 128, &RealIo).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let mut st = Store::open(&path).unwrap();
+
+        // Rot on disk: the held copy rewrites the file byte for byte.
+        let victim = st.header().payload_offset() + st.header().payload_len / 2;
+        flip_byte(&path, victim, 0x08);
+        assert!(!st.scrub().unwrap().clean());
+        let reopened = st.rewrite(&RealIo).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), pristine);
+        assert!(reopened.scrub().unwrap().clean());
+
+        // A held copy that no longer matches its payload CRC is never
+        // written out: the file stays as it is.
+        st.payload[3] ^= 0x20;
+        flip_byte(&path, victim, 0x08);
+        let rotted = std::fs::read(&path).unwrap();
+        assert!(matches!(
+            st.rewrite(&RealIo),
+            Err(StoreError::PageCrc { .. })
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), rotted);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn audit_reports_damage_without_a_clean_open() {
         let dir = tmpdir("reader-audit");
         let path = dir.join("idx.seg");
         let payload = sample_payload(500, 4);
         write(&path, &payload, 128, &RealIo).unwrap();
-        let (h, report) = Store::audit(&path).unwrap();
+        let (h, report, read) = Store::audit(&path).unwrap();
         assert!(report.clean());
         assert_eq!(h.shard_count, 4);
+        assert_eq!(read, payload);
 
         let victim = h.payload_offset() + h.payload_len - 2;
         flip_byte(&path, victim, 0x80);
-        let (_, report) = Store::audit(&path).unwrap();
+        let (_, report, read) = Store::audit(&path).unwrap();
         assert_eq!(report.bad_pages.len(), 1);
         assert_eq!(report.bad_shards, vec![3], "last bytes = last shard");
+        assert_eq!(read.len(), payload.len(), "the damaged payload comes back");
+        assert_ne!(read, payload);
+
+        // Meta-page padding rot is reported as page 0, not a failure.
+        flip_byte(&path, victim, 0x80);
+        flip_byte(&path, 40, 0xFF);
+        let (_, report, read) = Store::audit(&path).unwrap();
+        assert_eq!(report.bad_pages, vec![0]);
+        assert_eq!(report.bad_shards, vec![0, 1, 2, 3]);
+        assert_eq!(read, payload);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,32 +40,26 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// typed error, never a panic. Returns whether it opened.
 fn open_must_behave(path: &Path, image: &[u8], original_payload: &[u8], what: &str) -> bool {
     std::fs::write(path, image).unwrap();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        // Sweep both backends: the buffer fallback must be exactly as
-        // strict as the mapping.
-        for force_pread in [false, true] {
-            match Store::open_with(path, force_pread) {
-                Ok(st) => {
-                    assert_eq!(
-                        st.payload(),
-                        original_payload,
-                        "{what}: opened but served different bytes"
-                    );
-                }
-                Err(
-                    StoreError::Io(_)
-                    | StoreError::BadMagic
-                    | StoreError::UnsupportedVersion(_)
-                    | StoreError::BadPageSize(_)
-                    | StoreError::Truncated { .. }
-                    | StoreError::HeaderCrc { .. }
-                    | StoreError::TableCrc { .. }
-                    | StoreError::PageCrc { .. }
-                    | StoreError::Payload(_),
-                ) => return false,
-            }
+    let outcome = catch_unwind(AssertUnwindSafe(|| match Store::open(path) {
+        Ok(st) => {
+            assert_eq!(
+                st.payload(),
+                original_payload,
+                "{what}: opened but served different bytes"
+            );
+            true
         }
-        true
+        Err(
+            StoreError::Io(_)
+            | StoreError::BadMagic
+            | StoreError::UnsupportedVersion(_)
+            | StoreError::BadPageSize(_)
+            | StoreError::Truncated { .. }
+            | StoreError::HeaderCrc { .. }
+            | StoreError::TableCrc { .. }
+            | StoreError::PageCrc { .. }
+            | StoreError::Payload(_),
+        ) => false,
     }));
     match outcome {
         Ok(opened) => opened,

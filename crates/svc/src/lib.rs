@@ -33,9 +33,9 @@
 //! * [`mod@retry`] — bounded retry with decorrelated-jitter backoff for
 //!   transient [`SvcError::Overloaded`] rejections;
 //! * [`mod@scrub`] — the online segment-store scrubber: periodic page
-//!   re-verification over a [`store::Store`], quarantine of shards
-//!   whose durable bytes rotted, and bit-identical online repair
-//!   through the crash-safe write protocol;
+//!   re-verification of a [`store::Store`]'s file, and byte-for-byte
+//!   repair from the store's verified copy through the crash-safe
+//!   write protocol;
 //! * [`telemetry`] — a zero-dependency HTTP endpoint serving
 //!   `/metrics` (Prometheus), `/healthz`, and `/debug/traces` (the
 //!   request-trace flight recorder).
@@ -93,7 +93,7 @@ pub use degrade::{Degraded, Response, ShardHealth};
 pub use error::SvcError;
 pub use pool::WorkerPool;
 pub use retry::{retry, retry_traced, RetryPolicy};
-pub use scrub::{scrub_pass, PassOutcome, RepairSource, Scrubber, StoreState, StoreStatus};
+pub use scrub::{scrub_pass, PassOutcome, Scrubber, StoreState, StoreStatus};
 pub use service::{Service, SvcConfig, CHUNK_ROWS};
 pub use shard::{Shard, ShardedIndex};
 pub use telemetry::{HybridStatus, TelemetryServer};

@@ -51,8 +51,8 @@ impl TelemetryServer {
 
     /// [`TelemetryServer::bind`] plus a segment-store status: when
     /// `store` is given, `/healthz` carries a `"store"` object with
-    /// the scrubber's state (`healthy`/`degraded`/`repairing`), pass
-    /// and CRC-error counts, and the serving backend.
+    /// the scrubber's state (`healthy`/`degraded`/`repairing`), and its
+    /// pass, CRC-error and repair counts.
     pub fn bind_with_store(
         addr: impl ToSocketAddrs,
         health: Arc<ShardHealth>,
@@ -360,7 +360,7 @@ mod tests {
         assert!(!body.contains("\"store\""), "body: {body}");
         srv.stop();
 
-        let status = Arc::new(StoreStatus::new("mmap"));
+        let status = Arc::new(StoreStatus::default());
         let srv = TelemetryServer::bind_with_store(
             "127.0.0.1:0",
             Arc::new(ShardHealth::new(2)),
@@ -369,7 +369,7 @@ mod tests {
         .expect("bind");
         let (_, body) = get(srv.local_addr(), "/healthz");
         assert!(
-            body.contains("\"store\":{\"state\":\"healthy\",\"backend\":\"mmap\""),
+            body.contains("\"store\":{\"state\":\"healthy\",\"passes\":0"),
             "body: {body}"
         );
         srv.stop();

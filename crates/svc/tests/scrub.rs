@@ -3,17 +3,18 @@
 //! drive the detect → degrade → repair → healthy lifecycle. The
 //! contract at every step:
 //!
-//! * detection — the scrubber finds the flipped page and names the
-//!   damaged shard;
-//! * degradation — the shard is quarantined, so every answer is a
-//!   conservative superset (100% recall, zero false negatives);
-//! * repair — the file is rebuilt through the crash-safe writer and
-//!   is **bit-identical** to the pre-damage bytes (AB builds are
-//!   deterministic);
-//! * recovery — quarantine lifts, `/healthz` walks
-//!   `healthy → degraded/repairing → healthy`.
+//! * detection — the scrubber finds the flipped page;
+//! * the served index is untouched — it was decoded from the store's
+//!   verified copy, so every answer stays **bit-identical** to the
+//!   pre-rot answer, no shard is quarantined and no response is
+//!   marked degraded;
+//! * degradation — only the file is: `/healthz` reads
+//!   `"status":"ok"` with the store block `degraded` until a rewrite
+//!   succeeds, and a failed rewrite is retried on the next pass;
+//! * repair — the file is rewritten from the verified copy through
+//!   the crash-safe writer and equals the pre-rot bytes.
 
-use ab::{AbConfig, Level};
+use ab::{AbConfig, Cell, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
@@ -21,7 +22,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use svc::scrub::{scrub_pass, PassOutcome, RepairSource, Scrubber, StoreState, StoreStatus};
+use svc::chaos::{points, ChaosSegmentIo, Fault, FaultPlan, FaultRule};
+use svc::scrub::{scrub_pass, PassOutcome, Scrubber, StoreState, StoreStatus};
 use svc::{Service, ShardedIndex, SvcConfig, TelemetryServer};
 
 const ROWS: usize = 600;
@@ -59,20 +61,13 @@ fn flip_on_disk(path: &Path, offset: u64, xor: u8) {
     f.sync_all().unwrap();
 }
 
-/// Rows 0..ROWS with a % 5 in 1..=2 — the exact answer the AB
-/// superset must always contain.
-fn must_contain() -> Vec<usize> {
-    (0..ROWS).filter(|r| (1..=2).contains(&(r % 5))).collect()
-}
-
 fn the_query() -> RectQuery {
     RectQuery::new(vec![AttrRange::new(0, 1, 2)], 0, ROWS - 1)
 }
 
-fn assert_superset(rows: &[usize], what: &str) {
-    for r in must_contain() {
-        assert!(rows.contains(&r), "{what}: false negative on row {r}");
-    }
+/// One cell per row, across every shard.
+fn the_cells() -> Vec<Cell> {
+    (0..ROWS).map(|r| Cell::new(r, 0, (r % 3) as u32)).collect()
 }
 
 fn healthz(addr: std::net::SocketAddr) -> String {
@@ -101,7 +96,7 @@ fn detect_degrade_repair_recover_under_live_traffic() {
         },
     ));
     let health = service.health_arc();
-    let status = Arc::new(StoreStatus::new(st.backend()));
+    let status = Arc::new(StoreStatus::default());
     let telemetry = TelemetryServer::bind_with_store(
         "127.0.0.1:0",
         Arc::clone(&health),
@@ -109,18 +104,30 @@ fn detect_degrade_repair_recover_under_live_traffic() {
     )
     .unwrap();
 
+    // The answers before any rot: the AB superset of rows with
+    // a % 5 in 1..=2, and the cells' maybe-present flags.
+    let rows = service.try_query_rect(&the_query()).unwrap().value;
+    for r in (0..ROWS).filter(|r| (1..=2).contains(&(r % 5))) {
+        assert!(rows.contains(&r), "false negative on row {r}");
+    }
+    let cells = service.try_retrieve_cells(&the_cells()).unwrap().value;
+
     // Live traffic: hammer the service from two threads for the whole
-    // lifecycle, checking the no-false-negative contract on every
-    // single answer.
+    // lifecycle; every single answer must equal the pre-rot one.
     let stop = Arc::new(AtomicBool::new(false));
     let traffic: Vec<_> = (0..2)
         .map(|t| {
             let (svc, stop) = (Arc::clone(&service), Arc::clone(&stop));
+            let (rows, cells) = (rows.clone(), cells.clone());
             std::thread::spawn(move || {
                 let mut answers = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     let resp = svc.try_query_rect(&the_query()).unwrap();
-                    assert_superset(&resp.value, &format!("traffic thread {t}"));
+                    assert!(!resp.is_degraded(), "traffic thread {t}: degraded rect");
+                    assert_eq!(resp.value, rows, "traffic thread {t}: rect changed");
+                    let resp = svc.try_retrieve_cells(&the_cells()).unwrap();
+                    assert!(!resp.is_degraded(), "traffic thread {t}: degraded cells");
+                    assert_eq!(resp.value, cells, "traffic thread {t}: cells changed");
                     answers += 1;
                 }
                 answers
@@ -128,49 +135,50 @@ fn detect_degrade_repair_recover_under_live_traffic() {
         })
         .collect();
 
-    let repair = RepairSource {
-        table: table(),
-        config: cfg(),
-    };
-
     // Pass 1: clean, healthy.
-    let out = scrub_pass(&mut st, &health, Some(&repair), &status, &store::RealIo).unwrap();
+    let out = scrub_pass(&mut st, &status, &store::RealIo).unwrap();
     assert_eq!(out, PassOutcome::Clean);
     assert_eq!(status.state(), StoreState::Healthy);
     assert!(healthz(telemetry.local_addr()).contains("\"state\":\"healthy\""));
 
     // Rot one byte in the middle of shard 2's extent, on disk, while
     // traffic flows.
-    let victim_shard = 2usize;
-    let e = st.extents()[victim_shard];
-    flip_on_disk(
-        &path,
-        st.header().payload_offset() + (e.offset + e.len / 2) as u64,
-        0x10,
+    let e = st.extents()[2];
+    let victim = st.header().payload_offset() + (e.offset + e.len / 2) as u64;
+    flip_on_disk(&path, victim, 0x10);
+    let bad_page = victim / PAGE as u64;
+
+    // Pass 2, with the rewrite failing at `store.write`: the file is
+    // degraded and stays rotted, the service is not.
+    let plan = Arc::new(
+        FaultPlan::new(3).with_rule(FaultRule::new(points::STORE_WRITE, Fault::Eio).max_fires(1)),
     );
-
-    // Pass 2 without repair: detect + degrade, and the degraded
-    // service must still never drop a row.
-    let out = scrub_pass(&mut st, &health, None, &status, &store::RealIo).unwrap();
-    assert_eq!(out, PassOutcome::Degraded(vec![victim_shard]));
-    assert!(health.is_quarantined(victim_shard));
+    let chaos = ChaosSegmentIo::new(Arc::clone(&plan));
+    let out = scrub_pass(&mut st, &status, &chaos).unwrap();
+    assert_eq!(out, PassOutcome::Degraded(vec![bad_page]));
+    assert_eq!(plan.fires(points::STORE_WRITE), 1);
     assert_eq!(status.state(), StoreState::Degraded);
+    assert_eq!(status.repair_failures(), 1);
+    assert_eq!(status.repairs(), 0);
     assert!(status.crc_errors() >= 1);
+    assert!(health.all_healthy(), "rot on disk must quarantine nothing");
+    assert_ne!(std::fs::read(&path).unwrap(), pristine);
     let body = healthz(telemetry.local_addr());
-    assert!(body.contains("\"status\":\"degraded\""), "body: {body}");
+    assert!(body.contains("\"status\":\"ok\""), "body: {body}");
+    assert!(body.contains("\"quarantined\":[]"), "body: {body}");
     assert!(body.contains("\"state\":\"degraded\""), "body: {body}");
+    assert!(body.contains("\"repair_failures\":1"), "body: {body}");
     let resp = service.try_query_rect(&the_query()).unwrap();
-    assert!(resp.is_degraded(), "quarantined shard must mark responses");
-    assert_superset(&resp.value, "degraded window");
+    assert!(!resp.is_degraded());
+    assert_eq!(resp.value, rows);
 
-    // Pass 3 with repair: rebuild, crash-safe rewrite, verified
-    // reopen, quarantine lifted — and the file is bit-identical to
-    // the pre-damage bytes.
-    let out = scrub_pass(&mut st, &health, Some(&repair), &status, &store::RealIo).unwrap();
-    assert_eq!(out, PassOutcome::Repaired(vec![victim_shard]));
-    assert!(!health.is_quarantined(victim_shard));
+    // Pass 3, the fault spent: rewrite from the verified copy, verified
+    // reopen — and the file is the pre-rot bytes.
+    let out = scrub_pass(&mut st, &status, &chaos).unwrap();
+    assert_eq!(out, PassOutcome::Repaired(vec![bad_page]));
     assert_eq!(status.state(), StoreState::Healthy);
     assert_eq!(status.repairs(), 1);
+    assert_eq!(status.repair_failures(), 1);
     assert_eq!(
         std::fs::read(&path).unwrap(),
         pristine,
@@ -187,6 +195,7 @@ fn detect_degrade_repair_recover_under_live_traffic() {
         let answers = t.join().unwrap();
         assert!(answers > 0, "traffic thread never got an answer");
     }
+    assert!(health.all_healthy());
     telemetry.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -201,18 +210,7 @@ fn background_scrubber_repairs_without_help() {
     let st = store::Store::open(&path).unwrap();
     let victim = st.header().payload_offset() + st.header().payload_len / 3;
 
-    let health = Arc::new(svc::ShardHealth::new(SHARDS));
-    let scrubber = Scrubber::spawn(
-        st,
-        Arc::clone(&health),
-        Some(RepairSource {
-            table: table(),
-            config: cfg(),
-        }),
-        Duration::from_millis(10),
-        Arc::new(store::RealIo),
-    )
-    .unwrap();
+    let scrubber = Scrubber::spawn(st, Duration::from_millis(10), Arc::new(store::RealIo)).unwrap();
     let status = scrubber.status();
 
     // Let it complete at least one clean pass, then rot the file.
@@ -226,7 +224,6 @@ fn background_scrubber_repairs_without_help() {
     }
     assert_eq!(status.repairs(), 1, "scrubber never repaired");
     assert_eq!(status.state(), StoreState::Healthy);
-    assert!(health.all_healthy(), "quarantine must lift after repair");
     assert_eq!(std::fs::read(&path).unwrap(), pristine);
     scrubber.stop();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -5,7 +5,7 @@
 //! always converges on the new state. Plus the serving-equivalence
 //! half of the acceptance bar: a service loaded from a store file
 //! answers rect / cells / batch queries bit-identically to one built
-//! in RAM, across seeded datasets and both read backends.
+//! in RAM, across seeded datasets.
 
 use ab::{AbConfig, Cell, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
@@ -182,45 +182,42 @@ fn store_loaded_service_answers_bit_identically_to_in_ram() {
         let path = dir.join(format!("equiv-{seed}.seg"));
         store::write(&path, &index.to_bytes(), PAGE, &store::RealIo).unwrap();
 
-        for force_pread in [false, true] {
-            let st = store::Store::open_with(&path, force_pread).unwrap();
-            let loaded =
-                Service::from_index(ShardedIndex::from_bytes(st.payload()).unwrap(), &svc_cfg);
+        let st = store::Store::open(&path).unwrap();
+        let loaded = Service::from_index(ShardedIndex::from_bytes(st.payload()).unwrap(), &svc_cfg);
 
-            // Rect queries across both attributes.
-            let rects = [
-                RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, rows - 1),
-                RectQuery::new(
-                    vec![AttrRange::new(0, 1, 3), AttrRange::new(1, 0, 1)],
-                    rows / 4,
-                    rows - 1,
-                ),
-                RectQuery::new(vec![AttrRange::new(1, 0, 0)], 0, rows / 2),
-            ];
-            for q in &rects {
-                assert_eq!(
-                    in_ram.try_query_rect(q).unwrap().value,
-                    loaded.try_query_rect(q).unwrap().value,
-                    "seed {seed} pread={force_pread}: rect mismatch"
-                );
-            }
-            // Cell probes, including certain-absent and present cells.
-            let cells: Vec<Cell> = (0..rows)
-                .step_by(7)
-                .map(|r| Cell::new(r, 0, (r % 5) as u32))
-                .collect();
+        // Rect queries across both attributes.
+        let rects = [
+            RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, rows - 1),
+            RectQuery::new(
+                vec![AttrRange::new(0, 1, 3), AttrRange::new(1, 0, 1)],
+                rows / 4,
+                rows - 1,
+            ),
+            RectQuery::new(vec![AttrRange::new(1, 0, 0)], 0, rows / 2),
+        ];
+        for q in &rects {
             assert_eq!(
-                in_ram.try_retrieve_cells(&cells).unwrap().value,
-                loaded.try_retrieve_cells(&cells).unwrap().value,
-                "seed {seed} pread={force_pread}: cells mismatch"
-            );
-            // Batched rects take the grouped fan-out path.
-            assert_eq!(
-                in_ram.try_query_batch(&rects).unwrap().value,
-                loaded.try_query_batch(&rects).unwrap().value,
-                "seed {seed} pread={force_pread}: batch mismatch"
+                in_ram.try_query_rect(q).unwrap().value,
+                loaded.try_query_rect(q).unwrap().value,
+                "seed {seed}: rect mismatch"
             );
         }
+        // Cell probes, including certain-absent and present cells.
+        let cells: Vec<Cell> = (0..rows)
+            .step_by(7)
+            .map(|r| Cell::new(r, 0, (r % 5) as u32))
+            .collect();
+        assert_eq!(
+            in_ram.try_retrieve_cells(&cells).unwrap().value,
+            loaded.try_retrieve_cells(&cells).unwrap().value,
+            "seed {seed}: cells mismatch"
+        );
+        // Batched rects take the grouped fan-out path.
+        assert_eq!(
+            in_ram.try_query_batch(&rects).unwrap().value,
+            loaded.try_query_batch(&rects).unwrap().value,
+            "seed {seed}: batch mismatch"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

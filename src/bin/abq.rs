@@ -13,15 +13,15 @@
 //! `--listen`, over TCP through the [`net`] front end (ABQ/1 binary
 //! framing, pipelined requests, graceful drain on SIGINT/SIGTERM).
 //! With `--store FILE` it serves from a crash-safe `ABPG` segment
-//! store instead of rebuilding (mmap by default, `--store-pread` for
-//! the portable path), and a background scrubber re-verifies the file
-//! every `--scrub-ms` (0 disables; add `--csv` to enable online
-//! repair, otherwise damaged shards are quarantined into degraded
-//! superset answers).
+//! store instead of rebuilding: the file is read and verified once,
+//! and a background scrubber re-verifies it every `--scrub-ms`
+//! (0 disables), rewriting rot from the verified copy while the
+//! served answers stay exactly as they were.
 //! `store build|verify|scrub` manage those segment stores: `build`
 //! writes one atomically (tmp + fsync + rename), `verify` is the
-//! offline integrity audit, `scrub` runs one detect→quarantine→repair
-//! pass from the command line.
+//! offline integrity audit, `scrub` runs one detect→repair pass from
+//! the command line (a file too damaged to open is repaired from the
+//! source data given with `--csv`).
 //! `loadgen` drives a live `--listen` server over real sockets in
 //! closed-loop (`--pipeline`) or open-loop (`--rps`) mode and prints
 //! client-observed throughput and latency quantiles; `--out FILE`
@@ -86,8 +86,6 @@ enum Kind {
     Value(&'static str),
     /// `--flag VALUE`, any number of times.
     Repeated(&'static str),
-    /// `--flag` alone.
-    Switch,
     /// `--flag [off|auto|force]`; bare means auto.
     Mode,
 }
@@ -102,7 +100,7 @@ enum Absent {
 }
 
 use Absent::{Or, Required, Unset};
-use Kind::{Mode, Repeated, Switch, Value};
+use Kind::{Mode, Repeated, Value};
 
 /// Every subcommand, its handler and its flags: the one place a flag,
 /// its kind and its default are declared.
@@ -161,7 +159,6 @@ const COMMANDS: &[Command] = &[
             flag("--telemetry-addr", Value("HOST:PORT"), Unset),
             flag("--slow-ms", Value("N"), Unset),
             flag("--store", Value("FILE"), Unset),
-            flag("--store-pread", Switch, Unset),
             flag("--scrub-ms", Value("N"), Or("5000")),
             flag("--listen", Value("HOST:PORT"), Unset),
             // Unset: `net::NetConfig`'s default.
@@ -197,7 +194,6 @@ const COMMANDS: &[Command] = &[
         cmd_store_scrub,
         &[
             flag("--store", Value("FILE"), Required),
-            flag("--pread", Switch, Unset),
             flag("--csv", Value("FILE"), Unset),
             flag("--bins", Value("N"), Or("10")),
             flag("--alpha", Value("N"), Or("8")),
@@ -257,14 +253,14 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 /// A subcommand's command line, parsed against its flag table.
 struct Args {
     flags: &'static [Flag],
-    /// `(flag, value)` in command-line order. A switch's value is
-    /// empty; a bare mode flag's is `auto`.
+    /// `(flag, value)` in command-line order. A bare mode flag's value
+    /// is `auto`.
     given: Vec<(&'static str, String)>,
 }
 
 /// Walks `argv` once, left to right, against `cmd`'s flag table.
 /// A value is the next token unless that token is itself a flag; a
-/// mode flag's operand is optional, a switch takes none.
+/// mode flag's operand is optional.
 fn parse(&(name, _, flags): &Command, argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         flags,
@@ -282,13 +278,9 @@ fn parse(&(name, _, flags): &Command, argv: &[String]) -> Result<Args, String> {
         if args.on(flag.name) && !matches!(flag.kind, Repeated(_)) {
             return Err(format!("{tok} is given twice"));
         }
-        let operand = match flag.kind {
-            Switch => None,
-            _ => argv.next_if(|v| !v.starts_with("--")),
-        };
+        let operand = argv.next_if(|v| !v.starts_with("--"));
         let value = match (&flag.kind, operand) {
             (_, Some(v)) => v.clone(),
-            (Switch, None) => String::new(),
             (Mode, None) => "auto".into(),
             (_, None) => return Err(format!("{tok} needs a value")),
         };
@@ -364,7 +356,6 @@ fn usage() -> String {
                 (Value(m), Required) => format!("{} {m}", f.name),
                 (Value(m), _) => format!("[{} {m}]", f.name),
                 (Repeated(m), _) => format!("[{} {m}]...", f.name),
-                (Switch, _) => format!("[{}]", f.name),
                 (Mode, _) => format!("[{} [off|auto|force]]", f.name),
             };
             if line.len() + word.len() > 80 {
@@ -638,16 +629,6 @@ fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
     ))
 }
 
-/// With `--csv`, the table and build config a store repair rebuilds
-/// damaged shards from.
-fn repair_source(a: &Args) -> Result<Option<svc::RepairSource>, String> {
-    if !a.on("--csv") {
-        return Ok(None);
-    }
-    let (table, config) = binned_and_config(a)?;
-    Ok(Some(svc::RepairSource { table, config }))
-}
-
 /// The service flags of `serve` — `--threads`, `--shards`,
 /// `--deadline-ms`, `--slow-ms`, `--hier`, `--hybrid` — as one
 /// [`SvcConfig`].
@@ -666,15 +647,13 @@ fn serve_config(a: &Args) -> Result<SvcConfig, String> {
 
 /// `serve` setup: CSV → binned table → sharded service, or with
 /// `--store` an ABPG file → sharded index → service plus the
-/// background scrubber (interval `--scrub-ms`; 0 disables). With
-/// `--csv` the scrubber repairs damage in place; without it, damaged
-/// shards are quarantined into degraded answers. Prints the chosen
-/// shard/thread split.
+/// background scrubber (interval `--scrub-ms`; 0 disables), which
+/// repairs rot in the file from the store's verified copy. Prints the
+/// chosen shard/thread split.
 fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scrubber>), String> {
     let store = match a.value("--store") {
         Some(path) => {
-            let st = store::Store::open_with(std::path::Path::new(path), a.on("--store-pread"))
-                .map_err(|e| format!("{path}: {e}"))?;
+            let st = store::Store::open(path).map_err(|e| format!("{path}: {e}"))?;
             Some((st, path))
         }
         None => None,
@@ -701,32 +680,21 @@ fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scru
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
-        store.as_ref().map_or(String::new(), |(st, path)| {
-            format!(", {} store {path}", st.backend())
-        }),
+        store
+            .as_ref()
+            .map_or(String::new(), |(_, path)| format!(", store {path}")),
     );
     let scrub_ms: u64 = a.get("--scrub-ms")?;
     let Some((st, _)) = store.filter(|_| scrub_ms > 0) else {
         return Ok((svc, None));
     };
-    let repair = repair_source(a)?;
-    let with_repair = repair.is_some();
     let scrubber = svc::Scrubber::spawn(
         st,
-        svc.health_arc(),
-        repair,
         Duration::from_millis(scrub_ms),
         std::sync::Arc::new(store::RealIo),
     )
     .map_err(|e| format!("scrubber: {e}"))?;
-    println!(
-        "scrubbing every {scrub_ms} ms ({})",
-        if with_repair {
-            "online repair enabled"
-        } else {
-            "quarantine only; pass --csv to enable repair"
-        }
-    );
+    println!("scrubbing every {scrub_ms} ms (repairs from the verified copy)");
     Ok((svc, Some(scrubber)))
 }
 
@@ -955,7 +923,7 @@ fn cmd_store_build(a: &Args) -> Result<(), String> {
 /// the index. Exits non-zero on any damage.
 fn cmd_store_verify(a: &Args) -> Result<(), String> {
     let path: String = a.get("--store")?;
-    let (header, report) =
+    let (header, report, _) =
         store::Store::audit(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{path}: ABPG v{}, {} payload bytes in {} page(s) of {} bytes, {} shard(s)",
@@ -980,84 +948,89 @@ fn cmd_store_verify(a: &Args) -> Result<(), String> {
     }
 }
 
-/// `abq store scrub` — one online scrub pass from the CLI: open the
-/// store (mmap, or `--pread`), verify every page, and — when the
-/// original CSV and build flags are supplied — rewrite the file
-/// bit-identically through the same atomic protocol `build` uses.
+/// `abq store scrub` — one scrub pass from the CLI: open the store
+/// (reading and verifying every page), re-check the file, and rewrite
+/// it from the verified copy if it rotted since. A file too damaged to
+/// open has no verified copy; with the original CSV and build flags it
+/// is repaired from source data ([`repair_store`]).
 fn cmd_store_scrub(a: &Args) -> Result<(), String> {
     let path: String = a.get("--store")?;
     let p = std::path::Path::new(&path);
-    let force_pread = a.on("--pread");
-    let repair = repair_source(a)?;
-    let mut st = match store::Store::open_with(p, force_pread) {
+    let mut st = match store::Store::open(p) {
         Ok(st) => st,
         Err(store::StoreError::Io(e)) => return Err(format!("{path}: {e}")),
-        // Typed corruption is already visible at open (a live service
-        // only hits the scrub_pass path for rot that lands *after* a
-        // clean open). From the CLI the equivalent repair is a full
-        // rebuild from the source data, under the file's own geometry
-        // when the header still reads.
         Err(e) => {
-            let Some(repair) = repair else {
+            if !a.on("--csv") {
                 return Err(format!(
                     "{path}: {e} — pass --csv (and matching build flags) to rebuild in place"
                 ));
-            };
-            return rebuild_store(p, &path, &repair, force_pread);
+            }
+            let (table, config) = binned_and_config(a)?;
+            return repair_store(p, &path, &table, &config);
         }
     };
-    let health = svc::ShardHealth::new(st.num_shards());
-    let status = svc::StoreStatus::new(st.backend());
-    let outcome = svc::scrub_pass(&mut st, &health, repair.as_ref(), &status, &store::RealIo)
+    let status = svc::StoreStatus::default();
+    let outcome = svc::scrub_pass(&mut st, &status, &store::RealIo)
         .map_err(|e| format!("{path}: scrub pass: {e}"))?;
-    println!(
-        "scanned {} page(s) ({} backend)",
-        status.pages_scanned(),
-        status.backend()
-    );
+    println!("scanned {} page(s)", status.pages_scanned());
     match outcome {
         svc::PassOutcome::Clean => {
             println!("healthy");
             Ok(())
         }
-        svc::PassOutcome::Repaired(shards) => {
-            println!("repaired shard(s) {shards:?}; store rewritten and re-verified");
+        svc::PassOutcome::Repaired(pages) => {
+            println!("repaired page(s) {pages:?}; store rewritten and re-verified");
             Ok(())
         }
-        svc::PassOutcome::Degraded(shards) => Err(format!(
-            "{path}: damage implicating shard(s) {shards:?}{}",
-            if repair.is_some() {
-                " — repair failed; rebuild from source data"
-            } else {
-                " — pass --csv (and matching build flags) to repair in place"
-            }
+        svc::PassOutcome::Degraded(pages) => Err(format!(
+            "{path}: damaged page(s) {pages:?} — rewrite failed"
         )),
     }
 }
 
-/// Full rebuild for a store too damaged to open: re-index the source
-/// table and rewrite through the atomic protocol, preserving the
-/// file's shard count and page size when its header is still intact
-/// (a deterministic build ⇒ a bit-identical file).
-fn rebuild_store(
+/// Repair for a store too damaged to open. Where the header, page
+/// table and envelope still read, only the shards the damage
+/// implicates are rebuilt from `table`, with the pyramid and exact
+/// tier their sibling shards carry: a deterministic build, so a
+/// bit-identical file. Otherwise the whole index is rebuilt from
+/// `table` without those tiers. Either way the file keeps its shard
+/// count and page size if its header and page table still verify.
+fn repair_store(
     p: &std::path::Path,
     path: &str,
-    repair: &svc::RepairSource,
-    force_pread: bool,
+    table: &BinnedTable,
+    config: &AbConfig,
 ) -> Result<(), String> {
-    let (shards, page_size) = match store::Store::audit(p) {
-        Ok((h, _)) => (h.shard_count as usize, h.page_size),
-        Err(_) => (
-            SvcConfig::default().resolved_shards(repair.table.num_rows()),
+    let audited = store::Store::audit(p).ok();
+    let (shards, page_size) = match &audited {
+        Some((h, ..)) => (h.shard_count as usize, h.page_size),
+        None => (
+            SvcConfig::default().resolved_shards(table.num_rows()),
             store::DEFAULT_PAGE_SIZE,
         ),
     };
-    let index = svc::ShardedIndex::build(&repair.table, &repair.config, shards, false);
+    let repaired = audited.as_ref().and_then(|(_, _, payload)| {
+        svc::ShardedIndex::from_bytes_with_repair(payload, table, config).ok()
+    });
+    let (index, note) = match repaired {
+        Some((index, shards)) if shards.is_empty() => (index, "no shard was damaged".to_string()),
+        Some((index, shards)) => (
+            index,
+            format!("rebuilt shard(s) {shards:?} from source data"),
+        ),
+        None => (
+            svc::ShardedIndex::build(table, config, shards, false),
+            format!(
+                "rebuilt the whole index from source data ({shards} shard(s)); \
+                 the file no longer reads as a sharded index, so hier pyramids \
+                 and exact tiers were not rebuilt"
+            ),
+        ),
+    };
     store::write(p, &index.to_bytes(), page_size, &store::RealIo)
         .map_err(|e| format!("{path}: rewrite: {e}"))?;
-    store::Store::open_with(p, force_pread)
-        .map_err(|e| format!("{path}: re-verify after rebuild: {e}"))?;
-    println!("rebuilt {path} from source data ({shards} shard(s), {page_size}-byte pages)");
+    store::Store::open(p).map_err(|e| format!("{path}: re-verify after rebuild: {e}"))?;
+    println!("repaired {path}: {note}, {page_size}-byte pages");
     Ok(())
 }
 
@@ -1372,10 +1345,6 @@ mod tests {
         assert!(cfg(&["--threads", "0"]).is_err());
         assert!(cfg(&["--threads", "x"]).is_err());
         assert!(cfg(&[]).unwrap().resolved_threads() >= 1);
-        assert!(parsed("serve", &["--store-pread"])
-            .unwrap()
-            .on("--store-pread"));
-        assert!(!parsed("serve", &[]).unwrap().on("--store-pread"));
     }
 
     #[test]
@@ -1477,7 +1446,7 @@ mod tests {
         .unwrap();
         run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
         // The pyramid rides the segment: loading needs no rebuild.
-        let st = store::Store::open_with(&abpg, false).unwrap();
+        let st = store::Store::open(&abpg).unwrap();
         let idx = svc::ShardedIndex::from_bytes(st.payload()).unwrap();
         assert!(idx.shards().iter().all(|s| s.index().hier().is_some()));
     }
@@ -1529,7 +1498,7 @@ mod tests {
         };
         let load = || {
             run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
-            let st = store::Store::open_with(&abpg, false).unwrap();
+            let st = store::Store::open(&abpg).unwrap();
             svc::ShardedIndex::from_bytes(st.payload()).unwrap()
         };
         build(&["--hybrid"]).unwrap();
@@ -1701,41 +1670,51 @@ mod tests {
         let dir = std::env::temp_dir().join("abq_test_store");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("d.csv");
-        let abpg = dir.join("d.abpg");
         let mut body = String::from("price,qty\n");
         for i in 0..400 {
             body.push_str(&format!("{}.0,{}.0\n", i % 31, (i * 5) % 11));
         }
         std::fs::write(&csv, body).unwrap();
-        let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+        let csv = csv.to_str().unwrap();
         let build_flags = ["--csv", csv, "--bins", "6", "--alpha", "8"];
-        let store = ["--store", abpg];
-        let mut args = build_flags.to_vec();
-        args.extend(["--shards", "3", "--out", abpg, "--page-size", "256"]);
-        run("store build", &args).unwrap();
-        run("store verify", &store).unwrap();
-        let pristine = std::fs::read(abpg).unwrap();
+        // A flat store, and one whose shards carry a pyramid and an
+        // exact tier that the repair must rebuild too.
+        for (name, tiers) in [
+            ("flat", &[][..]),
+            ("tiered", &["--hier", "--hybrid", "force"]),
+        ] {
+            let abpg = dir.join(format!("{name}.abpg"));
+            let abpg = abpg.to_str().unwrap();
+            let store = ["--store", abpg];
+            let mut args = build_flags.to_vec();
+            args.extend(["--shards", "3", "--out", abpg, "--page-size", "256"]);
+            args.extend(tiers);
+            run("store build", &args).unwrap();
+            run("store verify", &store).unwrap();
+            let pristine = std::fs::read(abpg).unwrap();
+            let header = *store::Store::open(abpg).unwrap().header();
 
-        // Rot one payload byte: verify must name the damage, scrub
-        // without the CSV must refuse, scrub with it must restore the
-        // exact original file.
-        let mut rotted = pristine.clone();
-        let at = rotted.len() - 10;
-        rotted[at] ^= 0x40;
-        std::fs::write(abpg, &rotted).unwrap();
-        let err = run("store verify", &store).unwrap_err();
-        assert!(err.contains("damaged"), "unexpected error: {err}");
-        let err = run("store scrub", &store).unwrap_err();
-        assert!(err.contains("--csv"), "unexpected error: {err}");
-        let mut repair = build_flags.to_vec();
-        repair.extend(store);
-        run("store scrub", &repair).unwrap();
-        assert_eq!(
-            std::fs::read(abpg).unwrap(),
-            pristine,
-            "repair must be bit-identical"
-        );
-        run("store verify", &store).unwrap();
+            // Rot a byte of the last shard: verify must name the
+            // damage, scrub without the CSV must refuse, scrub with it
+            // must restore the exact original file.
+            let mut rotted = pristine.clone();
+            let at = (header.payload_offset() + header.payload_len) as usize - 10;
+            rotted[at] ^= 0x40;
+            std::fs::write(abpg, &rotted).unwrap();
+            let err = run("store verify", &store).unwrap_err();
+            assert!(err.contains("damaged"), "{name}: unexpected error: {err}");
+            let err = run("store scrub", &store).unwrap_err();
+            assert!(err.contains("--csv"), "{name}: unexpected error: {err}");
+            let mut repair = build_flags.to_vec();
+            repair.extend(store);
+            run("store scrub", &repair).unwrap();
+            assert!(
+                std::fs::read(abpg).unwrap() == pristine,
+                "{name}: repair must be bit-identical"
+            );
+            run("store verify", &store).unwrap();
+            run("store scrub", &store).unwrap();
+        }
     }
 
     #[test]
