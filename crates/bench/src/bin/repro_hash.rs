@@ -6,8 +6,9 @@
 //! set-up and the cell kernel call them — one lockstep batch step
 //! (DESIGN.md §13) — for each roster function as a roster probe and as
 //! a re-seeded one, and the batched insert at four k. A third times the
-//! two set-up sweeps, the pyramid's and the exact tier's, on a clustered
-//! and a Zipf table. The insert and sweep tables use only `ab` calls an
+//! two set-up passes after the build, the pyramid's sweep and the exact
+//! tier's read of the columns, on a clustered and a Zipf table. The
+//! insert and set-up tables use only `ab` calls an
 //! earlier checkout has too (`insert_cells`, `HierAb::build`,
 //! `HybridAb::build`), so those functions copied into another commit's
 //! copy of this file are the before/after harness.
@@ -174,16 +175,15 @@ fn insert_table(scale: f64) {
     );
 }
 
-/// ns per swept cell of the two set-up sweeps, per-attribute ABs at the
-/// default pyramid and exact-tier configurations, on the shapes of the
-/// benchmark's `prune_clustered` (one 16-bin column, each bin one run —
-/// eight head bins and eight thin tail bins — α = 32, k = 22) and
+/// ns per unit of work of the two set-up passes, per-attribute ABs at
+/// the default pyramid and exact-tier configurations, on the shapes of
+/// the benchmark's `prune_clustered` (one 16-bin column, each bin one
+/// run — eight head bins and eight thin tail bins — α = 32, k = 22) and
 /// `exact_skewed` (two Zipf columns over 12 bins, α = 8, k = 6).
-/// A pyramid sweep's cells are the table's (rows × bins: every cell an
-/// empty region makes it test); an exact tier's are its backed bins'
-/// rows outside the bin, every one of which a sweep without a pyramid
-/// tests. The exact tier is built on the index with the pyramid
-/// attached, as set-up builds it.
+/// A pyramid sweep's unit is a cell of the table (rows × bins: every
+/// cell an empty region makes it test); the exact tier's is a row of a
+/// column it reads (rows × attributes). The exact tier is built on the
+/// index with the pyramid attached, as set-up builds it.
 fn sweep_table(scale: f64, seed: u64) {
     let rows = ((scale * 13_107_200.0) as usize).max(1 << 14);
     let clustered = {
@@ -224,7 +224,7 @@ fn sweep_table(scale: f64, seed: u64) {
         let mut index =
             AbIndex::build(table, &AbConfig::new(Level::PerAttribute).with_alpha(alpha));
         let mut best = [Duration::MAX; 2];
-        let mut swept = [0usize; 2];
+        let mut work = [0usize; 2];
         for _ in 0..ROUNDS {
             let start = Instant::now();
             let hier = HierAb::build(&index, &HierConfig::default());
@@ -233,32 +233,28 @@ fn sweep_table(scale: f64, seed: u64) {
             let start = Instant::now();
             let tier = HybridAb::build(&index, table, &HybridConfig::default());
             best[1] = best[1].min(start.elapsed());
-            swept = [
-                rows * table
-                    .columns()
-                    .iter()
-                    .map(|c| c.cardinality as usize)
-                    .sum::<usize>(),
-                tier.bins().iter().map(|b| rows - b.exact().len()).sum(),
-            ];
+            let bins: usize = table.columns().iter().map(|c| c.cardinality as usize).sum();
+            work = [rows * bins, rows * table.num_attributes()];
             black_box(tier.size_bytes());
         }
-        let ns = |i: usize| format!("{:.1}", best[i].as_nanos() as f64 / swept[i].max(1) as f64);
+        let ns = |i: usize| format!("{:.1}", best[i].as_nanos() as f64 / work[i].max(1) as f64);
         out.push(vec![
             name.to_string(),
-            swept[0].to_string(),
+            work[0].to_string(),
             ns(0),
-            swept[1].to_string(),
+            work[1].to_string(),
             ns(1),
         ]);
     }
     print_table(
-        &format!("Set-up sweeps, ns per swept cell ({rows} rows, fastest of {ROUNDS} builds)"),
+        &format!(
+            "Set-up passes, ns per swept cell / row read ({rows} rows, fastest of {ROUNDS} builds)"
+        ),
         &[
             "table",
             "pyramid cells",
             "pyramid ns",
-            "exact-tier cells",
+            "exact-tier rows",
             "exact-tier ns",
         ],
         &out,

@@ -18,20 +18,13 @@
 //! Every decision lands in the `planner.split.exact` /
 //! `planner.split.ab` counters.
 //!
-//! Alongside each exact container E the build stores a companion
-//! false-positive container F = {rows the base AB admits for the cell
-//! but the data rejects}, computed by probe-sweeping the AB (the same
-//! deterministic construction [`crate::hier`] uses, so a damaged
-//! container rebuilds bit-identically from the base AB + table) — only
-//! over the rows an attached pyramid keeps for the bin, which are all
-//! the rows the AB can admit, so F is the same with or without one. The
-//! identity *AB verdict = E ∪ F* lets query dispatch count exactly
-//! which flat-scan false positives the exact tier eliminated
-//! (`QueryStats::fp_rows_eliminated`) without re-probing the AB.
+//! A backed bin stores one container, its truth E = {rows whose value
+//! falls in the bin}, read straight off the table's column: the build
+//! issues no hash call, and a damaged container rebuilds bit-identically
+//! from the table alone.
 
-use crate::kernel::ColumnSweeper;
 use crate::level::AbIndex;
-use bitmap::{AttrRange, BinnedTable, RectQuery};
+use bitmap::{BinnedTable, RectQuery};
 use roar::RoaringBitmap;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -73,9 +66,6 @@ pub struct HybridBin {
     bin: u32,
     /// The truth: rows whose value falls in this bin.
     exact: RoaringBitmap,
-    /// The base AB's false positives for this cell: rows the AB admits
-    /// but `exact` rejects. `exact ∪ fp` is the AB's verdict, exactly.
-    fp: RoaringBitmap,
 }
 
 impl HybridBin {
@@ -94,11 +84,6 @@ impl HybridBin {
         &self.exact
     }
 
-    /// The companion false-positive container.
-    pub fn fp(&self) -> &RoaringBitmap {
-        &self.fp
-    }
-
     /// Exact cell test: is `row` truly in this bin? Zero hash probes,
     /// zero false positives.
     #[inline]
@@ -113,9 +98,6 @@ pub(crate) struct HybridRangePlan {
     /// OR of the backed bins' exact containers — the range's truth
     /// restricted to backed bins.
     pub exact: Vec<u64>,
-    /// OR of the backed bins' `exact ∪ fp` — what the flat AB scan
-    /// would have said about the backed bins.
-    pub flat: Vec<u64>,
     /// Bins in the range with no exact backing: the kernel probes the
     /// AB for these.
     pub unbacked: Vec<u32>,
@@ -160,9 +142,9 @@ fn back_exactly(
 impl HybridAb {
     /// Builds the exact tier for `index` over its source `table`,
     /// running the split decision for every (attribute, bin) and
-    /// probe-sweeping the base AB for the companion false-positive
-    /// containers. Deterministic for a given index + table, so a
-    /// damaged container rebuilds bit-identically.
+    /// filling each backed bin's container from the column — no hash
+    /// call. Deterministic for a given index + table, so a damaged
+    /// container rebuilds bit-identically.
     ///
     /// # Panics
     ///
@@ -211,14 +193,12 @@ impl HybridAb {
                 .filter(|&(bin, count)| back_exactly(index, attribute, bin, count, config))
                 .map(|(bin, _)| bin)
                 .collect();
-            let column = &col.bins[rows.clone()];
-            let exact = exact_containers(column, col.cardinality, &backed);
+            let exact = exact_containers(&col.bins[rows.clone()], col.cardinality, &backed);
             for (bin, exact) in backed.into_iter().zip(exact) {
                 bins.push(HybridBin {
                     attribute: attribute as u32,
                     bin,
                     exact,
-                    fp: false_positives(index, attribute, bin, column),
                 });
             }
         }
@@ -264,13 +244,10 @@ impl HybridAb {
         &self.bins
     }
 
-    /// Serialized container bytes (both containers of every backed
-    /// bin) — what the ABIX v4 hybrid section stores.
+    /// Serialized container bytes (the container of every backed
+    /// bin) — what the ABIX v5 hybrid section stores.
     pub fn size_bytes(&self) -> usize {
-        self.bins
-            .iter()
-            .map(|b| b.exact.size_bytes() + b.fp.size_bytes())
-            .sum()
+        self.bins.iter().map(|b| b.exact.size_bytes()).sum()
     }
 
     /// The exact backing for (attribute, bin), if the split decision
@@ -307,9 +284,9 @@ impl HybridAb {
     }
 
     /// Plans one attribute range over the row interval
-    /// `row_lo..=row_hi`: batch-extracts the backed bins' exact and
-    /// flat (exact ∪ fp) masks word-at-a-time and lists the bins the
-    /// kernel still has to probe the AB for.
+    /// `row_lo..=row_hi`: ORs the backed bins' exact containers into
+    /// one mask word-at-a-time and lists the bins the kernel still has
+    /// to probe the AB for.
     pub(crate) fn plan_range(
         &self,
         attribute: usize,
@@ -318,36 +295,20 @@ impl HybridAb {
         row_lo: usize,
         row_hi: usize,
     ) -> HybridRangePlan {
-        let words = (row_hi - row_lo + 1).div_ceil(64);
-        let mut exact = vec![0u64; words];
-        let mut flat = vec![0u64; words];
+        let mut exact = vec![0u64; (row_hi - row_lo + 1).div_ceil(64)];
         let mut unbacked = Vec::new();
         for bin in lo..=hi {
             match self.backing(attribute, bin) {
-                Some(hb) => {
-                    or_into(
-                        &mut exact,
-                        &hb.exact.contains_batch(row_lo as u32, row_hi as u32),
-                    );
-                    or_into(
-                        &mut flat,
-                        &hb.fp.contains_batch(row_lo as u32, row_hi as u32),
-                    );
-                }
+                Some(hb) => hb
+                    .exact
+                    .or_range_into(row_lo as u32, row_hi as u32, &mut exact),
                 None => unbacked.push(bin),
             }
         }
-        for (f, e) in flat.iter_mut().zip(&exact) {
-            *f |= e;
-        }
-        HybridRangePlan {
-            exact,
-            flat,
-            unbacked,
-        }
+        HybridRangePlan { exact, unbacked }
     }
 
-    /// Reassembles a tier from stored pieces (ABIX v4 deserialization).
+    /// Reassembles a tier from stored pieces (ABIX v5 deserialization).
     /// `parts` must arrive sorted by (attribute, bin) — the write
     /// order — and is validated.
     ///
@@ -358,7 +319,7 @@ impl HybridAb {
         config: HybridConfig,
         num_rows: usize,
         total_bins: u32,
-        parts: Vec<(u32, u32, RoaringBitmap, RoaringBitmap)>,
+        parts: Vec<(u32, u32, RoaringBitmap)>,
     ) -> Self {
         for w in parts.windows(2) {
             assert!(
@@ -372,11 +333,10 @@ impl HybridAb {
             total_bins,
             bins: parts
                 .into_iter()
-                .map(|(attribute, bin, exact, fp)| HybridBin {
+                .map(|(attribute, bin, exact)| HybridBin {
                     attribute,
                     bin,
                     exact,
-                    fp,
                 })
                 .collect(),
         }
@@ -407,46 +367,6 @@ fn exact_containers(bins: &[u32], cardinality: u32, backed: &[u32]) -> Vec<Roari
         e.optimize();
     }
     exact
-}
-
-/// F for a backed bin: the rows outside the bin (`bins` is the
-/// attribute's column) that the base AB admits, found by running them
-/// through the lockstep loop ([`ColumnSweeper`]) — the survivors of
-/// all k bits. A row the AB admits keeps its pyramid region occupied
-/// (§18), so with a pyramid attached only the rows it keeps for the
-/// one-bin range are swept ([`crate::hier::HierAb::prune`], the call a
-/// query makes); without one, every row.
-fn false_positives(index: &AbIndex, attribute: usize, bin: u32, bins: &[u32]) -> RoaringBitmap {
-    let last = index.num_rows() - 1;
-    let intervals = match index.hier().filter(|h| h.num_rows() == index.num_rows()) {
-        Some(hier) => {
-            let one_bin = RectQuery::new(vec![AttrRange::new(attribute, bin, bin)], 0, last);
-            hier.prune(&one_bin).intervals
-        }
-        None => vec![(0, last)],
-    };
-    let mut outside = intervals
-        .into_iter()
-        .flat_map(|(lo, hi)| lo..=hi)
-        .filter(|&row| bins[row] != bin)
-        .peekable();
-    let mut fp = RoaringBitmap::new();
-    let mut sweeper = ColumnSweeper::new(index);
-    while outside.peek().is_some() {
-        for &row in sweeper.positives(attribute, bin, outside.by_ref()) {
-            fp.push(row as u32);
-        }
-    }
-    fp.optimize();
-    fp
-}
-
-/// OR-accumulates `src` into `dst` (equal lengths by construction).
-fn or_into(dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
 }
 
 #[cfg(test)]
@@ -492,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_container_is_the_truth_and_fp_is_the_ab_remainder() {
+    fn exact_container_is_the_truth() {
         let t = clustered();
         let idx = index(&t, 8);
         let hy = HybridAb::build(
@@ -508,12 +428,6 @@ mod tests {
             for row in 0..t.num_rows() {
                 let truth = t.column(0).bins[row] == hb.bin();
                 assert_eq!(hb.contains(row), truth, "exact wrong at {row}");
-                let ab_says = idx.test_cell(row, 0, hb.bin());
-                assert_eq!(
-                    hb.exact().contains(row as u32) || hb.fp().contains(row as u32),
-                    ab_says,
-                    "exact ∪ fp must equal the AB verdict at row {row}"
-                );
             }
         }
     }
@@ -570,7 +484,7 @@ mod tests {
     #[test]
     fn covers_all_needs_every_bin_of_every_range() {
         // Geometry only: empty containers back (0, 0), (0, 1), (1, 0).
-        let empty = |a, b| (a, b, RoaringBitmap::new(), RoaringBitmap::new());
+        let empty = |a, b| (a, b, RoaringBitmap::new());
         let hy = HybridAb::from_serialized(
             HybridConfig::default(),
             100,
@@ -613,9 +527,6 @@ mod tests {
             let truth = t.column(0).bins[row] <= 2;
             let got = plan.exact[i / 64] >> (i % 64) & 1 == 1;
             assert_eq!(got, truth, "exact mask wrong at row {row}");
-            let flat_bit = plan.flat[i / 64] >> (i % 64) & 1 == 1;
-            let ab_says = (0..=2).any(|b| idx.test_cell(row, 0, b));
-            assert_eq!(flat_bit, ab_says, "flat mask wrong at row {row}");
         }
     }
 
@@ -634,14 +545,7 @@ mod tests {
         let parts: Vec<_> = hy
             .bins()
             .iter()
-            .map(|b| {
-                (
-                    b.attribute() as u32,
-                    b.bin(),
-                    b.exact().clone(),
-                    b.fp().clone(),
-                )
-            })
+            .map(|b| (b.attribute() as u32, b.bin(), b.exact().clone()))
             .collect();
         let back = HybridAb::from_serialized(hy.config(), hy.num_rows(), hy.total_bins(), parts);
         assert_eq!(back, hy);
@@ -654,10 +558,7 @@ mod tests {
             HybridConfig::default(),
             8,
             4,
-            vec![
-                (0, 1, RoaringBitmap::new(), RoaringBitmap::new()),
-                (0, 0, RoaringBitmap::new(), RoaringBitmap::new()),
-            ],
+            vec![(0, 1, RoaringBitmap::new()), (0, 0, RoaringBitmap::new())],
         );
     }
 

@@ -17,21 +17,19 @@
 //! hybrid flag u8 | [ min_density f64, verify_cost f64,
 //!                    total_bins u32, bin count u32,
 //!                    { attribute u32, bin u32,
-//!                      exact_len u64, ROAR bytes,
-//!                      fp_len u64, ROAR bytes }* ]
+//!                      exact_len u64, ROAR bytes }* ]
 //! ```
 //!
 //! The trailing `hier` section is the hierarchical-pruning pyramid
 //! (flag 1 followed by the per-level geometry + AB records; 0 means no
 //! pyramid — callers may rebuild it from the base AB, the probe-sweep
 //! construction is deterministic). The `hybrid` section is the exact
-//! tier (`crate::hybrid`): per backed (attribute, bin), the exact and
-//! companion false-positive Roaring containers as length-prefixed
-//! self-checking `ROAR` streams (see `roar::bytes` — each carries its
-//! own magic, version and CRC-32, so a damaged container is
-//! pinpointed, quarantined and rebuilt without distrusting its
-//! neighbours). Bins must appear in strictly increasing (attribute,
-//! bin) order; callers with source data may rebuild a missing tier
+//! tier (`crate::hybrid`): per backed (attribute, bin), its exact
+//! Roaring container as a length-prefixed self-checking `ROAR` stream
+//! (see `roar::bytes` — each carries its own magic, version and
+//! CRC-32, so a damaged container is pinpointed by its own checksum).
+//! Bins must appear in strictly increasing (attribute, bin) order;
+//! callers with source data may rebuild a missing tier
 //! (`AbIndex::ensure_hybrid` is deterministic).
 //!
 //! A row-range-sharded index (see `ab::shard_ranges` and the `svc`
@@ -49,7 +47,7 @@
 //! without decoding the others, and must appear in strictly increasing
 //! `start_row` order starting at row 0.
 //!
-//! Readers accept exactly the version the writer emits (`ABIX` 4,
+//! Readers accept exactly the version the writer emits (`ABIX` 5,
 //! `ABSH` 2); anything else is [`IoError::UnsupportedVersion`] before a
 //! single payload byte is parsed.
 //!
@@ -117,7 +115,7 @@ impl std::fmt::Display for IoError {
 impl std::error::Error for IoError {}
 
 const MAGIC: &[u8; 4] = b"ABIX";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 
 pub use roar::bytes::crc32;
 
@@ -132,7 +130,7 @@ fn check_crc(stored: u32, payload: &[u8]) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Serializes an [`AbIndex`] to bytes (format version 4: the u32 after
+/// Serializes an [`AbIndex`] to bytes (format version 5: the u32 after
 /// the version field is a CRC-32 of everything that follows it,
 /// including the trailing hier and hybrid sections).
 pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
@@ -176,11 +174,9 @@ pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
             for hb in hy.bins() {
                 put_u32(&mut out, hb.attribute() as u32);
                 put_u32(&mut out, hb.bin());
-                for container in [hb.exact(), hb.fp()] {
-                    let blob = container.to_bytes();
-                    put_u64(&mut out, blob.len() as u64);
-                    out.extend_from_slice(&blob);
-                }
+                let blob = hb.exact().to_bytes();
+                put_u64(&mut out, blob.len() as u64);
+                out.extend_from_slice(&blob);
             }
         }
     }
@@ -214,7 +210,7 @@ fn encoded_len_bound(index: &AbIndex) -> usize {
         // to `size_bytes`; a container has at most one chunk per 2¹⁶
         // rows.
         let container = 8 + 14 + 5 * hy.num_rows().div_ceil(1 << 16);
-        24 + hy.bins().len() * (8 + 2 * container) + hy.size_bytes()
+        24 + hy.bins().len() * (8 + container) + hy.size_bytes()
     });
     32 + attributes + abs + hier + hybrid
 }
@@ -350,9 +346,9 @@ fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
             }
             let total_bins = r.u32()?;
             let count = r.u32()? as usize;
-            // Each backed-bin record is at least 52 bytes: ids +
-            // two length-prefixed minimal (empty) ROAR streams.
-            if count > r.remaining() / 52 || count > total_bins as usize {
+            // Each backed-bin record is at least 30 bytes: ids + one
+            // length-prefixed minimal (empty) ROAR stream.
+            if count > r.remaining() / 30 || count > total_bins as usize {
                 return Err(IoError::Truncated);
             }
             let mut parts = Vec::with_capacity(count);
@@ -364,9 +360,7 @@ fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
                     return Err(IoError::BadShardLayout);
                 }
                 prev = Some((attribute, bin));
-                let exact = read_roar(r)?;
-                let fp = read_roar(r)?;
-                parts.push((attribute, bin, exact, fp));
+                parts.push((attribute, bin, read_roar(r)?));
             }
             Some(HybridAb::from_serialized(
                 HybridConfig {
@@ -1002,7 +996,7 @@ mod tests {
             .collect();
         assert_eq!(
             got,
-            [0xB104_433C, 0x6734_74DD, 0x5865_8B00],
+            [0xDB6F_5210, 0xC27B_EC44, 0xC908_1B18],
             "got {got:#010x?}"
         );
     }
@@ -1208,11 +1202,12 @@ mod tests {
 
     #[test]
     fn retired_versions_are_unsupported_before_any_payload_byte() {
-        // ABIX: 1-3 were once readable (1 without a checksum); 5 is the
-        // future. A valid payload behind the rewritten field must not
-        // matter, and neither must a missing one.
+        // ABIX: 1-4 were once readable (1 without a checksum, 4 with
+        // two containers per backed bin); 6 is the future. A valid
+        // payload behind the rewritten field must not matter, and
+        // neither must a missing one.
         let abix = to_bytes(&sample_index(Level::PerAttribute));
-        for v in [0u16, 1, 2, 3, 5] {
+        for v in [0u16, 1, 2, 3, 4, 6] {
             let mut b = abix.clone();
             b[4..6].copy_from_slice(&v.to_le_bytes());
             let want = Err(IoError::UnsupportedVersion(v));
@@ -1486,11 +1481,9 @@ mod tests {
         assert!(shards.capacity() <= shards.len() + shards.len() / 8);
     }
 
-    #[test]
-    fn corrupt_hybrid_flag_rejected() {
-        let idx = hybrid_index();
-        let mut bytes = to_bytes(&idx);
-        // The hybrid flag is the last byte of the tier-less encoding.
+    /// Where `idx`'s hybrid flag sits: the last byte of its tier-less
+    /// encoding.
+    fn hybrid_flag_pos(idx: &AbIndex) -> usize {
         let plain = to_bytes(&AbIndex::from_parts(
             idx.level(),
             idx.abs().to_vec(),
@@ -1499,7 +1492,14 @@ mod tests {
             None,
             None,
         ));
-        let flag_pos = plain.len() - 1;
+        plain.len() - 1
+    }
+
+    #[test]
+    fn corrupt_hybrid_flag_rejected() {
+        let idx = hybrid_index();
+        let mut bytes = to_bytes(&idx);
+        let flag_pos = hybrid_flag_pos(&idx);
         assert_eq!(bytes[flag_pos], 1, "hybrid flag not where expected");
         bytes[flag_pos] = 9;
         reseal(&mut bytes);
@@ -1524,6 +1524,40 @@ mod tests {
             from_bytes(&bytes),
             Err(IoError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// A tier that backs empty bins holds 30-byte records (ids, a
+    /// length and a 14-byte empty `ROAR` stream), and the reader's
+    /// count guard admits them; a count past what the bytes can hold
+    /// is still `Truncated`.
+    #[test]
+    fn tier_of_empty_bins_roundtrips_and_an_oversized_count_is_truncated() {
+        let t = BinnedTable::new(vec![BinnedColumn::new(
+            "two",
+            (0..4096u32).map(|i| i / 2048).collect(),
+            64,
+        )]);
+        let mut idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(8));
+        idx.ensure_hybrid(
+            &t,
+            &crate::hybrid::HybridConfig {
+                min_density: 0.0,
+                ..Default::default()
+            },
+        );
+        assert_eq!(idx.hybrid().unwrap().bins().len(), 64, "empty bins backed");
+        let bytes = to_bytes(&idx);
+        assert_eq!(from_bytes(&bytes).unwrap().hybrid(), idx.hybrid());
+
+        // flag u8, two f64s, total_bins u32, then the count.
+        let flag = hybrid_flag_pos(&idx);
+        let (total, count) = (flag + 17, flag + 21);
+        let mut b = bytes.clone();
+        b[total..count].copy_from_slice(&u32::MAX.to_le_bytes());
+        let fits = (b.len() - count - 4) / 30;
+        b[count..count + 4].copy_from_slice(&(fits as u32 + 1).to_le_bytes());
+        reseal(&mut b);
+        assert_eq!(from_bytes(&b).map(|_| ()), Err(IoError::Truncated));
     }
 
     #[test]

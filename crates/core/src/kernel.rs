@@ -34,7 +34,7 @@
 //! state and one word array — see `retrieve_cells_waves`. A batch like
 //! that advances in lockstep (`LockstepBatch`), and set-up runs the
 //! same loop: the build's inserts set the bits the positions name, the
-//! pyramid's and the exact tier's sweeps (`ColumnSweeper`) test them.
+//! pyramid's sweep (`ColumnSweeper`) tests them.
 //!
 //! Prefetch instructions are x86-64 `_mm_prefetch` and aarch64 `prfm`;
 //! on other targets the kernel still wins from the overlapped
@@ -614,8 +614,7 @@ impl CellPlan<'_> {
 }
 
 /// The build-time reader of the probe loop: sweeps the base AB's own
-/// verdicts for the pyramid ([`crate::hier`]) and for the exact tier's
-/// false-positive containers ([`crate::hybrid`]), a batch of one
+/// verdicts for the pyramid ([`crate::hier`]), a batch of one
 /// column's rows at a time — `test_cell`'s verdicts without a prober
 /// per cell. Hash evaluations and wave counters are flushed per batch.
 pub(crate) struct ColumnSweeper<'a> {

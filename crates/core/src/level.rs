@@ -349,10 +349,9 @@ impl AbIndex {
     /// Builds and attaches a [`HybridAb`] exact tier under `config` if
     /// one is not already present. Unlike [`Self::ensure_hier`] this
     /// needs the source `table` back: exact containers hold the truth,
-    /// which the lossy AB cannot reproduce. The companion
-    /// false-positive containers *are* probe-swept from the base AB,
-    /// so the whole tier is deterministic for a given index + table
-    /// and a damaged container rebuilds bit-identically.
+    /// which the lossy AB cannot reproduce. The tier is deterministic
+    /// for a given index + table, so a damaged container rebuilds
+    /// bit-identically.
     ///
     /// # Panics
     ///

@@ -60,10 +60,10 @@ pub struct QueryStats {
     /// Rows the pyramid skipped — rows the flat scan would have
     /// probed but which never reached the kernel.
     pub rows_skipped: u64,
-    /// False-positive rows the exact tier eliminated: rows the flat
-    /// AB scan would have reported but whose exact-backed bins reject
-    /// them (0 when the tier was off or didn't fire). The hybrid
-    /// answer is always `flat answer minus exactly these rows`.
+    /// Retired: always 0. The exact tier keeps no record of the AB's
+    /// false positives, so it cannot count the ones it removes (the
+    /// hybrid answer is still the flat answer minus false positives
+    /// only). Kept for readers built against it until they stop.
     pub fp_rows_eliminated: u64,
 }
 
@@ -285,16 +285,12 @@ impl AbIndex {
                 tspan.annotate("regions_pruned", stats.regions_pruned as usize);
                 tspan.annotate("rows_skipped", stats.rows_skipped as usize);
             }
-            if stats.fp_rows_eliminated > 0 {
-                tspan.annotate("fp_rows_eliminated", stats.fp_rows_eliminated as usize);
-            }
         }
         obs::counter!("ab.query.executed").inc();
         obs::counter!("ab.query.cells_probed").add(stats.cells_probed as u64);
         obs::counter!("ab.query.bits_read").add(stats.bits_read as u64);
         obs::counter!("ab.query.rows_matched").add(stats.rows_matched as u64);
         obs::counter!("ab.query.short_circuit_hits").add(short_circuits);
-        obs::counter!("hybrid.fp_rows_eliminated").add(stats.fp_rows_eliminated);
         Ok((rows, stats))
     }
 
@@ -441,7 +437,6 @@ impl AbIndex {
             rows.extend(r);
             stats.cells_probed += s.cells_probed;
             stats.bits_read += s.bits_read;
-            stats.fp_rows_eliminated += s.fp_rows_eliminated;
             short_circuits += c;
         }
         stats.rows_matched = rows.len();
@@ -455,12 +450,6 @@ impl AbIndex {
     /// backed the whole query resolves by word-parallel mask algebra;
     /// otherwise a per-row loop combines container verdicts with
     /// Figure 7 short-circuit probing of the remaining bins.
-    ///
-    /// Alongside the hybrid (exact-where-possible) verdict the kernel
-    /// tracks what the flat AB scan would have said, via the companion
-    /// false-positive containers (`exact ∪ fp` = AB verdict, see
-    /// [`crate::hybrid`]) — the divergence is
-    /// `QueryStats::fp_rows_eliminated`, at zero extra probe cost.
     /// `cells_probed`/`bits_read` keep meaning "base-AB cell probes":
     /// container lookups count as neither.
     fn execute_rect_hybrid(
@@ -479,77 +468,61 @@ impl AbIndex {
             return (rows, stats, 0);
         }
         let (row_lo, row_hi) = (query.row_lo, query.row_hi);
-        let plans: Vec<_> = query
+        let mut plans: Vec<_> = query
             .ranges
             .iter()
             .map(|r| hy.plan_range(r.attribute, r.lo, r.hi, row_lo, row_hi))
             .collect();
 
         if plans.iter().all(|p| p.unbacked.is_empty()) {
-            // Fully backed: word-parallel AND across ranges, for both
-            // the exact verdict and the flat-AB shadow.
-            let mut exact = plans[0].exact.clone();
-            let mut flat = plans[0].flat.clone();
-            for p in &plans[1..] {
-                for (d, s) in exact.iter_mut().zip(&p.exact) {
-                    *d &= s;
-                }
-                for (d, s) in flat.iter_mut().zip(&p.flat) {
+            // Fully backed: word-parallel AND across ranges, in place.
+            let (first, rest) = plans.split_first_mut().expect("ranges are non-empty");
+            for p in rest.iter() {
+                for (d, s) in first.exact.iter_mut().zip(&p.exact) {
                     *d &= s;
                 }
             }
-            let matched: usize = exact.iter().map(|w| w.count_ones() as usize).sum();
+            let matched: usize = first.exact.iter().map(|w| w.count_ones() as usize).sum();
             let mut rows = Vec::with_capacity(matched);
-            for (w, word) in exact.iter().enumerate() {
+            for (w, word) in first.exact.iter().enumerate() {
                 let mut word = *word;
                 while word != 0 {
                     rows.push(row_lo + w * 64 + word.trailing_zeros() as usize);
                     word &= word - 1;
                 }
             }
-            let flat_rows: u64 = flat.iter().map(|w| w.count_ones() as u64).sum();
             stats.rows_matched = rows.len();
-            stats.fp_rows_eliminated = flat_rows - rows.len() as u64;
             return (rows, stats, 0);
         }
 
         // Mixed: container verdicts for backed bins, Figure 7 probing
-        // for the rest, per row. The flat shadow (`flat_and`) tracks
-        // what the AB alone would have concluded; `exact ⊆ flat`
-        // per range makes `!flat_and` imply `!hyb_and`, so the AND
-        // short-circuit stays safe for both.
+        // for the rest, per row.
         let mut rows = Vec::new();
         let mut short_circuits = 0u64;
         for row in row_lo..=row_hi {
             let i = row - row_lo;
-            let (mut hyb_and, mut flat_and) = (true, true);
+            let mut matched = true;
             for (range, plan) in query.ranges.iter().zip(&plans) {
-                let bit = |m: &[u64]| m[i / 64] >> (i % 64) & 1 == 1;
-                let mut hyb_or = bit(&plan.exact);
-                let mut flat_or = bit(&plan.flat);
-                if !hyb_or {
+                let mut or = plan.exact[i / 64] >> (i % 64) & 1 == 1;
+                if !or {
                     for &bin in &plan.unbacked {
                         stats.cells_probed += 1;
                         let (hit, read) = self.test_cell_counted(row, range.attribute, bin);
                         stats.bits_read += read as usize;
                         if hit {
-                            hyb_or = true;
-                            flat_or = true;
+                            or = true;
                             short_circuits += u64::from(Some(&bin) != plan.unbacked.last());
                             break; // Figure 7 OR short-circuit
                         }
                     }
                 }
-                hyb_and &= hyb_or;
-                flat_and &= flat_or;
-                if !flat_and {
-                    break; // AND short-circuit (both verdicts settled)
+                if !or {
+                    matched = false;
+                    break; // AND short-circuit
                 }
             }
-            if hyb_and {
+            if matched {
                 rows.push(row);
-            } else if flat_and {
-                stats.fp_rows_eliminated += 1;
             }
         }
         stats.rows_matched = rows.len();
@@ -1046,18 +1019,12 @@ mod tests {
                 .filter(|&r| (lo..=hi).contains(&t.column(0).bins[r]))
                 .collect();
             assert_eq!(hyb.0, truth, "hybrid answer not exact");
-            assert_eq!(flat.1.fp_rows_eliminated, 0);
-            assert_eq!(
-                flat.0.len() - hyb.0.len(),
-                hyb.1.fp_rows_eliminated as usize,
-                "fp accounting broken"
-            );
+            assert_eq!(hyb.1.fp_rows_eliminated, 0, "the field is retired");
             assert_eq!(hyb.1.cells_probed, 0, "backed bins must not probe the AB");
-            eliminated_somewhere |= hyb.1.fp_rows_eliminated > 0;
-            // Every true row survives (no false negatives) and the
-            // hybrid rows are a subset of the flat rows.
+            // Every true row survives (no false negatives), so the
+            // hybrid rows are the flat rows minus false positives only.
             assert!(truth.iter().all(|r| flat.0.contains(r)));
-            assert!(hyb.0.iter().all(|r| flat.0.contains(r)));
+            eliminated_somewhere |= flat.0.len() > hyb.0.len();
         }
         assert!(
             eliminated_somewhere,
@@ -1091,14 +1058,7 @@ mod tests {
             .bins()
             .iter()
             .filter(|b| b.attribute() == 0)
-            .map(|b| {
-                (
-                    b.attribute() as u32,
-                    b.bin(),
-                    b.exact().clone(),
-                    b.fp().clone(),
-                )
-            })
+            .map(|b| (b.attribute() as u32, b.bin(), b.exact().clone()))
             .collect();
         idx.attach_hybrid(crate::hybrid::HybridAb::from_serialized(
             full.config(),
@@ -1131,11 +1091,7 @@ mod tests {
                 .filter(|&r| (1..=3).contains(&t.column(0).bins[r]))
                 .collect();
             assert_eq!(hyb.0, expect, "{kernel:?} mixed-path rows wrong");
-            assert_eq!(
-                flat.0.len() - hyb.0.len(),
-                hyb.1.fp_rows_eliminated as usize,
-                "{kernel:?} fp accounting broken"
-            );
+            assert!(hyb.0.len() < flat.0.len(), "{kernel:?} no false positive");
             assert!(
                 hyb.1.cells_probed > 0,
                 "{kernel:?} unbacked range must still probe"
@@ -1190,10 +1146,6 @@ mod tests {
             .unwrap();
         assert_eq!(both.0, hyb.0, "hier+hybrid rows differ from hybrid");
         assert!(both.1.regions_pruned > 0, "pyramid did not prune");
-        assert!(
-            both.1.fp_rows_eliminated <= hyb.1.fp_rows_eliminated,
-            "pruned intervals cannot eliminate more than the full scan"
-        );
     }
 
     /// A probed stage is never longer than the caller's `probe_rows`
@@ -1213,8 +1165,7 @@ mod tests {
         let auto = KernelOpts::default().with_hybrid(HybridMode::Auto);
         let untiered = idx.stages(&RectQuery::new(ranges(1), 0, n - 1), auto, 512);
         // Geometry only: empty containers back every bin but (0, 2).
-        let backed = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            .map(|(a, b)| (a, b, RoaringBitmap::new(), RoaringBitmap::new()));
+        let backed = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(a, b)| (a, b, RoaringBitmap::new()));
         idx.attach_hybrid(HybridAb::from_serialized(
             HybridConfig::default(),
             n,

@@ -266,7 +266,7 @@ impl Container {
 
     /// Sets `out` bit `offset + (v - from)` for every member `v` of
     /// `from..=hi` — the word-at-a-time membership kernel behind
-    /// [`crate::RoaringBitmap::contains_batch`]. Bits beyond `out`'s
+    /// [`crate::RoaringBitmap::or_range_into`]. Bits beyond `out`'s
     /// length are silently dropped (the caller sizes `out` for its row
     /// interval).
     pub(crate) fn mask_range(&self, from: u16, hi: u16, offset: usize, out: &mut [u64]) {

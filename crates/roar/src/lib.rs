@@ -12,7 +12,7 @@
 //! This is a self-contained reimplementation of the core design —
 //! array, bitmap, *and* run containers (the Lemire et al. 2016
 //! refinement, via [`RoaringBitmap::optimize`]) plus a word-at-a-time
-//! batch membership kernel ([`RoaringBitmap::contains_batch`]) and a
+//! batch membership kernel ([`RoaringBitmap::or_range_into`]) and a
 //! versioned, checksummed byte format ([`RoaringBitmap::to_bytes`]) —
 //! enough both for honest size/speed comparisons and for serving as
 //! the exact tier of the hybrid AB index (`ab::HybridAb`).
@@ -204,19 +204,21 @@ impl RoaringBitmap {
         runs
     }
 
-    /// Batch membership over the row interval `lo..=hi`: returns a
-    /// packed mask whose bit `i` is `self.contains(lo + i)`, computed
-    /// word-at-a-time from the containers rather than value-at-a-time
-    /// — the kernel the hybrid tier feeds hier-pruned rect intervals
-    /// into. Bits past `hi − lo` in the last word are zero.
+    /// Batch membership over the row interval `lo..=hi`, ORed into a
+    /// packed mask: sets bit `i` of `out` wherever
+    /// `self.contains(lo + i)`, computed word-at-a-time from the
+    /// containers rather than value-at-a-time — the kernel the hybrid
+    /// tier plans its rect intervals with. Bits already set stay set,
+    /// and no bit past `hi − lo` is touched.
     ///
     /// # Panics
     ///
-    /// Panics if `lo > hi`.
-    pub fn contains_batch(&self, lo: u32, hi: u32) -> Vec<u64> {
+    /// Panics if `lo > hi` or `out` holds fewer than `hi − lo + 1`
+    /// bits.
+    pub fn or_range_into(&self, lo: u32, hi: u32, out: &mut [u64]) {
         assert!(lo <= hi, "empty interval {lo}..={hi}");
         let n = (hi - lo) as usize + 1;
-        let mut mask = vec![0u64; n.div_ceil(64)];
+        assert!(out.len() >= n.div_ceil(64), "mask too short for {n} bits");
         let (klo, khi) = ((lo >> 16) as u16, (hi >> 16) as u16);
         let first = self.chunks.partition_point(|(k, _)| *k < klo);
         for (key, c) in &self.chunks[first..] {
@@ -227,13 +229,8 @@ impl RoaringBitmap {
             let from = lo.max(base) - base;
             let to = hi.min(base | 0xFFFF) - base;
             let offset = (base + from - lo) as usize;
-            c.mask_range(from as u16, to as u16, offset, &mut mask);
+            c.mask_range(from as u16, to as u16, offset, out);
         }
-        let tail = n % 64;
-        if tail != 0 {
-            *mask.last_mut().expect("n >= 1") &= (1u64 << tail) - 1;
-        }
-        mask
     }
 
     /// Merging binary operation over chunk lists.
@@ -465,18 +462,20 @@ mod tests {
                 (100_000, 100_000),
                 (0, 200_064),
             ] {
-                let mask = bm.contains_batch(lo, hi);
-                assert_eq!(mask.len(), ((hi - lo) as usize + 1).div_ceil(64));
+                // A pattern under the mask: ORed, never cleared.
+                let n = (hi - lo) as usize + 1;
+                let mut mask = vec![0u64; n.div_ceil(64)];
+                mask[0] = 1;
+                bm.or_range_into(lo, hi, &mut mask);
                 for v in lo..=hi {
                     let i = (v - lo) as usize;
                     assert_eq!(
                         mask[i / 64] >> (i % 64) & 1 == 1,
-                        bm.contains(v),
+                        bm.contains(v) || i == 0,
                         "value {v} in {lo}..={hi}"
                     );
                 }
                 // Tail bits beyond the interval stay zero.
-                let n = (hi - lo) as usize + 1;
                 if !n.is_multiple_of(64) {
                     assert_eq!(mask.last().unwrap() >> (n % 64), 0);
                 }

@@ -30,10 +30,10 @@ use crate::StoreError;
 /// Store magic: **A**pproximate **B**itmap **P**a**G**ed.
 pub const MAGIC: &[u8; 4] = b"ABPG";
 /// The store format version, written and — exclusively — read. Its
-/// segments carry `ABIX` v4 payloads whose pages include the hybrid
-/// exact tier's Roaring containers (each a self-checking `ROAR`
-/// stream, so the scrubber can quarantine one damaged container and
-/// the service rebuild it bit-identically).
+/// segments carry `ABIX` payloads whose pages include the hybrid exact
+/// tier's Roaring containers; rot on disk in any page, theirs
+/// included, is repaired from the verified copy the store keeps
+/// ([`crate::Store::rewrite`]).
 pub const VERSION: u16 = 3;
 /// Fixed byte length of the meaningful meta-page prefix.
 pub const HEADER_LEN: usize = 34;

@@ -584,12 +584,11 @@ mod tests {
         }
     }
 
-    /// A shard's exact tier, built with its pyramid attached, sweeps
-    /// only the rows the pyramid keeps — and the sharded build, and the
-    /// rebuild of a damaged shard, still serialize to the bytes of
-    /// shards whose tiers swept every row (one clustered column at
-    /// α = 4: every F is large, and 2-row regions prune more than half
-    /// of each bin's rows).
+    /// The sharded build, and the rebuild of a damaged shard, with the
+    /// pyramid attached before the exact tier, serialize to the bytes of
+    /// shards whose tiers were built with no pyramid (one clustered
+    /// column at α = 4, where 2-row regions prune more than half of
+    /// each bin's rows).
     #[test]
     fn repaired_exact_tier_follows_the_pyramid_to_the_same_bytes() {
         use ab::{HierLevelSpec, HybridConfig};
@@ -619,10 +618,9 @@ mod tests {
             .into_iter()
             .map(|r| {
                 let mut index = AbIndex::build_row_range(&t, &cfg, r.clone());
-                let swept_everything = HybridAb::build_row_range(&index, &t, r.clone(), &hybrid);
-                assert!(swept_everything.bins().iter().all(|hb| !hb.fp().is_empty()));
+                let tier = HybridAb::build_row_range(&index, &t, r.clone(), &hybrid);
                 index.ensure_hier(&hier);
-                index.attach_hybrid(swept_everything);
+                index.attach_hybrid(tier);
                 (r.start as u64, index)
             })
             .collect();

@@ -125,27 +125,27 @@ fn by_parts(
             sum.cells_probed += stats.cells_probed;
             sum.bits_read += stats.bits_read;
             sum.rows_matched += stats.rows_matched;
-            sum.fp_rows_eliminated += stats.fp_rows_eliminated;
             sum.rows_skipped += stats.rows_skipped;
         }
     }
     (rows, sum)
 }
 
-/// The per-request reading of the three row counters the issue pins.
-fn row_counters() -> [u64; 3] {
-    [
-        "hybrid.fp_rows_eliminated",
-        "ab.query.rows_matched",
-        "hier.rows_skipped",
-    ]
-    .map(|name| obs::global().counter(name).get())
+/// The per-request reading of the row counters a request moves.
+fn row_counters() -> [u64; 2] {
+    ["ab.query.rows_matched", "hier.rows_skipped"].map(|name| obs::global().counter(name).get())
 }
 
 /// One served request against its three references — one whole-part
 /// core call per shard, the 512-row geometry, and the sequential
-/// flat-AB answer; returns the request's summed statistics.
-fn assert_matches_every_geometry(svc: &Service, query: &RectQuery, what: &str) -> QueryStats {
+/// flat-AB answer, of which it may drop only rows `table` rejects;
+/// returns the request's summed statistics and the flat rows dropped.
+fn assert_matches_every_geometry(
+    svc: &Service,
+    table: &BinnedTable,
+    query: &RectQuery,
+    what: &str,
+) -> (QueryStats, usize) {
     let opts = svc.kernel_opts();
     let before = row_counters();
     let served = svc.try_query_rect(query).unwrap();
@@ -173,28 +173,33 @@ fn assert_matches_every_geometry(svc: &Service, query: &RectQuery, what: &str) -
     });
     assert_eq!(served, chunked, "{what}: the 512-row geometry");
     assert_eq!(chunked_stats, whole_stats, "{what}: summed stats");
-    let delta = [0, 1, 2].map(|i| after[i] - before[i]);
+    let delta = [0, 1].map(|i| after[i] - before[i]);
     let want = [
-        chunked_stats.fp_rows_eliminated,
         chunked_stats.rows_matched as u64,
         chunked_stats.rows_skipped,
     ];
     assert_eq!(delta, want, "{what}: per-request counter deltas");
 
-    // Against the flat AB: the exact tier only ever removes the rows it
-    // counted as eliminated false positives.
+    // Against the flat AB: the exact tier only ever removes false
+    // positives.
     let flat = svc.index().execute_rect_sequential(query).unwrap();
-    assert_eq!(
-        flat.len() - served.len(),
-        whole_stats.fp_rows_eliminated as usize,
-        "{what}: flat minus eliminated"
-    );
-    let mut flat = flat.into_iter();
+    let mut kept = served.iter().peekable();
+    let mut dropped = 0;
+    for row in flat {
+        if kept.next_if_eq(&&row).is_none() {
+            let matches = query.ranges.iter().all(|r| {
+                let bin = table.column(r.attribute).bins[row];
+                r.lo <= bin && bin <= r.hi
+            });
+            assert!(!matches, "{what}: true row {row} dropped");
+            dropped += 1;
+        }
+    }
     assert!(
-        served.iter().all(|r| flat.any(|f| f == *r)),
+        kept.next().is_none(),
         "{what}: served rows must be a sorted subset of the flat rows"
     );
-    whole_stats
+    (whole_stats, dropped)
 }
 
 #[test]
@@ -243,14 +248,14 @@ fn every_stage_geometry_answers_and_counts_alike() {
             for (lo, hi) in WINDOWS {
                 let what = format!("{mode} / {backing} / rows {lo}..={hi}");
                 let query = RectQuery::new(ranges.clone(), lo, hi);
-                let stats = assert_matches_every_geometry(svc, &query, &what);
+                let (_, dropped) = assert_matches_every_geometry(svc, &table, &query, &what);
                 let tier_answers = *mode != "off" && *backing != "nothing backed";
                 // Shard 1 lost its tier: windows inside it are flat.
                 let reaches_a_tier = *mode != "shard 1 detached" || lo < 70_000;
                 if !(tier_answers && reaches_a_tier) {
-                    assert_eq!(stats.fp_rows_eliminated, 0, "{what}");
+                    assert_eq!(dropped, 0, "{what}");
                 }
-                eliminated += stats.fp_rows_eliminated;
+                eliminated += dropped;
             }
         }
     }
@@ -269,7 +274,9 @@ fn every_stage_geometry_answers_and_counts_alike() {
         for (lo, hi) in WINDOWS {
             let what = format!("hier force / hybrid {hybrid} / rows {lo}..={hi}");
             let query = RectQuery::new(vec![AttrRange::new(0, 5, 5)], lo, hi);
-            skipped += assert_matches_every_geometry(&svc, &query, &what).rows_skipped;
+            skipped += assert_matches_every_geometry(&svc, &table, &query, &what)
+                .0
+                .rows_skipped;
         }
     }
     assert!(

@@ -880,7 +880,7 @@ fn cmd_store_build(a: &Args) -> Result<(), String> {
     }
     if hybrid {
         // Persist the planner-split exact tier alongside each shard
-        // (ABIX v4 pages): Roaring containers for the hot bins, built
+        // (ABIX v5 pages): Roaring containers for the hot bins, built
         // here once so serving can answer them with zero hash probes
         // and zero false positives without the source table.
         index.ensure_hybrid(&binned, &ab::HybridConfig::default());
@@ -1502,7 +1502,7 @@ mod tests {
             svc::ShardedIndex::from_bytes(st.payload()).unwrap()
         };
         build(&["--hybrid"]).unwrap();
-        // The containers ride the segment (ABIX v4): loading needs no
+        // The containers ride the segment (ABIX v5): loading needs no
         // rebuild and no source table.
         let idx = load();
         assert!(idx.shards().iter().all(|s| s.index().hybrid().is_some()));

@@ -2,21 +2,19 @@
 //! lockstep probe loop (DESIGN.md §13) against the scalar reference
 //! methods it replaced in the build paths.
 //!
-//! The batched insert ([`ApproximateBitmap::insert_cells`]), the
-//! pyramid's finest-level sweep and the exact tier's false-positive
-//! sweep are schedules, not algorithms: an index they build must
-//! serialize to the bytes of one filled by scalar
-//! [`ApproximateBitmap::insert`] calls, a pyramid must hold exactly the
-//! regions in which [`AbIndex::test_cell`] admits a cell, and a backed
-//! bin's companion container exactly the rows `test_cell` admits and
-//! the table rejects. The references here are derived from those two
-//! scalar methods directly — `src/` keeps no copy of the old loops.
+//! The batched insert ([`ApproximateBitmap::insert_cells`]) and the
+//! pyramid's finest-level sweep are schedules, not algorithms: an index
+//! they build must serialize to the bytes of one filled by scalar
+//! [`ApproximateBitmap::insert`] calls, and a pyramid must hold exactly
+//! the regions in which [`AbIndex::test_cell`] admits a cell. The
+//! references here are derived from those two scalar methods directly
+//! — `src/` keeps no copy of the old loops.
 
 use ab::{
     AbConfig, AbIndex, ApproximateBitmap, HierAb, HierConfig, HierLevelSpec, HybridAb,
     HybridConfig, Level,
 };
-use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
+use bitmap::{BinnedColumn, BinnedTable};
 use hashkit::{CellMapper, HashFamily};
 
 /// The obs counters are process-wide and the tests of this file run on
@@ -295,9 +293,8 @@ fn pyramid_is_the_one_test_cell_implies() {
     }
 }
 
-/// An exact tier built by the lockstep sweep: for every backed bin, E
-/// is the table's truth and F exactly the rows outside the bin that
-/// `test_cell` admits.
+/// An exact tier: for every backed bin, E is the table's truth, and
+/// `test_cell` admits every row of it (the AB has no false negatives).
 #[test]
 fn exact_tier_is_the_one_test_cell_implies() {
     let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
@@ -306,30 +303,25 @@ fn exact_tier_is_the_one_test_cell_implies() {
         min_density: 0.0,
         ..HybridConfig::default()
     };
-    // At α = 8 the AB admits 2–23 % of the rows outside a bin.
     for cfg in configs(8) {
         let index = AbIndex::build(&table, &cfg);
         let tier = HybridAb::build(&index, &table, &back_everything);
         assert_eq!(tier.bins().len(), 36, "{cfg:?}");
-        let mut false_positives = 0;
         for hb in tier.bins() {
             let bins = &table.column(hb.attribute()).bins;
-            let rows = |keep: &dyn Fn(usize) -> bool| -> Vec<u32> {
-                (0..bins.len())
-                    .filter(|&row| keep(row))
-                    .map(|row| row as u32)
-                    .collect()
-            };
-            let exact = rows(&|row| bins[row] == hb.bin());
-            let fp = rows(&|row| {
-                bins[row] != hb.bin() && index.test_cell(row, hb.attribute(), hb.bin())
-            });
+            let exact: Vec<u32> = (0..bins.len())
+                .filter(|&row| bins[row] == hb.bin())
+                .map(|row| row as u32)
+                .collect();
             let ctx = format!("({}, {}): {cfg:?}", hb.attribute(), hb.bin());
-            false_positives += fp.len();
             assert_eq!(hb.exact().iter().collect::<Vec<_>>(), exact, "E of {ctx}");
-            assert_eq!(hb.fp().iter().collect::<Vec<_>>(), fp, "F of {ctx}");
+            assert!(
+                exact
+                    .iter()
+                    .all(|&row| index.test_cell(row as usize, hb.attribute(), hb.bin())),
+                "AB misses a row of E: {ctx}"
+            );
         }
-        assert!(false_positives > 100, "{false_positives} in F: {cfg:?}");
     }
 }
 
@@ -390,34 +382,8 @@ fn pyramid_sweep_batches(index: &AbIndex, spec: HierLevelSpec) -> Vec<(usize, u3
     batches
 }
 
-/// The batches of the exact tier's false-positive sweep, restated: per
-/// backed bin, the rows outside it that `kept` keeps, 256 at a time.
-fn exact_sweep_batches(
-    table: &BinnedTable,
-    tier: &HybridAb,
-    kept: impl Fn(usize, u32) -> Vec<(usize, usize)>,
-) -> Vec<(usize, u32, Vec<usize>)> {
-    let mut batches = Vec::new();
-    for hb in tier.bins() {
-        let (attribute, bin) = (hb.attribute(), hb.bin());
-        let bins = &table.column(attribute).bins;
-        let outside: Vec<usize> = kept(attribute, bin)
-            .into_iter()
-            .flat_map(|(lo, hi)| lo..=hi)
-            .filter(|&row| bins[row] != bin)
-            .collect();
-        batches.extend(
-            outside
-                .chunks(256)
-                .map(|rows| (attribute, bin, rows.to_vec())),
-        );
-    }
-    batches
-}
-
-/// The lanes held as arrays change no count: the build's inserts, both
-/// set-up sweeps (the exact tier's with and without a pyramid to
-/// follow) and the cell kernel move `hashkit.hash_calls.*`,
+/// The lanes held as arrays change no count: the build's inserts, the
+/// pyramid's sweep and the cell kernel move `hashkit.hash_calls.*`,
 /// `kernel.batches` and `kernel.prefetches` by exactly what their
 /// batches imply, derived here from `test_cell_counted` — at every
 /// level, inside and past the roster.
@@ -425,10 +391,6 @@ fn exact_sweep_batches(
 fn lockstep_paths_move_the_counters_their_batches_imply() {
     let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
     let table = table();
-    let back_everything = HybridConfig {
-        min_density: 0.0,
-        ..HybridConfig::default()
-    };
     let delta = |before: [u64; 3]| {
         let after = lockstep_counters();
         [0, 1, 2].map(|i| after[i] - before[i])
@@ -439,40 +401,16 @@ fn lockstep_paths_move_the_counters_their_batches_imply() {
         }
         let k = cfg.k.unwrap() as u64;
         let before = lockstep_counters();
-        let mut index = AbIndex::build(&table, &cfg);
+        let index = AbIndex::build(&table, &cfg);
         let cells = (table.num_rows() * table.num_attributes()) as u64;
         assert_eq!(delta(before), [cells * k, 0, 0], "insert: {cfg:?}");
 
         let before = lockstep_counters();
-        let tier = HybridAb::build(&index, &table, &back_everything);
-        let moved = delta(before);
-        let every_row = |_, _| vec![(0, table.num_rows() - 1)];
-        let want = batches_imply(&index, &exact_sweep_batches(&table, &tier, every_row));
-        assert_eq!(moved, want, "exact tier, no pyramid: {cfg:?}");
-
-        let before = lockstep_counters();
-        let hier = HierAb::build(&index, &hier_config());
+        HierAb::build(&index, &hier_config());
         let moved = delta(before);
         let spec = hier_config().levels[0];
         let want = batches_imply(&index, &pyramid_sweep_batches(&index, spec));
         assert_eq!(moved, want, "pyramid: {cfg:?}");
-
-        index.attach_hier(hier.clone());
-        let before = lockstep_counters();
-        let guided = HybridAb::build(&index, &table, &back_everything);
-        let moved = delta(before);
-        let kept = |attribute, bin| {
-            let one_bin = AttrRange::new(attribute, bin, bin);
-            let q = RectQuery::new(vec![one_bin], 0, table.num_rows() - 1);
-            hier.prune(&q).intervals
-        };
-        let batches = exact_sweep_batches(&table, &guided, kept);
-        assert_eq!(
-            moved,
-            batches_imply(&index, &batches),
-            "exact tier: {cfg:?}"
-        );
-        assert_eq!(guided, tier, "{cfg:?}");
 
         let asked: Vec<ab::Cell> = (0..3000usize)
             .map(|i| {
@@ -501,87 +439,5 @@ fn lockstep_paths_move_the_counters_their_batches_imply() {
         let mut want = batches_imply(&index, &batches);
         want[1] = groups.iter().map(|g| g.len().div_ceil(256) as u64).sum();
         assert_eq!(moved, want, "cells: {cfg:?}");
-    }
-}
-
-/// 8 192 rows of one 8-bin column, each bin one 1 024-row run: at
-/// α = 4 (k = 3) the AB admits ≈ 15 % of the rows outside a bin, so
-/// every bin's F is large, and yet a 2-row × 1-bin region is empty
-/// seven times in ten — pyramids of [`guide_config`] prune more than
-/// half of every bin's rows, in hundreds of short intervals.
-fn clustered_at_alpha_4() -> BinnedTable {
-    BinnedTable::new(vec![BinnedColumn::new(
-        "runs",
-        (0..8192u32).map(|row| row / 1024).collect(),
-        8,
-    )])
-}
-
-fn guide_config() -> HierConfig {
-    HierConfig {
-        levels: vec![
-            HierLevelSpec {
-                row_span: 2,
-                bin_group: 1,
-            },
-            HierLevelSpec {
-                row_span: 8,
-                bin_group: 2,
-            },
-        ],
-    }
-}
-
-/// The exact tier built on an index that carries a pyramid sweeps only
-/// the rows the pyramid keeps for each backed bin, and serializes to
-/// the bytes of the tier that sweeps every row — at every level. The
-/// table makes that bite: every F is non-empty, some backed bin loses
-/// at least half its rows to the pyramid, and F rows sit on the first
-/// and on the last row of surviving intervals, so an interval cut one
-/// row short at either end, or the intervals of another bin or group,
-/// lose F rows.
-#[test]
-fn exact_tier_following_the_pyramid_changes_no_byte() {
-    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
-    let table = clustered_at_alpha_4();
-    let back_everything = HybridConfig {
-        min_density: 0.0,
-        ..HybridConfig::default()
-    };
-    for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
-        let bare = AbIndex::build(&table, &AbConfig::new(level).with_alpha(4));
-        let swept_everything = HybridAb::build(&bare, &table, &back_everything);
-        let mut guided = bare.clone();
-        guided.ensure_hier(&guide_config());
-        guided.ensure_hybrid(&table, &back_everything);
-        let hier = guided.hier().unwrap();
-        let mut reference = bare.clone();
-        reference.attach_hier(hier.clone());
-        reference.attach_hybrid(swept_everything.clone());
-        assert!(
-            ab::to_bytes(&guided) == ab::to_bytes(&reference),
-            "{level}: following the pyramid changed the exact tier"
-        );
-
-        let (mut most_pruned, mut first_rows, mut last_rows) = (0, 0, 0);
-        for hb in swept_everything.bins() {
-            assert!(!hb.fp().is_empty(), "{level}: F of bin {} empty", hb.bin());
-            let one_bin = RectQuery::new(vec![AttrRange::new(0, hb.bin(), hb.bin())], 0, 8191);
-            let kept = hier.prune(&one_bin).intervals;
-            let kept_rows: usize = kept.iter().map(|&(lo, hi)| hi - lo + 1).sum();
-            most_pruned = most_pruned.max(8192 - kept_rows);
-            for &(lo, hi) in &kept {
-                first_rows += usize::from(hb.fp().contains(lo as u32));
-                last_rows += usize::from(hb.fp().contains(hi as u32));
-            }
-        }
-        assert!(
-            most_pruned >= 4096,
-            "{level}: pruned {most_pruned} rows at most"
-        );
-        assert!(
-            first_rows > 0 && last_rows > 0,
-            "{level}: no F row on an interval end"
-        );
     }
 }

@@ -16,8 +16,8 @@
 //! the word is inside the AB.
 
 use ab::{
-    AbConfig, AbIndex, ApproximateBitmap, Cell, HierConfig, HierLevelSpec, HierMode, HybridConfig,
-    HybridMode, KernelKind, KernelOpts, Level,
+    AbConfig, AbIndex, ApproximateBitmap, Cell, HierConfig, HierLevelSpec, HierMode, HybridAb,
+    HybridConfig, HybridMode, KernelKind, KernelOpts, Level,
 };
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use datagen::small_uniform;
@@ -357,16 +357,15 @@ fn hier_pruning_is_bit_identical_and_never_probes_more() {
 /// The hybrid exact-tier axis over the full matrix. With every bin
 /// exact-backed (`min_density: 0.0` lets the cost model back them
 /// all) the hybrid answer for any rect IS the ground truth: a subset
-/// of the flat answer (it only removes the AB's false positives), a
-/// superset of the true rows (100 % recall is non-negotiable), and
-/// `fp_rows_eliminated` must account for the difference exactly.
-/// Every kernel × hier on/off must agree, and
-/// `HybridMode::Off` must leave the flat path byte-for-byte untouched
-/// — same stats, zero hybrid accounting.
+/// of the flat answer whose every missing row fails the truth (it only
+/// removes the AB's false positives), and a superset of the true rows
+/// (100 % recall is non-negotiable). Every kernel × hier on/off must
+/// agree, and `HybridMode::Off` must leave the flat path byte-for-byte
+/// untouched — same rows, same stats.
 #[test]
 fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
     let _gate = queries_may_run();
-    let mut eliminated_total = 0u64;
+    let mut eliminated_total = 0;
     for (d, table) in datasets().iter().enumerate() {
         for (c, cfg) in configs().iter().enumerate() {
             let mut idx = AbIndex::build(table, cfg);
@@ -405,51 +404,77 @@ fn hybrid_tier_is_exact_for_backed_bins_and_never_drops_rows() {
                     href_rows.iter().all(|r| flat_set.contains(r)),
                     "hybrid returned a row flat did not: {ctx}"
                 );
-                assert_eq!(
-                    (flat_rows.len() - href_rows.len()) as u64,
-                    href_stats.fp_rows_eliminated,
-                    "fp_rows_eliminated does not account for flat minus hybrid: {ctx}"
+                let href_set: std::collections::HashSet<usize> =
+                    href_rows.iter().copied().collect();
+                let eliminated: Vec<usize> = flat_rows
+                    .iter()
+                    .copied()
+                    .filter(|r| !href_set.contains(r))
+                    .collect();
+                assert!(
+                    eliminated.iter().all(|r| truth.binary_search(r).is_err()),
+                    "hybrid dropped a true row: {ctx}"
                 );
-                eliminated_total += href_stats.fp_rows_eliminated;
+                eliminated_total += eliminated.len();
+                assert_eq!(href_stats.cells_probed, 0, "backed bins probed: {ctx}");
                 for base in kernel_matrix() {
                     for hier in [HierMode::Off, HierMode::Force] {
                         let opts = base.with_hybrid(HybridMode::Force).with_hier(hier);
-                        let (rows, stats) = idx.try_execute_rect_with_stats_opts(q, opts).unwrap();
+                        let (rows, _) = idx.try_execute_rect_with_stats_opts(q, opts).unwrap();
                         let kctx = format!("{ctx}, kernel {opts:?}");
-                        assert_eq!(truth, rows, "hybrid rows diverged from truth: {kctx}");
-                        // Under hier, pruned regions never produce flat
-                        // false positives to eliminate, so the count may
-                        // only shrink — never grow, never go negative.
-                        assert!(
-                            stats.fp_rows_eliminated <= href_stats.fp_rows_eliminated,
-                            "hier+hybrid eliminated more fp rows than hybrid alone: {kctx}"
-                        );
+                        assert_eq!(href_rows, rows, "hybrid rows diverged: {kctx}");
                     }
                 }
                 // HybridMode::Off with the tier attached: the flat path
-                // must be untouched — identical rows and probe stats,
-                // zero hybrid accounting.
+                // must be untouched — identical rows and probe stats.
                 let off = KernelOpts::new(KernelKind::Scalar).with_hybrid(HybridMode::Off);
                 let (off_rows, off_stats) = idx.try_execute_rect_with_stats_opts(q, off).unwrap();
                 assert_eq!(flat_rows, off_rows, "HybridMode::Off changed rows: {ctx}");
                 assert_eq!(
-                    flat_stats.cells_probed, off_stats.cells_probed,
-                    "HybridMode::Off changed probe accounting: {ctx}"
-                );
-                assert_eq!(
-                    off_stats.fp_rows_eliminated, 0,
-                    "Off reported fp elimination: {ctx}"
+                    flat_stats, off_stats,
+                    "HybridMode::Off changed stats: {ctx}"
                 );
             }
         }
     }
     // The suite crosses enough α=8 configs that the AB is guaranteed
-    // to produce false positives somewhere; if the tier never
-    // eliminated any, the companion containers are broken.
+    // to produce false positives somewhere; if the tier never removed
+    // any, it answered from something other than its containers.
     assert!(
         eliminated_total > 0,
         "no false positives eliminated across the whole matrix"
     );
+}
+
+/// The exact tier is read off the table: building one that backs every
+/// bin, with or without a pyramid attached, issues no hash call and
+/// opens no lockstep batch — on every dataset × level × family.
+#[test]
+fn building_a_fully_backed_tier_probes_nothing() {
+    let _alone = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    let back_everything = HybridConfig {
+        min_density: 0.0,
+        ..HybridConfig::default()
+    };
+    let probes = || {
+        let batches = obs::global().snapshot().counter("kernel.batches");
+        (hash_calls_and_prefetches().0, batches)
+    };
+    for (d, table) in datasets().iter().enumerate() {
+        for (c, cfg) in configs().iter().enumerate() {
+            let mut idx = AbIndex::build(table, cfg);
+            for pyramid in [false, true] {
+                if pyramid {
+                    idx.ensure_hier(&hier_configs()[0]);
+                }
+                let before = probes();
+                let tier = HybridAb::build(&idx, table, &back_everything);
+                let ctx = format!("dataset {d}, config {c}, pyramid {pyramid}");
+                assert_eq!(probes(), before, "{ctx}");
+                assert_eq!(tier.bins().len() as u32, tier.total_bins(), "{ctx}");
+            }
+        }
+    }
 }
 
 /// `kernel.prefetches` must report only prefetch instructions that
