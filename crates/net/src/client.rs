@@ -1,5 +1,5 @@
-//! A blocking client for the `ABQ/1` protocol — used by tests, the
-//! load generator, and CLI tooling. Pipelining is explicit:
+//! A blocking client for the `ABQ/1` protocol — used by tests and
+//! tooling. Pipelining is explicit:
 //! [`Client::send`] queues a request on the wire and returns its id,
 //! [`Client::recv`] blocks for the next response frame (any id), and
 //! [`Client::call`] does one round trip.
@@ -34,12 +34,6 @@ pub enum NetError {
     RequestTooLarge(FrameError),
     /// The response decoded but wasn't the kind the call expected.
     UnexpectedResponse(&'static str),
-    /// The connection dropped and [`crate::ReconnectClient`] could not
-    /// re-establish it within its retry budget.
-    ReconnectFailed {
-        /// Connection attempts made before giving up.
-        attempts: usize,
-    },
 }
 
 impl std::fmt::Display for NetError {
@@ -58,9 +52,6 @@ impl std::fmt::Display for NetError {
             ),
             NetError::RequestTooLarge(e) => write!(f, "request not sent: {e}"),
             NetError::UnexpectedResponse(what) => write!(f, "unexpected response: {what}"),
-            NetError::ReconnectFailed { attempts } => {
-                write!(f, "reconnect failed after {attempts} attempts")
-            }
         }
     }
 }
@@ -140,22 +131,11 @@ impl Client {
     /// the protocol cannot carry is refused with
     /// [`NetError::RequestTooLarge`] before a byte is written.
     pub fn send(&mut self, req: &Request) -> Result<u64, NetError> {
-        let id = self.next_id;
-        self.send_with_id(id, req)?;
-        Ok(id)
-    }
-
-    /// Queues a request under a caller-chosen id — the substrate of
-    /// [`crate::ReconnectClient`]'s replay, which must resend
-    /// unanswered requests under their **original** ids after a
-    /// reconnect. Also bumps the internal counter past `id` so mixed
-    /// use with [`Client::send`] cannot collide.
-    pub fn send_with_id(&mut self, id: u64, req: &Request) -> Result<(), NetError> {
         check_request(req).map_err(NetError::RequestTooLarge)?;
-        self.next_id = self.next_id.max(id + 1);
-        let bytes = encode_request(id, req);
-        self.stream.write_all(&bytes)?;
-        Ok(())
+        let id = self.next_id;
+        self.next_id += 1;
+        self.stream.write_all(&encode_request(id, req))?;
+        Ok(id)
     }
 
     /// Blocks for the next response frame, whichever request it

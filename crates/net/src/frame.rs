@@ -310,7 +310,7 @@ impl Request {
 }
 
 /// What the server knows about the index it serves — enough for a
-/// load generator to synthesize valid queries.
+/// client to synthesize valid queries.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
     /// Rows in the served index.

@@ -16,13 +16,7 @@
 //!   accept *and* dispatch (reusing [`svc::WorkerPool`] shedding),
 //!   per-request deadlines over the wire, graceful shutdown;
 //! * [`client`] — a blocking [`Client`] for tests and tooling, with
-//!   explicit pipelining;
-//! * [`reconnect`] — [`ReconnectClient`], the self-healing wrapper:
-//!   bounded decorrelated-jitter re-dial (reusing [`svc::retry()`]) and
-//!   replay of unanswered — idempotent — requests under their
-//!   original ids;
-//! * [`loadgen`] — closed-loop and open-loop (fixed-arrival-rate)
-//!   load generation with coordinated-omission-corrected latency.
+//!   explicit pipelining.
 //!
 //! ## Quick start
 //!
@@ -58,12 +52,9 @@
 
 pub mod client;
 pub mod frame;
-pub mod loadgen;
-pub mod reconnect;
 pub mod server;
 pub mod sys;
 
 pub use client::{Client, NetError};
 pub use frame::{ErrorCode, Frame, FrameError, FrameReader, Request, Response, Schema};
-pub use reconnect::ReconnectClient;
 pub use server::{NetConfig, NetServer};

@@ -13,7 +13,7 @@ use bitmap::{BinnedColumn, BinnedTable};
 use net::frame::{
     self, kind, seal, FrameError, FrameReader, Request, Response, MAX_CELLS, MAX_PAYLOAD,
 };
-use net::{Client, ErrorCode, NetConfig, NetError, NetServer, ReconnectClient};
+use net::{Client, ErrorCode, NetConfig, NetError, NetServer};
 use std::sync::Arc;
 use std::time::Duration;
 use svc::{Service, SvcConfig};
@@ -127,23 +127,12 @@ fn clients_refuse_a_request_over_the_cap_before_writing() {
         c.send(&over),
         Err(NetError::RequestTooLarge(FrameError::Malformed(_)))
     ));
-    assert!(matches!(
-        c.send_with_id(99, &over),
-        Err(NetError::RequestTooLarge(_))
-    ));
     // Nothing reached the wire: the request pipelined before the
-    // refusals is answered and the connection keeps serving.
+    // refusal is answered and the connection keeps serving.
     let (id, resp) = c.recv().unwrap();
     assert_eq!(id, pipelined);
     assert!(matches!(resp, Response::Cells { ref hits, .. } if hits.len() == 10));
     c.ping().unwrap();
-
-    let mut rc = ReconnectClient::connect(server.local_addr()).unwrap();
-    assert!(matches!(rc.send(&over), Err(NetError::RequestTooLarge(_))));
-    // Not tracked for replay either: the next call gets its own answer
-    // on the same connection.
-    assert_eq!(rc.retrieve_cells(&[Cell::new(0, 0, 0)], 0).unwrap(), [true]);
-    assert_eq!(rc.reconnects(), 0);
     server.shutdown(Duration::from_secs(2));
 }
 

@@ -1,105 +1,18 @@
-//! Snapshot exporters: JSON and Prometheus text exposition.
+//! The snapshot exporter: Prometheus text exposition.
 //!
-//! The JSON is hand-rolled (this workspace has no `serde_json`), but
-//! the output matches what serde's derives on [`Snapshot`] would
-//! produce, so downstream tooling can deserialize it with serde once
-//! available.
-//!
-//! The Prometheus exporter targets real scrapers: every metric gets
-//! `# HELP` (carrying the original dotted name) and `# TYPE` lines,
-//! histogram buckets are cumulative with a closing `+Inf`, sketches
-//! export as summaries with `quantile` labels, and sanitized names are
-//! **uniquified** — `kernel.batches` and `kernel_batches` both
-//! sanitize to `kernel_batches`, so the second registrant (in snapshot
-//! iteration order) is deterministically suffixed `_2` instead of
-//! silently emitting a duplicate series that scrapers reject.
+//! It targets real scrapers: every metric gets `# HELP` (carrying the
+//! original dotted name) and `# TYPE` lines, histogram buckets are
+//! cumulative with a closing `+Inf`, sketches export as summaries with
+//! `quantile` labels, and sanitized names are **uniquified** —
+//! `kernel.batches` and `kernel_batches` both sanitize to
+//! `kernel_batches`, so the second registrant (in snapshot iteration
+//! order) is deterministically suffixed `_2` instead of silently
+//! emitting a duplicate series that scrapers reject.
 
 use crate::histogram::HistogramSnapshot;
-use crate::sketch::SketchSnapshot;
 use crate::Snapshot;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Escapes `s` as the contents of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats `v` as a JSON number (JSON has no NaN/Infinity; those become
-/// 0, which only arises from degenerate inputs).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on a whole f64 prints "26" — keep it a float literal.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn json_histogram(out: &mut String, h: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        json_f64(h.mean),
-        h.p50,
-        h.p90,
-        h.p99,
-    );
-    for (i, (bits, count)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{bits},{count}]");
-    }
-    out.push_str("]}");
-}
-
-fn json_sketch(out: &mut String, s: &SketchSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{},\"p999\":{},\"buckets\":[",
-        s.count,
-        s.sum,
-        s.min,
-        s.max,
-        json_f64(s.mean),
-        s.p50,
-        s.p90,
-        s.p95,
-        s.p99,
-        s.p999,
-    );
-    for (i, (bucket, count)) in s.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{bucket},{count}]");
-    }
-    out.push_str("]}");
-}
 
 /// Sanitizes a dotted metric name into a Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): dots and other invalid characters
@@ -167,65 +80,13 @@ impl NameSpace {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot as a JSON object with `counters`,
-    /// `histograms`, `sketches`, and `extra` maps (see
-    /// [`crate::HistogramSnapshot`] and [`crate::SketchSnapshot`] for
-    /// the per-metric fields). Keys are sorted.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", json_escape(name), value);
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": ", json_escape(name));
-            json_histogram(&mut out, h);
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"sketches\": {");
-        for (i, (name, s)) in self.sketches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": ", json_escape(name));
-            json_sketch(&mut out, s);
-        }
-        if !self.sketches.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"extra\": {");
-        for (i, (name, value)) in self.extra.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", json_escape(name), json_f64(*value));
-        }
-        if !self.extra.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
-    }
-
     /// Serializes the snapshot in Prometheus text exposition format.
     ///
     /// Dotted names become underscore names (uniquified on collision —
     /// see the module docs); every metric gets `# HELP` (the original
     /// dotted name) and `# TYPE` lines. Histograms expand to cumulative
     /// `_bucket{le="…"}` series plus `_sum`/`_count`; sketches export
-    /// as summaries with `{quantile="…"}` series plus `_sum`/`_count`;
-    /// `extra` values export as gauges.
+    /// as summaries with `{quantile="…"}` series plus `_sum`/`_count`.
     pub fn to_prometheus(&self) -> String {
         let mut ns = NameSpace::new();
         let mut out = String::new();
@@ -265,12 +126,6 @@ impl Snapshot {
             let _ = writeln!(out, "{n}_sum {}", s.sum);
             let _ = writeln!(out, "{n}_count {}", s.count);
         }
-        for (name, value) in &self.extra {
-            let n = ns.claim(&prom_name(name), &[""]);
-            let _ = writeln!(out, "# HELP {n} {}", help_escape(name));
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n} {}", json_f64(*value));
-        }
         out
     }
 }
@@ -289,33 +144,7 @@ mod tests {
         for v in [10, 20, 30, 40] {
             s.record(v);
         }
-        r.snapshot().with_extra("check.sum", 3.0)
-    }
-
-    #[test]
-    fn json_round_trips_key_facts() {
-        let j = sample().to_json();
-        assert!(j.contains("\"ex.hits\": 3"));
-        assert!(j.contains("\"count\":2"));
-        assert!(j.contains("\"sum\":705"));
-        assert!(j.contains("\"check.sum\": 3.0"));
-        assert!(j.contains("\"ex.lat_sketch_us\""));
-        assert!(j.contains("\"p999\":"));
-        // Balanced braces/brackets — cheap structural validity check.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced braces in: {j}"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::json_f64(f64::NAN), "0.0");
-        assert_eq!(super::json_f64(2.0), "2.0");
-        assert_eq!(super::json_f64(2.5), "2.5");
+        r.snapshot()
     }
 
     #[test]
@@ -336,7 +165,6 @@ mod tests {
         assert!(p.contains("ex_lat_sketch_us{quantile=\"0.5\"}"));
         assert!(p.contains("ex_lat_sketch_us{quantile=\"0.999\"}"));
         assert!(p.contains("ex_lat_sketch_us_count 4"));
-        assert!(p.contains("check_sum 3.0"));
     }
 
     #[test]

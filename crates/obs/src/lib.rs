@@ -18,14 +18,14 @@
 //!   global [`FlightRecorder`] keeping the last N completed traces;
 //! * [`Registry`] — a global registry keyed by `&'static str` metric
 //!   names, snapshottable;
-//! * [`Snapshot`] — exported as JSON ([`Snapshot::to_json`]) or
-//!   Prometheus text exposition format ([`Snapshot::to_prometheus`]).
+//! * [`Snapshot`] — exported in Prometheus text exposition format
+//!   ([`Snapshot::to_prometheus`]).
 //!
 //! Built intentionally with **no dependencies beyond `std` and the
 //! workspace-pinned `serde`** (the build environment has no crates.io
-//! access). The JSON exporter is hand-rolled for the same reason; the
-//! serde derives on snapshot types keep them consumable by downstream
-//! serde tooling when it exists.
+//! access). The trace dump's JSON is hand-rolled for the same reason;
+//! the serde derives on snapshot types keep them consumable by
+//! downstream serde tooling when it exists.
 //!
 //! # Conventions
 //!
@@ -45,7 +45,7 @@
 //! }
 //! let snap = obs::global().snapshot();
 //! assert_eq!(snap.counter("example.requests"), 1);
-//! assert!(snap.to_json().contains("example.requests"));
+//! assert!(snap.to_prometheus().contains("example_requests 1"));
 //! ```
 
 #![warn(missing_docs)]

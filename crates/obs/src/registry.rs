@@ -124,7 +124,6 @@ impl Registry {
             counters,
             histograms,
             sketches,
-            extra: BTreeMap::new(),
         }
     }
 
@@ -168,10 +167,8 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// A point-in-time copy of a [`Registry`], plus free-form `extra`
-/// key/value pairs callers may attach (the repro binaries use them to
-/// embed cross-check values such as summed `QueryStats`). Export with
-/// [`Snapshot::to_json`] or [`Snapshot::to_prometheus`].
+/// A point-in-time copy of a [`Registry`]. Export with
+/// [`Snapshot::to_prometheus`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Counter totals by metric name.
@@ -181,8 +178,6 @@ pub struct Snapshot {
     /// Quantile-sketch states by metric name.
     #[serde(default)]
     pub sketches: BTreeMap<String, SketchSnapshot>,
-    /// Caller-attached cross-check values (not registry metrics).
-    pub extra: BTreeMap<String, f64>,
 }
 
 impl Snapshot {
@@ -199,12 +194,6 @@ impl Snapshot {
     /// The quantile sketch named `name`, if registered.
     pub fn sketch(&self, name: &str) -> Option<&SketchSnapshot> {
         self.sketches.get(name)
-    }
-
-    /// Attaches a cross-check value under `key` (builder style).
-    pub fn with_extra(mut self, key: &str, value: f64) -> Self {
-        self.extra.insert(key.to_string(), value);
-        self
     }
 }
 
@@ -228,10 +217,9 @@ mod tests {
         let r = Registry::new();
         r.counter("obs.test.snap_counter").add(7);
         r.histogram("obs.test.snap_hist").record(3);
-        let snap = r.snapshot().with_extra("check.value", 7.0);
+        let snap = r.snapshot();
         assert_eq!(snap.counter("obs.test.snap_counter"), 7);
         assert_eq!(snap.histogram("obs.test.snap_hist").unwrap().count, 1);
-        assert_eq!(snap.extra["check.value"], 7.0);
         assert_eq!(snap.counter("obs.test.never_registered"), 0);
 
         r.reset();

@@ -32,7 +32,7 @@ fn sample() -> obs::Snapshot {
     for v in 1..=1000u64 {
         s.record(v);
     }
-    r.snapshot().with_extra("bench.rps", 1250.5)
+    r.snapshot()
 }
 
 #[test]

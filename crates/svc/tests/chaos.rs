@@ -1,8 +1,8 @@
 //! Fault-injection (chaos) tests for the sharded query service.
 //!
-//! Every test derives its fault plan from `CHAOS_SEED` (env var, CI
-//! runs a small fixed set of seeds) — the invariants asserted here
-//! must hold for *any* seed:
+//! Every test runs its fault plan under each of a fixed set of seeds
+//! ([`SEEDS`]) — the invariants asserted here must hold for *any*
+//! seed:
 //!
 //! * injected shard panics, latency, and spurious overload never
 //!   produce a false negative — the service's answers stay supersets
@@ -19,13 +19,8 @@ use std::time::Duration;
 use svc::chaos::{points, Fault, FaultPlan, FaultRule};
 use svc::{chaos, retry, RetryPolicy, Service, ShardedIndex, SvcConfig, SvcError};
 
-/// Seed for the fault plans: `CHAOS_SEED` env var, or a fixed default.
-fn seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+/// The fault plans' seeds; every test runs under each.
+const SEEDS: [u64; 3] = [42, 1337, 99991];
 
 fn table(n: usize) -> BinnedTable {
     BinnedTable::new(vec![
@@ -78,63 +73,65 @@ fn workload(n: usize) -> Vec<RectQuery> {
 /// zero false negatives, degraded or not.
 #[test]
 fn injected_faults_never_cause_false_negatives() {
-    let n = 1200;
-    let t = table(n);
-    let oracle = BitmapIndex::build(&t, Encoding::Equality);
-    let plan = Arc::new(
-        FaultPlan::new(seed())
-            .with_rule(
-                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                    .one_in(5)
-                    .max_fires(3),
-            )
-            .with_rule(
-                FaultRule::new(
-                    points::SHARD_QUERY,
-                    Fault::Latency(Duration::from_micros(200)),
+    for seed in SEEDS {
+        let n = 1200;
+        let t = table(n);
+        let oracle = BitmapIndex::build(&t, Encoding::Equality);
+        let plan = Arc::new(
+            FaultPlan::new(seed)
+                .with_rule(
+                    FaultRule::new(points::SHARD_QUERY, Fault::Panic)
+                        .one_in(5)
+                        .max_fires(3),
                 )
-                .one_in(4),
-            )
-            .with_rule(
-                FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)
-                    .one_in(6)
-                    .max_fires(8),
-            ),
-    );
-    let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(Arc::clone(&plan));
-    let policy = RetryPolicy {
-        base: Duration::from_micros(10),
-        cap: Duration::from_micros(200),
-        max_attempts: 16,
-        max_elapsed: Duration::from_secs(10),
-    };
-    let mut degraded_seen = 0usize;
-    for (i, q) in workload(n).iter().enumerate() {
-        // Spurious overload is transient; the bounded retry absorbs
-        // it (its max_fires cap guarantees the supply dries up).
-        let resp = retry(&policy, i as u64, |_| svc.try_query_rect(q))
-            .expect("retry must outlast the capped overload injection");
-        if resp.is_degraded() {
-            degraded_seen += 1;
-        }
-        let got = &resp.value;
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "merge unsorted");
-        for row in oracle.evaluate_rows(q) {
-            assert!(
-                got.contains(&row),
-                "false negative: row {row} lost from query {i} \
+                .with_rule(
+                    FaultRule::new(
+                        points::SHARD_QUERY,
+                        Fault::Latency(Duration::from_micros(200)),
+                    )
+                    .one_in(4),
+                )
+                .with_rule(
+                    FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)
+                        .one_in(6)
+                        .max_fires(8),
+                ),
+        );
+        let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(Arc::clone(&plan));
+        let policy = RetryPolicy {
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(200),
+            max_attempts: 16,
+            max_elapsed: Duration::from_secs(10),
+        };
+        let mut degraded_seen = 0usize;
+        for (i, q) in workload(n).iter().enumerate() {
+            // Spurious overload is transient; the bounded retry absorbs
+            // it (its max_fires cap guarantees the supply dries up).
+            let resp = retry(&policy, i as u64, |_| svc.try_query_rect(q))
+                .expect("retry must outlast the capped overload injection");
+            if resp.is_degraded() {
+                degraded_seen += 1;
+            }
+            let got = &resp.value;
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "merge unsorted");
+            for row in oracle.evaluate_rows(q) {
+                assert!(
+                    got.contains(&row),
+                    "false negative: row {row} lost from query {i} \
                  (seed {}, degraded: {:?})",
-                seed(),
-                resp.degraded
-            );
+                    seed,
+                    resp.degraded
+                );
+            }
         }
-    }
-    // Whether any response degraded depends on the seed; the ledger
-    // and the markers must agree either way.
-    if svc.health().all_healthy() {
-        assert_eq!(degraded_seen, 0);
-    } else {
-        assert!(degraded_seen > 0, "quarantined shards but no markers");
+        // Whether any response degraded depends on the seed; the ledger
+        // and the markers must agree either way.
+        if svc.health().all_healthy() {
+            assert_eq!(degraded_seen, 0);
+        } else {
+            assert!(degraded_seen > 0, "quarantined shards but no markers");
+        }
     }
 }
 
@@ -142,22 +139,24 @@ fn injected_faults_never_cause_false_negatives() {
 /// request fails typed, and no partial result leaks out.
 #[test]
 fn deadline_expiry_discards_partial_results_under_latency() {
-    let n = 800;
-    let t = table(n);
-    let plan = Arc::new(FaultPlan::new(seed()).with_rule(FaultRule::new(
-        points::SHARD_QUERY,
-        Fault::Latency(Duration::from_millis(80)),
-    )));
-    let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
-    let q = RectQuery::new(vec![AttrRange::new(0, 0, 6)], 0, n - 1);
-    // Every shard job sleeps 80ms; a 10ms deadline cannot be met.
-    let ctx = svc::RequestCtx::new(svc::Deadline::within(Duration::from_millis(10)));
-    let res = svc.try_query_rect_ctx(&q, &ctx);
-    assert_eq!(res, Err(SvcError::DeadlineExceeded));
-    // The service stays healthy afterwards: latency is not a panic,
-    // nothing is quarantined, and an undeadlined query still answers.
-    assert!(svc.health().all_healthy());
-    assert!(svc.try_query_rect(&q).is_ok());
+    for seed in SEEDS {
+        let n = 800;
+        let t = table(n);
+        let plan = Arc::new(FaultPlan::new(seed).with_rule(FaultRule::new(
+            points::SHARD_QUERY,
+            Fault::Latency(Duration::from_millis(80)),
+        )));
+        let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
+        let q = RectQuery::new(vec![AttrRange::new(0, 0, 6)], 0, n - 1);
+        // Every shard job sleeps 80ms; a 10ms deadline cannot be met.
+        let ctx = svc::RequestCtx::new(svc::Deadline::within(Duration::from_millis(10)));
+        let res = svc.try_query_rect_ctx(&q, &ctx);
+        assert_eq!(res, Err(SvcError::DeadlineExceeded));
+        // The service stays healthy afterwards: latency is not a panic,
+        // nothing is quarantined, and an undeadlined query still answers.
+        assert!(svc.health().all_healthy());
+        assert!(svc.try_query_rect(&q).is_ok());
+    }
 }
 
 /// Cancellation racing a mid-flight rect query (slowed by injected
@@ -165,26 +164,28 @@ fn deadline_expiry_discards_partial_results_under_latency() {
 /// partial work already done is discarded, not merged.
 #[test]
 fn cancellation_races_mid_flight_queries() {
-    let n = 800;
-    let t = table(n);
-    let plan = Arc::new(FaultPlan::new(seed()).with_rule(FaultRule::new(
-        points::SHARD_QUERY,
-        Fault::Latency(Duration::from_millis(60)),
-    )));
-    let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
-    let ctx = svc::RequestCtx::new(svc::Deadline::none());
-    let canceller = {
-        let ctx = ctx.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
-            ctx.cancel();
-        })
-    };
-    let q = RectQuery::new(vec![AttrRange::new(1, 0, 3)], 0, n - 1);
-    let res = svc.try_query_rect_ctx(&q, &ctx);
-    canceller.join().unwrap();
-    assert_eq!(res, Err(SvcError::Cancelled));
-    assert!(svc.health().all_healthy(), "cancellation is not a fault");
+    for seed in SEEDS {
+        let n = 800;
+        let t = table(n);
+        let plan = Arc::new(FaultPlan::new(seed).with_rule(FaultRule::new(
+            points::SHARD_QUERY,
+            Fault::Latency(Duration::from_millis(60)),
+        )));
+        let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
+        let ctx = svc::RequestCtx::new(svc::Deadline::none());
+        let canceller = {
+            let ctx = ctx.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(15));
+                ctx.cancel();
+            })
+        };
+        let q = RectQuery::new(vec![AttrRange::new(1, 0, 3)], 0, n - 1);
+        let res = svc.try_query_rect_ctx(&q, &ctx);
+        canceller.join().unwrap();
+        assert_eq!(res, Err(SvcError::Cancelled));
+        assert!(svc.health().all_healthy(), "cancellation is not a fault");
+    }
 }
 
 /// The corruption round trip: seeded byte-flip on the persisted
@@ -193,48 +194,50 @@ fn cancellation_races_mid_flight_queries() {
 /// bit-identical to the uncorrupted index.
 #[test]
 fn corruption_detected_then_repaired_bit_identically() {
-    let n = 900;
-    let t = table(n);
-    let idx = ShardedIndex::build(&t, &ab_cfg(), 5, false);
-    let clean = idx.to_bytes();
+    for seed in SEEDS {
+        let n = 900;
+        let t = table(n);
+        let idx = ShardedIndex::build(&t, &ab_cfg(), 5, false);
+        let clean = idx.to_bytes();
 
-    let plan = FaultPlan::new(seed()).with_rule(FaultRule::new(
-        points::IO_DECODE,
-        Fault::FlipByte { xor: 0x10 },
-    ));
-    let mut bytes = clean.clone();
-    // Target segment 0's blob so the flip is segment-local (envelope
-    // damage is not repairable and is a different, fatal error).
-    let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
-    let flipped = chaos::corrupt(
-        Some(&plan),
-        points::IO_DECODE,
-        &mut bytes[30..30 + seg0_len],
-    );
-    assert!(flipped.is_some(), "corruption fault must fire");
-    assert_ne!(bytes, clean);
-
-    assert!(matches!(
-        ShardedIndex::from_bytes(&bytes),
-        Err(ab::IoError::ChecksumMismatch { .. })
-    ));
-
-    let (repaired, rebuilt) = ShardedIndex::from_bytes_with_repair(&bytes, &t, &ab_cfg())
-        .expect("segment-local damage must be repairable");
-    assert_eq!(rebuilt, vec![0], "exactly the corrupted shard rebuilds");
-    for (a, b) in repaired.shards().iter().zip(idx.shards()) {
-        for (x, y) in a.index().abs().iter().zip(b.index().abs()) {
-            assert_eq!(x.bits(), y.bits(), "repair not bit-identical");
-        }
-    }
-    // And the repaired index re-serializes to the clean bytes.
-    assert_eq!(repaired.to_bytes(), clean);
-
-    for q in workload(n) {
-        assert_eq!(
-            repaired.execute_rect_sequential(&q).unwrap(),
-            idx.execute_rect_sequential(&q).unwrap()
+        let plan = FaultPlan::new(seed).with_rule(FaultRule::new(
+            points::IO_DECODE,
+            Fault::FlipByte { xor: 0x10 },
+        ));
+        let mut bytes = clean.clone();
+        // Target segment 0's blob so the flip is segment-local (envelope
+        // damage is not repairable and is a different, fatal error).
+        let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
+        let flipped = chaos::corrupt(
+            Some(&plan),
+            points::IO_DECODE,
+            &mut bytes[30..30 + seg0_len],
         );
+        assert!(flipped.is_some(), "corruption fault must fire");
+        assert_ne!(bytes, clean);
+
+        assert!(matches!(
+            ShardedIndex::from_bytes(&bytes),
+            Err(ab::IoError::ChecksumMismatch { .. })
+        ));
+
+        let (repaired, rebuilt) = ShardedIndex::from_bytes_with_repair(&bytes, &t, &ab_cfg())
+            .expect("segment-local damage must be repairable");
+        assert_eq!(rebuilt, vec![0], "exactly the corrupted shard rebuilds");
+        for (a, b) in repaired.shards().iter().zip(idx.shards()) {
+            for (x, y) in a.index().abs().iter().zip(b.index().abs()) {
+                assert_eq!(x.bits(), y.bits(), "repair not bit-identical");
+            }
+        }
+        // And the repaired index re-serializes to the clean bytes.
+        assert_eq!(repaired.to_bytes(), clean);
+
+        for q in workload(n) {
+            assert_eq!(
+                repaired.execute_rect_sequential(&q).unwrap(),
+                idx.execute_rect_sequential(&q).unwrap()
+            );
+        }
     }
 }
 
@@ -243,31 +246,33 @@ fn corruption_detected_then_repaired_bit_identically() {
 /// bit-identical.
 #[test]
 fn quarantine_then_repair_restores_exact_answers() {
-    let n = 600;
-    let t = table(n);
-    let plan = Arc::new(
-        FaultPlan::new(seed()).with_rule(
-            FaultRule::new(points::SHARD_QUERY, Fault::Panic)
-                .on_shard(2)
-                .max_fires(1),
-        ),
-    );
-    let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
-    let q = RectQuery::new(vec![AttrRange::new(0, 2, 5)], 0, n - 1);
-    let reference = svc.index().execute_rect_sequential(&q).unwrap();
+    for seed in SEEDS {
+        let n = 600;
+        let t = table(n);
+        let plan = Arc::new(
+            FaultPlan::new(seed).with_rule(
+                FaultRule::new(points::SHARD_QUERY, Fault::Panic)
+                    .on_shard(2)
+                    .max_fires(1),
+            ),
+        );
+        let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(plan);
+        let q = RectQuery::new(vec![AttrRange::new(0, 2, 5)], 0, n - 1);
+        let reference = svc.index().execute_rect_sequential(&q).unwrap();
 
-    let degraded = svc.try_query_rect(&q).unwrap();
-    assert_eq!(
-        degraded.degraded.as_ref().map(|d| d.shards.as_slice()),
-        Some(&[2usize][..])
-    );
-    for row in &reference {
-        assert!(degraded.value.contains(row));
+        let degraded = svc.try_query_rect(&q).unwrap();
+        assert_eq!(
+            degraded.degraded.as_ref().map(|d| d.shards.as_slice()),
+            Some(&[2usize][..])
+        );
+        for row in &reference {
+            assert!(degraded.value.contains(row));
+        }
+        assert!(svc.health().is_quarantined(2));
+
+        svc.health().clear(2);
+        let healthy = svc.try_query_rect(&q).unwrap();
+        assert!(!healthy.is_degraded());
+        assert_eq!(healthy.value, reference);
     }
-    assert!(svc.health().is_quarantined(2));
-
-    svc.health().clear(2);
-    let healthy = svc.try_query_rect(&q).unwrap();
-    assert!(!healthy.is_degraded());
-    assert_eq!(healthy.value, reference);
 }

@@ -22,10 +22,6 @@
 //! offline integrity audit, `scrub` runs one detect→repair pass from
 //! the command line (a file too damaged to open is repaired from the
 //! source data given with `--csv`).
-//! `loadgen` drives a live `--listen` server over real sockets in
-//! closed-loop (`--pipeline`) or open-loop (`--rps`) mode and prints
-//! client-observed throughput and latency quantiles; `--out FILE`
-//! also writes them as a registry snapshot.
 //! `verify` checks an `ABIX`/`ABSH` file's per-segment checksums and
 //! header sanity without decoding the bit arrays.
 //! `trace` pretty-prints the span trees of a `/debug/traces` dump,
@@ -198,22 +194,6 @@ const COMMANDS: &[Command] = &[
             flag("--bins", Value("N"), Or("10")),
             flag("--alpha", Value("N"), Or("8")),
             flag("--level", Value("L"), Or("per-attribute")),
-        ],
-    ),
-    (
-        "loadgen",
-        cmd_loadgen,
-        &[
-            flag("--addr", Value("HOST:PORT"), Required),
-            flag("--conns", Value("N"), Or("1")),
-            flag("--secs", Value("S"), Or("5")),
-            flag("--pipeline", Value("N"), Or("1")),
-            flag("--rps", Value("R"), Unset),
-            flag("--mix", Value("rect,cells,batch"), Or("rect")),
-            flag("--seed", Value("N"), Or("42")),
-            flag("--batch-size", Value("N"), Or("8")),
-            flag("--deadline-ms", Value("N"), Or("0")),
-            flag("--out", Value("FILE"), Unset),
         ],
     ),
     (
@@ -1034,138 +1014,6 @@ fn repair_store(
     Ok(())
 }
 
-/// Parses `--mix`: comma-separated kinds with optional `:weight`
-/// (`rect`, `rect,batch`, `rect:3,cells:1`).
-fn parse_mix(s: &str) -> Result<net::loadgen::Mix, String> {
-    let mut mix = net::loadgen::Mix {
-        rect: 0,
-        cells: 0,
-        batch: 0,
-    };
-    for part in s.split(',') {
-        let (kind, weight) = match part.split_once(':') {
-            Some((k, w)) => (
-                k.trim(),
-                w.trim()
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad weight in `{part}`"))?,
-            ),
-            None => (part.trim(), 1),
-        };
-        match kind {
-            "rect" => mix.rect += weight,
-            "cells" => mix.cells += weight,
-            "batch" => mix.batch += weight,
-            other => return Err(format!("unknown kind `{other}` (rect | cells | batch)")),
-        }
-    }
-    if mix.rect + mix.cells + mix.batch == 0 {
-        return Err("at least one weight must be nonzero".into());
-    }
-    Ok(mix)
-}
-
-/// `abq loadgen` — drives a live `--listen` server over real sockets
-/// and prints client-observed rps + latency quantiles; with `--out
-/// FILE` it also writes them, with the registry, as a JSON snapshot
-/// (nothing is written otherwise).
-fn cmd_loadgen(a: &Args) -> Result<(), String> {
-    let conns: usize = a.get("--conns")?;
-    let secs: f64 = a.get("--secs")?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err("--secs must be positive".into());
-    }
-    // `--rps` selects the open loop (fixed arrival rate, coordinated-
-    // omission-corrected latency); otherwise closed loop with a
-    // per-connection pipeline window.
-    if a.on("--rps") && a.on("--pipeline") {
-        return Err("pass --rps or --pipeline, not both".into());
-    }
-    let mode = match a.opt("--rps")? {
-        Some(rps) => net::loadgen::Mode::Open { rps },
-        None => net::loadgen::Mode::Closed {
-            pipeline: a.get("--pipeline")?,
-        },
-    };
-    let cfg = net::loadgen::LoadgenConfig {
-        addr: a.get("--addr")?,
-        conns: conns.max(1),
-        duration: Duration::from_secs_f64(secs),
-        mode,
-        mix: a.get_with("--mix", parse_mix)?,
-        seed: a.get("--seed")?,
-        batch_size: a.get("--batch-size")?,
-        deadline_ms: a.get("--deadline-ms")?,
-    };
-    let report =
-        net::loadgen::run(&cfg).map_err(|e| format!("loadgen against {}: {e}", cfg.addr))?;
-
-    println!(
-        "{} ok, {} error frame(s) ({} shed), {} transport error(s), {} reconnect(s) \
-         in {:.3}s -> {:.0} req/s ({} conns, {})",
-        report.total_ok,
-        report.total_errors,
-        report.total_shed,
-        report.transport_errors,
-        report.reconnects,
-        report.elapsed.as_secs_f64(),
-        report.rps,
-        cfg.conns,
-        match cfg.mode {
-            net::loadgen::Mode::Closed { pipeline } => format!("closed loop, pipeline {pipeline}"),
-            net::loadgen::Mode::Open { rps } => format!("open loop, {rps:.0} req/s target"),
-        },
-    );
-    println!("kind    ok        err       shed      p50 µs    p95 µs    p99 µs    p999 µs");
-    for k in &report.kinds {
-        println!(
-            "{:<6}  {:<8}  {:<8}  {:<8}  {:<8}  {:<8}  {:<8}  {:<8}",
-            k.kind, k.ok, k.errors, k.shed, k.p50, k.p95, k.p99, k.p999
-        );
-    }
-
-    // Snapshot keys:
-    // net.rps.<kind>.conns<N>, net.latency_us.<kind>.conns<N>.<p>, and
-    // the reliability counts net.errors/shed.<kind>.conns<N> +
-    // net.transport_errors/reconnects.conns<N>.
-    let Some(out) = a.value("--out") else {
-        return Ok(());
-    };
-    let mut snap = obs::global()
-        .snapshot()
-        .with_extra(&format!("net.total_rps.conns{conns}"), report.rps)
-        .with_extra(
-            &format!("net.transport_errors.conns{conns}"),
-            report.transport_errors as f64,
-        )
-        .with_extra(
-            &format!("net.reconnects.conns{conns}"),
-            report.reconnects as f64,
-        );
-    for k in &report.kinds {
-        let secs = report.elapsed.as_secs_f64().max(1e-9);
-        snap = snap.with_extra(
-            &format!("net.rps.{}.conns{conns}", k.kind),
-            k.ok as f64 / secs,
-        );
-        snap = snap
-            .with_extra(
-                &format!("net.errors.{}.conns{conns}", k.kind),
-                k.errors as f64,
-            )
-            .with_extra(&format!("net.shed.{}.conns{conns}", k.kind), k.shed as f64);
-        let base = format!("net.latency_us.{}.conns{conns}", k.kind);
-        snap = snap
-            .with_extra(&format!("{base}.p50"), k.p50 as f64)
-            .with_extra(&format!("{base}.p95"), k.p95 as f64)
-            .with_extra(&format!("{base}.p99"), k.p99 as f64)
-            .with_extra(&format!("{base}.p999"), k.p999 as f64);
-    }
-    std::fs::write(out, snap.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 /// `abq trace` — fetch (or read from a file) a `/debug/traces` dump
 /// and pretty-print each trace's span tree.
 fn cmd_trace(a: &Args) -> Result<(), String> {
@@ -1232,11 +1080,14 @@ mod tests {
 
     #[test]
     fn retired_subcommands_are_unknown_commands() {
-        // The two retired measurement subcommands get no special
-        // treatment: same error as any typo (main prints usage, exit 2).
-        // Names are assembled so a grep for them stays empty.
-        for retired in ["report", "svc"] {
-            let cmd = format!("bench-{retired}");
+        // Retired subcommands get no special treatment: same error as
+        // any typo (main prints usage, exit 2). Names are assembled so
+        // a grep for them stays empty.
+        for cmd in [
+            format!("bench-{}", "report"),
+            format!("bench-{}", "svc"),
+            format!("load{}", "gen"),
+        ] {
             assert_eq!(
                 dispatch(&strings(&[&cmd, "--csv", "x.csv"])),
                 Err(format!("unknown command `{cmd}`"))
@@ -1518,68 +1369,6 @@ mod tests {
             err.contains("--hybrid") && err.contains("off|auto|force"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn mix_flag_parses_kinds_and_weights() {
-        assert_eq!(parse_mix("rect").unwrap(), net::loadgen::Mix::RECT);
-        let m = parse_mix("rect:3,cells:1,batch:2").unwrap();
-        assert_eq!((m.rect, m.cells, m.batch), (3, 1, 2));
-        let m = parse_mix("rect,batch").unwrap();
-        assert_eq!((m.rect, m.cells, m.batch), (1, 0, 1));
-        assert!(parse_mix("turbo").is_err());
-        assert!(parse_mix("rect:x").is_err());
-        assert!(parse_mix("rect:0").is_err());
-    }
-
-    #[test]
-    fn loadgen_end_to_end_over_loopback() {
-        let svc = tiny_service();
-        let server = net::NetServer::bind(
-            "127.0.0.1:0",
-            std::sync::Arc::new(svc),
-            net::NetConfig::default(),
-        )
-        .unwrap();
-        let addr = server.local_addr().to_string();
-        let dir = std::env::temp_dir().join("abq_test_loadgen");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_net.json");
-        run(
-            "loadgen",
-            &[
-                "--addr",
-                &addr,
-                "--conns",
-                "2",
-                "--secs",
-                "0.3",
-                "--mix",
-                "rect,batch",
-                "--batch-size",
-                "3",
-                "--out",
-                out.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("net.rps.rect.conns2"), "{text}");
-        assert!(text.contains("net.latency_us.batch.conns2.p99"), "{text}");
-        server.shutdown(std::time::Duration::from_secs(2));
-    }
-
-    #[test]
-    fn loadgen_flag_validation() {
-        assert_eq!(run("loadgen", &[]), Err("--addr is required".into()));
-        assert_eq!(
-            run(
-                "loadgen",
-                &["--addr", "x", "--rps", "10", "--pipeline", "2"]
-            ),
-            Err("pass --rps or --pipeline, not both".into())
-        );
-        assert!(run("loadgen", &["--addr", "x", "--secs", "0"]).is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn registry_matches_summed_query_stats() {
     assert!(snap.counter("ab.query.cells_probed") >= sum.cells_probed as u64);
 }
 
-/// Both exporters cover counters, histograms, and extra keys.
+/// The exporter covers counters and histograms.
 #[test]
 fn exporters_cover_registered_metrics() {
     obs::counter!("obs_it.counter").add(3);
@@ -54,14 +54,7 @@ fn exporters_cover_registered_metrics() {
         let _g = obs::span("obs_it.span_us");
         assert!(obs::active_spans().contains(&"obs_it.span_us"));
     }
-    let snap = obs::global().snapshot().with_extra("obs_it.extra", 1.5);
-
-    let json = snap.to_json();
-    assert!(json.contains("\"obs_it.counter\""));
-    assert!(json.contains("\"obs_it.latency_us\""));
-    assert!(json.contains("\"obs_it.extra\""));
-
-    let prom = snap.to_prometheus();
+    let prom = obs::global().snapshot().to_prometheus();
     assert!(prom.contains("obs_it_counter"));
     assert!(prom.contains("obs_it_latency_us_bucket"));
     assert!(prom.contains("le=\"+Inf\""));
