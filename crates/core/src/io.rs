@@ -51,16 +51,14 @@
 //! `ABSH` 2); anything else is [`IoError::UnsupportedVersion`] before a
 //! single payload byte is parsed.
 //!
-//! Three readers serve three robustness postures:
+//! Two readers serve two robustness postures:
 //!
 //! * [`from_bytes`] / [`shards_from_bytes`] — strict: the first
 //!   corrupt byte fails the whole decode with a typed [`IoError`];
 //! * [`shards_from_bytes_checked`] — shard-granular: envelope-level
 //!   damage is fatal, but each segment decodes independently so a
 //!   caller (e.g. `svc::ShardedIndex::from_bytes_with_repair`) can
-//!   rebuild only the corrupted shards from source data;
-//! * [`verify`] — diagnostic: checksum status and header sanity per
-//!   segment without materializing any bit arrays (`abq verify`).
+//!   rebuild only the corrupted shards from source data.
 
 use crate::analysis::Level;
 use crate::encoding::ApproximateBitmap;
@@ -493,9 +491,9 @@ const SEGMENT_HEADER_LEN: usize = 20;
 /// then hands `each` every segment in storage order after checking
 /// that starts begin at row 0 and strictly increase and that the blob
 /// lies inside the input. Every envelope-level error of
-/// [`shards_from_bytes_checked`], [`segment_extents`] and [`verify`]
-/// comes from here, so the three cannot disagree about whether an
-/// envelope is well-formed. Only headers are read — O(shards).
+/// [`shards_from_bytes_checked`] and [`segment_extents`] comes from
+/// here, so the two cannot disagree about whether an envelope is
+/// well-formed. Only headers are read — O(shards).
 fn walk_envelope<'a, T>(
     data: &'a [u8],
     mut each: impl FnMut(RawSegment<'a>) -> T,
@@ -575,169 +573,6 @@ pub fn segment_extents(data: &[u8]) -> Result<Vec<SegmentExtent>, IoError> {
         offset: seg.offset,
         len: SEGMENT_HEADER_LEN + seg.blob.len(),
     })
-}
-
-/// Checksum state of one stored segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChecksumStatus {
-    /// Stored and recomputed CRC-32 agree.
-    Ok,
-    /// The payload does not hash to the stored CRC-32.
-    Mismatch {
-        /// Checksum recorded at write time.
-        stored: u32,
-        /// Checksum recomputed over the received payload.
-        computed: u32,
-    },
-}
-
-/// The cheap-to-read prefix of one `ABIX` payload: everything before
-/// the bit arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentHeader {
-    /// Encoding level recorded in the segment.
-    pub level: Level,
-    /// Rows the segment covers.
-    pub num_rows: u64,
-    /// Attribute count.
-    pub attributes: u32,
-    /// Approximate-bitmap count.
-    pub abs: u32,
-}
-
-/// Status of one segment from [`verify`].
-#[derive(Clone, Debug)]
-pub struct SegmentReport {
-    /// Segment position (always 0 for a bare `ABIX` file).
-    pub shard: usize,
-    /// First global row the segment claims to cover.
-    pub start_row: u64,
-    /// Serialized segment size in bytes.
-    pub byte_len: usize,
-    /// Checksum verification outcome.
-    pub checksum: ChecksumStatus,
-    /// Header fields, or the typed error met while reading them.
-    pub header: Result<SegmentHeader, IoError>,
-}
-
-impl SegmentReport {
-    /// Whether the segment is checksum-clean with a sane header.
-    pub fn healthy(&self) -> bool {
-        self.checksum == ChecksumStatus::Ok && self.header.is_ok()
-    }
-}
-
-/// Outcome of [`verify`]: one report per stored segment.
-#[derive(Clone, Debug)]
-pub struct VerifyReport {
-    /// `"ABIX"` or `"ABSH"`.
-    pub container: &'static str,
-    /// Format version of the container.
-    pub version: u16,
-    /// Per-segment status, in storage order.
-    pub segments: Vec<SegmentReport>,
-}
-
-impl VerifyReport {
-    /// Whether every segment is checksum-clean with a sane header.
-    pub fn healthy(&self) -> bool {
-        self.segments.iter().all(SegmentReport::healthy)
-    }
-}
-
-/// Walks a serialized `ABIX` or `ABSH` byte stream and reports
-/// per-segment checksum status and header sanity **without** decoding
-/// any bit array — memory stays O(attributes), not O(index), so a
-/// multi-gigabyte file can be audited cheaply (`abq verify`).
-pub fn verify(data: &[u8]) -> Result<VerifyReport, IoError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? == MAGIC {
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(IoError::UnsupportedVersion(version));
-        }
-        return Ok(VerifyReport {
-            container: "ABIX",
-            version,
-            // Nothing wraps a bare file: its own checksum decides.
-            segments: vec![inspect_segment(data, 0, 0, ChecksumStatus::Ok)],
-        });
-    }
-    let segments = walk_envelope(data, |seg| {
-        let outer = crc_status(seg.stored_crc, seg.blob);
-        inspect_segment(seg.blob, seg.shard, seg.start_row, outer)
-    })?;
-    Ok(VerifyReport {
-        container: "ABSH",
-        version: SHARD_VERSION,
-        segments,
-    })
-}
-
-/// [`check_crc`] as a report field instead of an error.
-fn crc_status(stored: u32, payload: &[u8]) -> ChecksumStatus {
-    match check_crc(stored, payload) {
-        Err(IoError::ChecksumMismatch { stored, computed }) => {
-            ChecksumStatus::Mismatch { stored, computed }
-        }
-        _ => ChecksumStatus::Ok,
-    }
-}
-
-/// Parses one `ABIX` blob's header fields without touching the bit
-/// arrays. `outer` is the status of the checksum that wraps the blob;
-/// when that one is clean the blob's own checksum is verified too, so
-/// a segment reads healthy only if the loader would accept both.
-fn inspect_segment(
-    blob: &[u8],
-    shard: usize,
-    start_row: u64,
-    outer: ChecksumStatus,
-) -> SegmentReport {
-    let mut checksum = outer;
-    let mut r = Reader { data: blob, pos: 0 };
-    let header = (|| {
-        if r.take(4)? != MAGIC {
-            return Err(IoError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(IoError::UnsupportedVersion(version));
-        }
-        let stored = r.u32()?;
-        if checksum == ChecksumStatus::Ok {
-            checksum = crc_status(stored, &blob[r.pos..]);
-        }
-        let level = parse_level(r.u8()?)?;
-        let num_rows = r.u64()?;
-        let attributes = r.u32()?;
-        if attributes as usize > r.remaining() / 14 {
-            return Err(IoError::Truncated);
-        }
-        for _ in 0..attributes {
-            let name_len = r.u16()? as usize;
-            std::str::from_utf8(r.take(name_len)?).map_err(|_| IoError::BadString)?;
-            r.u32()?; // cardinality
-            r.u64()?; // offset
-        }
-        let abs = r.u32()?;
-        if abs as usize > r.remaining() / 33 {
-            return Err(IoError::Truncated);
-        }
-        Ok(SegmentHeader {
-            level,
-            num_rows,
-            attributes,
-            abs,
-        })
-    })();
-    SegmentReport {
-        shard,
-        start_row,
-        byte_len: blob.len(),
-        checksum,
-        header,
-    }
 }
 
 fn level_tag(level: Level) -> u8 {
@@ -1128,13 +963,12 @@ mod tests {
         bytes
     }
 
-    /// The envelope-level verdict of each of the three `ABSH` readers
+    /// The envelope-level verdict of each of the two `ABSH` readers
     /// (per-segment damage is not envelope-level and maps to `Ok`).
-    fn envelope_verdicts(bytes: &[u8]) -> [Result<(), IoError>; 3] {
+    fn envelope_verdicts(bytes: &[u8]) -> [Result<(), IoError>; 2] {
         [
             shards_from_bytes_checked(bytes).map(|_| ()),
             segment_extents(bytes).map(|_| ()),
-            verify(bytes).map(|_| ()),
         ]
     }
 
@@ -1147,14 +981,14 @@ mod tests {
             shards_from_bytes(&bytes),
             Err(IoError::BadShardLayout)
         ));
-        assert_eq!(envelope_verdicts(&bytes), [Err(IoError::BadShardLayout); 3]);
+        assert_eq!(envelope_verdicts(&bytes), [Err(IoError::BadShardLayout); 2]);
         // Zero segments.
         let empty = raw_envelope(&[]);
         assert!(matches!(
             shards_from_bytes(&empty),
             Err(IoError::BadShardLayout)
         ));
-        assert_eq!(envelope_verdicts(&empty), [Err(IoError::BadShardLayout); 3]);
+        assert_eq!(envelope_verdicts(&empty), [Err(IoError::BadShardLayout); 2]);
         // Wrong magic.
         assert!(matches!(
             shards_from_bytes(b"ABIXxxxxxx"),
@@ -1167,7 +1001,7 @@ mod tests {
         let shards = sample_shards();
         let bytes = encode_shards(&shards);
         let extents = segment_extents(&bytes).unwrap();
-        assert_eq!(envelope_verdicts(&bytes), [Ok(()); 3]);
+        assert_eq!(envelope_verdicts(&bytes), [Ok(()); 2]);
 
         // Every single-byte flip of the envelope header and of each
         // segment's fixed header: one parser, so one verdict.
@@ -1180,23 +1014,22 @@ mod tests {
             for flip in [0xFFu8, 0x01, 0x80] {
                 let mut b = bytes.clone();
                 b[pos] ^= flip;
-                let [checked, walked, verified] = envelope_verdicts(&b);
+                let [checked, walked] = envelope_verdicts(&b);
                 assert_eq!(checked, walked, "flip {flip:#04x} at byte {pos}");
-                assert_eq!(checked, verified, "flip {flip:#04x} at byte {pos}");
                 rejected += usize::from(checked.is_err());
             }
         }
         assert!(rejected > 0, "no header flip was envelope-level");
 
         // Two segment starts swapped in place (0, s2, s1): the loader
-        // refuses the file, so the audit and the extent walk must too.
+        // refuses the file, so the extent walk must too.
         let mut swapped = bytes.clone();
         let (a, b) = (extents[1].offset, extents[2].offset);
         swapped[a..a + 8].copy_from_slice(&bytes[b..b + 8]);
         swapped[b..b + 8].copy_from_slice(&bytes[a..a + 8]);
         assert_eq!(
             envelope_verdicts(&swapped),
-            [Err(IoError::BadShardLayout); 3]
+            [Err(IoError::BadShardLayout); 2]
         );
     }
 
@@ -1213,7 +1046,6 @@ mod tests {
             let want = Err(IoError::UnsupportedVersion(v));
             assert_eq!(from_bytes(&b).map(|_| ()), want);
             assert_eq!(from_bytes(&b[..6]).map(|_| ()), want);
-            assert_eq!(verify(&b).map(|_| ()), want);
         }
         // ABSH: 1 was the checksum-free envelope.
         let absh = encode_shards(&sample_shards());
@@ -1222,8 +1054,8 @@ mod tests {
             b[4..6].copy_from_slice(&v.to_le_bytes());
             let want = Err(IoError::UnsupportedVersion(v));
             assert_eq!(shards_from_bytes(&b).map(|_| ()), want);
-            assert_eq!(envelope_verdicts(&b), [want; 3]);
-            assert_eq!(envelope_verdicts(&b[..6]), [want; 3]);
+            assert_eq!(envelope_verdicts(&b), [want; 2]);
+            assert_eq!(envelope_verdicts(&b[..6]), [want; 2]);
         }
         // A retired version inside one segment (envelope checksum
         // resealed) is that segment's damage, not the envelope's.
@@ -1239,12 +1071,6 @@ mod tests {
             Err(&IoError::UnsupportedVersion(1))
         );
         assert!(segs[0].1.is_ok() && segs[2].1.is_ok());
-        let report = verify(&b).unwrap();
-        assert_eq!(
-            report.segments[1].header,
-            Err(IoError::UnsupportedVersion(1))
-        );
-        assert!(!report.healthy());
     }
 
     /// The satellite hardening sweep: every truncation at 64-byte
@@ -1593,47 +1419,6 @@ mod tests {
             shards_from_bytes(&corrupt),
             Err(IoError::ChecksumMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn verify_reports_per_segment_status() {
-        let shards = sample_shards();
-        let bytes = encode_shards(&shards);
-        let report = verify(&bytes).unwrap();
-        assert_eq!(report.container, "ABSH");
-        assert_eq!(report.version, 2);
-        assert!(report.healthy());
-        assert_eq!(report.segments.len(), shards.len());
-        for (seg, (start, idx)) in report.segments.iter().zip(&shards) {
-            assert_eq!(seg.start_row, *start);
-            assert_eq!(seg.checksum, ChecksumStatus::Ok);
-            let h = seg.header.as_ref().unwrap();
-            assert_eq!(h.num_rows, idx.num_rows() as u64);
-            assert_eq!(h.level, Level::PerAttribute);
-            assert_eq!(h.attributes, 2);
-        }
-
-        let mut corrupt = bytes.clone();
-        let pos = bytes.len() - 3;
-        corrupt[pos] ^= 0xFF;
-        let report = verify(&corrupt).unwrap();
-        assert!(!report.healthy());
-        assert!(report.segments.last().unwrap().checksum != ChecksumStatus::Ok);
-        assert!(report.segments[..report.segments.len() - 1]
-            .iter()
-            .all(SegmentReport::healthy));
-
-        // A bare ABIX file verifies too.
-        let single = to_bytes(&sample_index(Level::PerColumn));
-        let report = verify(&single).unwrap();
-        assert_eq!(report.container, "ABIX");
-        assert!(report.healthy());
-        assert_eq!(
-            report.segments[0].header.as_ref().unwrap().level,
-            Level::PerColumn
-        );
-
-        assert!(matches!(verify(b"JUNKjunk"), Err(IoError::BadMagic)));
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub use kernel::{
 
 pub use io::{
     crc32, from_bytes, segment_extents, shards_from_bytes, shards_from_bytes_checked,
-    shards_to_bytes, to_bytes, verify, CheckedSegments, ChecksumStatus, IoError, SegmentExtent,
-    SegmentHeader, SegmentReport, VerifyReport,
+    shards_to_bytes, to_bytes, CheckedSegments, IoError, SegmentExtent,
 };
 pub use level::{shard_ranges, AbIndex, AttributeMeta, UnfilledIndex};
 pub use planner::plan_descent;

@@ -12,9 +12,8 @@
 //! every page **from the file** and reports pages that no longer match
 //! the verified copy, mapped back to the shards whose payload bytes
 //! they cover. [`Store::rewrite`] repairs such a file from the verified
-//! copy. [`Store::audit`] is the offline flavour for `abq store
-//! verify` and `abq store scrub`: the same sweep, but against a file
-//! nobody has open.
+//! copy. [`Store::audit`] is the offline flavour for `abq verify` and
+//! `abq scrub`: the same sweep, but against a file nobody has open.
 
 use crate::format::{self, StoreHeader};
 use crate::io::SegmentIo;
@@ -293,8 +292,8 @@ impl Store {
         Store::open(&self.path)
     }
 
-    /// Offline page sweep for `abq store verify` and `abq store scrub`:
-    /// like [`Store::scrub`] but without requiring a clean open. Only
+    /// Offline page sweep for `abq verify` and `abq scrub`: like
+    /// [`Store::scrub`] but without requiring a clean open. Only
     /// the header itself and the page-CRC table must verify; damaged
     /// meta-page padding and damaged payload pages are reported rather
     /// than failing fast. Also hands back the payload as read, damage

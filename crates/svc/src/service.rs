@@ -236,7 +236,7 @@ impl Service {
         if cfg.hybrid != HybridMode::Off {
             // The exact tier cannot be rebuilt here — it holds the
             // truth, which needs the source table (`Service::build`
-            // or `abq store build --hybrid`). Loaded segments that
+            // or `abq build --hybrid`). Loaded segments that
             // carry one are served as-is; replay their split decisions
             // into the planner counters so `/metrics` reports the
             // exact/ab split even though no build ran in-process.

@@ -1,29 +1,30 @@
-//! `abq` — build, inspect and query Approximate Bitmap indexes from
-//! the command line. `abq --help` lists every subcommand's flags.
+//! `abq` — build, inspect, query and serve Approximate Bitmap indexes
+//! from the command line. `abq --help` lists every subcommand's flags.
 //!
+//! Every command shares one index file: the page-checked `ABPG` store.
 //! `build` reads a numeric CSV with a header row, discretizes every
-//! column into equi-depth bins, and writes the serialized AB index.
+//! column into equi-depth bins, builds a row-sharded index (with
+//! `--hier` pyramids and a `--hybrid` exact tier if asked) and writes
+//! it atomically (tmp + fsync + rename, page CRCs throughout).
+//! `info`, `query`, `verify`, `scrub` and `serve` take that file as
+//! `--index FILE`.
+//!
 //! `query` evaluates a rectangular query (bin intervals per attribute,
 //! optional row range) against the index alone — no access to the
 //! original data, the paper's privacy-preserving deployment — and
 //! prints the matching row ids (approximate: 100% recall, small
 //! controlled false-positive rate).
-//! `serve` builds a sharded concurrent [`svc::Service`] over the CSV
-//! and answers queries read line by line from stdin — or, with
+//! `verify` is the offline integrity audit: it names the damaged pages
+//! and the shards they implicate without decoding the index. `scrub`
+//! runs one detect→repair pass; a file too damaged to open is repaired
+//! from the source data given with `--csv` and the build flags.
+//! `serve` answers queries read line by line from stdin — or, with
 //! `--listen`, over TCP through the [`net`] front end (ABQ/1 binary
-//! framing, pipelined requests, graceful drain on SIGINT/SIGTERM).
-//! With `--store FILE` it serves from a crash-safe `ABPG` segment
-//! store instead of rebuilding: the file is read and verified once,
-//! and a background scrubber re-verifies it every `--scrub-ms`
-//! (0 disables), rewriting rot from the verified copy while the
-//! served answers stay exactly as they were.
-//! `store build|verify|scrub` manage those segment stores: `build`
-//! writes one atomically (tmp + fsync + rename), `verify` is the
-//! offline integrity audit, `scrub` runs one detect→repair pass from
-//! the command line (a file too damaged to open is repaired from the
-//! source data given with `--csv`).
-//! `verify` checks an `ABIX`/`ABSH` file's per-segment checksums and
-//! header sanity without decoding the bit arrays.
+//! framing, pipelined requests, graceful drain on SIGINT/SIGTERM) —
+//! from a [`svc::Service`] over the `--index` file or over a CSV it
+//! builds in memory. Over a file, a background scrubber re-verifies it
+//! every `--scrub-ms` (0 disables), rewriting rot from the verified
+//! copy while the served answers stay exactly as they were.
 //! `trace` pretty-prints the span trees of a `/debug/traces` dump,
 //! fetched from a live telemetry endpoint or read from a file.
 //!
@@ -37,10 +38,10 @@
 //! a flag the table does not list, a stray token, a missing value, a
 //! repeated flag or a missing required flag is an error naming it.
 
-use ab::{AbConfig, AbIndex, AttributeMeta, Level};
+use ab::{AbConfig, AttributeMeta, Level};
 use bitmap::{AttrRange, BinnedTable, Column, EquiDepth, RectQuery, Table};
 use std::fmt::Display;
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
@@ -107,11 +108,17 @@ const COMMANDS: &[Command] = &[
         &[
             flag("--csv", Value("FILE"), Required),
             flag("--out", Value("FILE"), Required),
+            // Unset: derived from the machine's available parallelism.
+            flag("--shards", Value("N"), Unset),
+            // Unset: `store::DEFAULT_PAGE_SIZE`.
+            flag("--page-size", Value("N"), Unset),
             flag("--bins", Value("N"), Or("10")),
             flag("--alpha", Value("N"), Or("8")),
             flag("--level", Value("L"), Or("per-attribute")),
             flag("--k", Value("N"), Unset),
             flag("--precision", Value("P"), Unset),
+            flag("--hier", Mode, Or("off")),
+            flag("--hybrid", Mode, Or("off")),
         ],
     ),
     (
@@ -138,7 +145,8 @@ const COMMANDS: &[Command] = &[
         "serve",
         cmd_serve,
         &[
-            // Required unless `--store` is given.
+            // Exactly one of --index and --csv.
+            flag("--index", Value("FILE"), Unset),
             flag("--csv", Value("FILE"), Unset),
             // Unset: the machine's available parallelism.
             flag("--threads", Value("N"), Unset),
@@ -154,7 +162,6 @@ const COMMANDS: &[Command] = &[
             flag("--hybrid", Mode, Or("off")),
             flag("--telemetry-addr", Value("HOST:PORT"), Unset),
             flag("--slow-ms", Value("N"), Unset),
-            flag("--store", Value("FILE"), Unset),
             flag("--scrub-ms", Value("N"), Or("5000")),
             flag("--listen", Value("HOST:PORT"), Unset),
             // Unset: `net::NetConfig`'s default.
@@ -164,36 +171,17 @@ const COMMANDS: &[Command] = &[
         ],
     ),
     (
-        "store build",
-        cmd_store_build,
+        "scrub",
+        cmd_scrub,
         &[
-            flag("--csv", Value("FILE"), Required),
-            flag("--out", Value("FILE"), Required),
-            // Unset: derived from the machine's available parallelism.
-            flag("--shards", Value("N"), Unset),
-            // Unset: `store::DEFAULT_PAGE_SIZE`.
-            flag("--page-size", Value("N"), Unset),
-            flag("--bins", Value("N"), Or("10")),
-            flag("--alpha", Value("N"), Or("8")),
-            flag("--level", Value("L"), Or("per-attribute")),
-            flag("--hier", Mode, Or("off")),
-            flag("--hybrid", Mode, Or("off")),
-        ],
-    ),
-    (
-        "store verify",
-        cmd_store_verify,
-        &[flag("--store", Value("FILE"), Required)],
-    ),
-    (
-        "store scrub",
-        cmd_store_scrub,
-        &[
-            flag("--store", Value("FILE"), Required),
+            flag("--index", Value("FILE"), Required),
+            // The source data and build flags of a repair.
             flag("--csv", Value("FILE"), Unset),
             flag("--bins", Value("N"), Or("10")),
             flag("--alpha", Value("N"), Or("8")),
             flag("--level", Value("L"), Or("per-attribute")),
+            flag("--k", Value("N"), Unset),
+            flag("--precision", Value("P"), Unset),
         ],
     ),
     (
@@ -214,19 +202,12 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             print_usage();
             return Ok(());
         }
-        Some("store") => match args.get(1) {
-            Some(sub) => format!("store {sub}"),
-            None => return Err("store needs a subcommand: build | verify | scrub".into()),
-        },
-        Some(cmd) => cmd.to_string(),
+        Some(name) => name,
     };
     let Some(cmd) = COMMANDS.iter().find(|c| c.0 == name) else {
-        return Err(match name.strip_prefix("store ") {
-            Some(sub) => format!("unknown store subcommand `{sub}` (build | verify | scrub)"),
-            None => format!("unknown command `{name}`"),
-        });
+        return Err(format!("unknown command `{name}`"));
     };
-    let args = parse(cmd, &args[name.split(' ').count()..])?;
+    let args = parse(cmd, &args[1..])?;
     (cmd.1)(&args)
 }
 
@@ -286,6 +267,11 @@ impl Args {
             .iter()
             .filter(|(f, _)| *f == spec.name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether this subcommand's flag table declares `flag`.
+    fn takes(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f.name == flag)
     }
 
     /// Whether `flag` is on the command line.
@@ -455,121 +441,140 @@ fn read_csv(path: &str) -> Result<Table, String> {
     ))
 }
 
+/// `abq build` — CSV → sharded index (plus the `--hier` pyramids and
+/// the `--hybrid` exact tier) → atomically written `ABPG` store.
 fn cmd_build(a: &Args) -> Result<(), String> {
-    if a.on("--alpha") && a.on("--precision") {
-        return Err("pass --alpha or --precision, not both".into());
-    }
     let out: String = a.get("--out")?;
-    let precision: Option<f64> = a.opt("--precision")?;
-    let k: Option<usize> = a.opt("--k")?;
-    let (binned, mut config) = binned_and_config(a)?;
-    if let Some(p) = precision {
-        config = config.with_min_precision(p);
+    let shards = a.opt::<NonZeroUsize>("--shards")?;
+    let page_size = a.opt("--page-size")?.unwrap_or(store::DEFAULT_PAGE_SIZE);
+    let hier = a.get::<ab::HierMode>("--hier")? != ab::HierMode::Off;
+    let hybrid = a.get::<ab::HybridMode>("--hybrid")? != ab::HybridMode::Off;
+    let (binned, config) = binned_and_config(a)?;
+    let shards = match shards {
+        Some(n) if n.get() > binned.num_rows() => {
+            return Err(format!(
+                "bad --shards `{n}`: more than the {} rows",
+                binned.num_rows()
+            ))
+        }
+        Some(n) => n.get(),
+        None => SvcConfig::default().resolved_shards(binned.num_rows()),
+    };
+    let mut index = svc::ShardedIndex::build(&binned, &config, shards, false);
+    if hier {
+        // Persist the pruning pyramid alongside each shard (ABIX v3
+        // pages in the segment); serving later needs no rebuild.
+        index.ensure_hier(&ab::HierConfig::default());
     }
-    if let Some(k) = k {
-        config = config.with_k(k);
+    if hybrid {
+        // Persist the planner-split exact tier alongside each shard
+        // (ABIX v5 pages): Roaring containers for the hot bins, built
+        // here once so serving can answer them with zero hash probes
+        // and zero false positives without the source table.
+        index.ensure_hybrid(&binned, &ab::HybridConfig::default());
     }
-    let index = AbIndex::build(&binned, &config);
-    let bytes = ab::to_bytes(&index);
-    std::fs::write(&out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    let payload = index.to_bytes();
+    store::write(
+        std::path::Path::new(&out),
+        &payload,
+        page_size,
+        &store::RealIo,
+    )
+    .map_err(|e| format!("{out}: {e}"))?;
+    let hybrid_note = if hybrid {
+        let (bins, bytes) = index
+            .hybrid_split_stats()
+            .iter()
+            .flatten()
+            .fold((0usize, 0usize), |(b, sz), (backed, _, s)| {
+                (b + backed, sz + s)
+            });
+        format!(", hybrid containers: {bins} exact-backed bins, {bytes} bytes")
+    } else {
+        String::new()
+    };
     println!(
-        "indexed {} rows x {} attributes into {} ABs ({} bytes) -> {out}",
-        binned.num_rows(),
-        binned.num_attributes(),
-        index.abs().len(),
-        bytes.len(),
+        "indexed {} rows x {} attributes as {} shard(s), {} payload bytes \
+         ({}-byte pages{}{hybrid_note}) -> {out}",
+        index.num_rows(),
+        index.attributes().len(),
+        index.num_shards(),
+        payload.len(),
+        page_size,
+        if hier { ", hier pyramids" } else { "" },
     );
     Ok(())
 }
 
-fn load_index(a: &Args) -> Result<AbIndex, String> {
-    let path: String = a.get("--index")?;
-    let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-    ab::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
+/// Opens the `--index` store, reading and verifying every page once,
+/// and decodes its payload.
+fn open_index(path: &str) -> Result<(store::Store, svc::ShardedIndex), String> {
+    let st = store::Store::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let index = svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?;
+    Ok((st, index))
 }
 
 fn cmd_info(a: &Args) -> Result<(), String> {
-    let index = load_index(a)?;
+    let (_, index) = open_index(&a.get::<String>("--index")?)?;
+    let abs: Vec<&ab::ApproximateBitmap> = index
+        .shards()
+        .iter()
+        .flat_map(|s| s.index().abs())
+        .collect();
     println!(
-        "level: {}\nrows: {}\nattributes: {}\nABs: {}\ntotal size: {} bytes",
-        index.level(),
+        "level: {}\nrows: {}\nattributes: {}\nshards: {}\nABs: {}\ntotal size: {} bytes",
+        index.shards()[0].index().level(),
         index.num_rows(),
-        index.num_attributes(),
-        index.abs().len(),
+        index.attributes().len(),
+        index.num_shards(),
+        abs.len(),
         index.size_bytes(),
     );
     for a in index.attributes() {
         println!("  {} (bins: {})", a.name, a.cardinality);
     }
-    if let Some(ab0) = index.abs().first() {
-        println!(
-            "k: {}, expected FP rate at current load: {:.5}",
-            ab0.k(),
-            index.expected_fp_rate()
-        );
+    if let Some(ab0) = abs.first() {
+        let fp = abs.iter().map(|ab| ab.expected_fp_rate()).sum::<f64>() / abs.len() as f64;
+        println!("k: {}, expected FP rate at current load: {fp:.5}", ab0.k());
     }
     Ok(())
 }
 
-/// `abq verify` — per-segment checksum and header report for an
-/// `ABIX` or `ABSH` file, without decoding the bit arrays (fast even
-/// on indexes far larger than memory bandwidth would make a full
-/// decode). Exits non-zero when any segment is damaged.
+/// `abq verify` — offline integrity audit: header, meta-page padding,
+/// CRC table, and every payload page, without deserializing the index.
+/// Exits non-zero on any damage, naming the pages and the shards they
+/// implicate.
 fn cmd_verify(a: &Args) -> Result<(), String> {
     let path: String = a.get("--index")?;
-    let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-    let report = ab::verify(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let (header, report, _) =
+        store::Store::audit(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "{path}: {} v{}, {} bytes, {} segment(s)",
-        report.container,
-        report.version,
-        bytes.len(),
-        report.segments.len()
+        "{path}: ABPG v{}, {} payload bytes in {} page(s) of {} bytes, {} shard(s)",
+        header.version,
+        header.payload_len,
+        header.payload_pages(),
+        header.page_size,
+        header.shard_count,
     );
-    for seg in &report.segments {
-        let crc = match seg.checksum {
-            ab::ChecksumStatus::Ok => "crc ok".to_string(),
-            ab::ChecksumStatus::Mismatch { stored, computed } => {
-                format!("CRC MISMATCH stored {stored:#010x} computed {computed:#010x}")
-            }
-        };
-        match &seg.header {
-            Ok(h) => println!(
-                "  shard {}: rows {}..{}, {} bytes, {}, level {}, {} attrs, {} ABs",
-                seg.shard,
-                seg.start_row,
-                seg.start_row + h.num_rows,
-                seg.byte_len,
-                crc,
-                h.level,
-                h.attributes,
-                h.abs
-            ),
-            Err(e) => println!(
-                "  shard {}: start row {}, {} bytes, {}, header unreadable: {e}",
-                seg.shard, seg.start_row, seg.byte_len, crc
-            ),
-        }
-    }
-    if report.healthy() {
+    println!("scanned {} page(s)", report.pages_scanned);
+    if report.clean() {
         println!("healthy");
         Ok(())
     } else {
-        let bad: Vec<String> = report
-            .segments
-            .iter()
-            .filter(|s| !s.healthy())
-            .map(|s| s.shard.to_string())
-            .collect();
         Err(format!(
-            "{path}: corrupted segment(s) {} — rebuild them from source data",
-            bad.join(", ")
+            "{path}: {} damaged page(s) {:?} implicating shard(s) {:?} — \
+             run `abq scrub --csv ...` to repair, or rebuild",
+            report.bad_pages.len(),
+            report.bad_pages,
+            report.bad_shards,
         ))
     }
 }
 
+/// `abq query` — runs the rect on each shard it overlaps, in row
+/// order, and prints global row ids.
 fn cmd_query(a: &Args) -> Result<(), String> {
-    let index = load_index(a)?;
+    let (_, index) = open_index(&a.get::<String>("--index")?)?;
     let query = rect_query(
         index.attributes(),
         index.num_rows(),
@@ -578,13 +583,20 @@ fn cmd_query(a: &Args) -> Result<(), String> {
     )?;
     let limit: usize = a.get("--limit")?;
 
-    let (rows, stats) = index
-        .try_execute_rect_with_stats_opts(&query, ab::KernelOpts::default())
-        .map_err(|e| e.to_string())?;
+    let mut rows = Vec::new();
+    let mut cells_probed = 0;
+    for (sid, local) in index.split_rect(&query) {
+        let shard = &index.shards()[sid];
+        let (hits, stats) = shard
+            .index()
+            .try_execute_rect_with_stats_opts(&local, ab::KernelOpts::default())
+            .map_err(|e| e.to_string())?;
+        cells_probed += stats.cells_probed;
+        rows.extend(hits.into_iter().map(|r| r + shard.start()));
+    }
     println!(
-        "{} candidate rows ({} cells probed; recall 100%, false positives possible):",
+        "{} candidate rows ({cells_probed} cells probed; recall 100%, false positives possible):",
         rows.len(),
-        stats.cells_probed
     );
     for r in rows.iter().take(limit) {
         println!("{r}");
@@ -595,17 +607,46 @@ fn cmd_query(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared `--csv`/`--bins`/`--alpha`/`--level` parsing: CSV → binned
-/// table + AB build config (the inputs a store repair needs too).
+/// Parses `--precision`: a target strictly between 0 and 1.
+fn parse_precision(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(p) if p > 0.0 && p < 1.0 => Ok(p),
+        Ok(_) => Err("must lie strictly between 0 and 1".into()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Shared build-flag parsing — `--csv`, `--bins`, `--alpha`, `--level`
+/// and, where the subcommand takes them, `--k` and `--precision`: CSV →
+/// binned table + AB build config (the inputs a store repair needs
+/// too). Every value is checked before the CSV is read, and an
+/// out-of-range one is an error naming its flag.
 fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
+    let sizing = a.takes("--precision");
+    if sizing && a.on("--precision") {
+        for other in ["--alpha", "--k"] {
+            if a.on(other) {
+                return Err(format!("pass {other} or --precision, not both"));
+            }
+        }
+    }
     let csv: String = a.get("--csv")?;
-    let bins: u32 = a.get("--bins")?;
-    let alpha: u64 = a.get("--alpha")?;
+    let bins: NonZeroU32 = a.get("--bins")?;
+    let alpha: NonZeroU64 = a.get("--alpha")?;
     let level = a.get_with("--level", parse_level)?;
+    let mut config = AbConfig::new(level).with_alpha(alpha.get());
+    if sizing {
+        if a.on("--precision") {
+            config = config.with_min_precision(a.get_with("--precision", parse_precision)?);
+        }
+        if let Some(k) = a.opt::<NonZeroUsize>("--k")? {
+            config = config.with_k(k.get());
+        }
+    }
     let table = read_csv(&csv)?;
     Ok((
-        BinnedTable::from_table(&table, &EquiDepth::new(bins)),
-        AbConfig::new(level).with_alpha(alpha),
+        BinnedTable::from_table(&table, &EquiDepth::new(bins.get())),
+        config,
     ))
 }
 
@@ -625,49 +666,41 @@ fn serve_config(a: &Args) -> Result<SvcConfig, String> {
     })
 }
 
-/// `serve` setup: CSV → binned table → sharded service, or with
-/// `--store` an ABPG file → sharded index → service plus the
-/// background scrubber (interval `--scrub-ms`; 0 disables), which
-/// repairs rot in the file from the store's verified copy. Prints the
-/// chosen shard/thread split.
+/// `serve` setup: the `--index` store → sharded index → service plus
+/// the background scrubber (interval `--scrub-ms`; 0 disables), which
+/// repairs rot in the file from the store's verified copy; or, with
+/// `--csv`, a service built in memory. Prints the chosen shard/thread
+/// split.
 fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scrubber>), String> {
-    let store = match a.value("--store") {
-        Some(path) => {
-            let st = store::Store::open(path).map_err(|e| format!("{path}: {e}"))?;
-            Some((st, path))
+    let Some(path) = a.value("--index") else {
+        if !a.on("--csv") {
+            return Err("pass --index FILE or --csv FILE".into());
         }
-        None => None,
-    };
-    let svc = match &store {
-        // Segments stored without a pyramid are fine: Service::from_index
-        // rebuilds it per shard when hier is requested. Hybrid containers
-        // however live in the segment itself (built with `store build
-        // --hybrid`); the flag only controls whether the kernel consults
-        // them.
-        Some((st, path)) => Service::from_index(
-            svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?,
-            cfg,
-        ),
-        None => {
-            let (binned, config) = binned_and_config(a)?;
-            Service::build(&binned, &config, cfg)
-        }
-    };
-    println!(
-        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes{})",
-        svc.index().num_rows(),
-        svc.index().attributes().len(),
-        svc.index().num_shards(),
-        svc.threads(),
-        svc.index().size_bytes(),
-        store
-            .as_ref()
-            .map_or(String::new(), |(_, path)| format!(", store {path}")),
-    );
-    let scrub_ms: u64 = a.get("--scrub-ms")?;
-    let Some((st, _)) = store.filter(|_| scrub_ms > 0) else {
+        let (binned, config) = binned_and_config(a)?;
+        let svc = Service::build(&binned, &config, cfg);
+        print_ready(&svc, "");
         return Ok((svc, None));
     };
+    // The file fixes what the build flags would choose.
+    if let Some(f) = ["--csv", "--shards", "--bins", "--alpha", "--level"]
+        .into_iter()
+        .find(|f| a.on(f))
+    {
+        return Err(format!(
+            "`{f}` is a build flag: `serve --index` serves the file as built"
+        ));
+    }
+    // Segments stored without a pyramid are fine: Service::from_index
+    // rebuilds it per shard when hier is requested. Hybrid containers
+    // however live in the segment itself (built with `build --hybrid`);
+    // the flag only controls whether the kernel consults them.
+    let (st, index) = open_index(path)?;
+    let svc = Service::from_index(index, cfg);
+    print_ready(&svc, &format!(", store {path}"));
+    let scrub_ms: u64 = a.get("--scrub-ms")?;
+    if scrub_ms == 0 {
+        return Ok((svc, None));
+    }
     let scrubber = svc::Scrubber::spawn(
         st,
         Duration::from_millis(scrub_ms),
@@ -676,6 +709,18 @@ fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scru
     .map_err(|e| format!("scrubber: {e}"))?;
     println!("scrubbing every {scrub_ms} ms (repairs from the verified copy)");
     Ok((svc, Some(scrubber)))
+}
+
+/// The `ready:` line: the served index and its shard/thread split.
+fn print_ready(svc: &Service, note: &str) {
+    println!(
+        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes{note})",
+        svc.index().num_rows(),
+        svc.index().attributes().len(),
+        svc.index().num_shards(),
+        svc.threads(),
+        svc.index().size_bytes(),
+    );
 }
 
 /// Parses one REPL line into a query: whitespace-separated
@@ -702,9 +747,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         ..svc::RetryPolicy::default()
     };
     let limit: usize = a.get("--limit")?;
-    // `--store` serves from a crash-safe ABPG file instead of
-    // rebuilding from CSV; the scrubber handle must stay alive for
-    // the whole serve (dropping it stops the background verification).
+    // The scrubber handle must stay alive for the whole serve
+    // (dropping it stops the background verification).
     let (svc, scrubber) = build_service(a, &cfg)?;
     let store_status = scrubber.as_ref().map(|s| s.status());
     // Caller-owned RequestCtx bypasses the service's default deadline,
@@ -839,102 +883,13 @@ fn serve_listen(
     Ok(())
 }
 
-/// `abq store build` — CSV → sharded index → atomically written
-/// `ABPG` store (tmp + fsync + rename, page CRCs throughout).
-fn cmd_store_build(a: &Args) -> Result<(), String> {
-    let out: String = a.get("--out")?;
-    let shards = a.opt::<NonZeroUsize>("--shards")?;
-    let page_size = a.opt("--page-size")?.unwrap_or(store::DEFAULT_PAGE_SIZE);
-    let hier = a.get::<ab::HierMode>("--hier")? != ab::HierMode::Off;
-    let hybrid = a.get::<ab::HybridMode>("--hybrid")? != ab::HybridMode::Off;
-    let (binned, config) = binned_and_config(a)?;
-    let shards = match shards {
-        Some(n) => n.get(),
-        None => SvcConfig::default().resolved_shards(binned.num_rows()),
-    };
-    let mut index = svc::ShardedIndex::build(&binned, &config, shards, false);
-    if hier {
-        // Persist the pruning pyramid alongside each shard (ABIX v3
-        // pages in the segment); serving later needs no rebuild.
-        index.ensure_hier(&ab::HierConfig::default());
-    }
-    if hybrid {
-        // Persist the planner-split exact tier alongside each shard
-        // (ABIX v5 pages): Roaring containers for the hot bins, built
-        // here once so serving can answer them with zero hash probes
-        // and zero false positives without the source table.
-        index.ensure_hybrid(&binned, &ab::HybridConfig::default());
-    }
-    let payload = index.to_bytes();
-    store::write(
-        std::path::Path::new(&out),
-        &payload,
-        page_size,
-        &store::RealIo,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    let hybrid_note = if hybrid {
-        let (bins, bytes) = index
-            .hybrid_split_stats()
-            .iter()
-            .flatten()
-            .fold((0usize, 0usize), |(b, sz), (backed, _, s)| {
-                (b + backed, sz + s)
-            });
-        format!(", hybrid containers: {bins} exact-backed bins, {bytes} bytes")
-    } else {
-        String::new()
-    };
-    println!(
-        "stored {} rows x {} attributes as {} shard(s), {} payload bytes \
-         ({}-byte pages{}{hybrid_note}) -> {out}",
-        index.num_rows(),
-        index.attributes().len(),
-        index.num_shards(),
-        payload.len(),
-        page_size,
-        if hier { ", hier pyramids" } else { "" },
-    );
-    Ok(())
-}
-
-/// `abq store verify` — offline integrity audit: header, meta-page
-/// padding, CRC table, and every payload page, without deserializing
-/// the index. Exits non-zero on any damage.
-fn cmd_store_verify(a: &Args) -> Result<(), String> {
-    let path: String = a.get("--store")?;
-    let (header, report, _) =
-        store::Store::audit(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "{path}: ABPG v{}, {} payload bytes in {} page(s) of {} bytes, {} shard(s)",
-        header.version,
-        header.payload_len,
-        header.payload_pages(),
-        header.page_size,
-        header.shard_count,
-    );
-    println!("scanned {} page(s)", report.pages_scanned);
-    if report.clean() {
-        println!("healthy");
-        Ok(())
-    } else {
-        Err(format!(
-            "{path}: {} damaged page(s) {:?} implicating shard(s) {:?} — \
-             run `abq store scrub --csv ...` to repair, or rebuild",
-            report.bad_pages.len(),
-            report.bad_pages,
-            report.bad_shards,
-        ))
-    }
-}
-
-/// `abq store scrub` — one scrub pass from the CLI: open the store
+/// `abq scrub` — one scrub pass from the CLI: open the store
 /// (reading and verifying every page), re-check the file, and rewrite
 /// it from the verified copy if it rotted since. A file too damaged to
 /// open has no verified copy; with the original CSV and build flags it
 /// is repaired from source data ([`repair_store`]).
-fn cmd_store_scrub(a: &Args) -> Result<(), String> {
-    let path: String = a.get("--store")?;
+fn cmd_scrub(a: &Args) -> Result<(), String> {
+    let path: String = a.get("--index")?;
     let p = std::path::Path::new(&path);
     let mut st = match store::Store::open(p) {
         Ok(st) => st,
@@ -1073,9 +1028,17 @@ mod tests {
 
     /// Runs `abq CMD ARGV...` through [`dispatch`].
     fn run(cmd: &str, argv: &[&str]) -> Result<(), String> {
-        let mut args: Vec<&str> = cmd.split(' ').collect();
-        args.extend(argv);
-        dispatch(&strings(&args))
+        dispatch(&strings(&[&[cmd], argv].concat()))
+    }
+
+    /// A scratch directory for `test` holding `d.csv`: the header
+    /// `head`, then `rows`.
+    fn csv_dir(test: &str, head: &str, rows: impl Iterator<Item = String>) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(test);
+        std::fs::create_dir_all(&dir).unwrap();
+        let body: String = std::iter::once(format!("{head}\n")).chain(rows).collect();
+        std::fs::write(dir.join("d.csv"), body).unwrap();
+        dir
     }
 
     #[test]
@@ -1091,6 +1054,13 @@ mod tests {
             assert_eq!(
                 dispatch(&strings(&[&cmd, "--csv", "x.csv"])),
                 Err(format!("unknown command `{cmd}`"))
+            );
+        }
+        // `store` is not a command: `build`, `verify` and `scrub` are.
+        for sub in ["build", "verify", "scrub"] {
+            assert_eq!(
+                dispatch(&strings(&["store", sub, "--csv", "x.csv"])),
+                Err("unknown command `store`".to_string())
             );
         }
         assert_eq!(
@@ -1218,14 +1188,62 @@ mod tests {
             let err = dispatch(&strings(&[cmd, "--csv", "x.csv", flag, "batched"])).unwrap_err();
             assert_eq!(err, format!("`abq {cmd}` does not accept `{flag}`"));
         }
-        let err = dispatch(&strings(&[
-            "store", "scrub", "--store", "s", "--shards", "4",
-        ]))
-        .unwrap_err();
-        assert!(
-            err.contains("`abq store scrub`") && err.contains("`--shards`"),
-            "{err}"
+        let err = dispatch(&strings(&["scrub", "--index", "s", "--shards", "4"])).unwrap_err();
+        assert_eq!(err, "`abq scrub` does not accept `--shards`");
+        // `serve --index` serves the file as built: a build flag next
+        // to it is named, not silently dropped.
+        for (flag, value) in [
+            ("--csv", "x.csv"),
+            ("--shards", "7"),
+            ("--bins", "3"),
+            ("--alpha", "64"),
+            ("--level", "per-column"),
+        ] {
+            let argv = ["serve", "--index", "missing.abpg", flag, value];
+            let err = dispatch(&strings(&argv)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("`{flag}` is a build flag")),
+                "{err}"
+            );
+        }
+        let err = dispatch(&strings(&["serve", "--threads", "2"])).unwrap_err();
+        assert!(err.contains("--index") && err.contains("--csv"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_build_flags_are_errors() {
+        let dir = csv_dir(
+            "abq_test_build_range",
+            "price,qty",
+            (0..100).map(|i| format!("{}.0,{}.0\n", i % 13, i % 7)),
         );
+        let (csv, out) = (dir.join("d.csv"), dir.join("d.abpg"));
+        let (csv, out) = (csv.to_str().unwrap(), out.to_str().unwrap());
+        // Each once reached an `assert!` in the build and exited 101.
+        for (cmd, bad, flag) in [
+            ("build", &["--bins", "0"][..], "--bins"),
+            ("build", &["--alpha", "0"], "--alpha"),
+            ("build", &["--k", "0"], "--k"),
+            ("build", &["--precision", "0"], "--precision"),
+            ("build", &["--precision", "1.5"], "--precision"),
+            ("build", &["--precision", "NaN"], "--precision"),
+            ("build", &["--shards", "101"], "--shards"),
+            ("serve", &["--bins", "0"], "--bins"),
+            ("serve", &["--alpha", "0"], "--alpha"),
+            // The §4 solver sizes the AB for its own k; a pinned k
+            // would miss the target.
+            ("build", &["--precision", "0.999", "--k", "1"], "--k"),
+            ("build", &["--k", "1", "--precision", "0.999"], "--k"),
+        ] {
+            let mut argv = vec![cmd, "--csv", csv];
+            if cmd == "build" {
+                argv.extend(["--out", out]);
+            }
+            argv.extend(bad);
+            let err = dispatch(&strings(&argv)).expect_err(&argv.join(" "));
+            assert!(err.contains(flag), "{}: {err}", argv.join(" "));
+        }
+        assert!(!std::path::Path::new(out).exists());
     }
 
     #[test]
@@ -1273,17 +1291,15 @@ mod tests {
 
     #[test]
     fn store_build_with_hier_persists_pyramids() {
-        let dir = std::env::temp_dir().join("abq_test_store_hier");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = csv_dir(
+            "abq_test_store_hier",
+            "v",
+            (0..300).map(|i| format!("{}.0\n", i / 30)),
+        );
         let csv = dir.join("d.csv");
         let abpg = dir.join("d.abpg");
-        let mut body = String::from("v\n");
-        for i in 0..300 {
-            body.push_str(&format!("{}.0\n", i / 30));
-        }
-        std::fs::write(&csv, body).unwrap();
         run(
-            "store build",
+            "build",
             &[
                 "--csv",
                 csv.to_str().unwrap(),
@@ -1295,7 +1311,7 @@ mod tests {
             ],
         )
         .unwrap();
-        run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
+        run("verify", &["--index", abpg.to_str().unwrap()]).unwrap();
         // The pyramid rides the segment: loading needs no rebuild.
         let st = store::Store::open(&abpg).unwrap();
         let idx = svc::ShardedIndex::from_bytes(st.payload()).unwrap();
@@ -1324,17 +1340,15 @@ mod tests {
 
     #[test]
     fn store_build_with_hybrid_persists_exact_containers() {
-        let dir = std::env::temp_dir().join("abq_test_store_hybrid");
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
-        let abpg = dir.join("d.abpg");
         // Clustered values: every bin is dense in its run of rows, so
         // the planner's split decision backs bins exactly.
-        let mut body = String::from("v\n");
-        for i in 0..300 {
-            body.push_str(&format!("{}.0\n", i / 30));
-        }
-        std::fs::write(&csv, body).unwrap();
+        let dir = csv_dir(
+            "abq_test_store_hybrid",
+            "v",
+            (0..300).map(|i| format!("{}.0\n", i / 30)),
+        );
+        let csv = dir.join("d.csv");
+        let abpg = dir.join("d.abpg");
         let build = |hybrid: &[&str]| {
             let mut args = vec![
                 "--csv",
@@ -1345,10 +1359,10 @@ mod tests {
                 "2",
             ];
             args.extend(hybrid);
-            run("store build", &args)
+            run("build", &args)
         };
         let load = || {
-            run("store verify", &["--store", abpg.to_str().unwrap()]).unwrap();
+            run("verify", &["--index", abpg.to_str().unwrap()]).unwrap();
             let st = store::Store::open(&abpg).unwrap();
             svc::ShardedIndex::from_bytes(st.payload()).unwrap()
         };
@@ -1384,55 +1398,45 @@ mod tests {
 
     #[test]
     fn verify_reports_health_and_detects_corruption() {
-        let dir = std::env::temp_dir().join("abq_test_verify");
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
-        let idx = dir.join("d.ab");
-        let mut body = String::from("price,qty\n");
-        for i in 0..200 {
-            body.push_str(&format!("{}.0,{}.0\n", i % 31, (i * 5) % 7));
-        }
-        std::fs::write(&csv, body).unwrap();
-        run(
-            "build",
-            &[
-                "--csv",
-                csv.to_str().unwrap(),
-                "--out",
-                idx.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        run("verify", &["--index", idx.to_str().unwrap()]).unwrap();
-        // Flip one payload byte: verify must now fail with a
-        // checksum complaint instead of succeeding.
-        let mut bytes = std::fs::read(&idx).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&idx, &bytes).unwrap();
-        let err = run("verify", &["--index", idx.to_str().unwrap()]).unwrap_err();
-        assert!(err.contains("corrupted"), "unexpected error: {err}");
+        let dir = csv_dir(
+            "abq_test_verify",
+            "price,qty",
+            (0..200).map(|i| format!("{}.0,{}.0\n", i % 31, (i * 5) % 7)),
+        );
+        let (csv, idx) = (dir.join("d.csv"), dir.join("d.abpg"));
+        let (csv, idx) = (csv.to_str().unwrap(), idx.to_str().unwrap());
+        run("build", &["--csv", csv, "--out", idx]).unwrap();
+        run("verify", &["--index", idx]).unwrap();
+        // Flip one payload byte: verify must now fail naming the
+        // damage instead of succeeding.
+        let mut bytes = std::fs::read(idx).unwrap();
+        let at = bytes.len() - 100;
+        bytes[at] ^= 0x01;
+        std::fs::write(idx, &bytes).unwrap();
+        let err = run("verify", &["--index", idx]).unwrap_err();
+        assert!(err.contains("damaged page"), "unexpected error: {err}");
     }
 
     #[test]
     fn verify_refuses_the_envelope_layouts_the_loader_refuses() {
+        // The loader reads only the page-checked store: a bare `ABSH`
+        // envelope (even one whose every checksum holds) or a bare
+        // `ABIX` index is refused by every command that takes
+        // `--index`, with the loader's own error.
         let dir = std::env::temp_dir().join("abq_test_verify_layout");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("d.absh");
-        let mut bytes = tiny_service().index().to_bytes();
-        std::fs::write(&path, &bytes).unwrap();
-        run("verify", &["--index", path.to_str().unwrap()]).unwrap();
-        // Swap the start rows of shards 1 and 2; every checksum still
-        // holds, only the order is wrong.
-        let extents = ab::segment_extents(&bytes).unwrap();
-        let (a, b) = (extents[1].offset, extents[2].offset);
-        let (first, second) = bytes.split_at_mut(b);
-        first[a..a + 8].swap_with_slice(&mut second[..8]);
-        std::fs::write(&path, &bytes).unwrap();
-        let loader = svc::ShardedIndex::from_bytes(&bytes).err().unwrap();
-        assert_eq!(loader, ab::IoError::BadShardLayout);
-        let err = run("verify", &["--index", path.to_str().unwrap()]).unwrap_err();
-        assert!(err.ends_with(&loader.to_string()), "{err}");
+        let path = path.to_str().unwrap();
+        let absh = tiny_service().index().to_bytes();
+        let abix = ab::to_bytes(tiny_service().index().shards()[0].index());
+        for bytes in [absh, abix] {
+            std::fs::write(path, &bytes).unwrap();
+            let loader = store::Store::open(path).err().unwrap().to_string();
+            for cmd in ["verify", "info", "query", "scrub", "serve"] {
+                let err = run(cmd, &["--index", path]).unwrap_err();
+                assert!(err.contains(&loader), "{cmd}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1440,7 +1444,7 @@ mod tests {
         let dir = std::env::temp_dir().join("abq_test_e2e");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("d.csv");
-        let idx = dir.join("d.ab");
+        let idx = dir.join("d.abpg");
         let mut body = String::from("price,qty\n");
         for i in 0..500 {
             body.push_str(&format!("{}.0,{}.0\n", i % 97, (i * 7) % 13));
@@ -1456,14 +1460,12 @@ mod tests {
 
     #[test]
     fn store_build_verify_scrub_end_to_end() {
-        let dir = std::env::temp_dir().join("abq_test_store");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = csv_dir(
+            "abq_test_store",
+            "price,qty",
+            (0..400).map(|i| format!("{}.0,{}.0\n", i % 31, (i * 5) % 11)),
+        );
         let csv = dir.join("d.csv");
-        let mut body = String::from("price,qty\n");
-        for i in 0..400 {
-            body.push_str(&format!("{}.0,{}.0\n", i % 31, (i * 5) % 11));
-        }
-        std::fs::write(&csv, body).unwrap();
         let csv = csv.to_str().unwrap();
         let build_flags = ["--csv", csv, "--bins", "6", "--alpha", "8"];
         // A flat store, and one whose shards carry a pyramid and an
@@ -1474,12 +1476,12 @@ mod tests {
         ] {
             let abpg = dir.join(format!("{name}.abpg"));
             let abpg = abpg.to_str().unwrap();
-            let store = ["--store", abpg];
+            let store = ["--index", abpg];
             let mut args = build_flags.to_vec();
             args.extend(["--shards", "3", "--out", abpg, "--page-size", "256"]);
             args.extend(tiers);
-            run("store build", &args).unwrap();
-            run("store verify", &store).unwrap();
+            run("build", &args).unwrap();
+            run("verify", &store).unwrap();
             let pristine = std::fs::read(abpg).unwrap();
             let header = *store::Store::open(abpg).unwrap().header();
 
@@ -1490,32 +1492,31 @@ mod tests {
             let at = (header.payload_offset() + header.payload_len) as usize - 10;
             rotted[at] ^= 0x40;
             std::fs::write(abpg, &rotted).unwrap();
-            let err = run("store verify", &store).unwrap_err();
+            let err = run("verify", &store).unwrap_err();
             assert!(err.contains("damaged"), "{name}: unexpected error: {err}");
-            let err = run("store scrub", &store).unwrap_err();
+            let err = run("scrub", &store).unwrap_err();
             assert!(err.contains("--csv"), "{name}: unexpected error: {err}");
             let mut repair = build_flags.to_vec();
             repair.extend(store);
-            run("store scrub", &repair).unwrap();
+            run("scrub", &repair).unwrap();
             assert!(
                 std::fs::read(abpg).unwrap() == pristine,
                 "{name}: repair must be bit-identical"
             );
-            run("store verify", &store).unwrap();
-            run("store scrub", &store).unwrap();
+            run("verify", &store).unwrap();
+            run("scrub", &store).unwrap();
         }
     }
 
     #[test]
     fn store_flag_validation() {
-        assert!(dispatch(&strings(&["store"])).is_err());
-        assert!(dispatch(&strings(&["store", "nope"])).is_err());
         assert_eq!(
-            run("store build", &["--csv", "x.csv"]),
+            run("build", &["--csv", "x.csv"]),
             Err("--out is required".into())
         );
-        assert_eq!(run("store verify", &[]), Err("--store is required".into()));
-        assert_eq!(run("store scrub", &[]), Err("--store is required".into()));
+        for cmd in ["info", "verify", "query", "scrub"] {
+            assert_eq!(run(cmd, &[]), Err("--index is required".into()));
+        }
     }
 
     #[test]
@@ -1523,7 +1524,7 @@ mod tests {
         // Each of these once ran on a silent mis-read of its argv.
         let dir = std::env::temp_dir().join("abq_test_malformed");
         std::fs::create_dir_all(&dir).unwrap();
-        let (csv, idx) = (dir.join("t.csv"), dir.join("t.ab"));
+        let (csv, idx) = (dir.join("t.csv"), dir.join("t.abpg"));
         let mut body = String::from("price,qty\n");
         for i in 0..200 {
             body.push_str(&format!("{}.0,{}.0\n", i % 50, i % 9));
@@ -1532,8 +1533,7 @@ mod tests {
         let (csv, idx) = (csv.to_str().unwrap(), idx.to_str().unwrap());
         run("build", &["--csv", csv, "--out", idx, "--bins", "5"]).unwrap();
         let err = |cmd: &str, argv: &[&str]| {
-            let mut args: Vec<&str> = cmd.split(' ').collect();
-            args.extend(argv);
+            let args = [&[cmd], argv].concat();
             dispatch(&strings(&args)).expect_err(&args.join(" "))
         };
         // A stray token is not dropped.

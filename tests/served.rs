@@ -1,5 +1,5 @@
 //! The `abq` binary end to end, as a deployment runs it: each test
-//! spawns `abq serve` (over a CSV or a segment store, reading queries
+//! spawns `abq serve` (over a CSV or the index file, reading queries
 //! from stdin or a socket), drives it with `net::Client`, scrapes its
 //! telemetry endpoint over a plain socket, and drains it with SIGINT.
 //!
@@ -590,29 +590,38 @@ fn store_csv(dir: &Dir) -> Truth {
     dir.csv("store.csv", &columns, 10)
 }
 
-/// `store verify` refuses a rotted byte and `store scrub --csv`
-/// restores the file byte for byte; set-up threads never change a
-/// byte of a `--hier --hybrid` build, and a rotted tiered file is
-/// restored too.
+/// `verify` refuses a rotted byte and `scrub --csv` restores the file
+/// byte for byte, with the build flags the file was made with; set-up
+/// threads never change a byte of a `--hier --hybrid` build, and a
+/// rotted tiered file is restored too.
 #[test]
 fn store_cli_detects_rot_and_scrub_restores_the_file() {
     let dir = Dir::new("store_cli");
     store_csv(&dir);
-    dir.ok("store build --csv store.csv --out s.abpg --shards 4 --page-size 1024");
-    dir.ok("store verify --store s.abpg");
+    dir.ok("build --csv store.csv --out s.abpg --shards 4 --page-size 1024");
+    dir.ok("verify --index s.abpg");
     let pristine = dir.read("s.abpg");
 
     dir.flip("s.abpg", pristine.len() - 100);
-    dir.refused("store verify --store s.abpg", "damaged page");
-    dir.ok("store scrub --store s.abpg --csv store.csv");
+    dir.refused("verify --index s.abpg", "damaged page");
+    dir.ok("scrub --index s.abpg --csv store.csv");
     assert!(
         dir.read("s.abpg") == pristine,
         "scrub is not byte-identical"
     );
-    dir.ok("store verify --store s.abpg");
-    dir.ok("store scrub --store s.abpg");
+    dir.ok("verify --index s.abpg");
+    dir.ok("scrub --index s.abpg");
 
-    let tiered = "store build --csv store.csv --shards 4 --hier --hybrid --out";
+    // A pinned k: the repair rebuilds with the same one.
+    dir.ok("build --csv store.csv --out k.abpg --shards 4 --page-size 1024 --k 5");
+    let pristine = dir.read("k.abpg");
+    assert!(pristine != dir.read("s.abpg"), "--k 5 changed no byte");
+    dir.flip("k.abpg", pristine.len() - 100);
+    dir.refused("verify --index k.abpg", "damaged page");
+    dir.ok("scrub --index k.abpg --csv store.csv --k 5");
+    assert!(dir.read("k.abpg") == pristine, "--k 5 not restored");
+
+    let tiered = "build --csv store.csv --shards 4 --hier --hybrid --out";
     run(&mut dir.command(&["taskset", "-c", "0", ABQ], &format!("{tiered} one.abpg")))
         .unwrap_or_else(|e| panic!("taskset -c 0 abq {tiered} failed: {e}"));
     dir.ok(&format!("{tiered} all.abpg"));
@@ -623,8 +632,8 @@ fn store_cli_detects_rot_and_scrub_restores_the_file() {
     );
 
     dir.flip("one.abpg", pristine.len() - 100);
-    dir.refused("store verify --store one.abpg", "damaged page");
-    dir.ok("store scrub --store one.abpg --csv store.csv");
+    dir.refused("verify --index one.abpg", "damaged page");
+    dir.ok("scrub --index one.abpg --csv store.csv");
     assert!(dir.read("one.abpg") == pristine, "tiers not restored");
 }
 
@@ -635,10 +644,10 @@ fn store_cli_detects_rot_and_scrub_restores_the_file() {
 fn live_scrub_repairs_rot_without_changing_an_answer() {
     let dir = Dir::new("store_serve");
     let truth = store_csv(&dir);
-    dir.ok("store build --csv store.csv --out s.abpg --shards 4 --page-size 1024");
+    dir.ok("build --csv store.csv --out s.abpg --shards 4 --page-size 1024");
     let pristine = dir.read("s.abpg");
     let server = dir.serve(
-        "--store s.abpg --threads 4 --scrub-ms 200 --listen 127.0.0.1:0 \
+        "--index s.abpg --threads 4 --scrub-ms 200 --listen 127.0.0.1:0 \
          --telemetry-addr 127.0.0.1:0 --drain-ms 3000",
     );
     let (listen, telemetry) = (server.listen(), server.telemetry());
@@ -705,13 +714,11 @@ fn hier_pyramids_answer_as_flat_and_prune_under_load() {
     // α = 32 keeps the base AB's cell false-positive rate low enough
     // that empty regions read as empty.
     let flags = "--bins 16 --alpha 32 --shards 2";
-    let built = dir.ok(&format!(
-        "store build --csv hier.csv --out h.abpg {flags} --hier"
-    ));
+    let built = dir.ok(&format!("build --csv hier.csv --out h.abpg {flags} --hier"));
     assert!(built.contains("hier pyramids"), "{built}");
-    dir.ok("store verify --store h.abpg");
+    dir.ok("verify --index h.abpg");
 
-    let serve = format!("--store h.abpg --csv hier.csv {flags} --scrub-ms 0");
+    let serve = "--index h.abpg --scrub-ms 0";
     let queries = "v=0..0\nv=15..15\nv=3..5 rows 20000..80000\nv=9..9 rows 50000..99999\n\
                    v=7..7 rows 50000..99999\nv=0..15\nquit\n";
     let repl = format!("{serve} --limit 100000");
@@ -751,12 +758,12 @@ fn hybrid_tier_answers_exactly_and_fires_under_load() {
     // that the exact tier has false positives to remove.
     let flags = "--bins 16 --alpha 8 --shards 2";
     let built = dir.ok(&format!(
-        "store build --csv hybrid.csv --out h.abpg {flags} --hybrid"
+        "build --csv hybrid.csv --out h.abpg {flags} --hybrid"
     ));
     assert!(built.contains("32 exact-backed bins"), "{built}");
-    dir.ok("store verify --store h.abpg");
+    dir.ok("verify --index h.abpg");
 
-    let serve = format!("--store h.abpg --csv hybrid.csv {flags} --scrub-ms 0");
+    let serve = "--index h.abpg --scrub-ms 0";
     let rect = |lo, hi, rows: (usize, usize)| {
         RectQuery::new(vec![AttrRange::new(0, lo, hi)], rows.0, rows.1)
     };
@@ -822,8 +829,8 @@ fn hybrid_tier_answers_exactly_and_fires_under_load() {
     server.drain();
 }
 
-/// A bare `ABIX` file: `verify` refuses a flipped middle byte, and the
-/// index rebuilt from the CSV answers exactly as before.
+/// `verify` refuses a flipped byte of the index file, and the file
+/// rebuilt from the CSV answers exactly as before.
 #[test]
 fn rebuilt_index_answers_as_before_corruption() {
     let dir = Dir::new("chaos");
@@ -832,15 +839,16 @@ fn rebuilt_index_answers_as_before_corruption() {
         ("qty", column(500, |i| (i * 3) % 11)),
     ];
     dir.csv("chaos.csv", &columns, 10);
-    let query = "query --index chaos.ab --where price=0..3";
-    dir.ok("build --csv chaos.csv --out chaos.ab");
-    dir.ok("verify --index chaos.ab");
+    let query = "query --index chaos.abpg --where price=0..3";
+    dir.ok("build --csv chaos.csv --out chaos.abpg");
+    dir.ok("verify --index chaos.abpg");
     let before = dir.ok(query);
 
-    dir.flip("chaos.ab", dir.read("chaos.ab").len() / 2);
-    dir.refused("verify --index chaos.ab", "corrupted segment");
+    dir.flip("chaos.abpg", dir.read("chaos.abpg").len() - 100);
+    dir.refused("verify --index chaos.abpg", "damaged page");
+    dir.refused(query, "page");
 
-    dir.ok("build --csv chaos.csv --out chaos.ab");
-    dir.ok("verify --index chaos.ab");
+    dir.ok("build --csv chaos.csv --out chaos.abpg");
+    dir.ok("verify --index chaos.abpg");
     assert_eq!(dir.ok(query), before);
 }
