@@ -8,10 +8,10 @@
 //! * [`frame`] — the `ABQ/1` wire protocol: 16-byte versioned header,
 //!   length-prefixed payload, CRC-32 trailer (reusing [`ab::crc32`]),
 //!   typed error frames, incremental [`frame::FrameReader`];
-//! * [`sys`] — the readiness layer: epoll on Linux via hand-rolled
-//!   FFI, a portable poll(2) fallback (also selectable on Linux), and
-//!   SIGINT/SIGTERM capture for graceful drains;
-//! * [`server`] — the single-threaded event loop + bounded handler
+//! * [`sys`] — SIGINT/SIGTERM capture for graceful drains, the
+//!   crate's one `unsafe` site;
+//! * [`server`] — blocking `std::net` threads: one accept thread, and
+//!   per connection a reader and a writer, around a bounded handler
 //!   pool: pipelined requests per connection, admission control at
 //!   accept *and* dispatch (reusing [`svc::WorkerPool`] shedding),
 //!   per-request deadlines over the wire, graceful shutdown;
@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;

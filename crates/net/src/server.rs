@@ -1,48 +1,50 @@
-//! The non-blocking TCP front end.
+//! The blocking TCP front end, on plain `std::net`.
 //!
-//! One event-loop thread owns a [`crate::sys::Poller`] (epoll on Linux,
-//! poll(2) fallback), the listening socket, and every connection's
-//! read/write buffers. Frames are split off and CRC-checked
-//! incrementally per connection (pipelining falls out for free: every
-//! complete frame dispatches independently and responses are matched
-//! by request id, not arrival order), and each query frame becomes one
-//! job on a bounded [`svc::WorkerPool`] of handler threads — so the
-//! service's admission-control story extends to the wire: a full
-//! handler queue sheds the request with a retryable `overloaded` error
-//! *frame* instead of queueing unboundedly, and connections beyond
-//! [`NetConfig::max_connections`] are shed at accept.
+//! One accept thread admits connections up to
+//! [`NetConfig::max_connections`] and sheds the rest at accept. Each
+//! admitted connection gets two threads:
 //!
-//! The loop is the one thread every connection shares, so it does only
-//! what it must: socket reads and writes, frame boundaries and the
-//! checksum (a corrupt frame costs the connection, which only the loop
-//! can close), and the answers that need no work (ping, schema, unknown
-//! kind, `shutdown` while draining). Handlers never touch sockets. They
-//! decode the query payload, run it against the shared
-//! [`svc::Service`], encode the response, push it onto a shared outbox,
-//! and nudge the loop through a wake socketpair; the loop owns all
-//! writes (with partial-write carry) so a slow client can never block a
-//! handler thread.
+//! * a **reader** reads the socket into a [`FrameReader`], splits off
+//!   frames and checks their CRCs (a frame that fails costs the
+//!   connection), answers what takes no work itself — ping, schema, an
+//!   unknown kind, anything while draining — and hands each query frame,
+//!   still encoded, to a bounded [`svc::WorkerPool`] of handler threads.
+//!   A full handler queue sheds the request with a retryable
+//!   `overloaded` error *frame* instead of queueing unboundedly.
+//! * a **writer** drains the connection's channel of encoded answers
+//!   into the socket.
+//!
+//! Handlers decode the query payload, run it against the shared
+//! [`svc::Service`], encode the response and push it onto the
+//! connection's channel. They never touch a socket, so a client that
+//! stops reading stalls only its own writer. Pipelining falls out:
+//! every frame dispatches independently and responses are matched by
+//! request id, not arrival order.
+//!
+//! The reader stops at EOF, a read error or a fatal frame error; the
+//! writer exits, and the connection closes, once the reader and every
+//! handler still holding the channel are done. A client may pipeline,
+//! shut down its write side, and still get every answer.
 //!
 //! ## Graceful shutdown
 //!
 //! [`NetServer::shutdown`] stops accepting, answers any *newly*
 //! arriving frame with a typed `shutdown` error, and waits — up to a
-//! bounded drain deadline — for in-flight requests to finish and
-//! their responses to flush before closing connections and joining
-//! the loop. `abq serve` drives this from SIGINT/SIGTERM.
+//! bounded drain deadline — until every frame read has had its answer
+//! written, then closes every connection and joins every thread.
+//! `abq serve` drives this from SIGINT/SIGTERM.
 
 use crate::frame::{
     decode_request, encode_response, kind, ErrorCode, Frame, FrameError, FrameReader, Request,
     Response, Schema,
 };
-use crate::sys::{Interest, Poller};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use svc::{Deadline, RequestCtx, Service, SvcError, WorkerPool};
 
@@ -50,10 +52,11 @@ use svc::{Deadline, RequestCtx, Service, SvcError, WorkerPool};
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Connections beyond this are shed at accept (counted in
-    /// `net.shed_at_accept`).
+    /// `net.shed_at_accept`). Each admitted connection runs two
+    /// threads.
     pub max_connections: usize,
-    /// Handler threads bridging the loop to the blocking service;
-    /// `0` means "same as the service's worker count".
+    /// Handler threads between the connections and the blocking
+    /// service; `0` means "same as the service's worker count".
     pub handlers: usize,
     /// Bounded handler-queue capacity; requests beyond this depth are
     /// shed with a retryable `overloaded` error frame.
@@ -61,87 +64,65 @@ pub struct NetConfig {
     /// Deadline applied to requests that arrive with `deadline_ms ==
     /// 0`; `0` here means no default.
     pub default_deadline_ms: u32,
-    /// Use the portable poll(2) backend even where epoll exists.
-    pub force_poll: bool,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            max_connections: 1024,
+            max_connections: 64,
             handlers: 0,
             handler_queue: 256,
             default_deadline_ms: 0,
-            force_poll: false,
         }
     }
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
 /// How long the drained condition must hold before a graceful drain
 /// concludes. Bytes a client wrote just before requesting shutdown
-/// can still be in flight through the loopback/TCP stack when the
-/// drain flag lands; lingering a few poll rounds lets them arrive and
-/// get their typed `shutdown` answers instead of a bare close.
+/// can still be in flight through the loopback/TCP stack, or read but
+/// not yet split into frames, when the drain flag lands; lingering
+/// lets them arrive and get their typed `shutdown` answers instead of
+/// a bare close.
 const QUIESCE_LINGER: Duration = Duration::from_millis(25);
 
-/// State shared between the event loop, handler threads, and the
-/// owning [`NetServer`] handle.
+/// An encoded response frame on its way to a connection's writer.
+type Outgoing = Sender<Vec<u8>>;
+
+/// State shared by the accept, reader and writer threads and the
+/// owning [`NetServer`].
 struct Shared {
-    /// Encoded response frames awaiting the loop, tagged by
-    /// connection token. Dead tokens are silently discarded.
-    outbox: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Writing one byte here wakes the loop out of `wait`.
-    wake_tx: Mutex<UnixStream>,
-    /// Requests dispatched to handlers whose responses have not yet
-    /// been pushed to the outbox.
+    service: Arc<Service>,
+    pool: WorkerPool,
+    cfg: NetConfig,
+    /// The listening port, in thread names.
+    port: u16,
+    /// Frames read whose answer has not yet been written (or, on a
+    /// broken connection, dropped).
     in_flight: AtomicUsize,
     /// Raised by [`NetServer::shutdown`]: stop accepting, answer new
-    /// frames with `shutdown`, drain, exit.
+    /// frames with `shutdown`.
     draining: AtomicBool,
-    /// Drain budget (ms) set before `draining`; the loop computes its
-    /// absolute deadline when it first observes the flag.
-    drain_ms: AtomicU64,
+    conns: Mutex<Conns>,
 }
 
 impl Shared {
-    fn wake(&self) {
-        let _ = self.wake_tx.lock().unwrap().write(&[1]);
-    }
-
-    fn push_response(&self, token: u64, bytes: Vec<u8>) {
-        self.outbox.lock().unwrap().push((token, bytes));
-        self.wake();
+    /// Every update of [`Conns`] is one insert, remove or push, so the
+    /// registry is whole even if a thread panicked holding the lock.
+    fn conns(&self) -> MutexGuard<'_, Conns> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// One accepted connection's loop-side state.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    /// Encoded-but-unsent response bytes ...
-    out: Vec<u8>,
-    /// ... and how far into them the kernel has accepted.
-    out_at: usize,
-    /// Currently registered with write interest.
-    want_write: bool,
-    /// Stop reading and close once `out` drains (fatal frame error or
-    /// peer EOF).
-    closing: bool,
-    /// Requests from this connection still out at handler threads.
-    /// A half-closed (EOF) connection is kept alive until these come
-    /// back — a client may pipeline, shut down its write side, and
-    /// still expect every answer.
-    pending: usize,
-}
-
-impl Conn {
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_at
-    }
+/// The admitted connections and their threads.
+#[derive(Default)]
+struct Conns {
+    next_id: u64,
+    /// Each open connection's socket, for the drain to shut down. An
+    /// entry holds one of the `max_connections` slots; the connection's
+    /// writer removes it as it exits.
+    open: HashMap<u64, Arc<TcpStream>>,
+    /// Reader and writer threads not yet joined.
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// A running TCP front end. Dropping the handle without calling
@@ -149,12 +130,11 @@ impl Conn {
 pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    backend: &'static str,
-    join: Option<std::thread::JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
-    /// Binds `addr`, spawns the event loop and handler pool, and
+    /// Binds `addr`, spawns the accept thread and handler pool, and
     /// starts serving `service`.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
@@ -162,15 +142,7 @@ impl NetServer {
         cfg: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        let mut poller = Poller::new(cfg.force_poll)?;
-        let backend = poller.backend();
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
 
         // Pre-touch the listener counters so they appear in /metrics
         // (and /healthz) from the first scrape, not the first error.
@@ -186,43 +158,28 @@ impl NetServer {
             obs::global().counter(name).add(0);
         }
 
-        let shared = Arc::new(Shared {
-            outbox: Mutex::new(Vec::new()),
-            wake_tx: Mutex::new(wake_tx),
-            in_flight: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            drain_ms: AtomicU64::new(0),
-        });
         let handlers = if cfg.handlers > 0 {
             cfg.handlers
         } else {
             service.threads()
         };
-        let pool = WorkerPool::new(handlers, cfg.handler_queue.max(1));
-        let loop_shared = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name("net-loop".into())
-            .spawn(move || {
-                EventLoop {
-                    poller,
-                    listener,
-                    wake_rx,
-                    service,
-                    pool,
-                    shared: loop_shared,
-                    cfg,
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN_TOKEN,
-                    drain_deadline: None,
-                    drained_since: None,
-                }
-                .run();
-            })?;
+        let shared = Arc::new(Shared {
+            pool: WorkerPool::new(handlers, cfg.handler_queue.max(1)),
+            service,
+            cfg,
+            port: local_addr.port(),
+            in_flight: AtomicUsize::new(0),
+            draining: AtomicBool::new(false),
+            conns: Mutex::default(),
+        });
+        let accept_shared = Arc::clone(&shared);
+        let accept = spawn(format!("net-a:{}", local_addr.port()), move || {
+            accept_loop(&listener, &accept_shared)
+        })?;
         Ok(NetServer {
             shared,
             local_addr,
-            backend,
-            join: Some(join),
+            accept: Some(accept),
         })
     }
 
@@ -231,32 +188,60 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Which readiness backend the loop runs on (`"epoll"`/`"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// Requests currently dispatched to handlers.
+    /// Requests read whose answers have not yet been written.
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Relaxed)
     }
 
     /// Graceful shutdown: stop accepting, give in-flight requests up
-    /// to `drain` to finish and flush, then close everything and join
-    /// the loop.
+    /// to `drain` to finish and flush, then close every connection and
+    /// join every thread.
     pub fn shutdown(mut self, drain: Duration) {
         self.shutdown_inner(drain);
     }
 
     fn shutdown_inner(&mut self, drain: Duration) {
-        if let Some(join) = self.join.take() {
-            self.shared.drain_ms.store(
-                drain.as_millis().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
-            self.shared.draining.store(true, Ordering::Relaxed);
-            self.shared.wake();
-            let _ = join.join();
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        let deadline = Instant::now() + drain;
+        self.shared.draining.store(true, Ordering::Relaxed);
+        // A connection of our own wakes the accept thread out of
+        // `accept`; it admits the backlog and returns.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = accept.join();
+        }
+        let mut quiet_since = None;
+        loop {
+            let now = Instant::now();
+            if self.shared.in_flight.load(Ordering::Relaxed) > 0 {
+                quiet_since = None;
+            } else if now - *quiet_since.get_or_insert(now) >= QUIESCE_LINGER {
+                break;
+            }
+            if now >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Shutting a socket down wakes its reader, idle or not; its
+        // writer follows once the handlers it waits on are done.
+        let threads = {
+            let mut conns = self.shared.conns();
+            for stream in conns.open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            std::mem::take(&mut conns.threads)
+        };
+        for t in threads {
+            let _ = t.join();
         }
     }
 }
@@ -267,400 +252,192 @@ impl Drop for NetServer {
     }
 }
 
-struct EventLoop {
-    poller: Poller,
-    listener: TcpListener,
-    wake_rx: UnixStream,
-    service: Arc<Service>,
-    pool: WorkerPool,
-    shared: Arc<Shared>,
-    cfg: NetConfig,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    drain_deadline: Option<Instant>,
-    drained_since: Option<Instant>,
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
 }
 
-impl EventLoop {
-    fn run(mut self) {
-        let mut events = Vec::new();
-        loop {
-            let draining = self.shared.draining.load(Ordering::Relaxed);
-            if draining && self.drain_deadline.is_none() {
-                // First sight of the flag: stop accepting and start
-                // the bounded drain clock.
-                // Connections whose handshake already completed sit
-                // in the accept backlog; dropping the listener would
-                // RST them. Admit them first so their requests get
-                // typed `shutdown` answers, then stop accepting.
-                self.accept_ready();
-                let _ = self.poller.deregister(self.listener.as_raw_fd());
-                let budget = Duration::from_millis(self.shared.drain_ms.load(Ordering::Relaxed));
-                self.drain_deadline = Some(Instant::now() + budget);
-                // Requests already sitting in kernel socket buffers
-                // deserve an answer (typed `shutdown` frames) before
-                // the drained check can declare victory — sweep-read
-                // every connection once instead of waiting for a
-                // readiness event that the break below would outrun.
-                let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                for t in tokens {
-                    self.conn_ready(t, true, false);
-                }
-                self.flush_outbox();
-            }
-            if let Some(deadline) = self.drain_deadline {
-                // in_flight is decremented only *after* the response
-                // lands in the outbox, so this ordering can't lose a
-                // response that is still being encoded.
-                let drained = self.shared.in_flight.load(Ordering::Relaxed) == 0
-                    && self.shared.outbox.lock().unwrap().is_empty()
-                    && self.conns.values().all(|c| c.out_pending() == 0);
-                if drained {
-                    // Drained must hold for a linger window: answers
-                    // can flush out while the client's final requests
-                    // are still in flight toward us.
-                    let since = *self.drained_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= QUIESCE_LINGER || Instant::now() >= deadline {
-                        break;
-                    }
-                } else {
-                    self.drained_since = None;
-                    if Instant::now() >= deadline {
-                        break;
-                    }
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    for stream in listener.incoming() {
+        if let Ok(stream) = stream {
+            admit(shared, stream);
+        }
+        if shared.draining.load(Ordering::Relaxed) {
+            // Connections whose handshake already completed sit in the
+            // backlog, and dropping the listener would reset them.
+            // Admit them, so their requests get typed `shutdown`
+            // answers, then stop accepting.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    admit(shared, stream);
                 }
             }
-            let timeout = self.drain_deadline.map(|d| {
-                d.saturating_duration_since(Instant::now())
-                    .min(Duration::from_millis(5))
-            });
-            if self.poller.wait(&mut events, timeout).is_err() {
-                break;
-            }
-            let batch = std::mem::take(&mut events);
-            for ev in batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.drain_wake(),
-                    token => self.conn_ready(token, ev.readable, ev.writable),
-                }
-            }
-            self.flush_outbox();
-        }
-        // Drain deadline reached (or everything finished): close all.
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for t in tokens {
-            self.close_conn(t);
-        }
-        // Handler pool Drop runs remaining queued jobs' drop glue and
-        // joins its threads; any stragglers push to an outbox no one
-        // reads, which is fine.
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.conns.len() >= self.cfg.max_connections {
-                        obs::counter!("net.shed_at_accept").inc();
-                        drop(stream); // immediate close = shed signal
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    obs::counter!("net.accepted").inc();
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            reader: FrameReader::new(),
-                            out: Vec::new(),
-                            out_at: 0,
-                            want_write: false,
-                            closing: false,
-                            pending: 0,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 64];
-        loop {
-            match self.wake_rx.read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Moves handler-produced responses into their connections' write
-    /// buffers and flushes what the kernel will take.
-    fn flush_outbox(&mut self) {
-        let ready: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *self.shared.outbox.lock().unwrap());
-        let mut touched: Vec<u64> = Vec::new();
-        for (token, bytes) in ready {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.out.extend_from_slice(&bytes);
-                conn.pending = conn.pending.saturating_sub(1);
-                obs::counter!("net.frames_tx").inc();
-                if !touched.contains(&token) {
-                    touched.push(token);
-                }
-            }
-        }
-        for token in touched {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Writes as much of a connection's buffer as the kernel accepts,
-    /// keeping write interest registered only while bytes remain.
-    fn flush_conn(&mut self, token: u64) {
-        let mut close = false;
-        let Some(conn) = self.conns.get_mut(&token) else {
             return;
+        }
+    }
+}
+
+/// Gives `stream` a slot, a writer and a reader — or sheds it.
+fn admit(shared: &Arc<Shared>, stream: TcpStream) {
+    let mut conns = shared.conns();
+    for t in conns.threads.extract_if(.., |t| t.is_finished()) {
+        let _ = t.join();
+    }
+    if conns.open.len() >= shared.cfg.max_connections {
+        obs::counter!("net.shed_at_accept").inc();
+        return; // dropping the stream closes it: the shed signal
+    }
+    // A socket accepted by the drain's non-blocking sweep may inherit
+    // that mode on some platforms.
+    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
+        return;
+    }
+    let id = conns.next_id;
+    conns.next_id += 1;
+    let stream = Arc::new(stream);
+    let (tx, rx) = mpsc::channel();
+    let (w_shared, w_stream) = (Arc::clone(shared), Arc::clone(&stream));
+    let Ok(writer) = spawn(format!("net-w:{}", shared.port), move || {
+        write_loop(&w_shared, id, &w_stream, rx)
+    }) else {
+        return;
+    };
+    conns.threads.push(writer);
+    let (r_shared, r_stream) = (Arc::clone(shared), Arc::clone(&stream));
+    let Ok(reader) = spawn(format!("net-r:{}", shared.port), move || {
+        read_loop(&r_shared, &r_stream, &tx)
+    }) else {
+        return; // the writer sees its channel close and exits
+    };
+    conns.threads.push(reader);
+    conns.open.insert(id, stream);
+    obs::counter!("net.accepted").inc();
+}
+
+fn read_loop(shared: &Shared, stream: &TcpStream, tx: &Outgoing) {
+    let mut reader = FrameReader::new();
+    let mut buf = vec![0u8; 16 * 1024];
+    loop {
+        let n = match (&*stream).read(&mut buf) {
+            Ok(0) => return, // EOF: the writer still sends what is owed
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
         };
-        while conn.out_at < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_at..]) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.out_at += n;
-                    obs::counter!("net.bytes_tx").add(n as u64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
-        }
-        if !close {
-            if conn.out_at >= conn.out.len() {
-                conn.out.clear();
-                conn.out_at = 0;
-                if conn.closing && conn.pending == 0 {
-                    close = true;
-                } else if conn.want_write {
-                    conn.want_write = false;
-                    let fd = conn.stream.as_raw_fd();
-                    let _ = self.poller.reregister(fd, token, Interest::READ);
-                }
-            } else if !conn.want_write {
-                conn.want_write = true;
-                let fd = conn.stream.as_raw_fd();
-                let _ = self.poller.reregister(fd, token, Interest::READ_WRITE);
-            }
-        }
-        if close {
-            self.close_conn(token);
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool) {
-        if writable {
-            self.flush_conn(token);
-        }
-        if !readable || !self.conns.contains_key(&token) {
-            return;
-        }
-        // Read everything available (level-triggered on both
-        // backends, but draining now saves a wait round-trip).
-        let mut eof = false;
-        let mut read_error = false;
-        let mut buf = [0u8; 16 * 1024];
-        {
-            let conn = self.conns.get_mut(&token).unwrap();
-            if conn.closing {
-                return; // no longer reading; waiting for out to drain
-            }
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        obs::counter!("net.bytes_rx").add(n as u64);
-                        conn.reader.push(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        read_error = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if read_error {
-            self.close_conn(token);
-            return;
-        }
-        // Extract and dispatch complete frames. Re-borrow per frame:
-        // dispatch needs `&mut self` for shed bookkeeping.
+        obs::counter!("net.bytes_rx").add(n as u64);
+        reader.push(&buf[..n]);
         loop {
-            let next = match self.conns.get_mut(&token) {
-                Some(conn) => conn.reader.next_frame(),
-                None => return,
-            };
-            match next {
-                Ok(Some(f)) => {
+            match reader.next_frame() {
+                Ok(Some(frame)) => {
                     obs::counter!("net.frames_rx").inc();
-                    self.dispatch(token, f);
+                    dispatch(shared, tx, frame);
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    // Fatal framing error: stream desynchronised.
-                    // One typed error frame, then close after flush.
+                    // Fatal framing error: the stream is
+                    // desynchronised. One typed error frame, then stop
+                    // reading; the writer closes after sending it.
                     obs::counter!("net.protocol_errors").inc();
+                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
                     let resp = Response::Error {
                         code: e.code(),
                         retryable: false,
                         message: e.to_string(),
                     };
-                    let bytes = encode_response(0, &resp);
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.out.extend_from_slice(&bytes);
-                        conn.closing = true;
-                        obs::counter!("net.frames_tx").inc();
-                    }
-                    self.flush_conn(token);
+                    let _ = tx.send(encode_response(0, &resp));
                     return;
                 }
             }
         }
-        if eof {
-            let drain_out = self
-                .conns
-                .get(&token)
-                .is_some_and(|c| c.out_pending() > 0 || c.pending > 0);
-            if drain_out {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.closing = true;
-                }
+    }
+}
+
+/// Writes each answer as it arrives. The channel closes once the
+/// reader and every handler holding a sender are done; that, not the
+/// peer, is what closes the connection.
+fn write_loop(shared: &Shared, id: u64, stream: &TcpStream, rx: Receiver<Vec<u8>>) {
+    let mut broken = false;
+    for bytes in rx {
+        if !broken {
+            broken = (&*stream).write_all(&bytes).is_err();
+            if broken {
+                // Wake the reader; what is still owed is dropped.
+                let _ = stream.shutdown(Shutdown::Both);
             } else {
-                self.close_conn(token);
+                obs::counter!("net.bytes_tx").add(bytes.len() as u64);
+                obs::counter!("net.frames_tx").inc();
             }
         }
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
+    if shared.conns().open.remove(&id).is_some() {
+        obs::counter!("net.conn_closed").inc();
+    }
+}
 
-    /// Routes one complete, CRC-verified frame. The loop itself only
-    /// answers what costs nothing to decode — ping, schema, an unknown
-    /// kind, anything at all while draining; a query frame goes to the
-    /// bounded handler pool still encoded, so that decoding its
-    /// payload (tens of µs for a large cell list) is a handler's work
-    /// and never holds up the other connections.
-    fn dispatch(&mut self, token: u64, frame: Frame) {
-        obs::counter!("net.requests").inc();
-        let request_id = frame.request_id;
-        if self.shared.draining.load(Ordering::Relaxed) {
-            self.respond_inline(
-                token,
-                request_id,
-                Response::Error {
-                    code: ErrorCode::Shutdown,
-                    retryable: false,
-                    message: "server draining".into(),
-                },
-            );
-            return;
+/// Routes one complete, CRC-verified frame. The reader itself only
+/// answers what costs nothing to decode — ping, schema, an unknown
+/// kind, anything at all while draining; a query frame goes to the
+/// bounded handler pool still encoded, so that decoding its payload
+/// (tens of µs for a large cell list) is a handler's work.
+fn dispatch(shared: &Shared, tx: &Outgoing, frame: Frame) {
+    obs::counter!("net.requests").inc();
+    shared.in_flight.fetch_add(1, Ordering::Relaxed);
+    let request_id = frame.request_id;
+    let resp = if shared.draining.load(Ordering::Relaxed) {
+        Response::Error {
+            code: ErrorCode::Shutdown,
+            retryable: false,
+            message: "server draining".into(),
         }
-        if !matches!(frame.kind, kind::RECT | kind::CELLS | kind::BATCH) {
-            let resp = match decode_request(&frame) {
-                Ok(Request::Ping) => Response::Pong,
-                Ok(Request::Schema) => {
-                    let index = self.service.index();
-                    Response::Schema(Schema {
-                        num_rows: index.num_rows() as u64,
-                        cardinalities: index.attributes().iter().map(|a| a.cardinality).collect(),
-                    })
-                }
-                Ok(_) => unreachable!("query kinds go to the handlers"),
-                Err(e) => malformed_response(&e),
-            };
-            self.respond_inline(token, request_id, resp);
-            return;
+    } else if !matches!(frame.kind, kind::RECT | kind::CELLS | kind::BATCH) {
+        match decode_request(&frame) {
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Schema) => {
+                let index = shared.service.index();
+                Response::Schema(Schema {
+                    num_rows: index.num_rows() as u64,
+                    cardinalities: index.attributes().iter().map(|a| a.cardinality).collect(),
+                })
+            }
+            Ok(_) => unreachable!("query kinds go to the handlers"),
+            Err(e) => malformed_response(&e),
         }
-        let shared = Arc::clone(&self.shared);
-        let service = Arc::clone(&self.service);
-        let default_deadline_ms = self.cfg.default_deadline_ms;
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        let job_shared = Arc::clone(&shared);
-        if let Err(e) = self.pool.try_execute(move || {
-            // A payload that does not decode gets the same typed
-            // answer, under its own id, the loop used to give; the
-            // frame itself was sound, so the connection lives on.
+    } else {
+        let service = Arc::clone(&shared.service);
+        let default_deadline_ms = shared.cfg.default_deadline_ms;
+        let job_tx = tx.clone();
+        let queued = shared.pool.try_execute(move || {
+            // A payload that does not decode gets a typed answer under
+            // its own id; the frame itself was sound, so the
+            // connection lives on.
             let resp = match decode_request(&frame) {
                 Ok(req) => handle(&service, req, default_deadline_ms),
                 Err(e) => malformed_response(&e),
             };
-            let bytes = encode_response(request_id, &resp);
-            obs::counter!("net.responses").inc();
-            // Push first, decrement second: the drain check reads
-            // in_flight==0 as "every response is in the outbox or
-            // beyond".
-            job_shared.push_response(token, bytes);
-            job_shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        }) {
-            // Admission control at dispatch: typed retryable error
+            respond(&job_tx, request_id, &resp);
+        });
+        match queued {
+            Ok(()) => return,
+            // Admission control at dispatch: a typed retryable error
             // frame instead of an unbounded queue.
-            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            obs::counter!("net.shed_at_dispatch").inc();
-            self.respond_inline(
-                token,
-                request_id,
+            Err(e) => {
+                obs::counter!("net.shed_at_dispatch").inc();
                 Response::Error {
                     code: ErrorCode::Overloaded,
                     retryable: true,
                     message: e.to_string(),
-                },
-            );
-        } else if let Some(conn) = self.conns.get_mut(&token) {
-            // Keep the connection alive (even through peer EOF) until
-            // this response makes it back.
-            conn.pending += 1;
+                }
+            }
         }
-    }
+    };
+    respond(tx, request_id, &resp);
+}
 
-    fn respond_inline(&mut self, token: u64, request_id: u64, resp: Response) {
-        obs::counter!("net.responses").inc();
-        let bytes = encode_response(request_id, &resp);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.out.extend_from_slice(&bytes);
-            obs::counter!("net.frames_tx").inc();
-        }
-        self.flush_conn(token);
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            obs::counter!("net.conn_closed").inc();
-        }
-    }
+/// Encodes one answer onto its connection's writer channel. The writer
+/// outlives every sender, so the send cannot fail.
+fn respond(tx: &Outgoing, request_id: u64, resp: &Response) {
+    obs::counter!("net.responses").inc();
+    let _ = tx.send(encode_response(request_id, resp));
 }
 
 /// The typed answer to a frame whose payload does not decode. Such
@@ -776,7 +553,7 @@ fn handle(service: &Service, req: Request, default_deadline_ms: u32) -> Response
                 Err(e) => svc_error_response(e),
             }
         }
-        Request::Ping | Request::Schema => unreachable!("answered inline by the loop"),
+        Request::Ping | Request::Schema => unreachable!("answered inline by the reader"),
     };
     let us = start.elapsed().as_micros() as u64;
     match kind {

@@ -1,14 +1,15 @@
 //! End-to-end tests over real loopback sockets: differential
 //! (socket answers bit-identical to in-process), pipelined-response
 //! matching by request id, admission control, deadlines over the
-//! wire, and graceful shutdown draining.
+//! wire, graceful shutdown draining, and the per-connection threads:
+//! a stalled client, an idle one, and a reused slot.
 
 use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use net::frame::{kind, Request, Response};
 use net::{Client, ErrorCode, NetConfig, NetError, NetServer};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use svc::{Service, SvcConfig};
 
 fn table(n: usize) -> BinnedTable {
@@ -50,112 +51,98 @@ fn rect(a: usize, lo: u32, hi: u32, rl: usize, rh: usize) -> RectQuery {
     RectQuery::new(vec![AttrRange::new(a, lo, hi)], rl, rh)
 }
 
-/// Runs a body against both readiness backends so the poll(2)
-/// fallback stays as honest as epoll.
-fn both_backends(f: impl Fn(NetConfig)) {
-    f(NetConfig::default());
-    f(NetConfig {
-        force_poll: true,
-        ..NetConfig::default()
-    });
-}
-
 #[test]
 fn socket_answers_are_bit_identical_to_in_process() {
     let svc = service(500);
-    both_backends(|cfg| {
-        let server = start(&svc, cfg);
-        let mut client = Client::connect(server.local_addr()).unwrap();
+    let server = start(&svc, NetConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
-        for q in [
-            rect(0, 1, 4, 0, 499),
-            rect(1, 0, 2, 13, 400),
-            RectQuery::new(
-                vec![AttrRange::new(0, 0, 5), AttrRange::new(1, 1, 3)],
-                250,
-                260,
-            ),
-            RectQuery::new(vec![], 490, 499),
-        ] {
-            let wire = client.query_rect(&q, 0).unwrap();
-            let local: Vec<u64> = svc
-                .try_query_rect(&q)
-                .unwrap()
-                .value
-                .into_iter()
-                .map(|r| r as u64)
-                .collect();
-            assert_eq!(wire, local, "socket result differs for {q:?}");
-        }
-
-        // Cells: probe every row's true bin — all true over the wire.
-        let t = table(500);
-        let cells: Vec<ab::Cell> = (0..500)
-            .step_by(7)
-            .map(|r| ab::Cell::new(r, 0, t.column(0).bins[r]))
-            .collect();
-        let wire = client.retrieve_cells(&cells, 0).unwrap();
-        let local = svc.try_retrieve_cells(&cells).unwrap().value;
-        assert_eq!(wire, local);
-        assert!(wire.iter().all(|&b| b), "false negative over the wire");
-
-        // Batch matches per-query results.
-        let qs = vec![rect(0, 0, 2, 0, 499), rect(1, 1, 3, 100, 250)];
-        let wire = client.query_batch(&qs, 0).unwrap();
-        let local: Vec<Vec<u64>> = svc
-            .try_query_batch(&qs)
+    for q in [
+        rect(0, 1, 4, 0, 499),
+        rect(1, 0, 2, 13, 400),
+        RectQuery::new(
+            vec![AttrRange::new(0, 0, 5), AttrRange::new(1, 1, 3)],
+            250,
+            260,
+        ),
+        RectQuery::new(vec![], 490, 499),
+    ] {
+        let wire = client.query_rect(&q, 0).unwrap();
+        let local: Vec<u64> = svc
+            .try_query_rect(&q)
             .unwrap()
             .value
             .into_iter()
-            .map(|rows| rows.into_iter().map(|r| r as u64).collect())
+            .map(|r| r as u64)
             .collect();
-        assert_eq!(wire, local);
+        assert_eq!(wire, local, "socket result differs for {q:?}");
+    }
 
-        server.shutdown(Duration::from_secs(2));
-    });
+    // Cells: probe every row's true bin — all true over the wire.
+    let t = table(500);
+    let cells: Vec<ab::Cell> = (0..500)
+        .step_by(7)
+        .map(|r| ab::Cell::new(r, 0, t.column(0).bins[r]))
+        .collect();
+    let wire = client.retrieve_cells(&cells, 0).unwrap();
+    let local = svc.try_retrieve_cells(&cells).unwrap().value;
+    assert_eq!(wire, local);
+    assert!(wire.iter().all(|&b| b), "false negative over the wire");
+
+    // Batch matches per-query results.
+    let qs = vec![rect(0, 0, 2, 0, 499), rect(1, 1, 3, 100, 250)];
+    let wire = client.query_batch(&qs, 0).unwrap();
+    let local: Vec<Vec<u64>> = svc
+        .try_query_batch(&qs)
+        .unwrap()
+        .value
+        .into_iter()
+        .map(|rows| rows.into_iter().map(|r| r as u64).collect())
+        .collect();
+    assert_eq!(wire, local);
+
+    server.shutdown(Duration::from_secs(2));
 }
 
 #[test]
 fn pipelined_responses_match_by_request_id() {
     let svc = service(400);
-    both_backends(|cfg| {
-        let server = start(&svc, cfg);
-        let mut client = Client::connect(server.local_addr()).unwrap();
+    let server = start(&svc, NetConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
-        // Queue 24 different requests before reading anything.
-        let queries: Vec<RectQuery> = (0..24)
-            .map(|i| rect(i % 2, 0, (i as u32 % 3) + 1, (i * 7) % 300, 399))
+    // Queue 24 different requests before reading anything.
+    let queries: Vec<RectQuery> = (0..24)
+        .map(|i| rect(i % 2, 0, (i as u32 % 3) + 1, (i * 7) % 300, 399))
+        .collect();
+    let mut expected = std::collections::HashMap::new();
+    for q in &queries {
+        let id = client
+            .send(&Request::Rect {
+                deadline_ms: 0,
+                query: q.clone(),
+            })
+            .unwrap();
+        let local: Vec<u64> = svc
+            .try_query_rect(q)
+            .unwrap()
+            .value
+            .into_iter()
+            .map(|r| r as u64)
             .collect();
-        let mut expected = std::collections::HashMap::new();
-        for q in &queries {
-            let id = client
-                .send(&Request::Rect {
-                    deadline_ms: 0,
-                    query: q.clone(),
-                })
-                .unwrap();
-            let local: Vec<u64> = svc
-                .try_query_rect(q)
-                .unwrap()
-                .value
-                .into_iter()
-                .map(|r| r as u64)
-                .collect();
-            expected.insert(id, local);
+        expected.insert(id, local);
+    }
+    // Responses may arrive in any order; every id must appear
+    // exactly once with the right (bit-identical) answer.
+    for _ in 0..queries.len() {
+        let (id, resp) = client.recv().unwrap();
+        let want = expected.remove(&id).expect("duplicate or unknown id");
+        match resp {
+            Response::Rect { rows, .. } => assert_eq!(rows, want, "wrong rows for id {id}"),
+            other => panic!("unexpected response {other:?}"),
         }
-        // Responses may arrive in any order; every id must appear
-        // exactly once with the right (bit-identical) answer.
-        for _ in 0..queries.len() {
-            let (id, resp) = client.recv().unwrap();
-            let want = expected.remove(&id).expect("duplicate or unknown id");
-            match resp {
-                Response::Rect { rows, .. } => assert_eq!(rows, want, "wrong rows for id {id}"),
-                other => panic!("unexpected response {other:?}"),
-            }
-        }
-        assert!(expected.is_empty());
-        server.shutdown(Duration::from_secs(2));
-    });
+    }
+    assert!(expected.is_empty());
+    server.shutdown(Duration::from_secs(2));
 }
 
 #[test]
@@ -360,5 +347,133 @@ fn unknown_kind_keeps_connection_alive() {
         .unwrap();
     let (id, resp) = client.recv().unwrap();
     assert_eq!((id, resp), (10, Response::Pong));
+    server.shutdown(Duration::from_secs(2));
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_only_its_own_connection() {
+    // An all-rows rect over 32 768 rows answers with 256 KiB, so 64 of
+    // them overrun what the two socket buffers hold and the stalled
+    // connection's writer blocks in `write`. Were the handlers to
+    // write, both would block there and the other client's rect would
+    // never be answered.
+    let rows = 1 << 15;
+    let svc = service(rows);
+    let server = start(&svc, NetConfig::default());
+    let mut stalled = Client::connect(server.local_addr()).unwrap();
+    let all = RectQuery::new(vec![], 0, rows - 1);
+    for _ in 0..64 {
+        stalled
+            .send(&Request::Rect {
+                deadline_ms: 0,
+                query: all.clone(),
+            })
+            .unwrap();
+    }
+    let t = Instant::now();
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    other.ping().unwrap();
+    let q = rect(0, 1, 4, 0, rows - 1);
+    let want: Vec<u64> = svc
+        .try_query_rect(&q)
+        .unwrap()
+        .value
+        .into_iter()
+        .map(|r| r as u64)
+        .collect();
+    assert_eq!(other.query_rect(&q, 0).unwrap(), want);
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        t.elapsed()
+    );
+    server.shutdown(Duration::from_millis(200));
+}
+
+/// This process's threads that serve `port`, by name.
+#[cfg(target_os = "linux")]
+fn server_threads(port: u16) -> Vec<String> {
+    let suffix = format!(":{port}");
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with("net-") && name.ends_with(&suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn an_idle_connection_does_not_hold_up_the_drain() {
+    let svc = service(100);
+    let server = start(&svc, NetConfig::default());
+    let port = server.local_addr().port();
+    let mut idle = Client::connect(server.local_addr()).unwrap();
+    idle.ping().unwrap(); // admitted, and silent from here on
+    #[cfg(target_os = "linux")]
+    assert_eq!(
+        server_threads(port),
+        [
+            format!("net-a:{port}"),
+            format!("net-r:{port}"),
+            format!("net-w:{port}")
+        ]
+    );
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown(Duration::from_millis(200));
+        let _ = done_tx.send(());
+    });
+    done.recv_timeout(Duration::from_secs(1))
+        .expect("an idle connection held the drain past 1 s");
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(
+        matches!(idle.recv(), Err(NetError::Io(_))),
+        "the drain must close the idle connection"
+    );
+    // A joined thread can stay listed for a moment after its join.
+    #[cfg(target_os = "linux")]
+    {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !server_threads(port).is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server_threads(port), Vec::<String>::new());
+    }
+}
+
+#[test]
+fn a_closed_connection_frees_its_slot() {
+    let svc = service(100);
+    let server = start(
+        &svc,
+        NetConfig {
+            max_connections: 1,
+            ..NetConfig::default()
+        },
+    );
+    let mut first = Client::connect(server.local_addr()).unwrap();
+    first.ping().unwrap();
+    drop(first);
+    // The slot comes back once the server has seen the close; a
+    // reconnect before that is shed, and a leaked slot sheds them all.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut again = loop {
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match c.ping() {
+            Ok(()) => break c,
+            Err(NetError::Io(_)) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => panic!("the closed connection's slot was never freed: {e}"),
+        }
+    };
+    let rows = again.query_rect(&rect(0, 0, 5, 0, 99), 0).unwrap();
+    assert_eq!(rows, (0..100).collect::<Vec<u64>>());
     server.shutdown(Duration::from_secs(2));
 }

@@ -559,7 +559,6 @@ impl Service {
         ctx.check()?;
         obs::histogram!("svc.fanout").record(parts.len() as u64);
         obs::histogram!("svc.batch.size").record(items as u64);
-        obs::histogram!("svc.batch.shards").record(parts.len() as u64);
         admit.annotate("fanout", parts.len());
         admit.annotate("items", items);
         let (tx, rx) = mpsc::channel();

@@ -164,7 +164,7 @@ const COMMANDS: &[Command] = &[
             flag("--slow-ms", Value("N"), Unset),
             flag("--scrub-ms", Value("N"), Or("5000")),
             flag("--listen", Value("HOST:PORT"), Unset),
-            // Unset: `net::NetConfig`'s default.
+            // Unset: `net::NetConfig`'s default, 64.
             flag("--max-conns", Value("N"), Unset),
             flag("--drain-ms", Value("N"), Or("2000")),
             flag("--trace-dump", Value("FILE"), Unset),
@@ -836,8 +836,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `abq serve --listen` — the TCP front end: binds the [`net`] event
-/// loop over the freshly built service and parks until SIGINT/SIGTERM,
+/// `abq serve --listen` — the TCP front end: binds the [`net`] server
+/// over the freshly built service and parks until SIGINT/SIGTERM,
 /// then drains gracefully (stop accepting, answer everything already
 /// admitted, bounded by `--drain-ms`) and exits 0.
 fn serve_listen(
@@ -863,9 +863,8 @@ fn serve_listen(
     let server = net::NetServer::bind(listen, std::sync::Arc::new(svc), cfg)
         .map_err(|e| format!("listen {listen}: {e}"))?;
     println!(
-        "listening on {} ({} backend); SIGINT/SIGTERM drains and exits",
-        server.local_addr(),
-        server.backend()
+        "listening on {} (SIGINT/SIGTERM drains and exits)",
+        server.local_addr()
     );
     net::sys::signal::install_shutdown_handler();
     while !net::sys::signal::shutdown_requested() {
