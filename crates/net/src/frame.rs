@@ -103,7 +103,8 @@ pub enum ErrorCode {
     Shutdown = 5,
     // 6 and 8 belonged to the exact (WAH) service path; they stay
     // reserved and are never reused.
-    /// A server-side retry loop gave up.
+    /// Once sent when a server-side retry loop gave up. No server
+    /// sends it now; the number stays reserved and still decodes.
     RetriesExhausted = 7,
     /// Frame bytes did not start with [`MAGIC`].
     BadMagic = 16,
@@ -1181,6 +1182,8 @@ mod tests {
         ] {
             assert_eq!(ErrorCode::from_u16(code as u16), Some(code));
         }
+        let retired = ErrorCode::from_u16(7).map(|c| c.to_string());
+        assert_eq!(retired.as_deref(), Some("retries_exhausted"));
         for reserved_or_unknown in [6, 8, 999] {
             assert_eq!(ErrorCode::from_u16(reserved_or_unknown), None);
         }

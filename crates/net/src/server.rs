@@ -461,7 +461,6 @@ fn svc_error_response(e: SvcError) -> Response {
         SvcError::Cancelled => ErrorCode::Cancelled,
         SvcError::Query(_) => ErrorCode::InvalidQuery,
         SvcError::Shutdown => ErrorCode::Shutdown,
-        SvcError::RetriesExhausted { .. } => ErrorCode::RetriesExhausted,
     };
     Response::Error {
         code,
@@ -598,15 +597,6 @@ mod tests {
             r,
             Response::Error {
                 code: ErrorCode::DeadlineExceeded,
-                retryable: false,
-                ..
-            }
-        ));
-        let r = svc_error_response(SvcError::RetriesExhausted { attempts: 3 });
-        assert!(matches!(
-            r,
-            Response::Error {
-                code: ErrorCode::RetriesExhausted,
                 retryable: false,
                 ..
             }

@@ -6,7 +6,7 @@
 //! and carried (cheaply, it is an `Option<Arc>`) across every thread
 //! that works on it. Each unit of work opens a [`TraceSpan`]; spans
 //! record wall-clock start/end offsets plus free-form annotations
-//! (shard id, rows scanned, bits read, degraded/quarantine/retry
+//! (shard id, rows scanned, bits read, degraded/quarantine
 //! outcomes) and link to a parent span, so one request yields one
 //! cross-thread span tree.
 //!
@@ -237,15 +237,6 @@ impl TraceCtx {
                     }),
                 }
             }
-        }
-    }
-
-    /// Records an instantaneous annotated event (a zero-length span)
-    /// at the current tree position.
-    pub fn event(&self, name: &'static str, key: &'static str, value: impl Into<AnnValue>) {
-        if self.inner.is_some() {
-            let mut s = self.span(name);
-            s.annotate(key, value);
         }
     }
 

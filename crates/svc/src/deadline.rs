@@ -99,9 +99,10 @@ impl RequestCtx {
 
     /// A context carrying a caller-owned trace: the service records
     /// request spans into it but does **not** finish it — the caller
-    /// decides when the trace is complete (e.g. after retries) and
-    /// calls [`crate::Service::finish_trace`]. Without this, the
-    /// service starts and finishes one trace per request by itself.
+    /// (the `net` front end, which roots each wire request in it)
+    /// decides when the trace is complete and calls
+    /// [`crate::Service::finish_trace`]. Without this, the service
+    /// starts and finishes one trace per request by itself.
     pub fn traced(deadline: Deadline, trace: obs::TraceCtx) -> Self {
         RequestCtx {
             deadline,

@@ -28,12 +28,6 @@ pub enum SvcError {
     Query(QueryError),
     /// The service is shutting down or lost its worker threads.
     Shutdown,
-    /// A retry loop ([`crate::retry()`]) exhausted its attempt or
-    /// wall-clock budget without a success.
-    RetriesExhausted {
-        /// Attempts made, including the first.
-        attempts: usize,
-    },
 }
 
 impl SvcError {
@@ -57,9 +51,6 @@ impl std::fmt::Display for SvcError {
             SvcError::Cancelled => write!(f, "request cancelled"),
             SvcError::Query(e) => write!(f, "invalid query: {e}"),
             SvcError::Shutdown => write!(f, "service shutting down"),
-            SvcError::RetriesExhausted { attempts } => {
-                write!(f, "retries exhausted after {attempts} attempts")
-            }
         }
     }
 }
@@ -101,9 +92,6 @@ mod tests {
         use std::error::Error;
         assert!(q.source().is_some());
         assert!(SvcError::Cancelled.source().is_none());
-        assert!(SvcError::RetriesExhausted { attempts: 3 }
-            .to_string()
-            .contains("3 attempts"));
     }
 
     #[test]
@@ -117,7 +105,6 @@ mod tests {
             SvcError::DeadlineExceeded,
             SvcError::Cancelled,
             SvcError::Shutdown,
-            SvcError::RetriesExhausted { attempts: 2 },
         ] {
             assert!(!e.is_transient(), "{e} must not be transient");
         }

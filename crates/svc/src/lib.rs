@@ -30,8 +30,6 @@
 //!   points, disarmed unless a [`FaultPlan`] is attached;
 //! * [`degrade`] — shard quarantine and the typed [`Degraded`] response
 //!   marker for conservative (*maybe present*) answers;
-//! * [`mod@retry`] — bounded retry with decorrelated-jitter backoff for
-//!   transient [`SvcError::Overloaded`] rejections;
 //! * [`mod@scrub`] — the online segment-store scrubber: periodic page
 //!   re-verification of a [`store::Store`]'s file, and byte-for-byte
 //!   repair from the store's verified copy through the crash-safe
@@ -80,7 +78,6 @@ pub mod deadline;
 pub mod degrade;
 pub mod error;
 pub mod pool;
-pub mod retry;
 pub mod scrub;
 pub mod service;
 pub mod shard;
@@ -92,7 +89,6 @@ pub use deadline::{CancelToken, Deadline, RequestCtx};
 pub use degrade::{Degraded, Response, ShardHealth};
 pub use error::SvcError;
 pub use pool::WorkerPool;
-pub use retry::{retry, retry_traced, RetryPolicy};
 pub use scrub::{scrub_pass, PassOutcome, Scrubber, StoreState, StoreStatus};
 pub use service::{Service, SvcConfig, CHUNK_ROWS};
 pub use shard::{Shard, ShardedIndex};

@@ -204,7 +204,6 @@ fn error_code(e: &SvcError) -> &'static str {
         SvcError::Cancelled => "cancelled",
         SvcError::Query(_) => "invalid_query",
         SvcError::Shutdown => "shutdown",
-        SvcError::RetriesExhausted { .. } => "retries_exhausted",
     }
 }
 
@@ -362,8 +361,8 @@ impl Service {
     /// [`SvcConfig::slow_query`]. The service calls this for the traces
     /// it owns; the owner of a **caller-owned** trace (see
     /// [`RequestCtx::traced`]) calls it once, after the last request
-    /// (e.g. the last retry attempt) recorded into it — each attempt
-    /// appears as its own `svc.request` root span.
+    /// recorded into it — each request appears as its own
+    /// `svc.request` span.
     pub fn finish_trace(&self, trace: &obs::TraceCtx) {
         if let Some(t) = trace.finish() {
             let pin = self

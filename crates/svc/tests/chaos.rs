@@ -17,10 +17,13 @@ use bitmap::{AttrRange, BinnedColumn, BinnedTable, BitmapIndex, Encoding, RectQu
 use std::sync::Arc;
 use std::time::Duration;
 use svc::chaos::{points, Fault, FaultPlan, FaultRule};
-use svc::{chaos, retry, RetryPolicy, Service, ShardedIndex, SvcConfig, SvcError};
+use svc::{chaos, Service, ShardedIndex, SvcConfig, SvcError};
 
 /// The fault plans' seeds; every test runs under each.
 const SEEDS: [u64; 3] = [42, 1337, 99991];
+
+/// How many requests the headline drill's overload rule may shed.
+const OVERLOAD_FIRES: u64 = 8;
 
 fn table(n: usize) -> BinnedTable {
     BinnedTable::new(vec![
@@ -94,22 +97,21 @@ fn injected_faults_never_cause_false_negatives() {
                 .with_rule(
                     FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)
                         .one_in(6)
-                        .max_fires(8),
+                        .max_fires(OVERLOAD_FIRES),
                 ),
         );
         let svc = Service::build(&t, &ab_cfg(), &svc_cfg()).with_fault_plan(Arc::clone(&plan));
-        let policy = RetryPolicy {
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(200),
-            max_attempts: 16,
-            max_elapsed: Duration::from_secs(10),
-        };
         let mut degraded_seen = 0usize;
+        let mut shed = 0u64;
         for (i, q) in workload(n).iter().enumerate() {
-            // Spurious overload is transient; the bounded retry absorbs
-            // it (its max_fires cap guarantees the supply dries up).
-            let resp = retry(&policy, i as u64, |_| svc.try_query_rect(q))
-                .expect("retry must outlast the capped overload injection");
+            // Spurious overload is transient: the request is re-issued.
+            // The rule's max_fires caps the supply, so this ends.
+            let resp = loop {
+                match svc.try_query_rect(q) {
+                    Err(e) if e.is_transient() && shed < OVERLOAD_FIRES => shed += 1,
+                    r => break r.expect("only the capped overload injection sheds"),
+                }
+            };
             if resp.is_degraded() {
                 degraded_seen += 1;
             }

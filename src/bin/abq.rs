@@ -1,5 +1,6 @@
 //! `abq` — build, inspect, query and serve Approximate Bitmap indexes
-//! from the command line. `abq --help` lists every subcommand's flags.
+//! from the command line. `abq --help` lists every subcommand's flags
+//! with their defaults.
 //!
 //! Every command shares one index file: the page-checked `ABPG` store.
 //! `build` reads a numeric CSV with a header row, discretizes every
@@ -18,20 +19,14 @@
 //! and the shards they implicate without decoding the index. `scrub`
 //! runs one detect→repair pass; a file too damaged to open is repaired
 //! from the source data given with `--csv` and the build flags.
-//! `serve` answers queries read line by line from stdin — or, with
-//! `--listen`, over TCP through the [`net`] front end (ABQ/1 binary
-//! framing, pipelined requests, graceful drain on SIGINT/SIGTERM) —
-//! from a [`svc::Service`] over the `--index` file or over a CSV it
-//! builds in memory. Over a file, a background scrubber re-verifies it
-//! every `--scrub-ms` (0 disables), rewriting rot from the verified
-//! copy while the served answers stay exactly as they were.
+//! `serve` answers queries on the `--index` file over TCP at `--listen`
+//! through the [`net`] front end (ABQ/1 binary framing, pipelined
+//! requests, graceful drain on SIGINT/SIGTERM), from a
+//! [`svc::Service`]. A background scrubber re-verifies the file every
+//! `--scrub-ms` (0 disables), rewriting rot from the verified copy
+//! while the served answers stay exactly as they were.
 //! `trace` pretty-prints the span trees of a `/debug/traces` dump,
 //! fetched from a live telemetry endpoint or read from a file.
-//!
-//! `serve` wraps each query in a bounded retry with
-//! decorrelated-jitter backoff ([`mod@svc::retry`]), so transient
-//! [`svc::SvcError::Overloaded`] rejections are absorbed instead of
-//! surfacing to the caller.
 //!
 //! [`COMMANDS`] declares each subcommand's flags once: name, kind and
 //! default. [`parse`] walks the command line once against that table;
@@ -94,10 +89,23 @@ enum Absent {
     Unset,
     /// This default.
     Or(&'static str),
+    /// No value: the handler takes a library's own default, which this
+    /// renders for the usage text.
+    Lib(fn() -> String),
 }
 
-use Absent::{Or, Required, Unset};
+use Absent::{Lib, Or, Required, Unset};
 use Kind::{Mode, Repeated, Value};
+
+/// `--max-conns`' default: [`net::NetConfig`]'s.
+fn max_conns() -> String {
+    net::NetConfig::default().max_connections.to_string()
+}
+
+/// `--page-size`'s default: the store's.
+fn page_size() -> String {
+    store::DEFAULT_PAGE_SIZE.to_string()
+}
 
 /// Every subcommand, its handler and its flags: the one place a flag,
 /// its kind and its default are declared.
@@ -110,8 +118,7 @@ const COMMANDS: &[Command] = &[
             flag("--out", Value("FILE"), Required),
             // Unset: derived from the machine's available parallelism.
             flag("--shards", Value("N"), Unset),
-            // Unset: `store::DEFAULT_PAGE_SIZE`.
-            flag("--page-size", Value("N"), Unset),
+            flag("--page-size", Value("N"), Lib(page_size)),
             flag("--bins", Value("N"), Or("10")),
             flag("--alpha", Value("N"), Or("8")),
             flag("--level", Value("L"), Or("per-attribute")),
@@ -145,27 +152,17 @@ const COMMANDS: &[Command] = &[
         "serve",
         cmd_serve,
         &[
-            // Exactly one of --index and --csv.
-            flag("--index", Value("FILE"), Unset),
-            flag("--csv", Value("FILE"), Unset),
+            flag("--index", Value("FILE"), Required),
+            flag("--listen", Value("HOST:PORT"), Required),
             // Unset: the machine's available parallelism.
             flag("--threads", Value("N"), Unset),
-            // 0: derived from the thread count.
-            flag("--shards", Value("N"), Or("0")),
-            flag("--bins", Value("N"), Or("10")),
-            flag("--alpha", Value("N"), Or("8")),
-            flag("--level", Value("L"), Or("per-attribute")),
             flag("--deadline-ms", Value("N"), Unset),
-            flag("--retries", Value("N"), Or("4")),
-            flag("--limit", Value("N"), Or("20")),
             flag("--hier", Mode, Or("off")),
             flag("--hybrid", Mode, Or("off")),
             flag("--telemetry-addr", Value("HOST:PORT"), Unset),
             flag("--slow-ms", Value("N"), Unset),
             flag("--scrub-ms", Value("N"), Or("5000")),
-            flag("--listen", Value("HOST:PORT"), Unset),
-            // Unset: `net::NetConfig`'s default, 64.
-            flag("--max-conns", Value("N"), Unset),
+            flag("--max-conns", Value("N"), Lib(max_conns)),
             flag("--drain-ms", Value("N"), Or("2000")),
             flag("--trace-dump", Value("FILE"), Unset),
         ],
@@ -269,11 +266,6 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether this subcommand's flag table declares `flag`.
-    fn takes(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f.name == flag)
-    }
-
     /// Whether `flag` is on the command line.
     fn on(&self, flag: &str) -> bool {
         self.all(flag).next().is_some()
@@ -312,17 +304,22 @@ impl Args {
 }
 
 /// The usage text, generated from [`COMMANDS`]: one entry per
-/// subcommand, wrapped before 80 columns.
+/// subcommand, each flag with its default, wrapped before 80 columns.
 fn usage() -> String {
     let mut text = String::from("usage:");
     for (name, _, flags) in COMMANDS {
         let mut line = format!("\n  abq {name}");
         for f in *flags {
+            let default = match &f.absent {
+                Or(d) => format!("={d}"),
+                Lib(d) => format!("={}", d()),
+                Required | Unset => String::new(),
+            };
             let word = match (&f.kind, &f.absent) {
                 (Value(m), Required) => format!("{} {m}", f.name),
-                (Value(m), _) => format!("[{} {m}]", f.name),
+                (Value(m), _) => format!("[{} {m}{default}]", f.name),
                 (Repeated(m), _) => format!("[{} {m}]...", f.name),
-                (Mode, _) => format!("[{} [off|auto|force]]", f.name),
+                (Mode, _) => format!("[{} [off|auto|force]{default}]", f.name),
             };
             if line.len() + word.len() > 80 {
                 text += &line;
@@ -365,8 +362,7 @@ fn parse_range(s: &str) -> Result<(u64, u64), String> {
 }
 
 /// A rect query from `ATTR=LO..HI` terms and an optional `LO..HI` row
-/// range, bounds-checked against the index: the one parser behind
-/// `query --where/--rows` and the `serve` REPL.
+/// range, bounds-checked against the index: `query --where/--rows`.
 fn rect_query<'a>(
     attrs: &[AttributeMeta],
     num_rows: usize,
@@ -616,14 +612,13 @@ fn parse_precision(s: &str) -> Result<f64, String> {
     }
 }
 
-/// Shared build-flag parsing — `--csv`, `--bins`, `--alpha`, `--level`
-/// and, where the subcommand takes them, `--k` and `--precision`: CSV →
-/// binned table + AB build config (the inputs a store repair needs
-/// too). Every value is checked before the CSV is read, and an
-/// out-of-range one is an error naming its flag.
+/// The build flags `build` and `scrub` share — `--csv`, `--bins`,
+/// `--alpha`, `--level`, `--k` and `--precision`: CSV → binned table +
+/// AB build config (the inputs a store repair needs too). Every value
+/// is checked before the CSV is read, and an out-of-range one is an
+/// error naming its flag.
 fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
-    let sizing = a.takes("--precision");
-    if sizing && a.on("--precision") {
+    if a.on("--precision") {
         for other in ["--alpha", "--k"] {
             if a.on(other) {
                 return Err(format!("pass {other} or --precision, not both"));
@@ -635,13 +630,11 @@ fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
     let alpha: NonZeroU64 = a.get("--alpha")?;
     let level = a.get_with("--level", parse_level)?;
     let mut config = AbConfig::new(level).with_alpha(alpha.get());
-    if sizing {
-        if a.on("--precision") {
-            config = config.with_min_precision(a.get_with("--precision", parse_precision)?);
-        }
-        if let Some(k) = a.opt::<NonZeroUsize>("--k")? {
-            config = config.with_k(k.get());
-        }
+    if a.on("--precision") {
+        config = config.with_min_precision(a.get_with("--precision", parse_precision)?);
+    }
+    if let Some(k) = a.opt::<NonZeroUsize>("--k")? {
+        config = config.with_k(k.get());
     }
     let table = read_csv(&csv)?;
     Ok((
@@ -650,14 +643,12 @@ fn binned_and_config(a: &Args) -> Result<(BinnedTable, AbConfig), String> {
     ))
 }
 
-/// The service flags of `serve` — `--threads`, `--shards`,
-/// `--deadline-ms`, `--slow-ms`, `--hier`, `--hybrid` — as one
-/// [`SvcConfig`].
+/// The service flags of `serve` — `--threads`, `--deadline-ms`,
+/// `--slow-ms`, `--hier`, `--hybrid` — as one [`SvcConfig`].
 fn serve_config(a: &Args) -> Result<SvcConfig, String> {
     let millis = |flag| a.opt(flag).map(|ms| ms.map(Duration::from_millis));
     Ok(SvcConfig {
         threads: a.opt("--threads")?.map_or(0, NonZeroUsize::get),
-        shards: a.get("--shards")?,
         default_deadline: millis("--deadline-ms")?,
         slow_query: millis("--slow-ms")?,
         hier: a.get("--hier")?,
@@ -666,99 +657,53 @@ fn serve_config(a: &Args) -> Result<SvcConfig, String> {
     })
 }
 
-/// `serve` setup: the `--index` store → sharded index → service plus
-/// the background scrubber (interval `--scrub-ms`; 0 disables), which
-/// repairs rot in the file from the store's verified copy; or, with
-/// `--csv`, a service built in memory. Prints the chosen shard/thread
-/// split.
-fn build_service(a: &Args, cfg: &SvcConfig) -> Result<(Service, Option<svc::Scrubber>), String> {
-    let Some(path) = a.value("--index") else {
-        if !a.on("--csv") {
-            return Err("pass --index FILE or --csv FILE".into());
-        }
-        let (binned, config) = binned_and_config(a)?;
-        let svc = Service::build(&binned, &config, cfg);
-        print_ready(&svc, "");
-        return Ok((svc, None));
-    };
-    // The file fixes what the build flags would choose.
-    if let Some(f) = ["--csv", "--shards", "--bins", "--alpha", "--level"]
-        .into_iter()
-        .find(|f| a.on(f))
-    {
-        return Err(format!(
-            "`{f}` is a build flag: `serve --index` serves the file as built"
-        ));
+/// `abq serve` — serves the `--index` file over TCP at `--listen`:
+/// opens the store, starts the service, the background scrubber
+/// (every `--scrub-ms`; 0 disables), which repairs rot in the file
+/// from the store's verified copy, and the telemetry endpoint if
+/// asked, then binds the [`net`] server and parks until
+/// SIGINT/SIGTERM. It then drains gracefully (stop accepting, answer
+/// everything already admitted, bounded by `--drain-ms`) and exits 0.
+fn cmd_serve(a: &Args) -> Result<(), String> {
+    let cfg = serve_config(a)?;
+    let path: String = a.get("--index")?;
+    let listen: String = a.get("--listen")?;
+    let scrub_ms: u64 = a.get("--scrub-ms")?;
+    let drain_ms: u64 = a.get("--drain-ms")?;
+    let mut net_cfg = net::NetConfig::default();
+    if let Some(n) = a.opt("--max-conns")? {
+        net_cfg.max_connections = n;
+    }
+    if let Some(d) = cfg.default_deadline {
+        // The wire carries the deadline as u32 milliseconds.
+        net_cfg.default_deadline_ms = u32::try_from(d.as_millis())
+            .map_err(|_| format!("bad --deadline-ms `{}`: over u32::MAX", d.as_millis()))?;
     }
     // Segments stored without a pyramid are fine: Service::from_index
     // rebuilds it per shard when hier is requested. Hybrid containers
     // however live in the segment itself (built with `build --hybrid`);
     // the flag only controls whether the kernel consults them.
-    let (st, index) = open_index(path)?;
-    let svc = Service::from_index(index, cfg);
-    print_ready(&svc, &format!(", store {path}"));
-    let scrub_ms: u64 = a.get("--scrub-ms")?;
-    if scrub_ms == 0 {
-        return Ok((svc, None));
-    }
-    let scrubber = svc::Scrubber::spawn(
-        st,
-        Duration::from_millis(scrub_ms),
-        std::sync::Arc::new(store::RealIo),
-    )
-    .map_err(|e| format!("scrubber: {e}"))?;
-    println!("scrubbing every {scrub_ms} ms (repairs from the verified copy)");
-    Ok((svc, Some(scrubber)))
-}
-
-/// The `ready:` line: the served index and its shard/thread split.
-fn print_ready(svc: &Service, note: &str) {
+    let (st, index) = open_index(&path)?;
+    let svc = Service::from_index(index, &cfg);
     println!(
-        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes{note})",
+        "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes, store {path})",
         svc.index().num_rows(),
         svc.index().attributes().len(),
         svc.index().num_shards(),
         svc.threads(),
         svc.index().size_bytes(),
     );
-}
-
-/// Parses one REPL line into a query: whitespace-separated
-/// `ATTR=LO..HI` terms plus an optional `rows LO..HI` pair.
-fn parse_repl_query(line: &str, svc: &Service) -> Result<RectQuery, String> {
-    let mut terms = Vec::new();
-    let mut rows = None;
-    let mut tokens = line.split_whitespace();
-    while let Some(tok) = tokens.next() {
-        if tok == "rows" {
-            rows = Some(tokens.next().ok_or("`rows` needs a LO..HI range")?);
-        } else {
-            terms.push(tok);
-        }
-    }
-    let index = svc.index();
-    rect_query(index.attributes(), index.num_rows(), terms, rows)
-}
-
-fn cmd_serve(a: &Args) -> Result<(), String> {
-    let cfg = serve_config(a)?;
-    let policy = svc::RetryPolicy {
-        max_attempts: a.get::<NonZeroUsize>("--retries")?.get(),
-        ..svc::RetryPolicy::default()
+    // The scrubber and telemetry handles must stay alive for the whole
+    // serve: dropping one stops it.
+    let scrubber = if scrub_ms == 0 {
+        None
+    } else {
+        let every = Duration::from_millis(scrub_ms);
+        let scrubber = svc::Scrubber::spawn(st, every, std::sync::Arc::new(store::RealIo))
+            .map_err(|e| format!("scrubber: {e}"))?;
+        println!("scrubbing every {scrub_ms} ms (repairs from the verified copy)");
+        Some(scrubber)
     };
-    let limit: usize = a.get("--limit")?;
-    // The scrubber handle must stay alive for the whole serve
-    // (dropping it stops the background verification).
-    let (svc, scrubber) = build_service(a, &cfg)?;
-    let store_status = scrubber.as_ref().map(|s| s.status());
-    // Caller-owned RequestCtx bypasses the service's default deadline,
-    // so the REPL re-applies --deadline-ms per attempt itself.
-    let mk_deadline = || match cfg.default_deadline {
-        Some(d) => svc::Deadline::within(d),
-        None => svc::Deadline::none(),
-    };
-    // Keep the handle alive for the whole REPL; dropping it stops the
-    // endpoint.
     let _telemetry = match a.value("--telemetry-addr") {
         Some(addr) => {
             // Surface the exact tier's per-shard split in /healthz
@@ -771,7 +716,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
             let srv = svc::TelemetryServer::bind_with_status(
                 addr,
                 svc.health_arc(),
-                store_status.clone(),
+                scrubber.as_ref().map(|s| s.status()),
                 hybrid_status,
             )
             .map_err(|e| format!("telemetry bind {addr}: {e}"))?;
@@ -783,84 +728,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    // `--listen` swaps the stdin REPL for the TCP front end; the
-    // telemetry handle (if any) stays alive for the server's lifetime.
-    if let Some(listen) = a.value("--listen") {
-        return serve_listen(a, svc, listen, cfg.default_deadline);
-    }
-    println!("query syntax: ATTR=LO..HI [ATTR=LO..HI ...] [rows LO..HI]; `quit` to exit");
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    let mut served = 0u64;
-    loop {
-        line.clear();
-        if std::io::BufRead::read_line(&mut stdin.lock(), &mut line).map_err(|e| e.to_string())?
-            == 0
-        {
-            break; // EOF
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "quit" || trimmed == "exit" {
-            break;
-        }
-        served += 1;
-        match parse_repl_query(trimmed, &svc).map(|q| {
-            // One caller-owned trace per REPL query: every retry
-            // attempt lands in the same span tree (a failed attempt
-            // cancels its RequestCtx, so each attempt gets a fresh
-            // ctx carrying the same trace).
-            let trace = obs::TraceCtx::start("rect");
-            let out = svc::retry_traced(&policy, served, &trace, |_| {
-                let ctx = svc::RequestCtx::traced(mk_deadline(), trace.clone());
-                svc.try_query_rect_ctx(&q, &ctx).map(|r| r.value)
-            });
-            svc.finish_trace(&trace);
-            out
-        }) {
-            Ok(Ok(matches)) => {
-                println!("{} rows", matches.len());
-                for r in matches.iter().take(limit) {
-                    println!("{r}");
-                }
-                if matches.len() > limit {
-                    println!("... ({} more; raise --limit)", matches.len() - limit);
-                }
-            }
-            Ok(Err(e)) => println!("error: {e}"),
-            Err(e) => println!("error: {e}"),
-        }
-    }
-    Ok(())
-}
-
-/// `abq serve --listen` — the TCP front end: binds the [`net`] server
-/// over the freshly built service and parks until SIGINT/SIGTERM,
-/// then drains gracefully (stop accepting, answer everything already
-/// admitted, bounded by `--drain-ms`) and exits 0.
-fn serve_listen(
-    a: &Args,
-    svc: Service,
-    listen: &str,
-    deadline: Option<Duration>,
-) -> Result<(), String> {
-    let drain_ms: u64 = a.get("--drain-ms")?;
-    let mut cfg = net::NetConfig::default();
-    if let Some(n) = a.opt("--max-conns")? {
-        cfg.max_connections = n;
-    }
-    if let Some(d) = deadline {
-        // The wire carries the deadline as u32 milliseconds.
-        cfg.default_deadline_ms = u32::try_from(d.as_millis()).map_err(|_| {
-            format!(
-                "bad --deadline-ms `{}`: over u32::MAX with --listen",
-                d.as_millis()
-            )
-        })?;
-    }
-    let server = net::NetServer::bind(listen, std::sync::Arc::new(svc), cfg)
+    let server = net::NetServer::bind(&listen, std::sync::Arc::new(svc), net_cfg)
         .map_err(|e| format!("listen {listen}: {e}"))?;
     println!(
         "listening on {} (SIGINT/SIGTERM drains and exits)",
@@ -1141,26 +1009,17 @@ mod tests {
         )
     }
 
-    #[test]
-    fn repl_query_parsing() {
-        let svc = tiny_service();
-        let q = parse_repl_query("price=0..2 qty=1..1 rows 10..99", &svc).unwrap();
-        assert_eq!(q.ranges.len(), 2);
-        assert_eq!(q.ranges[0], AttrRange::new(0, 0, 2));
-        assert_eq!(q.ranges[1], AttrRange::new(1, 1, 1));
-        assert_eq!((q.row_lo, q.row_hi), (10, 99));
-        // Defaults to the full row range.
-        let q = parse_repl_query("price=0..4", &svc).unwrap();
-        assert_eq!((q.row_lo, q.row_hi), (0, 199));
-        assert!(parse_repl_query("nope=0..1", &svc).is_err());
-        assert!(parse_repl_query("price=0..9", &svc).is_err());
-        assert!(parse_repl_query("rows 0..500", &svc).is_err());
-        assert!(parse_repl_query("price0..2", &svc).is_err());
+    /// `serve`'s command line: its required flags, then `argv`.
+    fn parsed_serve(argv: &[&str]) -> Result<Args, String> {
+        parsed(
+            "serve",
+            &[&["--index", "x", "--listen", "127.0.0.1:0"], argv].concat(),
+        )
     }
 
     #[test]
     fn threads_flag_parses_and_defaults() {
-        let cfg = |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a));
+        let cfg = |argv: &[&str]| parsed_serve(argv).and_then(|a| serve_config(&a));
         assert_eq!(cfg(&["--threads", "4"]).unwrap().resolved_threads(), 4);
         assert!(cfg(&["--threads", "0"]).is_err());
         assert!(cfg(&["--threads", "x"]).is_err());
@@ -1175,38 +1034,32 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("`--alhpa`"), "{err}");
-        let err = dispatch(&strings(&["serve", "--csv", "x.csv", "--thraeds", "2"])).unwrap_err();
+        let err = dispatch(&strings(&["serve", "--index", "x", "--thraeds", "2"])).unwrap_err();
         assert!(err.contains("`--thraeds`"), "{err}");
-        // Retired flags fail loudly too.
-        for (cmd, flag) in [
-            ("serve", "--kernel"),
-            ("serve", "--batch-rows"),
-            ("serve", "--wah"),
-            ("build", "--kernel"),
-        ] {
-            let err = dispatch(&strings(&[cmd, "--csv", "x.csv", flag, "batched"])).unwrap_err();
+        // Retired flags fail loudly too: `serve` serves the file as
+        // built, over the socket only, so the build flags and the
+        // stdin loop's flags are gone with the in-memory build and
+        // the loop.
+        let retired = [
+            "--kernel",
+            "--batch-rows",
+            "--wah",
+            "--csv",
+            "--shards",
+            "--bins",
+            "--alpha",
+            "--level",
+            "--retries",
+            "--limit",
+        ];
+        let serve = retired.iter().map(|&flag| ("serve", flag));
+        for (cmd, flag) in serve.chain([("build", "--kernel")]) {
+            let input = if cmd == "serve" { "--index" } else { "--csv" };
+            let err = dispatch(&strings(&[cmd, input, "x", flag, "batched"])).unwrap_err();
             assert_eq!(err, format!("`abq {cmd}` does not accept `{flag}`"));
         }
         let err = dispatch(&strings(&["scrub", "--index", "s", "--shards", "4"])).unwrap_err();
         assert_eq!(err, "`abq scrub` does not accept `--shards`");
-        // `serve --index` serves the file as built: a build flag next
-        // to it is named, not silently dropped.
-        for (flag, value) in [
-            ("--csv", "x.csv"),
-            ("--shards", "7"),
-            ("--bins", "3"),
-            ("--alpha", "64"),
-            ("--level", "per-column"),
-        ] {
-            let argv = ["serve", "--index", "missing.abpg", flag, value];
-            let err = dispatch(&strings(&argv)).unwrap_err();
-            assert!(
-                err.starts_with(&format!("`{flag}` is a build flag")),
-                "{err}"
-            );
-        }
-        let err = dispatch(&strings(&["serve", "--threads", "2"])).unwrap_err();
-        assert!(err.contains("--index") && err.contains("--csv"), "{err}");
     }
 
     #[test]
@@ -1219,26 +1072,20 @@ mod tests {
         let (csv, out) = (dir.join("d.csv"), dir.join("d.abpg"));
         let (csv, out) = (csv.to_str().unwrap(), out.to_str().unwrap());
         // Each once reached an `assert!` in the build and exited 101.
-        for (cmd, bad, flag) in [
-            ("build", &["--bins", "0"][..], "--bins"),
-            ("build", &["--alpha", "0"], "--alpha"),
-            ("build", &["--k", "0"], "--k"),
-            ("build", &["--precision", "0"], "--precision"),
-            ("build", &["--precision", "1.5"], "--precision"),
-            ("build", &["--precision", "NaN"], "--precision"),
-            ("build", &["--shards", "101"], "--shards"),
-            ("serve", &["--bins", "0"], "--bins"),
-            ("serve", &["--alpha", "0"], "--alpha"),
+        for (bad, flag) in [
+            (&["--bins", "0"][..], "--bins"),
+            (&["--alpha", "0"], "--alpha"),
+            (&["--k", "0"], "--k"),
+            (&["--precision", "0"], "--precision"),
+            (&["--precision", "1.5"], "--precision"),
+            (&["--precision", "NaN"], "--precision"),
+            (&["--shards", "101"], "--shards"),
             // The §4 solver sizes the AB for its own k; a pinned k
             // would miss the target.
-            ("build", &["--precision", "0.999", "--k", "1"], "--k"),
-            ("build", &["--k", "1", "--precision", "0.999"], "--k"),
+            (&["--precision", "0.999", "--k", "1"], "--k"),
+            (&["--k", "1", "--precision", "0.999"], "--k"),
         ] {
-            let mut argv = vec![cmd, "--csv", csv];
-            if cmd == "build" {
-                argv.extend(["--out", out]);
-            }
-            argv.extend(bad);
+            let argv = [&["build", "--csv", csv, "--out", out], bad].concat();
             let err = dispatch(&strings(&argv)).expect_err(&argv.join(" "));
             assert!(err.contains(flag), "{}: {err}", argv.join(" "));
         }
@@ -1248,36 +1095,55 @@ mod tests {
     #[test]
     fn usage_lists_every_accepted_flag() {
         let text = usage();
-        for &(name, _, flags) in COMMANDS {
-            // The subcommand's entry runs from its `abq NAME ` line to
-            // the next subcommand's.
+        // A subcommand's entry runs from its `abq NAME ` line to the
+        // next subcommand's.
+        let entry = |name: &str| {
             let start = text
                 .find(&format!("abq {name} "))
                 .unwrap_or_else(|| panic!("usage has no `abq {name}` entry"));
             let entry = &text[start..];
-            let entry = &entry[..entry.find("\n  abq ").unwrap_or(entry.len())];
+            &entry[..entry.find("\n  abq ").unwrap_or(entry.len())]
+        };
+        for &(name, _, flags) in COMMANDS {
             for flag in flags.iter().map(|f| f.name) {
                 assert!(
-                    entry
+                    entry(name)
                         .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
                         .any(|t| t == flag),
                     "usage of `abq {name}` does not mention {flag}"
                 );
             }
         }
+        // Each default is printed, a library's from the library.
+        let conns = net::NetConfig::default().max_connections;
+        for (name, word) in [
+            ("serve", "[--drain-ms N=2000]".to_string()),
+            ("serve", "[--scrub-ms N=5000]".to_string()),
+            ("serve", format!("[--max-conns N={conns}]")),
+            ("build", "[--bins N=10]".to_string()),
+        ] {
+            assert!(
+                entry(name).contains(&word),
+                "usage of `abq {name}` lacks {word}"
+            );
+        }
     }
 
     #[test]
     fn hier_flag_parses_bare_and_explicit() {
         let hier =
-            |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a).map(|c| c.hier));
+            |argv: &[&str]| parsed_serve(argv).and_then(|a| serve_config(&a).map(|c| c.hier));
         assert_eq!(hier(&[]), Ok(ab::HierMode::Off));
         assert_eq!(hier(&["--hier"]), Ok(ab::HierMode::Auto));
         assert_eq!(hier(&["--hier", "force"]), Ok(ab::HierMode::Force));
         assert_eq!(hier(&["--hier", "off"]), Ok(ab::HierMode::Off));
         assert_eq!(hier(&["--hier", "auto"]), Ok(ab::HierMode::Auto));
         // Bare --hier followed by another flag must not eat it.
-        let a = parsed("serve", &["--hier", "--listen", "127.0.0.1:0"]).unwrap();
+        let a = parsed(
+            "serve",
+            &["--index", "x", "--hier", "--listen", "127.0.0.1:0"],
+        )
+        .unwrap();
         assert_eq!(a.get("--hier"), Ok(ab::HierMode::Auto));
         assert_eq!(a.value("--listen"), Some("127.0.0.1:0"));
         // A mistyped mode is an error, not a silent auto.
@@ -1320,13 +1186,17 @@ mod tests {
     #[test]
     fn hybrid_flag_parses_bare_and_explicit() {
         let hybrid =
-            |argv: &[&str]| parsed("serve", argv).and_then(|a| serve_config(&a).map(|c| c.hybrid));
+            |argv: &[&str]| parsed_serve(argv).and_then(|a| serve_config(&a).map(|c| c.hybrid));
         assert_eq!(hybrid(&[]), Ok(ab::HybridMode::Off));
         assert_eq!(hybrid(&["--hybrid"]), Ok(ab::HybridMode::Auto));
         assert_eq!(hybrid(&["--hybrid", "force"]), Ok(ab::HybridMode::Force));
         assert_eq!(hybrid(&["--hybrid", "off"]), Ok(ab::HybridMode::Off));
         // Bare --hybrid followed by another flag must not eat it.
-        let a = parsed("serve", &["--hybrid", "--listen", "127.0.0.1:0"]).unwrap();
+        let a = parsed(
+            "serve",
+            &["--index", "x", "--hybrid", "--listen", "127.0.0.1:0"],
+        )
+        .unwrap();
         assert_eq!(a.get("--hybrid"), Ok(ab::HybridMode::Auto));
         assert_eq!(a.value("--listen"), Some("127.0.0.1:0"));
         // A mistyped mode is an error, not a silent auto.
@@ -1385,17 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_flag_parses_and_bounds() {
-        let retries = |argv: &[&str]| {
-            parsed("serve", argv).and_then(|a| a.get::<NonZeroUsize>("--retries").map(|n| n.get()))
-        };
-        assert_eq!(retries(&["--retries", "7"]), Ok(7));
-        assert_eq!(retries(&[]), Ok(4));
-        assert!(retries(&["--retries", "0"]).is_err());
-        assert!(retries(&["--retries", "x"]).is_err());
-    }
-
-    #[test]
     fn verify_reports_health_and_detects_corruption() {
         let dir = csv_dir(
             "abq_test_verify",
@@ -1432,7 +1291,12 @@ mod tests {
             std::fs::write(path, &bytes).unwrap();
             let loader = store::Store::open(path).err().unwrap().to_string();
             for cmd in ["verify", "info", "query", "scrub", "serve"] {
-                let err = run(cmd, &["--index", path]).unwrap_err();
+                let listen = ["--listen", "127.0.0.1:0"];
+                let argv = [
+                    &["--index", path][..],
+                    if cmd == "serve" { &listen } else { &[] },
+                ];
+                let err = run(cmd, &argv.concat()).unwrap_err();
                 assert!(err.contains(&loader), "{cmd}: {err}");
             }
         }
@@ -1516,6 +1380,15 @@ mod tests {
         for cmd in ["info", "verify", "query", "scrub"] {
             assert_eq!(run(cmd, &[]), Err("--index is required".into()));
         }
+        // `serve` serves a file over a socket: it needs both.
+        assert_eq!(
+            run("serve", &["--listen", "127.0.0.1:0"]),
+            Err("--index is required".into())
+        );
+        assert_eq!(
+            run("serve", &["--index", "x"]),
+            Err("--listen is required".into())
+        );
     }
 
     #[test]

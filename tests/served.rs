@@ -1,7 +1,7 @@
 //! The `abq` binary end to end, as a deployment runs it: each test
-//! spawns `abq serve` (over a CSV or the index file, reading queries
-//! from stdin or a socket), drives it with `net::Client`, scrapes its
-//! telemetry endpoint over a plain socket, and drains it with SIGINT.
+//! builds an index file with `abq build`, spawns `abq serve` on it,
+//! drives it over the socket with `net::Client`, scrapes its telemetry
+//! endpoint over a plain socket, and drains it with SIGINT.
 //!
 //! Every answer that crosses the socket is checked against the exact
 //! answer of a `bitmap::BitmapIndex` over the same table, binned the
@@ -106,37 +106,6 @@ impl Dir {
         assert!(err.contains(damage), "abq {line}: {err}");
     }
 
-    /// Runs the `abq serve LINE` REPL over `queries` (then EOF) and
-    /// returns its stdout, minus the `ready:` line.
-    fn repl(&self, line: &str, queries: &str) -> String {
-        let mut child = self
-            .command(&[ABQ, "serve"], line)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap();
-        let mut stdin = child.stdin.take().unwrap();
-        stdin.write_all(queries.as_bytes()).unwrap();
-        drop(stdin);
-        let out = child.wait_with_output().unwrap();
-        assert!(out.status.success(), "abq serve {line}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        text.lines()
-            .filter(|l| !l.starts_with("ready:"))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    }
-
-    /// Runs the REPL over `queries` twice side by side: with `line`,
-    /// and with `line` and `tier`.
-    fn repl_flat_and_tiered(&self, line: &str, tier: &str, queries: &str) -> (String, String) {
-        std::thread::scope(|s| {
-            let flat = s.spawn(|| self.repl(line, queries));
-            let tiered = self.repl(&format!("{line} {tier}"), queries);
-            (flat.join().unwrap(), tiered)
-        })
-    }
-
     /// Spawns `abq serve LINE`.
     fn serve(&self, line: &str) -> Server {
         Server::spawn(self.command(&[ABQ, "serve"], line))
@@ -160,26 +129,12 @@ fn column(n: u64, f: impl Fn(u64) -> u64) -> Vec<f64> {
     (0..n).map(|i| f(i) as f64).collect()
 }
 
-/// The answers in REPL output: each `N rows` line and the row ids
-/// printed under it (all of them while `--limit` is at least N).
-fn repl_answers(out: &str) -> Vec<Vec<u64>> {
-    let mut answers: Vec<Vec<u64>> = Vec::new();
-    for line in out.lines() {
-        if line.ends_with(" rows") {
-            answers.push(Vec::new());
-        } else if let (Some(rows), Ok(row)) = (answers.last_mut(), line.parse()) {
-            rows.push(row);
-        }
-    }
-    answers
-}
-
 /// A running `abq serve`: its stdout, and the addresses it printed.
 struct Server {
     child: Child,
     stdout: BufReader<ChildStdout>,
     /// The `--listen` address, from its `listening on …` line.
-    listen: Option<String>,
+    listen: String,
     /// The `--telemetry-addr` address, from its `telemetry: http://…`
     /// line.
     telemetry: Option<String>,
@@ -187,11 +142,10 @@ struct Server {
 
 impl Server {
     /// Spawns `serve` and reads its start-up lines up to the one that
-    /// says it is serving: the listener's address, or the REPL's query
-    /// syntax.
+    /// says it is serving: the listener's address.
     fn spawn(mut serve: Command) -> Server {
         let mut child = serve
-            .stdin(Stdio::piped())
+            .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .spawn()
             .unwrap();
@@ -199,7 +153,7 @@ impl Server {
         let mut server = Server {
             child,
             stdout,
-            listen: None,
+            listen: String::new(),
             telemetry: None,
         };
         loop {
@@ -207,9 +161,7 @@ impl Server {
             if let Some(url) = line.strip_prefix("telemetry: http://") {
                 server.telemetry = url.split('/').next().map(str::to_string);
             } else if let Some(addr) = line.strip_prefix("listening on ") {
-                server.listen = addr.split(' ').next().map(str::to_string);
-                return server;
-            } else if line.starts_with("query syntax:") {
+                server.listen = addr.split(' ').next().unwrap().to_string();
                 return server;
             }
         }
@@ -224,18 +176,12 @@ impl Server {
     }
 
     fn listen(&self) -> &str {
-        self.listen.as_deref().expect("serving with --listen")
+        &self.listen
     }
 
     fn telemetry(&self) -> &str {
         let addr = self.telemetry.as_deref();
         addr.expect("serving with --telemetry-addr")
-    }
-
-    /// Sends one REPL line.
-    fn say(&mut self, line: &str) {
-        let stdin = self.child.stdin.as_mut().unwrap();
-        writeln!(stdin, "{line}").unwrap();
     }
 
     /// Drains with SIGINT, as an operator stops it, and asserts the
@@ -244,16 +190,6 @@ impl Server {
         let pid = self.child.id().to_string();
         let kill = Command::new("kill").args(["-INT", &pid]).status().unwrap();
         assert!(kill.success());
-        self.exits_cleanly();
-    }
-
-    /// Ends the REPL with `quit` and asserts the server exits 0.
-    fn quit(mut self) {
-        self.say("quit");
-        self.exits_cleanly();
-    }
-
-    fn exits_cleanly(&mut self) {
         let mut rest = String::new();
         self.stdout.read_to_string(&mut rest).unwrap();
         let status = self.child.wait().unwrap();
@@ -395,6 +331,29 @@ fn rect(schema: &Schema, i: u64) -> RectQuery {
     RectQuery::new(ranges, row_lo, (row_lo + num_rows / 4).min(num_rows - 1))
 }
 
+/// The rect over `(attribute, lo bin, hi bin)` ranges and the rows
+/// `lo..=hi`.
+fn rect_of(ranges: &[(usize, u32, u32)], (lo, hi): (usize, usize)) -> RectQuery {
+    let ranges = ranges.iter().map(|&(a, l, h)| AttrRange::new(a, l, h));
+    RectQuery::new(ranges.collect(), lo, hi)
+}
+
+/// The rows `addr` answers to each of `queries`, asked one at a time
+/// on one connection; every answer must be complete and healthy.
+fn answers(addr: &str, queries: &[RectQuery]) -> Vec<Vec<u64>> {
+    let mut c = Client::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let ask = |query: &RectQuery| Request::Rect {
+        deadline_ms: 0,
+        query: query.clone(),
+    };
+    let answer = |resp| match resp {
+        Ok(Response::Rect { degraded, rows }) if degraded.is_empty() => rows,
+        other => panic!("{other:?}"),
+    };
+    queries.iter().map(|q| answer(c.call(&ask(q)))).collect()
+}
+
 /// The `i`-th request of the load: built from the served schema with
 /// `splitmix64`. A cells request names its row's true bin in every
 /// other cell and a random bin in the rest.
@@ -485,28 +444,29 @@ fn drive(
     })
 }
 
-/// Three REPL queries are three requests in `/metrics`, three traces
-/// in `/healthz` and three span trees in `/debug/traces`, each with one
-/// root, the service's stages and a kernel span; `abq trace --file`
-/// renders the dump.
+/// Three socket queries are three requests in `/metrics`, three
+/// traces in `/healthz` and three span trees in `/debug/traces`, each
+/// with one root, the service's stages and a kernel span; `abq trace
+/// --file` renders the dump.
 #[test]
 fn telemetry_accounts_for_every_repl_query() {
     let dir = Dir::new("telemetry");
     let a = column(5000, |i| hashkit::splitmix64(i) % 50);
-    dir.csv("t.csv", &[("a", a), ("b", column(5000, |i| i % 13))], 10);
-    let mut server = dir.serve(
-        "--csv t.csv --threads 4 --shards 8 --telemetry-addr 127.0.0.1:0 --slow-ms 0 --limit 0",
+    let truth = dir.csv("t.csv", &[("a", a), ("b", column(5000, |i| i % 13))], 10);
+    dir.ok("build --csv t.csv --out t.abpg --shards 8");
+    let server = dir.serve(
+        "--index t.abpg --threads 4 --listen 127.0.0.1:0 --telemetry-addr 127.0.0.1:0 \
+         --slow-ms 0 --scrub-ms 0",
     );
-    for q in ["a=0..4 b=1..5", "a=3..7", "b=0..2 rows 0..999"] {
-        server.say(q);
-        // The answer is printed after its trace is recorded.
-        loop {
-            let line = server.line();
-            assert!(!line.starts_with("error:"), "{q}: {line}");
-            if line.ends_with(" rows") {
-                break;
-            }
-        }
+    let (a, b) = (0, 1);
+    let queries = [
+        rect_of(&[(a, 0, 4), (b, 1, 5)], (0, 4999)),
+        rect_of(&[(a, 3, 7)], (0, 4999)),
+        rect_of(&[(b, 0, 2)], (0, 999)),
+    ];
+    // Each answer is sent after its trace is recorded.
+    for (q, rows) in queries.iter().zip(answers(server.listen(), &queries)) {
+        assert!(truth.covered(q, &rows), "false negative in {q:?}");
     }
     let addr = server.telemetry().to_string();
 
@@ -545,7 +505,7 @@ fn telemetry_accounts_for_every_repl_query() {
         );
     }
     assert_eq!(get(&addr, "/nope").0, 404);
-    server.quit();
+    server.drain();
 
     std::fs::write(dir.0.join("traces.json"), dump).unwrap();
     let rendered = dir.ok("trace --file traces.json");
@@ -565,8 +525,9 @@ fn socket_answers_hold_the_truth_and_the_drain_exits_cleanly() {
         &[("a", a), ("b", column(20_000, |i| i % 13))],
         10,
     );
+    dir.ok("build --csv net.csv --out net.abpg --shards 8");
     let server = dir.serve(
-        "--csv net.csv --threads 4 --shards 8 --listen 127.0.0.1:0 \
+        "--index net.abpg --threads 4 --listen 127.0.0.1:0 \
          --telemetry-addr 127.0.0.1:0 --drain-ms 3000",
     );
     let answered = drive(server.listen(), &truth, Mix::All, 4, 30);
@@ -705,8 +666,7 @@ fn live_scrub_repairs_rot_without_changing_an_answer() {
 }
 
 /// A clustered column (16 runs of 6250 rows): the stored pyramids
-/// answer the REPL exactly as the flat kernel does, and prune under
-/// load over the socket.
+/// answer exactly as the flat kernel does, and prune under load.
 #[test]
 fn hier_pyramids_answer_as_flat_and_prune_under_load() {
     let dir = Dir::new("hier");
@@ -718,22 +678,32 @@ fn hier_pyramids_answer_as_flat_and_prune_under_load() {
     assert!(built.contains("hier pyramids"), "{built}");
     dir.ok("verify --index h.abpg");
 
-    let serve = "--index h.abpg --scrub-ms 0";
-    let queries = "v=0..0\nv=15..15\nv=3..5 rows 20000..80000\nv=9..9 rows 50000..99999\n\
-                   v=7..7 rows 50000..99999\nv=0..15\nquit\n";
-    let repl = format!("{serve} --limit 100000");
-    let (flat, hier) = dir.repl_flat_and_tiered(&repl, "--hier force", queries);
-    assert!(flat == hier, "flat and hier answers differ");
-    let answers = repl_answers(&hier);
-    assert_eq!(answers.len(), 6);
+    let serve = "--index h.abpg --scrub-ms 0 --listen 127.0.0.1:0 --drain-ms 3000";
+    let all = (0, 99_999);
+    let queries = [
+        rect_of(&[(0, 0, 0)], all),
+        rect_of(&[(0, 15, 15)], all),
+        rect_of(&[(0, 3, 5)], (20_000, 80_000)),
+        rect_of(&[(0, 9, 9)], (50_000, 99_999)),
+        rect_of(&[(0, 7, 7)], (50_000, 99_999)),
+        rect_of(&[(0, 0, 15)], all),
+    ];
+    let flat = dir.serve(serve);
+    let server = dir.serve(&format!(
+        "{serve} --hier force --telemetry-addr 127.0.0.1:0"
+    ));
+    let hier = answers(server.listen(), &queries);
     assert!(
-        answers.iter().any(|rows| rows.len() == 6250),
+        answers(flat.listen(), &queries) == hier,
+        "flat and hier answers differ"
+    );
+    flat.drain();
+    assert_eq!(hier.len(), 6);
+    assert!(
+        hier.iter().any(|rows| rows.len() == 6250),
         "the one-cluster query"
     );
 
-    let server = dir.serve(&format!(
-        "{serve} --hier force --listen 127.0.0.1:0 --telemetry-addr 127.0.0.1:0 --drain-ms 3000"
-    ));
     drive(server.listen(), &truth, Mix::Rects, 2, 10);
     let metrics = get_ok(server.telemetry(), "/metrics");
     assert!(metric(&metrics, "hier_regions_pruned") > 0.0);
@@ -763,32 +733,32 @@ fn hybrid_tier_answers_exactly_and_fires_under_load() {
     assert!(built.contains("32 exact-backed bins"), "{built}");
     dir.ok("verify --index h.abpg");
 
-    let serve = "--index h.abpg --scrub-ms 0";
-    let rect = |lo, hi, rows: (usize, usize)| {
-        RectQuery::new(vec![AttrRange::new(0, lo, hi)], rows.0, rows.1)
-    };
+    let serve = "--index h.abpg --scrub-ms 0 --listen 127.0.0.1:0 --drain-ms 3000";
     let all = (0, 199_999);
     let queries = [
-        ("v=0..0", rect(0, 0, all)),
-        ("v=15..15", rect(15, 15, all)),
-        ("v=3..5 rows 20000..80000", rect(3, 5, (20_000, 80_000))),
-        ("v=7..7 rows 100000..199999", rect(7, 7, (100_000, 199_999))),
-        ("v=0..15", rect(0, 15, all)),
+        rect_of(&[(0, 0, 0)], all),
+        rect_of(&[(0, 15, 15)], all),
+        rect_of(&[(0, 3, 5)], (20_000, 80_000)),
+        rect_of(&[(0, 7, 7)], (100_000, 199_999)),
+        rect_of(&[(0, 0, 15)], all),
     ];
-    let input: String = queries.iter().map(|(q, _)| format!("{q}\n")).collect();
-    let repl = format!("{serve} --limit 200000");
-    let (flat, hybrid) = dir.repl_flat_and_tiered(&repl, "--hybrid force", &input);
-    let (flat, hybrid) = (repl_answers(&flat), repl_answers(&hybrid));
+    let flat_server = dir.serve(serve);
+    let server = dir.serve(&format!(
+        "{serve} --hybrid force --telemetry-addr 127.0.0.1:0"
+    ));
+    let hybrid = answers(server.listen(), &queries);
+    let flat = answers(flat_server.listen(), &queries);
+    flat_server.drain();
     let counts: Vec<usize> = hybrid.iter().map(Vec::len).collect();
     assert_eq!(counts, [12_500, 12_500, 11_250, 6_250, 200_000]);
     let mut false_positives = 0;
-    for ((q, query), (flat, hybrid)) in queries.iter().zip(flat.iter().zip(&hybrid)) {
+    for (q, (flat, hybrid)) in queries.iter().zip(flat.iter().zip(&hybrid)) {
         assert_eq!(
             *hybrid,
-            truth.rows(query),
-            "hybrid answer to {q} is not exact"
+            truth.rows(q),
+            "hybrid answer to {q:?} is not exact"
         );
-        assert!(truth.covered(query, flat), "flat answer to {q} lost a row");
+        assert!(truth.covered(q, flat), "flat answer to {q:?} lost a row");
         false_positives += flat.len() - hybrid.len();
     }
     assert!(
@@ -796,9 +766,6 @@ fn hybrid_tier_answers_exactly_and_fires_under_load() {
         "flat served no false positive for the tier to remove"
     );
 
-    let server = dir.serve(&format!(
-        "{serve} --hybrid force --listen 127.0.0.1:0 --telemetry-addr 127.0.0.1:0 --drain-ms 3000"
-    ));
     for (req, resp) in drive(server.listen(), &truth, Mix::Rects, 2, 10) {
         let (Request::Rect { query, .. }, Response::Rect { rows, .. }) = (req, resp) else {
             unreachable!("a rect load")
@@ -851,4 +818,20 @@ fn rebuilt_index_answers_as_before_corruption() {
     dir.ok("build --csv chaos.csv --out chaos.abpg");
     dir.ok("verify --index chaos.abpg");
     assert_eq!(dir.ok(query), before);
+}
+
+/// `serve` without `--index`, or without `--listen`, exits 2 naming
+/// the missing flag.
+#[test]
+fn serve_requires_an_index_and_a_listener() {
+    let dir = Dir::new("serve_flags");
+    for (line, flag) in [
+        ("serve --listen 127.0.0.1:0", "--index"),
+        ("serve --index x.abpg", "--listen"),
+    ] {
+        let out = dir.command(&[ABQ], line).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "abq {line}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("error: {flag} is required")), "{err}");
+    }
 }
