@@ -245,7 +245,7 @@ impl HybridAb {
     }
 
     /// Serialized container bytes (the container of every backed
-    /// bin) — what the ABIX v5 hybrid section stores.
+    /// bin) — what the ABIX hybrid section stores.
     pub fn size_bytes(&self) -> usize {
         self.bins.iter().map(|b| b.exact.size_bytes()).sum()
     }
@@ -308,7 +308,7 @@ impl HybridAb {
         HybridRangePlan { exact, unbacked }
     }
 
-    /// Reassembles a tier from stored pieces (ABIX v5 deserialization).
+    /// Reassembles a tier from stored pieces (ABIX deserialization).
     /// `parts` must arrive sorted by (attribute, bin) — the write
     /// order — and is validated.
     ///

@@ -1,14 +1,9 @@
-//! Persistent binary format for AB indexes.
-//!
-//! A downstream user builds the AB once over a (read-only, per §4.1)
-//! data set and ships it to query nodes — the paper's privacy scenario
-//! (§1, contribution 6) even queries the AB *without* database access.
-//! The format is a versioned little-endian layout; the `crc32` field
-//! covers everything after it, so bit-rot is caught at decode time
-//! instead of surfacing as silently wrong answers:
+//! Persistent binary format for AB indexes: the paper's "ship the
+//! index without the data" (§1, contribution 6). An index is one
+//! versioned little-endian `ABIX` record:
 //!
 //! ```text
-//! magic "ABIX" | version u16 | crc32 u32 | level u8 | num_rows u64 |
+//! magic "ABIX" | version u16 | level u8 | num_rows u64 |
 //! attr count u32 | { name_len u16, name, cardinality u32, offset u64 }* |
 //! ab count u32  | { n_bits u64, k u32, inserted u64, mapper, family,
 //!                   word count u64, words u64* }* |
@@ -16,49 +11,28 @@
 //!                   { row_span u64, bin_group u32, AB record }* ] |
 //! hybrid flag u8 | [ min_density f64, verify_cost f64,
 //!                    total_bins u32, bin count u32,
-//!                    { attribute u32, bin u32,
-//!                      exact_len u64, ROAR bytes }* ]
+//!                    { attribute u32, bin u32, ROAR body }* ]
 //! ```
 //!
-//! The trailing `hier` section is the hierarchical-pruning pyramid
-//! (flag 1 followed by the per-level geometry + AB records; 0 means no
-//! pyramid — callers may rebuild it from the base AB, the probe-sweep
-//! construction is deterministic). The `hybrid` section is the exact
-//! tier (`crate::hybrid`): per backed (attribute, bin), its exact
-//! Roaring container as a length-prefixed self-checking `ROAR` stream
-//! (see `roar::bytes` — each carries its own magic, version and
-//! CRC-32, so a damaged container is pinpointed by its own checksum).
-//! Bins must appear in strictly increasing (attribute, bin) order;
-//! callers with source data may rebuild a missing tier
-//! (`AbIndex::ensure_hybrid` is deterministic).
-//!
-//! A row-range-sharded index (see `ab::shard_ranges` and the `svc`
-//! crate) persists as an `ABSH` envelope of independent `ABIX`
-//! segments, each tagged with its starting global row and its own
-//! CRC-32, so one rotted shard is detected — and repairable — without
-//! touching the others:
+//! The `hier` section is the pyramid (`crate::hier`), the `hybrid`
+//! section the exact tier (`crate::hybrid`): each backed (attribute,
+//! bin), in strictly increasing order, with its container's
+//! self-delimiting body (`roar::RoaringBitmap::write_body`). A
+//! row-range-sharded index (`ab::shard_ranges`, the `svc` crate) is an
+//! `ABSH` envelope of length-prefixed `ABIX` segments in strictly
+//! increasing `start_row` order from row 0:
 //!
 //! ```text
 //! magic "ABSH" | version u16 | shard count u32 |
-//! { start_row u64, byte_len u64, crc32 u32, ABIX bytes }*
+//! { start_row u64, byte_len u64, ABIX bytes }*
 //! ```
 //!
-//! Segments are length-prefixed so a reader can skip to any shard
-//! without decoding the others, and must appear in strictly increasing
-//! `start_row` order starting at row 0.
-//!
-//! Readers accept exactly the version the writer emits (`ABIX` 5,
-//! `ABSH` 2); anything else is [`IoError::UnsupportedVersion`] before a
-//! single payload byte is parsed.
-//!
-//! Two readers serve two robustness postures:
-//!
-//! * [`from_bytes`] / [`shards_from_bytes`] — strict: the first
-//!   corrupt byte fails the whole decode with a typed [`IoError`];
-//! * [`shards_from_bytes_checked`] — shard-granular: envelope-level
-//!   damage is fatal, but each segment decodes independently so a
-//!   caller (e.g. `svc::ShardedIndex::from_bytes_with_repair`) can
-//!   rebuild only the corrupted shards from source data.
+//! Neither carries a checksum: on disk they live only inside the
+//! `store` crate's page-checked file, whose CRCs are the one integrity
+//! layer (DESIGN §17). The decoders refuse malformed input with a
+//! typed [`IoError`] and never panic on it. Readers accept exactly the
+//! version the writer emits (`ABIX` 6, `ABSH` 3); anything else is
+//! [`IoError::UnsupportedVersion`] before a payload byte is parsed.
 
 use crate::analysis::Level;
 use crate::encoding::ApproximateBitmap;
@@ -81,16 +55,8 @@ pub enum IoError {
     BadTag(u8),
     /// A string field was not valid UTF-8.
     BadString,
-    /// `ABSH` shard segments were empty, unordered, or overlapping.
+    /// `ABSH` segments were empty, unordered or did not tile the input.
     BadShardLayout,
-    /// The stored CRC-32 does not match the payload — the bytes were
-    /// corrupted after serialization (bit-rot, torn write, tampering).
-    ChecksumMismatch {
-        /// Checksum recorded at write time.
-        stored: u32,
-        /// Checksum recomputed over the received payload.
-        computed: u32,
-    },
 }
 
 impl std::fmt::Display for IoError {
@@ -102,10 +68,6 @@ impl std::fmt::Display for IoError {
             IoError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             IoError::BadString => write!(f, "invalid UTF-8 in name"),
             IoError::BadShardLayout => write!(f, "shard segments empty or out of order"),
-            IoError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
         }
     }
 }
@@ -113,51 +75,43 @@ impl std::fmt::Display for IoError {
 impl std::error::Error for IoError {}
 
 const MAGIC: &[u8; 4] = b"ABIX";
-const VERSION: u16 = 5;
+/// The one `ABIX` version readers accept.
+const VERSION: u16 = 6;
 
 pub use roar::bytes::crc32;
 
-/// Verifies a stored checksum, counting failures in
-/// `io.checksum_failures`.
-fn check_crc(stored: u32, payload: &[u8]) -> Result<(), IoError> {
-    let computed = crc32(payload);
-    if stored != computed {
-        obs::counter!("io.checksum_failures").inc();
-        return Err(IoError::ChecksumMismatch { stored, computed });
-    }
-    Ok(())
-}
-
-/// Serializes an [`AbIndex`] to bytes (format version 5: the u32 after
-/// the version field is a CRC-32 of everything that follows it,
-/// including the trailing hier and hybrid sections).
+/// Serializes an [`AbIndex`] to `ABIX` bytes.
 pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len_bound(index));
+    write_index(&mut out, index);
+    out
+}
+
+fn write_index(out: &mut Vec<u8>, index: &AbIndex) {
     out.extend_from_slice(MAGIC);
-    put_u16(&mut out, VERSION);
-    put_u32(&mut out, 0); // checksum, patched below
-    out.push(level_tag(index.level()));
-    put_u64(&mut out, index.num_rows() as u64);
-    put_u32(&mut out, index.attributes().len() as u32);
+    out.extend(VERSION.to_le_bytes());
+    out.push(tag_of(&LEVELS, &index.level()));
+    out.extend((index.num_rows() as u64).to_le_bytes());
+    out.extend((index.attributes().len() as u32).to_le_bytes());
     for a in index.attributes() {
-        put_u16(&mut out, a.name.len() as u16);
+        out.extend((a.name.len() as u16).to_le_bytes());
         out.extend_from_slice(a.name.as_bytes());
-        put_u32(&mut out, a.cardinality);
-        put_u64(&mut out, a.offset as u64);
+        out.extend(a.cardinality.to_le_bytes());
+        out.extend((a.offset as u64).to_le_bytes());
     }
-    put_u32(&mut out, index.abs().len() as u32);
+    out.extend((index.abs().len() as u32).to_le_bytes());
     for ab in index.abs() {
-        write_ab(&mut out, ab);
+        write_ab(out, ab);
     }
     match index.hier() {
         None => out.push(0),
         Some(hier) => {
             out.push(1);
-            put_u32(&mut out, hier.levels().len() as u32);
+            out.extend((hier.levels().len() as u32).to_le_bytes());
             for level in hier.levels() {
-                put_u64(&mut out, level.row_span() as u64);
-                put_u32(&mut out, level.bin_group());
-                write_ab(&mut out, level.ab());
+                out.extend((level.row_span() as u64).to_le_bytes());
+                out.extend(level.bin_group().to_le_bytes());
+                write_ab(out, level.ab());
             }
         }
     }
@@ -165,28 +119,21 @@ pub fn to_bytes(index: &AbIndex) -> Vec<u8> {
         None => out.push(0),
         Some(hy) => {
             out.push(1);
-            put_u64(&mut out, hy.config().min_density.to_bits());
-            put_u64(&mut out, hy.config().verify_cost.to_bits());
-            put_u32(&mut out, hy.total_bins());
-            put_u32(&mut out, hy.bins().len() as u32);
+            out.extend(hy.config().min_density.to_bits().to_le_bytes());
+            out.extend(hy.config().verify_cost.to_bits().to_le_bytes());
+            out.extend(hy.total_bins().to_le_bytes());
+            out.extend((hy.bins().len() as u32).to_le_bytes());
             for hb in hy.bins() {
-                put_u32(&mut out, hb.attribute() as u32);
-                put_u32(&mut out, hb.bin());
-                let blob = hb.exact().to_bytes();
-                put_u64(&mut out, blob.len() as u64);
-                out.extend_from_slice(&blob);
+                out.extend((hb.attribute() as u32).to_le_bytes());
+                out.extend(hb.bin().to_le_bytes());
+                hb.exact().write_body(out);
             }
         }
     }
-    let crc = crc32(&out[10..]);
-    out[6..10].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// An upper bound on `to_bytes(index).len()`, a few bytes per record
-/// above it, covering every section: [`AbIndex::size_bytes`] counts the
-/// base ABs only, and a buffer reserved from that regrows through the
-/// whole of the exact tier's containers.
+/// above it, covering every section, not just [`AbIndex::size_bytes`].
 fn encoded_len_bound(index: &AbIndex) -> usize {
     // Fixed fields of an AB record, with the longest mapper and family
     // encodings (the roster's one byte per function comes on top).
@@ -199,31 +146,51 @@ fn encoded_len_bound(index: &AbIndex) -> usize {
     };
     let attributes: usize = index.attributes().iter().map(|a| 14 + a.name.len()).sum();
     let abs: usize = index.abs().iter().map(ab_record).sum();
-    let hier = index.hier().map_or(0, |hier| {
-        let levels = hier.levels().iter();
-        4 + levels.map(|l| 12 + ab_record(l.ab())).sum::<usize>()
+    let hier = index.hier().map_or(0, |h| {
+        4 + h
+            .levels()
+            .iter()
+            .map(|l| 12 + ab_record(l.ab()))
+            .sum::<usize>()
     });
+    // A body adds 4 bytes, and 5 per chunk of 2¹⁶ rows, to `size_bytes`.
     let hybrid = index.hybrid().map_or(0, |hy| {
-        // A `ROAR` stream adds a 14-byte header and 5 bytes per chunk
-        // to `size_bytes`; a container has at most one chunk per 2¹⁶
-        // rows.
-        let container = 8 + 14 + 5 * hy.num_rows().div_ceil(1 << 16);
-        24 + hy.bins().len() * (8 + container) + hy.size_bytes()
+        let record = 12 + 5 * hy.num_rows().div_ceil(1 << 16);
+        24 + hy.bins().len() * record + hy.size_bytes()
     });
     32 + attributes + abs + hier + hybrid
 }
 
 /// Writes one AB record (the layout shared by base and hier-level ABs).
 fn write_ab(out: &mut Vec<u8>, ab: &ApproximateBitmap) {
-    put_u64(out, ab.n_bits());
-    put_u32(out, ab.k() as u32);
-    put_u64(out, ab.inserted());
-    write_mapper(out, ab.mapper());
-    write_family(out, ab.family());
+    out.extend(ab.n_bits().to_le_bytes());
+    out.extend((ab.k() as u32).to_le_bytes());
+    out.extend(ab.inserted().to_le_bytes());
+    let (tag, shift) = match ab.mapper() {
+        CellMapper::Shifted { shift } => (0, shift),
+        CellMapper::RowOnly => (1, 0),
+    };
+    out.push(tag);
+    out.extend(shift.to_le_bytes());
+    match ab.family() {
+        HashFamily::Independent(kinds) => {
+            out.push(0);
+            out.extend((kinds.len() as u16).to_le_bytes());
+            for k in kinds {
+                out.push(tag_of(&HASH_KINDS, k));
+            }
+        }
+        HashFamily::Sha1Split => out.push(1),
+        HashFamily::DoubleHashing => out.push(2),
+        HashFamily::ColumnGroup { num_columns } => {
+            out.push(3);
+            out.extend(num_columns.to_le_bytes());
+        }
+    }
     let words = ab.bits().words();
-    put_u64(out, words.len() as u64);
-    for &w in words {
-        put_u64(out, w);
+    out.extend((words.len() as u64).to_le_bytes());
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -235,10 +202,31 @@ fn read_ab(r: &mut Reader<'_>) -> Result<ApproximateBitmap, IoError> {
         return Err(IoError::BadTag(0));
     }
     let inserted = r.u64()?;
-    let mapper = read_mapper(r)?;
-    let family = read_family(r)?;
+    let mapper = match (r.u8()?, r.u32()?) {
+        // A shift of 64+ would overflow the `row << shift` cell
+        // mapping on first use; reject it at decode time instead.
+        (0, shift) if shift < 64 => CellMapper::Shifted { shift },
+        (1, _) => CellMapper::RowOnly,
+        (t, _) => return Err(IoError::BadTag(t)),
+    };
+    let family = match r.u8()? {
+        0 => {
+            let count = r.u16()? as usize;
+            if count == 0 {
+                return Err(IoError::BadTag(0));
+            }
+            let kinds = (0..count).map(|_| from_tag(&HASH_KINDS, r.u8()?));
+            HashFamily::Independent(kinds.collect::<Result<_, _>>()?)
+        }
+        1 => HashFamily::Sha1Split,
+        2 => HashFamily::DoubleHashing,
+        3 => HashFamily::ColumnGroup {
+            num_columns: r.u64()?,
+        },
+        t => return Err(IoError::BadTag(t)),
+    };
     let word_count = r.u64()? as usize;
-    if word_count > r.remaining() / 8 || word_count != (n_bits as usize).div_ceil(64) {
+    if word_count > r.remaining() / 8 || word_count as u64 != n_bits.div_ceil(64) {
         return Err(IoError::Truncated);
     }
     let mut words = Vec::with_capacity(word_count);
@@ -255,61 +243,40 @@ fn read_ab(r: &mut Reader<'_>) -> Result<ApproximateBitmap, IoError> {
 }
 
 /// Deserializes an [`AbIndex`] from bytes produced by [`to_bytes`].
-/// The input is checksum-verified before any field is trusted.
 pub fn from_bytes(data: &[u8]) -> Result<AbIndex, IoError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(IoError::UnsupportedVersion(version));
-    }
-    let stored = r.u32()?;
-    check_crc(stored, &data[r.pos..])?;
-    parse_index_payload(&mut r)
-}
-
-/// Parses the post-checksum body.
-fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
-    let level = parse_level(r.u8()?)?;
+    let mut r = Reader::new(data, MAGIC, VERSION)?;
+    let level = from_tag(&LEVELS, r.u8()?)?;
     let num_rows = r.u64()? as usize;
     let attr_count = r.u32()? as usize;
-    // Each attribute record is at least 14 bytes; a count beyond the
-    // remaining input is corrupt. Checking before the reserve keeps a
-    // hostile header from forcing a huge allocation.
+    // Each attribute record is at least 14 bytes: a count beyond the
+    // input is corrupt, refused before it sizes an allocation.
     if attr_count > r.remaining() / 14 {
         return Err(IoError::Truncated);
     }
-    let mut attributes = Vec::with_capacity(attr_count);
-    for _ in 0..attr_count {
-        let name_len = r.u16()? as usize;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| IoError::BadString)?
-            .to_owned();
-        let cardinality = r.u32()?;
-        let offset = r.u64()? as usize;
-        attributes.push(AttributeMeta {
-            name,
-            cardinality,
-            offset,
-        });
-    }
+    let attributes = (0..attr_count)
+        .map(|_| {
+            let name_len = r.u16()? as usize;
+            let name = std::str::from_utf8(r.take(name_len)?).map_err(|_| IoError::BadString)?;
+            Ok(AttributeMeta {
+                name: name.to_owned(),
+                cardinality: r.u32()?,
+                offset: r.u64()? as usize,
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let ab_count = r.u32()? as usize;
     // Each AB record is at least 33 bytes.
     if ab_count > r.remaining() / 33 {
         return Err(IoError::Truncated);
     }
-    let mut abs = Vec::with_capacity(ab_count);
-    for _ in 0..ab_count {
-        abs.push(read_ab(r)?);
-    }
+    let abs = (0..ab_count)
+        .map(|_| read_ab(&mut r))
+        .collect::<Result<_, _>>()?;
     let hier = match r.u8()? {
         0 => None,
         1 => {
             let level_count = r.u32()? as usize;
-            // Each hier level record is at least 45 bytes
-            // (geometry + minimal AB record).
+            // Each level is at least 45 bytes (geometry + AB record).
             if level_count > r.remaining() / 45 {
                 return Err(IoError::Truncated);
             }
@@ -320,14 +287,11 @@ fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
                 if row_span == 0 || bin_group == 0 {
                     return Err(IoError::BadTag(0));
                 }
-                let ab = read_ab(r)?;
-                parts.push((
-                    HierLevelSpec {
-                        row_span,
-                        bin_group,
-                    },
-                    ab,
-                ));
+                let spec = HierLevelSpec {
+                    row_span,
+                    bin_group,
+                };
+                parts.push((spec, read_ab(&mut r)?));
             }
             Some(HierAb::from_serialized(num_rows, &attributes, parts))
         }
@@ -344,30 +308,34 @@ fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
             }
             let total_bins = r.u32()?;
             let count = r.u32()? as usize;
-            // Each backed-bin record is at least 30 bytes: ids + one
-            // length-prefixed minimal (empty) ROAR stream.
-            if count > r.remaining() / 30 || count > total_bins as usize {
+            // A record is at least 12 bytes: ids and an empty body.
+            if count > r.remaining() / 12 || count > total_bins as usize {
                 return Err(IoError::Truncated);
             }
-            let mut parts = Vec::with_capacity(count);
-            let mut prev: Option<(u32, u32)> = None;
-            for _ in 0..count {
-                let attribute = r.u32()?;
-                let bin = r.u32()?;
-                if prev.is_some_and(|p| p >= (attribute, bin)) {
-                    return Err(IoError::BadShardLayout);
-                }
-                prev = Some((attribute, bin));
-                parts.push((attribute, bin, read_roar(r)?));
+            let parts = (0..count)
+                .map(|_| {
+                    let (attribute, bin) = (r.u32()?, r.u32()?);
+                    let body = roar::RoaringBitmap::read_body(&r.data[r.pos..]);
+                    let (exact, used) = body.map_err(|e| match e {
+                        roar::RoarError::Truncated => IoError::Truncated,
+                        _ => IoError::BadTag(0),
+                    })?;
+                    r.pos += used;
+                    Ok((attribute, bin, exact))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            if parts
+                .windows(2)
+                .any(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1))
+            {
+                return Err(IoError::BadShardLayout);
             }
+            let config = HybridConfig {
+                min_density,
+                verify_cost,
+            };
             Some(HybridAb::from_serialized(
-                HybridConfig {
-                    min_density,
-                    verify_cost,
-                },
-                num_rows,
-                total_bins,
-                parts,
+                config, num_rows, total_bins, parts,
             ))
         }
         t => return Err(IoError::BadTag(t)),
@@ -377,135 +345,89 @@ fn parse_index_payload(r: &mut Reader<'_>) -> Result<AbIndex, IoError> {
     ))
 }
 
-/// Reads one length-prefixed, self-checking `ROAR` container stream
-/// (see `roar::bytes`), mapping its typed errors onto [`IoError`].
-fn read_roar(r: &mut Reader<'_>) -> Result<roar::RoaringBitmap, IoError> {
-    let len = r.u64()? as usize;
-    let blob = r.take(len)?;
-    roar::RoaringBitmap::from_bytes(blob).map_err(|e| match e {
-        roar::RoarError::ChecksumMismatch { expected, actual } => IoError::ChecksumMismatch {
-            stored: expected,
-            computed: actual,
-        },
-        roar::RoarError::Truncated => IoError::Truncated,
-        roar::RoarError::BadMagic => IoError::BadMagic,
-        roar::RoarError::UnsupportedVersion(_) | roar::RoarError::Malformed(_) => {
-            IoError::BadTag(0)
-        }
-    })
-}
-
 const SHARD_MAGIC: &[u8; 4] = b"ABSH";
-const SHARD_VERSION: u16 = 2;
+/// The one `ABSH` version readers accept.
+pub const SHARD_VERSION: u16 = 3;
+/// Bytes of one segment's fixed header: start row, byte length.
+pub const SEGMENT_HEADER_LEN: usize = 16;
 
-/// Serializes a row-range-sharded index as an `ABSH` envelope.
-/// `segments` pairs each shard's starting global row with its index;
-/// they must be non-empty and in strictly increasing row order,
-/// starting at row 0, with each shard starting exactly where the
-/// previous one ended.
+/// Serializes a row-range-sharded index as an `ABSH` envelope of
+/// `(start_row, index)` segments.
 ///
 /// # Panics
 ///
-/// Panics if the segment layout is invalid (this is a programming
-/// error on the writer side; readers get [`IoError::BadShardLayout`]).
+/// Panics unless the segments are non-empty and each starts where the
+/// previous one ended, from row 0 (readers get
+/// [`IoError::BadShardLayout`]).
 pub fn shards_to_bytes(segments: &[(u64, &AbIndex)]) -> Vec<u8> {
-    assert!(!segments.is_empty(), "no shard segments");
-    let mut expected_start = 0u64;
-    for (start, index) in segments {
-        assert_eq!(
-            *start, expected_start,
-            "shard at row {start} does not start where the previous ended"
-        );
-        expected_start = start + index.num_rows() as u64;
-    }
+    let mut end = 0;
+    let tiled = segments.iter().all(|(start, index)| {
+        std::mem::replace(&mut end, start + index.num_rows() as u64) == *start
+    });
+    assert!(tiled && !segments.is_empty(), "shards must tile the rows");
     let total: usize = segments.iter().map(|(_, i)| encoded_len_bound(i)).sum();
-    let mut out = Vec::with_capacity(32 + total + 20 * segments.len());
+    let mut out = Vec::with_capacity(10 + total + SEGMENT_HEADER_LEN * segments.len());
     out.extend_from_slice(SHARD_MAGIC);
-    put_u16(&mut out, SHARD_VERSION);
-    put_u32(&mut out, segments.len() as u32);
+    out.extend(SHARD_VERSION.to_le_bytes());
+    out.extend((segments.len() as u32).to_le_bytes());
     for (start, index) in segments {
-        let blob = to_bytes(index);
-        put_u64(&mut out, *start);
-        put_u64(&mut out, blob.len() as u64);
-        put_u32(&mut out, crc32(&blob));
-        out.extend_from_slice(&blob);
+        out.extend(start.to_le_bytes());
+        let len_at = out.len();
+        out.extend(0u64.to_le_bytes()); // byte length, patched below
+        write_index(&mut out, index);
+        let len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
     }
     out
 }
 
-/// Deserializes an `ABSH` envelope produced by [`shards_to_bytes`]
-/// back into `(start_row, index)` segments in row order. Strict: the
-/// first corrupt segment fails the whole decode — use
-/// [`shards_from_bytes_checked`] when partial recovery is wanted.
+/// Deserializes an `ABSH` envelope produced by [`shards_to_bytes`] into
+/// its `(start_row, index)` segments; the first malformed byte fails it.
 pub fn shards_from_bytes(data: &[u8]) -> Result<Vec<(u64, AbIndex)>, IoError> {
-    let mut segments = Vec::new();
     let mut expected_start = 0u64;
-    for (start, res) in shards_from_bytes_checked(data)? {
-        if start != expected_start {
-            return Err(IoError::BadShardLayout);
-        }
-        let index = res?;
-        if index.num_rows() == 0 {
-            return Err(IoError::BadShardLayout);
-        }
-        expected_start = start + index.num_rows() as u64;
-        segments.push((start, index));
-    }
-    Ok(segments)
+    segments(data)?
+        .1
+        .map(|seg| {
+            let (extent, blob) = seg?;
+            let index = from_bytes(blob)?;
+            if extent.start_row != expected_start || index.num_rows() == 0 {
+                return Err(IoError::BadShardLayout);
+            }
+            expected_start += index.num_rows() as u64;
+            Ok((extent.start_row, index))
+        })
+        .collect()
 }
 
-/// Per-segment decode results from [`shards_from_bytes_checked`]: each
-/// entry is `(start_row, Ok(index) | Err(segment-local damage))`.
-pub type CheckedSegments = Vec<(u64, Result<AbIndex, IoError>)>;
-
-/// Shard-granular `ABSH` decoding: damage to the envelope itself
-/// (magic, version, counts, truncation, unordered starts) is fatal,
-/// but each segment's checksum verification and decode happen
-/// independently, so a flipped byte inside shard *i* yields
-/// `Err(ChecksumMismatch)` in slot *i* while every other shard decodes
-/// normally. This is the substrate for shard-granular repair.
-pub fn shards_from_bytes_checked(data: &[u8]) -> Result<CheckedSegments, IoError> {
-    walk_envelope(data, |seg| {
-        let res = check_crc(seg.stored_crc, seg.blob).and_then(|()| from_bytes(seg.blob));
-        (seg.start_row, res)
-    })
+/// Byte extent of one `ABSH` segment: what `store` maps bad pages onto.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SegmentExtent {
+    /// Segment position in the envelope.
+    pub shard: usize,
+    /// First global row the segment covers.
+    pub start_row: u64,
+    /// Byte offset of the segment's header from the envelope's start.
+    pub offset: usize,
+    /// Byte length of the segment including its header.
+    pub len: usize,
 }
 
-/// One `ABSH` segment as [`walk_envelope`] yields it. `blob` borrows
-/// the input; nothing in it has been read or checksummed yet.
-struct RawSegment<'a> {
-    shard: usize,
-    start_row: u64,
-    /// The envelope's CRC-32 of `blob`.
-    stored_crc: u32,
-    /// Byte offset of the segment's 20-byte header from the start of
-    /// the envelope; `blob` follows it directly.
-    offset: usize,
-    blob: &'a [u8],
+/// Each segment's byte extent; reads only the fixed headers, O(shards).
+pub fn segment_extents(data: &[u8]) -> Result<Vec<SegmentExtent>, IoError> {
+    segments(data)?.1.map(|seg| Ok(seg?.0)).collect()
 }
 
-/// Bytes of one segment's fixed header: start row, byte length, CRC-32.
-const SEGMENT_HEADER_LEN: usize = 20;
+/// One `ABSH` segment as [`segments`] yields it: extent and `ABIX` bytes.
+pub type Segment<'a> = Result<(SegmentExtent, &'a [u8]), IoError>;
 
-/// The one `ABSH` parser: validates magic, version and shard count,
-/// then hands `each` every segment in storage order after checking
-/// that starts begin at row 0 and strictly increase and that the blob
-/// lies inside the input. Every envelope-level error of
-/// [`shards_from_bytes_checked`] and [`segment_extents`] comes from
-/// here, so the two cannot disagree about whether an envelope is
-/// well-formed. Only headers are read — O(shards).
-fn walk_envelope<'a, T>(
-    data: &'a [u8],
-    mut each: impl FnMut(RawSegment<'a>) -> T,
-) -> Result<Vec<T>, IoError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != SHARD_MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != SHARD_VERSION {
-        return Err(IoError::UnsupportedVersion(version));
-    }
+/// The one `ABSH` parser: checks magic, version and shard count, and
+/// returns that count and a walk yielding each segment in storage
+/// order, reading only its fixed header. A start that does not follow
+/// the previous one (from row 0), bytes past the input, or a last
+/// segment that does not end the input is an error that ends the walk;
+/// the segments before it stay usable.
+pub fn segments<'a>(data: &'a [u8]) -> Result<(usize, impl Iterator<Item = Segment<'a>>), IoError> {
+    let mut r = Reader::new(data, SHARD_MAGIC, SHARD_VERSION)?;
     let count = r.u32()? as usize;
     if count == 0 {
         return Err(IoError::BadShardLayout);
@@ -515,193 +437,64 @@ fn walk_envelope<'a, T>(
     if count > r.remaining() / (SEGMENT_HEADER_LEN + 1) {
         return Err(IoError::Truncated);
     }
-    let mut out = Vec::with_capacity(count);
     let mut prev_start: Option<u64> = None;
-    for shard in 0..count {
+    let mut next = move |shard: usize| -> Segment<'a> {
         let offset = r.pos;
         let start_row = r.u64()?;
-        let ordered = match prev_start {
-            None => start_row == 0,
-            Some(p) => start_row > p,
-        };
-        if !ordered {
+        if prev_start.map_or(start_row != 0, |p| start_row <= p) {
             return Err(IoError::BadShardLayout);
         }
         prev_start = Some(start_row);
-        let len = r.u64()?;
-        let stored_crc = r.u32()?;
-        if len > r.remaining() as u64 {
-            return Err(IoError::Truncated);
+        let len = usize::try_from(r.u64()?).map_err(|_| IoError::Truncated)?;
+        let blob = r.take(len)?;
+        if shard + 1 == count && r.remaining() != 0 {
+            return Err(IoError::BadShardLayout);
         }
-        out.push(each(RawSegment {
+        let len = SEGMENT_HEADER_LEN + blob.len();
+        let extent = SegmentExtent {
             shard,
             start_row,
-            stored_crc,
             offset,
-            blob: r.take(len as usize)?,
-        }));
-    }
-    Ok(out)
+            len,
+        };
+        Ok((extent, blob))
+    };
+    // One error ends the walk: nothing after it can be located.
+    let mut failed = false;
+    let walk = (0..count).map_while(move |shard| {
+        (!failed).then(|| {
+            let seg = next(shard);
+            failed = seg.is_err();
+            seg
+        })
+    });
+    Ok((count, walk))
 }
 
-/// Byte extent of one `ABSH` segment within the envelope — the
-/// substrate for page-granular storage (the `store` crate maps damaged
-/// file pages back to the shards whose bytes they cover, and a direct
-/// reader can slice one shard out of a file without decoding the
-/// others).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentExtent {
-    /// Segment position in the envelope.
-    pub shard: usize,
-    /// First global row the segment covers.
-    pub start_row: u64,
-    /// Byte offset of the segment (including its per-segment header)
-    /// from the start of the envelope.
-    pub offset: usize,
-    /// Byte length of the segment including its header.
-    pub len: usize,
+/// Levels and hash kinds by their one-byte tags.
+const LEVELS: [Level; 3] = [Level::PerDataset, Level::PerAttribute, Level::PerColumn];
+const HASH_KINDS: [HashKind; 12] = [
+    HashKind::Rs,
+    HashKind::Js,
+    HashKind::Pjw,
+    HashKind::Elf,
+    HashKind::Bkdr,
+    HashKind::Sdbm,
+    HashKind::Djb,
+    HashKind::Dek,
+    HashKind::Ap,
+    HashKind::Fnv,
+    HashKind::MultiplyShift,
+    HashKind::Circular,
+];
+
+fn tag_of<T: PartialEq>(table: &[T], item: &T) -> u8 {
+    let tag = table.iter().position(|x| x == item);
+    tag.expect("every variant has a tag") as u8
 }
 
-/// Walks an `ABSH` envelope and returns each segment's byte extent
-/// without decoding (or even checksum-verifying) any segment body —
-/// only the envelope header and the fixed per-segment headers are
-/// read, so this stays O(shards) on a multi-gigabyte file.
-pub fn segment_extents(data: &[u8]) -> Result<Vec<SegmentExtent>, IoError> {
-    walk_envelope(data, |seg| SegmentExtent {
-        shard: seg.shard,
-        start_row: seg.start_row,
-        offset: seg.offset,
-        len: SEGMENT_HEADER_LEN + seg.blob.len(),
-    })
-}
-
-fn level_tag(level: Level) -> u8 {
-    match level {
-        Level::PerDataset => 0,
-        Level::PerAttribute => 1,
-        Level::PerColumn => 2,
-    }
-}
-
-fn parse_level(tag: u8) -> Result<Level, IoError> {
-    match tag {
-        0 => Ok(Level::PerDataset),
-        1 => Ok(Level::PerAttribute),
-        2 => Ok(Level::PerColumn),
-        t => Err(IoError::BadTag(t)),
-    }
-}
-
-fn kind_tag(kind: HashKind) -> u8 {
-    match kind {
-        HashKind::Rs => 0,
-        HashKind::Js => 1,
-        HashKind::Pjw => 2,
-        HashKind::Elf => 3,
-        HashKind::Bkdr => 4,
-        HashKind::Sdbm => 5,
-        HashKind::Djb => 6,
-        HashKind::Dek => 7,
-        HashKind::Ap => 8,
-        HashKind::Fnv => 9,
-        HashKind::MultiplyShift => 10,
-        HashKind::Circular => 11,
-    }
-}
-
-fn parse_kind(tag: u8) -> Result<HashKind, IoError> {
-    Ok(match tag {
-        0 => HashKind::Rs,
-        1 => HashKind::Js,
-        2 => HashKind::Pjw,
-        3 => HashKind::Elf,
-        4 => HashKind::Bkdr,
-        5 => HashKind::Sdbm,
-        6 => HashKind::Djb,
-        7 => HashKind::Dek,
-        8 => HashKind::Ap,
-        9 => HashKind::Fnv,
-        10 => HashKind::MultiplyShift,
-        11 => HashKind::Circular,
-        t => return Err(IoError::BadTag(t)),
-    })
-}
-
-fn write_mapper(out: &mut Vec<u8>, mapper: CellMapper) {
-    match mapper {
-        CellMapper::Shifted { shift } => {
-            out.push(0);
-            put_u32(out, shift);
-        }
-        CellMapper::RowOnly => {
-            out.push(1);
-            put_u32(out, 0);
-        }
-    }
-}
-
-fn read_mapper(r: &mut Reader<'_>) -> Result<CellMapper, IoError> {
-    let tag = r.u8()?;
-    let shift = r.u32()?;
-    match tag {
-        // A shift of 64+ would overflow the `row << shift` cell
-        // mapping on first use; reject it at decode time instead.
-        0 if shift < 64 => Ok(CellMapper::Shifted { shift }),
-        1 => Ok(CellMapper::RowOnly),
-        t => Err(IoError::BadTag(t)),
-    }
-}
-
-fn write_family(out: &mut Vec<u8>, family: &HashFamily) {
-    match family {
-        HashFamily::Independent(kinds) => {
-            out.push(0);
-            put_u16(out, kinds.len() as u16);
-            for &k in kinds {
-                out.push(kind_tag(k));
-            }
-        }
-        HashFamily::Sha1Split => out.push(1),
-        HashFamily::DoubleHashing => out.push(2),
-        HashFamily::ColumnGroup { num_columns } => {
-            out.push(3);
-            put_u64(out, *num_columns);
-        }
-    }
-}
-
-fn read_family(r: &mut Reader<'_>) -> Result<HashFamily, IoError> {
-    match r.u8()? {
-        0 => {
-            let count = r.u16()? as usize;
-            if count == 0 {
-                return Err(IoError::BadTag(0));
-            }
-            let mut kinds = Vec::with_capacity(count);
-            for _ in 0..count {
-                kinds.push(parse_kind(r.u8()?)?);
-            }
-            Ok(HashFamily::Independent(kinds))
-        }
-        1 => Ok(HashFamily::Sha1Split),
-        2 => Ok(HashFamily::DoubleHashing),
-        3 => Ok(HashFamily::ColumnGroup {
-            num_columns: r.u64()?,
-        }),
-        t => Err(IoError::BadTag(t)),
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn from_tag<T: Copy>(table: &[T], tag: u8) -> Result<T, IoError> {
+    table.get(tag as usize).copied().ok_or(IoError::BadTag(tag))
 }
 
 struct Reader<'a> {
@@ -710,12 +503,24 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// A reader past `data`'s magic and version, which must match.
+    fn new(data: &'a [u8], magic: &[u8; 4], version: u16) -> Result<Self, IoError> {
+        let mut r = Reader { data, pos: 0 };
+        if r.take(4)? != magic {
+            return Err(IoError::BadMagic);
+        }
+        match r.u16()? {
+            v if v == version => Ok(r),
+            v => Err(IoError::UnsupportedVersion(v)),
+        }
+    }
+
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], IoError> {
-        if self.pos + n > self.data.len() {
+        if n > self.remaining() {
             return Err(IoError::Truncated);
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -728,20 +533,15 @@ impl<'a> Reader<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, IoError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
     }
 
     fn u32(&mut self) -> Result<u32, IoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
     fn u64(&mut self) -> Result<u64, IoError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 }
 
@@ -805,10 +605,10 @@ mod tests {
 
     /// One seeded index per level, serialized: the CRC of the bytes
     /// pins the hash positions the build set (k = 12 against the
-    /// 10-function roster, so the re-seeded probes too), the `ABIX`
-    /// layout, and the checksum inside it. Files written by earlier
-    /// builds must keep loading and keep answering, so these values
-    /// may only change together with a format version.
+    /// 10-function roster, so the re-seeded probes too) and the `ABIX`
+    /// layout. Files written by earlier builds must keep loading and
+    /// keep answering, so these values may only change together with a
+    /// format version.
     #[test]
     fn serialized_index_bytes_are_pinned() {
         let n = 300usize;
@@ -831,7 +631,7 @@ mod tests {
             .collect();
         assert_eq!(
             got,
-            [0xDB6F_5210, 0xC27B_EC44, 0xC908_1B18],
+            [0x49DA_88D9, 0x5DE3_5F2F, 0x9402_CC85],
             "got {got:#010x?}"
         );
     }
@@ -901,8 +701,6 @@ mod tests {
         let flag_pos = plain.len() - 2;
         assert_eq!(bytes[flag_pos], 1, "hier flag not where expected");
         bytes[flag_pos] = 7;
-        let crc = crc32(&bytes[10..]);
-        bytes[6..10].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(from_bytes(&bytes), Err(IoError::BadTag(7))));
     }
 
@@ -947,7 +745,7 @@ mod tests {
     }
 
     /// A hand-built envelope of the current version over `segments`,
-    /// with valid per-segment checksums but no layout validation.
+    /// with no layout validation.
     fn raw_envelope(segments: &[(u64, &AbIndex)]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SHARD_MAGIC);
@@ -957,18 +755,16 @@ mod tests {
             let blob = to_bytes(index);
             bytes.extend_from_slice(&start.to_le_bytes());
             bytes.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&blob).to_le_bytes());
             bytes.extend_from_slice(&blob);
         }
         bytes
     }
 
-    /// The envelope-level verdict of each of the two `ABSH` readers
-    /// (per-segment damage is not envelope-level and maps to `Ok`).
+    /// The verdicts of the extent walk and of the strict loader.
     fn envelope_verdicts(bytes: &[u8]) -> [Result<(), IoError>; 2] {
         [
-            shards_from_bytes_checked(bytes).map(|_| ()),
             segment_extents(bytes).map(|_| ()),
+            shards_from_bytes(bytes).map(|_| ()),
         ]
     }
 
@@ -1004,7 +800,9 @@ mod tests {
         assert_eq!(envelope_verdicts(&bytes), [Ok(()); 2]);
 
         // Every single-byte flip of the envelope header and of each
-        // segment's fixed header: one parser, so one verdict.
+        // segment's fixed header: one parser, so the loader refuses
+        // whatever the walk refuses, with the walk's own error for the
+        // envelope header.
         let mut header_bytes: Vec<usize> = (0..10).collect();
         for e in &extents {
             header_bytes.extend(e.offset..e.offset + SEGMENT_HEADER_LEN);
@@ -1014,9 +812,14 @@ mod tests {
             for flip in [0xFFu8, 0x01, 0x80] {
                 let mut b = bytes.clone();
                 b[pos] ^= flip;
-                let [checked, walked] = envelope_verdicts(&b);
-                assert_eq!(checked, walked, "flip {flip:#04x} at byte {pos}");
-                rejected += usize::from(checked.is_err());
+                let [walked, loaded] = envelope_verdicts(&b);
+                if walked.is_err() {
+                    assert!(loaded.is_err(), "flip {flip:#04x} at byte {pos}");
+                }
+                if pos < 10 {
+                    assert_eq!(walked, loaded, "flip {flip:#04x} at byte {pos}");
+                }
+                rejected += usize::from(walked.is_err());
             }
         }
         assert!(rejected > 0, "no header flip was envelope-level");
@@ -1035,21 +838,21 @@ mod tests {
 
     #[test]
     fn retired_versions_are_unsupported_before_any_payload_byte() {
-        // ABIX: 1-4 were once readable (1 without a checksum, 4 with
-        // two containers per backed bin); 6 is the future. A valid
-        // payload behind the rewritten field must not matter, and
-        // neither must a missing one.
+        // ABIX: 1-5 were once readable (5 with checksums, 4 with two
+        // containers per backed bin); 7 is the future. A valid payload
+        // behind the rewritten field must not matter, and neither must
+        // a missing one.
         let abix = to_bytes(&sample_index(Level::PerAttribute));
-        for v in [0u16, 1, 2, 3, 4, 6] {
+        for v in [0u16, 1, 2, 3, 4, 5, 7] {
             let mut b = abix.clone();
             b[4..6].copy_from_slice(&v.to_le_bytes());
             let want = Err(IoError::UnsupportedVersion(v));
             assert_eq!(from_bytes(&b).map(|_| ()), want);
             assert_eq!(from_bytes(&b[..6]).map(|_| ()), want);
         }
-        // ABSH: 1 was the checksum-free envelope.
+        // ABSH: 1 had no segment checksums, 2 had them.
         let absh = encode_shards(&sample_shards());
-        for v in [0u16, 1, 3] {
+        for v in [0u16, 1, 2, 4] {
             let mut b = absh.clone();
             b[4..6].copy_from_slice(&v.to_le_bytes());
             let want = Err(IoError::UnsupportedVersion(v));
@@ -1057,26 +860,25 @@ mod tests {
             assert_eq!(envelope_verdicts(&b), [want; 2]);
             assert_eq!(envelope_verdicts(&b[..6]), [want; 2]);
         }
-        // A retired version inside one segment (envelope checksum
-        // resealed) is that segment's damage, not the envelope's.
+        // A retired version inside one segment is that segment's
+        // damage, not the envelope's: the walk still locates every
+        // segment, and the loader names the version.
         let e = segment_extents(&absh).unwrap()[1];
-        let blob = e.offset + SEGMENT_HEADER_LEN..e.offset + e.len;
+        let blob = e.offset + SEGMENT_HEADER_LEN;
         let mut b = absh.clone();
-        b[blob.start + 4..blob.start + 6].copy_from_slice(&1u16.to_le_bytes());
-        let crc = crc32(&b[blob.clone()]);
-        b[blob.start - 4..blob.start].copy_from_slice(&crc.to_le_bytes());
-        let segs = shards_from_bytes_checked(&b).unwrap();
+        b[blob + 4..blob + 6].copy_from_slice(&5u16.to_le_bytes());
+        assert_eq!(segment_extents(&b), segment_extents(&absh));
         assert_eq!(
-            segs[1].1.as_ref().map(|_| ()),
-            Err(&IoError::UnsupportedVersion(1))
+            shards_from_bytes(&b).map(|_| ()),
+            Err(IoError::UnsupportedVersion(5))
         );
-        assert!(segs[0].1.is_ok() && segs[2].1.is_ok());
     }
 
-    /// The satellite hardening sweep: every truncation at 64-byte
-    /// strides (plus the final byte) must yield a typed error, and
-    /// every single-byte flip must decode cleanly or yield a typed
-    /// error — the decoder must never panic on malformed input.
+    /// The hardening sweep: every truncation at 64-byte strides (plus
+    /// the final byte) must yield a typed error, and every single-byte
+    /// flip must decode or yield a typed error. No checksum stands in
+    /// front of the parsers, so each flip reaches the field it lands
+    /// in: the decoder must never panic on malformed input.
     fn corruption_sweep(bytes: &[u8], decode: fn(&[u8]) -> Result<(), IoError>) {
         let mut cuts: Vec<usize> = (0..bytes.len()).step_by(64).collect();
         cuts.push(bytes.len() - 1);
@@ -1116,14 +918,6 @@ mod tests {
         corruption_sweep(&bytes, |b| shards_from_bytes(b).map(|_| ()));
     }
 
-    /// Recomputes and patches the checksum after a deliberate test
-    /// mutation, so the mutated field itself — not the checksum — is
-    /// what the decoder trips over.
-    fn reseal(bytes: &mut [u8]) {
-        let crc = crc32(&bytes[10..]);
-        bytes[6..10].copy_from_slice(&crc.to_le_bytes());
-    }
-
     #[test]
     fn flipped_header_bytes_give_typed_errors() {
         let bytes = to_bytes(&sample_index(Level::PerColumn));
@@ -1140,16 +934,11 @@ mod tests {
                 "{pos}"
             );
         }
-        // Any flip past the checksum field is caught by the checksum…
+        // A flip of the level tag is caught by the tag's own
+        // validation (in a store file, by the page CRC first: see
+        // `svc::shard`'s tests).
         let mut b = bytes.clone();
-        b[10] ^= 0xFF; // level tag
-        assert!(matches!(
-            from_bytes(&b),
-            Err(IoError::ChecksumMismatch { .. })
-        ));
-        // …and with the checksum resealed, the field's own validation
-        // fires.
-        reseal(&mut b);
+        b[6] ^= 0xFF;
         assert!(matches!(from_bytes(&b), Err(IoError::BadTag(_))));
 
         let shard_bytes = encode_shards(&sample_shards());
@@ -1179,11 +968,11 @@ mod tests {
         assert!(back.abs()[0].mapper() != CellMapper::Shifted { shift: 64 });
         // Hand-craft: find the first mapper tag (right after the fixed
         // AB header fields) and bump its shift to 64.
-        // header: 4 magic + 2 version + 4 crc + 1 level + 8 rows +
-        // 4 attr count; per attr: 2 + name + 4 + 8; then 4 ab count,
-        // then per ab: 8 n_bits + 4 k + 8 inserted, then mapper tag u8
-        // + shift u32.
-        let mut pos = 4 + 2 + 4 + 1 + 8;
+        // header: 4 magic + 2 version + 1 level + 8 rows + 4 attr
+        // count; per attr: 2 + name + 4 + 8; then 4 ab count, then per
+        // ab: 8 n_bits + 4 k + 8 inserted, then mapper tag u8 + shift
+        // u32.
+        let mut pos = 4 + 2 + 1 + 8;
         let attr_count = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4;
         for _ in 0..attr_count {
@@ -1195,7 +984,6 @@ mod tests {
         assert_eq!(bytes[pos], 0, "expected a Shifted mapper tag");
         let mut corrupt = bytes.clone();
         corrupt[pos + 1..pos + 5].copy_from_slice(&64u32.to_le_bytes());
-        reseal(&mut corrupt);
         assert!(matches!(from_bytes(&corrupt), Err(IoError::BadTag(0))));
     }
 
@@ -1226,26 +1014,7 @@ mod tests {
         assert!(IoError::Truncated.to_string().contains("truncated"));
         assert!(IoError::BadTag(7).to_string().contains("0x07"));
         assert!(IoError::BadShardLayout.to_string().contains("shard"));
-        assert!(IoError::ChecksumMismatch {
-            stored: 0xDEAD_BEEF,
-            computed: 1
-        }
-        .to_string()
-        .contains("0xdeadbeef"));
-    }
-
-    #[test]
-    fn payload_flip_yields_checksum_mismatch() {
-        let bytes = to_bytes(&sample_index(Level::PerAttribute));
-        // Every byte past the checksum field is covered by it.
-        for pos in [10, 20, bytes.len() / 2, bytes.len() - 1] {
-            let mut b = bytes.clone();
-            b[pos] ^= 0x40;
-            assert!(
-                matches!(from_bytes(&b), Err(IoError::ChecksumMismatch { .. })),
-                "flip at {pos} not caught"
-            );
-        }
+        assert!(IoError::UnsupportedVersion(5).to_string().contains('5'));
     }
 
     /// 512 clustered rows in 8 bins, every bin exactly backed.
@@ -1328,34 +1097,13 @@ mod tests {
         let flag_pos = hybrid_flag_pos(&idx);
         assert_eq!(bytes[flag_pos], 1, "hybrid flag not where expected");
         bytes[flag_pos] = 9;
-        reseal(&mut bytes);
         assert!(matches!(from_bytes(&bytes), Err(IoError::BadTag(9))));
     }
 
-    #[test]
-    fn damaged_container_is_caught_by_its_own_checksum() {
-        let idx = hybrid_index();
-        let mut bytes = to_bytes(&idx);
-        // Flip a byte inside the first ROAR stream's body and reseal
-        // the outer ABIX checksum: the container's own CRC still
-        // pinpoints the damage (this is what lets the store scrubber
-        // quarantine one container instead of distrusting the blob).
-        let pos = bytes
-            .windows(4)
-            .rposition(|w| w == b"ROAR")
-            .expect("no ROAR stream in hybrid section");
-        bytes[pos + 12] ^= 0x40;
-        reseal(&mut bytes);
-        assert!(matches!(
-            from_bytes(&bytes),
-            Err(IoError::ChecksumMismatch { .. })
-        ));
-    }
-
-    /// A tier that backs empty bins holds 30-byte records (ids, a
-    /// length and a 14-byte empty `ROAR` stream), and the reader's
-    /// count guard admits them; a count past what the bytes can hold
-    /// is still `Truncated`.
+    /// A tier that backs empty bins holds 12-byte records (ids and the
+    /// zero chunk count of an empty body), and the reader's count guard
+    /// admits them; a count past what the bytes can hold is still
+    /// `Truncated`.
     #[test]
     fn tier_of_empty_bins_roundtrips_and_an_oversized_count_is_truncated() {
         let t = BinnedTable::new(vec![BinnedColumn::new(
@@ -1380,9 +1128,8 @@ mod tests {
         let (total, count) = (flag + 17, flag + 21);
         let mut b = bytes.clone();
         b[total..count].copy_from_slice(&u32::MAX.to_le_bytes());
-        let fits = (b.len() - count - 4) / 30;
+        let fits = (b.len() - count - 4) / 12;
         b[count..count + 4].copy_from_slice(&(fits as u32 + 1).to_le_bytes());
-        reseal(&mut b);
         assert_eq!(from_bytes(&b).map(|_| ()), Err(IoError::Truncated));
     }
 
@@ -1392,33 +1139,48 @@ mod tests {
         corruption_sweep(&bytes, |b| from_bytes(b).map(|_| ()));
     }
 
+    /// A pyramid and an exact tier together, so the sweep's flips land
+    /// in `read_ab`'s level records, `HierAb::from_serialized`,
+    /// `HybridAb::from_serialized` and the `ROAR` body decoder.
     #[test]
-    fn checked_reader_isolates_the_corrupt_shard() {
-        let shards = sample_shards();
-        let bytes = encode_shards(&shards);
-        // Flip one byte inside the *last* segment's blob (well past
-        // the envelope header and earlier segments).
-        let mut corrupt = bytes.clone();
-        let pos = bytes.len() - 3;
-        corrupt[pos] ^= 0xFF;
-        let segs = shards_from_bytes_checked(&corrupt).unwrap();
-        assert_eq!(segs.len(), shards.len());
-        for (i, (start, res)) in segs.iter().enumerate() {
-            assert_eq!(*start, shards[i].0);
-            if i == shards.len() - 1 {
-                assert!(
-                    matches!(res, Err(IoError::ChecksumMismatch { .. })),
-                    "corrupt shard not flagged: {res:?}"
-                );
-            } else {
-                assert!(res.is_ok(), "healthy shard {i} failed: {res:?}");
-            }
-        }
-        // The strict reader fails the whole decode on the same input.
-        assert!(matches!(
-            shards_from_bytes(&corrupt),
-            Err(IoError::ChecksumMismatch { .. })
-        ));
+    fn tiered_abix_corruption_sweep_never_panics() {
+        let mut idx = hybrid_index();
+        idx.ensure_hier(&crate::hier::HierConfig {
+            levels: vec![
+                HierLevelSpec {
+                    row_span: 32,
+                    bin_group: 2,
+                },
+                HierLevelSpec {
+                    row_span: 128,
+                    bin_group: 4,
+                },
+            ],
+        });
+        let bytes = to_bytes(&idx);
+        corruption_sweep(&bytes, |b| from_bytes(b).map(|_| ()));
+        corruption_sweep(&shards_to_bytes(&[(0, &idx)]), |b| {
+            shards_from_bytes(b).map(|_| ())
+        });
+    }
+
+    /// Bytes past the last segment are refused: a shard count that
+    /// lost a segment must not load as a smaller index.
+    #[test]
+    fn a_dropped_segment_is_refused() {
+        let bytes = encode_shards(&sample_shards());
+        let mut b = bytes.clone();
+        b[6..10].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(segment_extents(&b), Err(IoError::BadShardLayout));
+        assert_eq!(
+            shards_from_bytes(&b).map(|_| ()),
+            Err(IoError::BadShardLayout)
+        );
+        // The walk still hands a caller the segments before the error.
+        let (count, walk) = segments(&b).unwrap();
+        let walk: Vec<_> = walk.collect();
+        assert_eq!((count, walk.len()), (2, 2));
+        assert!(walk[0].is_ok() && walk[1].is_err());
     }
 
     #[test]
@@ -1433,17 +1195,17 @@ mod tests {
         for (e, (start, index)) in extents.iter().zip(&shards) {
             assert_eq!(e.offset, expected_off);
             assert_eq!(e.start_row, *start);
-            // Slicing the extent and skipping its 20-byte header gives
+            // Slicing the extent and skipping its 16-byte header gives
             // back a decodable ABIX blob.
-            let blob = &bytes[e.offset + 20..e.offset + e.len];
+            let blob = &bytes[e.offset + SEGMENT_HEADER_LEN..e.offset + e.len];
             let back = from_bytes(blob).unwrap();
             assert_eq!(back.num_rows(), index.num_rows());
             expected_off += e.len;
         }
         assert_eq!(expected_off, bytes.len());
 
-        // Extents never verify checksums: a payload flip inside a
-        // segment body leaves the walk intact.
+        // Extents never read a segment body: a flip inside one leaves
+        // the walk intact.
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 3;
         corrupt[last] ^= 0xFF;

@@ -92,8 +92,8 @@ pub use kernel::{
 };
 
 pub use io::{
-    crc32, from_bytes, segment_extents, shards_from_bytes, shards_from_bytes_checked,
-    shards_to_bytes, to_bytes, CheckedSegments, IoError, SegmentExtent,
+    crc32, from_bytes, segment_extents, segments, shards_from_bytes, shards_to_bytes, to_bytes,
+    IoError, Segment, SegmentExtent, SEGMENT_HEADER_LEN,
 };
 pub use level::{shard_ranges, AbIndex, AttributeMeta, UnfilledIndex};
 pub use planner::plan_descent;

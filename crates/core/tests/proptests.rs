@@ -126,19 +126,23 @@ proptest! {
     fn from_bytes_rejects_garbage(mut bytes in prop::collection::vec(any::<u8>(), 0..400)) {
         let _ = ab::from_bytes(&bytes); // must not panic
         // Also with a valid magic+version prefix and garbage after.
-        let mut prefixed = b"ABIX\x01\x00".to_vec();
+        let mut prefixed = b"ABIX\x06\x00".to_vec();
         prefixed.append(&mut bytes);
         let _ = ab::from_bytes(&prefixed);
     }
 
     /// Bit-flipping a valid serialization either still decodes (benign
-    /// field) or errors — never panics.
+    /// field) or errors — never panics. No checksum stands in front of
+    /// the parsers, and the index carries a pyramid and an exact tier,
+    /// so a flip reaches whichever field it lands in.
     #[test]
-    fn from_bytes_survives_bitflips(flip_byte in 0usize..200, flip_bit in 0u8..8) {
+    fn from_bytes_survives_bitflips(flip_byte in 0usize..2000, flip_bit in 0u8..8) {
         let table = BinnedTable::new(vec![
             BinnedColumn::new("a", vec![0, 1, 2, 1, 0], 3),
         ]);
-        let idx = AbIndex::build(&table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
+        let mut idx = AbIndex::build(&table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
+        idx.ensure_hier(&ab::HierConfig::default());
+        idx.ensure_hybrid(&table, &ab::HybridConfig { min_density: 0.0, ..Default::default() });
         let mut bytes = ab::to_bytes(&idx);
         let pos = flip_byte % bytes.len();
         bytes[pos] ^= 1 << flip_bit;

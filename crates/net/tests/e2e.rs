@@ -93,7 +93,7 @@ fn socket_answers_are_bit_identical_to_in_process() {
     let qs = vec![rect(0, 0, 2, 0, 499), rect(1, 1, 3, 100, 250)];
     let wire = client.query_batch(&qs, 0).unwrap();
     let local: Vec<Vec<u64>> = svc
-        .try_query_batch(&qs)
+        .try_query_batch_ctx(&qs, &svc::RequestCtx::new(svc::Deadline::none()))
         .unwrap()
         .value
         .into_iter()

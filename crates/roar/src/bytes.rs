@@ -1,12 +1,9 @@
-//! Versioned byte serialization for [`RoaringBitmap`] with a CRC-32
-//! integrity check.
+//! Byte serialization for [`RoaringBitmap`]: one body codec and the
+//! versioned, checksummed stream around it.
 //!
-//! Layout (all little-endian):
+//! The body (all little-endian) is self-delimiting:
 //!
 //! ```text
-//! magic  "ROAR"                      4 bytes
-//! version u16                        2 bytes   (currently 1)
-//! crc32   u32 over bytes[10..]       4 bytes
 //! chunks  u32                        4 bytes
 //! per chunk, ascending by key:
 //!   key   u16
@@ -18,12 +15,18 @@
 //!                       disjoint, non-adjacent
 //! ```
 //!
+//! [`RoaringBitmap::write_body`] / [`RoaringBitmap::read_body`] are the
+//! body alone, for a container that lives inside a file whose own
+//! version and checksums govern it (the `ab` crate's `ABIX` exact
+//! tier). The standalone stream ([`RoaringBitmap::to_bytes`] /
+//! [`RoaringBitmap::from_bytes`]) prefixes the body with the magic
+//! `"ROAR"`, a `u16` version (currently 1) and a CRC-32 of the body.
+//!
 //! The physical container forms are preserved exactly, so
-//! `from_bytes(to_bytes(x)).to_bytes() == to_bytes(x)` — the
-//! round-trip byte identity the hybrid tier's scrub/repair path
-//! relies on. Decoding validates the checksum, the canonical chunk
-//! ordering, and every container's invariants before any container is
-//! materialized.
+//! `from_bytes(to_bytes(x)).to_bytes() == to_bytes(x)`. Decoding
+//! validates the canonical chunk ordering and every container's
+//! invariants before any container is materialized; the stream also
+//! refuses bytes past the end of its body.
 
 use crate::container::Container;
 use crate::RoaringBitmap;
@@ -34,8 +37,7 @@ pub const VERSION: u16 = 1;
 pub const MIN_VERSION: u16 = 1;
 
 const MAGIC: &[u8; 4] = b"ROAR";
-/// Offset where the CRC-covered region starts (magic, version, and the
-/// checksum itself are excluded).
+/// Offset where the body, which the CRC covers, starts.
 const CRC_START: usize = 10;
 const WORDS: usize = 1024;
 
@@ -122,8 +124,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), slice-by-8:
 /// eight bytes per step through eight compile-time tables, then a
-/// byte-at-a-time tail. The workspace's only implementation: the `ab`
-/// index formats, the `store` pages and the `net` frames all checksum
+/// byte-at-a-time tail. The workspace's only implementation: the
+/// `store` pages, the `ROAR` stream and the `net` frames all checksum
 /// with this function (re-exported as `ab::crc32`), and all of them
 /// are on disk or on the wire — the value for a given input must never
 /// change.
@@ -149,40 +151,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 impl RoaringBitmap {
-    /// Serializes to the versioned, checksummed `ROAR` byte format.
+    /// Serializes to the versioned, checksummed `ROAR` stream.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(CRC_START + 4 + self.size_bytes());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&[0u8; 4]); // crc placeholder
-        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for (key, c) in &self.chunks {
-            out.extend_from_slice(&key.to_le_bytes());
-            match c {
-                Container::Array(vals) => {
-                    out.push(0);
-                    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-                    for v in vals {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                Container::Bitmap(words) => {
-                    out.push(1);
-                    out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                    for w in words.iter() {
-                        out.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-                Container::Run(runs) => {
-                    out.push(2);
-                    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                    for (s, e) in runs {
-                        out.extend_from_slice(&s.to_le_bytes());
-                        out.extend_from_slice(&e.to_le_bytes());
-                    }
-                }
-            }
-        }
+        self.write_body(&mut out);
         let crc = crc32(&out[CRC_START..]);
         out[6..10].copy_from_slice(&crc.to_le_bytes());
         out
@@ -212,10 +187,50 @@ impl RoaringBitmap {
         if expected != actual {
             return Err(RoarError::ChecksumMismatch { expected, actual });
         }
-        let mut r = Reader {
-            data,
-            pos: CRC_START,
-        };
+        let (rb, used) = Self::read_body(&data[CRC_START..])?;
+        if CRC_START + used != data.len() {
+            return Err(RoarError::Malformed("bytes past the end of the body"));
+        }
+        Ok(rb)
+    }
+
+    /// Appends the body (no magic, version or checksum) to `out`.
+    pub fn write_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
+        for (key, c) in &self.chunks {
+            out.extend_from_slice(&key.to_le_bytes());
+            match c {
+                Container::Array(vals) => {
+                    out.push(0);
+                    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
+                    for v in vals {
+                        out.extend_from_slice(&v.to_le_bytes());
+                    }
+                }
+                Container::Bitmap(words) => {
+                    out.push(1);
+                    out.extend_from_slice(&(c.len() as u32).to_le_bytes());
+                    for w in words.iter() {
+                        out.extend_from_slice(&w.to_le_bytes());
+                    }
+                }
+                Container::Run(runs) => {
+                    out.push(2);
+                    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                    for (s, e) in runs {
+                        out.extend_from_slice(&s.to_le_bytes());
+                        out.extend_from_slice(&e.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decodes one body written by [`Self::write_body`] from the front
+    /// of `data`, validating every structural invariant. Returns the
+    /// bitmap and the number of bytes the body took.
+    pub fn read_body(data: &[u8]) -> Result<(Self, usize), RoarError> {
+        let mut r = Reader { data, pos: 0 };
         let num_chunks = r.u32()? as usize;
         let mut chunks: Vec<(u16, Container)> = Vec::with_capacity(num_chunks.min(1 << 16));
         for _ in 0..num_chunks {
@@ -277,7 +292,7 @@ impl RoaringBitmap {
             }
             chunks.push((key, container));
         }
-        Ok(RoaringBitmap { chunks })
+        Ok((RoaringBitmap { chunks }, r.pos))
     }
 }
 
@@ -337,6 +352,15 @@ mod tests {
             let back = RoaringBitmap::from_bytes(&bytes).expect("decodes");
             assert_eq!(back, rb, "optimized={optimized}");
             assert_eq!(back.to_bytes(), bytes, "re-serialization byte identity");
+            // The stream is the body behind a 10-byte header, and the
+            // body alone decodes to the same bitmap, reporting its
+            // length even with bytes after it.
+            let mut body = Vec::new();
+            rb.write_body(&mut body);
+            assert_eq!(&bytes[CRC_START..], &body[..]);
+            let used = body.len();
+            body.extend_from_slice(b"next record");
+            assert_eq!(RoaringBitmap::read_body(&body), Ok((rb, used)));
         }
     }
 
@@ -408,6 +432,16 @@ mod tests {
             RoaringBitmap::from_bytes(&bytes),
             Err(RoarError::Malformed("array not strictly ascending"))
         );
+        // A stream is exactly one body: bytes after it are refused,
+        // checksum or not.
+        let mut long = sample().to_bytes();
+        long.push(0);
+        let crc = crc32(&long[CRC_START..]);
+        long[6..10].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            RoaringBitmap::from_bytes(&long),
+            Err(RoarError::Malformed("bytes past the end of the body"))
+        );
     }
 
     #[test]
@@ -438,7 +472,7 @@ mod tests {
         !crc
     }
 
-    /// Checksums are on disk (`ABIX`, `ABSH`, `ABPG`, `ROAR`) and on
+    /// Checksums are on disk (`ABPG`, `ROAR`) and on
     /// the wire: the sliced loop must agree with the reference for
     /// every tail length and every alignment of the 8-byte steps.
     #[test]

@@ -1,9 +1,9 @@
 //! # Crash-safe page-aligned segment store
 //!
-//! A bare `ABSH` file (see the `ab` crate) has one checksum
-//! granularity (the shard) and no crash story: a torn write mid-file
-//! destroys everything. This crate wraps an `ABSH` payload in an
-//! `ABPG` **segment file**:
+//! A bare `ABSH` envelope (see the `ab` crate) carries no checksum
+//! and has no crash story: a torn write mid-file destroys everything.
+//! This crate wraps an `ABSH` payload in an `ABPG` **segment file**,
+//! whose page and payload CRCs are the index's one integrity layer:
 //!
 //! * the payload is split into fixed-size pages, each with its own
 //!   CRC-32 in a dedicated table, so damage is localised to a page and

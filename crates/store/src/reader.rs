@@ -68,9 +68,14 @@ pub struct ScrubReport {
     pub pages_scanned: u64,
     /// Zero-based file page indexes that failed verification.
     pub bad_pages: Vec<u64>,
-    /// Shards whose serialized bytes intersect a bad page. Damage to
-    /// the meta or table pages cannot be attributed, so it implicates
-    /// **every** shard (conservative, like the rest of the repo).
+    /// Shards a bad page implicates, conservatively. The extents come
+    /// from the payload's own segment headers, which may be damaged
+    /// too, so a bad page implicates each shard whose bytes it covers,
+    /// a shard whose fixed header it holds **and every later one**
+    /// (their offsets were walked through it), and every shard when it
+    /// is a meta or table page or the first payload page (which holds
+    /// the envelope header). Shards whose extents the walk did not
+    /// reach are implicated by any bad page.
     pub bad_shards: Vec<usize>,
 }
 
@@ -80,32 +85,38 @@ impl ScrubReport {
         self.bad_pages.is_empty()
     }
 
-    /// Maps bad file pages to the shards they implicate: every shard
-    /// for a bad meta or table page, or when `extents` is `None` (an
-    /// envelope that no longer walks).
+    /// Maps bad file pages to the shards they implicate, as
+    /// [`ScrubReport::bad_shards`] states; `extents` is `None` when the
+    /// envelope does not walk at all.
     fn new(header: &StoreHeader, extents: Option<&[SegmentExtent]>, bad_pages: Vec<u64>) -> Self {
-        let ps = header.page_size as u64;
+        let shards = header.shard_count as usize;
+        let ps = header.page_size as usize;
         let payload_first = header.first_payload_page();
-        let mut bad_shards = Vec::new();
+        let mut bad = vec![false; shards];
         for &page in &bad_pages {
-            let Some(extents) = extents.filter(|_| page >= payload_first) else {
-                bad_shards = (0..header.shard_count as usize).collect();
-                break;
-            };
-            let lo = (page - payload_first) * ps;
-            let hi = lo + ps;
-            for e in extents {
-                let (elo, ehi) = (e.offset as u64, (e.offset + e.len) as u64);
-                if elo < hi && lo < ehi && !bad_shards.contains(&e.shard) {
-                    bad_shards.push(e.shard);
+            // Every shard from `from` on is implicated.
+            let from = match extents {
+                Some(extents) if page > payload_first => {
+                    let lo = (page - payload_first) as usize * ps;
+                    let hits = |start: usize, end: usize| start < lo + ps && lo < end;
+                    let mut from = extents.len();
+                    for e in extents.iter().take(shards) {
+                        if hits(e.offset, e.offset + ab::SEGMENT_HEADER_LEN) {
+                            from = e.shard;
+                            break;
+                        }
+                        bad[e.shard] |= hits(e.offset, e.offset + e.len);
+                    }
+                    from
                 }
-            }
+                _ => 0,
+            };
+            bad[from.min(shards)..].fill(true);
         }
-        bad_shards.sort_unstable();
         ScrubReport {
             pages_scanned: header.total_pages(),
             bad_pages,
-            bad_shards,
+            bad_shards: (0..shards).filter(|&s| bad[s]).collect(),
         }
     }
 }
@@ -334,8 +345,10 @@ impl Store {
             }
         }
         payload.truncate(header.payload_len as usize);
-        // Attribute damage to shards where the envelope still walks.
-        let extents = ab::segment_extents(&payload).ok();
+        // Attribute damage to shards as far as the envelope still walks.
+        let extents: Option<Vec<SegmentExtent>> = ab::segments(&payload)
+            .ok()
+            .map(|(_, walk)| walk.map_while(Result::ok).map(|(e, _)| e).collect());
         let report = ScrubReport::new(&header, extents.as_deref(), bad_pages);
         Ok((header, report, payload))
     }
@@ -479,6 +492,34 @@ mod tests {
         assert_eq!(report.bad_pages, vec![0]);
         assert_eq!(report.bad_shards, vec![0, 1, 2, 3]);
         assert_eq!(read, payload);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rot in a segment's fixed header implicates that shard and every
+    /// later one, since their extents were walked through it; rot in
+    /// the envelope header, every shard.
+    #[test]
+    fn header_rot_implicates_every_later_shard() {
+        let dir = tmpdir("reader-header");
+        let path = dir.join("idx.seg");
+        let payload = sample_payload(600, 4);
+        write(&path, &payload, 128, &RealIo).unwrap();
+        let st = Store::open(&path).unwrap();
+        let (h, e) = (*st.header(), st.extents()[2]);
+        drop(st);
+        // The low byte of shard 2's start row: the envelope still
+        // walks, and the page holds no byte of shard 3.
+        let start_byte = h.payload_offset() + e.offset as u64;
+        flip_byte(&path, start_byte, 0x01);
+        let (_, report, _) = Store::audit(&path).unwrap();
+        assert_eq!(report.bad_pages.len(), 1);
+        let first = report.bad_shards[0];
+        assert!(first <= 2, "{report:?}");
+        assert_eq!(report.bad_shards, (first..4).collect::<Vec<_>>());
+        flip_byte(&path, start_byte, 0x01);
+        flip_byte(&path, h.payload_offset() + 7, 0x01); // shard count
+        let (_, report, _) = Store::audit(&path).unwrap();
+        assert_eq!(report.bad_shards, vec![0, 1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,6 +29,41 @@ fn sample_payload(rows: usize, shards: usize) -> Vec<u8> {
     ab::shards_to_bytes(&refs)
 }
 
+/// Like [`sample_payload`], with a pyramid and an exact tier backing
+/// every bin in each shard, so the payload holds level ABs and
+/// containers, which carry no checksum of their own.
+fn tiered_payload(rows: usize, shards: usize) -> Vec<u8> {
+    use ab::{AbConfig, AbIndex, HierConfig, HierLevelSpec, HybridAb, HybridConfig, Level};
+    use bitmap::{BinnedColumn, BinnedTable};
+    let table = BinnedTable::new(vec![
+        BinnedColumn::new("a", (0..rows).map(|i| (i / 20 % 5) as u32).collect(), 5),
+        BinnedColumn::new("b", (0..rows).map(|i| ((i * 7) % 3) as u32).collect(), 3),
+    ]);
+    let cfg = AbConfig::new(Level::PerAttribute).with_alpha(8);
+    let hier = HierConfig {
+        levels: vec![HierLevelSpec {
+            row_span: 16,
+            bin_group: 2,
+        }],
+    };
+    let hybrid = HybridConfig {
+        min_density: 0.0,
+        ..Default::default()
+    };
+    let segments: Vec<(u64, AbIndex)> = ab::shard_ranges(rows, shards)
+        .into_iter()
+        .map(|r| {
+            let mut index = AbIndex::build_row_range(&table, &cfg, r.clone());
+            index.ensure_hier(&hier);
+            let tier = HybridAb::build_row_range(&index, &table, r.clone(), &hybrid);
+            index.attach_hybrid(tier);
+            (r.start as u64, index)
+        })
+        .collect();
+    let refs: Vec<(u64, &AbIndex)> = segments.iter().map(|(s, i)| (*s, i)).collect();
+    ab::shards_to_bytes(&refs)
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("store-corrupt-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -123,6 +158,37 @@ fn bit_flip_sweep_never_panics_or_lies() {
     // A flip inside payload-page padding (zeros not covered by
     // payload_len) is still caught by the page CRCs — nothing in a
     // store file is allowed to rot silently, so no flip may survive.
+    assert_eq!(survivors, 0, "every single-byte flip must be detected");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The flip sweep over a store whose shards carry a pyramid and an
+/// exact tier: no flip of the file opens, and the same flips applied to
+/// the payload in memory, where only the decoders stand against them,
+/// never panic `ab::shards_from_bytes`.
+#[test]
+fn tiered_bit_flip_sweep_never_panics_or_lies() {
+    let dir = tmpdir("flip-tiered");
+    let path = dir.join("idx.seg");
+    let payload = tiered_payload(300, 2);
+    store::write(&path, &payload, PAGE, &RealIo).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    let at = image.len() - payload.len().next_multiple_of(PAGE as usize);
+    let mut survivors = 0u32;
+    for offset in (0..image.len()).step_by(3) {
+        for pattern in [0x80u8, 0x01, 0xFF] {
+            let what = format!("flip {pattern:#04x}@{offset}");
+            let mut bad = image.clone();
+            bad[offset] ^= pattern;
+            survivors += u32::from(open_must_behave(&path, &bad, &payload, &what));
+            if let Some(pos) = offset.checked_sub(at).filter(|&p| p < payload.len()) {
+                let mut bytes = payload.clone();
+                bytes[pos] ^= pattern;
+                let decoded = catch_unwind(AssertUnwindSafe(|| ab::shards_from_bytes(&bytes)));
+                assert!(decoded.is_ok(), "{what}: the decoder panicked");
+            }
+        }
+    }
     assert_eq!(survivors, 0, "every single-byte flip must be detected");
     std::fs::remove_dir_all(&dir).unwrap();
 }

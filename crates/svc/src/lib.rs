@@ -23,9 +23,10 @@
 //!   container of rows the exact tier answers alone;
 //! * [`service`] — the [`Service`] and its one request path
 //!   (partition → fan out → collect → merge), one entry point per
-//!   query kind: [`Service::try_query_rect`],
-//!   [`Service::try_retrieve_cells`], [`Service::try_query_batch`]
-//!   (each with a `_ctx` form taking the caller's [`RequestCtx`]);
+//!   query kind under the caller's [`RequestCtx`]:
+//!   [`Service::try_query_rect_ctx`], [`Service::try_retrieve_cells_ctx`]
+//!   and [`Service::try_query_batch_ctx`] (the first two also without
+//!   a ctx, under the service's default deadline);
 //! * [`chaos`] — seeded, deterministic fault injection behind named
 //!   points, disarmed unless a [`FaultPlan`] is attached;
 //! * [`degrade`] — shard quarantine and the typed [`Degraded`] response

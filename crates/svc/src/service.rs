@@ -444,23 +444,15 @@ impl Service {
         })
     }
 
-    /// A batch of rectangular queries under one (default) deadline:
-    /// all shard parts of all queries are grouped so each touched
-    /// shard gets a single pool job. Returns one (globally sorted) row
-    /// list per query, each bit-identical to running the query alone
-    /// while every shard is healthy. Quarantined (or newly panicking)
-    /// shards contribute every covered row to each affected query, and
-    /// the response's `degraded` marker names them.
-    pub fn try_query_batch(
-        &self,
-        queries: &[RectQuery],
-    ) -> Result<Response<Vec<Vec<usize>>>, SvcError> {
-        self.try_query_batch_ctx(queries, &self.ctx_with_default())
-    }
-
-    /// [`Self::try_query_batch`] under a caller-owned [`RequestCtx`]
-    /// (deadline, cancellation, and optionally a caller-owned trace —
-    /// see [`RequestCtx::traced`]).
+    /// A batch of rectangular queries under the caller's
+    /// [`RequestCtx`] (deadline, cancellation, and optionally a
+    /// caller-owned trace — see [`RequestCtx::traced`]): all shard
+    /// parts of all queries are grouped so each touched shard gets a
+    /// single pool job. Returns one (globally sorted) row list per
+    /// query, each bit-identical to running the query alone while every
+    /// shard is healthy. Quarantined (or newly panicking) shards
+    /// contribute every covered row to each affected query, and the
+    /// response's `degraded` marker names them.
     pub fn try_query_batch_ctx(
         &self,
         queries: &[RectQuery],
@@ -868,12 +860,19 @@ mod tests {
             RectQuery::new(vec![AttrRange::new(1, 1, 3)], 100, 250),
             RectQuery::new(vec![], 395, 399),
         ];
-        let batched = svc.try_query_batch(&qs).unwrap().value;
+        let batched = svc
+            .try_query_batch_ctx(&qs, &RequestCtx::new(Deadline::none()))
+            .unwrap()
+            .value;
         assert_eq!(batched.len(), 3);
         for (q, rows) in qs.iter().zip(&batched) {
             assert_eq!(rows, &svc.try_query_rect(q).unwrap().value);
         }
-        assert!(svc.try_query_batch(&[]).unwrap().value.is_empty());
+        assert!(svc
+            .try_query_batch_ctx(&[], &RequestCtx::new(Deadline::none()))
+            .unwrap()
+            .value
+            .is_empty());
     }
 
     #[test]

@@ -347,43 +347,55 @@ impl ShardedIndex {
         Ok(Self::assemble(shards, num_rows))
     }
 
-    /// Loads an `ABSH` envelope, rebuilding — **only** — the shards
-    /// whose segments fail their checksum or decode, from the source
-    /// `table` with the original build `config`. Because AB builds are
-    /// deterministic, a repaired shard is bit-identical to the one
-    /// originally persisted. Returns the index plus the ids of the
-    /// shards that were rebuilt (empty when the envelope was clean).
+    /// Loads an `ABSH` envelope of `shards` shards, rebuilding exactly
+    /// the `damaged` ones from the source `table` with the original
+    /// build `config` and decoding only the others. The caller names
+    /// the damaged shards: for a store file, the shards
+    /// `store::Store::audit` implicates, whose page CRCs vouch for the
+    /// bytes of every other shard and for the segment headers that
+    /// locate them. Because AB builds are deterministic, a rebuilt
+    /// shard is bit-identical to the one originally persisted.
     ///
-    /// Envelope-level damage (bad magic/version, truncation, segment
-    /// count, out-of-order starts) is not repairable segment by
-    /// segment and stays a hard error, as does a clean envelope whose
-    /// layout disagrees with `table` (wrong row count or shard
-    /// boundaries) — that is the wrong source data, not corruption.
+    /// A clean shard that does not decode, or whose rows disagree with
+    /// `table`'s layout (that is the wrong source data), is an error;
+    /// so is an envelope whose header does not walk or declares another
+    /// shard count, unless every shard is damaged and it is not read.
     ///
     /// The damaged shards rebuild side by side as in [`Self::build`],
     /// each with the pyramid and exact tier its clean siblings carry.
     pub fn from_bytes_with_repair(
         data: &[u8],
+        shards: usize,
+        damaged: &[usize],
         table: &BinnedTable,
         config: &AbConfig,
-    ) -> Result<(Self, Vec<usize>), ab::IoError> {
-        let segments = ab::shards_from_bytes_checked(data)?;
-        let ranges = ab::shard_ranges(table.num_rows(), segments.len());
-        let mut indexes = Vec::with_capacity(segments.len());
-        for ((start, seg), r) in segments.into_iter().zip(&ranges) {
-            indexes.push(match seg {
-                Ok(index) if start as usize == r.start && index.num_rows() == r.len() => {
-                    Some(index)
-                }
-                // Decoded fine but covers the wrong rows: the envelope
-                // does not belong to this table.
-                Ok(_) => return Err(ab::IoError::BadShardLayout),
-                Err(_) => None,
-            });
+    ) -> Result<Self, ab::IoError> {
+        if shards == 0 || shards > table.num_rows() {
+            return Err(ab::IoError::BadShardLayout);
         }
-        let repaired: Vec<usize> = (0..indexes.len())
-            .filter(|&sid| indexes[sid].is_none())
-            .collect();
+        let ranges = ab::shard_ranges(table.num_rows(), shards);
+        let mut indexes: Vec<Option<AbIndex>> = (0..shards).map(|_| None).collect();
+        // The walk stops after the last clean shard: the segment
+        // headers past it are not vouched for.
+        if let Some(last_clean) = (0..shards).rev().find(|sid| !damaged.contains(sid)) {
+            let (count, walk) = ab::segments(data)?;
+            if count != shards {
+                return Err(ab::IoError::BadShardLayout);
+            }
+            for (sid, seg) in walk.take(last_clean + 1).enumerate() {
+                let (extent, blob) = seg?;
+                if damaged.contains(&sid) {
+                    continue;
+                }
+                let index = ab::from_bytes(blob)?;
+                let r = &ranges[sid];
+                if extent.start_row as usize != r.start || index.num_rows() != r.len() {
+                    return Err(ab::IoError::BadShardLayout);
+                }
+                indexes[sid] = Some(index);
+            }
+        }
+        let repaired = (0..indexes.len()).filter(|&sid| indexes[sid].is_none());
         // A rebuilt shard needs the hierarchical pyramid and hybrid
         // exact tier its persisted sibling shards carry. Both
         // constructions are deterministic (probe-sweep over the base
@@ -394,8 +406,7 @@ impl ShardedIndex {
         let hier = clean().find_map(|index| index.hier().map(|h| h.config()));
         let hybrid = clean().find_map(|index| index.hybrid().map(|h| h.config()));
         let unfilled: Vec<_> = repaired
-            .iter()
-            .map(|&sid| {
+            .map(|sid| {
                 obs::counter!("svc.shard_repairs").inc();
                 let r = ranges[sid].clone();
                 (sid, AbIndex::allocate_row_range(table, config, r))
@@ -425,7 +436,7 @@ impl ShardedIndex {
                 wah: None,
             })
             .collect();
-        Ok((Self::assemble(shards, table.num_rows()), repaired))
+        Ok(Self::assemble(shards, table.num_rows()))
     }
 }
 
@@ -456,6 +467,53 @@ mod tests {
 
     fn cfg() -> AbConfig {
         AbConfig::new(Level::PerAttribute).with_alpha(8)
+    }
+
+    /// Writes `bytes` as a store file of `page`-byte pages and flips
+    /// each payload byte in `flips` (by `0x40`) in the file, which then
+    /// no longer opens (`PageCrc`). Repairs it as `abq scrub --csv`
+    /// does: the shards `Store::audit` implicates are rebuilt from `t`
+    /// with `config`, and the rewritten file must equal the one first
+    /// written, byte for byte. Returns the repaired index and the
+    /// shards the audit implicated.
+    fn rot_and_repair(
+        bytes: &[u8],
+        flips: &[usize],
+        page: u32,
+        t: &BinnedTable,
+        config: &AbConfig,
+    ) -> (ShardedIndex, Vec<usize>) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "svc-shard-rot-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.abpg");
+        store::write(&path, bytes, page, &store::RealIo).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let at = store::Store::open(&path).unwrap().header().payload_offset() as usize;
+        let mut rotted = pristine.clone();
+        for &pos in flips {
+            rotted[at + pos] ^= 0x40;
+        }
+        std::fs::write(&path, &rotted).unwrap();
+        let open = store::Store::open(&path);
+        assert!(
+            matches!(open, Err(store::StoreError::PageCrc { .. })),
+            "{open:?}"
+        );
+        let (header, report, payload) = store::Store::audit(&path).unwrap();
+        let shards = header.shard_count as usize;
+        let index =
+            ShardedIndex::from_bytes_with_repair(&payload, shards, &report.bad_shards, t, config)
+                .unwrap();
+        store::write(&path, &index.to_bytes(), page, &store::RealIo).unwrap();
+        assert!(std::fs::read(&path).unwrap() == pristine, "not restored");
+        std::fs::remove_dir_all(&dir).unwrap();
+        (index, report.bad_shards)
     }
 
     #[test]
@@ -522,8 +580,8 @@ mod tests {
     /// `ensure_hybrid`, every shard on its own thread — serializes to
     /// the bytes of a one-thread build of each shard from a
     /// `slice_rows` copy, at every level and for more shards than
-    /// cores; and `from_bytes_with_repair` rebuilds two damaged shards
-    /// to those bytes.
+    /// cores; and a store file with two damaged shards is repaired to
+    /// those bytes.
     #[test]
     fn parallel_build_is_bit_identical() {
         use ab::{HierLevelSpec, HybridConfig};
@@ -571,13 +629,12 @@ mod tests {
                     continue; // a lone damaged shard has no sibling tiers to copy
                 }
                 let damaged = if s == 2 { vec![1] } else { vec![0, s - 1] };
-                let mut rotted = bytes.clone();
                 let extents = ab::segment_extents(&bytes).unwrap();
-                for &sid in &damaged {
-                    rotted[extents[sid].offset + extents[sid].len / 2] ^= 0x40;
-                }
-                let (back, repaired) =
-                    ShardedIndex::from_bytes_with_repair(&rotted, &t, &cfg).unwrap();
+                let flips: Vec<usize> = damaged
+                    .iter()
+                    .map(|&sid| extents[sid].offset + extents[sid].len / 2)
+                    .collect();
+                let (back, repaired) = rot_and_repair(&bytes, &flips, 64, &t, &cfg);
                 assert_eq!(repaired, damaged, "{level}, {s} shards");
                 assert!(back.to_bytes() == reference, "repair: {level}, {s} shards");
             }
@@ -632,10 +689,9 @@ mod tests {
         idx.ensure_hybrid(&t, &hybrid);
         let bytes = idx.to_bytes();
         assert!(bytes == reference, "build");
-        let mut rotted = bytes.clone();
         let extents = ab::segment_extents(&bytes).unwrap();
-        rotted[extents[1].offset + extents[1].len / 2] ^= 0x40;
-        let (back, repaired) = ShardedIndex::from_bytes_with_repair(&rotted, &t, &cfg).unwrap();
+        let mid = extents[1].offset + extents[1].len / 2;
+        let (back, repaired) = rot_and_repair(&bytes, &[mid], 64, &t, &cfg);
         assert_eq!(repaired, vec![1]);
         assert!(back.to_bytes() == reference, "repair");
     }
@@ -687,19 +743,13 @@ mod tests {
     fn repair_rebuilds_only_the_corrupt_shard_bit_identically() {
         let t = table(120);
         let idx = ShardedIndex::build(&t, &cfg(), 4, false);
-        let mut bytes = idx.to_bytes();
-        // Flip a byte in the middle of segment 0's blob (envelope
-        // header is 10 bytes, segment header 20) so exactly that
-        // segment's checksum breaks.
-        let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
-        bytes[30 + seg0_len / 2] ^= 0x40;
-        assert!(matches!(
-            ShardedIndex::from_bytes(&bytes),
-            Err(ab::IoError::ChecksumMismatch { .. })
-        ));
+        let bytes = idx.to_bytes();
+        // Flip a byte in the middle of segment 0's blob, so exactly
+        // that segment's page fails its CRC.
+        let e = ab::segment_extents(&bytes).unwrap()[0];
         let (repaired_idx, repaired) =
-            ShardedIndex::from_bytes_with_repair(&bytes, &t, &cfg()).unwrap();
-        assert_eq!(repaired.len(), 1, "one segment was corrupted");
+            rot_and_repair(&bytes, &[e.offset + e.len / 2], 64, &t, &cfg());
+        assert_eq!(repaired, vec![0], "one segment was corrupted");
         for (a, b) in repaired_idx.shards().iter().zip(idx.shards()) {
             assert_eq!(a.start(), b.start());
             for (x, y) in a.index().abs().iter().zip(b.index().abs()) {
@@ -725,11 +775,9 @@ mod tests {
             }],
         });
         let pristine = idx.to_bytes();
-        let mut bytes = pristine.clone();
-        let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
-        bytes[30 + seg0_len / 2] ^= 0x40;
+        let e = ab::segment_extents(&pristine).unwrap()[0];
         let (repaired_idx, repaired) =
-            ShardedIndex::from_bytes_with_repair(&bytes, &t, &cfg()).unwrap();
+            rot_and_repair(&pristine, &[e.offset + e.len / 2], 64, &t, &cfg());
         assert_eq!(repaired.len(), 1);
         // The rebuilt shard picked up its siblings' pyramid geometry,
         // so re-serializing reproduces the pristine envelope exactly.
@@ -752,16 +800,104 @@ mod tests {
             .iter()
             .all(|s| !s.index().hybrid().unwrap().bins().is_empty()));
         let pristine = idx.to_bytes();
-        let mut bytes = pristine.clone();
-        let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
-        bytes[30 + seg0_len / 2] ^= 0x40;
+        let e = ab::segment_extents(&pristine).unwrap()[0];
         let (repaired_idx, repaired) =
-            ShardedIndex::from_bytes_with_repair(&bytes, &t, &cfg()).unwrap();
+            rot_and_repair(&pristine, &[e.offset + e.len / 2], 64, &t, &cfg());
         assert_eq!(repaired.len(), 1);
         // The rebuilt shard picked up its siblings' split calibration
-        // and rebuilt exact + fp containers from its table slice and
-        // deterministic probe sweep: the envelope is pristine again.
+        // and rebuilt its exact containers from its table slice: the
+        // envelope is pristine again.
         assert_eq!(repaired_idx.to_bytes(), pristine);
+    }
+
+    /// A flip anywhere in a one-shard index (its level tag, a count,
+    /// mid-record, the last byte) fails the open on its page CRC, and
+    /// the shard rebuilds to the same file.
+    #[test]
+    fn payload_flip_fails_open_with_page_crc_and_repair_restores_the_file() {
+        let t = BinnedTable::new(vec![
+            BinnedColumn::new("alpha", vec![0, 1, 2, 0, 1, 1, 0, 2], 3),
+            BinnedColumn::new("beta", vec![2, 0, 1, 1, 0, 1, 0, 2], 3),
+        ]);
+        let bytes = ShardedIndex::build(&t, &cfg(), 1, false).to_bytes();
+        let e = ab::segment_extents(&bytes).unwrap()[0];
+        let blob = e.offset + ab::SEGMENT_HEADER_LEN;
+        let len = e.len - ab::SEGMENT_HEADER_LEN;
+        for pos in [6, 16, len / 2, len - 1] {
+            let (_, repaired) = rot_and_repair(&bytes, &[blob + pos], 64, &t, &cfg());
+            assert_eq!(repaired, vec![0], "flip at {pos}");
+        }
+    }
+
+    /// A flip inside an exact container (no checksum of its own) fails
+    /// the open on its page CRC; the shard rebuilds its container from
+    /// the table and the file is restored.
+    #[test]
+    fn damaged_container_fails_open_with_page_crc_and_repair_restores_the_file() {
+        let t = BinnedTable::new(vec![BinnedColumn::new(
+            "v",
+            (0..512u32).map(|i| i / 64).collect(),
+            8,
+        )]);
+        let mut idx = ShardedIndex::build(&t, &cfg(), 2, false);
+        idx.ensure_hybrid(
+            &t,
+            &ab::HybridConfig {
+                min_density: 0.0,
+                ..Default::default()
+            },
+        );
+        let bytes = idx.to_bytes();
+        let e = ab::segment_extents(&bytes).unwrap()[1];
+        // The exact tier ends the segment: 20 bytes from its end lie in
+        // the last container's values.
+        let last = idx.shards()[1].index();
+        let tierless = AbIndex::from_parts(
+            last.level(),
+            last.abs().to_vec(),
+            last.attributes().to_vec(),
+            last.num_rows(),
+            None,
+            None,
+        );
+        let tier = e.offset + ab::SEGMENT_HEADER_LEN + ab::to_bytes(&tierless).len();
+        let pos = e.offset + e.len - 20;
+        assert!(pos > tier + 24, "the flip lands in the exact tier");
+        let (_, repaired) = rot_and_repair(&bytes, &[pos], 64, &t, &cfg());
+        assert_eq!(repaired, vec![1]);
+    }
+
+    /// A flip in the last shard fails the open; the audit names that
+    /// shard alone, the others decode, and the file is restored.
+    #[test]
+    fn audit_isolates_the_corrupt_shard_and_repair_restores_the_file() {
+        let t = BinnedTable::new(vec![
+            BinnedColumn::new("alpha", (0..64u32).map(|i| i % 3).collect(), 3),
+            BinnedColumn::new("beta", (0..64u32).map(|i| (i * 7) % 4).collect(), 4),
+        ]);
+        let idx = ShardedIndex::build(&t, &cfg(), 3, false);
+        let bytes = idx.to_bytes();
+        let (back, repaired) = rot_and_repair(&bytes, &[bytes.len() - 3], 64, &t, &cfg());
+        assert_eq!(repaired, vec![2]);
+        assert!(back.to_bytes() == bytes);
+    }
+
+    /// Rot in segment 1's length: every offset after it was walked
+    /// through the damaged field, so the audit implicates shard 1 and
+    /// every later one (and shard 0 only where the page holds its
+    /// bytes), and the repair restores the file.
+    #[test]
+    fn damaged_segment_length_rebuilds_that_shard_and_every_later_one() {
+        let t = table(300);
+        let idx = ShardedIndex::build(&t, &cfg(), 3, false);
+        let bytes = idx.to_bytes();
+        let e = ab::segment_extents(&bytes).unwrap()[1];
+        for byte in [0, 1, 7] {
+            let (_, repaired) = rot_and_repair(&bytes, &[e.offset + 8 + byte], 64, &t, &cfg());
+            let page = (e.offset + 8 + byte) / 64 * 64;
+            let first = if page < e.offset { 0 } else { 1 };
+            assert_eq!(repaired, (first..3).collect::<Vec<_>>(), "len byte {byte}");
+        }
     }
 
     #[test]
@@ -810,9 +946,9 @@ mod tests {
     fn repair_passes_clean_envelopes_through() {
         let t = table(80);
         let idx = ShardedIndex::build(&t, &cfg(), 3, false);
-        let (back, repaired) =
-            ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), &t, &cfg()).unwrap();
-        assert!(repaired.is_empty());
+        let back =
+            ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), 3, &[], &t, &cfg()).unwrap();
+        assert!(back.to_bytes() == idx.to_bytes());
         assert_eq!(back.num_rows(), idx.num_rows());
         assert_eq!(back.num_shards(), idx.num_shards());
     }
@@ -823,7 +959,12 @@ mod tests {
         let idx = ShardedIndex::build(&t, &cfg(), 4, false);
         let other = table(90); // different row count → different layout
         assert!(matches!(
-            ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), &other, &cfg()),
+            ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), 4, &[], &other, &cfg()),
+            Err(ab::IoError::BadShardLayout)
+        ));
+        // So is a shard count other than the envelope's.
+        assert!(matches!(
+            ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), 3, &[2], &t, &cfg()),
             Err(ab::IoError::BadShardLayout)
         ));
     }

@@ -9,8 +9,8 @@
 //!   of the exact oracle, degraded or not;
 //! * deadline expiry and cancellation racing mid-flight queries
 //!   return typed errors, never partial results;
-//! * a corrupted persisted index is detected by checksum and repaired
-//!   shard-by-shard back to bit-identical answers.
+//! * a corrupted index file fails its page checksums and is repaired
+//!   shard-by-shard back to the same bytes and bit-identical answers.
 
 use ab::{AbConfig, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, BitmapIndex, Encoding, RectQuery};
@@ -190,49 +190,70 @@ fn cancellation_races_mid_flight_queries() {
     }
 }
 
-/// The corruption round trip: seeded byte-flip on the persisted
-/// envelope → strict load fails with `ChecksumMismatch` → repair
-/// rebuilds only the damaged shard from source data → answers are
-/// bit-identical to the uncorrupted index.
+/// The corruption round trip: seeded byte-flip in a store file →
+/// `Store::open` fails with `PageCrc` → the audit implicates only the
+/// damaged shard → repair rebuilds it from source data → the file is
+/// byte-identical again and answers are bit-identical to the
+/// uncorrupted index.
 #[test]
 fn corruption_detected_then_repaired_bit_identically() {
+    const PAGE: usize = 64;
+    let dir = std::env::temp_dir().join(format!("svc-chaos-rot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.abpg");
     for seed in SEEDS {
         let n = 900;
         let t = table(n);
         let idx = ShardedIndex::build(&t, &ab_cfg(), 5, false);
         let clean = idx.to_bytes();
+        store::write(&path, &clean, PAGE as u32, &store::RealIo).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let at = store::Store::open(&path).unwrap().header().payload_offset() as usize;
 
         let plan = FaultPlan::new(seed).with_rule(FaultRule::new(
             points::IO_DECODE,
             Fault::FlipByte { xor: 0x10 },
         ));
-        let mut bytes = clean.clone();
-        // Target segment 0's blob so the flip is segment-local (envelope
-        // damage is not repairable and is a different, fatal error).
-        let seg0_len = u64::from_le_bytes(bytes[18..26].try_into().unwrap()) as usize;
+        // Target the pages that hold segment 0's bytes alone, so the
+        // flip is segment-local: the first payload page also holds the
+        // envelope header, and the one where segment 0 ends also holds
+        // segment 1's header, and damage there implicates every shard
+        // after it.
+        let e = ab::segment_extents(&clean).unwrap()[0];
+        let pages = PAGE..(e.offset + e.len) / PAGE * PAGE;
+        let mut bytes = pristine.clone();
         let flipped = chaos::corrupt(
             Some(&plan),
             points::IO_DECODE,
-            &mut bytes[30..30 + seg0_len],
+            &mut bytes[at + pages.start..at + pages.end],
         );
         assert!(flipped.is_some(), "corruption fault must fire");
-        assert_ne!(bytes, clean);
+        assert_ne!(bytes, pristine);
+        std::fs::write(&path, &bytes).unwrap();
 
         assert!(matches!(
-            ShardedIndex::from_bytes(&bytes),
-            Err(ab::IoError::ChecksumMismatch { .. })
+            store::Store::open(&path),
+            Err(store::StoreError::PageCrc { .. })
         ));
-
-        let (repaired, rebuilt) = ShardedIndex::from_bytes_with_repair(&bytes, &t, &ab_cfg())
-            .expect("segment-local damage must be repairable");
-        assert_eq!(rebuilt, vec![0], "exactly the corrupted shard rebuilds");
+        let (_, report, payload) = store::Store::audit(&path).unwrap();
+        assert_eq!(
+            report.bad_shards,
+            vec![0],
+            "exactly the corrupted shard rebuilds"
+        );
+        let repaired =
+            ShardedIndex::from_bytes_with_repair(&payload, 5, &report.bad_shards, &t, &ab_cfg())
+                .expect("segment-local damage must be repairable");
         for (a, b) in repaired.shards().iter().zip(idx.shards()) {
             for (x, y) in a.index().abs().iter().zip(b.index().abs()) {
                 assert_eq!(x.bits(), y.bits(), "repair not bit-identical");
             }
         }
-        // And the repaired index re-serializes to the clean bytes.
+        // And the repaired index re-serializes to the clean bytes, so
+        // the rewritten file is the pristine one.
         assert_eq!(repaired.to_bytes(), clean);
+        store::write(&path, &repaired.to_bytes(), PAGE as u32, &store::RealIo).unwrap();
+        assert!(std::fs::read(&path).unwrap() == pristine);
 
         for q in workload(n) {
             assert_eq!(
@@ -241,6 +262,7 @@ fn corruption_detected_then_repaired_bit_identically() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Quarantine end-to-end: a panicking shard degrades responses until

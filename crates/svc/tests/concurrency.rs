@@ -252,7 +252,8 @@ fn batched_queries_match_solo_under_load() {
             let solo = solo.clone();
             std::thread::spawn(move || {
                 for _ in 0..10 {
-                    assert_eq!(svc.try_query_batch(&batch).unwrap().value, solo);
+                    let ctx = RequestCtx::new(Deadline::none());
+                    assert_eq!(svc.try_query_batch_ctx(&batch, &ctx).unwrap().value, solo);
                 }
             })
         })

@@ -12,7 +12,7 @@ use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use std::path::PathBuf;
 use std::sync::Arc;
 use svc::chaos::{points, ChaosSegmentIo, Fault, FaultPlan, FaultRule};
-use svc::{Service, ShardedIndex, SvcConfig};
+use svc::{Deadline, RequestCtx, Service, ShardedIndex, SvcConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("svc-crash-{tag}-{}", std::process::id()));
@@ -213,9 +213,10 @@ fn store_loaded_service_answers_bit_identically_to_in_ram() {
             "seed {seed}: cells mismatch"
         );
         // Batched rects take the grouped fan-out path.
+        let ctx = RequestCtx::new(Deadline::none());
         assert_eq!(
-            in_ram.try_query_batch(&rects).unwrap().value,
-            loaded.try_query_batch(&rects).unwrap().value,
+            in_ram.try_query_batch_ctx(&rects, &ctx).unwrap().value,
+            loaded.try_query_batch_ctx(&rects, &ctx).unwrap().value,
             "seed {seed}: batch mismatch"
         );
     }

@@ -157,11 +157,10 @@ fn one_complete_span_tree_per_request_across_threads_with_chaos() {
 }
 
 #[test]
-fn caller_owned_trace_collects_all_retry_attempts() {
+fn caller_owned_trace_collects_every_request_on_it() {
     // With a caller-owned trace, the service records request spans but
-    // leaves finishing to the caller — so several attempts (here three
-    // plain requests against an always-overloaded pool) share one
-    // trace.
+    // leaves finishing to the caller — so several requests (here three
+    // against an always-overloaded pool) share one trace.
     let svc = Service::build(
         &table(),
         &AbConfig::new(Level::PerAttribute).with_alpha(16),
@@ -171,16 +170,16 @@ fn caller_owned_trace_collects_all_retry_attempts() {
         FaultPlan::new(7).with_rule(FaultRule::new(points::POOL_SUBMIT, Fault::Overloaded)),
     ));
     let trace = obs::TraceCtx::start("rect");
-    for _attempt in 0..3 {
-        // A failed attempt cancels its RequestCtx, so each attempt
+    for _request in 0..3 {
+        // A failed request cancels its RequestCtx, so each request
         // gets a fresh ctx carrying the same trace.
         let ctx = RequestCtx::traced(Deadline::none(), trace.clone());
         let out = svc.try_query_rect_ctx(&rect(0, ROWS - 1), &ctx);
         assert!(out.is_err(), "submission is always shed");
     }
     let t = trace.finish().expect("caller finishes the trace");
-    let attempts = t.spans.iter().filter(|s| s.name == "svc.request").count();
-    assert_eq!(attempts, 3, "each attempt is a root-level request span");
+    let requests = t.spans.iter().filter(|s| s.name == "svc.request").count();
+    assert_eq!(requests, 3, "each request is a root-level request span");
     for s in t.spans.iter().filter(|s| s.name == "svc.request") {
         assert!(s
             .annotations

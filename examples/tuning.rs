@@ -86,13 +86,19 @@ fn main() {
         &ds.binned,
         &AbConfig::new(Level::PerAttribute).with_alpha(8),
     );
-    let bytes = ab::to_bytes(&idx);
-    let path = std::env::temp_dir().join("ab_index.bin");
-    std::fs::write(&path, &bytes).expect("write index");
-    let loaded = ab::from_bytes(&std::fs::read(&path).expect("read index")).expect("decode");
+    // The file is the page-checked store (a one-shard envelope), so
+    // every byte is verified before the index is decoded.
+    let payload = ab::shards_to_bytes(&[(0, &idx)]);
+    let path = std::env::temp_dir().join("ab_index.abpg");
+    store::write(&path, &payload, store::DEFAULT_PAGE_SIZE, &store::RealIo).expect("write index");
+    let st = store::Store::open(&path).expect("open index");
+    let (_, loaded) = ab::shards_from_bytes(st.payload())
+        .expect("decode")
+        .pop()
+        .expect("one shard");
     println!(
         "-- persistence --\n  wrote {} bytes to {}, reloaded: {} ABs, precision {:.3}",
-        bytes.len(),
+        st.header().file_len(),
         path.display(),
         loaded.abs().len(),
         precision(&loaded)

@@ -464,7 +464,7 @@ fn cmd_build(a: &Args) -> Result<(), String> {
     }
     if hybrid {
         // Persist the planner-split exact tier alongside each shard
-        // (ABIX v5 pages): Roaring containers for the hot bins, built
+        // (ABIX pages): Roaring containers for the hot bins, built
         // here once so serving can answer them with zero hash probes
         // and zero false positives without the source table.
         index.ensure_hybrid(&binned, &ab::HybridConfig::default());
@@ -505,9 +505,30 @@ fn cmd_build(a: &Args) -> Result<(), String> {
 /// Opens the `--index` store, reading and verifying every page once,
 /// and decodes its payload.
 fn open_index(path: &str) -> Result<(store::Store, svc::ShardedIndex), String> {
-    let st = store::Store::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let index = svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| format!("{path}: {e}"))?;
+    let st = store::Store::open(path).map_err(|e| store_error(path, e))?;
+    let index = svc::ShardedIndex::from_bytes(st.payload()).map_err(|e| payload_error(path, e))?;
     Ok((st, index))
+}
+
+/// A store error, naming the file.
+fn store_error(path: &str, e: store::StoreError) -> String {
+    match e {
+        store::StoreError::Payload(e) => payload_error(path, e),
+        e => format!("{path}: {e}"),
+    }
+}
+
+/// A payload error, naming the file. A version older than the one
+/// this build reads is a retired file, with the way out.
+fn payload_error(path: &str, e: ab::IoError) -> String {
+    match e {
+        ab::IoError::UnsupportedVersion(v) if v < ab::io::SHARD_VERSION => format!(
+            "{path}: index envelope version {v} is retired (this build reads version {}); \
+             rebuild the file with `abq build`",
+            ab::io::SHARD_VERSION
+        ),
+        e => format!("{path}: {e}"),
+    }
 }
 
 fn cmd_info(a: &Args) -> Result<(), String> {
@@ -542,7 +563,7 @@ fn cmd_info(a: &Args) -> Result<(), String> {
 /// implicate.
 fn cmd_verify(a: &Args) -> Result<(), String> {
     let path: String = a.get("--index")?;
-    let (header, report, _) =
+    let (header, report, payload) =
         store::Store::audit(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{path}: ABPG v{}, {} payload bytes in {} page(s) of {} bytes, {} shard(s)",
@@ -554,6 +575,9 @@ fn cmd_verify(a: &Args) -> Result<(), String> {
     );
     println!("scanned {} page(s)", report.pages_scanned);
     if report.clean() {
+        // Every page verifies; the envelope must also be one this
+        // build reads.
+        ab::segment_extents(&payload).map_err(|e| payload_error(&path, e))?;
         println!("healthy");
         Ok(())
     } else {
@@ -760,7 +784,9 @@ fn cmd_scrub(a: &Args) -> Result<(), String> {
     let p = std::path::Path::new(&path);
     let mut st = match store::Store::open(p) {
         Ok(st) => st,
-        Err(store::StoreError::Io(e)) => return Err(format!("{path}: {e}")),
+        Err(e @ (store::StoreError::Io(_) | store::StoreError::Payload(_))) => {
+            return Err(store_error(&path, e))
+        }
         Err(e) => {
             if !a.on("--csv") {
                 return Err(format!(
@@ -790,13 +816,14 @@ fn cmd_scrub(a: &Args) -> Result<(), String> {
     }
 }
 
-/// Repair for a store too damaged to open. Where the header, page
-/// table and envelope still read, only the shards the damage
-/// implicates are rebuilt from `table`, with the pyramid and exact
-/// tier their sibling shards carry: a deterministic build, so a
-/// bit-identical file. Otherwise the whole index is rebuilt from
-/// `table` without those tiers. Either way the file keeps its shard
-/// count and page size if its header and page table still verify.
+/// Repair for a store too damaged to open. Where the header and page
+/// table still verify, the shards `Store::audit` implicates are
+/// rebuilt from `table`, with the pyramid and exact tier their clean
+/// sibling shards carry, and the others are decoded: a deterministic
+/// build, so a bit-identical file. Otherwise (or when every shard is
+/// damaged) the whole index is rebuilt from `table` without those
+/// tiers. Either way the file keeps its shard count and page size if
+/// its header and page table still verify.
 fn repair_store(
     p: &std::path::Path,
     path: &str,
@@ -811,21 +838,27 @@ fn repair_store(
             store::DEFAULT_PAGE_SIZE,
         ),
     };
-    let repaired = audited.as_ref().and_then(|(_, _, payload)| {
-        svc::ShardedIndex::from_bytes_with_repair(payload, table, config).ok()
-    });
+    let repaired = audited
+        .as_ref()
+        .filter(|(_, report, _)| report.bad_shards.len() < shards)
+        .and_then(|(_, report, payload)| {
+            let damaged = &report.bad_shards;
+            svc::ShardedIndex::from_bytes_with_repair(payload, shards, damaged, table, config)
+                .ok()
+                .map(|index| (index, damaged))
+        });
     let (index, note) = match repaired {
-        Some((index, shards)) if shards.is_empty() => (index, "no shard was damaged".to_string()),
-        Some((index, shards)) => (
+        Some((index, damaged)) if damaged.is_empty() => (index, "no shard was damaged".to_string()),
+        Some((index, damaged)) => (
             index,
-            format!("rebuilt shard(s) {shards:?} from source data"),
+            format!("rebuilt shard(s) {damaged:?} from source data"),
         ),
         None => (
             svc::ShardedIndex::build(table, config, shards, false),
             format!(
                 "rebuilt the whole index from source data ({shards} shard(s)); \
-                 the file no longer reads as a sharded index, so hier pyramids \
-                 and exact tiers were not rebuilt"
+                 the damage left no shard to copy hier pyramids and exact \
+                 tiers from, so they were not rebuilt"
             ),
         ),
     };
@@ -1236,7 +1269,7 @@ mod tests {
             svc::ShardedIndex::from_bytes(st.payload()).unwrap()
         };
         build(&["--hybrid"]).unwrap();
-        // The containers ride the segment (ABIX v5): loading needs no
+        // The containers ride the segment: loading needs no
         // rebuild and no source table.
         let idx = load();
         assert!(idx.shards().iter().all(|s| s.index().hybrid().is_some()));
@@ -1368,6 +1401,83 @@ mod tests {
             );
             run("verify", &store).unwrap();
             run("scrub", &store).unwrap();
+        }
+    }
+
+    /// A file written before the envelope lost its checksums (`ABSH`
+    /// 2, inside a store file whose every page verifies) is named as
+    /// retired, with the way out, by every command that reads it.
+    #[test]
+    fn retired_index_files_say_to_rebuild() {
+        let dir = std::env::temp_dir().join("abq_test_retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v2.abpg");
+        let path = path.to_str().unwrap();
+        std::fs::write(
+            path,
+            include_bytes!("../../crates/core/tests/fixtures/v5/shards.abpg"),
+        )
+        .unwrap();
+        let want = format!(
+            "{path}: index envelope version 2 is retired (this build reads version 3); \
+             rebuild the file with `abq build`"
+        );
+        for cmd in ["info", "verify", "query", "scrub", "serve"] {
+            let listen = ["--listen", "127.0.0.1:0"];
+            let argv = [
+                &["--index", path][..],
+                if cmd == "serve" { &listen } else { &[] },
+            ];
+            assert_eq!(run(cmd, &argv.concat()), Err(want.clone()), "{cmd}");
+        }
+    }
+
+    /// Rot in segment 1's length field: the audit implicates shard 1
+    /// and every later one (and shard 0 when the page also holds its
+    /// bytes), and `scrub --csv` rewrites the file of a clean
+    /// `abq build`. In the tiered file of 636 rows segment 1's length
+    /// field lies on a 64-byte page that holds no byte of shard 0, so
+    /// shard 0 and its tiers are kept; in the flat file of 600 rows the
+    /// field's first byte shares a page with shard 0's tail.
+    #[test]
+    fn scrub_rebuilds_every_shard_after_a_damaged_segment_length() {
+        let tiered = &["--hier", "--hybrid", "force"][..];
+        for (rows, tiers, rebuilt) in [
+            (636, tiered, [vec![1, 2], vec![1, 2]]),
+            (600, &[][..], [vec![0, 1, 2], vec![1, 2]]),
+        ] {
+            let dir = csv_dir(
+                &format!("abq_test_segment_len_{rows}"),
+                "price,qty",
+                (0..rows).map(|i| format!("{}.0,{}.0\n", i % 31, (i * 5) % 11)),
+            );
+            let (csv, abpg) = (dir.join("d.csv"), dir.join("d.abpg"));
+            let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+            let build = [
+                "--csv",
+                csv,
+                "--out",
+                abpg,
+                "--shards",
+                "3",
+                "--page-size",
+                "64",
+            ];
+            run("build", &[&build[..], tiers].concat()).unwrap();
+            let pristine = std::fs::read(abpg).unwrap();
+            let st = store::Store::open(abpg).unwrap();
+            let len_at = st.header().payload_offset() as usize + st.extents()[1].offset + 8;
+            drop(st);
+            for (byte, rebuilt) in [0, 7].into_iter().zip(rebuilt) {
+                let mut rotted = pristine.clone();
+                rotted[len_at + byte] ^= 0x40;
+                std::fs::write(abpg, &rotted).unwrap();
+                let (_, report, _) = store::Store::audit(abpg).unwrap();
+                assert_eq!(report.bad_shards, rebuilt, "{rows} rows, byte {byte}");
+                run("scrub", &["--index", abpg, "--csv", csv]).unwrap();
+                let restored = std::fs::read(abpg).unwrap() == pristine;
+                assert!(restored, "{rows} rows, byte {byte}: not restored");
+            }
         }
     }
 

@@ -449,7 +449,7 @@ fn drive(
 /// with one root, the service's stages and a kernel span; `abq trace
 /// --file` renders the dump.
 #[test]
-fn telemetry_accounts_for_every_repl_query() {
+fn telemetry_accounts_for_every_socket_query() {
     let dir = Dir::new("telemetry");
     let a = column(5000, |i| hashkit::splitmix64(i) % 50);
     let truth = dir.csv("t.csv", &[("a", a), ("b", column(5000, |i| i % 13))], 10);
