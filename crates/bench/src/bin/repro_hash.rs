@@ -74,11 +74,13 @@ fn main() {
 
 /// ns per position of one lockstep step, per roster function: as the
 /// roster probe it is (t = 0 of a one-function roster) and as a
-/// re-seeded probe (t = 1..=12 of the same roster), over three key
-/// sets — scattered 27-bit keys (the benchmark's tables: a handful of
-/// distinct decimal prefixes under a seed), scattered 48-bit keys
-/// (every lane its own prefix) and consecutive rows at 48 bits (what a
-/// build or a sweep of a large table hands a batch).
+/// re-seeded probe (t = 1..=12 of the same roster), over four key
+/// sets — scattered 27-bit keys (the cell kernel's on the benchmark's
+/// tables: a handful of distinct decimal prefixes under a seed),
+/// scattered 48-bit keys (every lane its own prefix), consecutive rows
+/// at 48 bits, and consecutive rows of a 16-bin column at 27 bits (what
+/// a build or a sweep hands a batch: the benchmark's build and sweep
+/// batches are this shape).
 fn lockstep_table(scale: f64) {
     let batches = ((scale * 6400.0) as usize).max(4);
     let keys =
@@ -87,6 +89,7 @@ fn lockstep_table(scale: f64) {
         keys(&|i| splitmix64(i) >> 37),
         keys(&|i| splitmix64(i) >> 16),
         keys(&|i| (0xA5A5 << 32) + i),
+        keys(&|i| (((1 << 21) + i) << 5) | (splitmix64(i) % 16)),
     ];
     let mut rows = Vec::new();
     for kind in HashKind::ROSTER {
@@ -133,6 +136,8 @@ fn lockstep_table(scale: f64) {
             "48-bit",
             "re-seeded",
             "48-bit rows",
+            "re-seeded",
+            "27-bit rows",
             "re-seeded",
         ],
         &rows,

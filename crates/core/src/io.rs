@@ -57,6 +57,9 @@ pub enum IoError {
     BadString,
     /// `ABSH` segments were empty, unordered or did not tile the input.
     BadShardLayout,
+    /// The row count disagreed with the cells the ABs hold or the rows
+    /// an exact container names.
+    BadRowCount,
 }
 
 impl std::fmt::Display for IoError {
@@ -68,6 +71,7 @@ impl std::fmt::Display for IoError {
             IoError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             IoError::BadString => write!(f, "invalid UTF-8 in name"),
             IoError::BadShardLayout => write!(f, "shard segments empty or out of order"),
+            IoError::BadRowCount => write!(f, "row count disagrees with the encoded bitmaps"),
         }
     }
 }
@@ -269,9 +273,18 @@ pub fn from_bytes(data: &[u8]) -> Result<AbIndex, IoError> {
     if ab_count > r.remaining() / 33 {
         return Err(IoError::Truncated);
     }
-    let abs = (0..ab_count)
+    let abs: Vec<ApproximateBitmap> = (0..ab_count)
         .map(|_| read_ab(&mut r))
         .collect::<Result<_, _>>()?;
+    // Every row inserts one cell per attribute, whatever the level. A
+    // count that disagrees would go on to size the pyramid's geometry
+    // and, re-serialized, the output buffer.
+    let cells = abs
+        .iter()
+        .try_fold(0u64, |sum, ab| sum.checked_add(ab.inserted()));
+    if cells.is_none() || cells != (num_rows as u64).checked_mul(attributes.len() as u64) {
+        return Err(IoError::BadRowCount);
+    }
     let hier = match r.u8()? {
         0 => None,
         1 => {
@@ -329,6 +342,12 @@ pub fn from_bytes(data: &[u8]) -> Result<AbIndex, IoError> {
                 .any(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1))
             {
                 return Err(IoError::BadShardLayout);
+            }
+            if parts
+                .iter()
+                .any(|(_, _, exact)| exact.max().is_some_and(|row| row as usize >= num_rows))
+            {
+                return Err(IoError::BadRowCount);
             }
             let config = HybridConfig {
                 min_density,
@@ -1014,6 +1033,7 @@ mod tests {
         assert!(IoError::Truncated.to_string().contains("truncated"));
         assert!(IoError::BadTag(7).to_string().contains("0x07"));
         assert!(IoError::BadShardLayout.to_string().contains("shard"));
+        assert!(IoError::BadRowCount.to_string().contains("row count"));
         assert!(IoError::UnsupportedVersion(5).to_string().contains('5'));
     }
 
@@ -1045,6 +1065,46 @@ mod tests {
         // Re-serializing the decoded index reproduces the same bytes —
         // the store round trip is bit-identical to in-RAM serving.
         assert_eq!(to_bytes(&back), bytes);
+    }
+
+    /// A `num_rows` field that disagrees with what the record decodes
+    /// is refused, huge or off by one, at every level and with both
+    /// tiers attached; the unpatched record still round-trips. Lowering
+    /// the count together with the AB's insert count is caught by the
+    /// exact container that names the last row.
+    #[test]
+    fn a_patched_row_count_is_refused() {
+        // Magic, version, level: the count's offset.
+        const NUM_ROWS_AT: usize = 7;
+        let patched = |bytes: &[u8], at: usize, value: u64| {
+            let mut b = bytes.to_vec();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            b
+        };
+        let t = BinnedTable::new(vec![
+            BinnedColumn::new("v", (0..512u32).map(|i| i / 64).collect(), 8),
+            BinnedColumn::new("w", (0..512u32).map(|i| i % 3).collect(), 3),
+        ]);
+        for level in [Level::PerDataset, Level::PerAttribute, Level::PerColumn] {
+            let mut idx = AbIndex::build(&t, &AbConfig::new(level).with_alpha(8));
+            idx.ensure_hier(&crate::hier::HierConfig::default());
+            idx.ensure_hybrid(&t, &HybridConfig::default());
+            let bytes = to_bytes(&idx);
+            assert_eq!(bytes[NUM_ROWS_AT..NUM_ROWS_AT + 8], 512u64.to_le_bytes());
+            assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()), bytes, "{level:?}");
+            for value in [u64::MAX, 1 << 40, 513, 511, 0] {
+                let got = from_bytes(&patched(&bytes, NUM_ROWS_AT, value)).err();
+                assert_eq!(got, Some(IoError::BadRowCount), "{level:?}: {value}");
+            }
+        }
+        // One attribute named "v", one AB: its insert count follows the
+        // attribute record, the AB count, `n_bits` and `k`.
+        let idx = hybrid_index();
+        let bytes = to_bytes(&idx);
+        let inserted_at = NUM_ROWS_AT + 8 + 4 + (2 + 1 + 4 + 8) + 4 + 8 + 4;
+        assert_eq!(bytes[inserted_at..inserted_at + 8], 512u64.to_le_bytes());
+        let both = patched(&patched(&bytes, NUM_ROWS_AT, 511), inserted_at, 511);
+        assert_eq!(from_bytes(&both).err(), Some(IoError::BadRowCount));
     }
 
     /// `to_bytes` reserves for every section, not for the base ABs

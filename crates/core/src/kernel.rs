@@ -616,11 +616,19 @@ impl CellPlan<'_> {
 /// The build-time reader of the probe loop: sweeps the base AB's own
 /// verdicts for the pyramid ([`crate::hier`]), a batch of one
 /// column's rows at a time — `test_cell`'s verdicts without a prober
-/// per cell. Hash evaluations and wave counters are flushed per batch.
+/// per cell. Hash evaluations and wave counters add up over the sweep
+/// and are flushed once, when the sweeper is dropped: set-up sweeps on
+/// a thread per shard, and the counters' cache lines are shared.
 pub(crate) struct ColumnSweeper<'a> {
     index: &'a AbIndex,
     batch: LockstepBatch,
     rows: Vec<usize>,
+    /// The family of the ABs swept so far (an index's ABs share
+    /// `AbConfig::family`), once one is.
+    family: Option<&'a hashkit::HashFamily>,
+    /// Positions issued (and prefetched) so far.
+    calls: u64,
+    wave: WaveCounters,
 }
 
 impl<'a> ColumnSweeper<'a> {
@@ -629,6 +637,9 @@ impl<'a> ColumnSweeper<'a> {
             index,
             batch: LockstepBatch::new(),
             rows: Vec::with_capacity(MAX_BATCH_ROWS),
+            family: None,
+            calls: 0,
+            wave: WaveCounters::default(),
         }
     }
 
@@ -649,11 +660,9 @@ impl<'a> ColumnSweeper<'a> {
         debug_assert!(self.rows.iter().all(|&row| row < self.index.num_rows()));
         self.batch
             .open(&plan.prober, self.rows.iter().map(|&row| (row as u64, col)));
-        let mut wave = WaveCounters::default();
-        plan.survivors(&mut self.batch, &mut wave);
-        plan.prober.record_hash_calls(plan.calls.get());
-        // Every issued position was prefetched exactly once.
-        wave.flush(plan.calls.get());
+        plan.survivors(&mut self.batch, &mut self.wave);
+        self.family = Some(ab.family());
+        self.calls += plan.calls.get();
         // The survivors' rows close ranks; lane ids ascend, so each
         // moves down or stays.
         let mut kept = 0;
@@ -663,6 +672,16 @@ impl<'a> ColumnSweeper<'a> {
         }
         self.rows.truncate(kept);
         &self.rows
+    }
+}
+
+impl Drop for ColumnSweeper<'_> {
+    fn drop(&mut self) {
+        if let Some(family) = self.family {
+            family.record_hash_calls(self.calls);
+        }
+        // Every issued position was prefetched exactly once.
+        std::mem::take(&mut self.wave).flush(self.calls);
     }
 }
 
@@ -833,6 +852,51 @@ mod tests {
         assert_eq!((o.hier, o.hybrid), (HierMode::Force, HybridMode::Auto));
         let d: KernelOpts = KernelKind::Batched.into();
         assert_eq!(d, KernelOpts::default());
+    }
+
+    /// The two prefetch blocks' `// SAFETY:` argument: an AB of n bits
+    /// holds ⌈n/64⌉ words and a prober's positions are below n, so the
+    /// word of any position — bit 0 and bit n − 1 at the extremes — is
+    /// in bounds whether or not 64 divides n. Every position the
+    /// lockstep loop issues for a few hundred cells is checked too.
+    #[test]
+    fn prefetch_stays_inside_abs_of_every_size() {
+        for n in [1u64, 63, 64, 65, 127, 128, 1000, 1 << 14] {
+            let ab = ApproximateBitmap::new(
+                n,
+                22,
+                hashkit::HashFamily::default_independent(),
+                hashkit::CellMapper::for_columns(4),
+            );
+            let words = ab.bits().words();
+            assert_eq!(words.len() as u64, n.div_ceil(64), "n = {n}");
+            prefetch(words, 0);
+            prefetch(words, n - 1);
+            let plan = CellPlan::new(&ab, 0);
+            let mut batch = LockstepBatch::new();
+            batch.open(&plan.prober, (0..300u64).map(|row| (row, row % 4)));
+            for _ in 0..22 {
+                let pos = batch.step(&plan.prober);
+                assert!(pos.iter().all(|&p| p < n), "n = {n}");
+                plan.count_and_prefetch(pos);
+            }
+        }
+    }
+
+    /// A debug build refuses a prefetch of the first bit past an AB
+    /// whose last word is full: bit n, where 64 divides n, names word
+    /// ⌈n/64⌉, one past the array.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bit 128 past the AB")]
+    fn prefetch_past_the_last_word_panics_in_debug_builds() {
+        let ab = ApproximateBitmap::new(
+            128,
+            3,
+            hashkit::HashFamily::default_independent(),
+            hashkit::CellMapper::RowOnly,
+        );
+        prefetch(ab.bits().words(), 128);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! swap them freely.
 
 use crate::partow::{
-    decimal_key_bytes, decimal_key_bytes_swar, low_group_text, splitmix64, Ap, Bkdr, Dek, Djb, Elf,
-    Fnv, Js, Partial, Pjw, RosterFn, Rs, Sdbm, GROUP,
+    decimal_key_bytes, decimal_key_bytes_swar, eight_digit_text, splitmix64, Ap, Bkdr, Dek, Djb,
+    Elf, Fnv, Js, Partial, Pjw, RosterFn, Rs, Sdbm,
 };
 use crate::sha1::DigestStream;
 use crate::simple::multiply_shift;
@@ -281,12 +281,31 @@ impl HashFamily {
         };
         let pow2_mask = if n.is_power_of_two() { n - 1 } else { 0 };
         ColProber {
+            family: self,
             kind,
             mapper,
             col,
             n,
             pow2_mask,
         }
+    }
+
+    /// Flushes `calls` probe computations into this family's
+    /// `hashkit.hash_calls.*` counter. Batched callers accumulate a
+    /// plain integer across many rows and flush once per query, insert
+    /// call or sweep, so the probe loop stays atomics-free (`Prober`
+    /// does the same on drop).
+    pub fn record_hash_calls(&self, calls: u64) {
+        if calls == 0 {
+            return;
+        }
+        let c = match self {
+            HashFamily::Independent(_) => obs::counter!("hashkit.hash_calls.independent"),
+            HashFamily::Sha1Split => obs::counter!("hashkit.hash_calls.sha1_split"),
+            HashFamily::DoubleHashing => obs::counter!("hashkit.hash_calls.double_hashing"),
+            HashFamily::ColumnGroup { .. } => obs::counter!("hashkit.hash_calls.column_group"),
+        };
+        c.add(calls);
     }
 }
 
@@ -298,6 +317,7 @@ impl HashFamily {
 /// advance probes for any other ([`Self::begin_col`]) — the cell kernel
 /// drives every cell of an AB through one prober.
 pub struct ColProber<'f> {
+    family: &'f HashFamily,
     kind: ColKind<'f>,
     mapper: CellMapper,
     col: u64,
@@ -356,15 +376,128 @@ const ALL_LANES: [u8; LANES] = {
     ids
 };
 
+/// The prefix slots of a [`Split`]: a prefix `p` can only sit in slot
+/// `p mod SLOTS`, so up to `SLOTS` consecutive prefixes never evict
+/// each other.
+const SLOTS: usize = 16;
+
+/// An empty prefix slot (no key's prefix comes near it).
+const NO_PREFIX: u64 = u64::MAX;
+
+/// A batch's keys split at 10⁴, or else at 10⁸: at 10^w, each lane's
+/// key `x ≥ 10^w` is the decimal text of its prefix `x / 10^w` followed
+/// by exactly `w` digits (`x mod 10^w`, leading zeros kept). The lanes
+/// keep their `w` digits and the slot of their prefix; the batch keeps
+/// each distinct prefix's text once. A roster function of a lane's key
+/// is then that function's state after the prefix — computed once per
+/// slot, started from the whole key's length, which DEK needs — resumed
+/// over the lane's `w` bytes ([`ColProber::next_positions_lockstep`]).
+///
+/// Consecutive rows split at 10⁴ into one or two prefixes. Scattered
+/// keys under 2²⁷ do not, but XORed with a re-seeded step's seed they
+/// are 19–20-digit numbers that split at 10⁸ into three at most.
+struct Split {
+    /// The digits each lane keeps — 4 or 8 — or 0: the split holds no
+    /// batch.
+    width: usize,
+    /// Each lane's prefix slot, by lane index.
+    slot: [u8; LANES],
+    /// Each lane's `x mod 10^width` as eight digits of text, by lane
+    /// index: the lane's bytes are the last `width`.
+    low: [[u8; 8]; LANES],
+    /// Each slot's prefix, or [`NO_PREFIX`].
+    prefixes: [u64; SLOTS],
+    /// Each occupied slot's prefix as decimal text, and its length.
+    text: [([u8; 20], usize); SLOTS],
+    /// `used[..n]`: the occupied slots.
+    used: [u8; SLOTS],
+    n: usize,
+}
+
+impl Split {
+    fn new() -> Self {
+        Split {
+            width: 0,
+            slot: [0; LANES],
+            low: [[0; 8]; LANES],
+            prefixes: [NO_PREFIX; SLOTS],
+            text: [([0; 20], 0); SLOTS],
+            used: [0; SLOTS],
+            n: 0,
+        }
+    }
+
+    /// Splits lane `id`'s key `x` for every `(id, x)`, at 10⁴ if the
+    /// keys allow it, else at 10⁸; returns whether either held.
+    #[inline(always)]
+    fn split(&mut self, keys: impl Iterator<Item = (usize, u64)> + Clone) -> bool {
+        self.width = if self.split_at::<4>(keys.clone()) {
+            4
+        } else if self.split_at::<8>(keys) {
+            8
+        } else {
+            0
+        };
+        self.width != 0
+    }
+
+    /// The split at 10^W. False at the first key below 10^W (its text
+    /// has no prefix and a length of its own) or the first prefix whose
+    /// slot another prefix holds: scattered keys give up within a few
+    /// lanes. A lane's only branch is on a prefix not seen before.
+    #[inline(always)]
+    fn split_at<const W: u32>(&mut self, keys: impl Iterator<Item = (usize, u64)>) -> bool {
+        let at = 10u64.pow(W);
+        for &slot in &self.used[..self.n] {
+            self.prefixes[usize::from(slot)] = NO_PREFIX;
+        }
+        self.n = 0;
+        for (id, x) in keys {
+            let prefix = x / at;
+            let slot = (prefix % SLOTS as u64) as usize;
+            if self.prefixes[slot] != prefix {
+                if prefix == 0 || self.prefixes[slot] != NO_PREFIX {
+                    return false;
+                }
+                self.prefixes[slot] = prefix;
+                self.text[slot] = decimal_key_bytes_swar(prefix);
+                self.used[self.n] = slot as u8;
+                self.n += 1;
+            }
+            self.slot[id] = slot as u8;
+            self.low[id] = eight_digit_text(x - prefix * at);
+        }
+        true
+    }
+
+    /// `F`'s state after each occupied slot's prefix, for keys `W`
+    /// digits longer.
+    #[inline(always)]
+    fn prefix_states<F: RosterFn, const W: usize>(&self) -> [Partial; SLOTS] {
+        let mut states = [F::start(0); SLOTS];
+        for &slot in &self.used[..self.n] {
+            let (text, len) = self.text[usize::from(slot)];
+            states[usize::from(slot)] = F::resume(F::start(len + W), &text[..len]);
+        }
+        states
+    }
+}
+
 /// Up to [`LANES`] cells of one AB probed in lockstep: opened together
 /// ([`Self::open`]) and advanced together, every live lane one step per
 /// [`ColProber::next_positions_lockstep`] call, so the batch keeps one
-/// step counter for all of them. The batch owns its lanes as arrays —
-/// for the independent family a lane is its hash string, the string's
-/// decimal text and a one-byte length, written once when it opens — and
+/// step counter for all of them. The batch owns its lanes as arrays and
 /// retires a lane by dropping its index from the live list
-/// ([`Self::retain`]): no lane's state moves after it opens. Lanes of
-/// the other families each keep a [`RowProbe`].
+/// ([`Self::retain`]): no lane's state moves after it opens. For the
+/// independent family a lane is its hash string `x` and, written once
+/// when it opens, either its place in a split of the batch's keys (its
+/// last digits and a prefix slot, when the batch's keys share a few
+/// leading-digit prefixes, as consecutive rows do) or its whole decimal
+/// text and a one-byte length (scattered keys). Lanes of the
+/// other families each keep a [`RowProbe`].
+///
+/// The batch counts the prefix states its re-seeded steps compute and
+/// adds them to `hashkit.seed_prefix_hashes` when it is dropped.
 pub struct LockstepLanes {
     /// The step every live lane takes next.
     t: u64,
@@ -375,9 +508,17 @@ pub struct LockstepLanes {
     live: [u8; LANES],
     n_live: usize,
     keys: [u64; LANES],
+    /// The live keys split — the lanes' own keys from [`Self::open`]
+    /// on, their re-seeded keys from the first re-seeded step on (no
+    /// roster step follows one).
+    split: Split,
+    /// The whole keys' text and length, written by [`Self::open`] when
+    /// the keys do not split.
     text: [[u8; 20]; LANES],
     lens: [u8; LANES],
     probes: Vec<RowProbe>,
+    /// Prefix states re-seeded steps computed, not yet flushed.
+    seed_prefix_hashes: u64,
 }
 
 impl Default for LockstepLanes {
@@ -395,9 +536,11 @@ impl LockstepLanes {
             live: ALL_LANES,
             n_live: 0,
             keys: [0; LANES],
+            split: Split::new(),
             text: [[0; 20]; LANES],
             lens: [0; LANES],
             probes: Vec::new(),
+            seed_prefix_hashes: 0,
         }
     }
 
@@ -405,8 +548,9 @@ impl LockstepLanes {
     /// and at step 0: takes at most [`LANES`] cells from `cells` and
     /// returns how many that was. Lane `i` is the `i`-th cell taken.
     /// The cells may name any columns of `prober`'s AB
-    /// ([`ColProber::begin_col`]); an independent-family lane's key is
-    /// encoded by [`decimal_key_bytes_swar`].
+    /// ([`ColProber::begin_col`]). An independent-family batch splits
+    /// its keys at 10⁴ or 10⁸, and encodes each whole key by
+    /// [`decimal_key_bytes_swar`] only if they split at neither.
     ///
     /// # Panics
     ///
@@ -422,12 +566,16 @@ impl LockstepLanes {
         let mut n = 0;
         if self.roster {
             for (row, col) in cells {
-                let x = prober.mapper.map(row, col);
-                let (text, len) = decimal_key_bytes_swar(x);
-                self.keys[n] = x;
-                self.text[n] = text;
-                self.lens[n] = len as u8;
+                self.keys[n] = prober.mapper.map(row, col);
                 n += 1;
+            }
+            let keys = &self.keys[..n];
+            if !self.split.split(keys.iter().copied().enumerate()) {
+                for (id, &x) in keys.iter().enumerate() {
+                    let (text, len) = decimal_key_bytes_swar(x);
+                    self.text[id] = text;
+                    self.lens[id] = len as u8;
+                }
             }
         } else {
             self.probes.clear();
@@ -489,17 +637,14 @@ impl LockstepLanes {
     }
 }
 
-/// Four roster chains, each resumed from its state over its own eight
-/// bytes, side by side: four independent dependency chains in one
-/// unrolled loop instead of four loops in a row.
-#[inline(always)]
-fn resume4<F: RosterFn>(mut states: [Partial; 4], bytes: [[u8; 8]; 4]) -> [u64; 4] {
-    for i in 0..8 {
-        for (state, bytes) in states.iter_mut().zip(&bytes) {
-            *state = F::push(*state, bytes[i]);
+/// Flushes the batch's prefix-state count once, when it dies — the
+/// steps themselves stay atomics-free.
+impl Drop for LockstepLanes {
+    fn drop(&mut self) {
+        if self.seed_prefix_hashes > 0 {
+            obs::counter!("hashkit.seed_prefix_hashes").add(self.seed_prefix_hashes);
         }
     }
-    states.map(Partial::hash)
 }
 
 impl ColProber<'_> {
@@ -701,12 +846,12 @@ impl ColProber<'_> {
     /// lane is bit-identical to calling [`Self::next_position`] on its
     /// cell's own probe. All lanes are at the batch's one step `t`, so
     /// the roster function `t` names is matched once and step `t` is
-    /// that one function over the batch's keys, four lanes at a time
-    /// wherever four neighbouring keys have the same length: their byte
-    /// loops run interleaved, four independent chains in one loop. Past
-    /// the roster the batch shares its seed too, and with it the leading
-    /// digits of its re-seeded keys, which are hashed once per distinct
-    /// prefix and not once per lane (`resumed_step`).
+    /// that one function over the batch's keys. Keys that split at 10⁴
+    /// or 10⁸ ([`LockstepLanes::open`]) share their leading digits: the
+    /// function runs over each distinct prefix once and over four or
+    /// eight bytes per lane. Past the roster the batch shares its seed
+    /// too, so its re-seeded keys `x ⊕ seed` are split the same way, once
+    /// per step.
     ///
     /// # Panics
     ///
@@ -751,14 +896,16 @@ impl ColProber<'_> {
     }
 
     /// One lockstep roster step of a string kind: every live lane takes
-    /// `F` of its decimal text, one lane at a time. Inlined into each
-    /// arm of `next_positions_lockstep` so the loop is compiled around
-    /// its one function. (Four lanes at a time, as the re-seeded step
-    /// runs them, measured 5–15 % slower here: a roster key's length is
-    /// only known per lane, so the four-chain loop does not unroll, and
-    /// consecutive lanes' loops already overlap — DESIGN.md §13.)
+    /// `F` of its key's text — the prefixed path if the batch's keys
+    /// split, else `F` of each lane's whole text, one lane at a time.
+    /// Inlined into each arm of `next_positions_lockstep` so the loops
+    /// are compiled around their one function.
     #[inline(always)]
     fn roster_step<F: RosterFn>(&self, lanes: &LockstepLanes, out: &mut [u64]) {
+        if lanes.split.width != 0 {
+            self.prefixed_step::<F>(&lanes.split, lanes.live_ids(), out);
+            return;
+        }
         for (o, &id) in out.iter_mut().zip(lanes.live_ids()) {
             let id = usize::from(id);
             *o = self.reduce_hash(F::whole(&lanes.text[id][..usize::from(lanes.lens[id])]));
@@ -771,78 +918,66 @@ impl ColProber<'_> {
     /// slowed k = 6 and k = 10 inserts, which never get here, by
     /// 10–25 %.
     #[inline(never)]
-    fn reseeded_step(&self, kind: HashKind, lanes: &LockstepLanes, out: &mut [u64], t: u64) {
+    fn reseeded_step(&self, kind: HashKind, lanes: &mut LockstepLanes, out: &mut [u64], t: u64) {
         let seed = splitmix64(t);
-        let prefix_hashes = with_kind!(
+        with_kind!(
             kind,
-            string F => self.resumed_step::<F>(lanes, out, seed),
+            string F => self.seeded_step::<F>(lanes, out, seed),
             // No string, so no digits to share.
             integer h => {
                 for (o, x) in out.iter_mut().zip(lanes.keys()) {
                     *o = self.reduce_hash(h(x ^ seed));
                 }
-                0
             }
-        );
-        obs::counter!("hashkit.seed_prefix_hashes").add(prefix_hashes);
+        )
     }
 
-    /// [`Self::reseeded_step`] for a string kind; returns how many
-    /// prefix states it computed. A key `x < 2^b` keeps the seed's high
-    /// `64 − b` bits in `x ^ seed`, so the batch's re-seeded keys, split
-    /// at 10⁸, are a few 11–12-digit prefixes (three at most for keys
-    /// under 2²⁷, two for rows that agree above bit 26) followed by
-    /// exactly eight digits: each distinct prefix is hashed once into a
-    /// saved state of `F`, and a lane encodes one group and resumes
-    /// over 8 bytes instead of 19–20 — four lanes at a time, the eight
-    /// bytes being every such lane's length. The memo lives for this
-    /// call — the next step has another seed, so other prefixes.
-    fn resumed_step<F: RosterFn>(&self, lanes: &LockstepLanes, out: &mut [u64], seed: u64) -> u64 {
-        // Direct-mapped on the prefix's low bits: neighbouring prefixes
-        // never evict each other, and one that does get evicted costs
-        // what hashing the whole key cost. Keys under 10⁸ have no
-        // prefix and look none up, so prefix 0 marks an empty slot.
-        let mut memo = [(0u64, F::start(0)); 4];
-        let mut prefix_hashes = 0;
-        // The state after the leading digits of a key `x ≥ 10⁸`, and
-        // its last eight.
-        let mut split = |x: u64| {
-            let prefix = x / GROUP;
-            let slot = &mut memo[prefix as usize % 4];
-            if slot.0 != prefix {
-                let (bytes, len) = decimal_key_bytes_swar(prefix);
-                *slot = (prefix, F::resume(F::start(len + 8), &bytes[..len]));
-                prefix_hashes += 1;
-            }
-            (slot.1, low_group_text(x))
-        };
-        let live = lanes.live_ids();
-        let key = |j: usize| lanes.keys[usize::from(live[j])] ^ seed;
-        let mut j = 0;
-        while j < live.len() {
-            if j + 4 <= live.len() {
-                let quad = [key(j), key(j + 1), key(j + 2), key(j + 3)];
-                if quad.iter().all(|&x| x >= GROUP) {
-                    let [a, b, c, d] = quad.map(&mut split);
-                    let hashes = resume4::<F>([a.0, b.0, c.0, d.0], [a.1, b.1, c.1, d.1]);
-                    for (o, h) in out[j..j + 4].iter_mut().zip(hashes) {
-                        *o = self.reduce_hash(h);
-                    }
-                    j += 4;
-                    continue;
-                }
-            }
-            let x = key(j);
-            out[j] = self.reduce_hash(if x < GROUP {
-                let (bytes, len) = decimal_key_bytes_swar(x);
-                F::whole(&bytes[..len])
-            } else {
-                let (state, low) = split(x);
-                F::resume(state, &low).hash()
-            });
-            j += 1;
+    /// [`Self::reseeded_step`] for a string kind. A key `x < 2^b` keeps
+    /// the seed's high `64 − b` bits in `x ^ seed`, so the re-seeded keys
+    /// of nearby rows are 19–20-digit numbers that share all but their
+    /// last few digits: the batch splits them (replacing the split of the
+    /// roster steps, which no later step reads) and takes the prefixed
+    /// path. Keys that do not split take `F` of each whole key.
+    fn seeded_step<F: RosterFn>(&self, lanes: &mut LockstepLanes, out: &mut [u64], seed: u64) {
+        let live = &lanes.live[..lanes.n_live];
+        let keys = &lanes.keys;
+        let seeded = live.iter().map(|&id| {
+            let id = usize::from(id);
+            (id, keys[id] ^ seed)
+        });
+        if lanes.split.split(seeded) {
+            self.prefixed_step::<F>(&lanes.split, live, out);
+            lanes.seed_prefix_hashes += lanes.split.n as u64;
+            return;
         }
-        prefix_hashes
+        for (o, &id) in out.iter_mut().zip(live) {
+            let (text, len) = decimal_key_bytes_swar(keys[usize::from(id)] ^ seed);
+            *o = self.reduce_hash(F::whole(&text[..len]));
+        }
+    }
+
+    /// `F` of every live lane's split key: each distinct prefix hashed
+    /// once, then each lane resumes its prefix's state over its last
+    /// 4 or 8 bytes — a fixed count per loop, so the loop body is
+    /// straight-line code and consecutive lanes' chains overlap.
+    #[inline(always)]
+    fn prefixed_step<F: RosterFn>(&self, split: &Split, live: &[u8], out: &mut [u64]) {
+        match split.width {
+            4 => self.resumed::<F, 4>(split, live, out),
+            _ => self.resumed::<F, 8>(split, live, out),
+        }
+    }
+
+    /// [`Self::prefixed_step`] for lanes that keep `W` digits.
+    #[inline(always)]
+    fn resumed<F: RosterFn, const W: usize>(&self, split: &Split, live: &[u8], out: &mut [u64]) {
+        let states = split.prefix_states::<F, W>();
+        for (o, &id) in out.iter_mut().zip(live) {
+            let id = usize::from(id);
+            let state = states[usize::from(split.slot[id]) % SLOTS];
+            let low: &[u8; W] = split.low[id][8 - W..].try_into().expect("W ≤ 8");
+            *o = self.reduce_hash(F::resume(state, low).hash());
+        }
     }
 
     /// Reduces a full-width hash into `[0, n)`.
@@ -855,21 +990,9 @@ impl ColProber<'_> {
         }
     }
 
-    /// Flushes `calls` probe computations into this family's
-    /// `hashkit.hash_calls.*` counter. Batched callers accumulate a
-    /// plain integer across many rows and flush once per query so the
-    /// probe loop stays atomics-free (`Prober` does the same on drop).
+    /// [`HashFamily::record_hash_calls`] for this prober's family.
     pub fn record_hash_calls(&self, calls: u64) {
-        if calls == 0 {
-            return;
-        }
-        let c = match self.kind {
-            ColKind::Independent { .. } => obs::counter!("hashkit.hash_calls.independent"),
-            ColKind::Sha1 { .. } => obs::counter!("hashkit.hash_calls.sha1_split"),
-            ColKind::Double => obs::counter!("hashkit.hash_calls.double_hashing"),
-            ColKind::ColumnGroup { .. } => obs::counter!("hashkit.hash_calls.column_group"),
-        };
-        c.add(calls);
+        self.family.record_hash_calls(calls);
     }
 }
 
@@ -1349,6 +1472,73 @@ mod tests {
                     assert!(lanes.live().eq(kept));
                 }
                 assert!(!lanes.is_empty() && lanes.len() < rows.len() / 4);
+            }
+        }
+    }
+
+    /// Split lanes against the scalar `Prober`, cell by cell, on every
+    /// edge of the split: batches of consecutive rows across a multiple
+    /// of 10⁴ and across 10⁷ and 10⁸ (prefixes of two lengths, keys of
+    /// two digit counts); keys at more distinct prefixes than slots
+    /// (which split at 10⁸ instead, or not at all), two prefixes that
+    /// want one slot, keys below the split, scattered keys. Every roster
+    /// function alone and the default roster run 22 steps (k = 22: 21
+    /// and 12 re-seeded), lanes retiring between steps. Each batch is
+    /// checked to open on the split it is meant to exercise, and the
+    /// batches of consecutive rows to keep a split past the roster.
+    #[test]
+    fn split_lanes_match_the_scalar_prober() {
+        let run = |first: u64, stride: u64| -> Vec<u64> {
+            (0..LANES as u64).map(|i| first + i * stride).collect()
+        };
+        let mut two_far: Vec<u64> = run(20_000, 1)[..128].to_vec();
+        two_far.extend(&run(180_000, 1)[..128]); // prefixes 2 and 18
+        let batches: [(&str, Vec<u64>, usize); 10] = [
+            ("across a multiple of 10⁴", run(19_900, 1), 4),
+            ("across 10⁷", run(10_000_000 - 130, 1), 4),
+            ("across 10⁸", run(100_000_000 - 100, 1), 4),
+            ("16 prefixes", run(30_000, 10_000 * 16 / LANES as u64), 4),
+            ("17 prefixes, one 10⁸", run(700_000_000, 10_000), 8),
+            ("17 prefixes under 10⁸", run(10_000, 10_000), 0),
+            ("two prefixes, one slot", two_far, 0),
+            ("keys below 10⁴", run(0, 3), 0),
+            ("keys up to 10⁴", run(9_900, 1), 0),
+            ("scattered", (0..LANES as u64).map(splitmix64).collect(), 0),
+        ];
+        let mut families: Vec<HashFamily> = HashKind::ROSTER
+            .iter()
+            .map(|&kind| HashFamily::Independent(vec![kind]))
+            .collect();
+        families.push(HashFamily::default_independent());
+        for (name, rows, width) in &batches {
+            for family in &families {
+                for n in [1u64 << 20, 1_000_003] {
+                    let cp = family.col_prober(0, CellMapper::RowOnly, n);
+                    let mut lanes = LockstepLanes::new();
+                    lanes.open(&cp, rows.iter().map(|&row| (row, 0)));
+                    assert_eq!(lanes.split.width, *width, "{name}");
+                    let mut want: Vec<Prober> = rows
+                        .iter()
+                        .map(|&row| family.prober(row, 0, CellMapper::RowOnly, n))
+                        .collect();
+                    let mut out = vec![0u64; rows.len()];
+                    for t in 0..22u64 {
+                        cp.next_positions_lockstep(&mut lanes, &mut out);
+                        let live: Vec<usize> = lanes.live().collect();
+                        for (j, &lane) in live.iter().enumerate() {
+                            let ctx = format!("{name}: {family:?} n={n} row {} t={t}", rows[lane]);
+                            assert_eq!(out[j], want[lane].next_position(), "{ctx}");
+                        }
+                        let keep: Vec<bool> = live
+                            .iter()
+                            .map(|&lane| !splitmix64(lane as u64 ^ t << 16).is_multiple_of(16))
+                            .collect();
+                        lanes.retain(&keep);
+                    }
+                    if *width != 0 {
+                        assert_ne!(lanes.split.width, 0, "{name}: re-seeded keys did not split");
+                    }
+                }
             }
         }
     }

@@ -200,7 +200,7 @@ pub fn decimal_key_bytes(x: u64) -> ([u8; 20], usize) {
 }
 
 /// Eight digits: the keys split into groups at its multiples.
-pub(crate) const GROUP: u64 = 100_000_000;
+const GROUP: u64 = 100_000_000;
 const ASCII: u64 = 0x3030_3030_3030_3030;
 
 /// [`decimal_key_bytes`] without a division per digit, for the key
@@ -244,12 +244,13 @@ pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
     (buf, len + 8 * rest)
 }
 
-/// The last eight characters of the decimal string of any `x ≥ 10⁸`
-/// (what precedes them is the string of `x / 10⁸`): `x mod 10⁸`, leading
-/// zeros kept.
+/// The eight decimal digits of `v < 10⁸` as text, leading zeros kept:
+/// for any `x ≥ 10^w` (w ≤ 8) whose `x mod 10^w` is `v`, the last `w`
+/// bytes are the last `w` characters of the decimal string of `x` (what
+/// precedes them is the string of `x / 10^w`).
 #[inline(always)]
-pub(crate) fn low_group_text(x: u64) -> [u8; 8] {
-    (eight_digits((x % GROUP) as u32) + ASCII).to_le_bytes()
+pub(crate) fn eight_digit_text(v: u64) -> [u8; 8] {
+    (eight_digits(v as u32) + ASCII).to_le_bytes()
 }
 
 /// The eight decimal digits of `v < 10⁸`, one per byte, most
@@ -375,6 +376,17 @@ mod tests {
             }
             let filled = seen.iter().filter(|&&s| s).count();
             assert!(filled >= 126, "{name} fills only {filled}/251 buckets");
+        }
+    }
+
+    /// A split key's low digits: `v` as exactly eight digits, leading
+    /// zeros kept, so the last `w` bytes are `x mod 10^w` of any `x`.
+    #[test]
+    fn eight_digit_text_keeps_leading_zeros() {
+        let mut vs: Vec<u64> = (0..10_000).collect();
+        vs.extend([99_999, 100_000, 1_234_567, 10_000_000, 99_999_999]);
+        for v in vs {
+            assert_eq!(eight_digit_text(v), *format!("{v:08}").as_bytes(), "{v}");
         }
     }
 

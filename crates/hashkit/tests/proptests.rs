@@ -21,6 +21,41 @@ macro_rules! stopped_and_resumed {
     };
 }
 
+/// Steps one lockstep batch over `rows` 24 times and each row's own
+/// probe alongside, and checks every position agrees: roster function
+/// `kind` alone (past the roster: the default roster), the shifted
+/// mapper at `shift` (0: row only), a prime or a power-of-two AB size.
+fn lockstep_agrees_with_next_position(
+    rows: &[u64],
+    kind: usize,
+    shift: u32,
+    prime_n: bool,
+) -> Result<(), TestCaseError> {
+    let family = match HashKind::ROSTER.get(kind) {
+        Some(&kind) => HashFamily::Independent(vec![kind]),
+        None => HashFamily::default_independent(),
+    };
+    let mapper = if shift == 0 {
+        CellMapper::RowOnly
+    } else {
+        CellMapper::Shifted { shift }
+    };
+    let n = if prime_n { 1_000_003 } else { 1 << 21 };
+    let col = (1u64 << shift) - 1;
+    let prober = family.col_prober(col, mapper, n);
+    let mut lanes = LockstepLanes::new();
+    lanes.open(&prober, rows.iter().map(|&row| (row, col)));
+    let mut scalar: Vec<_> = rows.iter().map(|&row| prober.begin(row)).collect();
+    let mut out = vec![0u64; rows.len()];
+    for step in 0..24 {
+        prober.next_positions_lockstep(&mut lanes, &mut out);
+        for ((lane, &got), &row) in scalar.iter_mut().zip(&out).zip(rows) {
+            prop_assert_eq!(got, prober.next_position(lane), "row {} step {}", row, step);
+        }
+    }
+    Ok(())
+}
+
 fn any_family() -> impl Strategy<Value = HashFamily> {
     prop_oneof![
         Just(HashFamily::default_independent()),
@@ -102,24 +137,22 @@ proptest! {
         rows in prop::collection::vec(any::<u64>(), 1..=256),
         kind in 0usize..=10, shift in 0u32..=7, prime_n in any::<bool>(),
     ) {
-        let family = match HashKind::ROSTER.get(kind) {
-            Some(&kind) => HashFamily::Independent(vec![kind]),
-            None => HashFamily::default_independent(),
-        };
-        let mapper = if shift == 0 { CellMapper::RowOnly } else { CellMapper::Shifted { shift } };
-        let n = if prime_n { 1_000_003 } else { 1 << 21 };
-        let col = (1u64 << shift) - 1;
-        let prober = family.col_prober(col, mapper, n);
-        let mut lanes = LockstepLanes::new();
-        lanes.open(&prober, rows.iter().map(|&row| (row, col)));
-        let mut scalar: Vec<_> = rows.iter().map(|&row| prober.begin(row)).collect();
-        let mut out = vec![0u64; rows.len()];
-        for step in 0..24 {
-            prober.next_positions_lockstep(&mut lanes, &mut out);
-            for ((lane, &got), &row) in scalar.iter_mut().zip(&out).zip(&rows) {
-                prop_assert_eq!(got, prober.next_position(lane), "row {} step {}", row, step);
-            }
-        }
+        lockstep_agrees_with_next_position(&rows, kind, shift, prime_n)?;
+    }
+
+    /// The same on runs of nearby rows of any magnitude (from `first`
+    /// shifted right by `magnitude`, every `stride`-th row), the shape a
+    /// build or a sweep hands a batch: their keys split at 10⁴ or 10⁸,
+    /// or not at all (below 10⁴, or across more prefixes than the batch
+    /// holds), as do their re-seeded keys.
+    #[test]
+    fn lockstep_equals_next_position_on_runs_of_rows(
+        first in any::<u64>(), magnitude in 0u32..=64, stride in 1u64..=400,
+        len in 1u64..=256, kind in 0usize..=10, shift in 0u32..=7, prime_n in any::<bool>(),
+    ) {
+        let first = first.checked_shr(magnitude).unwrap_or(0);
+        let rows: Vec<u64> = (0..len).map(|i| first.wrapping_add(i * stride)).collect();
+        lockstep_agrees_with_next_position(&rows, kind, shift, prime_n)?;
     }
 
     /// The shifted cell mapper is injective within its width.

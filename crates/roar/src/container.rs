@@ -51,6 +51,18 @@ impl Container {
         }
     }
 
+    /// The largest value stored, if any.
+    pub(crate) fn max(&self) -> Option<u16> {
+        match self {
+            Container::Array(v) => v.last().copied(),
+            Container::Bitmap(w) => w
+                .iter()
+                .rposition(|&x| x != 0)
+                .map(|i| (i * 64 + 63 - w[i].leading_zeros() as usize) as u16),
+            Container::Run(runs) => runs.last().map(|&(_, end)| end),
+        }
+    }
+
     /// `true` when no values are stored.
     pub fn is_empty(&self) -> bool {
         match self {

@@ -171,6 +171,15 @@ impl RoaringBitmap {
         self.chunks.iter().map(|(_, c)| c.len()).sum()
     }
 
+    /// The largest stored value, if any: O(1) unless trailing
+    /// containers are empty.
+    pub fn max(&self) -> Option<u32> {
+        self.chunks
+            .iter()
+            .rev()
+            .find_map(|(key, c)| c.max().map(|low| (*key as u32) << 16 | low as u32))
+    }
+
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
@@ -443,6 +452,30 @@ mod tests {
         assert_eq!(rb.iter().collect::<Vec<_>>(), before);
         assert_eq!(rb.len(), 79_002);
         assert!(rb.contains(1000) && rb.contains(80_000) && !rb.contains(999));
+    }
+
+    /// `max` is the last value `iter` yields, in every container form.
+    #[test]
+    fn max_is_the_last_value_in_every_form() {
+        assert_eq!(RoaringBitmap::new().max(), None);
+        let mut rb = RoaringBitmap::from_sorted([3, 70_000]);
+        assert_eq!(rb.max(), Some(70_000));
+        rb.insert_range(65_536 * 4, 65_536 * 4 + 5_000); // past the array limit
+        assert_eq!(rb.max(), Some(65_536 * 4 + 5_000));
+        rb.insert(65_536 * 5 + 64); // a lone value in a new array chunk
+        rb.insert(u32::MAX);
+        for optimize in [false, true] {
+            if optimize {
+                assert!(rb.optimize() > 0, "no run container");
+            }
+            assert_eq!(rb.max(), rb.iter().last());
+            assert!(rb.remove(u32::MAX));
+            assert_eq!(rb.max(), Some(65_536 * 5 + 64));
+            assert!(rb.remove(65_536 * 5 + 64));
+            assert_eq!(rb.max(), rb.iter().last());
+            rb.insert(65_536 * 5 + 64);
+            rb.insert(u32::MAX);
+        }
     }
 
     #[test]

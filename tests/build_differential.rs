@@ -228,6 +228,57 @@ fn insert_cells_sets_the_bits_of_scalar_inserts() {
     }
 }
 
+/// The batched insert on runs of nearby keys — the batches whose keys
+/// split into a prefix and their last digits — sets the scalar insert's
+/// bits on every edge of the split: runs across a multiple of 10⁴ and
+/// across 10⁷ and 10⁸ (two digit counts in one batch), keys at more
+/// distinct prefixes than a batch holds (which split at 10⁸ instead, or
+/// not at all), and keys below the split. Every roster function alone
+/// and the default roster, k = 6 and k = 22 (the re-seeded keys split
+/// too), both mappers, a power-of-two and a prime AB size.
+#[test]
+fn insert_cells_sets_the_bits_of_scalar_inserts_on_runs_of_keys() {
+    let _gate = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let run = |first: u64, stride: u64, len: u64| (0..len).map(move |i| first + i * stride);
+    let keys: Vec<u64> = run(19_700, 1, 600)
+        .chain(run(10_000_000 - 300, 1, 600))
+        .chain(run(100_000_000 - 300, 1, 600))
+        .chain(run(1_000_000_000, 10_000, 300))
+        .chain(run(10_000, 10_000, 300))
+        .chain(run(0, 1, 600))
+        .collect();
+    let mut families: Vec<HashFamily> = hashkit::HashKind::ROSTER
+        .iter()
+        .map(|&kind| HashFamily::Independent(vec![kind]))
+        .collect();
+    families.push(HashFamily::default_independent());
+    for family in families {
+        for shift in [0u32, 5] {
+            let mapper = match shift {
+                0 => CellMapper::RowOnly,
+                shift => CellMapper::Shifted { shift },
+            };
+            let cells: Vec<(u64, u64)> = keys
+                .iter()
+                .map(|&x| (x >> shift, x & ((1 << shift) - 1)))
+                .collect();
+            // About a quarter of the bits set at k = 22.
+            for n in [1u64 << 18, 262_139] {
+                for k in [6, 22] {
+                    let mut scalar = ApproximateBitmap::new(n, k, family.clone(), mapper);
+                    for &(row, col) in &cells {
+                        scalar.insert(row, col);
+                    }
+                    let mut batched = ApproximateBitmap::new(n, k, family.clone(), mapper);
+                    batched.insert_cells(cells.iter().copied());
+                    let ctx = format!("{family:?}, {mapper:?}, n = {n}, k = {k}");
+                    assert_eq!(batched.bits(), scalar.bits(), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 /// Two levels whose geometries nest (a coarse region is a whole number
 /// of finest regions), so each level's occupancy is "some cell of the
 /// region tests positive" and the test need not restate the fold.
