@@ -80,7 +80,8 @@ fn main() {
 /// scattered 48-bit keys (every lane its own prefix), consecutive rows
 /// at 48 bits, and consecutive rows of a 16-bin column at 27 bits (what
 /// a build or a sweep hands a batch: the benchmark's build and sweep
-/// batches are this shape).
+/// batches are this shape). A last row divides each key set's
+/// re-seeded column by its roster column, both summed over the roster.
 fn lockstep_table(scale: f64) {
     let batches = ((scale * 6400.0) as usize).max(4);
     let keys =
@@ -92,11 +93,13 @@ fn lockstep_table(scale: f64) {
         keys(&|i| (((1 << 21) + i) << 5) | (splitmix64(i) % 16)),
     ];
     let mut rows = Vec::new();
+    // Per key set, the roster and re-seeded ns summed over the roster.
+    let mut sums = [[0.0; 2]; 4];
     for kind in HashKind::ROSTER {
         let family = HashFamily::Independent(vec![kind]);
         let prober = family.col_prober(0, CellMapper::RowOnly, 1 << 23);
         let mut row = vec![format!("{kind:?}").to_lowercase()];
-        for keys in &key_sets {
+        for (keys, sums) in key_sets.iter().zip(&mut sums) {
             let mut best = [Duration::MAX; 2];
             let mut lanes = LockstepLanes::new();
             let mut out = [0u64; LANES];
@@ -113,17 +116,20 @@ fn lockstep_table(scale: f64) {
                 }
                 best = [best[0].min(took[0]), best[1].min(took[1])];
             }
-            let per_pos = |took: Duration, steps: usize| {
-                format!(
-                    "{:.1}",
-                    took.as_nanos() as f64 / (keys.len() * steps) as f64
-                )
-            };
-            row.push(per_pos(best[0], 1));
-            row.push(per_pos(best[1], RESEEDED_STEPS));
+            for (i, steps) in [1, RESEEDED_STEPS].into_iter().enumerate() {
+                let ns = best[i].as_nanos() as f64 / (keys.len() * steps) as f64;
+                sums[i] += ns;
+                row.push(format!("{ns:.1}"));
+            }
         }
         rows.push(row);
     }
+    // What a re-seeded position costs over a roster one, per key set.
+    let mut ratios = vec!["re-seeded ÷ roster".to_string()];
+    for [roster, reseeded] in sums {
+        ratios.extend([String::new(), format!("{:.2}", reseeded / roster)]);
+    }
+    rows.push(ratios);
     print_table(
         &format!(
             "Lockstep step, ns per position: roster probe / re-seeded probe \

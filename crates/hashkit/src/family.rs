@@ -12,8 +12,8 @@
 //! swap them freely.
 
 use crate::partow::{
-    decimal_key_bytes, decimal_key_bytes_swar, eight_digit_text, splitmix64, Ap, Bkdr, Dek, Djb,
-    Elf, Fnv, Js, Partial, Pjw, RosterFn, Rs, Sdbm,
+    decimal_key_bytes, decimal_key_bytes_swar, splitmix64, Ap, Bkdr, Dek, Djb, Elf, Fnv, Js, Pjw,
+    RosterFn, Rs, Sdbm, FOUR_DIGITS,
 };
 use crate::sha1::DigestStream;
 use crate::simple::multiply_shift;
@@ -376,110 +376,88 @@ const ALL_LANES: [u8; LANES] = {
     ids
 };
 
-/// The prefix slots of a [`Split`]: a prefix `p` can only sit in slot
-/// `p mod SLOTS`, so up to `SLOTS` consecutive prefixes never evict
-/// each other.
+/// The most prefixes a [`Window`] spans.
 const SLOTS: usize = 16;
 
-/// An empty prefix slot (no key's prefix comes near it).
-const NO_PREFIX: u64 = u64::MAX;
-
-/// A batch's keys split at 10⁴, or else at 10⁸: at 10^w, each lane's
-/// key `x ≥ 10^w` is the decimal text of its prefix `x / 10^w` followed
-/// by exactly `w` digits (`x mod 10^w`, leading zeros kept). The lanes
-/// keep their `w` digits and the slot of their prefix; the batch keeps
-/// each distinct prefix's text once. A roster function of a lane's key
-/// is then that function's state after the prefix — computed once per
-/// slot, started from the whole key's length, which DEK needs — resumed
-/// over the lane's `w` bytes ([`ColProber::next_positions_lockstep`]).
-///
-/// Consecutive rows split at 10⁴ into one or two prefixes. Scattered
-/// keys under 2²⁷ do not, but XORed with a re-seeded step's seed they
-/// are 19–20-digit numbers that split at 10⁸ into three at most.
-struct Split {
-    /// The digits each lane keeps — 4 or 8 — or 0: the split holds no
-    /// batch.
+/// A batch's keys seen through one prefix window, at 10⁴ or else 10⁸:
+/// at 10^w a key `y ≥ 10^w` is the text of its prefix `y / 10^w` and
+/// then exactly `w` digits. The window holds when the lowest key
+/// `lo ≥ 10^w` and the prefixes span at most [`SLOTS`] values from
+/// `Q = lo / 10^w`; a lane's slot is its prefix's offset from `Q`. A
+/// roster function of a key is its state after the prefix — computed
+/// once per slot, started from the whole key's length (DEK starts from
+/// it) — resumed over the lane's `w` bytes. Consecutive rows fit at 10⁴
+/// in one or two prefixes; scattered keys under 2²⁷ fit nowhere, but
+/// XORed with a re-seeded step's seed they fit at 10⁸ in at most three.
+struct Window {
+    /// The digits each lane keeps — 4 or 8 — or 0: the keys do not fit.
     width: usize,
-    /// Each lane's prefix slot, by lane index.
-    slot: [u8; LANES],
-    /// Each lane's `x mod 10^width` as eight digits of text, by lane
-    /// index: the lane's bytes are the last `width`.
-    low: [[u8; 8]; LANES],
-    /// Each slot's prefix, or [`NO_PREFIX`].
-    prefixes: [u64; SLOTS],
-    /// Each occupied slot's prefix as decimal text, and its length.
+    /// `Q · 10^width`.
+    base: u64,
+    /// `text[..n]`: the text of prefixes `Q, Q + 1, …` and its length.
     text: [([u8; 20], usize); SLOTS],
-    /// `used[..n]`: the occupied slots.
-    used: [u8; SLOTS],
     n: usize,
+    /// Each lane's slot and low digits as text (four to a group, the
+    /// first `width / 4` groups), by lane index, as
+    /// [`LockstepLanes::open`] placed them.
+    slot: [u8; LANES],
+    low: [[[u8; 4]; 2]; LANES],
 }
 
-impl Split {
-    fn new() -> Self {
-        Split {
-            width: 0,
-            slot: [0; LANES],
-            low: [[0; 8]; LANES],
-            prefixes: [NO_PREFIX; SLOTS],
-            text: [([0; 20], 0); SLOTS],
-            used: [0; SLOTS],
-            n: 0,
-        }
-    }
-
-    /// Splits lane `id`'s key `x` for every `(id, x)`, at 10⁴ if the
-    /// keys allow it, else at 10⁸; returns whether either held.
+impl Window {
+    /// Fits the window over keys in `lo..=hi`, at 10⁴ if it holds, else
+    /// at 10⁸, else not at all (`width` 0).
     #[inline(always)]
-    fn split(&mut self, keys: impl Iterator<Item = (usize, u64)> + Clone) -> bool {
-        self.width = if self.split_at::<4>(keys.clone()) {
-            4
-        } else if self.split_at::<8>(keys) {
-            8
-        } else {
-            0
-        };
-        self.width != 0
-    }
-
-    /// The split at 10^W. False at the first key below 10^W (its text
-    /// has no prefix and a length of its own) or the first prefix whose
-    /// slot another prefix holds: scattered keys give up within a few
-    /// lanes. A lane's only branch is on a prefix not seen before.
-    #[inline(always)]
-    fn split_at<const W: u32>(&mut self, keys: impl Iterator<Item = (usize, u64)>) -> bool {
-        let at = 10u64.pow(W);
-        for &slot in &self.used[..self.n] {
-            self.prefixes[usize::from(slot)] = NO_PREFIX;
-        }
-        self.n = 0;
-        for (id, x) in keys {
-            let prefix = x / at;
-            let slot = (prefix % SLOTS as u64) as usize;
-            if self.prefixes[slot] != prefix {
-                if prefix == 0 || self.prefixes[slot] != NO_PREFIX {
-                    return false;
+    fn fit(&mut self, lo: u64, hi: u64) {
+        (self.width, self.n) = (0, 0);
+        for (width, at) in [(4, 10_000), (8, 100_000_000)] {
+            let q = lo / at;
+            // Wraps, and fails, when there are no keys (`lo > hi`).
+            let span = (hi / at).wrapping_sub(q);
+            if q > 0 && span < SLOTS as u64 {
+                (self.width, self.base, self.n) = (width, q * at, span as usize + 1);
+                for (prefix, text) in (q..).zip(&mut self.text[..self.n]) {
+                    *text = decimal_key_bytes_swar(prefix);
                 }
-                self.prefixes[slot] = prefix;
-                self.text[slot] = decimal_key_bytes_swar(prefix);
-                self.used[self.n] = slot as u8;
-                self.n += 1;
+                break;
             }
-            self.slot[id] = slot as u8;
-            self.low[id] = eight_digit_text(x - prefix * at);
         }
-        true
     }
 
-    /// `F`'s state after each occupied slot's prefix, for keys `W`
-    /// digits longer.
+    /// Key `y`'s slot and its last `4G` digits, as `G` rows of
+    /// [`FOUR_DIGITS`]. `y` is inside the window, so its offset from
+    /// `base` is under 16 · 10⁸.
     #[inline(always)]
-    fn prefix_states<F: RosterFn, const W: usize>(&self) -> [Partial; SLOTS] {
-        let mut states = [F::start(0); SLOTS];
-        for &slot in &self.used[..self.n] {
-            let (text, len) = self.text[usize::from(slot)];
-            states[usize::from(slot)] = F::resume(F::start(len + W), &text[..len]);
+    fn place<const G: usize>(&self, y: u64) -> (usize, [&'static [u8; 4]; G]) {
+        let at = 10u32.pow(4 * G as u32);
+        let d = (y - self.base) as u32;
+        let low = |g: usize| d % at / 10_000u32.pow((G - 1 - g) as u32) % 10_000;
+        let groups = std::array::from_fn(|g| &FOUR_DIGITS[low(g) as usize]);
+        ((d / at) as usize, groups)
+    }
+
+    /// Places every lane's key for the roster steps.
+    fn store<const G: usize>(&mut self, keys: &[u64]) {
+        for (id, &x) in keys.iter().enumerate() {
+            let (slot, groups) = self.place::<G>(x);
+            self.slot[id] = slot as u8;
+            for (low, group) in self.low[id].iter_mut().zip(groups) {
+                *low = *group;
+            }
         }
-        states
+    }
+
+    /// The live lanes' places as [`Self::store`] left them.
+    #[inline(always)]
+    fn stored<'a, const G: usize>(
+        &'a self,
+        live: &'a [u8],
+    ) -> impl Iterator<Item = (usize, [&'a [u8; 4]; G])> + 'a {
+        live.iter().map(|&id| {
+            let id = usize::from(id);
+            let groups = std::array::from_fn(|g| &self.low[id][g]);
+            (usize::from(self.slot[id]), groups)
+        })
     }
 }
 
@@ -489,12 +467,9 @@ impl Split {
 /// step counter for all of them. The batch owns its lanes as arrays and
 /// retires a lane by dropping its index from the live list
 /// ([`Self::retain`]): no lane's state moves after it opens. For the
-/// independent family a lane is its hash string `x` and, written once
-/// when it opens, either its place in a split of the batch's keys (its
-/// last digits and a prefix slot, when the batch's keys share a few
-/// leading-digit prefixes, as consecutive rows do) or its whole decimal
-/// text and a one-byte length (scattered keys). Lanes of the
-/// other families each keep a [`RowProbe`].
+/// independent family a lane is its hash string `x` and, written when it
+/// opens, its place in the batch's prefix window or else its whole decimal
+/// text. Lanes of the other families each keep a [`RowProbe`].
 ///
 /// The batch counts the prefix states its re-seeded steps compute and
 /// adds them to `hashkit.seed_prefix_hashes` when it is dropped.
@@ -508,12 +483,13 @@ pub struct LockstepLanes {
     live: [u8; LANES],
     n_live: usize,
     keys: [u64; LANES],
-    /// The live keys split — the lanes' own keys from [`Self::open`]
-    /// on, their re-seeded keys from the first re-seeded step on (no
-    /// roster step follows one).
-    split: Split,
+    /// The lowest and the highest key opened.
+    range: (u64, u64),
+    /// The keys' window: their own at [`Self::open`], re-seeded ones
+    /// from the first re-seeded step on (no roster step follows one).
+    window: Window,
     /// The whole keys' text and length, written by [`Self::open`] when
-    /// the keys do not split.
+    /// the keys fit no window.
     text: [[u8; 20]; LANES],
     lens: [u8; LANES],
     probes: Vec<RowProbe>,
@@ -536,7 +512,15 @@ impl LockstepLanes {
             live: ALL_LANES,
             n_live: 0,
             keys: [0; LANES],
-            split: Split::new(),
+            range: (u64::MAX, 0),
+            window: Window {
+                width: 0,
+                base: 0,
+                text: [([0; 20], 0); SLOTS],
+                n: 0,
+                slot: [0; LANES],
+                low: [[[0; 4]; 2]; LANES],
+            },
             text: [[0; 20]; LANES],
             lens: [0; LANES],
             probes: Vec::new(),
@@ -548,9 +532,9 @@ impl LockstepLanes {
     /// and at step 0: takes at most [`LANES`] cells from `cells` and
     /// returns how many that was. Lane `i` is the `i`-th cell taken.
     /// The cells may name any columns of `prober`'s AB
-    /// ([`ColProber::begin_col`]). An independent-family batch splits
-    /// its keys at 10⁴ or 10⁸, and encodes each whole key by
-    /// [`decimal_key_bytes_swar`] only if they split at neither.
+    /// ([`ColProber::begin_col`]). An independent-family batch fits
+    /// its keys in a prefix window at 10⁴ or 10⁸, and encodes each whole
+    /// key by [`decimal_key_bytes_swar`] only if they fit neither.
     ///
     /// # Panics
     ///
@@ -565,16 +549,25 @@ impl LockstepLanes {
         self.roster = matches!(prober.kind, ColKind::Independent { .. });
         let mut n = 0;
         if self.roster {
+            let (mut lo, mut hi) = (u64::MAX, 0);
             for (row, col) in cells {
-                self.keys[n] = prober.mapper.map(row, col);
+                let x = prober.mapper.map(row, col);
+                (lo, hi) = (lo.min(x), hi.max(x));
+                self.keys[n] = x;
                 n += 1;
             }
+            self.range = (lo, hi);
             let keys = &self.keys[..n];
-            if !self.split.split(keys.iter().copied().enumerate()) {
-                for (id, &x) in keys.iter().enumerate() {
-                    let (text, len) = decimal_key_bytes_swar(x);
-                    self.text[id] = text;
-                    self.lens[id] = len as u8;
+            self.window.fit(lo, hi);
+            match self.window.width {
+                4 => self.window.store::<1>(keys),
+                8 => self.window.store::<2>(keys),
+                _ => {
+                    for (id, &x) in keys.iter().enumerate() {
+                        let (text, len) = decimal_key_bytes_swar(x);
+                        self.text[id] = text;
+                        self.lens[id] = len as u8;
+                    }
                 }
             }
         } else {
@@ -677,11 +670,8 @@ impl ColProber<'_> {
     /// range.
     #[inline(always)]
     pub fn begin_col(&self, row: u64, col: u64) -> RowProbe {
-        // A closure marked for inlining, not the function item: the
-        // item reaches `begin_with` through a `Fn::call` shim that
-        // carries no hint, and once the build, the sweeps and the cell
-        // kernel all opened lanes here the shim stayed out of line — a
-        // call per cell, 50 → 54 ns in the cell kernel.
+        // A closure marked for inlining: the function item went through
+        // an out-of-line `Fn::call` shim, 50 → 54 ns per cell kernel cell.
         #[allow(clippy::redundant_closure)]
         self.begin_with(
             row,
@@ -845,13 +835,10 @@ impl ColProber<'_> {
     /// writing lane `live[j]`'s position into `out[j]`: the sequence per
     /// lane is bit-identical to calling [`Self::next_position`] on its
     /// cell's own probe. All lanes are at the batch's one step `t`, so
-    /// the roster function `t` names is matched once and step `t` is
-    /// that one function over the batch's keys. Keys that split at 10⁴
-    /// or 10⁸ ([`LockstepLanes::open`]) share their leading digits: the
-    /// function runs over each distinct prefix once and over four or
-    /// eight bytes per lane. Past the roster the batch shares its seed
-    /// too, so its re-seeded keys `x ⊕ seed` are split the same way, once
-    /// per step.
+    /// the roster function `t` names is matched once, and runs over each
+    /// prefix of the batch's window once and four or eight bytes per
+    /// lane. Past the roster the batch shares its seed too, and windows
+    /// its re-seeded keys `x ⊕ seed` once per step.
     ///
     /// # Panics
     ///
@@ -868,22 +855,19 @@ impl ColProber<'_> {
         lanes.t += 1;
         let out = &mut out[..n];
         match &self.kind {
-            ColKind::Independent { kinds } => {
-                let kind = kinds[t as usize % kinds.len()];
-                if (t as usize) < kinds.len() {
-                    with_kind!(
-                        kind,
-                        string F => self.roster_step::<F>(lanes, out),
-                        integer h => {
-                            for (o, x) in out.iter_mut().zip(lanes.keys()) {
-                                *o = self.reduce_hash(h(x));
-                            }
+            // A roster step indexes the roster: no division per step.
+            ColKind::Independent { kinds } => match kinds.get(t as usize) {
+                Some(kind) => with_kind!(
+                    kind,
+                    string F => self.roster_step::<F>(lanes, out),
+                    integer h => {
+                        for (o, x) in out.iter_mut().zip(lanes.keys()) {
+                            *o = self.reduce_hash(h(x));
                         }
-                    )
-                } else {
-                    self.reseeded_step(kind, lanes, out, t)
-                }
-            }
+                    }
+                ),
+                None => self.reseeded_step(kinds[t as usize % kinds.len()], lanes, out, t),
+            },
             // The mixers' steps are a multiply and an add, and SHA-1
             // reads its digest bit by bit — nothing to hoist.
             _ => {
@@ -896,19 +880,23 @@ impl ColProber<'_> {
     }
 
     /// One lockstep roster step of a string kind: every live lane takes
-    /// `F` of its key's text — the prefixed path if the batch's keys
-    /// split, else `F` of each lane's whole text, one lane at a time.
+    /// `F` of its key's text — resumed from its prefix's state if the
+    /// batch's keys fit a window, else `F` of each lane's whole text.
     /// Inlined into each arm of `next_positions_lockstep` so the loops
     /// are compiled around their one function.
     #[inline(always)]
     fn roster_step<F: RosterFn>(&self, lanes: &LockstepLanes, out: &mut [u64]) {
-        if lanes.split.width != 0 {
-            self.prefixed_step::<F>(&lanes.split, lanes.live_ids(), out);
-            return;
-        }
-        for (o, &id) in out.iter_mut().zip(lanes.live_ids()) {
-            let id = usize::from(id);
-            *o = self.reduce_hash(F::whole(&lanes.text[id][..usize::from(lanes.lens[id])]));
+        let (window, live) = (&lanes.window, lanes.live_ids());
+        match window.width {
+            4 => self.resumed::<F, 1>(window, window.stored(live), out),
+            8 => self.resumed::<F, 2>(window, window.stored(live), out),
+            _ => {
+                for (o, &id) in out.iter_mut().zip(live) {
+                    let id = usize::from(id);
+                    let text = &lanes.text[id][..usize::from(lanes.lens[id])];
+                    *o = self.reduce_hash(F::whole(text));
+                }
+            }
         }
     }
 
@@ -933,50 +921,54 @@ impl ColProber<'_> {
     }
 
     /// [`Self::reseeded_step`] for a string kind. A key `x < 2^b` keeps
-    /// the seed's high `64 − b` bits in `x ^ seed`, so the re-seeded keys
-    /// of nearby rows are 19–20-digit numbers that share all but their
-    /// last few digits: the batch splits them (replacing the split of the
-    /// roster steps, which no later step reads) and takes the prefixed
-    /// path. Keys that do not split take `F` of each whole key.
+    /// the seed's high `64 − b` bits in `x ^ seed`, so nearby keys stay
+    /// nearby: the step fits them a window (the roster steps' is dead by
+    /// now) and places each lane in it as it hashes it.
     fn seeded_step<F: RosterFn>(&self, lanes: &mut LockstepLanes, out: &mut [u64], seed: u64) {
-        let live = &lanes.live[..lanes.n_live];
-        let keys = &lanes.keys;
-        let seeded = live.iter().map(|&id| {
-            let id = usize::from(id);
-            (id, keys[id] ^ seed)
-        });
-        if lanes.split.split(seeded) {
-            self.prefixed_step::<F>(&lanes.split, live, out);
-            lanes.seed_prefix_hashes += lanes.split.n as u64;
-            return;
-        }
-        for (o, &id) in out.iter_mut().zip(live) {
-            let (text, len) = decimal_key_bytes_swar(keys[usize::from(id)] ^ seed);
-            *o = self.reduce_hash(F::whole(&text[..len]));
+        // Every key in `lo..=hi` has the bits above the highest one where
+        // `lo` and `hi` differ, so under the seed the live keys, however
+        // many retired, stay in one aligned block of the bits below it.
+        let (lo, hi) = lanes.range;
+        let below = u64::MAX.checked_shr((lo ^ hi).leading_zeros()).unwrap_or(0);
+        let (lo, hi) = ((lo ^ seed) & !below, (lo ^ seed) | below);
+        lanes.window.fit(lo, hi);
+        lanes.seed_prefix_hashes += lanes.window.n as u64;
+        let (window, keys, live) = (&lanes.window, &lanes.keys, lanes.live_ids());
+        let seeded = live.iter().map(|&id| keys[usize::from(id)] ^ seed);
+        match window.width {
+            4 => self.resumed::<F, 1>(window, seeded.map(|y| window.place(y)), out),
+            8 => self.resumed::<F, 2>(window, seeded.map(|y| window.place(y)), out),
+            _ => {
+                for (o, y) in out.iter_mut().zip(seeded) {
+                    let (text, len) = decimal_key_bytes_swar(y);
+                    *o = self.reduce_hash(F::whole(&text[..len]));
+                }
+            }
         }
     }
 
-    /// `F` of every live lane's split key: each distinct prefix hashed
-    /// once, then each lane resumes its prefix's state over its last
-    /// 4 or 8 bytes — a fixed count per loop, so the loop body is
+    /// `F` of every lane in a window, given as its slot and last `4G`
+    /// digits: each prefix hashed once, then each lane resumes its
+    /// prefix's state over a fixed byte count, so the loop body is
     /// straight-line code and consecutive lanes' chains overlap.
     #[inline(always)]
-    fn prefixed_step<F: RosterFn>(&self, split: &Split, live: &[u8], out: &mut [u64]) {
-        match split.width {
-            4 => self.resumed::<F, 4>(split, live, out),
-            _ => self.resumed::<F, 8>(split, live, out),
+    fn resumed<'a, F: RosterFn, const G: usize>(
+        &self,
+        window: &Window,
+        lanes: impl Iterator<Item = (usize, [&'a [u8; 4]; G])>,
+        out: &mut [u64],
+    ) {
+        // Filled in place: an array returned by a helper is `memcpy`d out
+        // on every step.
+        let mut states = [F::start(0); SLOTS];
+        for (state, &(text, len)) in states.iter_mut().zip(&window.text[..window.n]) {
+            *state = F::resume(F::start(len + 4 * G), &text[..len]);
         }
-    }
-
-    /// [`Self::prefixed_step`] for lanes that keep `W` digits.
-    #[inline(always)]
-    fn resumed<F: RosterFn, const W: usize>(&self, split: &Split, live: &[u8], out: &mut [u64]) {
-        let states = split.prefix_states::<F, W>();
-        for (o, &id) in out.iter_mut().zip(live) {
-            let id = usize::from(id);
-            let state = states[usize::from(split.slot[id]) % SLOTS];
-            let low: &[u8; W] = split.low[id][8 - W..].try_into().expect("W ≤ 8");
-            *o = self.reduce_hash(F::resume(state, low).hash());
+        for (o, (slot, groups)) in out.iter_mut().zip(lanes) {
+            let state = groups
+                .iter()
+                .fold(states[slot % SLOTS], |s, g| F::resume(s, *g));
+            *o = self.reduce_hash(state.hash());
         }
     }
 
@@ -1287,9 +1279,9 @@ mod tests {
         }
     }
 
-    /// The re-seeded lockstep step hashes each distinct leading-digit
-    /// prefix of `x ⊕ seed` once per batch; these batches sit on every
-    /// edge of that memo, for every roster function in a re-seeded
+    /// The re-seeded lockstep step hashes each leading-digit prefix of
+    /// `x ⊕ seed` once per batch; these batches sit on every edge of its
+    /// prefix window, for every roster function in a re-seeded
     /// position, and each position must be `HashKind::hash(x ⊕ seed)`
     /// reduced — the scalar path's value, which knows no prefixes.
     #[test]
@@ -1476,16 +1468,17 @@ mod tests {
         }
     }
 
-    /// Split lanes against the scalar `Prober`, cell by cell, on every
-    /// edge of the split: batches of consecutive rows across a multiple
-    /// of 10⁴ and across 10⁷ and 10⁸ (prefixes of two lengths, keys of
-    /// two digit counts); keys at more distinct prefixes than slots
-    /// (which split at 10⁸ instead, or not at all), two prefixes that
-    /// want one slot, keys below the split, scattered keys. Every roster
-    /// function alone and the default roster run 22 steps (k = 22: 21
-    /// and 12 re-seeded), lanes retiring between steps. Each batch is
-    /// checked to open on the split it is meant to exercise, and the
-    /// batches of consecutive rows to keep a split past the roster.
+    /// Windowed lanes against the scalar `Prober`, cell by cell, on
+    /// every edge of the window: batches of consecutive rows across a
+    /// multiple of 10⁴, across 10⁷ and 10⁸ (prefixes of two text lengths
+    /// in one window, which DEK starts from) and, at 10⁸, across 10¹⁵;
+    /// exactly 16 prefixes (a window) and 17 (none at 10⁴); keys just
+    /// below 10⁴ and 10⁸; two prefixes 16 apart; scattered keys. Every
+    /// roster function alone and the default roster run 22 steps (k =
+    /// 22: 21 and 12 re-seeded), lanes retiring between steps. Each
+    /// batch is checked to open on the window it is meant to exercise,
+    /// and its last re-seeded step too: in-order rows stay at 10⁴,
+    /// scattered 27-bit keys (no window of their own) fit at 10⁸.
     #[test]
     fn split_lanes_match_the_scalar_prober() {
         let run = |first: u64, stride: u64| -> Vec<u64> {
@@ -1493,30 +1486,51 @@ mod tests {
         };
         let mut two_far: Vec<u64> = run(20_000, 1)[..128].to_vec();
         two_far.extend(&run(180_000, 1)[..128]); // prefixes 2 and 18
-        let batches: [(&str, Vec<u64>, usize); 10] = [
-            ("across a multiple of 10⁴", run(19_900, 1), 4),
-            ("across 10⁷", run(10_000_000 - 130, 1), 4),
-            ("across 10⁸", run(100_000_000 - 100, 1), 4),
-            ("16 prefixes", run(30_000, 10_000 * 16 / LANES as u64), 4),
-            ("17 prefixes, one 10⁸", run(700_000_000, 10_000), 8),
-            ("17 prefixes under 10⁸", run(10_000, 10_000), 0),
-            ("two prefixes, one slot", two_far, 0),
-            ("keys below 10⁴", run(0, 3), 0),
-            ("keys up to 10⁴", run(9_900, 1), 0),
-            ("scattered", (0..LANES as u64).map(splitmix64).collect(), 0),
+        let e8 = 100_000_000;
+        let batches: [(&str, Vec<u64>, usize, usize); 15] = [
+            ("across a multiple of 10⁴", run(19_900, 1), 4, 4),
+            ("across 10⁷", run(10_000_000 - 130, 1), 4, 4),
+            ("across 10⁸", run(e8 - 100, 1), 4, 4),
+            (
+                "across 10¹⁵ at 10⁸",
+                run(10u64.pow(15) - 5_000_000, 40_000),
+                8,
+                8,
+            ),
+            ("16 prefixes", run(30_000, 625), 4, 8),
+            ("17 prefixes", run(30_000, 666), 0, 8),
+            ("17 prefixes past 10⁸", run(7 * e8 + 30_000, 666), 8, 8),
+            ("just below 10⁴", run(10_000 - LANES as u64, 1), 0, 4),
+            ("up to 10⁴", run(9_900, 1), 0, 4),
+            ("just below 10⁸", run(e8 - LANES as u64, 1), 4, 4),
+            ("across 10⁸, 18 prefixes", run(e8 - 128 * 700, 700), 0, 8),
+            ("two prefixes 16 apart", two_far, 0, 8),
+            (
+                "scattered 27-bit",
+                (0..256).map(|i| splitmix64(i) >> 37).collect(),
+                0,
+                8,
+            ),
+            (
+                "scattered",
+                (0..LANES as u64).map(splitmix64).collect(),
+                0,
+                0,
+            ),
+            ("one key", vec![123_456_789], 4, 4),
         ];
         let mut families: Vec<HashFamily> = HashKind::ROSTER
             .iter()
             .map(|&kind| HashFamily::Independent(vec![kind]))
             .collect();
         families.push(HashFamily::default_independent());
-        for (name, rows, width) in &batches {
+        for (name, rows, width, reseeded) in &batches {
             for family in &families {
                 for n in [1u64 << 20, 1_000_003] {
                     let cp = family.col_prober(0, CellMapper::RowOnly, n);
                     let mut lanes = LockstepLanes::new();
                     lanes.open(&cp, rows.iter().map(|&row| (row, 0)));
-                    assert_eq!(lanes.split.width, *width, "{name}");
+                    assert_eq!(lanes.window.width, *width, "{name}");
                     let mut want: Vec<Prober> = rows
                         .iter()
                         .map(|&row| family.prober(row, 0, CellMapper::RowOnly, n))
@@ -1535,9 +1549,7 @@ mod tests {
                             .collect();
                         lanes.retain(&keep);
                     }
-                    if *width != 0 {
-                        assert_ne!(lanes.split.width, 0, "{name}: re-seeded keys did not split");
-                    }
+                    assert_eq!(lanes.window.width, *reseeded, "{name}: re-seeded");
                 }
             }
         }

@@ -204,15 +204,13 @@ const GROUP: u64 = 100_000_000;
 const ASCII: u64 = 0x3030_3030_3030_3030;
 
 /// [`decimal_key_bytes`] without a division per digit, for the key
-/// every lockstep lane starts with — the build's, the sweeps' and the
-/// cell kernel's ([`crate::ColProber::begin_col`]): same bytes, same
-/// count, same zeroed tail. The digits never take a detour
-/// through memory — `x` splits into at most three groups of eight
-/// digits (a cell's key is usually one), each group is spread over the
-/// bytes of a register by `eight_digits`, the leading group loses its
-/// leading zeros by a shift, and the groups are stored as whole words.
-/// Every probe position in every AB ever built depends on these bytes
-/// being exactly `x.to_string()`.
+/// every lockstep lane starts with ([`crate::ColProber::begin_col`]):
+/// same bytes, same count, same zeroed tail. `x` splits into at most
+/// three groups of eight digits, each spread over the bytes of a
+/// register by `eight_digits`; the leading group loses its leading
+/// zeros by a shift, and the groups are stored as whole words. Every
+/// probe position in every AB depends on these bytes being exactly
+/// `x.to_string()`.
 #[inline(always)]
 pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
     let mut buf = [0u8; 20];
@@ -244,14 +242,20 @@ pub fn decimal_key_bytes_swar(x: u64) -> ([u8; 20], usize) {
     (buf, len + 8 * rest)
 }
 
-/// The eight decimal digits of `v < 10⁸` as text, leading zeros kept:
-/// for any `x ≥ 10^w` (w ≤ 8) whose `x mod 10^w` is `v`, the last `w`
-/// bytes are the last `w` characters of the decimal string of `x` (what
-/// precedes them is the string of `x / 10^w`).
-#[inline(always)]
-pub(crate) fn eight_digit_text(v: u64) -> [u8; 8] {
-    (eight_digits(v as u32) + ASCII).to_le_bytes()
-}
+/// The decimal text of every `v < 10⁴` as exactly four digits,
+/// leading zeros kept: for any `x ≥ 10⁴`, the last four characters of
+/// the decimal string of `x` are `FOUR_DIGITS[x mod 10⁴]` (what precedes
+/// them is the string of `x / 10⁴`). Built at compile time, 40 KB.
+pub(crate) static FOUR_DIGITS: [[u8; 4]; 10_000] = {
+    let mut table = [[0; 4]; 10_000];
+    let mut v = 0;
+    while v < 10_000 {
+        let [.., a, b, c, d] = (eight_digits(v as u32) + ASCII).to_le_bytes();
+        table[v] = [a, b, c, d];
+        v += 1;
+    }
+    table
+};
 
 /// The eight decimal digits of `v < 10⁸`, one per byte, most
 /// significant in the lowest byte (so the little-endian bytes read in
@@ -260,9 +264,9 @@ pub(crate) fn eight_digit_text(v: u64) -> [u8; 8] {
 /// 2-digit pairs, eight digits — each a multiply and a shift that is
 /// exact over its lane's range.
 #[inline(always)]
-fn eight_digits(v: u32) -> u64 {
+const fn eight_digits(v: u32) -> u64 {
     debug_assert!(v < 100_000_000);
-    let halves = u64::from(v / 10_000) | u64::from(v % 10_000) << 32;
+    let halves = (v / 10_000) as u64 | ((v % 10_000) as u64) << 32;
     // ⌊h / 100⌋ = h · 10486 >> 20 for h < 10⁴.
     let hundreds = ((halves * 10_486) >> 20) & 0x0000_007F_0000_007F;
     let pairs = hundreds | (halves - hundreds * 100) << 16;
@@ -379,14 +383,12 @@ mod tests {
         }
     }
 
-    /// A split key's low digits: `v` as exactly eight digits, leading
-    /// zeros kept, so the last `w` bytes are `x mod 10^w` of any `x`.
+    /// A windowed key's low digits: every entry is `v` as exactly four
+    /// digits, leading zeros kept.
     #[test]
-    fn eight_digit_text_keeps_leading_zeros() {
-        let mut vs: Vec<u64> = (0..10_000).collect();
-        vs.extend([99_999, 100_000, 1_234_567, 10_000_000, 99_999_999]);
-        for v in vs {
-            assert_eq!(eight_digit_text(v), *format!("{v:08}").as_bytes(), "{v}");
+    fn four_digit_table_keeps_leading_zeros() {
+        for (v, text) in FOUR_DIGITS.iter().enumerate() {
+            assert_eq!(*text, *format!("{v:04}").as_bytes(), "{v}");
         }
     }
 

@@ -180,7 +180,9 @@ impl Store {
         }
 
         // Verify the page-CRC table against the header, then every
-        // payload page against the table, then the whole payload.
+        // payload page against the table: that covers every payload
+        // byte once, and the header CRC covers `payload_len`, so the
+        // whole-payload CRC would catch nothing more here.
         let table = &meta[ps..];
         let computed = ab::crc32(table);
         if computed != header.table_crc {
@@ -205,7 +207,6 @@ impl Store {
         // Only the tail of the last page is padding; what is kept is
         // the envelope.
         payload.truncate(payload_len);
-        check_payload_crc(&header, &payload)?;
         let extents = ab::segment_extents(&payload)?;
         if extents.len() != header.shard_count as usize {
             return Err(StoreError::Payload(ab::IoError::BadShardLayout));

@@ -163,8 +163,9 @@ fn build_moves_the_counters_the_scalar_fill_moves() {
 
 /// Past the roster a lockstep batch hashes the leading digits its
 /// re-seeded keys share once per step, not once per probe: an in-order
-/// build at α = 32 (k = 22, 12 re-seeded probes a cell) computes fewer
-/// than one prefix state per 32 re-seeded positions, the same number
+/// build at α = 32 (k = 22, 12 re-seeded probes a cell) computes at most
+/// two prefix states per re-seeded batch step — 256 in-order rows of its
+/// 10-bin column span at most two prefixes of 10⁴ — the same number
 /// every time, and a build that stays on the roster computes none.
 #[test]
 fn in_order_build_shares_its_seed_prefix_hashes() {
@@ -179,11 +180,11 @@ fn in_order_build_shares_its_seed_prefix_hashes() {
     let past_the_roster = AbConfig::new(Level::PerAttribute).with_alpha(32);
     let (k, computed) = build(past_the_roster.clone());
     assert_eq!(k, 22);
-    let reseeded_positions = 65_536 * (k - 10);
+    let reseeded_batch_steps = 65_536 / hashkit::LANES as u64 * (k - 10);
     assert!(computed > 0, "the re-seeded step was never taken");
     assert!(
-        computed * 32 < reseeded_positions,
-        "{computed} prefix states for {reseeded_positions} positions"
+        computed <= 2 * reseeded_batch_steps,
+        "{computed} prefix states for {reseeded_batch_steps} re-seeded batch steps"
     );
     assert_eq!(build(past_the_roster).1, computed, "the count must repeat");
     assert_eq!(
