@@ -81,7 +81,9 @@ fn main() {
 /// at 48 bits, and consecutive rows of a 16-bin column at 27 bits (what
 /// a build or a sweep hands a batch: the benchmark's build and sweep
 /// batches are this shape). A last row divides each key set's
-/// re-seeded column by its roster column, both summed over the roster.
+/// re-seeded column by its roster column, both summed over the roster,
+/// and a last one times the cell kernel around those steps
+/// ([`cell_kernel_row`]).
 fn lockstep_table(scale: f64) {
     let batches = ((scale * 6400.0) as usize).max(4);
     let keys =
@@ -130,6 +132,7 @@ fn lockstep_table(scale: f64) {
         ratios.extend([String::new(), format!("{:.2}", reseeded / roster)]);
     }
     rows.push(ratios);
+    rows.push(cell_kernel_row(scale));
     print_table(
         &format!(
             "Lockstep step, ns per position: roster probe / re-seeded probe \
@@ -148,6 +151,54 @@ fn lockstep_table(scale: f64) {
         ],
         &rows,
     );
+}
+
+/// The lockstep table's last row: the cell kernel itself
+/// (`AbIndex::retrieve_cells`, 512 cells a call as a service shard job
+/// hands it) on random cells of a table shaped like one shard of the
+/// benchmark's `cells_uniform` — 2¹⁸ rows at the default scale, two
+/// 80-bin attributes, α = 8, so its keys `row << 7 | bin` have seven or
+/// eight digits and fit no prefix window. In ns per roster position
+/// (the positions the scalar loop reads for the same cells) and per
+/// cell, the fastest of [`ROUNDS`].
+fn cell_kernel_row(scale: f64) -> Vec<String> {
+    let rows = ((scale * 13_107_200.0) as usize).max(1 << 12);
+    let column = |a: u64| {
+        let bins = (0..rows as u64).map(|i| (splitmix64(i ^ (a << 40)) % 80) as u32);
+        BinnedColumn::new(format!("c{a}"), bins.collect(), 80)
+    };
+    let table = BinnedTable::new(vec![column(0), column(1)]);
+    let index = AbIndex::build(&table, &AbConfig::new(Level::PerAttribute).with_alpha(8));
+    let cells: Vec<ab::Cell> = (0..64 * 2048u64)
+        .map(|i| {
+            let h = splitmix64(i ^ 0xCE11);
+            ab::Cell::new(
+                (h % rows as u64) as usize,
+                (h >> 32) as usize % 2,
+                (h >> 40) as u32 % 80,
+            )
+        })
+        .collect();
+    let positions: u64 = cells
+        .iter()
+        .map(|c| u64::from(index.test_cell_counted(c.row, c.attribute, c.bin).1))
+        .sum();
+    let mut best = Duration::MAX;
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        for chunk in cells.chunks(512) {
+            black_box(index.retrieve_cells(chunk));
+        }
+        best = best.min(start.elapsed());
+    }
+    let ns = best.as_nanos() as f64;
+    let mut row = vec![
+        "scattered cells (cell kernel)".to_string(),
+        format!("{:.1}/pos", ns / positions as f64),
+        format!("{:.1}/cell", ns / cells.len() as f64),
+    ];
+    row.resize(9, String::new());
+    row
 }
 
 /// ns per inserted cell of the batched insert every build path uses,

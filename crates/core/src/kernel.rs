@@ -689,33 +689,26 @@ impl Drop for ColumnSweeper<'_> {
 // Figure 5: cell-subset queries
 // ---------------------------------------------------------------------------
 
-/// What an (attribute, bin) column named by a cell call resolved to,
-/// on the first cell that named it.
-#[derive(Clone, Copy)]
-enum ColumnTarget<'a> {
-    /// The exact tier backs this bin: its container is the answer.
-    Exact(&'a HybridBin),
-    /// Probe the AB whose plan has this index in the call's plan list.
-    Probe(u32),
-}
-
 /// Figure 5 over cell batches: identical verdicts (in query order) to
 /// the scalar `test_cell` loop, and — with `hybrid` — the exact
 /// container's verdict for every cell of a bin it backs.
 ///
-/// One **plan table** per call, indexed by the dense global column
-/// `meta.offset + bin`, resolves every (attribute, bin) the call names
-/// on the first cell that names it: to the exact tier's backing if
-/// there is one, else to the plan of the AB that holds the column —
-/// the hoisted hash state, built once per AB the call touches and
-/// shared by all its cells (`kernel.cell_plans_deduped` counts the
-/// sharers). The probed cells are then **grouped by plan** (a counting
-/// sort) and each group runs through the lockstep probe loop
-/// (`CellPlan::survivors`) on its own, in batches of
-/// [`MAX_BATCH_ROWS`] lanes; the lanes that survive all k bits are the
-/// cells present.
+/// One pass over the cells validates each, answers the exact-backed
+/// ones from their containers (a table of the backed bins by global
+/// column `meta.offset + bin`, built once per call when the tier backs
+/// any), and gives every other cell its AB and column — arithmetic on
+/// the index level — and its rank among the cells of its AB. A second
+/// pass (a counting sort) writes each probed cell at its AB's start
+/// plus its rank, so grouped by AB with request order kept within an
+/// AB, as the `(row, column)` pair its lane opens on and the request
+/// position its verdict goes to. Each AB a cell names then gets one
+/// plan — the hoisted hash state, shared by all its cells
+/// (`kernel.cell_plans_deduped` counts the sharers) — and its group
+/// runs through the lockstep probe loop (`CellPlan::survivors`) in
+/// batches of [`MAX_BATCH_ROWS`] lanes; the lanes that survive all k
+/// bits are the cells present.
 ///
-/// Batches do not straddle plans: a per-column index answering a list
+/// Batches do not straddle ABs: a per-column index answering a list
 /// much shorter than its column count runs shallow batches. That is
 /// the price of a loop with nothing per-lane left to dispatch on.
 ///
@@ -728,25 +721,28 @@ pub(crate) fn retrieve_cells_waves(
     hybrid: Option<&HybridAb>,
     cells: &[Cell],
 ) -> Vec<bool> {
-    /// `plan_of_cell` of a cell the exact tier answered.
-    const EXACT: u32 = u32::MAX;
-    /// `plan_of_ab` of an AB no cell of the call has named yet.
-    const UNPLANNED: u32 = u32::MAX;
+    /// The AB of a cell the exact tier answered.
+    const EXACT: usize = usize::MAX;
     let mut out = vec![false; cells.len()];
     let attrs = index.attributes();
-    let num_columns = attrs
-        .last()
-        .map_or(0, |m| m.offset + m.cardinality as usize);
+    let (abs, num_rows) = (index.abs(), index.num_rows());
+    // Empty unless the tier backs a bin: then one entry per column.
+    let mut backing: Vec<Option<&HybridBin>> = Vec::new();
+    if let Some(hy) = hybrid {
+        let num_columns = attrs
+            .last()
+            .map_or(0, |m| m.offset + m.cardinality as usize);
+        backing.resize(num_columns, None);
+        for b in hy.bins() {
+            backing[attrs[b.attribute()].offset + b.bin() as usize] = Some(b);
+        }
+    }
 
-    // Pass 1: validate, resolve each named column on first touch,
-    // answer exact-backed cells, count the probed cells per plan.
-    let mut targets: Vec<Option<ColumnTarget>> = vec![None; num_columns];
-    let mut plan_of_ab = vec![UNPLANNED; index.abs().len()];
-    let mut plans: Vec<CellPlan> = Vec::new();
-    // Until the prefix sum below, next[p + 1] counts plan p's cells;
-    // after it, next[p] is the slot of plan p's next cell.
-    let mut next: Vec<usize> = vec![0];
-    let mut plan_of_cell: Vec<u32> = Vec::with_capacity(cells.len());
+    // Pass 1: validate, answer exact-backed cells, resolve each probed
+    // cell's (AB, column) and its rank among its AB's cells;
+    // `next[ab + 1]` counts AB `ab`'s cells.
+    let mut slots: Vec<(usize, usize, u64)> = Vec::with_capacity(cells.len());
+    let mut next = vec![0usize; abs.len() + 1];
     let mut exact_cells = 0usize;
     for (i, c) in cells.iter().enumerate() {
         let meta = &attrs[c.attribute];
@@ -756,83 +752,64 @@ pub(crate) fn retrieve_cells_waves(
             c.bin,
             c.attribute
         );
-        assert!(
-            c.row < index.num_rows(),
-            "row {} out of range {}",
-            c.row,
-            index.num_rows()
-        );
-        let target = targets[meta.offset + c.bin as usize].get_or_insert_with(|| {
-            match hybrid.and_then(|hy| hy.backing(c.attribute, c.bin)) {
-                Some(backing) => ColumnTarget::Exact(backing),
-                None => {
-                    let (ab, col) = index.cell_plan_slot(c.attribute, c.bin);
-                    if plan_of_ab[ab] == UNPLANNED {
-                        plan_of_ab[ab] = plans.len() as u32;
-                        plans.push(CellPlan::new(&index.abs()[ab], col));
-                        next.push(0);
-                    }
-                    ColumnTarget::Probe(plan_of_ab[ab])
-                }
-            }
-        });
-        plan_of_cell.push(match *target {
-            ColumnTarget::Exact(backing) => {
-                out[i] = backing.contains(c.row);
-                exact_cells += 1;
-                EXACT
-            }
-            ColumnTarget::Probe(plan) => {
-                next[plan as usize + 1] += 1;
-                plan
-            }
-        });
+        assert!(c.row < num_rows, "row {} out of range {num_rows}", c.row);
+        let column = meta.offset + c.bin as usize;
+        if let Some(Some(b)) = backing.get(column) {
+            out[i] = b.contains(c.row);
+            exact_cells += 1;
+            slots.push((EXACT, 0, 0));
+            continue;
+        }
+        let (ab, col) = index.cell_plan_slot(c.attribute, column, c.bin);
+        let rank = next[ab + 1];
+        next[ab + 1] = rank + 1;
+        slots.push((ab, rank, col));
     }
     if exact_cells > 0 {
         obs::counter!("hybrid.cells_exact").add(exact_cells as u64);
     }
-    // Pass 2: group the probed cells by plan; within a plan, request
-    // order is kept.
-    for p in 0..plans.len() {
-        next[p + 1] += next[p];
+    // Pass 2: group the probed cells by AB, request order kept within
+    // an AB; after the prefix sum `next[ab]` is where AB `ab`'s group
+    // starts, so a cell's place is that plus its rank — no store
+    // waits on the one before it.
+    for ab in 0..abs.len() {
+        next[ab + 1] += next[ab];
     }
-    let mut order = vec![0usize; cells.len() - exact_cells];
-    for (i, &plan) in plan_of_cell.iter().enumerate() {
-        if plan != EXACT {
-            order[next[plan as usize]] = i;
-            next[plan as usize] += 1;
+    let probed = cells.len() - exact_cells;
+    let mut keys = vec![(0u64, 0u64); probed];
+    let mut at = vec![0usize; probed];
+    for (i, (&(ab, rank, col), c)) in slots.iter().zip(cells).enumerate() {
+        if ab != EXACT {
+            let slot = next[ab] + rank;
+            keys[slot] = (c.row as u64, col);
+            at[slot] = i;
         }
     }
 
     let mut wave = WaveCounters::default();
     let mut batch = LockstepBatch::new();
-    let mut group_start = 0;
-    for (plan, &group_end) in plans.iter().zip(&next) {
+    let (mut issued_positions, mut plans) = (0u64, 0usize);
+    for (ab, group) in abs.iter().zip(next.windows(2)) {
+        let (start, end) = (group[0], group[1]);
+        if start == end {
+            continue;
+        }
+        let (keys, at) = (&keys[start..end], &at[start..end]);
+        let plan = CellPlan::new(ab, keys[0].1);
         // Lane i's verdict goes to request position chunk[i].
-        for chunk in order[group_start..group_end].chunks(MAX_BATCH_ROWS) {
-            batch.open(
-                &plan.prober,
-                chunk.iter().map(|&i| {
-                    let c = &cells[i];
-                    let (_, col) = index.cell_plan_slot(c.attribute, c.bin);
-                    (c.row as u64, col)
-                }),
-            );
+        for (lanes, chunk) in keys.chunks(MAX_BATCH_ROWS).zip(at.chunks(MAX_BATCH_ROWS)) {
+            batch.open(&plan.prober, lanes.iter().copied());
             plan.survivors(&mut batch, &mut wave);
             for lane in batch.live() {
                 out[chunk[lane]] = true;
             }
         }
-        group_start = group_end;
-    }
-
-    let mut issued_positions = 0u64;
-    for plan in &plans {
         issued_positions += plan.calls.get();
         plan.prober.record_hash_calls(plan.calls.get());
+        plans += 1;
     }
-    if order.len() > plans.len() {
-        obs::counter!("kernel.cell_plans_deduped").add((order.len() - plans.len()) as u64);
+    if probed > plans {
+        obs::counter!("kernel.cell_plans_deduped").add((probed - plans) as u64);
     }
     // Every issued position was prefetched exactly once.
     wave.flush(issued_positions);

@@ -269,24 +269,25 @@ impl AbIndex {
     }
 
     /// The (index into [`Self::abs`], column id) a cell of
-    /// `attribute`/`bin` addresses — the row-independent half of
-    /// [`Self::test_cell_counted`]'s dispatch, hoisted once per query
-    /// into the batched kernels' plans.
-    #[inline]
-    pub(crate) fn cell_plan_slot(&self, attribute: usize, bin: u32) -> (usize, u64) {
-        let meta = &self.attributes[attribute];
-        debug_assert!(bin < meta.cardinality, "bin {bin} out of range");
+    /// `attribute`/`bin` addresses, given its global column
+    /// `offset + bin` — the row-independent half of
+    /// [`Self::test_cell_counted`]'s dispatch, arithmetic on the level
+    /// alone, hoisted once per query into the batched kernels' plans.
+    #[inline(always)]
+    pub(crate) fn cell_plan_slot(&self, attribute: usize, column: usize, bin: u32) -> (usize, u64) {
         match self.level {
-            Level::PerDataset => (0, (meta.offset + bin as usize) as u64),
-            Level::PerAttribute => (attribute, bin as u64),
-            Level::PerColumn => (meta.offset + bin as usize, 0),
+            Level::PerDataset => (0, column as u64),
+            Level::PerAttribute => (attribute, u64::from(bin)),
+            Level::PerColumn => (column, 0),
         }
     }
 
     /// [`Self::cell_plan_slot`] with the AB itself.
     #[inline]
     pub(crate) fn cell_plan_target(&self, attribute: usize, bin: u32) -> (&ApproximateBitmap, u64) {
-        let (ab, col) = self.cell_plan_slot(attribute, bin);
+        let meta = &self.attributes[attribute];
+        debug_assert!(bin < meta.cardinality, "bin {bin} out of range");
+        let (ab, col) = self.cell_plan_slot(attribute, meta.offset + bin as usize, bin);
         (&self.abs[ab], col)
     }
 

@@ -890,11 +890,28 @@ impl ColProber<'_> {
         match window.width {
             4 => self.resumed::<F, 1>(window, window.stored(live), out),
             8 => self.resumed::<F, 2>(window, window.stored(live), out),
+            // Scattered keys under 10⁸ — a cell kernel batch — fit no
+            // window, and most have eight or seven digits: their lanes
+            // take `F` over seven bytes known here, after the first
+            // digit of an eight-digit key, selected without a branch.
             _ => {
                 for (o, &id) in out.iter_mut().zip(live) {
                     let id = usize::from(id);
-                    let text = &lanes.text[id][..usize::from(lanes.lens[id])];
-                    *o = self.reduce_hash(F::whole(text));
+                    let (text, len) = (&lanes.text[id], lanes.lens[id]);
+                    let h = if len.wrapping_sub(7) < 2 {
+                        let eight = len == 8;
+                        let state = std::hint::select_unpredictable(
+                            eight,
+                            F::push(F::start(8), text[0]),
+                            F::start(7),
+                        );
+                        let at = usize::from(eight);
+                        let seven: &[u8; 7] = text[at..at + 7].try_into().expect("seven bytes");
+                        F::resume(state, seven).hash()
+                    } else {
+                        F::whole(&text[..usize::from(len)])
+                    };
+                    *o = self.reduce_hash(h);
                 }
             }
         }

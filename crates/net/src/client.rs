@@ -1,4 +1,4 @@
-//! A blocking client for the `ABQ/1` protocol — used by tests and
+//! A blocking client for the `ABQ/2` protocol — used by tests and
 //! tooling. Pipelining is explicit:
 //! [`Client::send`] queues a request on the wire and returns its id,
 //! [`Client::recv`] blocks for the next response frame (any id), and
@@ -148,7 +148,13 @@ impl Client {
                 return Ok(answer);
             }
             let mut buf = [0u8; 16 * 1024];
-            let n = self.stream.read(&mut buf)?;
+            // A signal that lands during the blocking read (with a read
+            // timeout set, Linux does not restart the call) is not the
+            // server's doing: read again.
+            let n = match self.stream.read(&mut buf) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
             if n == 0 {
                 return Err(NetError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,

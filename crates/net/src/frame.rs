@@ -1,4 +1,4 @@
-//! The `ABQ/1` wire protocol: compact length-prefixed binary frames
+//! The `ABQ/2` wire protocol: compact length-prefixed binary frames
 //! with a versioned header and a CRC-32 trailer (the same
 //! [`ab::crc32`] the on-disk formats use).
 //!
@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic        0xAB51
-//! 2       1     version      1
+//! 2       1     version      2
 //! 3       1     kind         see [`kind`]
 //! 4       8     request_id   caller-chosen; echoed on the response
 //! 12      4     payload_len  ≤ MAX_PAYLOAD
@@ -19,6 +19,11 @@
 //! high bit set. Because every byte of the header and payload is
 //! covered by the trailer CRC, any single corrupted byte is detected
 //! before the payload is interpreted.
+//!
+//! Version 2 changed one payload: a cell of a [`kind::CELLS`] request
+//! is [`CELL_LEN`] = 8 bytes — row `u32`, attribute `u16`, bin `u16` —
+//! where version 1 spent 16 (row `u64`, attribute and bin `u32`). Every
+//! other kind's payload is unchanged.
 //!
 //! ## Error taxonomy
 //!
@@ -41,7 +46,7 @@ pub const MAGIC: u16 = 0xAB51;
 /// Protocol version this build speaks. A frame with a different
 /// version is answered with [`ErrorCode::BadVersion`] naming the
 /// supported version, so clients can negotiate down.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 16;
 /// CRC-32 trailer bytes after the payload.
@@ -54,8 +59,9 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// decode time so a malicious count cannot drive a huge allocation.
 pub const MAX_RANGES: usize = 4096;
 /// Max cells per cell-subset request: what fits a [`MAX_PAYLOAD`]
-/// frame after the deadline and the count, at 16 bytes a cell — so a
-/// request at the cap is a frame the peer's [`FrameReader`] accepts.
+/// frame after the deadline and the count, at [`CELL_LEN`] bytes a
+/// cell — so a request at the cap is a frame the peer's
+/// [`FrameReader`] accepts.
 pub const MAX_CELLS: usize = (MAX_PAYLOAD as usize - 8) / CELL_LEN;
 /// Max rect queries per batch request.
 pub const MAX_QUERIES: usize = 4096;
@@ -375,8 +381,9 @@ impl Response {
 
 // ---------------------------------------------------------------- encode
 
-/// Wire bytes of one cell: row u64, attribute u32, bin u32.
-const CELL_LEN: usize = 16;
+/// Wire bytes of one cell: row `u32`, attribute `u16`, bin `u16`.
+/// [`check_request`] refuses a cell whose fields do not fit.
+pub const CELL_LEN: usize = 8;
 /// Wire bytes of one attribute range: attribute, lo, hi, u32 each.
 const RANGE_LEN: usize = 12;
 
@@ -414,9 +421,10 @@ fn response_payload_len(resp: &Response) -> usize {
 }
 
 /// Checks that `req` is a request the peer's decoder accepts: every
-/// repeated element within its cap and the payload within
-/// [`MAX_PAYLOAD`]. [`encode_request`] seals whatever it is given; a
-/// frame over the payload bound costs the connection (the peer's
+/// repeated element within its cap, every cell's fields within their
+/// wire widths ([`CELL_LEN`]), and the payload within [`MAX_PAYLOAD`].
+/// [`encode_request`] seals whatever it is given; a frame over the
+/// payload bound costs the connection (the peer's
 /// [`FrameReader`] answers a fatal [`FrameError::Oversized`]), so
 /// clients check before they write.
 pub fn check_request(req: &Request) -> Result<(), FrameError> {
@@ -427,6 +435,9 @@ pub fn check_request(req: &Request) -> Result<(), FrameError> {
         }
         Request::Cells { cells, .. } if cells.len() > MAX_CELLS => {
             return Err(FrameError::Malformed("cell count over cap"));
+        }
+        Request::Cells { cells, .. } if !cells.iter().all(cell_fits) => {
+            return Err(FrameError::Malformed("cell field over its wire width"));
         }
         Request::Batch { queries, .. } if queries.len() > MAX_QUERIES => {
             return Err(FrameError::Malformed("query count over cap"));
@@ -441,6 +452,30 @@ pub fn check_request(req: &Request) -> Result<(), FrameError> {
         Ok(len) => Err(FrameError::Oversized(len)),
         Err(_) => Err(FrameError::Oversized(u32::MAX)),
     }
+}
+
+/// Whether a cell's row, attribute and bin fit their wire widths.
+fn cell_fits(c: &ab::Cell) -> bool {
+    c.row <= u32::MAX as usize && c.attribute <= u16::MAX as usize && c.bin <= u32::from(u16::MAX)
+}
+
+/// A cell's wire bytes: row in the low 32 bits, attribute in the next
+/// 16, bin in the top 16, little-endian. The fields are truncated to
+/// their widths; [`check_request`] is what refuses a cell they do not
+/// fit.
+fn cell_bytes(c: &ab::Cell) -> [u8; CELL_LEN] {
+    (c.row as u32 as u64 | (c.attribute as u16 as u64) << 32 | (c.bin as u16 as u64) << 48)
+        .to_le_bytes()
+}
+
+/// The cell [`cell_bytes`] wrote.
+fn cell_of(b: &[u8; CELL_LEN]) -> ab::Cell {
+    let v = u64::from_le_bytes(*b);
+    ab::Cell::new(
+        v as u32 as usize,
+        (v >> 32) as u16 as usize,
+        (v >> 48) as u32,
+    )
 }
 
 /// A frame being written straight into its one buffer, allocated at
@@ -538,13 +573,7 @@ pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
         Request::Cells { deadline_ms, cells } => {
             w.u32(*deadline_ms);
             w.u32(cells.len() as u32);
-            w.all(cells, |c| {
-                let mut b = [0u8; CELL_LEN];
-                b[..8].copy_from_slice(&(c.row as u64).to_le_bytes());
-                b[8..12].copy_from_slice(&(c.attribute as u32).to_le_bytes());
-                b[12..].copy_from_slice(&c.bin.to_le_bytes());
-                b
-            });
+            w.all(cells, cell_bytes);
         }
         Request::Batch {
             deadline_ms,
@@ -700,13 +729,7 @@ pub fn decode_request(frame: &Frame) -> Result<Request, FrameError> {
             if n > MAX_CELLS {
                 return Err(FrameError::Malformed("cell count over cap"));
             }
-            let cells = r.all(n, "cells", |b: &[u8; CELL_LEN]| {
-                ab::Cell::new(
-                    u64::from_le_bytes(b[..8].try_into().unwrap()) as usize,
-                    u32::from_le_bytes(b[8..12].try_into().unwrap()) as usize,
-                    u32::from_le_bytes(b[12..].try_into().unwrap()),
-                )
-            })?;
+            let cells = r.all(n, "cells", cell_of)?;
             Request::Cells { deadline_ms, cells }
         }
         kind::BATCH => {

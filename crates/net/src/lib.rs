@@ -5,7 +5,7 @@
 //! end-to-end (client → wire → admission → shards → wire → client)
 //! instead of in-process:
 //!
-//! * [`frame`] — the `ABQ/1` wire protocol: 16-byte versioned header,
+//! * [`frame`] — the `ABQ/2` wire protocol: 16-byte versioned header,
 //!   length-prefixed payload, CRC-32 trailer (reusing [`ab::crc32`]),
 //!   typed error frames, incremental [`frame::FrameReader`];
 //! * [`sys`] — SIGINT/SIGTERM capture for graceful drains, the

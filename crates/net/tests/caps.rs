@@ -11,7 +11,7 @@
 use ab::{AbConfig, Cell, Level};
 use bitmap::{BinnedColumn, BinnedTable};
 use net::frame::{
-    self, kind, seal, FrameError, FrameReader, Request, Response, MAX_CELLS, MAX_PAYLOAD,
+    self, kind, seal, FrameError, FrameReader, Request, Response, CELL_LEN, MAX_CELLS, MAX_PAYLOAD,
 };
 use net::{Client, ErrorCode, NetConfig, NetError, NetServer};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use svc::{Service, SvcConfig};
 
 const ROWS: usize = 200;
 
-/// A request at the cap is 24 MiB of cells and a 16 MiB frame, several
+/// A request at the cap is 48 MiB of cells and a 16 MiB frame, several
 /// times over once a server has read, copied and decoded it: the tests
 /// that build one take turns.
 static ONE_BIG_REQUEST_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -61,7 +61,11 @@ fn cells(n: usize) -> Request {
 #[test]
 fn the_cap_is_what_a_max_payload_frame_holds() {
     let _turn = my_turn();
-    assert_eq!(8 + 16 * MAX_CELLS, MAX_PAYLOAD as usize - 8);
+    // The deadline and the count, then the cells: the cap fits the
+    // payload bound and one cell more does not.
+    let payload = |cells: usize| 8 + CELL_LEN * cells;
+    assert!(payload(MAX_CELLS) <= MAX_PAYLOAD as usize);
+    assert!(payload(MAX_CELLS + 1) > MAX_PAYLOAD as usize);
     // At the cap the sealed frame passes the reader and decodes.
     let at_cap = cells(MAX_CELLS);
     assert_eq!(frame::check_request(&at_cap), Ok(()));
@@ -129,6 +133,45 @@ fn clients_refuse_a_request_over_the_cap_before_writing() {
     ));
     // Nothing reached the wire: the request pipelined before the
     // refusal is answered and the connection keeps serving.
+    let (id, resp) = c.recv().unwrap();
+    assert_eq!(id, pipelined);
+    assert!(matches!(resp, Response::Cells { ref hits, .. } if hits.len() == 10));
+    c.ping().unwrap();
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// A cell has 32 bits for its row and 16 each for its attribute and
+/// bin on the wire. A client refuses a cell past any of them before
+/// a byte is written — sealed, it would name another cell.
+#[test]
+fn clients_refuse_a_cell_over_its_wire_width_before_writing() {
+    let server = NetServer::bind("127.0.0.1:0", service(), NetConfig::default()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let widest = Cell::new(u32::MAX as usize, u16::MAX as usize, u32::from(u16::MAX));
+    let one = |cell| Request::Cells {
+        deadline_ms: 0,
+        cells: vec![Cell::new(0, 0, 0), cell],
+    };
+    assert_eq!(frame::check_request(&one(widest)), Ok(()));
+    let pipelined = c.send(&cells(10)).unwrap();
+    for over in [
+        Cell::new(1 << 32, 0, 0),
+        Cell::new(0, 1 << 16, 0),
+        Cell::new(0, 0, 1 << 16),
+    ] {
+        let refused = Err(FrameError::Malformed("cell field over its wire width"));
+        assert_eq!(frame::check_request(&one(over)), refused, "{over:?}");
+        assert!(
+            matches!(
+                c.send(&one(over)),
+                Err(NetError::RequestTooLarge(FrameError::Malformed(_)))
+            ),
+            "{over:?}"
+        );
+    }
+    // Nothing reached the wire: the one request answered is the one
+    // pipelined before the refusals, and the connection keeps serving.
     let (id, resp) = c.recv().unwrap();
     assert_eq!(id, pipelined);
     assert!(matches!(resp, Response::Cells { ref hits, .. } if hits.len() == 10));

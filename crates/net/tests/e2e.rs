@@ -4,7 +4,7 @@
 //! wire, graceful shutdown draining, and the per-connection threads:
 //! a stalled client, an idle one, and a reused slot.
 
-use ab::{AbConfig, Level};
+use ab::{AbConfig, Cell, Level};
 use bitmap::{AttrRange, BinnedColumn, BinnedTable, RectQuery};
 use net::frame::{kind, Request, Response};
 use net::{Client, ErrorCode, NetConfig, NetError, NetServer};
@@ -170,7 +170,8 @@ fn ping_schema_and_errors_over_the_wire() {
 
     // WAH exactness isn't built -> typed wah_unavailable... but only
     // rect/cells/batch ride the wire; exact answers are not part of
-    // ABQ/1, so nothing to assert here beyond the service contract.
+    // the wire protocol, so nothing to assert here beyond the service
+    // contract.
 
     // An expired deadline surfaces as deadline_exceeded.
     match client.query_rect(&rect(0, 0, 5, 0, 299), 1) {
@@ -475,5 +476,92 @@ fn a_closed_connection_frees_its_slot() {
     };
     let rows = again.query_rect(&rect(0, 0, 5, 0, 99), 0).unwrap();
     assert_eq!(rows, (0..100).collect::<Vec<u64>>());
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// The cell path end to end: one request mixing, on both shards, cells
+/// whose shard-local keys sit on both sides of every decimal
+/// digit-count boundary (9/10 … 10⁷ − 1/10⁷), probed cells of a wide
+/// attribute and exact-backed cells of a dense one, and repeats. Over
+/// the socket every answer equals the scalar kernel's in process, an
+/// exact-backed cell answers the table's truth, and no true cell is
+/// missed.
+#[test]
+fn cells_over_the_socket_match_the_scalar_kernel_and_the_truth() {
+    const CARD: u32 = (1 << 16) - 1;
+    let rows = 400;
+    let table = BinnedTable::new(vec![
+        BinnedColumn::new(
+            "wide",
+            (0..rows as u64)
+                .map(|i| (hashkit::splitmix64(i) % u64::from(CARD)) as u32)
+                .collect(),
+            CARD,
+        ),
+        BinnedColumn::new("dense", (0..rows).map(|i| (i % 2) as u32).collect(), 2),
+    ]);
+    let svc = Arc::new(Service::build(
+        &table,
+        &AbConfig::new(Level::PerAttribute).with_alpha(8),
+        &SvcConfig {
+            threads: 2,
+            shards: 2,
+            hybrid: ab::HybridMode::Auto,
+            ..SvcConfig::default()
+        },
+    ));
+    let index = svc.index();
+    let starts: Vec<usize> = index.shards().iter().map(|s| s.start()).collect();
+    assert_eq!(starts, vec![0, 200]);
+    for shard in index.shards() {
+        let hybrid = shard.index().hybrid().expect("an exact tier");
+        assert!(hybrid.backing(1, 0).is_some() && hybrid.backing(1, 1).is_some());
+        assert!(hybrid.backing(0, 0).is_none());
+    }
+
+    let truth = |c: &Cell| table.column(c.attribute).bins[c.row] == c.bin;
+    let mut cells = Vec::new();
+    for &start in &starts {
+        for key in (1..=7).map(|d| 10u64.pow(d)).flat_map(|b| [b - 1, b]) {
+            let row = start + (key >> 16) as usize;
+            cells.push(Cell::new(row, 0, (key & 0xFFFF) as u32));
+            cells.push(Cell::new(row, 1, (key & 1) as u32));
+        }
+    }
+    for row in (0..rows).step_by(7) {
+        cells.push(Cell::new(row, 0, table.column(0).bins[row]));
+        cells.push(Cell::new(row, 1, (row % 3 == 0) as u32));
+    }
+    cells.extend_from_within(..40);
+
+    let opts = ab::KernelOpts::new(ab::KernelKind::Scalar).with_hybrid(ab::HybridMode::Auto);
+    let mut scalar = vec![false; cells.len()];
+    for group in svc::group_cells_by_shard(index, &cells) {
+        let local: Vec<Cell> = group.cells.iter().map(|&(_, c)| c).collect();
+        let hits = index.shards()[group.shard]
+            .index()
+            .retrieve_cells_with_opts(&local, opts);
+        for (&(pos, _), hit) in group.cells.iter().zip(hits) {
+            scalar[pos] = hit;
+        }
+    }
+
+    let server = start(&svc, NetConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let req = Request::Cells {
+        deadline_ms: 0,
+        cells: cells.clone(),
+    };
+    let Response::Cells { degraded, hits } = client.call(&req).unwrap() else {
+        panic!("not a cells answer");
+    };
+    assert!(degraded.is_empty());
+    assert_eq!(hits, scalar);
+    for (c, &hit) in cells.iter().zip(&hits) {
+        if c.attribute == 1 {
+            assert_eq!(hit, truth(c), "exact-backed {c:?}");
+        }
+        assert!(hit || !truth(c), "false negative at {c:?}");
+    }
     server.shutdown(Duration::from_secs(2));
 }

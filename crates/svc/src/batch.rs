@@ -46,8 +46,10 @@ pub(crate) type CellPart = Part<Vec<Cell>, Vec<usize>>;
 pub(crate) type RectPart = Part<Vec<(usize, RectQuery)>, ()>;
 
 /// Validates a cell request against the served schema and partitions
-/// it by owning shard, in one pass over the cells. Parts come back in
-/// shard order; shards with no cells produce none.
+/// it by owning shard, in one pass over the cells. A shard's part is
+/// allocated once, on its first cell, with room for every cell of the
+/// request, so no cell grows a part. Parts come back in shard order;
+/// shards with no cells produce none.
 pub(crate) fn partition_cells(
     index: &ShardedIndex,
     cells: &[Cell],
@@ -55,9 +57,6 @@ pub(crate) fn partition_cells(
     let attrs = index.attributes();
     let num_rows = index.num_rows();
     let shards = index.shards();
-    // An even share per shard up front; a skewed request grows its
-    // busy shards' columns as it goes.
-    let share = cells.len().div_ceil(shards.len().max(1));
     let mut parts: Vec<CellPart> = (0..shards.len())
         .map(|shard| Part {
             shard,
@@ -67,18 +66,18 @@ pub(crate) fn partition_cells(
         .collect();
     for (pos, cell) in cells.iter().enumerate() {
         ab::validate_ranges(attrs, num_rows, cell.row, [(cell.attribute, cell.bin)])?;
-        let sid = index.shard_of_row(cell.row);
+        let sid = shards.partition_point(|s| s.end() <= cell.row);
         let part = &mut parts[sid];
-        if part.job.is_empty() {
-            part.keep.reserve(share);
-            part.job.reserve(share);
+        if part.job.capacity() == 0 {
+            part.job.reserve_exact(cells.len());
+            part.keep.reserve_exact(cells.len());
         }
-        part.keep.push(pos);
         part.job.push(Cell::new(
             cell.row - shards[sid].start(),
             cell.attribute,
             cell.bin,
         ));
+        part.keep.push(pos);
     }
     parts.retain(|p| !p.job.is_empty());
     Ok(parts)

@@ -20,7 +20,7 @@
 //! runs one detect→repair pass; a file too damaged to open is repaired
 //! from the source data given with `--csv` and the build flags.
 //! `serve` answers queries on the `--index` file over TCP at `--listen`
-//! through the [`net`] front end (ABQ/1 binary framing, pipelined
+//! through the [`net`] front end (ABQ/2 binary framing, pipelined
 //! requests, graceful drain on SIGINT/SIGTERM), from a
 //! [`svc::Service`]. A background scrubber re-verifies the file every
 //! `--scrub-ms` (0 disables), rewriting rot from the verified copy
@@ -179,6 +179,10 @@ const COMMANDS: &[Command] = &[
             flag("--level", Value("L"), Or("per-attribute")),
             flag("--k", Value("N"), Unset),
             flag("--precision", Value("P"), Unset),
+            // The tiers of a whole rebuild, when no clean shard is
+            // left to copy the file's own from.
+            flag("--hier", Mode, Or("off")),
+            flag("--hybrid", Mode, Or("off")),
         ],
     ),
     (
@@ -443,8 +447,7 @@ fn cmd_build(a: &Args) -> Result<(), String> {
     let out: String = a.get("--out")?;
     let shards = a.opt::<NonZeroUsize>("--shards")?;
     let page_size = a.opt("--page-size")?.unwrap_or(store::DEFAULT_PAGE_SIZE);
-    let hier = a.get::<ab::HierMode>("--hier")? != ab::HierMode::Off;
-    let hybrid = a.get::<ab::HybridMode>("--hybrid")? != ab::HybridMode::Off;
+    let (hier, hybrid) = tier_flags(a)?;
     let (binned, config) = binned_and_config(a)?;
     let shards = match shards {
         Some(n) if n.get() > binned.num_rows() => {
@@ -457,18 +460,7 @@ fn cmd_build(a: &Args) -> Result<(), String> {
         None => SvcConfig::default().resolved_shards(binned.num_rows()),
     };
     let mut index = svc::ShardedIndex::build(&binned, &config, shards, false);
-    if hier {
-        // Persist the pruning pyramid alongside each shard (ABIX v3
-        // pages in the segment); serving later needs no rebuild.
-        index.ensure_hier(&ab::HierConfig::default());
-    }
-    if hybrid {
-        // Persist the planner-split exact tier alongside each shard
-        // (ABIX pages): Roaring containers for the hot bins, built
-        // here once so serving can answer them with zero hash probes
-        // and zero false positives without the source table.
-        index.ensure_hybrid(&binned, &ab::HybridConfig::default());
-    }
+    attach_tiers(&mut index, &binned, (hier, hybrid));
     let payload = index.to_bytes();
     store::write(
         std::path::Path::new(&out),
@@ -500,6 +492,33 @@ fn cmd_build(a: &Args) -> Result<(), String> {
         if hier { ", hier pyramids" } else { "" },
     );
     Ok(())
+}
+
+/// Whether `--hier` and `--hybrid` ask for their tier (any mode but
+/// `off`).
+fn tier_flags(a: &Args) -> Result<(bool, bool), String> {
+    Ok((
+        a.get::<ab::HierMode>("--hier")? != ab::HierMode::Off,
+        a.get::<ab::HybridMode>("--hybrid")? != ab::HybridMode::Off,
+    ))
+}
+
+/// Attaches the tiers `(hier, hybrid)` asks for to a freshly built
+/// index, with their default configurations — what `build` persists,
+/// and what a whole rebuild by `scrub` restores.
+fn attach_tiers(index: &mut svc::ShardedIndex, binned: &BinnedTable, (hier, hybrid): (bool, bool)) {
+    if hier {
+        // Persist the pruning pyramid alongside each shard (ABIX v3
+        // pages in the segment); serving later needs no rebuild.
+        index.ensure_hier(&ab::HierConfig::default());
+    }
+    if hybrid {
+        // Persist the planner-split exact tier alongside each shard
+        // (ABIX pages): Roaring containers for the hot bins, built
+        // here once so serving can answer them with zero hash probes
+        // and zero false positives without the source table.
+        index.ensure_hybrid(binned, &ab::HybridConfig::default());
+    }
 }
 
 /// Opens the `--index` store, reading and verifying every page once,
@@ -793,8 +812,9 @@ fn cmd_scrub(a: &Args) -> Result<(), String> {
                     "{path}: {e} — pass --csv (and matching build flags) to rebuild in place"
                 ));
             }
+            let tiers = tier_flags(a)?;
             let (table, config) = binned_and_config(a)?;
-            return repair_store(p, &path, &table, &config);
+            return repair_store(p, &path, &table, &config, tiers);
         }
     };
     let status = svc::StoreStatus::default();
@@ -821,14 +841,16 @@ fn cmd_scrub(a: &Args) -> Result<(), String> {
 /// rebuilt from `table`, with the pyramid and exact tier their clean
 /// sibling shards carry, and the others are decoded: a deterministic
 /// build, so a bit-identical file. Otherwise (or when every shard is
-/// damaged) the whole index is rebuilt from `table` without those
-/// tiers. Either way the file keeps its shard count and page size if
-/// its header and page table still verify.
+/// damaged) the whole index is rebuilt from `table`, with the tiers
+/// `(hier, hybrid)` asks for — the `--hier`/`--hybrid` of `scrub`, as
+/// `build` took them. Either way the file keeps its shard count and
+/// page size if its header and page table still verify.
 fn repair_store(
     p: &std::path::Path,
     path: &str,
     table: &BinnedTable,
     config: &AbConfig,
+    tiers: (bool, bool),
 ) -> Result<(), String> {
     let audited = store::Store::audit(p).ok();
     let (shards, page_size) = match &audited {
@@ -853,14 +875,23 @@ fn repair_store(
             index,
             format!("rebuilt shard(s) {damaged:?} from source data"),
         ),
-        None => (
-            svc::ShardedIndex::build(table, config, shards, false),
-            format!(
-                "rebuilt the whole index from source data ({shards} shard(s)); \
-                 the damage left no shard to copy hier pyramids and exact \
-                 tiers from, so they were not rebuilt"
-            ),
-        ),
+        None => {
+            let mut index = svc::ShardedIndex::build(table, config, shards, false);
+            attach_tiers(&mut index, table, tiers);
+            let tiers = match tiers {
+                (false, false) => {
+                    "; the damage left no shard to copy hier pyramids \
+                     and exact tiers from: pass --hier/--hybrid to rebuild them"
+                }
+                (true, false) => " with hier pyramids",
+                (false, true) => " with exact tiers",
+                (true, true) => " with hier pyramids and exact tiers",
+            };
+            (
+                index,
+                format!("rebuilt the whole index from source data ({shards} shard(s)){tiers}"),
+            )
+        }
     };
     store::write(p, &index.to_bytes(), page_size, &store::RealIo)
         .map_err(|e| format!("{path}: rewrite: {e}"))?;
@@ -1478,6 +1509,42 @@ mod tests {
                 let restored = std::fs::read(abpg).unwrap() == pristine;
                 assert!(restored, "{rows} rows, byte {byte}: not restored");
             }
+        }
+    }
+
+    /// Rot on the first payload page implicates every shard, so no
+    /// clean shard is left to copy the tiers of a `--hier --hybrid`
+    /// file from: `scrub --csv` rebuilds them from its own tier flags,
+    /// and with the build's flags the file comes back byte for byte.
+    #[test]
+    fn scrub_rebuilds_the_tiers_it_is_given_when_no_shard_is_clean() {
+        let dir = csv_dir(
+            "abq_test_scrub_tiers",
+            "price,qty",
+            (0..3000).map(|i| format!("{}.0,{}.0\n", (i / 100) % 31, (i * 5) % 11)),
+        );
+        let (csv, abpg) = (dir.join("d.csv"), dir.join("d.abpg"));
+        let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+        let tiers = ["--hier", "--hybrid"];
+        let build = ["--csv", csv, "--out", abpg, "--shards", "2"];
+        run("build", &[&build[..], &tiers[..]].concat()).unwrap();
+        let pristine = std::fs::read(abpg).unwrap();
+        let st = store::Store::open(abpg).unwrap();
+        let first_payload_byte = st.header().payload_offset() as usize;
+        let index = svc::ShardedIndex::from_bytes(st.payload()).unwrap();
+        assert!(index.shards().iter().all(|s| s.index().hier().is_some()));
+        assert!(index.shards().iter().all(|s| s.index().hybrid().is_some()));
+        drop((st, index));
+        let mut rotted = pristine.clone();
+        rotted[first_payload_byte] ^= 0x40;
+        let repair = ["--index", abpg, "--csv", csv];
+        for (flags, restored) in [(&[][..], false), (&tiers[..], true)] {
+            std::fs::write(abpg, &rotted).unwrap();
+            let (_, report, _) = store::Store::audit(abpg).unwrap();
+            assert_eq!(report.bad_shards, vec![0, 1]);
+            run("scrub", &[&repair[..], flags].concat()).unwrap();
+            let same = std::fs::read(abpg).unwrap() == pristine;
+            assert_eq!(same, restored, "scrub {flags:?}");
         }
     }
 

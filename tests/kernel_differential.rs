@@ -755,3 +755,58 @@ fn cell_kernel_matches_scalar_on_request_shaped_lists() {
         "the backing tier answered only {exact_answers} cells"
     );
 }
+
+/// Keys on both sides of every decimal digit-count boundary — 9/10,
+/// 99/100, …, 10⁷ − 1/10⁷ — in one request, so one lockstep batch
+/// holds keys of one to eight digits (no prefix window fits them and
+/// each lane hashes its whole text), with every row's own cell and
+/// repeats: the cell kernel against the scalar loop, on the roster
+/// (default k) and past it (k = 12), at the two levels whose ABs see
+/// `row << 16 | bin` keys.
+#[test]
+fn cell_kernel_matches_scalar_across_digit_count_boundaries() {
+    let _running = queries_may_run();
+    const CARD: u32 = (1 << 16) - 1;
+    let rows = 160;
+    let table = BinnedTable::new(vec![BinnedColumn::new(
+        "wide",
+        (0..rows as u64)
+            .map(|i| (hashkit::splitmix64(i) % u64::from(CARD)) as u32)
+            .collect(),
+        CARD,
+    )]);
+    let keys: Vec<u64> = (1..=7)
+        .map(|d| 10u64.pow(d))
+        .flat_map(|b| [b - 1, b])
+        .collect();
+    for level in [Level::PerDataset, Level::PerAttribute] {
+        for k in [None, Some(12)] {
+            let mut cfg = AbConfig::new(level).with_alpha(8);
+            if let Some(k) = k {
+                cfg = cfg.with_k(k);
+            }
+            let idx = AbIndex::build(&table, &cfg);
+            let mapper = idx.abs()[0].mapper();
+            assert_eq!(mapper, CellMapper::Shifted { shift: 16 });
+            let mut cells: Vec<Cell> = keys
+                .iter()
+                .map(|&key| Cell::new((key >> 16) as usize, 0, (key & 0xFFFF) as u32))
+                .collect();
+            for (cell, &key) in cells.iter().zip(&keys) {
+                assert_eq!(mapper.map(cell.row as u64, u64::from(cell.bin)), key);
+            }
+            cells.extend((0..rows).map(|row| Cell::new(row, 0, table.column(0).bins[row])));
+            cells.extend_from_within(..keys.len());
+            let ctx = format!("{level:?}, k {:?}", k.unwrap_or(idx.max_k()));
+            let scalar = idx.retrieve_cells_with_opts(&cells, KernelKind::Scalar.into());
+            let batched = idx.retrieve_cells_with_opts(&cells, KernelKind::Batched.into());
+            assert_eq!(scalar, batched, "{ctx}");
+            assert!(
+                batched[keys.len()..keys.len() + rows]
+                    .iter()
+                    .all(|&hit| hit),
+                "{ctx}"
+            );
+        }
+    }
+}
