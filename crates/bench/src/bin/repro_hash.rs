@@ -6,18 +6,17 @@
 //! set-up and the cell kernel call them — one lockstep batch step
 //! (DESIGN.md §13) — for each roster function as a roster probe and as
 //! a re-seeded one, and the batched insert at four k. A third times the
-//! two set-up passes after the build, the pyramid's sweep and the exact
-//! tier's read of the columns, on a clustered and a Zipf table. The
-//! insert and set-up tables use only `ab` calls an
-//! earlier checkout has too (`insert_cells`, `HierAb::build`,
-//! `HybridAb::build`), so those functions copied into another commit's
-//! copy of this file are the before/after harness.
+//! two set-up passes after the build, the pyramid's build from the
+//! table and the exact tier's read of the columns, on a clustered and a
+//! Zipf table. The insert table uses only `insert_cells`, which an
+//! earlier checkout has too, so that function copied into another
+//! commit's copy of this file is the before/after harness.
 //!
 //! Usage: `cargo run --release -p bench --bin repro_hash -- [--scale F]`
 
 use ab::{
-    AbConfig, AbIndex, ApproximateBitmap, HierAb, HierConfig, HybridAb, HybridConfig, Level,
-    MAX_BATCH_ROWS as LANES,
+    AbConfig, AbIndex, ApproximateBitmap, BinBlocks, HierAb, HierConfig, HybridAb, HybridConfig,
+    Level, MAX_BATCH_ROWS as LANES,
 };
 use bench::{ab_query_time_ms, cli, mean_precision, paper_level, print_table, Bundle};
 use bitmap::{BinnedColumn, BinnedTable};
@@ -69,7 +68,7 @@ fn main() {
 
     lockstep_table(opts.scale);
     insert_table(opts.scale);
-    sweep_table(opts.scale, opts.seed);
+    setup_table(opts.scale, opts.seed);
 }
 
 /// ns per position of one lockstep step, per roster function: as the
@@ -79,8 +78,8 @@ fn main() {
 /// tables: a handful of distinct decimal prefixes under a seed),
 /// scattered 48-bit keys (every lane its own prefix), consecutive rows
 /// at 48 bits, and consecutive rows of a 16-bin column at 27 bits (what
-/// a build or a sweep hands a batch: the benchmark's build and sweep
-/// batches are this shape). A last row divides each key set's
+/// a build hands a batch: the benchmark's build batches are this
+/// shape). A last row divides each key set's
 /// re-seeded column by its roster column, both summed over the roster,
 /// and a last one times the cell kernel around those steps
 /// ([`cell_kernel_row`]).
@@ -242,11 +241,13 @@ fn insert_table(scale: f64) {
 /// the benchmark's `prune_clustered` (one 16-bin column, each bin one
 /// run — eight head bins and eight thin tail bins — α = 32, k = 22) and
 /// `exact_skewed` (two Zipf columns over 12 bins, α = 8, k = 6).
-/// A pyramid sweep's unit is a cell of the table (rows × bins: every
-/// cell an empty region makes it test); the exact tier's is a row of a
-/// column it reads (rows × attributes). The exact tier is built on the
-/// index with the pyramid attached, as set-up builds it.
-fn sweep_table(scale: f64, seed: u64) {
+/// The pyramid's unit is a row of the table: its build records which
+/// bins each row block holds ([`BinBlocks`], in the build's fill) and
+/// marks the pyramid from that summary, both timed here. The exact
+/// tier's is a row of a column it reads (rows × attributes). The exact
+/// tier is built on the index with the pyramid attached, as set-up
+/// builds it.
+fn setup_table(scale: f64, seed: u64) {
     let rows = ((scale * 13_107_200.0) as usize).max(1 << 14);
     let clustered = {
         // Head bin b runs 1/8 of what the tail leaves; the tail bins'
@@ -289,14 +290,17 @@ fn sweep_table(scale: f64, seed: u64) {
         let mut work = [0usize; 2];
         for _ in 0..ROUNDS {
             let start = Instant::now();
-            let hier = HierAb::build(&index, &HierConfig::default());
+            let mut blocks = BinBlocks::new(table.columns().iter().map(|c| c.cardinality), rows);
+            for (a, col) in table.columns().iter().enumerate() {
+                blocks.record(a, &col.bins);
+            }
+            let hier = HierAb::build(&blocks, index.attributes(), &HierConfig::default());
             best[0] = best[0].min(start.elapsed());
             index.attach_hier(hier);
             let start = Instant::now();
             let tier = HybridAb::build(&index, table, &HybridConfig::default());
             best[1] = best[1].min(start.elapsed());
-            let bins: usize = table.columns().iter().map(|c| c.cardinality as usize).sum();
-            work = [rows * bins, rows * table.num_attributes()];
+            work = [rows, rows * table.num_attributes()];
             black_box(tier.size_bytes());
         }
         let ns = |i: usize| format!("{:.1}", best[i].as_nanos() as f64 / work[i].max(1) as f64);
@@ -310,11 +314,11 @@ fn sweep_table(scale: f64, seed: u64) {
     }
     print_table(
         &format!(
-            "Set-up passes, ns per swept cell / row read ({rows} rows, fastest of {ROUNDS} builds)"
+            "Set-up passes, ns per table row / column row read ({rows} rows, fastest of {ROUNDS} builds)"
         ),
         &[
             "table",
-            "pyramid cells",
+            "pyramid rows",
             "pyramid ns",
             "exact-tier rows",
             "exact-tier ns",

@@ -3,35 +3,31 @@
 //!
 //! The paper's three encoding levels are resolution *choices*; a rect
 //! query still pays O(rows × ranges) probes even when whole row regions
-//! are provably empty. [`HierAb`] adds a pyramid of L coarse levels
-//! over an existing [`AbIndex`]: level ℓ partitions the row space into
-//! spans of `row_span[ℓ]` rows and each attribute's bins into groups of
-//! `bin_group[ℓ]`, and inserts the super-cell `(span, group)` into a
-//! small per-level AB **iff some base cell inside the region tests
-//! positive in the base AB**. Two consequences:
+//! are provably empty. [`HierAb`] adds a pyramid of L coarse levels:
+//! level ℓ partitions the row space into spans of `row_span[ℓ]` rows
+//! and each attribute's bins into groups of `bin_group[ℓ]`, and inserts
+//! the super-cell `(span, group)` into a small per-level AB **iff a
+//! [`BLOCK_ROWS`]-row block overlapping the span holds a bin of the
+//! group** ([`BinBlocks`], recorded by the index build). That is "some
+//! row of the region holds the group" for spans that are multiples of
+//! 64 (the default 4096 and 65536 are); a block straddling a span
+//! boundary marks both spans, which only over-marks. No hash probe runs.
 //!
-//! * **No false negatives by construction** — a coarse *miss* proves
-//!   every base cell in the region tests negative, so no flat-scan row
-//!   inside it could match; pruning the region cannot change the
-//!   result.
-//! * **Bit-identical results** — occupancy is derived from the *base
-//!   AB's* verdicts (a probe sweep), not from the source table, so a
-//!   region containing only base-AB false positives is still kept.
-//!   The pruned scan therefore returns exactly the flat scan's rows.
+//! The contract is **truth ⊆ hier ⊆ flat**, the exact tier's too: a
+//! coarse *miss* proves no row of the region holds a queried bin, so
+//! recall stays 1, and the surviving intervals feed the same kernels,
+//! so the answer is the flat scan's minus rows of pruned regions — all
+//! base-AB false positives. Precision can only rise.
 //!
 //! Queries walk coarse-to-fine ([`HierAb::prune`]): a span survives a
 //! level iff for *every* attribute range at least one overlapping
 //! group tests positive (OR over groups, AND over ranges — Figure 7
-//! lifted one resolution up). Surviving row intervals then feed the
-//! existing scalar and batched kernels unchanged.
-//!
-//! Per-level AB false positives only *lose pruning* (a dead region
-//! survives to the next level); they can never prune a live one.
+//! lifted one resolution up). Per-level AB false positives only *lose
+//! pruning*; they can never prune a live region.
 
 use crate::analysis::next_pow2;
 use crate::encoding::ApproximateBitmap;
-use crate::kernel::{ColumnSweeper, MAX_BATCH_ROWS};
-use crate::level::{AbIndex, AttributeMeta};
+use crate::level::AttributeMeta;
 use bitmap::RectQuery;
 use hashkit::{CellMapper, HashFamily};
 use serde::{Deserialize, Serialize};
@@ -45,14 +41,56 @@ const LEVEL_ALPHA: u64 = 16;
 /// Hash count for the per-level ABs (optimal for α = 16).
 const LEVEL_K: usize = 11;
 
-/// Rows in the first batch the finest-level sweep probes in a region;
-/// each later batch is twice as deep, up to [`MAX_BATCH_ROWS`]. An
-/// occupied region usually shows a positive within its first rows —
-/// on a uniform table every region is occupied, and opening each with
-/// a full 256-row batch made the sweep 4× slower than the row-at-a-
-/// time loop it replaced (10 → 46 ms over 5 120 regions); an empty
-/// region runs 240 of its 4 096 rows in the four shallow batches.
-const FIRST_SWEEP_ROWS: usize = 16;
+/// Rows per block of a [`BinBlocks`] summary: one word of row bits.
+pub const BLOCK_ROWS: usize = 64;
+
+/// Which bins each [`BLOCK_ROWS`]-row block of an index's rows holds,
+/// per attribute: `⌈card/64⌉` words a block, bin `b` at bit `b % 64` of
+/// word `b / 64`. The index build allocates it with the bit arrays and
+/// records it in the pass that reads the rows; the pyramid is marked
+/// from it. It is never serialized.
+#[derive(Clone, Debug)]
+pub struct BinBlocks {
+    num_rows: usize,
+    /// Per attribute: words a block, then every block's words in row
+    /// order.
+    attributes: Vec<(usize, Vec<u64>)>,
+}
+
+impl BinBlocks {
+    /// An empty summary of `num_rows` rows over attributes of the
+    /// given cardinalities.
+    pub fn new(cardinalities: impl IntoIterator<Item = u32>, num_rows: usize) -> Self {
+        let blocks = num_rows.div_ceil(BLOCK_ROWS);
+        let attributes = cardinalities
+            .into_iter()
+            .map(|card| {
+                let words = card.div_ceil(64).max(1) as usize;
+                (words, vec![0u64; blocks * words])
+            })
+            .collect();
+        BinBlocks {
+            num_rows,
+            attributes,
+        }
+    }
+
+    /// Records `attribute`'s rows: `bins[r]` is the bin of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` does not hold one bin per row, or a bin is past
+    /// the attribute's cardinality rounded up to 64.
+    pub fn record(&mut self, attribute: usize, bins: &[u32]) {
+        assert_eq!(bins.len(), self.num_rows, "one bin per row");
+        let (words, bits) = &mut self.attributes[attribute];
+        for (block, rows) in bits.chunks_exact_mut(*words).zip(bins.chunks(BLOCK_ROWS)) {
+            for &bin in rows {
+                block[bin as usize / 64] |= 1 << (bin % 64);
+            }
+        }
+    }
+}
 
 /// Geometry of one pyramid level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,8 +177,8 @@ impl HierLevel {
 
     /// Whether `span` can contain a row matching every `range`: for
     /// each range, OR over the groups its bins overlap; AND across
-    /// ranges. A `false` is definite (every base cell in the region
-    /// tests negative for some range), so the span is safely pruned.
+    /// ranges. A `false` is definite (no row of the span holds a bin
+    /// of some range), so the span is safely pruned.
     fn span_survives(&self, span: usize, ranges: &[bitmap::AttrRange]) -> bool {
         ranges.iter().all(|r| {
             if r.lo > r.hi {
@@ -154,7 +192,7 @@ impl HierLevel {
     }
 }
 
-/// A coarse-to-fine pyramid over an [`AbIndex`].
+/// A coarse-to-fine pyramid over an [`AbIndex`](crate::AbIndex).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct HierAb {
     /// Levels in ascending `row_span` order (finest first).
@@ -175,19 +213,18 @@ pub struct HierPrune {
 }
 
 impl HierAb {
-    /// Builds the pyramid over `index` by probe-sweeping the base AB:
-    /// a finest-level region is occupied iff *any* of its cells tests
-    /// positive (stopping at the first hit), and coarser levels fold
-    /// the finest occupancy upward by region intersection. Sweeping
-    /// the base AB — not the source table — is what makes pruned
-    /// queries bit-identical to flat ones: base-AB false positives
-    /// keep their regions alive.
+    /// Builds the pyramid from the rows `blocks` summarizes, over the
+    /// schema `attrs`: a finest-level region is occupied iff a block
+    /// overlapping it holds a bin of the group, and coarser levels fold
+    /// the finest occupancy upward by region intersection. It runs no
+    /// hash probe; see the module doc for the contract.
     ///
     /// # Panics
     ///
     /// Panics if `config.levels` is empty, a `row_span` or `bin_group`
-    /// is zero, or the levels are not in ascending `row_span` order.
-    pub fn build(index: &AbIndex, config: &HierConfig) -> Self {
+    /// is zero, the levels are not in ascending `row_span` order, or
+    /// `blocks` summarizes another attribute count.
+    pub fn build(blocks: &BinBlocks, attrs: &[AttributeMeta], config: &HierConfig) -> Self {
         let t0 = std::time::Instant::now();
         assert!(
             !config.levels.is_empty(),
@@ -203,12 +240,16 @@ impl HierAb {
             assert!(spec.row_span > 0, "row_span must be positive");
             assert!(spec.bin_group > 0, "bin_group must be positive");
         }
-        let attrs = index.attributes();
-        let num_rows = index.num_rows();
+        assert_eq!(
+            blocks.attributes.len(),
+            attrs.len(),
+            "one summary per attribute"
+        );
+        let num_rows = blocks.num_rows;
 
         let finest = &config.levels[0];
         let fine_geom = LevelGeometry::new(finest, attrs, num_rows);
-        let fine_grid = sweep_finest(index, finest, &fine_geom);
+        let fine_grid = mark_finest(blocks, finest, &fine_geom);
 
         let mut levels = Vec::with_capacity(config.levels.len());
         levels.push(make_level(finest, &fine_geom, &fine_grid));
@@ -345,35 +386,24 @@ impl LevelGeometry {
     }
 }
 
-/// Probe-sweeps the base AB for the finest level's occupancy grid
-/// (`grid[span * num_groups + group_col]`). The sweep runs the lockstep
-/// probe loop ([`ColumnSweeper`]): a batch is up to [`MAX_BATCH_ROWS`]
-/// rows of one bin (deepening from [`FIRST_SWEEP_ROWS`]), and a region
-/// is occupied at the first batch with a survivor; a clean region costs
-/// `rows × bins` short-circuiting probes (≈2 bit reads each at 50%
-/// fill).
-fn sweep_finest(index: &AbIndex, spec: &HierLevelSpec, geom: &LevelGeometry) -> Vec<bool> {
-    let num_rows = index.num_rows();
-    let mut sweeper = ColumnSweeper::new(index);
+/// Marks the finest level's occupancy grid
+/// (`grid[span * num_groups + group_col]`) from the summary: every bin
+/// a block holds marks its group in each span the block overlaps.
+fn mark_finest(blocks: &BinBlocks, spec: &HierLevelSpec, geom: &LevelGeometry) -> Vec<bool> {
     let mut grid = vec![false; geom.num_spans * geom.num_groups];
-    for span in 0..geom.num_spans {
-        let row_lo = span * spec.row_span;
-        let row_hi = ((span + 1) * spec.row_span).min(num_rows);
-        let base = span * geom.num_groups;
-        for (a, meta) in index.attributes().iter().enumerate() {
-            let groups = meta.cardinality.div_ceil(spec.bin_group);
-            for g in 0..groups {
-                let bin_lo = g * spec.bin_group;
-                let bin_hi = ((g + 1) * spec.bin_group).min(meta.cardinality);
-                let cell = base + geom.group_offsets[a] + g as usize;
-                let mut lo = row_lo;
-                let mut depth = FIRST_SWEEP_ROWS;
-                while lo < row_hi && !grid[cell] {
-                    let rows = lo..(lo + depth).min(row_hi);
-                    grid[cell] = (bin_lo..bin_hi)
-                        .any(|bin| !sweeper.positives(a, bin, rows.clone()).is_empty());
-                    lo = rows.end;
-                    depth = (2 * depth).min(MAX_BATCH_ROWS);
+    for ((words, bits), &group_offset) in blocks.attributes.iter().zip(&geom.group_offsets) {
+        for (block, held) in bits.chunks_exact(*words).enumerate() {
+            let row_lo = block * BLOCK_ROWS;
+            let row_hi = (row_lo + BLOCK_ROWS).min(blocks.num_rows) - 1;
+            for span in row_lo / spec.row_span..=row_hi / spec.row_span {
+                let base = span * geom.num_groups + group_offset;
+                for (w, &word) in held.iter().enumerate() {
+                    let mut held = word;
+                    while held != 0 {
+                        let bin = 64 * w as u32 + held.trailing_zeros();
+                        grid[base + (bin / spec.bin_group) as usize] = true;
+                        held &= held - 1;
+                    }
                 }
             }
         }
@@ -454,7 +484,14 @@ mod tests {
     use super::*;
     use crate::analysis::Level;
     use crate::config::AbConfig;
+    use crate::level::AbIndex;
     use bitmap::{AttrRange, BinnedColumn, BinnedTable};
+
+    /// The pyramid `config` makes of a freshly built index's rows.
+    fn pyramid(idx: &AbIndex, config: &HierConfig) -> HierAb {
+        let blocks = idx.bin_blocks().expect("a built index keeps its summary");
+        HierAb::build(blocks, idx.attributes(), config)
+    }
 
     /// A clustered table: bin = row / 250 over 8 bins × 2000 rows, so
     /// most (span × group) regions are provably empty at small spans.
@@ -485,33 +522,77 @@ mod tests {
     }
 
     #[test]
-    fn pruned_rows_equal_flat_rows() {
+    fn pruned_rows_lie_between_truth_and_flat_rows() {
         let t = clustered_table(2000, 8);
-        // α = 32 keeps base-AB false positives rare enough that some
-        // regions actually prune; correctness holds at any α.
-        let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
-        let hier = HierAb::build(&idx, &small_config());
-        for (lo, hi) in [(0u32, 0u32), (2, 3), (7, 7), (0, 7)] {
-            let q = RectQuery::new(vec![AttrRange::new(0, lo, hi)], 0, 1999);
-            let flat = idx.execute_rect(&q);
-            let prune = hier.prune(&q);
-            let mut pruned_rows = Vec::new();
-            for &(a, b) in &prune.intervals {
-                let sub = RectQuery::new(q.ranges.clone(), a, b);
-                pruned_rows.extend(idx.execute_rect(&sub));
+        // α = 2 puts base-AB false positives into regions no row of
+        // the bin holds; the pyramid prunes them.
+        for alpha in [2, 32] {
+            let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(alpha));
+            let hier = pyramid(&idx, &small_config());
+            for (lo, hi) in [(0u32, 0u32), (2, 3), (7, 7), (0, 7)] {
+                let q = RectQuery::new(vec![AttrRange::new(0, lo, hi)], 0, 1999);
+                let flat = idx.execute_rect(&q);
+                let prune = hier.prune(&q);
+                let mut pruned_rows = Vec::new();
+                for &(a, b) in &prune.intervals {
+                    let sub = RectQuery::new(q.ranges.clone(), a, b);
+                    pruned_rows.extend(idx.execute_rect(&sub));
+                }
+                let truth = (0..2000).filter(|&r| (lo..=hi).contains(&t.column(0).bins[r]));
+                assert!(
+                    truth.into_iter().all(|r| pruned_rows.contains(&r)),
+                    "α = {alpha}, bins {lo}..={hi}: a true row was pruned"
+                );
+                assert!(
+                    pruned_rows.iter().all(|r| flat.contains(r)),
+                    "α = {alpha}, bins {lo}..={hi}: not a subset of flat"
+                );
+                // Total coverage never exceeds the query interval.
+                let kept: usize = prune.intervals.iter().map(|&(a, b)| b - a + 1).sum();
+                assert_eq!(kept as u64 + prune.rows_skipped, 2000);
             }
-            assert_eq!(pruned_rows, flat, "bins {lo}..={hi}");
-            // Total coverage never exceeds the query interval.
-            let kept: usize = prune.intervals.iter().map(|&(a, b)| b - a + 1).sum();
-            assert_eq!(kept as u64 + prune.rows_skipped, 2000);
         }
+    }
+
+    #[test]
+    fn blocks_mark_every_span_they_overlap() {
+        // Bin 1 only in rows 60..70: the blocks of rows 0..64 and
+        // 64..128 hold it. Spans of whole blocks are marked exactly;
+        // 16-row spans take their block's bins, so rows 0..60 survive
+        // too; and the block of rows 64..128 straddles the 100-row
+        // spans 0 and 1 and marks both, though no row of span 1 holds
+        // bin 1.
+        let bins: Vec<u32> = (0..200).map(|r| u32::from((60..70).contains(&r))).collect();
+        let mut blocks = BinBlocks::new([2], 200);
+        blocks.record(0, &bins);
+        assert_eq!(blocks.attributes[0].1, [0b11, 0b11, 0b01, 0b01]);
+        let attrs = [AttributeMeta {
+            name: "v".into(),
+            cardinality: 2,
+            offset: 0,
+        }];
+        let one_level = |row_span| HierConfig {
+            levels: vec![HierLevelSpec {
+                row_span,
+                bin_group: 1,
+            }],
+        };
+        let survivors = |row_span| {
+            let hier = HierAb::build(&blocks, &attrs, &one_level(row_span));
+            let q = RectQuery::new(vec![AttrRange::new(0, 1, 1)], 0, 199);
+            hier.prune(&q).intervals
+        };
+        assert_eq!(survivors(64), vec![(0, 127)]);
+        assert_eq!(survivors(128), vec![(0, 127)]);
+        assert_eq!(survivors(16), vec![(0, 127)]);
+        assert_eq!(survivors(100), vec![(0, 199)]);
     }
 
     #[test]
     fn narrow_queries_actually_prune() {
         let t = clustered_table(2000, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
-        let hier = HierAb::build(&idx, &small_config());
+        let hier = pyramid(&idx, &small_config());
         // Bin 0 lives in rows 0..250; spans past ~256 must die. The
         // query range 0..=1 maps entirely into group 0.
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 1)], 0, 1999);
@@ -528,7 +609,7 @@ mod tests {
     fn empty_ranges_and_degenerate_intervals_do_not_prune() {
         let t = clustered_table(512, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(16));
-        let hier = HierAb::build(&idx, &small_config());
+        let hier = pyramid(&idx, &small_config());
         let vacuous = RectQuery::new(vec![], 10, 100);
         let p = hier.prune(&vacuous);
         assert_eq!(p.intervals, vec![(10, 100)]);
@@ -547,8 +628,8 @@ mod tests {
         // the full coarse-to-fine walk (coarser levels only widen).
         let t = clustered_table(2000, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
-        let full = HierAb::build(&idx, &small_config());
-        let fine_only = HierAb::build(
+        let full = pyramid(&idx, &small_config());
+        let fine_only = pyramid(
             &idx,
             &HierConfig {
                 levels: vec![small_config().levels[0]],
@@ -578,7 +659,7 @@ mod tests {
     fn serialization_roundtrip_preserves_pruning() {
         let t = clustered_table(1024, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
-        let hier = HierAb::build(&idx, &small_config());
+        let hier = pyramid(&idx, &small_config());
         let parts: Vec<(HierLevelSpec, ApproximateBitmap)> = hier
             .levels()
             .iter()
@@ -596,7 +677,7 @@ mod tests {
     fn occupancy_fraction_reflects_clustering() {
         let t = clustered_table(2000, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
-        let hier = HierAb::build(&idx, &small_config());
+        let hier = pyramid(&idx, &small_config());
         // 64-row spans × 2-bin groups over perfectly clustered data:
         // each span holds 1 (occasionally 2) of the 4 groups.
         let f = hier.finest().occupancy_fraction();
@@ -608,7 +689,7 @@ mod tests {
     fn unordered_levels_rejected() {
         let t = clustered_table(512, 8);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute));
-        HierAb::build(
+        pyramid(
             &idx,
             &HierConfig {
                 levels: vec![

@@ -60,6 +60,10 @@ pub enum IoError {
     /// The row count disagreed with the cells the ABs hold or the rows
     /// an exact container names.
     BadRowCount,
+    /// A repair's source table or build configuration is not the one
+    /// the file's clean shards were built from; the field names what
+    /// disagrees.
+    SourceMismatch(&'static str),
 }
 
 impl std::fmt::Display for IoError {
@@ -72,6 +76,10 @@ impl std::fmt::Display for IoError {
             IoError::BadString => write!(f, "invalid UTF-8 in name"),
             IoError::BadShardLayout => write!(f, "shard segments empty or out of order"),
             IoError::BadRowCount => write!(f, "row count disagrees with the encoded bitmaps"),
+            IoError::SourceMismatch(what) => write!(
+                f,
+                "the source data or build flags give another {what} than the file's shards have"
+            ),
         }
     }
 }

@@ -32,9 +32,10 @@
 //! Figure 5's cell lists go through the same waves, grouped by the AB
 //! each cell probes so that a whole batch shares one hoisted hash
 //! state and one word array — see `retrieve_cells_waves`. A batch like
-//! that advances in lockstep (`LockstepBatch`), and set-up runs the
-//! same loop: the build's inserts set the bits the positions name, the
-//! pyramid's sweep (`ColumnSweeper`) tests them.
+//! that advances in lockstep (`LockstepBatch`), and the build's
+//! inserts run the same loop to set the bits the positions name. The
+//! pyramid runs no probe: it is marked from the rows the build read
+//! (`crate::hier::BinBlocks`).
 //!
 //! Prefetch instructions are x86-64 `_mm_prefetch` and aarch64 `prfm`;
 //! on other targets the kernel still wins from the overlapped
@@ -54,8 +55,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell as StdCell;
 
 /// The lane count of every probe batch: the rect kernel's row
-/// batches, the cell kernel's batches, the build's inserts and the
-/// build-time sweeps (a sweep may start shallower and deepen to it).
+/// batches, the cell kernel's batches and the build's inserts.
 /// The match mask is `MAX_BATCH_ROWS` bits, and a lockstep batch is a
 /// [`hashkit::LockstepLanes`] of as many lanes.
 pub const MAX_BATCH_ROWS: usize = hashkit::LANES;
@@ -78,11 +78,10 @@ pub enum KernelKind {
 /// Whether an optional tier attached to the index — the coarse-to-fine
 /// pyramid ([`crate::hier::HierAb`]) or the exact tier
 /// ([`crate::hybrid::HybridAb`]) — takes part in a query. One policy,
-/// named once per tier ([`HierMode`], [`HybridMode`]). The pyramid
-/// never changes an answer, only the work behind it; exact-backed bins
-/// contribute zero false positives, so with the exact tier on the
-/// answer is a subset of (or equal to) the flat AB answer, never
-/// missing a true row.
+/// named once per tier ([`HierMode`], [`HybridMode`]). Either tier
+/// keeps truth ⊆ answer ⊆ flat AB answer: the pyramid only prunes
+/// regions no row of which holds a queried bin, and exact-backed bins
+/// contribute zero false positives, so neither ever misses a true row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TierMode {
     /// Never consult the tier, even if one is attached.
@@ -545,8 +544,7 @@ fn run_scalar_waves(
 /// the positions of its last step. This is the state of the one probe
 /// loop every batch path of the crate runs: the build walks all k
 /// steps and sets the bits ([`ApproximateBitmap::insert_cells`]); the
-/// cell kernel and the build-time sweeps test them and retire lanes
-/// (`CellPlan::survivors`). Lane `i` is the `i`-th cell opened, and a
+/// cell kernel tests them and retires lanes (`CellPlan::survivors`). Lane `i` is the `i`-th cell opened, and a
 /// caller finds what it calls that cell — a request position, a row —
 /// at index `i` of its own list.
 pub(crate) struct LockstepBatch {
@@ -610,78 +608,6 @@ impl CellPlan<'_> {
             }
             batch.lanes.retain(&bits);
         }
-    }
-}
-
-/// The build-time reader of the probe loop: sweeps the base AB's own
-/// verdicts for the pyramid ([`crate::hier`]), a batch of one
-/// column's rows at a time — `test_cell`'s verdicts without a prober
-/// per cell. Hash evaluations and wave counters add up over the sweep
-/// and are flushed once, when the sweeper is dropped: set-up sweeps on
-/// a thread per shard, and the counters' cache lines are shared.
-pub(crate) struct ColumnSweeper<'a> {
-    index: &'a AbIndex,
-    batch: LockstepBatch,
-    rows: Vec<usize>,
-    /// The family of the ABs swept so far (an index's ABs share
-    /// `AbConfig::family`), once one is.
-    family: Option<&'a hashkit::HashFamily>,
-    /// Positions issued (and prefetched) so far.
-    calls: u64,
-    wave: WaveCounters,
-}
-
-impl<'a> ColumnSweeper<'a> {
-    pub(crate) fn new(index: &'a AbIndex) -> Self {
-        ColumnSweeper {
-            index,
-            batch: LockstepBatch::new(),
-            rows: Vec::with_capacity(MAX_BATCH_ROWS),
-            family: None,
-            calls: 0,
-            wave: WaveCounters::default(),
-        }
-    }
-
-    /// Probes cell (row, `attribute`, `bin`) for the first
-    /// [`MAX_BATCH_ROWS`] rows of `rows` in one lockstep batch and
-    /// returns, in the order given, the rows the AB admits — present
-    /// or false positive. The caller keeps rows and bin in range.
-    pub(crate) fn positives(
-        &mut self,
-        attribute: usize,
-        bin: u32,
-        rows: impl Iterator<Item = usize>,
-    ) -> &[usize] {
-        let (ab, col) = self.index.cell_plan_target(attribute, bin);
-        let plan = CellPlan::new(ab, col);
-        self.rows.clear();
-        self.rows.extend(rows.take(MAX_BATCH_ROWS));
-        debug_assert!(self.rows.iter().all(|&row| row < self.index.num_rows()));
-        self.batch
-            .open(&plan.prober, self.rows.iter().map(|&row| (row as u64, col)));
-        plan.survivors(&mut self.batch, &mut self.wave);
-        self.family = Some(ab.family());
-        self.calls += plan.calls.get();
-        // The survivors' rows close ranks; lane ids ascend, so each
-        // moves down or stays.
-        let mut kept = 0;
-        for lane in self.batch.live() {
-            self.rows[kept] = self.rows[lane];
-            kept += 1;
-        }
-        self.rows.truncate(kept);
-        &self.rows
-    }
-}
-
-impl Drop for ColumnSweeper<'_> {
-    fn drop(&mut self) {
-        if let Some(family) = self.family {
-            family.record_hash_calls(self.calls);
-        }
-        // Every issued position was prefetched exactly once.
-        std::mem::take(&mut self.wave).flush(self.calls);
     }
 }
 

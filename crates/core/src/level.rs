@@ -16,7 +16,7 @@
 use crate::analysis::Level;
 use crate::config::AbConfig;
 use crate::encoding::ApproximateBitmap;
-use crate::hier::{HierAb, HierConfig};
+use crate::hier::{BinBlocks, HierAb, HierConfig};
 use crate::hybrid::{HybridAb, HybridConfig};
 use bitmap::{BinnedColumn, BinnedTable};
 use hashkit::{CellMapper, HashFamily};
@@ -60,6 +60,9 @@ pub struct AbIndex {
     /// Optional coarse-to-fine pruning pyramid (see [`crate::hier`]).
     /// Not built by default — attach with [`Self::ensure_hier`].
     hier: Option<HierAb>,
+    /// The build's row summary for [`Self::ensure_hier`]; never stored.
+    #[serde(skip)]
+    blocks: Option<BinBlocks>,
     /// Optional exact tier: Roaring-backed hot bins answered without
     /// probing the AB (see [`crate::hybrid`]). Not built by default —
     /// attach with [`Self::ensure_hybrid`].
@@ -108,7 +111,8 @@ impl AbIndex {
 
     /// The allocating half of [`Self::build_row_range`]: sizes every AB
     /// of the level for the set bits of rows `rows` and allocates its
-    /// bit array, all zero. [`UnfilledIndex::fill`] is the other half.
+    /// bit array, all zero, and an empty [`BinBlocks`] of the rows.
+    /// [`UnfilledIndex::fill`] is the other half.
     ///
     /// # Panics
     ///
@@ -174,6 +178,10 @@ impl AbIndex {
                 attributes,
                 num_rows: rows.len(),
                 hier: None,
+                blocks: Some(BinBlocks::new(
+                    columns.iter().map(|c| c.cardinality),
+                    rows.len(),
+                )),
                 hybrid: None,
             },
             columns,
@@ -317,6 +325,7 @@ impl AbIndex {
             attributes,
             num_rows,
             hier,
+            blocks: None,
             hybrid,
         }
     }
@@ -326,14 +335,27 @@ impl AbIndex {
         self.hier.as_ref()
     }
 
+    /// The row summary [`Self::ensure_hier`] builds from, until it does.
+    pub fn bin_blocks(&self) -> Option<&BinBlocks> {
+        self.blocks.as_ref()
+    }
+
     /// Builds and attaches a [`HierAb`] pyramid under `config` if one
-    /// is not already present. Building probe-sweeps the base AB (see
-    /// [`HierAb::build`]), so the pyramid is deterministic for a given
-    /// index regardless of when it is attached — at build time or
-    /// rebuilt when an old segment is opened.
+    /// is not already present, from (and consuming) the [`BinBlocks`]
+    /// the build recorded: deterministic for a given table and rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pyramid is attached and the index has no summary
+    /// (decoded from bytes, assembled by [`Self::from_parts`], or
+    /// consumed by an earlier call): build pyramids with the index.
     pub fn ensure_hier(&mut self, config: &HierConfig) {
         if self.hier.is_none() {
-            self.hier = Some(HierAb::build(self, config));
+            let blocks = self
+                .blocks
+                .take()
+                .expect("no row summary to build a pyramid from");
+            self.hier = Some(HierAb::build(&blocks, &self.attributes, config));
         }
     }
 
@@ -349,8 +371,8 @@ impl AbIndex {
 
     /// Builds and attaches a [`HybridAb`] exact tier under `config` if
     /// one is not already present. Unlike [`Self::ensure_hier`] this
-    /// needs the source `table` back: exact containers hold the truth,
-    /// which the lossy AB cannot reproduce. The tier is deterministic
+    /// needs the source `table` back: exact containers hold the rows
+    /// themselves, not a per-block summary. The tier is deterministic
     /// for a given index + table, so a damaged container rebuilds
     /// bit-identically.
     ///
@@ -423,11 +445,11 @@ pub struct UnfilledIndex<'t> {
 impl UnfilledIndex<'_> {
     /// The filling half of [`AbIndex::build_row_range`]: inserts every
     /// set cell of the rows into the allocated ABs through the batched
-    /// insert and returns the index. It allocates nothing that grows
-    /// with the row count except at the per-column level, whose
-    /// counting sort (each bin's rows grouped so its AB takes them in
-    /// one batched insert) needs a row-id scratch the size of the
-    /// range.
+    /// insert, records the bins each row block holds, and returns the
+    /// index. It allocates nothing that grows with the row count except
+    /// at the per-column level, whose counting sort (each bin's rows
+    /// grouped so its AB takes them in one batched insert) needs a
+    /// row-id scratch the size of the range.
     pub fn fill(self) -> AbIndex {
         let t0 = Instant::now();
         let UnfilledIndex {
@@ -436,6 +458,11 @@ impl UnfilledIndex<'_> {
             rows,
         } = self;
         let slices = columns.iter().map(|col| &col.bins[rows.clone()]);
+        if let Some(blocks) = &mut index.blocks {
+            for (a, bins) in slices.clone().enumerate() {
+                blocks.record(a, bins);
+            }
+        }
         match index.level {
             Level::PerDataset => index.abs[0].insert_cells(
                 slices

@@ -85,7 +85,7 @@ pub use config::{AbConfig, Sizing};
 pub use counting::CountingAb;
 pub use encoding::ApproximateBitmap;
 pub use exact::{prune_false_positives, row_matches};
-pub use hier::{HierAb, HierConfig, HierLevelSpec, HierPrune};
+pub use hier::{BinBlocks, HierAb, HierConfig, HierLevelSpec, HierPrune};
 pub use hybrid::{HybridAb, HybridBin, HybridConfig};
 pub use kernel::{
     HierMode, HybridMode, KernelKind, KernelOpts, TierMode, MAX_BATCH_ROWS, PREFETCH_ACTIVE,

@@ -56,7 +56,8 @@ mod tests {
         )]);
         let idx = AbIndex::build(&t, &AbConfig::new(Level::PerAttribute).with_alpha(32));
         let hier = HierAb::build(
-            &idx,
+            idx.bin_blocks().unwrap(),
+            idx.attributes(),
             &HierConfig {
                 levels: vec![HierLevelSpec {
                     row_span: 64,

@@ -11,8 +11,13 @@
 //! the versions, and re-deriving each segment's length) must give the
 //! current writer's bytes exactly, so every answer an old file gave,
 //! a rebuilt file gives too. The old files themselves are refused.
+//!
+//! The old writer's pyramids were swept from the base AB; the current
+//! build marks them from the table, so the expected indexes carry the
+//! pyramids decoded from the fixtures themselves, and every other byte
+//! is built anew.
 
-use ab::{AbConfig, AbIndex, HierConfig, HierLevelSpec, HybridAb, HybridConfig, IoError, Level};
+use ab::{AbConfig, AbIndex, HierAb, HybridAb, HybridConfig, IoError, Level};
 use bitmap::{BinnedColumn, BinnedTable};
 
 /// The table of `ab::io`'s `serialized_index_bytes_are_pinned`.
@@ -33,19 +38,33 @@ fn config(level: Level) -> AbConfig {
     AbConfig::new(level).with_alpha(16).with_k(12)
 }
 
-fn hier() -> HierConfig {
-    HierConfig {
-        levels: vec![
-            HierLevelSpec {
-                row_span: 16,
-                bin_group: 2,
-            },
-            HierLevelSpec {
-                row_span: 64,
-                bin_group: 8,
-            },
-        ],
+/// The pyramid an `ABIX` 5 record holds. With its version bumped and
+/// its CRC cut, the record reads as an `ABIX` 6 one up to its hybrid
+/// flag, so the one prefix that ends there decodes once a flag of 0
+/// closes it; every shorter one is truncated.
+fn v5_pyramid(old: &[u8]) -> HierAb {
+    let mut new = old[..4].to_vec();
+    new.extend_from_slice(&6u16.to_le_bytes());
+    new.extend_from_slice(&old[10..]);
+    (0..new.len())
+        .find_map(|end| {
+            let closed = [&new[..end], &[0u8][..]].concat();
+            ab::from_bytes(&closed).ok()
+        })
+        .and_then(|index| index.hier().cloned())
+        .expect("the record holds a pyramid")
+}
+
+/// The `ABIX` 5 records of the `ABSH` 2 fixture's segments.
+fn v5_segments(old: &[u8]) -> Vec<&[u8]> {
+    let mut pos = 10;
+    let mut out = Vec::new();
+    while pos < old.len() {
+        let len = le_u64(old, pos + 8);
+        out.push(&old[pos + 20..pos + 20 + len]);
+        pos += 20 + len;
     }
+    out
 }
 
 fn hybrid() -> HybridConfig {
@@ -59,8 +78,9 @@ fn hybrid() -> HybridConfig {
 fn abix_fixtures() -> Vec<(&'static str, &'static [u8], AbIndex)> {
     let t = table();
     let level = |level| AbIndex::build(&t, &config(level));
+    let old_tiered = include_bytes!("fixtures/v5/hier.abix");
     let mut tiered = level(Level::PerAttribute);
-    tiered.ensure_hier(&hier());
+    tiered.attach_hier(v5_pyramid(old_tiered));
     let mut exact = level(Level::PerAttribute);
     exact.ensure_hybrid(&t, &hybrid());
     vec![
@@ -79,20 +99,22 @@ fn abix_fixtures() -> Vec<(&'static str, &'static [u8], AbIndex)> {
             include_bytes!("fixtures/v5/column.abix"),
             level(Level::PerColumn),
         ),
-        ("hier", include_bytes!("fixtures/v5/hier.abix"), tiered),
+        ("hier", old_tiered, tiered),
         ("hybrid", include_bytes!("fixtures/v5/hybrid.abix"), exact),
     ]
 }
 
-/// The shards of the `ABSH` fixture, each with a pyramid and an exact
-/// tier.
+/// The shards of the `ABSH` fixture, each with the fixture's pyramid
+/// and an exact tier.
 fn shards() -> Vec<(u64, AbIndex)> {
     let t = table();
+    let old = v5_segments(include_bytes!("fixtures/v5/shards.absh"));
     ab::shard_ranges(t.num_rows(), 3)
         .into_iter()
-        .map(|r| {
+        .zip(old)
+        .map(|(r, old)| {
             let mut index = AbIndex::build_row_range(&t, &config(Level::PerAttribute), r.clone());
-            index.ensure_hier(&hier());
+            index.attach_hier(v5_pyramid(old));
             let tier = HybridAb::build_row_range(&index, &t, r.clone(), &hybrid());
             index.attach_hybrid(tier);
             (r.start as u64, index)

@@ -292,8 +292,8 @@ impl HashFamily {
 
     /// Flushes `calls` probe computations into this family's
     /// `hashkit.hash_calls.*` counter. Batched callers accumulate a
-    /// plain integer across many rows and flush once per query, insert
-    /// call or sweep, so the probe loop stays atomics-free (`Prober`
+    /// plain integer across many rows and flush once per query or
+    /// insert call, so the probe loop stays atomics-free (`Prober`
     /// does the same on drop).
     pub fn record_hash_calls(&self, calls: u64) {
         if calls == 0 {

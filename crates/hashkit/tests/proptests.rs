@@ -142,7 +142,7 @@ proptest! {
 
     /// The same on runs of nearby rows of any magnitude (from `first`
     /// shifted right by `magnitude`, every `stride`-th row), the shape a
-    /// build or a sweep hands a batch: their keys split at 10⁴ or 10⁸,
+    /// build hands a batch: their keys split at 10⁴ or 10⁸,
     /// or not at all (below 10⁴, or across more prefixes than the batch
     /// holds), as do their re-seeded keys.
     #[test]

@@ -88,9 +88,10 @@ pub struct SvcConfig {
     pub slow_query: Option<Duration>,
     /// Hierarchical pruning policy for rect queries
     /// ([`ab::HierMode::Off`] by default). Anything other than `Off`
-    /// attaches a [`ab::HierAb`] pyramid to every shard at build (or
-    /// load) time; shard jobs then prune whole row spans before the
-    /// staged kernel runs. Results stay bit-identical either way.
+    /// attaches a [`ab::HierAb`] pyramid to every shard at build time
+    /// (loaded segments serve the pyramids they carry); shard jobs
+    /// then prune whole row spans before the staged kernel runs.
+    /// Answers lie between the truth and the flat scan's.
     pub hier: HierMode,
     /// Pyramid geometry used when [`Self::hier`] is not `Off`.
     pub hier_config: HierConfig,
@@ -225,20 +226,15 @@ impl Service {
     }
 
     /// Wraps an already-built index (e.g. one loaded with
-    /// [`ShardedIndex::from_bytes`]); `cfg.shards` is ignored.
-    pub fn from_index(mut index: ShardedIndex, cfg: &SvcConfig) -> Self {
-        if cfg.hier != HierMode::Off {
-            // Old segments carry no pyramid; rebuild one so loaded
-            // and freshly built services behave identically.
-            index.ensure_hier(&cfg.hier_config);
-        }
+    /// [`ShardedIndex::from_bytes`]) and serves the tiers it holds: it
+    /// builds none, since both are built from the source table
+    /// (`Service::build`, or `abq build --hier --hybrid`).
+    /// `cfg.shards` and `cfg.hier_config` are ignored.
+    pub fn from_index(index: ShardedIndex, cfg: &SvcConfig) -> Self {
         if cfg.hybrid != HybridMode::Off {
-            // The exact tier cannot be rebuilt here — it holds the
-            // truth, which needs the source table (`Service::build`
-            // or `abq build --hybrid`). Loaded segments that
-            // carry one are served as-is; replay their split decisions
-            // into the planner counters so `/metrics` reports the
-            // exact/ab split even though no build ran in-process.
+            // Replay the loaded tiers' split decisions into the planner
+            // counters so `/metrics` reports the exact/ab split even
+            // though no build ran in-process.
             index.record_hybrid_split_counters();
         }
         let pool = WorkerPool::new(cfg.resolved_threads(), cfg.queue_capacity);
@@ -1195,7 +1191,8 @@ mod tests {
         use ab::HierLevelSpec;
         // Clustered single-attribute table: each 512-row segment holds
         // one bin, so whole 64-row spans miss most bins. α=32 keeps
-        // the base AB clean enough for coarse misses to be definite.
+        // the base AB clean enough that no pruned region held a false
+        // positive, so the answers are equal.
         let n = 4096;
         let t = BinnedTable::new(vec![BinnedColumn::new(
             "v",
@@ -1242,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn from_index_attaches_pyramid_when_hier_enabled() {
+    fn from_index_builds_no_tier() {
         let t = table(120);
         let idx = crate::ShardedIndex::build(
             &t,
@@ -1251,16 +1248,10 @@ mod tests {
             false,
         );
         let bytes = idx.to_bytes();
-        // The serialized index carries no pyramid; a hier-enabled
-        // service rebuilds one per shard at load time.
+        // The serialized index carries no pyramid, and a hier-enabled
+        // service serves it without one: the flat scan's answers.
         let cfg = SvcConfig {
             hier: HierMode::Auto,
-            hier_config: HierConfig {
-                levels: vec![ab::HierLevelSpec {
-                    row_span: 8,
-                    bin_group: 2,
-                }],
-            },
             ..small_cfg()
         };
         let svc = Service::from_index(crate::ShardedIndex::from_bytes(&bytes).unwrap(), &cfg);
@@ -1268,7 +1259,7 @@ mod tests {
             .index()
             .shards()
             .iter()
-            .all(|s| s.index().hier().is_some()));
+            .all(|s| s.index().hier().is_none()));
         let q = RectQuery::new(vec![AttrRange::new(0, 0, 3)], 0, 119);
         assert_eq!(
             svc.try_query_rect(&q).unwrap().value,

@@ -186,11 +186,14 @@ impl ShardedIndex {
     }
 
     /// Attaches a hierarchical pruning pyramid to every shard that
-    /// lacks one (see [`AbIndex::ensure_hier`]), the shards side by
-    /// side as in [`Self::build`]. The probe-sweep build is
-    /// deterministic per shard, so calling this after a
-    /// [`Self::from_bytes`] of an envelope stored without one produces
-    /// the same pyramids a build-time attach would have.
+    /// lacks one, from the rows the shard was built from (see
+    /// [`AbIndex::ensure_hier`]), the shards side by side as in
+    /// [`Self::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard without a pyramid was not built in this
+    /// process: one [`Self::from_bytes`] decoded has no row summary.
     pub fn ensure_hier(&mut self, config: &HierConfig) {
         let bare: Vec<&mut Shard> = self
             .shards
@@ -360,6 +363,13 @@ impl ShardedIndex {
     /// `table`'s layout (that is the wrong source data), is an error;
     /// so is an envelope whose header does not walk or declares another
     /// shard count, unless every shard is damaged and it is not read.
+    /// Before anything is rebuilt, the first clean shard is checked
+    /// against `table` and `config`: `table`'s schema (attribute count,
+    /// names, cardinalities) must be the shard's, and `config` must
+    /// build its ABs (level, and each AB's bits per set bit, k and
+    /// family). Otherwise it is [`ab::IoError::SourceMismatch`], so a
+    /// wrong `--bins` or `--alpha` cannot rebuild a shard unlike its
+    /// siblings.
     ///
     /// The damaged shards rebuild side by side as in [`Self::build`],
     /// each with the pyramid and exact tier its clean siblings carry.
@@ -395,12 +405,24 @@ impl ShardedIndex {
                 indexes[sid] = Some(index);
             }
         }
+        if let Some(sibling) = indexes.iter().flatten().next() {
+            let schema = table.columns().iter().map(|c| (&c.name, c.cardinality));
+            if !schema.eq(sibling
+                .attributes()
+                .iter()
+                .map(|a| (&a.name, a.cardinality)))
+            {
+                return Err(ab::IoError::SourceMismatch("attribute schema"));
+            }
+            if !built_under(sibling, config) {
+                return Err(ab::IoError::SourceMismatch("AB level, size, k or family"));
+            }
+        }
         let repaired = (0..indexes.len()).filter(|&sid| indexes[sid].is_none());
         // A rebuilt shard needs the hierarchical pyramid and hybrid
-        // exact tier its persisted sibling shards carry. Both
-        // constructions are deterministic (probe-sweep over the base
-        // AB, plus the table's rows for exact containers), so
-        // rebuilding them with a clean sibling's configuration
+        // exact tier its persisted sibling shards carry. Both are
+        // built from the shard's rows of the table, deterministically,
+        // so rebuilding them with a clean sibling's configuration
         // restores the repaired segment byte-identically.
         let clean = || indexes.iter().flatten();
         let hier = clean().find_map(|index| index.hier().map(|h| h.config()));
@@ -438,6 +460,23 @@ impl ShardedIndex {
             .collect();
         Ok(Self::assemble(shards, table.num_rows()))
     }
+}
+
+/// Whether `config` builds `index`'s ABs: the same level, and every
+/// AB, sized under `config` for its own set-bit count, gets this AB's
+/// bit count (its bits per set bit), hash count and family (a
+/// column-group family's width follows the schema).
+fn built_under(index: &AbIndex, config: &AbConfig) -> bool {
+    use hashkit::HashFamily::ColumnGroup;
+    config.level == index.level()
+        && index.abs().iter().all(|ab| {
+            let params = config.sizing.params(ab.inserted().max(1), config.k);
+            let family = match (&config.family, ab.family()) {
+                (ColumnGroup { .. }, ColumnGroup { .. }) => true,
+                (asked, built) => asked == built,
+            };
+            ab.n_bits() == params.n_bits && ab.k() == params.k && family
+        })
 }
 
 #[cfg(test)]
@@ -967,6 +1006,30 @@ mod tests {
             ShardedIndex::from_bytes_with_repair(&idx.to_bytes(), 3, &[2], &t, &cfg()),
             Err(ab::IoError::BadShardLayout)
         ));
+    }
+
+    #[test]
+    fn repair_refuses_a_source_the_clean_shards_were_not_built_from() {
+        let t = table(100);
+        let bytes = ShardedIndex::build(&t, &cfg(), 4, false).to_bytes();
+        let repair = |t: &BinnedTable, config: &AbConfig| {
+            ShardedIndex::from_bytes_with_repair(&bytes, 4, &[2], t, config).map(|_| ())
+        };
+        assert_eq!(repair(&t, &cfg()), Ok(()));
+        // Another cardinality, as a wrong `--bins` bins the CSV.
+        let mut columns = t.columns().to_vec();
+        columns[1] = BinnedColumn::new("b", columns[1].bins.clone(), 8);
+        let schema = Err(ab::IoError::SourceMismatch("attribute schema"));
+        assert_eq!(repair(&BinnedTable::new(columns), &cfg()), schema);
+        let recipe = Err(ab::IoError::SourceMismatch("AB level, size, k or family"));
+        for wrong in [
+            cfg().with_alpha(16),
+            cfg().with_k(3),
+            cfg().with_family(hashkit::HashFamily::DoubleHashing),
+            AbConfig::new(Level::PerDataset).with_alpha(8),
+        ] {
+            assert_eq!(repair(&t, &wrong), recipe, "{wrong:?}");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 use ab::{AbConfig, AttributeMeta, Level};
 use bitmap::{AttrRange, BinnedTable, Column, EquiDepth, RectQuery, Table};
 use std::fmt::Display;
+use std::io::Write;
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -557,23 +558,41 @@ fn cmd_info(a: &Args) -> Result<(), String> {
         .iter()
         .flat_map(|s| s.index().abs())
         .collect();
-    println!(
-        "level: {}\nrows: {}\nattributes: {}\nshards: {}\nABs: {}\ntotal size: {} bytes",
-        index.shards()[0].index().level(),
-        index.num_rows(),
-        index.attributes().len(),
-        index.num_shards(),
-        abs.len(),
-        index.size_bytes(),
-    );
-    for a in index.attributes() {
-        println!("  {} (bins: {})", a.name, a.cardinality);
+    to_stdout(|out| {
+        writeln!(
+            out,
+            "level: {}\nrows: {}\nattributes: {}\nshards: {}\nABs: {}\ntotal size: {} bytes",
+            index.shards()[0].index().level(),
+            index.num_rows(),
+            index.attributes().len(),
+            index.num_shards(),
+            abs.len(),
+            index.size_bytes(),
+        )?;
+        for a in index.attributes() {
+            writeln!(out, "  {} (bins: {})", a.name, a.cardinality)?;
+        }
+        if let Some(ab0) = abs.first() {
+            let fp = abs.iter().map(|ab| ab.expected_fp_rate()).sum::<f64>() / abs.len() as f64;
+            writeln!(
+                out,
+                "k: {}, expected FP rate at current load: {fp:.5}",
+                ab0.k()
+            )?;
+        }
+        Ok(())
+    })
+}
+
+/// Runs `write` on a buffered, locked stdout. A reader that closes the
+/// pipe early (`abq query ... | head -1`) is not an error: what it
+/// read was written, and the command exits 0.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), String> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
     }
-    if let Some(ab0) = abs.first() {
-        let fp = abs.iter().map(|ab| ab.expected_fp_rate()).sum::<f64>() / abs.len() as f64;
-        println!("k: {}, expected FP rate at current load: {fp:.5}", ab0.k());
-    }
-    Ok(())
 }
 
 /// `abq verify` — offline integrity audit: header, meta-page padding,
@@ -633,17 +652,20 @@ fn cmd_query(a: &Args) -> Result<(), String> {
         cells_probed += stats.cells_probed;
         rows.extend(hits.into_iter().map(|r| r + shard.start()));
     }
-    println!(
-        "{} candidate rows ({cells_probed} cells probed; recall 100%, false positives possible):",
-        rows.len(),
-    );
-    for r in rows.iter().take(limit) {
-        println!("{r}");
-    }
-    if rows.len() > limit {
-        println!("... ({} more; raise --limit)", rows.len() - limit);
-    }
-    Ok(())
+    to_stdout(|out| {
+        writeln!(
+            out,
+            "{} candidate rows ({cells_probed} cells probed; recall 100%, false positives possible):",
+            rows.len(),
+        )?;
+        for r in rows.iter().take(limit) {
+            writeln!(out, "{r}")?;
+        }
+        if rows.len() > limit {
+            writeln!(out, "... ({} more; raise --limit)", rows.len() - limit)?;
+        }
+        Ok(())
+    })
 }
 
 /// Parses `--precision`: a target strictly between 0 and 1.
@@ -722,11 +744,18 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         net_cfg.default_deadline_ms = u32::try_from(d.as_millis())
             .map_err(|_| format!("bad --deadline-ms `{}`: over u32::MAX", d.as_millis()))?;
     }
-    // Segments stored without a pyramid are fine: Service::from_index
-    // rebuilds it per shard when hier is requested. Hybrid containers
-    // however live in the segment itself (built with `build --hybrid`);
-    // the flag only controls whether the kernel consults them.
+    // Pyramids and hybrid containers live in the segments themselves
+    // (`build --hier --hybrid`), built from the source rows; `serve`
+    // builds neither, and the flags only choose whether the kernel
+    // consults them. Forcing a tier the file does not hold is refused.
     let (st, index) = open_index(&path)?;
+    if cfg.hier == ab::HierMode::Force && index.shards().iter().any(|s| s.index().hier().is_none())
+    {
+        return Err(format!(
+            "{path}: --hier force, but the file holds no pyramids; \
+             rebuild it with `abq build --hier`"
+        ));
+    }
     let svc = Service::from_index(index, &cfg);
     println!(
         "ready: {} rows x {} attributes, {} shards on {} threads ({} AB bytes, store {path})",
@@ -840,7 +869,8 @@ fn cmd_scrub(a: &Args) -> Result<(), String> {
 /// table still verify, the shards `Store::audit` implicates are
 /// rebuilt from `table`, with the pyramid and exact tier their clean
 /// sibling shards carry, and the others are decoded: a deterministic
-/// build, so a bit-identical file. Otherwise (or when every shard is
+/// build, so a bit-identical file. A `table` or `config` the clean
+/// shards were not built from is refused, and nothing is written. Otherwise (or when every shard is
 /// damaged) the whole index is rebuilt from `table`, with the tiers
 /// `(hier, hybrid)` asks for — the `--hier`/`--hybrid` of `scrub`, as
 /// `build` took them. Either way the file keeps its shard count and
@@ -860,15 +890,26 @@ fn repair_store(
             store::DEFAULT_PAGE_SIZE,
         ),
     };
-    let repaired = audited
+    let partial = audited
         .as_ref()
-        .filter(|(_, report, _)| report.bad_shards.len() < shards)
-        .and_then(|(_, report, payload)| {
+        .filter(|(_, report, _)| report.bad_shards.len() < shards);
+    let repaired = match partial {
+        Some((_, report, payload)) => {
             let damaged = &report.bad_shards;
-            svc::ShardedIndex::from_bytes_with_repair(payload, shards, damaged, table, config)
-                .ok()
-                .map(|index| (index, damaged))
-        });
+            match svc::ShardedIndex::from_bytes_with_repair(payload, shards, damaged, table, config)
+            {
+                Ok(index) => Some((index, damaged)),
+                Err(e @ ab::IoError::SourceMismatch(_)) => {
+                    return Err(format!(
+                        "{path}: refused: {e}; nothing was written — pass the CSV and \
+                         the build flags the file was built with"
+                    ))
+                }
+                Err(_) => None,
+            }
+        }
+        None => None,
+    };
     let (index, note) = match repaired {
         Some((index, damaged)) if damaged.is_empty() => (index, "no shard was damaged".to_string()),
         Some((index, damaged)) => (
@@ -1546,6 +1587,76 @@ mod tests {
             let same = std::fs::read(abpg).unwrap() == pristine;
             assert_eq!(same, restored, "scrub {flags:?}");
         }
+    }
+
+    /// The case of a repair with the wrong flags: a file of 4 shards
+    /// and 12 bins at α = 16 with one byte rotted in shard 2, scrubbed
+    /// with the default bins, and with `--alpha 8`, is refused and left
+    /// as it was; with the build's flags it comes back byte for byte.
+    #[test]
+    fn scrub_refuses_a_source_that_does_not_match_the_file() {
+        let dir = csv_dir(
+            "abq_test_scrub_mismatch",
+            "price,qty",
+            (0..6000).map(|i| format!("{}.0,{}.0\n", i % 97, (i * 7) % 53)),
+        );
+        let (csv, abpg) = (dir.join("d.csv"), dir.join("d.abpg"));
+        let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+        let flags = ["--csv", csv, "--bins", "12", "--alpha", "16"];
+        let build = ["--out", abpg, "--shards", "4", "--page-size", "256"];
+        run("build", &[&flags[..], &build[..]].concat()).unwrap();
+        let pristine = std::fs::read(abpg).unwrap();
+        let st = store::Store::open(abpg).unwrap();
+        let extent = st.extents()[2];
+        let at = st.header().payload_offset() as usize + extent.offset + extent.len / 2;
+        drop(st);
+        let mut rotted = pristine.clone();
+        rotted[at] ^= 0x40;
+        std::fs::write(abpg, &rotted).unwrap();
+        let (_, report, _) = store::Store::audit(abpg).unwrap();
+        assert_eq!(report.bad_shards, vec![2]);
+
+        let index = ["--index", abpg, "--csv", csv];
+        for (wrong, what) in [
+            (&["--alpha", "16"][..], "attribute schema"),
+            (&["--bins", "12", "--alpha", "8"][..], "AB level, size"),
+        ] {
+            let err = run("scrub", &[&index[..], wrong].concat()).unwrap_err();
+            assert!(
+                err.contains("refused") && err.contains(what),
+                "{wrong:?}: {err}"
+            );
+            assert!(std::fs::read(abpg).unwrap() == rotted, "{wrong:?} wrote");
+        }
+        run("scrub", &[&index[..], &flags[2..]].concat()).unwrap();
+        assert!(std::fs::read(abpg).unwrap() == pristine, "not restored");
+    }
+
+    /// `serve --hier force` on a file without pyramids is refused,
+    /// naming the build that makes them: `serve` builds no tier.
+    #[test]
+    fn serve_refuses_to_force_pyramids_a_file_lacks() {
+        let dir = csv_dir(
+            "abq_test_serve_force",
+            "price,qty",
+            (0..500).map(|i| format!("{}.0,{}.0\n", i % 31, (i * 5) % 11)),
+        );
+        let (csv, abpg) = (dir.join("d.csv"), dir.join("d.abpg"));
+        let (csv, abpg) = (csv.to_str().unwrap(), abpg.to_str().unwrap());
+        run("build", &["--csv", csv, "--out", abpg]).unwrap();
+        let serve = [
+            "--index",
+            abpg,
+            "--listen",
+            "127.0.0.1:0",
+            "--hier",
+            "force",
+        ];
+        let err = run("serve", &serve).unwrap_err();
+        assert!(
+            err.contains("no pyramids") && err.contains("abq build --hier"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -820,6 +820,42 @@ fn rebuilt_index_answers_as_before_corruption() {
     assert_eq!(dir.ok(query), before);
 }
 
+/// `abq query` into a pipe that closes after one line, and `abq info`
+/// into a pipe already closed, exit 0: a reader that stops early is
+/// not an error.
+#[test]
+fn query_and_info_exit_0_when_the_reader_closes_the_pipe() {
+    let dir = Dir::new("pipe");
+    dir.csv("pipe.csv", &[("v", column(50_000, |i| i % 16))], 16);
+    dir.ok("build --csv pipe.csv --out p.abpg --bins 16");
+    // Every row matches: 50 000 lines, far more than a pipe buffers.
+    let line = "query --index p.abpg --where v=0..15 --limit 50000";
+    let mut query = dir
+        .command(&[ABQ], line)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(query.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains("50000 candidate rows"), "{first}");
+    let out = query.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "abq {line}: {:?} {err}", out.status);
+
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = dir
+        .command(&[ABQ], "info --index p.abpg")
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "abq info: {:?} {err}", out.status);
+}
+
 /// `serve` without `--index`, or without `--listen`, exits 2 naming
 /// the missing flag.
 #[test]
